@@ -304,6 +304,14 @@ func NewTickContext(now avtime.WorldTime, seq int, iv avtime.Interval) *TickCont
 	return &TickContext{Now: now, Seq: seq, Interval: iv, Round: int64(seq), in: make(map[string]*Chunk), out: make(map[string]*Chunk)}
 }
 
+// reset empties tc for another tick at parent's time, sequence number and
+// storage round: how a composite hands its own tick down to a component.
+func (tc *TickContext) reset(parent *TickContext) {
+	tc.Now, tc.Seq, tc.Interval, tc.Round = parent.Now, parent.Seq, parent.Interval, parent.Round
+	clear(tc.in)
+	clear(tc.out)
+}
+
 // In returns the chunk delivered to the named In port this tick, or nil.
 func (tc *TickContext) In(port string) *Chunk { return tc.in[port] }
 

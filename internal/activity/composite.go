@@ -73,11 +73,52 @@ type Composite struct {
 	muxOut map[string][]portRef
 	muxIn  map[string][]portRef
 	sync   *sched.Resync
+	// plan is what Tick needs of all of the above, worked out once: the
+	// components in topological order with their routing and a tick
+	// context each.  Every structural edit sets it to nil and the next
+	// Tick builds it again.
+	plan *compositePlan
 }
 
 type portRef struct {
 	child Activity
 	port  string
+}
+
+// compositePlan is a composite's structure as Tick consumes it.  Ports
+// are independent of one another, so their order is the maps'.
+type compositePlan struct {
+	order      []*planChild // internal topological order
+	exportsIn  []planPort
+	exportsOut []planPort
+	muxIn      []planMux
+	muxOut     []planMux
+	sync       *sched.Resync
+}
+
+// planChild is one component, its tick context — reset and reused every
+// tick — and the internal connections that feed it.
+type planChild struct {
+	act   Activity
+	tc    *TickContext
+	feeds []planFeed
+}
+
+type planFeed struct {
+	conn *Connection
+	from *planChild
+}
+
+// planPort routes a composite port to a component port.
+type planPort struct {
+	name  string
+	child *planChild
+	port  string
+}
+
+type planMux struct {
+	name   string
+	tracks []planPort // name is the track's, i.e. the component's
 }
 
 // NewComposite returns an empty composite activity.
@@ -107,6 +148,7 @@ func (c *Composite) Install(child Activity) error {
 	}
 	c.children[child.Name()] = child
 	c.childOrder = append(c.childOrder, child.Name())
+	c.plan = nil
 	return nil
 }
 
@@ -153,6 +195,7 @@ func (c *Composite) ConnectChildren(from Activity, outPort string, to Activity, 
 	}
 	conn := &Connection{from: from, fromPort: fp, to: to, toPort: tp}
 	c.internal = append(c.internal, conn)
+	c.plan = nil
 	return conn, nil
 }
 
@@ -167,6 +210,7 @@ func (c *Composite) ExportIn(name string, child Activity, childPort string) erro
 	c.AddPort(name, In, p.Type())
 	c.mu.Lock()
 	c.exportsIn[name] = portRef{child, childPort}
+	c.plan = nil
 	c.mu.Unlock()
 	return nil
 }
@@ -180,6 +224,7 @@ func (c *Composite) ExportOut(name string, child Activity, childPort string) err
 	c.AddPort(name, Out, p.Type())
 	c.mu.Lock()
 	c.exportsOut[name] = portRef{child, childPort}
+	c.plan = nil
 	c.mu.Unlock()
 	return nil
 }
@@ -201,6 +246,7 @@ func (c *Composite) ExportMuxOut(name string, refs ...TrackRef) error {
 	c.AddPort(name, Out, media.TypeMultiTrack)
 	c.mu.Lock()
 	c.muxOut[name] = prs
+	c.plan = nil
 	c.mu.Unlock()
 	return nil
 }
@@ -222,6 +268,7 @@ func (c *Composite) ExportMuxIn(name string, refs ...TrackRef) error {
 	c.AddPort(name, In, media.TypeMultiTrack)
 	c.mu.Lock()
 	c.muxIn[name] = prs
+	c.plan = nil
 	c.mu.Unlock()
 	return nil
 }
@@ -255,6 +302,7 @@ func (c *Composite) EnableSync(alpha float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sync = sched.NewResync(alpha)
+	c.plan = nil
 }
 
 // SyncController returns the resynchronization controller, if enabled.
@@ -290,98 +338,86 @@ func (c *Composite) Stop() error {
 // Tick implements Activity: it routes composite inputs to components,
 // runs the components in internal topological order with their latencies
 // and the synchronization corrections applied, and assembles composite
-// outputs.
+// outputs.  Components tick in the storage round the composite was given.
 func (c *Composite) Tick(tc *TickContext) error {
 	c.mu.Lock()
-	children := make([]Activity, len(c.childOrder))
-	for i, n := range c.childOrder {
-		children[i] = c.children[n]
+	plan := c.plan
+	if plan == nil {
+		var err error
+		if plan, err = c.buildPlan(); err != nil {
+			c.mu.Unlock()
+			return err
+		}
+		c.plan = plan
 	}
-	internal := append([]*Connection(nil), c.internal...)
-	exportsIn := copyRefs(c.exportsIn)
-	exportsOut := copyRefs(c.exportsOut)
-	muxOut := copyMux(c.muxOut)
-	muxIn := copyMux(c.muxIn)
-	syncCtl := c.sync
 	c.mu.Unlock()
 
-	order, err := topoChildren(children, internal)
-	if err != nil {
-		return err
-	}
-
-	ctxs := make(map[string]*TickContext, len(order))
-	for _, child := range order {
-		ctxs[child.Name()] = NewTickContext(tc.Now, tc.Seq, tc.Interval)
+	for _, pc := range plan.order {
+		pc.tc.reset(tc)
 	}
 
 	// Route composite inputs.
-	for name, ref := range exportsIn {
-		if in := tc.In(name); in != nil {
+	for _, ex := range plan.exportsIn {
+		if in := tc.In(ex.name); in != nil {
 			cp := *in
-			ctxs[ref.child.Name()].SetIn(ref.port, &cp)
+			ex.child.tc.SetIn(ex.port, &cp)
 		}
 	}
-	for name, refs := range muxIn {
-		in := tc.In(name)
+	for _, mux := range plan.muxIn {
+		in := tc.In(mux.name)
 		if in == nil {
 			continue
 		}
 		mp, ok := in.Payload.(*MultiPayload)
 		if !ok {
-			return fmt.Errorf("activity: %s.%s received non-multiplexed payload", c.Name(), name)
+			return fmt.Errorf("activity: %s.%s received non-multiplexed payload", c.Name(), mux.name)
 		}
-		for _, ref := range refs {
-			part := mp.Parts[ref.child.Name()]
+		for _, tr := range mux.tracks {
+			part := mp.Parts[tr.name]
 			if part == nil {
 				continue
 			}
 			cp := *part
-			if syncCtl != nil {
+			if plan.sync != nil {
 				lat := cp.Arrived - cp.At
 				if lat < 0 {
 					lat = 0
 				}
-				cp.Arrived += syncCtl.Correction(ref.child.Name())
-				syncCtl.Observe(ref.child.Name(), lat)
+				cp.Arrived += plan.sync.Correction(tr.name)
+				plan.sync.Observe(tr.name, lat)
 			}
-			ctxs[ref.child.Name()].SetIn(ref.port, &cp)
+			tr.child.tc.SetIn(tr.port, &cp)
 		}
 	}
 
-	// Run components.
-	outputs := make(map[string]map[string]*Chunk, len(order)) // child -> port -> chunk
-	for _, child := range order {
-		ctx := ctxs[child.Name()]
-		// Feed internal connections from already-run components.
-		for _, conn := range internal {
-			if conn.to.Name() != child.Name() {
+	// Run components.  A component's outputs stay in its context, where
+	// the components it feeds and the composite's Out ports find them.
+	for _, pc := range plan.order {
+		for _, feed := range pc.feeds {
+			conn := feed.conn
+			chunk := feed.from.tc.Out(conn.fromPort.Name())
+			if chunk == nil {
 				continue
 			}
-			if srcOuts := outputs[conn.from.Name()]; srcOuts != nil {
-				if chunk := srcOuts[conn.fromPort.Name()]; chunk != nil {
-					oc := conn.deliver(chunk)
-					if oc.err != nil {
-						return oc.err
-					}
-					if oc.chunk == nil {
-						// Lost or absorbed in flight inside the composite.
-						emitFault(conn.to, EventInfo{Event: EventFault, Activity: conn.to.Name(), At: tc.Now, Seq: chunk.Seq})
-						continue
-					}
-					ctx.SetIn(conn.toPort.Name(), oc.chunk)
-				}
+			oc := conn.deliver(chunk)
+			if oc.err != nil {
+				return oc.err
 			}
+			if oc.chunk == nil {
+				// Lost or absorbed in flight inside the composite.
+				emitFault(conn.to, EventInfo{Event: EventFault, Activity: conn.to.Name(), At: tc.Now, Seq: chunk.Seq})
+				continue
+			}
+			pc.tc.SetIn(conn.toPort.Name(), oc.chunk)
 		}
-		if child.State() != StateStarted {
+		if pc.act.State() != StateStarted {
 			continue
 		}
-		if err := child.Tick(ctx); err != nil {
-			return fmt.Errorf("activity: composite %s component %s: %w", c.Name(), child.Name(), err)
+		if err := pc.act.Tick(pc.tc); err != nil {
+			return fmt.Errorf("activity: composite %s component %s: %w", c.Name(), pc.act.Name(), err)
 		}
-		lat := sampleLatency(child)
-		outs := make(map[string]*Chunk)
-		for port, chunk := range ctx.Outputs() {
+		lat := sampleLatency(pc.act)
+		for _, chunk := range pc.tc.Outputs() {
 			if chunk == nil {
 				continue
 			}
@@ -391,42 +427,41 @@ func (c *Composite) Tick(tc *TickContext) error {
 			chunk.Arrived += lat
 			propagateExtra(chunk, lat)
 			if chunk.Track == "" {
-				chunk.Track = child.Name()
+				chunk.Track = pc.act.Name()
 			}
-			outs[port] = chunk
 		}
-		outputs[child.Name()] = outs
 	}
 
 	// Assemble composite outputs.
-	for name, ref := range exportsOut {
-		if outs := outputs[ref.child.Name()]; outs != nil {
-			if chunk := outs[ref.port]; chunk != nil {
-				tc.Emit(name, chunk)
-			}
+	for _, ex := range plan.exportsOut {
+		if chunk := ex.child.tc.Out(ex.port); chunk != nil {
+			tc.Emit(ex.name, chunk)
 		}
 	}
-	for name, refs := range muxOut {
-		mp := &MultiPayload{Parts: make(map[string]*Chunk, len(refs))}
-		for _, ref := range refs {
-			if outs := outputs[ref.child.Name()]; outs != nil {
-				if chunk := outs[ref.port]; chunk != nil {
-					mp.Parts[ref.child.Name()] = chunk
-				}
+	for _, mux := range plan.muxOut {
+		var mp *MultiPayload
+		var arrived avtime.WorldTime
+		for _, tr := range mux.tracks {
+			chunk := tr.child.tc.Out(tr.port)
+			if chunk == nil {
+				continue
 			}
+			if mp == nil {
+				mp = &MultiPayload{Parts: make(map[string]*Chunk, len(mux.tracks))}
+			}
+			mp.Parts[tr.name] = chunk
+			arrived = max(arrived, chunk.Arrived)
 		}
-		if len(mp.Parts) == 0 {
-			continue
+		if mp != nil {
+			tc.Emit(mux.name, &Chunk{Seq: tc.Seq, At: tc.Now, Arrived: arrived, Payload: mp})
 		}
-		outer := &Chunk{Seq: tc.Seq, At: tc.Now, Arrived: MaxArrival(partList(mp)...), Payload: mp}
-		tc.Emit(name, outer)
 	}
 
 	// A source composite finishes when all its source components have.
 	if c.Kind() == KindSource {
 		done := true
-		for _, child := range children {
-			if child.Kind() == KindSource && child.State() == StateStarted {
+		for _, pc := range plan.order {
+			if pc.act.Kind() == KindSource && pc.act.State() == StateStarted {
 				done = false
 				break
 			}
@@ -438,28 +473,50 @@ func (c *Composite) Tick(tc *TickContext) error {
 	return nil
 }
 
-func partList(mp *MultiPayload) []*Chunk {
-	out := make([]*Chunk, 0, len(mp.Parts))
-	for _, c := range mp.Parts {
-		out = append(out, c)
+// buildPlan works out the tick plan from the composite's structure; the
+// caller holds c.mu.
+func (c *Composite) buildPlan() (*compositePlan, error) {
+	children := make([]Activity, len(c.childOrder))
+	for i, n := range c.childOrder {
+		children[i] = c.children[n]
 	}
-	return out
-}
-
-func copyRefs(m map[string]portRef) map[string]portRef {
-	out := make(map[string]portRef, len(m))
-	for k, v := range m {
-		out[k] = v
+	order, err := topoChildren(children, c.internal)
+	if err != nil {
+		return nil, err
 	}
-	return out
-}
-
-func copyMux(m map[string][]portRef) map[string][]portRef {
-	out := make(map[string][]portRef, len(m))
-	for k, v := range m {
-		out[k] = append([]portRef(nil), v...)
+	plan := &compositePlan{sync: c.sync}
+	byName := make(map[string]*planChild, len(order))
+	for _, child := range order {
+		pc := &planChild{act: child, tc: NewTickContext(0, 0, avtime.Interval{})}
+		plan.order = append(plan.order, pc)
+		byName[child.Name()] = pc
 	}
-	return out
+	for _, conn := range c.internal {
+		to := byName[conn.to.Name()]
+		to.feeds = append(to.feeds, planFeed{conn: conn, from: byName[conn.from.Name()]})
+	}
+	route := func(name string, ref portRef) planPort {
+		return planPort{name: name, child: byName[ref.child.Name()], port: ref.port}
+	}
+	for name, ref := range c.exportsIn {
+		plan.exportsIn = append(plan.exportsIn, route(name, ref))
+	}
+	for name, ref := range c.exportsOut {
+		plan.exportsOut = append(plan.exportsOut, route(name, ref))
+	}
+	mux := func(ports map[string][]portRef) []planMux {
+		var out []planMux
+		for name, refs := range ports {
+			m := planMux{name: name}
+			for _, ref := range refs {
+				m.tracks = append(m.tracks, route(ref.child.Name(), ref))
+			}
+			out = append(out, m)
+		}
+		return out
+	}
+	plan.muxIn, plan.muxOut = mux(c.muxIn), mux(c.muxOut)
+	return plan, nil
 }
 
 // topoChildren orders components topologically by internal connections.

@@ -75,11 +75,26 @@ func maxPixelError(a, b *media.VideoValue) int {
 	return worst
 }
 
+// rleEncode and rleDecode drive the frame kernels as a bare PackBits
+// coder: at quant 0 against an all-zero reference the residual is the
+// input itself.
+func rleEncode(src []byte) []byte {
+	return pack(nil, src, make([]byte, len(src)), nil, 0)
+}
+
+func rleDecode(n int, enc []byte) ([]byte, error) {
+	dst := make([]byte, n)
+	if err := unpack(dst, enc, make([]byte, n)); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
 func TestRLERoundTripProperty(t *testing.T) {
 	f := func(src []byte) bool {
-		enc := rleEncode(nil, src)
-		dec, err := rleDecode(nil, enc)
-		return err == nil && bytes.Equal(dec, src)
+		enc := rleEncode(src)
+		dec, err := rleDecode(len(src), enc)
+		return err == nil && bytes.Equal(dec, src) && bytes.Equal(enc, refRLEEncode(nil, src))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -88,28 +103,34 @@ func TestRLERoundTripProperty(t *testing.T) {
 
 func TestRLERunsCompress(t *testing.T) {
 	src := bytes.Repeat([]byte{7}, 10_000)
-	enc := rleEncode(nil, src)
+	enc := rleEncode(src)
 	if len(enc) > len(src)/50 {
 		t.Errorf("10k-byte run encoded to %d bytes", len(enc))
 	}
-	dec, err := rleDecode(nil, enc)
+	dec, err := rleDecode(len(src), enc)
 	if err != nil || !bytes.Equal(dec, src) {
 		t.Fatal("run round trip failed")
 	}
 }
 
 func TestRLEEmptyAndErrors(t *testing.T) {
-	if enc := rleEncode(nil, nil); len(enc) != 0 {
+	if enc := rleEncode(nil); len(enc) != 0 {
 		t.Error("empty input encoded to non-empty")
 	}
-	if _, err := rleDecode(nil, []byte{128}); err == nil {
+	if _, err := rleDecode(1, []byte{128}); err == nil {
 		t.Error("reserved control byte accepted")
 	}
-	if _, err := rleDecode(nil, []byte{5, 1, 2}); err == nil {
+	if _, err := rleDecode(6, []byte{5, 1, 2}); err == nil {
 		t.Error("truncated literal accepted")
 	}
-	if _, err := rleDecode(nil, []byte{200}); err == nil {
+	if _, err := rleDecode(57, []byte{200}); err == nil {
 		t.Error("truncated repeat accepted")
+	}
+	if _, err := rleDecode(3, []byte{253, 9}); err == nil {
+		t.Error("run past the frame accepted")
+	}
+	if _, err := rleDecode(5, []byte{253, 9}); err == nil {
+		t.Error("short stream accepted")
 	}
 }
 

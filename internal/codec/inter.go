@@ -43,23 +43,13 @@ func (c *Inter) Encode(v *media.VideoValue) (*EncodedVideo, error) {
 	e := newEncodedVideo(TypeMPEGVideo, c.Name(), v.Width(), v.Height(), v.Depth(), c.Quant, gop, 0)
 	e.tr = avtime.NewTransform(v.Type().Rate)
 
-	var ref []byte // previous frame in the quantized domain
+	enc := &VideoStreamEncoder{quant: c.Quant, gop: gop}
 	for i := 0; i < v.NumFrames(); i++ {
 		f, err := v.Frame(i)
 		if err != nil {
 			return nil, err
 		}
-		t := quantize(f.Pix, c.Quant)
-		if i%gop == 0 {
-			e.frames = append(e.frames, &EncodedFrame{Data: deltaRLE(t), Key: true})
-		} else {
-			resid := make([]byte, len(t))
-			for k := range t {
-				resid[k] = t[k] - ref[k]
-			}
-			e.frames = append(e.frames, &EncodedFrame{Data: rleEncode(make([]byte, 0, 64), resid), Key: false})
-		}
-		ref = t
+		e.frames = append(e.frames, enc.encode(f.Pix))
 	}
 	return e, nil
 }
@@ -67,18 +57,15 @@ func (c *Inter) Encode(v *media.VideoValue) (*EncodedVideo, error) {
 // Decode implements VideoCodec.
 func (c *Inter) Decode(e *EncodedVideo) (*media.VideoValue, error) {
 	v := media.NewVideoValue(media.TypeRawVideo30, e.width, e.height, e.depth)
-	var ref []byte
-	for i := range e.frames {
-		t, err := decodeInterQuantized(e, i, ref)
+	d := e.streamDecoder()
+	for i, ef := range e.frames {
+		f, err := d.DecodeFrame(ef)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("codec: frame %d: %w", i, err)
 		}
-		f := media.NewFrame(e.width, e.height, e.depth)
-		dequantizeInto(f.Pix, t, e.quant)
 		if err := v.AppendFrame(f); err != nil {
 			return nil, err
 		}
-		ref = t
 	}
 	return v, nil
 }
@@ -90,99 +77,16 @@ func (c *Inter) DecodeFrame(e *EncodedVideo, i int) (*media.Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ref []byte
-	for k := key; ; k++ {
-		t, err := decodeInterQuantized(e, k, ref)
-		if err != nil {
-			return nil, err
+	d := e.streamDecoder()
+	for k := key; k <= i; k++ {
+		if err := d.advance(e.frames[k]); err != nil {
+			return nil, fmt.Errorf("codec: frame %d: %w", k, err)
 		}
-		if k == i {
-			f := media.NewFrame(e.width, e.height, e.depth)
-			dequantizeInto(f.Pix, t, e.quant)
-			return f, nil
-		}
-		ref = t
 	}
+	return d.frame(), nil
 }
 
-// decodeInterQuantized reconstructs frame i in the quantized domain given
-// the previous reconstructed frame (nil for key frames).
-func decodeInterQuantized(e *EncodedVideo, i int, ref []byte) ([]byte, error) {
-	ef, err := e.FrameData(i)
-	if err != nil {
-		return nil, err
-	}
-	n := e.width * e.height * e.depth / 8
-	if ef.Key {
-		t, err := undeltaRLE(ef.Data, n)
-		if err != nil {
-			return nil, fmt.Errorf("codec: key frame %d: %w", i, err)
-		}
-		return t, nil
-	}
-	if ref == nil {
-		return nil, fmt.Errorf("codec: P frame %d decoded without reference", i)
-	}
-	resid, err := rleDecode(make([]byte, 0, n), ef.Data)
-	if err != nil {
-		return nil, fmt.Errorf("codec: P frame %d: %w", i, err)
-	}
-	if len(resid) != n {
-		return nil, fmt.Errorf("codec: P frame %d: decoded %d bytes, want %d", i, len(resid), n)
-	}
-	t := make([]byte, n)
-	for k := range t {
-		t[k] = ref[k] + resid[k]
-	}
-	return t, nil
-}
-
-// quantize drops q low bits from every byte.
-func quantize(pix []byte, q int) []byte {
-	t := make([]byte, len(pix))
-	for i, p := range pix {
-		t[i] = p >> q
-	}
-	return t
-}
-
-// dequantizeInto restores pixel bytes from the quantized domain with
-// midpoint reconstruction.
-func dequantizeInto(pix, t []byte, q int) {
-	mid := byte(0)
-	if q > 0 {
-		mid = 1 << (q - 1)
-	}
-	for i, tv := range t {
-		pix[i] = tv<<q + mid
-	}
-}
-
-// deltaRLE codes an already-quantized frame with the intra predictor.
-func deltaRLE(t []byte) []byte {
-	d := make([]byte, len(t))
-	var prev byte
-	for i, tv := range t {
-		d[i] = tv - prev
-		prev = tv
-	}
-	return rleEncode(make([]byte, 0, len(t)/4+16), d)
-}
-
-// undeltaRLE reverses deltaRLE, returning the quantized-domain frame.
-func undeltaRLE(data []byte, n int) ([]byte, error) {
-	d, err := rleDecode(make([]byte, 0, n), data)
-	if err != nil {
-		return nil, err
-	}
-	if len(d) != n {
-		return nil, fmt.Errorf("codec: decoded %d bytes, want %d", len(d), n)
-	}
-	t := make([]byte, n)
-	var prev byte
-	for i, dv := range d {
-		prev += dv
-		t[i] = prev
-	}
-	return t, nil
+// streamDecoder returns a decoder for e's frames.
+func (e *EncodedVideo) streamDecoder() *VideoStreamDecoder {
+	return &VideoStreamDecoder{quant: e.quant, width: e.width, height: e.height, depth: e.depth}
 }

@@ -34,12 +34,13 @@ func (c *Intra) Encode(v *media.VideoValue) (*EncodedVideo, error) {
 	}
 	e := newEncodedVideo(c.Typ, c.CodecName, v.Width(), v.Height(), v.Depth(), c.Quant, 1, 0)
 	e.tr = avtime.NewTransform(v.Type().Rate)
+	enc := &VideoStreamEncoder{quant: c.Quant, gop: 1}
 	for i := 0; i < v.NumFrames(); i++ {
 		f, err := v.Frame(i)
 		if err != nil {
 			return nil, err
 		}
-		e.frames = append(e.frames, &EncodedFrame{Data: encodeIntraFrame(f.Pix, c.Quant), Key: true})
+		e.frames = append(e.frames, enc.encode(f.Pix))
 	}
 	return e, nil
 }
@@ -79,38 +80,13 @@ func checkQuant(q int) error {
 	return nil
 }
 
-// encodeIntraFrame quantizes, delta-transforms and run-length codes one
-// frame's pixel bytes.
-func encodeIntraFrame(pix []byte, q int) []byte {
-	d := make([]byte, len(pix))
-	var prev byte
-	for i, p := range pix {
-		t := p >> q
-		d[i] = t - prev
-		prev = t
-	}
-	return rleEncode(make([]byte, 0, len(pix)/4+16), d)
-}
-
-// decodeIntraFrame reverses encodeIntraFrame into pix, which must have the
-// frame's exact length.
+// decodeIntraFrame reconstructs an intra-coded frame into pix, which must
+// have the frame's exact length.
 func decodeIntraFrame(pix, data []byte, q int) error {
-	d, err := rleDecode(make([]byte, 0, len(pix)), data)
-	if err != nil {
+	if err := unpack(pix, data, nil); err != nil {
 		return err
 	}
-	if len(d) != len(pix) {
-		return fmt.Errorf("codec: decoded %d bytes, frame needs %d", len(d), len(pix))
-	}
-	var t byte
-	mid := byte(0)
-	if q > 0 {
-		mid = 1 << (q - 1)
-	}
-	for i, dv := range d {
-		t += dv
-		pix[i] = t<<q + mid
-	}
+	dequantizeInto(pix, pix, q)
 	return nil
 }
 
@@ -140,13 +116,13 @@ func (c *DVI) Encode(v *media.VideoValue) (*EncodedVideo, error) {
 	e := newEncodedVideo(TypeDVIVideo, c.Name(), v.Width(), v.Height(), v.Depth(), c.Quant, 1, 0)
 	e.tr = avtime.NewTransform(v.Type().Rate)
 	bpp := v.Depth() / 8
+	enc := &VideoStreamEncoder{quant: c.Quant, gop: 1}
 	for i := 0; i < v.NumFrames(); i++ {
 		f, err := v.Frame(i)
 		if err != nil {
 			return nil, err
 		}
-		small := downsample2(f.Pix, v.Width(), v.Height(), bpp)
-		e.frames = append(e.frames, &EncodedFrame{Data: encodeIntraFrame(small, c.Quant), Key: true})
+		e.frames = append(e.frames, enc.encode(downsample2(f.Pix, v.Width(), v.Height(), bpp)))
 	}
 	return e, nil
 }

@@ -1,0 +1,447 @@
+package codec
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"avdb/internal/media"
+	"avdb/internal/synth"
+)
+
+var updateCorpus = flag.Bool("update-corpus", false,
+	"rewrite the seed corpus under testdata/fuzz/FuzzStreamDecode")
+
+// kernelGeoms are frame geometries whose byte lengths exercise the word
+// loops' tails: 15, 105, 64, 182, 9 and 3 bytes.
+var kernelGeoms = [][3]int{{5, 3, 8}, {7, 5, 24}, {16, 4, 8}, {13, 7, 16}, {9, 1, 8}, {3, 1, 8}}
+
+// runStructured returns n bytes made of runs whose lengths crowd the
+// coder's edges: the literal/repeat threshold and the 128-byte caps.
+func runStructured(rng *rand.Rand, n int) []byte {
+	edges := []int{1, 1, 1, 2, 2, 3, 4, 7, 8, 9, 126, 127, 128, 129, 130, 131, 255, 256, 257, 258, 400}
+	out := make([]byte, 0, n)
+	for len(out) < n {
+		v := byte(rng.Intn(4)) // few values, so neighbouring runs sometimes merge
+		if rng.Intn(3) == 0 {
+			v = byte(rng.Intn(256))
+		}
+		for k := edges[rng.Intn(len(edges))]; k > 0 && len(out) < n; k-- {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// TestPackMatchesReference holds pack to the old quantize → residual →
+// PackBits passes on run-structured inputs, for both predictors.
+func TestPackMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 800; trial++ {
+		n := 1 + rng.Intn(1500)
+		q := rng.Intn(8)
+		// Pixels whose quantized residual is run-structured.
+		resid := runStructured(rng, n)
+		ref := make([]byte, n)
+		rng.Read(ref)
+		for i := range ref {
+			ref[i] &= 0xff >> q
+		}
+		pix := make([]byte, n)
+		key := trial%2 == 0
+		var prev byte
+		for i := range pix {
+			tq := resid[i] + ref[i]
+			if key {
+				tq = resid[i] + prev
+			}
+			tq &= 0xff >> q
+			prev = tq
+			pix[i] = tq<<q | byte(rng.Intn(1<<q))
+		}
+		tq := refQuantize(pix, q)
+		var got, want, keep []byte
+		if key {
+			keep = make([]byte, n)
+			got, want = pack(nil, pix, nil, keep, q), refDeltaRLE(tq)
+		} else {
+			d := make([]byte, n)
+			for i := range d {
+				d[i] = tq[i] - ref[i]
+			}
+			keep = ref // as the stream encoder does: the reference is replaced as it is read
+			got, want = pack(nil, pix, ref, keep, q), refRLEEncode(nil, d)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("trial %d (n=%d q=%d key=%v): pack emitted %d bytes, reference %d, first difference at %d",
+				trial, n, q, key, len(got), len(want), firstDiff(got, want))
+		}
+		if !bytes.Equal(keep, tq) {
+			t.Fatalf("trial %d (n=%d q=%d key=%v): kept frame differs from the quantized frame at %d", trial, n, q, key, firstDiff(keep, tq))
+		}
+	}
+}
+
+func firstDiff(a, b []byte) int {
+	for i := range a {
+		if i >= len(b) || a[i] != b[i] {
+			return i
+		}
+	}
+	return len(a)
+}
+
+// TestStreamCodecMatchesReference: over synth clips × quant × GOP × odd
+// geometries the fused stream coder emits the reference's bytes and
+// decodes to the reference's pixels, and so do the batch codecs built on
+// it.
+func TestStreamCodecMatchesReference(t *testing.T) {
+	patterns := []synth.Pattern{synth.PatternGradient, synth.PatternBars, synth.PatternMotion, synth.PatternNoise, synth.PatternChecker}
+	geoms := append([][3]int{{40, 30, 8}}, kernelGeoms...)
+	for _, g := range geoms {
+		for _, pat := range patterns {
+			clip := synth.Video(media.TypeRawVideo30, pat, g[0], g[1], g[2], 19, int64(g[0]*31+int(pat)))
+			for q := 0; q <= 7; q++ {
+				for _, gop := range []int{1, 2, 15} {
+					name := fmt.Sprintf("%dx%dx%d/%v/q%d/gop%d", g[0], g[1], g[2], pat, q, gop)
+					checkStreamAgainstReference(t, name, clip, q, gop)
+				}
+			}
+		}
+	}
+}
+
+func checkStreamAgainstReference(t *testing.T, name string, clip *media.VideoValue, q, gop int) {
+	t.Helper()
+	enc, err := NewInterStreamEncoder(q, gop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := NewVideoStreamDecoder(clip.Width(), clip.Height(), clip.Depth(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refEnc := &refStreamEncoder{quant: q, gop: gop}
+	refDec := &refStreamDecoder{quant: q, width: clip.Width(), height: clip.Height(), depth: clip.Depth()}
+	batch, err := (&Inter{Quant: q, GOPN: gop}).Encode(clip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded []*media.Frame
+	for i := 0; i < clip.NumFrames(); i++ {
+		f, _ := clip.Frame(i)
+		ef, err := enc.EncodeFrame(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := refEnc.EncodeFrame(f)
+		if ef.Key != want.Key || !bytes.Equal(ef.Data, want.Data) {
+			t.Fatalf("%s frame %d: encoded bytes differ from the reference (%d vs %d bytes)", name, i, len(ef.Data), len(want.Data))
+		}
+		if bf, _ := batch.FrameData(i); bf.Key != want.Key || !bytes.Equal(bf.Data, want.Data) {
+			t.Fatalf("%s frame %d: batch encoder differs from the reference", name, i)
+		}
+		got, err := dec.DecodeFrame(ef)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPix, err := refDec.DecodeFrame(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(wantPix) {
+			t.Fatalf("%s frame %d: decoded pixels differ from the reference", name, i)
+		}
+		decoded = append(decoded, got)
+	}
+	// Random access and whole-value decode run the same kernels.
+	inter := &Inter{Quant: q, GOPN: gop}
+	for _, i := range []int{0, clip.NumFrames() / 2, clip.NumFrames() - 1} {
+		f, err := inter.DecodeFrame(batch, i)
+		if err != nil || !f.Equal(decoded[i]) {
+			t.Fatalf("%s: Inter.DecodeFrame(%d) differs from the stream decoder (err %v)", name, i, err)
+		}
+	}
+	if gop == 1 {
+		intra, err := (&Intra{CodecName: "t", Typ: TypeJPEGVideo, Quant: q}).Encode(clip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range decoded {
+			ef, _ := intra.FrameData(i)
+			bf, _ := batch.FrameData(i)
+			if !bytes.Equal(ef.Data, bf.Data) {
+				t.Fatalf("%s frame %d: intra encoding differs from the reference", name, i)
+			}
+			f, err := JPEG.DecodeFrame(intra, i)
+			if err != nil || !f.Equal(decoded[i]) {
+				t.Fatalf("%s frame %d: intra decode differs from the reference (err %v)", name, i, err)
+			}
+		}
+	}
+}
+
+// TestScalableMatchesReference assembles each scalable frame from the
+// reference kernels, as Scalable.Encode did before it used pack.
+func TestScalableMatchesReference(t *testing.T) {
+	for _, g := range [][3]int{{40, 30, 8}, {13, 7, 16}, {7, 5, 24}} {
+		clip := synth.Video(media.TypeRawVideo30, synth.PatternMotion, g[0], g[1], g[2], 6, 5)
+		for q := 0; q <= 7; q++ {
+			c := &Scalable{BaseQuant: q}
+			e, err := c.Encode(clip)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, h, bpp := g[0], g[1], g[2]/8
+			hw, hh := (w+1)/2, (h+1)/2
+			for i := 0; i < clip.NumFrames(); i++ {
+				f, _ := clip.Frame(i)
+				half := downsample2(f.Pix, w, h, bpp)
+				quarter := downsample2(half, hw, hh, bpp)
+				reconQ := make([]byte, len(quarter))
+				refDequantizeInto(reconQ, refQuantize(quarter, q), q)
+				predHalf := make([]byte, len(half))
+				upsample2Linear(predHalf, reconQ, hw, hh, bpp)
+				predFull := make([]byte, len(f.Pix))
+				upsample2Linear(predFull, half, w, h, bpp)
+				for k := range half {
+					predHalf[k] = half[k] - predHalf[k]
+				}
+				for k := range f.Pix {
+					predFull[k] = f.Pix[k] - predFull[k]
+				}
+				want := packLayers(refDeltaRLE(refQuantize(quarter, q)), refRLEEncode(nil, predHalf), refRLEEncode(nil, predFull))
+				if ef, _ := e.FrameData(i); !bytes.Equal(ef.Data, want) {
+					t.Fatalf("%v q%d frame %d: scalable encoding differs from the reference", g, q, i)
+				}
+				got, err := c.DecodeFrame(e, i)
+				if err != nil || !got.Equal(f) {
+					t.Fatalf("%v q%d frame %d: full-layer decode not lossless (err %v)", g, q, i, err)
+				}
+			}
+		}
+	}
+}
+
+// A stream-decode program, the fuzzer's input: a geometry selector, a
+// quant, then frames of (flags, length lo, length hi, payload); bit 0 of
+// flags marks a key frame.  A payload cut short by the end of the input
+// is a frame all the same.
+func streamProgram(geom, quant int, frames ...*EncodedFrame) []byte {
+	out := []byte{byte(geom), byte(quant)}
+	for _, ef := range frames {
+		flags := byte(0)
+		if ef.Key {
+			flags = 1
+		}
+		out = append(out, flags, byte(len(ef.Data)), byte(len(ef.Data)>>8))
+		out = append(out, ef.Data...)
+	}
+	return out
+}
+
+// runStreamProgram decodes a program with the fused decoder and the
+// reference side by side: the same frame or an error from both, and after
+// an error the fused decoder's state exactly as before it.
+func runStreamProgram(t *testing.T, prog []byte) {
+	t.Helper()
+	if len(prog) < 2 {
+		return
+	}
+	g := kernelGeoms[int(prog[0])%len(kernelGeoms)]
+	q := int(prog[1]) % 8
+	dec, err := NewVideoStreamDecoder(g[0], g[1], g[2], q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := &refStreamDecoder{quant: q, width: g[0], height: g[1], depth: g[2]}
+	prog = prog[2:]
+	for n := 0; len(prog) >= 3; n++ {
+		ef := &EncodedFrame{Key: prog[0]&1 == 1}
+		size := int(prog[1]) | int(prog[2])<<8
+		prog = prog[3:]
+		size = min(size, len(prog))
+		ef.Data, prog = prog[:size], prog[size:]
+
+		before, primed := append([]byte(nil), dec.ref...), dec.primed
+		got, err := dec.DecodeFrame(ef)
+		want, refErr := ref.DecodeFrame(ef)
+		if (err != nil) != (refErr != nil) {
+			t.Fatalf("frame %d: fused decoder error %v, reference error %v", n, err, refErr)
+		}
+		if err != nil {
+			if dec.primed != primed || primed && !bytes.Equal(dec.ref, before) {
+				t.Fatalf("frame %d: failed decode (%v) changed the decoder's reference", n, err)
+			}
+			continue
+		}
+		if !got.Equal(want) {
+			t.Fatalf("frame %d: decoded pixels differ from the reference", n)
+		}
+		if !bytes.Equal(dec.ref, ref.ref) {
+			t.Fatalf("frame %d: quantized reference differs from the reference decoder's", n)
+		}
+	}
+}
+
+// streamCorpus returns the seed programs committed under
+// testdata/fuzz/FuzzStreamDecode.  Regenerate the files with
+//
+//	go test -run TestStreamCorpusSeeds -update-corpus ./internal/codec
+//
+// after changing an encoder.
+func streamCorpus() map[string][]byte {
+	// A clean GOP-4 stream on the 7×5×24 geometry.
+	const geom, quant = 1, 2
+	g := kernelGeoms[geom]
+	clip := synth.Video(media.TypeRawVideo30, synth.PatternMotion, g[0], g[1], g[2], 6, 3)
+	enc := &VideoStreamEncoder{quant: quant, gop: 4}
+	var frames []*EncodedFrame
+	for i := 0; i < clip.NumFrames(); i++ {
+		f, _ := clip.Frame(i)
+		frames = append(frames, enc.encode(f.Pix))
+	}
+	key := frames[0]
+	pZero := &EncodedFrame{Data: []byte{257 - 105, 0}} // one zero run: the frame repeats
+	return map[string][]byte{
+		"clean_gop": streamProgram(geom, quant, frames...),
+		// A literal run announcing more bytes than the payload holds, then a good frame.
+		"truncated_run":    streamProgram(geom, quant, key, &EncodedFrame{Data: []byte{257 - 100, 0, 9, 1, 2}}, pZero),
+		"reserved_control": streamProgram(geom, quant, key, &EncodedFrame{Data: []byte{257 - 100, 0, 128, 1, 2, 3, 4}}, pZero),
+		// Runs that fill the frame and keep going, as key and as P frame.
+		"overlong_run": streamProgram(geom, quant, key,
+			&EncodedFrame{Data: []byte{257 - 100, 1, 257 - 6, 2}}, pZero,
+			&EncodedFrame{Key: true, Data: []byte{257 - 105, 0, 0, 7}}, pZero),
+		"short_frame":  streamProgram(geom, quant, key, &EncodedFrame{Data: []byte{257 - 104, 3}}, pZero),
+		"p_before_key": streamProgram(geom, quant, pZero, key, pZero),
+	}
+}
+
+// TestStreamCorpusSeeds verifies the committed corpus files stay in sync
+// with streamCorpus (and rewrites them under -update-corpus), and runs
+// each through the differential harness.
+func TestStreamCorpusSeeds(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzStreamDecode")
+	for name, data := range streamCorpus() {
+		runStreamProgram(t, data)
+		path := filepath.Join(dir, name)
+		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
+		if *updateCorpus {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("corpus seed %s missing (run with -update-corpus): %v", name, err)
+		}
+		if string(got) != want {
+			t.Errorf("corpus seed %s out of sync with streamCorpus (run with -update-corpus)", name)
+		}
+	}
+}
+
+// TestStreamDecodeErrorsKeepState spells out the contract the corpus
+// exercises: each malformed frame is an error, and the frame after it
+// decodes as if the malformed one had never arrived.
+func TestStreamDecodeErrorsKeepState(t *testing.T) {
+	g := kernelGeoms[1]
+	n := g[0] * g[1] * g[2] / 8
+	key := &EncodedFrame{Key: true, Data: pack(nil, bytes.Repeat([]byte{40, 44, 90}, n/3), nil, nil, 2)}
+	bad := map[string][]byte{
+		"truncated literal run": {257 - 100, 0, 9, 1, 2},
+		"truncated repeat run":  {257 - 100, 0, 200},
+		"reserved control byte": {257 - 100, 0, 128, 1},
+		"ran past the frame":    {257 - 100, 1, 257 - 6, 2},
+		"short of the frame":    {257 - 104, 3},
+		"empty":                 {},
+	}
+	for name, data := range bad {
+		for _, asKey := range []bool{false, true} {
+			dec, _ := NewVideoStreamDecoder(g[0], g[1], g[2], 2)
+			want, err := dec.DecodeFrame(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := dec.DecodeFrame(&EncodedFrame{Key: asKey, Data: data}); err == nil {
+				t.Errorf("%s (key=%v): accepted", name, asKey)
+			}
+			got, err := dec.DecodeFrame(&EncodedFrame{Data: []byte{257 - 105, 0}})
+			if err != nil || !got.Equal(want) {
+				t.Errorf("%s (key=%v): the frame after the error is not the last good frame (err %v)", name, asKey, err)
+			}
+		}
+	}
+}
+
+// FuzzStreamDecode feeds arbitrary bytes, read as a stream-decode
+// program, to the fused decoder and the reference.
+func FuzzStreamDecode(f *testing.F) {
+	for _, data := range streamCorpus() {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, prog []byte) { runStreamProgram(t, prog) })
+}
+
+// newsFrames returns a 160×120×24 motion clip, the frames of a decoded
+// Newscast viewer, and its GOP-15 encoding.
+func newsFrames(tb testing.TB, frames int) (*media.VideoValue, []*EncodedFrame) {
+	tb.Helper()
+	clip := synth.Video(media.TypeRawVideo30, synth.PatternMotion, 160, 120, 24, frames, 1)
+	enc, err := NewInterStreamEncoder(2, 15)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var out []*EncodedFrame
+	for i := 0; i < frames; i++ {
+		f, _ := clip.Frame(i)
+		ef, err := enc.EncodeFrame(f)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, ef)
+	}
+	return clip, out
+}
+
+// TestStreamDecodeAllocs pins DecodeFrame at the Frame and its Pix.
+func TestStreamDecodeAllocs(t *testing.T) {
+	_, efs := newsFrames(t, 30)
+	dec, _ := NewVideoStreamDecoder(160, 120, 24, 2)
+	i := 0
+	allocs := testing.AllocsPerRun(60, func() {
+		if _, err := dec.DecodeFrame(efs[i%len(efs)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > 2 {
+		t.Errorf("DecodeFrame: %.1f allocs per frame, want <= 2", allocs)
+	}
+}
+
+// TestStreamEncodeAllocs pins EncodeFrame at the EncodedFrame and its
+// Data.
+func TestStreamEncodeAllocs(t *testing.T) {
+	clip, _ := newsFrames(t, 30)
+	enc, _ := NewInterStreamEncoder(2, 15)
+	i := 0
+	allocs := testing.AllocsPerRun(60, func() {
+		f, _ := clip.Frame(i % clip.NumFrames())
+		if _, err := enc.EncodeFrame(f); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > 2 {
+		t.Errorf("EncodeFrame: %.1f allocs per frame, want <= 2", allocs)
+	}
+}

@@ -1,6 +1,9 @@
 package codec
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Run-length entropy coding in the PackBits style: a control byte c is
 // followed either by c+1 literal bytes (c in 0..127) or by one byte to be
@@ -8,79 +11,222 @@ import "fmt"
 // PackBits is the entropy stage of every codec in this package: the
 // predictive/quantizing transforms in front of it turn smooth video and
 // audio into long zero runs, which PackBits collapses.
+//
+// The frame kernels below fuse that stage with the transforms around it:
+// pack quantizes, predicts and run-length codes in one pass over the
+// pixels, unpack run-length decodes straight into the reconstructed
+// quantized frame.  Neither materializes the residual.  What they must
+// emit and accept, byte for byte and error for error, is pinned by the
+// three-pass kernels they replaced, kept in reference_test.go.
 
 const (
-	maxLiteralRun = 128
-	maxRepeatRun  = 128
-	minRepeatRun  = 3 // shorter repeats are cheaper as literals
+	maxRun       = 128 // longest literal or repeat run one control byte covers
+	minRepeatRun = 3   // shorter repeats are cheaper as literals
 )
 
-// rleEncode appends the PackBits encoding of src to dst and returns the
-// extended slice.
-func rleEncode(dst, src []byte) []byte {
-	i := 0
-	for i < len(src) {
-		// Measure the repeat run starting at i.
-		run := 1
-		for i+run < len(src) && run < maxRepeatRun && src[i+run] == src[i] {
-			run++
-		}
-		if run >= minRepeatRun {
-			dst = append(dst, byte(257-run), src[i])
-			i += run
-			continue
-		}
-		// Gather literals up to the next worthwhile repeat run or the
-		// 128-byte literal cap.
-		j := i
-		for j < len(src) && j-i < maxLiteralRun {
-			r := 1
-			for j+r < len(src) && src[j+r] == src[j] {
-				r++
-			}
-			if r >= minRepeatRun {
-				break
-			}
-			j += r
-		}
-		if j-i > maxLiteralRun {
-			j = i + maxLiteralRun
-		}
-		n := j - i
-		dst = append(dst, byte(n-1))
-		dst = append(dst, src[i:j]...)
-		i = j
-	}
-	return dst
+// SWAR constants: one byte lane per 8 bits of a uint64.
+const (
+	lanes    = 0x0101010101010101
+	laneHigh = 0x8080808080808080
+)
+
+// subLanes subtracts b from a in each byte lane, modulo 256.
+func subLanes(a, b uint64) uint64 {
+	return ((a | laneHigh) - (b &^ laneHigh)) ^ ((a ^ ^b) & laneHigh)
 }
 
-// rleDecode appends the decoding of the PackBits stream src to dst.
-func rleDecode(dst, src []byte) ([]byte, error) {
-	i := 0
-	for i < len(src) {
-		c := src[i]
-		i++
-		switch {
-		case c < 128:
-			n := int(c) + 1
-			if i+n > len(src) {
-				return nil, fmt.Errorf("codec: truncated RLE literal run (need %d bytes, have %d)", n, len(src)-i)
+// addLanes adds a and b in each byte lane, modulo 256.
+func addLanes(a, b uint64) uint64 {
+	return ((a &^ laneHigh) + (b &^ laneHigh)) ^ ((a ^ b) & laneHigh)
+}
+
+// packer is a streaming PackBits writer: it is handed the maximal runs of
+// its input in order and appends their encoding to out.
+type packer struct {
+	out []byte
+	lit int // index of the open literal run's control byte, -1 when none
+}
+
+// literal appends one byte to the open literal run, closing it at maxRun.
+func (p *packer) literal(b byte) {
+	if p.lit < 0 {
+		p.lit = len(p.out)
+		p.out = append(p.out, 0, b)
+		return
+	}
+	p.out = append(p.out, b)
+	p.out[p.lit]++
+	if p.out[p.lit] == maxRun-1 {
+		p.lit = -1
+	}
+}
+
+// run appends a maximal run of n bytes of value v: repeat runs of up to
+// maxRun while at least minRepeatRun bytes remain, the rest as literals.
+func (p *packer) run(v byte, n int) {
+	if n >= minRepeatRun {
+		p.lit = -1
+	}
+	for n >= minRepeatRun {
+		k := min(n, maxRun)
+		p.out = append(p.out, byte(257-k), v)
+		n -= k
+	}
+	for ; n > 0; n-- {
+		p.literal(v)
+	}
+}
+
+// pack appends to out the PackBits coding of a frame's residual: pix with
+// q low bits dropped, minus its prediction — ref, the previous frame in
+// the quantized domain, or with a nil ref the previous quantized byte of
+// the frame itself (the intra predictor).  A non-nil keep receives the
+// quantized frame, the next frame's ref; it may be ref itself.
+func pack(out, pix, ref, keep []byte, q int) []byte {
+	p := packer{out: out, lit: -1}
+	s := uint(q) & 7
+	low := lanes * uint64(0xff>>s)
+	var (
+		prev byte // the quantized byte before pix[i]
+		v    byte // the open run's value
+		run  int  // and its length so far
+		i    int
+	)
+	for ; i+8 <= len(pix); i += 8 {
+		t := binary.LittleEndian.Uint64(pix[i:i+8]) >> s & low
+		pred := t<<8 | uint64(prev)
+		if ref != nil {
+			pred = binary.LittleEndian.Uint64(ref[i : i+8])
+		}
+		if keep != nil {
+			binary.LittleEndian.PutUint64(keep[i:i+8], t)
+		}
+		prev = byte(t >> 56)
+		r := subLanes(t, pred)
+		if r == lanes*uint64(v) {
+			run += 8
+			continue
+		}
+		for k := 0; k < 8; k++ {
+			if b := byte(r >> (8 * k)); b != v {
+				p.run(v, run)
+				v, run = b, 0
 			}
-			dst = append(dst, src[i:i+n]...)
-			i += n
-		case c > 128:
-			if i >= len(src) {
-				return nil, fmt.Errorf("codec: truncated RLE repeat run")
-			}
-			n := 257 - int(c)
-			v := src[i]
-			i++
-			for k := 0; k < n; k++ {
-				dst = append(dst, v)
-			}
-		default:
-			return nil, fmt.Errorf("codec: reserved RLE control byte 128")
+			run++
 		}
 	}
-	return dst, nil
+	for ; i < len(pix); i++ {
+		t := pix[i] >> s
+		pred := prev
+		if ref != nil {
+			pred = ref[i]
+		}
+		if keep != nil {
+			keep[i] = t
+		}
+		prev = t
+		if b := t - pred; b != v {
+			p.run(v, run)
+			v, run = b, 0
+		}
+		run++
+	}
+	p.run(v, run)
+	return p.out
+}
+
+// unpack decodes the PackBits stream src into dst, which it must fill
+// exactly, adding each decoded byte to its prediction: ref[i], or with a
+// nil ref the byte just reconstructed (the intra predictor).  dst may be
+// ref itself.  On error dst holds garbage; a ref that is not dst is
+// untouched.
+func unpack(dst, src, ref []byte) error {
+	var (
+		o    int  // bytes of dst reconstructed
+		prev byte // dst[o-1], the intra predictor
+	)
+	for i := 0; i < len(src); {
+		c := src[i]
+		i++
+		var n int
+		switch {
+		case c < 128:
+			n = int(c) + 1
+			if i+n > len(src) {
+				return fmt.Errorf("codec: truncated RLE literal run (need %d bytes, have %d)", n, len(src)-i)
+			}
+		case c > 128:
+			if i >= len(src) {
+				return fmt.Errorf("codec: truncated RLE repeat run")
+			}
+			n = 257 - int(c)
+		default:
+			return fmt.Errorf("codec: reserved RLE control byte 128")
+		}
+		if n > len(dst)-o {
+			return fmt.Errorf("codec: RLE stream ran past the frame's %d bytes", len(dst))
+		}
+		d := dst[o : o+n]
+		if c < 128 {
+			lit := src[i : i+n]
+			i += n
+			if ref == nil {
+				for k, b := range lit {
+					prev += b
+					d[k] = prev
+				}
+			} else {
+				addInto(d, ref[o:o+n], lit)
+			}
+		} else {
+			v := src[i]
+			i++
+			switch {
+			case ref == nil:
+				for k := range d {
+					prev += v
+					d[k] = prev
+				}
+			case v == 0:
+				copy(d, ref[o:o+n])
+			default:
+				for k, b := range ref[o : o+n] {
+					d[k] = b + v
+				}
+			}
+		}
+		o += n
+	}
+	if o != len(dst) {
+		return fmt.Errorf("codec: decoded %d bytes, want %d", o, len(dst))
+	}
+	return nil
+}
+
+// addInto sets d[k] = a[k] + b[k]; the three have one length.
+func addInto(d, a, b []byte) {
+	k := 0
+	for ; len(d)-k >= 8; k += 8 {
+		binary.LittleEndian.PutUint64(d[k:], addLanes(binary.LittleEndian.Uint64(a[k:]), binary.LittleEndian.Uint64(b[k:])))
+	}
+	for ; k < len(d); k++ {
+		d[k] = a[k] + b[k]
+	}
+}
+
+// dequantizeInto restores pixel bytes from the quantized domain with
+// midpoint reconstruction.  pix may be t itself.
+func dequantizeInto(pix, t []byte, q int) {
+	s := uint(q) & 7
+	mid := byte(1) << s >> 1
+	high := lanes * uint64(0xff<<s&0xff)
+	mids := lanes * uint64(mid)
+	pix = pix[:len(t)]
+	for len(t) >= 8 {
+		binary.LittleEndian.PutUint64(pix, binary.LittleEndian.Uint64(t)<<s&high|mids)
+		pix, t = pix[8:], t[8:]
+	}
+	for i, tv := range t {
+		pix[i] = tv<<s + mid
+	}
 }

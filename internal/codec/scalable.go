@@ -45,6 +45,7 @@ func (c *Scalable) Encode(v *media.VideoValue) (*EncodedVideo, error) {
 	e := newEncodedVideo(TypeScalableVideo, c.Name(), w, h, v.Depth(), c.BaseQuant, 1, NumLayers)
 	e.tr = avtime.NewTransform(v.Type().Rate)
 
+	var l0, l1, l2 []byte // per-layer scratch; packLayers copies out of it
 	for i := 0; i < v.NumFrames(); i++ {
 		f, err := v.Frame(i)
 		if err != nil {
@@ -53,28 +54,20 @@ func (c *Scalable) Encode(v *media.VideoValue) (*EncodedVideo, error) {
 		half := downsample2(f.Pix, w, h, bpp)
 		quarter := downsample2(half, hw, hh, bpp)
 
-		// Layer 0: quantized base.
-		l0 := deltaRLE(quantize(quarter, c.BaseQuant))
+		// Layer 0: quantized base, and the base as the decoder will see it.
 		reconQ := make([]byte, len(quarter))
-		dequantizeInto(reconQ, quantize(quarter, c.BaseQuant), c.BaseQuant)
+		l0 = pack(l0[:0], quarter, nil, reconQ, c.BaseQuant)
+		dequantizeInto(reconQ, reconQ, c.BaseQuant)
 
 		// Layer 1: exact half-res residual against the upsampled base.
 		predHalf := make([]byte, len(half))
 		upsample2Linear(predHalf, reconQ, hw, hh, bpp)
-		residHalf := make([]byte, len(half))
-		for k := range half {
-			residHalf[k] = half[k] - predHalf[k]
-		}
-		l1 := rleEncode(make([]byte, 0, 64), residHalf)
+		l1 = pack(l1[:0], half, predHalf, nil, 0)
 
 		// Layer 2: exact full-res residual against the upsampled half.
 		predFull := make([]byte, len(f.Pix))
 		upsample2Linear(predFull, half, w, h, bpp)
-		residFull := make([]byte, len(f.Pix))
-		for k := range f.Pix {
-			residFull[k] = f.Pix[k] - predFull[k]
-		}
-		l2 := rleEncode(make([]byte, 0, 64), residFull)
+		l2 = pack(l2[:0], f.Pix, predFull, nil, 0)
 
 		e.frames = append(e.frames, &EncodedFrame{Data: packLayers(l0, l1, l2), Key: true})
 	}
@@ -131,12 +124,10 @@ func (c *Scalable) DecodeFrameLayers(e *EncodedVideo, i, k int) (*media.Frame, e
 	qw, qh := (hw+1)/2, (hh+1)/2
 
 	// Layer 0: quantized quarter-resolution base.
-	tq, err := undeltaRLE(layers[0], qw*qh*bpp)
-	if err != nil {
+	quarter := make([]byte, qw*qh*bpp)
+	if err := decodeIntraFrame(quarter, layers[0], e.quant); err != nil {
 		return nil, fmt.Errorf("codec: frame %d layer 0: %w", i, err)
 	}
-	quarter := make([]byte, len(tq))
-	dequantizeInto(quarter, tq, e.quant)
 
 	f := media.NewFrame(w, h, e.depth)
 	if k == 1 {
@@ -146,35 +137,20 @@ func (c *Scalable) DecodeFrameLayers(e *EncodedVideo, i, k int) (*media.Frame, e
 		return f, nil
 	}
 
-	// Layer 1: exact half resolution.
+	// Layer 1: exact half resolution, the residual added in place.
 	half := make([]byte, hw*hh*bpp)
 	upsample2Linear(half, quarter, hw, hh, bpp)
-	resid1, err := rleDecode(make([]byte, 0, len(half)), layers[1])
-	if err != nil {
+	if err := unpack(half, layers[1], half); err != nil {
 		return nil, fmt.Errorf("codec: frame %d layer 1: %w", i, err)
 	}
-	if len(resid1) != len(half) {
-		return nil, fmt.Errorf("codec: frame %d layer 1: %d bytes, want %d", i, len(resid1), len(half))
-	}
-	for p := range half {
-		half[p] += resid1[p]
-	}
+	upsample2Linear(f.Pix, half, w, h, bpp)
 	if k == 2 {
-		upsample2Linear(f.Pix, half, w, h, bpp)
 		return f, nil
 	}
 
 	// Layer 2: exact full resolution.
-	upsample2Linear(f.Pix, half, w, h, bpp)
-	resid2, err := rleDecode(make([]byte, 0, len(f.Pix)), layers[2])
-	if err != nil {
+	if err := unpack(f.Pix, layers[2], f.Pix); err != nil {
 		return nil, fmt.Errorf("codec: frame %d layer 2: %w", i, err)
-	}
-	if len(resid2) != len(f.Pix) {
-		return nil, fmt.Errorf("codec: frame %d layer 2: %d bytes, want %d", i, len(resid2), len(f.Pix))
-	}
-	for p := range f.Pix {
-		f.Pix[p] += resid2[p]
 	}
 	return f, nil
 }

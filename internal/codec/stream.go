@@ -14,6 +14,7 @@ type VideoStreamEncoder struct {
 	width, height, depth int // learned from the first frame
 	count                int
 	ref                  []byte // quantized previous frame (inter mode)
+	out                  []byte // scratch a frame is packed into before its exact-size copy
 }
 
 // NewIntraStreamEncoder returns a streaming intra-frame (JPEG-style)
@@ -52,35 +53,39 @@ func (e *VideoStreamEncoder) EncodeFrame(f *media.Frame) (*EncodedFrame, error) 
 		return nil, fmt.Errorf("codec: frame geometry changed mid-stream: %dx%dx%d -> %dx%dx%d",
 			e.width, e.height, e.depth, f.Width, f.Height, f.Depth)
 	}
-	t := quantize(f.Pix, e.quant)
-	var out *EncodedFrame
-	if e.count%e.gop == 0 {
-		out = &EncodedFrame{Data: deltaRLE(t), Key: true}
-	} else {
-		resid := make([]byte, len(t))
-		for k := range t {
-			resid[k] = t[k] - e.ref[k]
-		}
-		out = &EncodedFrame{Data: rleEncode(make([]byte, 0, 64), resid)}
+	return e.encode(f.Pix), nil
+}
+
+// encode compresses the stream's next frame from its pixel bytes: a key
+// frame every gop-th call, predicted from the retained reference between.
+func (e *VideoStreamEncoder) encode(pix []byte) *EncodedFrame {
+	key := e.count%e.gop == 0
+	if e.gop > 1 && len(e.ref) != len(pix) {
+		e.ref = make([]byte, len(pix))
 	}
-	e.ref = t
+	var ref []byte
+	if !key {
+		ref = e.ref
+	}
+	e.out = pack(e.out[:0], pix, ref, e.ref, e.quant)
 	e.count++
-	return out, nil
+	return &EncodedFrame{Data: append([]byte(nil), e.out...), Key: key}
 }
 
 // Reset returns the encoder to its initial state (the next frame is a
 // key frame and may have new geometry).
-func (e *VideoStreamEncoder) Reset() {
-	e.count = 0
-	e.ref = nil
-}
+func (e *VideoStreamEncoder) Reset() { e.count = 0 }
 
 // VideoStreamDecoder reconstructs frames from a stream of EncodedFrames
 // produced by a VideoStreamEncoder with the same parameters.
 type VideoStreamDecoder struct {
 	quant                int
 	width, height, depth int
-	ref                  []byte
+	// ref is the last reconstructed frame in the quantized domain, next
+	// the buffer the following one is built in; a decoded frame swaps
+	// them, a failed one leaves ref as it was.
+	ref, next []byte
+	primed    bool // ref holds a frame
 }
 
 // NewVideoStreamDecoder returns a decoder for streams of the given
@@ -96,37 +101,43 @@ func NewVideoStreamDecoder(width, height, depth, quant int) (*VideoStreamDecoder
 }
 
 // DecodeFrame reconstructs one frame.  A non-key frame before any key
-// frame is an error.
+// frame is an error.  A frame that fails to decode leaves the decoder's
+// state untouched: the next frame is predicted from the last good one.
 func (d *VideoStreamDecoder) DecodeFrame(ef *EncodedFrame) (*media.Frame, error) {
-	n := d.width * d.height * d.depth / 8
-	var t []byte
-	if ef.Key {
-		var err error
-		t, err = undeltaRLE(ef.Data, n)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		if d.ref == nil {
-			return nil, fmt.Errorf("codec: predicted frame received before any key frame")
-		}
-		resid, err := rleDecode(make([]byte, 0, n), ef.Data)
-		if err != nil {
-			return nil, err
-		}
-		if len(resid) != n {
-			return nil, fmt.Errorf("codec: predicted frame decoded to %d bytes, want %d", len(resid), n)
-		}
-		t = make([]byte, n)
-		for k := range t {
-			t[k] = d.ref[k] + resid[k]
-		}
+	if err := d.advance(ef); err != nil {
+		return nil, err
 	}
-	d.ref = t
+	return d.frame(), nil
+}
+
+// advance reconstructs ef in the quantized domain and makes it the
+// reference.
+func (d *VideoStreamDecoder) advance(ef *EncodedFrame) error {
+	var ref []byte
+	if !ef.Key {
+		if !d.primed {
+			return fmt.Errorf("codec: predicted frame received before any key frame")
+		}
+		ref = d.ref
+	}
+	if d.next == nil {
+		n := d.width * d.height * d.depth / 8
+		d.ref, d.next = make([]byte, n), make([]byte, n)
+	}
+	if err := unpack(d.next, ef.Data, ref); err != nil {
+		return err
+	}
+	d.ref, d.next = d.next, d.ref
+	d.primed = true
+	return nil
+}
+
+// frame returns the reference frame as pixels.
+func (d *VideoStreamDecoder) frame() *media.Frame {
 	f := media.NewFrame(d.width, d.height, d.depth)
-	dequantizeInto(f.Pix, t, d.quant)
-	return f, nil
+	dequantizeInto(f.Pix, d.ref, d.quant)
+	return f
 }
 
 // Reset drops the reference frame.
-func (d *VideoStreamDecoder) Reset() { d.ref = nil }
+func (d *VideoStreamDecoder) Reset() { d.primed = false }

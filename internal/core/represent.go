@@ -198,17 +198,36 @@ func resizeVideo(v *media.VideoValue, w, h int) (*media.VideoValue, error) {
 	}
 	out := media.NewVideoValue(media.TypeRawVideo30, w, h, v.Depth())
 	bpp := v.Depth() / 8
+	// Output column x shows source column x*W/w.  Walking x, that quotient
+	// grows by step and its remainder by frac, carrying at w: no division
+	// per pixel, and nothing allocated per call.
+	step, frac := v.Width()/w*bpp, v.Width()%w
+	stride := w * bpp
 	for i := 0; i < v.NumFrames(); i++ {
 		src, err := v.Frame(i)
 		if err != nil {
 			return nil, err
 		}
 		dst := media.NewFrame(w, h, v.Depth())
+		prevSy := -1
 		for y := 0; y < h; y++ {
+			row := dst.Pix[y*stride : (y+1)*stride]
 			sy := y * src.Height / h
-			for x := 0; x < w; x++ {
-				sx := x * src.Width / w
-				copy(dst.Pix[(y*w+x)*bpp:(y*w+x+1)*bpp], src.Pix[(sy*src.Width+sx)*bpp:])
+			if sy == prevSy {
+				copy(row, dst.Pix[(y-1)*stride:y*stride])
+				continue
+			}
+			prevSy = sy
+			srow := src.Pix[sy*src.Width*bpp : (sy+1)*src.Width*bpp]
+			for d, c, rem := 0, 0, 0; d < stride; d += bpp {
+				for b := 0; b < bpp; b++ { // a pixel is 1-3 bytes: cheaper moved bytewise than by a copy call
+					row[d+b] = srow[c+b]
+				}
+				c += step
+				if rem += frac; rem >= w {
+					rem -= w
+					c += bpp
+				}
 			}
 		}
 		if err := out.AppendFrame(dst); err != nil {

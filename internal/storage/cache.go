@@ -53,4 +53,5 @@ type PoolStats struct {
 	Resident int // chunks currently resident
 	Capacity int // Capacity × attached streams
 	Streams  int // streams currently attached
+	Staged   int // residency operations of rounds not yet committed
 }

@@ -394,5 +394,6 @@ func (p *bufferPool) stats() PoolStats {
 		Resident:   len(p.resident),
 		Capacity:   p.capacity,
 		Streams:    p.streams,
+		Staged:     len(p.staged),
 	}
 }
