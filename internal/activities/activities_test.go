@@ -1051,3 +1051,48 @@ func TestSubtitleTimelineOffset(t *testing.T) {
 		t.Errorf("stream ended before the offset elapsed: %d ticks", stats.Ticks)
 	}
 }
+
+// TestGraphRunTickAllocs pins what one tick of the commonest graph —
+// reader → window over a bound value, every vod_zipf client's — may
+// allocate: the reader's chunk and the copy that crosses the connection.
+// The run plan keeps every tick context, map and staging slice from one
+// tick to the next, so the executor itself adds nothing; the third
+// allocation is headroom for the window's amortised arrival log.
+func TestGraphRunTickAllocs(t *testing.T) {
+	reader, err := NewVideoReader("r", db, media.TypeRawVideo30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reader.Bind(motionClip(600), "out"); err != nil {
+		t.Fatal(err)
+	}
+	win := NewVideoWindow("w", app, media.VideoQuality{}, avtime.Second)
+	g := activity.NewGraph("g")
+	addAll(t, g, reader, win)
+	connect(t, g, reader, "out", win, "in")
+	if err := g.Start(); err != nil {
+		t.Fatal(err)
+	}
+	run, err := g.Begin(activity.RunConfig{Clock: sched.NewVirtualClock(0), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tick := func() {
+		if done, err := run.Tick(); err != nil || done {
+			t.Fatalf("tick: done=%v err=%v", done, err)
+		}
+		run.Commit()
+	}
+	for i := 0; i < 20; i++ {
+		tick()
+	}
+	if allocs := testing.AllocsPerRun(400, tick); allocs > 3 {
+		t.Errorf("reader → window tick allocates %.2f times, want <= 3", allocs)
+	}
+	if _, err := run.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if win.FramesShown() != 20+401 {
+		t.Errorf("window showed %d frames, want %d", win.FramesShown(), 20+401)
+	}
+}

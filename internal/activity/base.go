@@ -294,20 +294,23 @@ type TickContext struct {
 	// shares one round, so the per-disk SCAN-EDF batches span sessions.
 	Round int64
 
+	// Made by the first SetIn and Emit: a source never needs the one nor
+	// a sink the other.
 	in  map[string]*Chunk
 	out map[string]*Chunk
 }
 
-// NewTickContext returns a context for one tick; the graph runner is the
-// usual constructor.
+// NewTickContext returns a context for one tick.  Graph runs and
+// composites keep one per activity and reset it tick after tick; tests
+// and harnesses ticking an activity by hand make their own.
 func NewTickContext(now avtime.WorldTime, seq int, iv avtime.Interval) *TickContext {
-	return &TickContext{Now: now, Seq: seq, Interval: iv, Round: int64(seq), in: make(map[string]*Chunk), out: make(map[string]*Chunk)}
+	return &TickContext{Now: now, Seq: seq, Interval: iv, Round: int64(seq)}
 }
 
-// reset empties tc for another tick at parent's time, sequence number and
-// storage round: how a composite hands its own tick down to a component.
-func (tc *TickContext) reset(parent *TickContext) {
-	tc.Now, tc.Seq, tc.Interval, tc.Round = parent.Now, parent.Seq, parent.Interval, parent.Round
+// reset empties tc for another tick at the given time, sequence number
+// and storage round.
+func (tc *TickContext) reset(now avtime.WorldTime, seq int, iv avtime.Interval, round int64) {
+	tc.Now, tc.Seq, tc.Interval, tc.Round = now, seq, iv, round
 	clear(tc.in)
 	clear(tc.out)
 }
@@ -316,10 +319,20 @@ func (tc *TickContext) reset(parent *TickContext) {
 func (tc *TickContext) In(port string) *Chunk { return tc.in[port] }
 
 // SetIn places a chunk on an In port (the graph runner's side).
-func (tc *TickContext) SetIn(port string, c *Chunk) { tc.in[port] = c }
+func (tc *TickContext) SetIn(port string, c *Chunk) {
+	if tc.in == nil {
+		tc.in = make(map[string]*Chunk)
+	}
+	tc.in[port] = c
+}
 
 // Emit places a chunk on an Out port.
-func (tc *TickContext) Emit(port string, c *Chunk) { tc.out[port] = c }
+func (tc *TickContext) Emit(port string, c *Chunk) {
+	if tc.out == nil {
+		tc.out = make(map[string]*Chunk)
+	}
+	tc.out[port] = c
+}
 
 // Out returns the chunk emitted on the named Out port this tick, or nil.
 func (tc *TickContext) Out(port string) *Chunk { return tc.out[port] }

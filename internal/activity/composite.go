@@ -88,7 +88,7 @@ type portRef struct {
 // compositePlan is a composite's structure as Tick consumes it.  Ports
 // are independent of one another, so their order is the maps'.
 type compositePlan struct {
-	order      []*planChild // internal topological order
+	nodes      []planNode // the components in internal topological order (plan.go)
 	exportsIn  []planPort
 	exportsOut []planPort
 	muxIn      []planMux
@@ -96,23 +96,10 @@ type compositePlan struct {
 	sync       *sched.Resync
 }
 
-// planChild is one component, its tick context — reset and reused every
-// tick — and the internal connections that feed it.
-type planChild struct {
-	act   Activity
-	tc    *TickContext
-	feeds []planFeed
-}
-
-type planFeed struct {
-	conn *Connection
-	from *planChild
-}
-
 // planPort routes a composite port to a component port.
 type planPort struct {
 	name  string
-	child *planChild
+	child *planNode
 	port  string
 }
 
@@ -352,8 +339,8 @@ func (c *Composite) Tick(tc *TickContext) error {
 	}
 	c.mu.Unlock()
 
-	for _, pc := range plan.order {
-		pc.tc.reset(tc)
+	for i := range plan.nodes {
+		plan.nodes[i].tc.reset(tc.Now, tc.Seq, tc.Interval, tc.Round)
 	}
 
 	// Route composite inputs.
@@ -392,10 +379,11 @@ func (c *Composite) Tick(tc *TickContext) error {
 
 	// Run components.  A component's outputs stay in its context, where
 	// the components it feeds and the composite's Out ports find them.
-	for _, pc := range plan.order {
-		for _, feed := range pc.feeds {
-			conn := feed.conn
-			chunk := feed.from.tc.Out(conn.fromPort.Name())
+	for i := range plan.nodes {
+		pc := &plan.nodes[i]
+		for fi := range pc.feeds {
+			conn := pc.feeds[fi].conn
+			chunk := pc.feeds[fi].out()
 			if chunk == nil {
 				continue
 			}
@@ -408,16 +396,16 @@ func (c *Composite) Tick(tc *TickContext) error {
 				emitFault(conn.to, EventInfo{Event: EventFault, Activity: conn.to.Name(), At: tc.Now, Seq: chunk.Seq})
 				continue
 			}
-			pc.tc.SetIn(conn.toPort.Name(), oc.chunk)
+			pc.tc.SetIn(conn.toPort.name, oc.chunk)
 		}
 		if pc.act.State() != StateStarted {
 			continue
 		}
-		if err := pc.act.Tick(pc.tc); err != nil {
-			return fmt.Errorf("activity: composite %s component %s: %w", c.Name(), pc.act.Name(), err)
+		if pc.exec(); pc.err != nil {
+			return fmt.Errorf("activity: composite %s component %s: %w", c.Name(), pc.act.Name(), pc.err)
 		}
-		lat := sampleLatency(pc.act)
-		for _, chunk := range pc.tc.Outputs() {
+		lat := pc.lat
+		for _, chunk := range pc.tc.out {
 			if chunk == nil {
 				continue
 			}
@@ -460,8 +448,8 @@ func (c *Composite) Tick(tc *TickContext) error {
 	// A source composite finishes when all its source components have.
 	if c.Kind() == KindSource {
 		done := true
-		for _, pc := range plan.order {
-			if pc.act.Kind() == KindSource && pc.act.State() == StateStarted {
+		for i := range plan.nodes {
+			if pc := &plan.nodes[i]; pc.source && pc.act.State() == StateStarted {
 				done = false
 				break
 			}
@@ -480,20 +468,14 @@ func (c *Composite) buildPlan() (*compositePlan, error) {
 	for i, n := range c.childOrder {
 		children[i] = c.children[n]
 	}
-	order, err := topoChildren(children, c.internal)
-	if err != nil {
-		return nil, err
+	nodes, ok := planNodes(children, c.internal)
+	if !ok {
+		return nil, fmt.Errorf("activity: composite contains a component cycle")
 	}
-	plan := &compositePlan{sync: c.sync}
-	byName := make(map[string]*planChild, len(order))
-	for _, child := range order {
-		pc := &planChild{act: child, tc: NewTickContext(0, 0, avtime.Interval{})}
-		plan.order = append(plan.order, pc)
-		byName[child.Name()] = pc
-	}
-	for _, conn := range c.internal {
-		to := byName[conn.to.Name()]
-		to.feeds = append(to.feeds, planFeed{conn: conn, from: byName[conn.from.Name()]})
+	plan := &compositePlan{nodes: nodes, sync: c.sync}
+	byName := make(map[string]*planNode, len(nodes))
+	for i := range nodes {
+		byName[nodes[i].act.Name()] = &nodes[i]
 	}
 	route := func(name string, ref portRef) planPort {
 		return planPort{name: name, child: byName[ref.child.Name()], port: ref.port}
@@ -517,43 +499,4 @@ func (c *Composite) buildPlan() (*compositePlan, error) {
 	}
 	plan.muxIn, plan.muxOut = mux(c.muxIn), mux(c.muxOut)
 	return plan, nil
-}
-
-// topoChildren orders components topologically by internal connections.
-func topoChildren(children []Activity, conns []*Connection) ([]Activity, error) {
-	indeg := make(map[string]int, len(children))
-	adj := make(map[string][]string)
-	byName := make(map[string]Activity, len(children))
-	var order []string
-	for _, ch := range children {
-		indeg[ch.Name()] = 0
-		byName[ch.Name()] = ch
-		order = append(order, ch.Name())
-	}
-	for _, c := range conns {
-		adj[c.from.Name()] = append(adj[c.from.Name()], c.to.Name())
-		indeg[c.to.Name()]++
-	}
-	var queue []string
-	for _, n := range order {
-		if indeg[n] == 0 {
-			queue = append(queue, n)
-		}
-	}
-	out := make([]Activity, 0, len(children))
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		out = append(out, byName[n])
-		for _, m := range adj[n] {
-			indeg[m]--
-			if indeg[m] == 0 {
-				queue = append(queue, m)
-			}
-		}
-	}
-	if len(out) != len(children) {
-		return nil, fmt.Errorf("activity: composite contains a component cycle")
-	}
-	return out, nil
 }

@@ -1,8 +1,8 @@
 package activity
 
 // executor.go holds the parallel wavefront machinery behind Graph.Run:
-// partitioning the topological order into dependency levels and the
-// bounded worker pool that ticks one level's activities concurrently.
+// the shape of the run plan's dependency levels and the bounded worker
+// pool that ticks one level's activities concurrently.
 //
 // The paper frames an AV database as a locus of *concurrent* activities
 // (§3.1, §4.4); the wavefront executor realizes that without giving up
@@ -24,53 +24,28 @@ package activity
 import (
 	"runtime"
 	"sync"
-
-	"avdb/internal/avtime"
 )
 
-// levelize partitions a topological order into dependency levels:
-// sources sit at level 0 and every other node one past its deepest
-// predecessor.  Nodes within a level share no path and may tick
-// concurrently.  Levels preserve the relative order of `order`; because
-// topo()'s FIFO Kahn sort dequeues whole frontiers before any of their
-// successors, concatenating the levels reproduces `order` exactly, which
-// is what keeps parallel runs byte-identical to serial ones.
-func levelize(order []Activity, conns []*Connection) [][]Activity {
-	incoming := make(map[string][]*Connection, len(order))
-	for _, c := range conns {
-		incoming[c.to.Name()] = append(incoming[c.to.Name()], c)
+// levelEnd returns where the dependency level that starts at nodes[lo]
+// ends.  A level is a contiguous stretch of nodes of one depth (see
+// planNodes): nodes within it share no path and may tick concurrently.
+func levelEnd(nodes []planNode, lo int) int {
+	hi := lo + 1
+	for hi < len(nodes) && nodes[hi].depth == nodes[lo].depth {
+		hi++
 	}
-	depth := make(map[string]int, len(order))
-	deepest := 0
-	for _, node := range order {
-		d := 0
-		for _, c := range incoming[node.Name()] {
-			if pd := depth[c.from.Name()] + 1; pd > d {
-				d = pd
-			}
-		}
-		depth[node.Name()] = d
-		if d > deepest {
-			deepest = d
-		}
-	}
-	levels := make([][]Activity, deepest+1)
-	for _, node := range order {
-		d := depth[node.Name()]
-		levels[d] = append(levels[d], node)
-	}
-	return levels
+	return hi
 }
 
-// maxWidth reports the widest level — the graph's available parallelism.
-func maxWidth(levels [][]Activity) int {
-	w := 0
-	for _, l := range levels {
-		if len(l) > w {
-			w = len(l)
-		}
+// levelShape reports how many dependency levels a plan has and how wide
+// the widest one is — the graph's available parallelism.
+func levelShape(nodes []planNode) (levels, width int) {
+	for lo, hi := 0, 0; lo < len(nodes); lo = hi {
+		hi = levelEnd(nodes, lo)
+		levels++
+		width = max(width, hi-lo)
 	}
-	return w
+	return levels, width
 }
 
 // resolveWorkers applies the RunConfig.Workers defaulting rule: zero or
@@ -90,43 +65,20 @@ func resolveWorkers(requested, width int) int {
 	return w
 }
 
-// tickEntry is one activity's unit of work for the current level: built
-// in phase A, executed (possibly concurrently) in phase B, merged in
-// phase C.  Entries live in a slice reused across ticks so the steady
-// state allocates nothing beyond the tick contexts the serial executor
-// already made.
-type tickEntry struct {
-	node Activity
-	tc   *TickContext
-	lat  avtime.WorldTime
-	err  error
-}
-
-// exec runs the parallel-safe part of a node's tick: the Tick itself and
-// the node's latency draw (each activity owns its latency model and RNG,
-// so draws from different nodes commute).
-func (e *tickEntry) exec() {
-	if err := e.node.Tick(e.tc); err != nil {
-		e.err = err
-		return
-	}
-	e.lat = sampleLatency(e.node)
-}
-
 // tickPool is a persistent bounded worker pool.  It is built once per
 // run, so the per-level cost is a channel send per entry and one
 // WaitGroup cycle — no goroutine churn on the hot path.
 type tickPool struct {
-	jobs chan *tickEntry
+	jobs chan *planNode
 	wg   sync.WaitGroup
 }
 
 func newTickPool(workers int) *tickPool {
-	p := &tickPool{jobs: make(chan *tickEntry, workers)}
+	p := &tickPool{jobs: make(chan *planNode, workers)}
 	for i := 0; i < workers; i++ {
 		go func() {
-			for e := range p.jobs {
-				e.exec()
+			for n := range p.jobs {
+				n.exec()
 				p.wg.Done()
 			}
 		}()
@@ -134,11 +86,12 @@ func newTickPool(workers int) *tickPool {
 	return p
 }
 
-// run executes the entries on the pool and blocks until all complete.
-func (p *tickPool) run(entries []tickEntry) {
-	p.wg.Add(len(entries))
-	for i := range entries {
-		p.jobs <- &entries[i]
+// run executes the staged nodes on the pool and blocks until all
+// complete.
+func (p *tickPool) run(staged []*planNode) {
+	p.wg.Add(len(staged))
+	for _, n := range staged {
+		p.jobs <- n
 	}
 	p.wg.Wait()
 }

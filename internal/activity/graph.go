@@ -242,43 +242,6 @@ func (g *Graph) ConnectVia(from Activity, outPort string, to Activity, inPort st
 	return conn, nil
 }
 
-// topo returns the activities in topological order, erroring on cycles.
-func (g *Graph) topo() ([]Activity, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	indeg := make(map[string]int, len(g.nodes))
-	adj := make(map[string][]string, len(g.nodes))
-	for n := range g.nodes {
-		indeg[n] = 0
-	}
-	for _, c := range g.conns {
-		adj[c.from.Name()] = append(adj[c.from.Name()], c.to.Name())
-		indeg[c.to.Name()]++
-	}
-	var queue []string
-	for _, n := range g.order { // insertion order keeps runs deterministic
-		if indeg[n] == 0 {
-			queue = append(queue, n)
-		}
-	}
-	out := make([]Activity, 0, len(g.nodes))
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		out = append(out, g.nodes[n])
-		for _, m := range adj[n] {
-			indeg[m]--
-			if indeg[m] == 0 {
-				queue = append(queue, m)
-			}
-		}
-	}
-	if len(out) != len(g.nodes) {
-		return nil, fmt.Errorf("activity: graph %q contains a cycle", g.name)
-	}
-	return out, nil
-}
-
 // Start starts every node in the graph.
 func (g *Graph) Start() error {
 	for _, a := range g.Nodes() {
@@ -371,16 +334,6 @@ func (g *Graph) Run(cfg RunConfig) (*RunStats, error) {
 		}
 	}
 	return r.Finish()
-}
-
-// sourcesFinished reports whether no source activity remains started.
-func (g *Graph) sourcesFinished() bool {
-	for _, a := range g.Nodes() {
-		if a.Kind() == KindSource && a.State() == StateStarted {
-			return false
-		}
-	}
-	return true
 }
 
 // eventEmitter is satisfied by *Base and therefore by every concrete

@@ -98,33 +98,37 @@ func buildWideGraph(t *testing.T, width, frames int) (*Graph, *frameSink) {
 
 func TestLevelsPartitionTopoOrder(t *testing.T) {
 	g, _ := buildWideGraph(t, 4, 1)
-	order, err := g.topo()
-	if err != nil {
-		t.Fatal(err)
+	nodes, ok := planNodes(g.Nodes(), g.Connections())
+	if !ok {
+		t.Fatal("wide graph reported a cycle")
 	}
-	levels := levelize(order, g.Connections())
-	// The levels must be contiguous slices of the topological order:
-	// concatenating them reproduces it exactly, which is what keeps the
-	// phased executor's serial phases in the serial executor's order.
-	var flat []string
-	for _, lv := range levels {
-		for _, n := range lv {
-			flat = append(flat, n.Name())
+	// The levels must be contiguous stretches of the topological order —
+	// depth never decreases along it — which is what keeps the phased
+	// executor's serial phases in the serial executor's order.  The graph
+	// was built mixer and sink first, so the order is not insertion order.
+	want := []string{"src0", "src1", "src2", "src3", "mix", "sink"}
+	if len(nodes) != len(want) {
+		t.Fatalf("plan holds %d nodes, want %d", len(nodes), len(want))
+	}
+	for i := range nodes {
+		if nodes[i].act.Name() != want[i] {
+			t.Errorf("nodes[%d] = %s, want %s", i, nodes[i].act.Name(), want[i])
+		}
+		if i > 0 && nodes[i].depth < nodes[i-1].depth {
+			t.Errorf("depth falls from %d to %d at %s", nodes[i-1].depth, nodes[i].depth, want[i])
+		}
+		for _, f := range nodes[i].feeds {
+			if f.from.depth >= nodes[i].depth {
+				t.Errorf("%s (depth %d) is fed by %s (depth %d)", want[i], nodes[i].depth, f.from.act.Name(), f.from.depth)
+			}
 		}
 	}
-	if len(flat) != len(order) {
-		t.Fatalf("levels hold %d nodes, order %d", len(flat), len(order))
+	levels, width := levelShape(nodes)
+	if levels != 3 {
+		t.Errorf("levels = %d, want 3 (sources, mixer, sink)", levels)
 	}
-	for i, n := range order {
-		if flat[i] != n.Name() {
-			t.Fatalf("levels[%d] = %s, order[%d] = %s", i, flat[i], i, n.Name())
-		}
-	}
-	if len(levels) != 3 {
-		t.Errorf("levels = %d, want 3 (sources, mixer, sink)", len(levels))
-	}
-	if w := maxWidth(levels); w != 4 {
-		t.Errorf("maxWidth = %d, want 4", w)
+	if width != 4 {
+		t.Errorf("width = %d, want 4", width)
 	}
 }
 
@@ -458,5 +462,79 @@ func TestGraphRunParallelWideRace(t *testing.T) {
 	}
 	if stats.Chunks != 8*60+60 {
 		t.Errorf("stats.Chunks = %d, want %d", stats.Chunks, 8*60+60)
+	}
+}
+
+// TestRunPlanStoppedNodePublishesNothing guards what reading a
+// producer's retained tick context could break: a node that does not
+// tick must publish nothing that tick.  The relay between source and
+// sink is stopped mid-run — its last output is still in its context —
+// and the sink must see a gap, not that chunk again; restarted, the
+// relay resumes from the source's current frame.
+func TestRunPlanStoppedNodePublishesNothing(t *testing.T) {
+	g := NewGraph("gap")
+	src := newFrameSource("src", AtDatabase)
+	mid := newRelay("mid")
+	sink := newFrameSink("sink", AtDatabase)
+	for _, a := range []Activity{src, mid, sink} {
+		if err := g.Add(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := src.Bind(testValue(12), "out"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Connect(src, "out", mid, "in"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Connect(mid, "out", sink, "in"); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Start(); err != nil {
+		t.Fatal(err)
+	}
+	run, err := g.Begin(RunConfig{Clock: sched.NewVirtualClock(0), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ticks := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if done, err := run.Tick(); err != nil || done {
+				t.Fatalf("tick: done=%v err=%v", done, err)
+			}
+			run.Commit()
+		}
+	}
+	ticks(3)
+	if len(sink.frames) != 3 {
+		t.Fatalf("sink holds %d frames after 3 ticks", len(sink.frames))
+	}
+	if err := mid.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	ticks(4)
+	if len(sink.frames) != 3 {
+		t.Fatalf("sink holds %d frames: %d arrived while its producer was stopped", len(sink.frames), len(sink.frames)-3)
+	}
+	if err := mid.Start(); err != nil {
+		t.Fatal(err)
+	}
+	ticks(2)
+	if len(sink.frames) != 5 {
+		t.Fatalf("sink holds %d frames after the restart, want 5", len(sink.frames))
+	}
+	// The frames the source produced during the gap are gone, not queued.
+	want, _ := testValue(12).Frame(7)
+	if got := sink.frames[3]; got.Pix[0] != want.Pix[0] {
+		t.Errorf("first frame after the restart is not the source's eighth")
+	}
+	stats, err := run.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Nothing crosses a connection into a stopped node either.
+	if stats.Chunks != 5+5 {
+		t.Errorf("run moved %d chunks, want 5 into the relay + 5 into the sink", stats.Chunks)
 	}
 }

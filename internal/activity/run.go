@@ -12,7 +12,7 @@ import (
 // state machine so a scheduler can interleave several runs on one shared
 // clock.  The protocol is:
 //
-//	r, err := g.Begin(cfg)        // validate, levelize, open spans
+//	r, err := g.Begin(cfg)        // validate, plan, open spans
 //	for {
 //	    done, err := r.Tick()     // one wavefront over every level
 //	    if err != nil { break }
@@ -35,21 +35,22 @@ type GraphRun struct {
 	rate     avtime.Rate
 	maxTicks int
 
-	order    []Activity
-	conns    []*Connection
-	incoming map[string][]*Connection
-	levels   [][]Activity
-	pool     *tickPool
-	gate     *sched.AdvanceGate
-	entries  []tickEntry
+	// The run plan, built once by Begin: the nodes in topological order
+	// — dependency level by level, each level a contiguous stretch — with
+	// their tick contexts and resolved feeds (plan.go).
+	nodes  []planNode
+	conns  []*Connection
+	pool   *tickPool
+	gate   *sched.AdvanceGate
+	staged []*planNode // the nodes of the level being ticked that are running
 
 	startAt avtime.WorldTime
 	lastNow avtime.WorldTime // scheduled time of the last executed tick
 
 	sink      obs.Sink
 	pbSpan    obs.SpanID
-	actSpans  map[string]obs.SpanID
-	connSpans map[*Connection]obs.SpanID
+	actSpans  []obs.SpanID // by node, in plan order
+	connSpans []obs.SpanID // by connection, in r.conns order
 
 	stats    *RunStats
 	tick     int   // ticks executed so far
@@ -60,7 +61,7 @@ type GraphRun struct {
 }
 
 // Begin validates the configuration, freezes the graph's topology into
-// dependency levels, opens the playback/activity/connection spans and
+// the run plan, opens the playback/activity/connection spans and
 // returns a run ready for its first Tick.  The graph's nodes must already
 // be started.  On error nothing is torn down (matching Run's historical
 // behavior); the caller still owns the started graph.
@@ -76,38 +77,31 @@ func (g *Graph) Begin(cfg RunConfig) (*GraphRun, error) {
 	if maxTicks <= 0 {
 		maxTicks = 10_000_000
 	}
-	order, err := g.topo()
-	if err != nil {
-		return nil, err
-	}
 	conns := g.Connections()
-	incoming := make(map[string][]*Connection)
-	for _, c := range conns {
-		incoming[c.to.Name()] = append(incoming[c.to.Name()], c)
+	nodes, ok := planNodes(g.Nodes(), conns)
+	if !ok {
+		return nil, fmt.Errorf("activity: graph %q contains a cycle", g.name)
 	}
-	levels := levelize(order, conns)
-	workers := resolveWorkers(cfg.Workers, maxWidth(levels))
+	levels, width := levelShape(nodes)
+	workers := resolveWorkers(cfg.Workers, width)
 	var pool *tickPool
 	if workers > 1 {
 		pool = newTickPool(workers)
 	}
 	r := &GraphRun{
-		g:         g,
-		clock:     cfg.Clock,
-		rate:      rate,
-		maxTicks:  maxTicks,
-		order:     order,
-		conns:     conns,
-		incoming:  incoming,
-		levels:    levels,
-		pool:      pool,
-		gate:      sched.NewAdvanceGate(cfg.Clock),
-		entries:   make([]tickEntry, 0, len(order)),
-		startAt:   cfg.Clock.Now(),
-		sink:      cfg.Obs,
-		connSpans: map[*Connection]obs.SpanID{},
-		stats:     &RunStats{},
-		round:     -1,
+		g:        g,
+		clock:    cfg.Clock,
+		rate:     rate,
+		maxTicks: maxTicks,
+		nodes:    nodes,
+		conns:    conns,
+		pool:     pool,
+		gate:     sched.NewAdvanceGate(cfg.Clock),
+		staged:   make([]*planNode, 0, width),
+		startAt:  cfg.Clock.Now(),
+		sink:     cfg.Obs,
+		stats:    &RunStats{},
+		round:    -1,
 	}
 	// Observability: one playback span for the run, one activity span per
 	// node and one connection span per edge, all closed by Finish on any
@@ -116,18 +110,19 @@ func (g *Graph) Begin(cfg RunConfig) (*GraphRun, error) {
 	// sink.
 	if r.sink != nil {
 		r.pbSpan = r.sink.BeginSpan(cfg.ObsParent, obs.KindPlayback, g.name, r.startAt)
-		r.actSpans = make(map[string]obs.SpanID, len(order))
-		for _, node := range order {
-			r.actSpans[node.Name()] = r.sink.BeginSpan(r.pbSpan, obs.KindActivity, node.Name(), r.startAt)
+		r.actSpans = make([]obs.SpanID, len(nodes))
+		for i := range nodes {
+			r.actSpans[i] = r.sink.BeginSpan(r.pbSpan, obs.KindActivity, nodes[i].act.Name(), r.startAt)
 		}
-		for _, c := range conns {
-			r.connSpans[c] = r.sink.BeginSpan(r.pbSpan, obs.KindConnection, c.label, r.startAt)
+		r.connSpans = make([]obs.SpanID, len(conns))
+		for k, c := range conns {
+			r.connSpans[k] = r.sink.BeginSpan(r.pbSpan, obs.KindConnection, c.label, r.startAt)
 		}
 		// Executor shape, not executor configuration: both gauges depend
 		// only on the graph, so serial and parallel snapshots stay
 		// byte-identical.
-		r.sink.SetGauge("exec.levels", int64(len(levels)))
-		r.sink.SetGauge("exec.width", int64(maxWidth(levels)))
+		r.sink.SetGauge("exec.levels", int64(levels))
+		r.sink.SetGauge("exec.width", int64(width))
 	}
 	return r, nil
 }
@@ -195,14 +190,15 @@ func (r *GraphRun) Commit() {
 	r.stats.Elapsed = r.clock.Now() - r.startAt
 }
 
-// Tick executes one scheduling interval: every dependency level in
-// order, with the phase A/B/C discipline of executor.go (serial
-// delivery, pooled execution, serial publication), so any Workers count
-// reproduces the serial byte stream.  It returns done=true when the run
-// has nothing further to execute — no node running, every source
-// exhausted, or the tick bound reached.  Tick never advances the clock;
-// the caller commits (Commit, or a scheduler-wide advance) between
-// ticks.  After an error the run is terminal and Finish skips the drain.
+// Tick executes one scheduling interval: every dependency level of the
+// run plan in order, with the phase A/B/C discipline of executor.go
+// (serial delivery, pooled execution, serial publication), so any
+// Workers count reproduces the serial byte stream.  It returns done=true
+// when the run has nothing further to execute — no node running, every
+// source exhausted, or the tick bound reached.  Tick never advances the
+// clock; the caller commits (Commit, or a scheduler-wide advance)
+// between ticks.  After an error the run is terminal and Finish skips
+// the drain.
 func (r *GraphRun) Tick() (bool, error) {
 	if r.finished || r.runErr != nil || r.done {
 		return true, r.runErr
@@ -228,26 +224,29 @@ func (r *GraphRun) Tick() (bool, error) {
 
 	anyRunning := false
 	var last avtime.WorldTime
-	produced := make(map[*Port]*Chunk)
-	for _, level := range r.levels {
-		r.entries = r.entries[:0]
+	for lo, hi := 0, 0; lo < len(r.nodes); lo = hi {
+		hi = levelEnd(r.nodes, lo)
+		r.staged = r.staged[:0]
 
 		// Phase A — serial, in topological order: move chunks across
 		// connections, account faults, emit chunk spans, stage every
 		// running node's tick inputs.  Producers sit in strictly
-		// earlier levels, so `produced` is complete for this level.
-		for _, node := range level {
-			if node.State() != StateStarted {
+		// earlier levels, so their outputs are complete for this level.
+		for i := lo; i < hi; i++ {
+			node := &r.nodes[i]
+			node.tc.reset(now, tick, iv, round)
+			if node.act.State() != StateStarted {
+				// Reset and not ticked: it publishes nothing this tick.
 				continue
 			}
 			anyRunning = true
-			tc := NewTickContext(now, tick, iv)
-			tc.Round = round
-			for _, conn := range r.incoming[node.Name()] {
-				src := produced[conn.fromPort]
+			for fi := range node.feeds {
+				feed := &node.feeds[fi]
+				src := feed.out()
 				if src == nil {
 					continue
 				}
+				conn := feed.conn
 				oc := conn.deliver(src)
 				if oc.err != nil {
 					r.runErr = oc.err
@@ -270,59 +269,56 @@ func (r *GraphRun) Tick() (bool, error) {
 					stats.ChunksCorrupted++
 				}
 				if sink != nil {
-					cs := sink.BeginSpan(r.connSpans[conn], obs.KindChunk, conn.label, src.At)
+					cs := sink.BeginSpan(r.connSpans[feed.k], obs.KindChunk, conn.label, src.At)
 					sink.SpanAttr(cs, "seq", int64(src.Seq))
 					sink.EndSpan(cs, oc.chunk.Arrived)
 					sink.Observe("stream.chunk_latency_us", int64(oc.chunk.Arrived-oc.chunk.At))
 				}
-				tc.SetIn(conn.toPort.Name(), oc.chunk)
+				node.tc.SetIn(conn.toPort.name, oc.chunk)
 				stats.Chunks++
 				stats.BytesMoved += oc.chunk.Size()
 				if oc.chunk.Arrived > last {
 					last = oc.chunk.Arrived
 				}
 			}
-			r.entries = append(r.entries, tickEntry{node: node, tc: tc})
+			r.staged = append(r.staged, node)
 		}
 
 		// Phase B — tick the level: on the pool when more than one
 		// node is staged, inline otherwise.  A single lane executes
-		// in entry order, which is exactly the serial order.
-		if r.pool != nil && len(r.entries) > 1 {
-			r.pool.run(r.entries)
+		// in staging order, which is exactly the serial order.
+		if r.pool != nil && len(r.staged) > 1 {
+			r.pool.run(r.staged)
 		} else {
-			for i := range r.entries {
-				r.entries[i].exec()
+			for _, node := range r.staged {
+				node.exec()
 			}
 		}
 
 		// Phase C — serial, in topological order: surface the first
-		// error, stamp activity latency onto outputs, publish chunks
-		// for the next level.
-		for i := range r.entries {
-			e := &r.entries[i]
-			if e.err != nil {
-				r.runErr = fmt.Errorf("activity: %s at tick %d: %w", e.node.Name(), tick, e.err)
+		// error, stamp activity latency onto outputs and leave them in
+		// the node's context for the next levels to read.
+		for _, node := range r.staged {
+			if node.err != nil {
+				r.runErr = fmt.Errorf("activity: %s at tick %d: %w", node.act.Name(), tick, node.err)
 				return true, r.runErr
 			}
-			for port, c := range e.tc.Outputs() {
+			for port, c := range node.tc.out {
 				if c == nil {
 					continue
 				}
 				if c.Arrived < now {
 					c.Arrived = now
 				}
-				c.Arrived += e.lat
-				propagateExtra(c, e.lat)
-				p, ok := e.node.Port(port)
-				if !ok {
-					r.runErr = fmt.Errorf("activity: %s emitted on unknown port %q", e.node.Name(), port)
+				c.Arrived += node.lat
+				propagateExtra(c, node.lat)
+				if _, ok := node.act.Port(port); !ok {
+					r.runErr = fmt.Errorf("activity: %s emitted on unknown port %q", node.act.Name(), port)
 					return true, r.runErr
 				}
 				if c.Arrived > last {
 					last = c.Arrived
 				}
-				produced[p] = c
 			}
 		}
 	}
@@ -333,10 +329,20 @@ func (r *GraphRun) Tick() (bool, error) {
 	}
 	r.lastNow = now
 	r.tick++
-	if !anyRunning || r.g.sourcesFinished() || r.tick >= r.maxTicks {
+	if !anyRunning || r.sourcesFinished() || r.tick >= r.maxTicks {
 		r.done = true
 	}
 	return r.done, nil
+}
+
+// sourcesFinished reports whether no source activity remains started.
+func (r *GraphRun) sourcesFinished() bool {
+	for i := range r.nodes {
+		if n := &r.nodes[i]; n.source && n.act.State() == StateStarted {
+			return false
+		}
+	}
+	return true
 }
 
 // Finish completes the run: on success it drains the advance gate so the
@@ -377,8 +383,8 @@ func (r *GraphRun) closeObs() {
 		return
 	}
 	now := r.clock.Now()
-	for _, c := range r.conns {
-		id := r.connSpans[c]
+	for k, c := range r.conns {
+		id := r.connSpans[k]
 		c.mu.Lock()
 		chunks, bytes := c.chunks, c.bytes
 		c.mu.Unlock()
@@ -386,8 +392,8 @@ func (r *GraphRun) closeObs() {
 		r.sink.SpanAttr(id, "bytes", bytes)
 		r.sink.EndSpan(id, now)
 	}
-	for _, node := range r.order {
-		r.sink.EndSpan(r.actSpans[node.Name()], now)
+	for _, id := range r.actSpans {
+		r.sink.EndSpan(id, now)
 	}
 	r.sink.SpanAttr(r.pbSpan, "ticks", int64(r.stats.Ticks))
 	r.sink.EndSpan(r.pbSpan, now)

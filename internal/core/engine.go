@@ -59,7 +59,7 @@ import (
 //
 // The step path follows the same allocation-free discipline as the
 // SCAN-EDF scheduler (DESIGN.md §12, §13): the due batch, the retired
-// list and the run-set walk all live in buffers reused step to step,
+// list and the run set's buckets all live in storage reused step to step,
 // and per-run pprof label contexts are built once at admission — in
 // steady state a step performs zero heap allocations of its own
 // (pinned by TestEngineAllocsPerStep).
@@ -555,7 +555,8 @@ func (e *Engine) stepOnce() bool {
 	}
 
 	// Phase 3 — retire finished runs: drain their gates, close spans,
-	// stop nodes, complete the Playback so waiters unblock.
+	// stop nodes, publish the retirement, complete the Playback so
+	// waiters unblock.
 	for _, en := range e.retiredBuf {
 		stats, err := en.run.Finish()
 		if en.stage != nil {
@@ -576,10 +577,13 @@ func (e *Engine) stepOnce() bool {
 			sink.SetGauge("engine.sessions.active", int64(len(e.entries)))
 		}
 		e.mu.Unlock()
-		en.playback.complete(stats, err)
 		if sink != nil {
 			sink.Count("engine.runs.finished", 1)
 		}
+		// Last: completing the playback releases its waiters, and a
+		// client that snapshots right after Wait must find everything
+		// this retirement publishes already there.
+		en.playback.complete(stats, err)
 	}
 
 	// Phase 4 — overload control: feed the detector this step's load

@@ -15,7 +15,7 @@ import (
 
 // fakeRun is a no-op engineRun: it ticks forever, advancing its due
 // time by one unit per tick, and allocates nothing.  Admitting fakes
-// isolates the engine's own step path — run-set heap churn, batch
+// isolates the engine's own step path — run-set bucket moves, batch
 // resolution, label switching, snapshot refresh, clock commit — from
 // the graph executor's interior, so TestEngineAllocsPerStep and
 // BenchmarkEngineStep measure exactly the code this PR pins.
@@ -66,7 +66,7 @@ func admitFakeRuns(t testing.TB, db *Database, n int) *Engine {
 }
 
 // TestEngineAllocsPerStep pins the tentpole target: once warm, one
-// engine step — DueBatch over the run-set heap, batch resolution,
+// engine step — DueBatch off the run set's front buckets, batch resolution,
 // per-run label switch and tick, snapshot refresh, reschedule, clock
 // commit — performs zero heap allocations of its own.  The runs are
 // no-op fakes, so any allocation measured here is engine bookkeeping.
@@ -181,6 +181,35 @@ func BenchmarkEngineStep(b *testing.B) {
 				e.stepOnce()
 			}
 		})
+	}
+}
+
+// BenchmarkRunSetCoDue is the run-set share of a vod_zipf step on its
+// own: 1000 runs admitted co-due round-robin over the engine's 16
+// shards, each step popping the batch and moving every member one
+// period on.  One op is one step of 1000 runs; it must not allocate.
+func BenchmarkRunSetCoDue(b *testing.B) {
+	const runs = 1000
+	set := sched.NewShardedRunSet(engineShards)
+	for i := 0; i < runs; i++ {
+		set.Admit(0, i%engineShards)
+	}
+	period := avtime.RateVideo30.UnitDuration()
+	batch := make([]sched.RunID, 0, runs)
+	step := func() {
+		due, ids, _ := set.DueBatch()
+		batch = append(batch[:0], ids...)
+		for _, id := range batch {
+			set.Reschedule(id, due+period)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
 	}
 }
 

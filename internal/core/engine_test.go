@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -166,7 +168,72 @@ func TestEngineCrossSessionDeterminism(t *testing.T) {
 			t.Errorf("workers=%d: per-session RunStats diverged", workers)
 		}
 		if snap != baseSnap {
-			t.Errorf("workers=%d: obs snapshots differ (%d vs %d bytes)", workers, len(snap), len(baseSnap))
+			t.Errorf("workers=%d: obs snapshots differ (%d vs %d bytes); %s",
+				workers, len(snap), len(baseSnap), firstDifferingLine(snap, baseSnap))
+		}
+	}
+}
+
+// firstDifferingLine locates where two multi-line renderings part ways.
+func firstDifferingLine(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			return fmt.Sprintf("first difference at line %d: %q vs %q", i+1, gl, wl)
+		}
+	}
+	return "no differing line"
+}
+
+// TestEngineRetirePublishesBeforeWaitReturns is the regression for the
+// retire phase completing the playback before it counted the run: a
+// client blocked in Wait could wake, snapshot, and read
+// engine.runs.finished one short — which is how the cross-session
+// determinism test used to fail once in some hundred runs.  The waiter
+// here is already blocked in Wait when the engine is released and reads
+// the registry the moment it wakes.
+func TestEngineRetirePublishesBeforeWaitReturns(t *testing.T) {
+	db := testDB(t)
+	col := db.EnableObservability()
+	for round := 1; round <= 100; round++ {
+		ps := buildPlaybackSession(t, db, fmt.Sprintf("retire-%d", round), 2)
+		db.Engine().Pause()
+		pb, err := ps.sess.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		type reading struct {
+			finished, active int64
+			err              error
+		}
+		waiting := make(chan struct{})
+		got := make(chan reading, 1)
+		go func() {
+			close(waiting)
+			_, err := pb.Wait()
+			active, _ := col.Registry().Gauge("engine.sessions.active")
+			got <- reading{col.Registry().Counter("engine.runs.finished"), active, err}
+		}()
+		<-waiting
+		runtime.Gosched() // let the waiter reach Wait before anything can finish
+		db.Engine().Resume()
+		r := <-got
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if r.finished != int64(round) || r.active != 0 {
+			t.Fatalf("round %d: a waiter woken by Wait read engine.runs.finished=%d (want %d), engine.sessions.active=%d (want 0)",
+				round, r.finished, round, r.active)
+		}
+		if err := ps.sess.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

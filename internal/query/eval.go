@@ -211,6 +211,10 @@ type Plan struct {
 	Where     Expr
 	IndexUsed string // "Class.attr" or "" for a full scan
 	IndexPred *Pred  // the predicate served by the index
+	// IndexBound closes a B-tree range: when IndexPred bounds the
+	// attribute on one side and the AND chain also bounds it on the
+	// other, the same scan serves both and stops at the far end.
+	IndexBound *Pred
 }
 
 // String summarizes the plan.
@@ -218,6 +222,9 @@ func (p *Plan) String() string {
 	scan := "full scan"
 	if p.IndexUsed != "" {
 		scan = fmt.Sprintf("index scan on %s (%v)", p.IndexUsed, p.IndexPred)
+		if p.IndexBound != nil {
+			scan = fmt.Sprintf("index scan on %s (%v and %v)", p.IndexUsed, p.IndexPred, p.IndexBound)
+		}
 	}
 	if p.Where == nil {
 		return fmt.Sprintf("select %s: extent scan", p.Class.Name())
@@ -238,8 +245,10 @@ func (e *Engine) Prepare(q *Query) (*Plan, error) {
 	if err := q.Where.check(c); err != nil {
 		return nil, err
 	}
-	// Use an index for one predicate of the top-level AND chain.
-	for _, pred := range andChain(q.Where) {
+	// Use an index for one predicate of the top-level AND chain — or,
+	// on a B-tree, for the two that bound one attribute from both sides.
+	chain := andChain(q.Where)
+	for i, pred := range chain {
 		ix, ok := e.Index(c.Name(), pred.Attr)
 		if !ok {
 			continue
@@ -253,11 +262,29 @@ func (e *Engine) Prepare(q *Query) (*Plan, error) {
 			if ix.kind == BTreeIndex {
 				p.IndexUsed = indexName(c.Name(), pred.Attr)
 				p.IndexPred = pred
+				for _, other := range chain[i+1:] {
+					if other.Attr == pred.Attr && rangeSide(other.Op) == -rangeSide(pred.Op) {
+						p.IndexBound = other
+						break
+					}
+				}
 				return p, nil
 			}
 		}
 	}
 	return p, nil
+}
+
+// rangeSide is +1 for an operator that bounds an attribute from below,
+// -1 for one that bounds it from above, 0 for the rest.
+func rangeSide(op Op) int {
+	switch op {
+	case OpGt, OpGe:
+		return 1
+	case OpLt, OpLe:
+		return -1
+	}
+	return 0
 }
 
 // andChain collects the predicates reachable through top-level ANDs.
@@ -299,7 +326,7 @@ func (e *Engine) Execute(plan *Plan) ([]schema.OID, error) {
 			return nil, fmt.Errorf("%w: plan references missing index %s", ErrIndex, plan.IndexUsed)
 		}
 		var err error
-		candidates, err = indexCandidates(ix, plan.IndexPred)
+		candidates, err = indexCandidates(ix, plan.IndexPred, plan.IndexBound)
 		if err != nil {
 			return nil, err
 		}
@@ -323,18 +350,26 @@ func (e *Engine) Execute(plan *Plan) ([]schema.OID, error) {
 	return out, nil
 }
 
-func indexCandidates(ix *Index, pred *Pred) ([]schema.OID, error) {
-	switch pred.Op {
-	case OpEq:
+// indexCandidates reads the index: a point lookup, or one range scan
+// bounded by pred and, when the plan found one, the opposite bound.
+func indexCandidates(ix *Index, pred, bound *Pred) ([]schema.OID, error) {
+	if pred.Op == OpEq {
 		return ix.Lookup(pred.datum), nil
-	case OpLt:
-		return ix.Range(nil, &pred.datum, true, false)
-	case OpLe:
-		return ix.Range(nil, &pred.datum, true, true)
-	case OpGt:
-		return ix.Range(&pred.datum, nil, false, true)
-	case OpGe:
-		return ix.Range(&pred.datum, nil, true, true)
 	}
-	return nil, fmt.Errorf("%w: operator %v cannot use an index", ErrIndex, pred.Op)
+	var lo, hi *schema.Datum
+	var loIncl, hiIncl bool
+	for _, p := range []*Pred{pred, bound} {
+		if p == nil {
+			continue
+		}
+		switch rangeSide(p.Op) {
+		case 1:
+			lo, loIncl = &p.datum, p.Op == OpGe
+		case -1:
+			hi, hiIncl = &p.datum, p.Op == OpLe
+		default:
+			return nil, fmt.Errorf("%w: operator %v cannot use an index", ErrIndex, p.Op)
+		}
+	}
+	return ix.Range(lo, hi, loIncl, hiIncl)
 }

@@ -323,6 +323,80 @@ func TestBTreeIndexServesRanges(t *testing.T) {
 	}
 }
 
+// TestBTreeRangeMatchesFullScan holds the index path to the full scan's
+// answers over random ranges on one attribute: one- and two-sided, open
+// and closed at either end, bounds in either order in the query, empty
+// (crossed or touching-but-open) ranges included.  A two-sided range
+// must be served by one scan bounded at both ends.
+func TestBTreeRangeMatchesFullScan(t *testing.T) {
+	const n = 200
+	_, _, indexed := newsDB(t, n)
+	_, _, plain := newsDB(t, n)
+	if _, err := indexed.CreateIndex("SimpleNewscast", "runtimeMin", BTreeIndex); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(16))
+	lower, upper := []string{">", ">="}, []string{"<", "<="}
+	for i := 0; i < 400; i++ {
+		// runtimeMin spans 20..59; bounds stray past both ends and cross.
+		lo := fmt.Sprintf("runtimeMin %s %d", lower[rng.Intn(2)], 15+rng.Intn(50))
+		hi := fmt.Sprintf("runtimeMin %s %d", upper[rng.Intn(2)], 15+rng.Intn(50))
+		var where string
+		switch rng.Intn(4) {
+		case 0:
+			where = lo
+		case 1:
+			where = hi
+		case 2:
+			where = lo + " and " + hi
+		default:
+			where = hi + " and archived = true and " + lo
+		}
+		src := "select SimpleNewscast where " + where
+		q, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := indexed.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twoSided := strings.Count(where, "runtimeMin") == 2
+		if plan.IndexUsed != "SimpleNewscast.runtimeMin" || (plan.IndexBound != nil) != twoSided {
+			t.Fatalf("%s: plan = %v", src, plan)
+		}
+		if twoSided && !strings.Contains(plan.String(), plan.IndexPred.String()+" and "+plan.IndexBound.String()) {
+			t.Errorf("%s: plan String %q does not show both bounds", src, plan)
+		}
+		got, err := indexed.Execute(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := plain.RunString(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: index path %v, full scan %v", src, got, want)
+		}
+	}
+	// The closed scan reads only the range: a two-sided plan must hand
+	// Execute exactly the keys inside it.
+	q, _ := Parse("select SimpleNewscast where runtimeMin >= 30 and runtimeMin < 32")
+	plan, err := indexed.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, _ := indexed.Index("SimpleNewscast", "runtimeMin")
+	cands, err := indexCandidates(ix, plan.IndexPred, plan.IndexBound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cands) != 2*n/40 {
+		t.Errorf("closed range read %d candidates, want %d", len(cands), 2*n/40)
+	}
+}
+
 func TestCreateIndexValidation(t *testing.T) {
 	_, _, eng := newsDB(t, 5)
 	if _, err := eng.CreateIndex("Nope", "title", HashIndex); err == nil {

@@ -1,6 +1,10 @@
 package sched
 
 import (
+	"cmp"
+	"container/heap"
+	"slices"
+
 	"avdb/internal/avtime"
 )
 
@@ -13,177 +17,214 @@ type RunID int64
 // time, ticks them, and reschedules each with its new due time.
 // Admission order is the tie-break, so the step sequence is
 // deterministic for a given admission history regardless of map
-// iteration or goroutine interleaving.
+// iteration or goroutine interleaving.  RunIDs are handed out in
+// admission order, so ordering a batch by id IS ordering by admission.
 //
-// The set is an indexed binary min-heap keyed (due, admission order):
-// Admit, Reschedule and Remove are O(log n) and DueBatch visits only
-// the heap prefix holding the minimum due time, where the original
-// linear book paid O(n) per operation on every step.  RunIDs are
-// handed out in admission order, so ordering ties by id IS ordering by
-// admission.
+// Runs sit in due-time buckets, the distinct due times in a binary
+// min-heap: sessions of one rate started together stay co-due for their
+// whole life, so the common step is "copy the front bucket, move each
+// member to the next one" — O(1) per run and no comparison between runs
+// at all.  A move appends to the target bucket and leaves a dead entry
+// in the old one (lazy deletion); it costs an O(log buckets) heap push
+// only when the target due time is new.  Buckets emptied by moves stay
+// where they are until they surface at the top of the heap, and are then
+// recycled with their storage.
 //
 // RunSet is not goroutine-safe; the engine serializes access under its
 // own lock.
 type RunSet struct {
-	next RunID
-	heap []runSetEntry // binary min-heap on (due, id)
-	pos  map[RunID]int // id -> index in heap
-
-	// DueBatch scratch, reused call to call so the engine's step path
-	// allocates nothing in steady state.
-	ids   []RunID // result buffer; contents valid until the next DueBatch
-	stack []int   // pruned-walk worklist
-}
-
-type runSetEntry struct {
-	id  RunID
-	due avtime.WorldTime
-}
-
-// less orders the heap by due time, ties by admission order.
-func (s *RunSet) less(i, j int) bool {
-	a, b := s.heap[i], s.heap[j]
-	if a.due != b.due {
-		return a.due < b.due
-	}
-	return a.id < b.id
-}
-
-func (s *RunSet) swap(i, j int) {
-	s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
-	s.pos[s.heap[i].id] = i
-	s.pos[s.heap[j].id] = j
-}
-
-func (s *RunSet) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			return
-		}
-		s.swap(i, parent)
-		i = parent
-	}
-}
-
-func (s *RunSet) down(i int) {
-	n := len(s.heap)
-	for {
-		left, right := 2*i+1, 2*i+2
-		least := i
-		if left < n && s.less(left, least) {
-			least = left
-		}
-		if right < n && s.less(right, least) {
-			least = right
-		}
-		if least == i {
-			return
-		}
-		s.swap(i, least)
-		i = least
-	}
+	next  RunID
+	runs  map[RunID]*runSlot
+	heap  bucketHeap // min-heap on due; due times are distinct
+	byDue map[avtime.WorldTime]*dueBucket
+	free  []*dueBucket // recycled buckets, storage retained
+	slots []*runSlot   // recycled slots
+	ids   []RunID      // DueBatch result buffer
 }
 
 // Admit adds a run due at the given time and returns its id.
-func (s *RunSet) Admit(due avtime.WorldTime) RunID {
-	s.next++
-	id := s.next
-	s.admitAt(id, due)
-	return id
-}
+func (s *RunSet) Admit(due avtime.WorldTime) RunID { return s.admit(due).id }
 
-// admitAt enters a run under an externally assigned id.  ShardedRunSet
-// uses it to spread one global admission-order id space over several
-// shard sets; ids must be unique and increasing per set so the (due,
-// id) key still orders ties by admission.
-func (s *RunSet) admitAt(id RunID, due avtime.WorldTime) {
-	if s.pos == nil {
-		s.pos = make(map[RunID]int)
+func (s *RunSet) admit(due avtime.WorldTime) *runSlot {
+	var r *runSlot
+	if n := len(s.slots); n > 0 {
+		r, s.slots = s.slots[n-1], s.slots[:n-1]
+	} else {
+		r = new(runSlot)
 	}
-	if id > s.next {
-		s.next = id
+	s.next++
+	r.id = s.next
+	if s.runs == nil {
+		s.runs = make(map[RunID]*runSlot)
 	}
-	s.heap = append(s.heap, runSetEntry{id: id, due: due})
-	s.pos[id] = len(s.heap) - 1
-	s.up(len(s.heap) - 1)
+	s.runs[r.id] = r
+	s.place(r, due)
+	return r
 }
 
 // MinDue reports the earliest due time in the set without collecting
 // the batch; ok is false when the set is empty.
 func (s *RunSet) MinDue() (avtime.WorldTime, bool) {
-	if len(s.heap) == 0 {
+	b := s.front()
+	if b == nil {
 		return 0, false
 	}
-	return s.heap[0].due, true
+	return b.due, true
 }
 
 // Reschedule updates a run's next due time.  Unknown ids are ignored
 // (the run may have been removed by a concurrent finish).
 func (s *RunSet) Reschedule(id RunID, due avtime.WorldTime) {
-	i, ok := s.pos[id]
-	if !ok {
-		return
+	if r := s.runs[id]; r != nil && r.b.due != due {
+		r.leave()
+		s.place(r, due)
 	}
-	s.heap[i].due = due
-	s.up(i)
-	s.down(i)
 }
 
 // Remove deletes a run from the set.
 func (s *RunSet) Remove(id RunID) {
-	i, ok := s.pos[id]
-	if !ok {
-		return
-	}
-	last := len(s.heap) - 1
-	s.swap(i, last)
-	s.heap = s.heap[:last]
-	delete(s.pos, id)
-	if i < last {
-		s.up(i)
-		s.down(i)
+	if r := s.runs[id]; r != nil {
+		delete(s.runs, id)
+		r.leave()
+		r.b = nil
+		s.slots = append(s.slots, r)
 	}
 }
 
 // Len returns the number of admitted runs.
-func (s *RunSet) Len() int { return len(s.heap) }
+func (s *RunSet) Len() int { return len(s.runs) }
 
 // DueBatch returns the earliest due time and the ids of every run due
 // at exactly that time, in admission order.  ok is false when the set
-// is empty.  The walk is pruned at the first entry past the minimum on
-// each heap path, so the cost is proportional to the batch, not the
-// set.
+// is empty.
 //
 // The returned slice is a buffer owned by the set, valid only until the
 // next DueBatch call; callers that keep the batch across calls must
 // copy it.  Admit/Reschedule/Remove never touch the buffer, so the
 // engine's pop-tick-reschedule step may iterate it freely.
 func (s *RunSet) DueBatch() (due avtime.WorldTime, ids []RunID, ok bool) {
-	if len(s.heap) == 0 {
+	b := s.front()
+	if b == nil {
 		return 0, nil, false
 	}
-	due = s.heap[0].due
-	// Collect every entry at the minimum due: a subtree whose root is
-	// past the minimum cannot contain one, by the heap property.
+	if !b.clean {
+		b.compact()
+	}
 	s.ids = s.ids[:0]
-	s.stack = append(s.stack[:0], 0)
-	for len(s.stack) > 0 {
-		i := s.stack[len(s.stack)-1]
-		s.stack = s.stack[:len(s.stack)-1]
-		if i >= len(s.heap) || s.heap[i].due != due {
-			continue
-		}
-		s.ids = append(s.ids, s.heap[i].id)
-		s.stack = append(s.stack, 2*i+1, 2*i+2)
+	for _, r := range b.runs {
+		s.ids = append(s.ids, r.id)
 	}
-	// The walk visits heap order, not id order; an insertion sort over
-	// the (small) batch restores admission order without the per-call
-	// closure allocation sort.Slice would cost.
-	for i := 1; i < len(s.ids); i++ {
-		for j := i; j > 0 && s.ids[j] < s.ids[j-1]; j-- {
-			s.ids[j], s.ids[j-1] = s.ids[j-1], s.ids[j]
+	return b.due, s.ids, true
+}
+
+// runSlot is where one run currently sits: entry i of bucket b.  An
+// entry of a bucket is live only while the slot it names points back at
+// it, so moving or removing a run is a pointer update and the entry it
+// leaves behind is dropped the next time the bucket is compacted.
+type runSlot struct {
+	id    RunID
+	b     *dueBucket
+	i     int
+	shard int // ShardedRunSet's label
+}
+
+// dueBucket holds the runs due at one time.
+type dueBucket struct {
+	due   avtime.WorldTime
+	runs  []*runSlot // live entries and the dead ones moves left behind
+	live  int
+	clean bool // no dead entry, ids ascending: runs is the batch as it stands
+}
+
+// leave kills r's entry in its bucket.
+func (r *runSlot) leave() {
+	r.b.live--
+	r.b.clean = false
+}
+
+// bucketHeap orders buckets by due time for container/heap.
+type bucketHeap []*dueBucket
+
+func (h bucketHeap) Len() int           { return len(h) }
+func (h bucketHeap) Less(i, j int) bool { return h[i].due < h[j].due }
+func (h bucketHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *bucketHeap) Push(b any)        { *h = append(*h, b.(*dueBucket)) }
+func (h *bucketHeap) Pop() any {
+	old := *h
+	b := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return b
+}
+
+// place appends r to the bucket for due, creating it if need be.
+func (s *RunSet) place(r *runSlot, due avtime.WorldTime) {
+	b := s.byDue[due]
+	if b == nil {
+		b = s.newBucket(due)
+	} else if len(b.runs) >= 2*b.live+8 {
+		// Runs bouncing between buckets the front never reaches would
+		// otherwise grow them without bound.
+		b.compact()
+	}
+	if n := len(b.runs); n > 0 && b.runs[n-1].id > r.id {
+		b.clean = false
+	}
+	r.b, r.i = b, len(b.runs)
+	b.runs = append(b.runs, r)
+	b.live++
+}
+
+func (s *RunSet) newBucket(due avtime.WorldTime) *dueBucket {
+	var b *dueBucket
+	if n := len(s.free); n > 0 {
+		b, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		b = new(dueBucket)
+	}
+	b.due, b.clean = due, true
+	if s.byDue == nil {
+		s.byDue = make(map[avtime.WorldTime]*dueBucket)
+	}
+	s.byDue[due] = b
+	heap.Push(&s.heap, b)
+	return b
+}
+
+// front returns the earliest bucket holding a live run, recycling the
+// emptied ones above it, or nil when no run is left.
+func (s *RunSet) front() *dueBucket {
+	for len(s.heap) > 0 {
+		b := s.heap[0]
+		if b.live > 0 {
+			return b
+		}
+		s.pop()
+	}
+	return nil
+}
+
+// pop recycles the (empty) bucket at the top of the heap.
+func (s *RunSet) pop() {
+	b := heap.Pop(&s.heap).(*dueBucket)
+	delete(s.byDue, b.due)
+	b.runs = b.runs[:0]
+	s.free = append(s.free, b)
+}
+
+// compact drops the bucket's dead entries and restores admission order.
+func (b *dueBucket) compact() {
+	n := 0
+	for i, r := range b.runs {
+		if r.b == b && r.i == i {
+			b.runs[n] = r
+			n++
 		}
 	}
-	return due, s.ids, true
+	b.runs = b.runs[:n]
+	slices.SortFunc(b.runs, func(x, y *runSlot) int { return cmp.Compare(x.id, y.id) })
+	for i, r := range b.runs {
+		r.i = i
+	}
+	b.clean = true
 }

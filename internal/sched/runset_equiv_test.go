@@ -8,13 +8,18 @@ import (
 	"avdb/internal/avtime"
 )
 
-// linearRunSet is the original O(n)-per-step admission book the heap
-// replaced: a slice in admission order, min-next-due found by scanning.
-// It is kept here as the executable specification the heap must match
-// batch for batch.
+// linearRunSet is the original O(n)-per-step admission book: a slice in
+// admission order, min-next-due found by scanning.  It is kept here as
+// the executable specification RunSet and ShardedRunSet must match batch
+// for batch.
 type linearRunSet struct {
 	next    RunID
 	entries []runSetEntry
+}
+
+type runSetEntry struct {
+	id  RunID
+	due avtime.WorldTime
 }
 
 func (s *linearRunSet) Admit(due avtime.WorldTime) RunID {
@@ -59,8 +64,9 @@ func (s *linearRunSet) DueBatch() (due avtime.WorldTime, ids []RunID, ok bool) {
 	return due, ids, true
 }
 
-// TestRunSetHeapMatchesLinearScan drives the heap and the linear
-// specification through the same randomized admission history —
+// TestRunSetHeapMatchesLinearScan (named when the set was a per-run
+// binary heap) drives the set and the linear specification through the
+// same randomized admission history —
 // admits, reschedules, removes, and the engine's pop-batch step — and
 // requires identical due times and identical batch order at every
 // step.  Due times are drawn from a tiny range so multi-run ties (the
@@ -68,19 +74,19 @@ func (s *linearRunSet) DueBatch() (due avtime.WorldTime, ids []RunID, ok bool) {
 func TestRunSetHeapMatchesLinearScan(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1993} {
 		rng := rand.New(rand.NewSource(seed))
-		var heap RunSet
+		var set RunSet
 		var linear linearRunSet
 		var live []RunID
 
 		check := func(step int) {
-			hd, hids, hok := heap.DueBatch()
+			hd, hids, hok := set.DueBatch()
 			ld, lids, lok := linear.DueBatch()
 			if hok != lok || hd != ld || !reflect.DeepEqual(hids, lids) {
-				t.Fatalf("seed %d step %d: heap batch (%v,%v,%v) != linear (%v,%v,%v)",
+				t.Fatalf("seed %d step %d: batch (%v,%v,%v) != linear (%v,%v,%v)",
 					seed, step, hd, hids, hok, ld, lids, lok)
 			}
-			if heap.Len() != len(linear.entries) {
-				t.Fatalf("seed %d step %d: Len %d != %d", seed, step, heap.Len(), len(linear.entries))
+			if set.Len() != len(linear.entries) {
+				t.Fatalf("seed %d step %d: Len %d != %d", seed, step, set.Len(), len(linear.entries))
 			}
 		}
 
@@ -91,7 +97,7 @@ func TestRunSetHeapMatchesLinearScan(t *testing.T) {
 			switch op := rng.Intn(10); {
 			case op < 4 || len(live) == 0: // admit
 				d := due()
-				hid := heap.Admit(d)
+				hid := set.Admit(d)
 				lid := linear.Admit(d)
 				if hid != lid {
 					t.Fatalf("seed %d step %d: Admit ids diverge: %v != %v", seed, step, hid, lid)
@@ -100,20 +106,20 @@ func TestRunSetHeapMatchesLinearScan(t *testing.T) {
 			case op < 6: // reschedule a random live run
 				id := live[rng.Intn(len(live))]
 				d := due()
-				heap.Reschedule(id, d)
+				set.Reschedule(id, d)
 				linear.Reschedule(id, d)
 			case op < 7: // remove a random live run
 				i := rng.Intn(len(live))
 				id := live[i]
-				heap.Remove(id)
+				set.Remove(id)
 				linear.Remove(id)
 				live = append(live[:i], live[i+1:]...)
 			default: // the engine's step: pop the due batch, reschedule each
-				_, ids, ok := heap.DueBatch()
+				_, ids, ok := set.DueBatch()
 				if ok {
 					for _, id := range ids {
 						d := due()
-						heap.Reschedule(id, d)
+						set.Reschedule(id, d)
 						linear.Reschedule(id, d)
 					}
 				}

@@ -4,29 +4,22 @@ import (
 	"avdb/internal/avtime"
 )
 
-// ShardedRunSet partitions the admission book across a fixed number of
-// shard RunSets so a parallel engine can hand each shard's slice of the
-// due batch to a different worker.  Ids come from one global
-// admission-order counter, each run lives in exactly one shard (chosen
-// at admit and never rehomed), and DueBatch k-way-merges the per-shard
-// batches back into global admission order — so the observable batch
-// stream is identical to a single RunSet fed the same operations, which
-// TestShardedRunSetPropertyOps pins against the retained linear
-// reference.
+// ShardedRunSet is a RunSet whose runs each carry a shard label, chosen
+// at admit and never changed, so a parallel engine can hand each
+// shard's slice of the due batch to a different worker.  The book
+// itself is one RunSet: a due batch comes out in global admission
+// order whatever shards its members belong to, and shards whose runs
+// are co-due share a bucket instead of each keeping their own — so the
+// observable batch stream is that of a single RunSet fed the same
+// operations, which TestShardedRunSetMatchesLinear pins against the
+// retained linear reference.
 //
 // Like RunSet, a ShardedRunSet is not goroutine-safe; the engine
 // serializes access under its own lock and only the *ticking* of the
 // batch happens in parallel.
 type ShardedRunSet struct {
-	next   RunID
-	shards []RunSet
-	home   map[RunID]int // id -> shard index
-
-	// DueBatch scratch, reused call to call.
-	ids   []RunID // merged result buffer; valid until the next DueBatch
-	take  []int   // shard indexes participating in the current batch
-	heads []int   // merge cursor per participating shard
-	parts [][]RunID
+	set    RunSet
+	shards int
 }
 
 // NewShardedRunSet returns a set split over n shards (n < 1 is treated
@@ -35,112 +28,46 @@ func NewShardedRunSet(n int) *ShardedRunSet {
 	if n < 1 {
 		n = 1
 	}
-	return &ShardedRunSet{
-		shards: make([]RunSet, n),
-		home:   make(map[RunID]int),
-	}
+	return &ShardedRunSet{shards: n}
 }
 
 // Shards returns the shard count.
-func (s *ShardedRunSet) Shards() int { return len(s.shards) }
+func (s *ShardedRunSet) Shards() int { return s.shards }
 
 // Admit adds a run due at the given time to the given shard (taken
 // modulo the shard count) and returns its globally ordered id.
 func (s *ShardedRunSet) Admit(due avtime.WorldTime, shard int) RunID {
-	shard %= len(s.shards)
+	shard %= s.shards
 	if shard < 0 {
-		shard += len(s.shards)
+		shard += s.shards
 	}
-	s.next++
-	id := s.next
-	s.shards[shard].admitAt(id, due)
-	s.home[id] = shard
-	return id
+	r := s.set.admit(due)
+	r.shard = shard
+	return r.id
 }
 
 // Shard reports which shard a run was admitted to.
 func (s *ShardedRunSet) Shard(id RunID) (int, bool) {
-	shard, ok := s.home[id]
-	return shard, ok
+	r := s.set.runs[id]
+	if r == nil {
+		return 0, false
+	}
+	return r.shard, true
 }
 
 // Reschedule updates a run's next due time.  Unknown ids are ignored.
-func (s *ShardedRunSet) Reschedule(id RunID, due avtime.WorldTime) {
-	if shard, ok := s.home[id]; ok {
-		s.shards[shard].Reschedule(id, due)
-	}
-}
+func (s *ShardedRunSet) Reschedule(id RunID, due avtime.WorldTime) { s.set.Reschedule(id, due) }
 
 // Remove deletes a run from the set.
-func (s *ShardedRunSet) Remove(id RunID) {
-	if shard, ok := s.home[id]; ok {
-		s.shards[shard].Remove(id)
-		delete(s.home, id)
-	}
-}
+func (s *ShardedRunSet) Remove(id RunID) { s.set.Remove(id) }
 
 // Len returns the number of admitted runs across all shards.
-func (s *ShardedRunSet) Len() int {
-	n := 0
-	for i := range s.shards {
-		n += s.shards[i].Len()
-	}
-	return n
-}
+func (s *ShardedRunSet) Len() int { return s.set.Len() }
 
 // DueBatch returns the earliest due time across every shard and the ids
 // of every run due at exactly that time, in global admission order.
-// Each shard's batch is already admission-ordered, so a k-way merge of
-// the participating shards restores the global order in O(batch × k)
-// without re-sorting — round-robin admission interleaves ids perfectly
-// across shards, which would drive a flat insertion sort quadratic.
-//
 // The returned slice is a buffer owned by the set, valid until the next
 // DueBatch call, with the same reuse contract as RunSet.DueBatch.
 func (s *ShardedRunSet) DueBatch() (due avtime.WorldTime, ids []RunID, ok bool) {
-	found := false
-	for i := range s.shards {
-		d, has := s.shards[i].MinDue()
-		if has && (!found || d < due) {
-			due, found = d, true
-		}
-	}
-	if !found {
-		return 0, nil, false
-	}
-	s.take = s.take[:0]
-	s.parts = s.parts[:0]
-	for i := range s.shards {
-		if d, has := s.shards[i].MinDue(); has && d == due {
-			_, part, _ := s.shards[i].DueBatch()
-			s.take = append(s.take, i)
-			s.parts = append(s.parts, part)
-		}
-	}
-	s.ids = s.ids[:0]
-	if len(s.take) == 1 {
-		s.ids = append(s.ids, s.parts[0]...)
-		return due, s.ids, true
-	}
-	s.heads = s.heads[:0]
-	for range s.take {
-		s.heads = append(s.heads, 0)
-	}
-	for {
-		best := -1
-		for k := range s.take {
-			if s.heads[k] >= len(s.parts[k]) {
-				continue
-			}
-			if best < 0 || s.parts[k][s.heads[k]] < s.parts[best][s.heads[best]] {
-				best = k
-			}
-		}
-		if best < 0 {
-			break
-		}
-		s.ids = append(s.ids, s.parts[best][s.heads[best]])
-		s.heads[best]++
-	}
-	return due, s.ids, true
+	return s.set.DueBatch()
 }

@@ -7,8 +7,8 @@ import (
 	"avdb/internal/avtime"
 )
 
-// shardset_test.go pins the PR 9 sharded admission book to the same
-// executable specification the heap is pinned to: a ShardedRunSet with
+// shardset_test.go pins the sharded admission book to the same
+// executable specification RunSet is pinned to: a ShardedRunSet with
 // any shard count, fed any randomized Admit/Reschedule/Remove/step
 // sequence, must produce exactly the due batches of the single
 // linearRunSet — same times, same ids, same global admission order —
@@ -33,6 +33,7 @@ func TestShardedRunSetMatchesLinear(t *testing.T) {
 				return avtime.WorldTime(rng.Intn(6)) * 10 * avtime.Millisecond
 			}
 			check := func(step int) {
+				checkRunSetInvariants(t, &sharded.set, &linear, "random ops")
 				sd, sids, sok := sharded.DueBatch()
 				// Copy before the idempotence recheck: the buffer is reused.
 				first := append([]RunID(nil), sids...)

@@ -24,7 +24,7 @@
 #         0 allocs/op).
 #   pr8   allocation-free engine step path: BenchmarkEngineStep over
 #         no-op runs isolates the engine's own per-step bookkeeping
-#         (run-set heap, batch resolution, label switch, snapshot
+#         (run-set buckets, batch resolution, label switch, snapshot
 #         refresh, clock commit) at narrow and wide session counts;
 #         both arms are gated ns/op and must report 0 allocs/op.
 #
