@@ -9,9 +9,9 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -126,6 +126,11 @@ type Database struct {
 
 	workers  int            // executor lanes for sessions; 0 = GOMAXPROCS
 	priority sched.Priority // default service class for new sessions
+
+	// allocMu makes an OID's allocation and its NewObject's log records
+	// one step (allocate), so the images of nextOIDKey never interleave
+	// between transactions: undoing a loser puts back the value it found.
+	allocMu sync.Mutex
 
 	mu          sync.Mutex
 	nextSession int
@@ -271,12 +276,27 @@ func (db *Database) NewObject(className string) (*schema.Object, error) {
 	if err := tx.LockClass(className, txn.ModeIX); err != nil {
 		return nil, err
 	}
+	o, err := db.allocate(tx, c)
+	if err != nil {
+		return nil, err
+	}
+	return o, tx.Commit()
+}
+
+// allocate creates the object and logs, as one step under allocMu, its
+// objmeta/ key, the allocator's new high-water mark and the commit.
+func (db *Database) allocate(tx *txn.Tx, c *schema.Class) (*schema.Object, error) {
+	db.allocMu.Lock()
+	defer db.allocMu.Unlock()
 	o := db.objects.NewObject(c)
-	if err := db.kv.Put(tx, metaKey(o.OID()), []byte(className)); err != nil {
+	if err := db.kv.Put(tx, metaKey(o.OID()), []byte(c.Name())); err != nil {
+		return nil, err
+	}
+	if err := db.kv.Put(tx, nextOIDKey, binary.BigEndian.AppendUint64(nil, uint64(o.OID())+1)); err != nil {
 		return nil, err
 	}
 	db.kv.Commit(tx)
-	return o, tx.Commit()
+	return o, nil
 }
 
 // SetAttr assigns an attribute under a short auto-commit transaction,
@@ -333,8 +353,9 @@ func (db *Database) GetAttr(oid schema.OID, attr string) (schema.Datum, error) {
 	return d, nil
 }
 
-// DeleteObject removes an object, its index entries and its durable
-// scalar state.
+// DeleteObject removes an object, its index entries, its durable scalar
+// state and the database's record of where its media were placed (the
+// device segments themselves stay: the store has no free call).
 func (db *Database) DeleteObject(oid schema.OID) error {
 	o, ok := db.objects.Get(oid)
 	if !ok {
@@ -360,6 +381,14 @@ func (db *Database) DeleteObject(oid schema.OID) error {
 		}
 	}
 	db.kv.Commit(tx)
+	prefix := placementKey(oid, "", "") // "<oid>/"
+	db.mu.Lock()
+	for k := range db.segments {
+		if strings.HasPrefix(k, prefix) {
+			delete(db.segments, k)
+		}
+	}
+	db.mu.Unlock()
 	return tx.Commit()
 }
 
@@ -521,90 +550,93 @@ func (db *Database) Crash() {
 	db.engine = query.NewEngine(db.schema, db.objects)
 }
 
-// Recover rebuilds the scalar object state from the WAL.  Media
-// attributes are re-attached from their surviving segments.  Attribute
-// indexes are volatile structures: recreate them with CreateIndex after
-// recovery (they rebuild from the recovered extent).
+// Recover rebuilds the catalog from the keys the store's own recovery
+// left live, visited once: objmeta/ keys are the objects (restored in
+// ascending OID order, which is creation order), attr/ keys their scalar
+// attributes, link/ keys the hypermedia links, and nextOIDKey retires
+// every OID the log has named.  Media attributes are re-attached from
+// their surviving segments.  Attribute indexes are volatile structures:
+// recreate them with CreateIndex after recovery (they rebuild from the
+// recovered extent).
 func (db *Database) Recover() error {
 	db.kv.Recover()
-	// Pass 1: recreate objects.
-	type pending struct {
+	type liveObject struct {
 		oid   schema.OID
 		class *schema.Class
 	}
-	var objs []pending
-	attrs := make(map[schema.OID][]string)
-	for _, rec := range db.kv.WAL().Records() {
-		key := rec.Key
+	type liveAttr struct {
+		oid  schema.OID
+		name string
+		enc  []byte
+	}
+	var (
+		objs  []liveObject
+		attrs = make([]liveAttr, 0, db.kv.Len()) // most live keys are attributes
+		links = newLinkStore()
+		next  schema.OID
+	)
+	visit := func(key string, val []byte) error {
 		switch {
-		case strings.HasPrefix(key, "objmeta/"):
-			oid, err := parseOID(strings.TrimPrefix(key, "objmeta/"))
+		case strings.HasPrefix(key, metaPrefix):
+			oid, err := parseOID(key[len(metaPrefix):])
 			if err != nil {
 				return err
-			}
-			val, live := db.kv.Get(key)
-			if !live {
-				continue // deleted object
 			}
 			c, ok := db.schema.Class(string(val))
 			if !ok {
 				return fmt.Errorf("core: recovery found unknown class %q", val)
 			}
-			objs = append(objs, pending{oid, c})
-		case strings.HasPrefix(key, "attr/"):
-			rest := strings.TrimPrefix(key, "attr/")
-			slash := strings.IndexByte(rest, '/')
-			if slash < 0 {
-				return fmt.Errorf("core: malformed attribute key %q", key)
-			}
-			oid, err := parseOID(rest[:slash])
+			objs = append(objs, liveObject{oid, c})
+		case strings.HasPrefix(key, attrPrefix):
+			oid, name, err := cutOID(key[len(attrPrefix):])
 			if err != nil {
 				return err
 			}
-			attrs[oid] = append(attrs[oid], rest[slash+1:])
+			attrs = append(attrs, liveAttr{oid, name, val})
+		case strings.HasPrefix(key, linkPrefix):
+			l, err := parseLinkKey(key)
+			if err != nil {
+				return err
+			}
+			links.add(l)
+		case key == nextOIDKey:
+			if len(val) != 8 {
+				return fmt.Errorf("core: malformed OID allocator value % x", val)
+			}
+			next = schema.OID(binary.BigEndian.Uint64(val))
 		}
+		return nil
+	}
+	var err error
+	db.kv.Range(func(key string, val []byte) bool {
+		err = visit(key, val)
+		return err == nil
+	})
+	if err != nil {
+		return err
 	}
 	sort.Slice(objs, func(i, j int) bool { return objs[i].oid < objs[j].oid })
-	restored := make(map[schema.OID]*schema.Object)
 	for _, p := range objs {
-		if _, dup := restored[p.oid]; dup {
-			continue
-		}
-		o, err := db.objects.RestoreObject(p.class, p.oid)
-		if err != nil {
+		if _, err := db.objects.RestoreObject(p.class, p.oid); err != nil {
 			return err
 		}
-		restored[p.oid] = o
 	}
-	// Pass 2: restore committed scalar attributes.
-	for oid, names := range attrs {
-		o, ok := restored[oid]
+	db.objects.ReserveBelow(next)
+	for _, a := range attrs {
+		o, ok := db.objects.Get(a.oid)
 		if !ok {
 			continue
 		}
-		seen := make(map[string]bool)
-		for _, attr := range names {
-			if seen[attr] {
-				continue
-			}
-			seen[attr] = true
-			enc, live := db.kv.Get(attrKey(oid, attr))
-			if !live {
-				continue
-			}
-			d, err := decodeDatum(enc)
-			if err != nil {
-				return fmt.Errorf("core: recovering %v.%s: %w", oid, attr, err)
-			}
-			if err := o.Set(attr, d); err != nil {
-				return fmt.Errorf("core: recovering %v.%s: %w", oid, attr, err)
-			}
+		d, err := decodeDatum(a.enc)
+		if err != nil {
+			return fmt.Errorf("core: recovering %v.%s: %w", a.oid, a.name, err)
+		}
+		if err := o.Set(a.name, d); err != nil {
+			return fmt.Errorf("core: recovering %v.%s: %w", a.oid, a.name, err)
 		}
 	}
-	if err := db.recoverLinks(db.kv.WAL().Records()); err != nil {
-		return err
-	}
-	// Pass 3: re-attach surviving media segments.
+	db.links = links
+	// Re-attach surviving media segments.
 	db.mu.Lock()
 	placements := make(map[string]storage.SegID, len(db.segments))
 	for k, v := range db.segments {
@@ -620,7 +652,7 @@ func (db *Database) Recover() error {
 		if err != nil {
 			return err
 		}
-		o, ok := restored[oid]
+		o, ok := db.objects.Get(oid)
 		if !ok {
 			continue
 		}
@@ -643,10 +675,21 @@ func isScalar(k schema.AttrKind) bool {
 	return false
 }
 
-func metaKey(oid schema.OID) string { return "objmeta/" + strconv.FormatUint(uint64(oid), 10) }
+// The durable key space: one objmeta/ key per live object holding its
+// class name, one attr/ key per set scalar attribute holding its encoded
+// datum, one link/ key per hypermedia link (links.go), and nextOIDKey
+// holding, as eight big-endian bytes, the lowest OID never allocated.
+const (
+	metaPrefix = "objmeta/"
+	attrPrefix = "attr/"
+	linkPrefix = "link/"
+	nextOIDKey = "nextoid"
+)
+
+func metaKey(oid schema.OID) string { return metaPrefix + strconv.FormatUint(uint64(oid), 10) }
 
 func attrKey(oid schema.OID, attr string) string {
-	return "attr/" + strconv.FormatUint(uint64(oid), 10) + "/" + attr
+	return attrPrefix + strconv.FormatUint(uint64(oid), 10) + "/" + attr
 }
 
 func placementKey(oid schema.OID, attr, track string) string {
@@ -673,6 +716,17 @@ func parsePlacementKey(key string) (schema.OID, string, string, error) {
 	return oid, parts[1], track, nil
 }
 
+// cutOID splits "<oid>/<rest>", the shape of every durable key past its
+// prefix.
+func cutOID(s string) (schema.OID, string, error) {
+	num, rest, ok := strings.Cut(s, "/")
+	if !ok {
+		return 0, "", fmt.Errorf("core: malformed key %q: no OID", s)
+	}
+	oid, err := parseOID(num)
+	return oid, rest, err
+}
+
 func parseOID(s string) (schema.OID, error) {
 	v, err := strconv.ParseUint(s, 10, 64)
 	if err != nil {
@@ -681,43 +735,73 @@ func parseOID(s string) (schema.OID, error) {
 	return schema.OID(v), nil
 }
 
-// walDatum is the gob envelope for scalar datum persistence.
-type walDatum struct {
-	Kind schema.AttrKind
-	Str  string
-	Int  int64
-	Flt  float64
-	Bool bool
-	Time time.Time
-}
+// A durable datum is one tag byte naming its kind, then the value: the
+// string's bytes; eight big-endian bytes of the int, or of the float's
+// IEEE 754 bits; one byte 0 or 1 for the bool; time.Time's own binary
+// form for the date, which keeps its instant and zone offset.
+const (
+	tagString = 's'
+	tagInt    = 'i'
+	tagFloat  = 'f'
+	tagBool   = 'b'
+	tagDate   = 'd'
+)
 
 func encodeDatum(d schema.Datum) ([]byte, error) {
-	wd := walDatum{Kind: d.Kind(), Str: d.Str(), Int: d.IntVal(), Flt: d.FloatVal(), Bool: d.BoolVal(), Time: d.DateVal()}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(wd); err != nil {
-		return nil, err
+	switch d.Kind() {
+	case schema.KindString:
+		return append([]byte{tagString}, d.Str()...), nil
+	case schema.KindInt:
+		return binary.BigEndian.AppendUint64([]byte{tagInt}, uint64(d.IntVal())), nil
+	case schema.KindFloat:
+		return binary.BigEndian.AppendUint64([]byte{tagFloat}, math.Float64bits(d.FloatVal())), nil
+	case schema.KindBool:
+		if d.BoolVal() {
+			return []byte{tagBool, 1}, nil
+		}
+		return []byte{tagBool, 0}, nil
+	case schema.KindDate:
+		t, err := d.DateVal().MarshalBinary()
+		if err != nil {
+			return nil, fmt.Errorf("core: encoding date: %w", err)
+		}
+		return append([]byte{tagDate}, t...), nil
 	}
-	return buf.Bytes(), nil
+	return nil, fmt.Errorf("core: cannot encode datum kind %v", d.Kind())
 }
 
+// decodeDatum is encodeDatum's inverse.  Any input that encodeDatum
+// could not have produced is an error.
 func decodeDatum(b []byte) (schema.Datum, error) {
-	var wd walDatum
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&wd); err != nil {
-		return schema.Datum{}, err
+	if len(b) == 0 {
+		return schema.Datum{}, fmt.Errorf("core: empty datum")
 	}
-	switch wd.Kind {
-	case schema.KindString:
-		return schema.String(wd.Str), nil
-	case schema.KindInt:
-		return schema.Int(wd.Int), nil
-	case schema.KindFloat:
-		return schema.Float(wd.Flt), nil
-	case schema.KindBool:
-		return schema.Bool(wd.Bool), nil
-	case schema.KindDate:
-		return schema.Date(wd.Time), nil
+	val := b[1:]
+	switch b[0] {
+	case tagString:
+		return schema.String(string(val)), nil
+	case tagInt, tagFloat:
+		if len(val) != 8 {
+			return schema.Datum{}, fmt.Errorf("core: %c datum has %d value bytes, want 8", b[0], len(val))
+		}
+		bits := binary.BigEndian.Uint64(val)
+		if b[0] == tagInt {
+			return schema.Int(int64(bits)), nil
+		}
+		return schema.Float(math.Float64frombits(bits)), nil
+	case tagBool:
+		if len(val) != 1 || val[0] > 1 {
+			return schema.Datum{}, fmt.Errorf("core: malformed bool datum % x", val)
+		}
+		return schema.Bool(val[0] == 1), nil
+	case tagDate:
+		var t time.Time
+		if err := t.UnmarshalBinary(val); err != nil {
+			return schema.Datum{}, fmt.Errorf("core: decoding date: %w", err)
+		}
+		return schema.Date(t), nil
 	}
-	return schema.Datum{}, fmt.Errorf("core: cannot decode datum kind %v", wd.Kind)
+	return schema.Datum{}, fmt.Errorf("core: unknown datum tag %#x", b[0])
 }
 
 // ResourcesForVideo estimates the admission-control bundle a video stream

@@ -26,15 +26,15 @@ type fakeRun struct {
 	ticks int
 }
 
-func (f *fakeRun) Graph() *activity.Graph            { return f.g }
-func (f *fakeRun) Rate() avtime.Rate                 { return avtime.RateVideo30 }
-func (f *fakeRun) Ticks() int                        { return f.ticks }
-func (f *fakeRun) Err() error                        { return nil }
-func (f *fakeRun) Done() bool                        { return false }
-func (f *fakeRun) NextDue() avtime.WorldTime         { return f.due }
-func (f *fakeRun) CommitHorizon() avtime.WorldTime   { return f.due }
-func (f *fakeRun) SetRound(int64)                    {}
-func (f *fakeRun) SwapObs(s obs.Sink) obs.Sink       { return nil }
+func (f *fakeRun) Graph() *activity.Graph              { return f.g }
+func (f *fakeRun) Rate() avtime.Rate                   { return avtime.RateVideo30 }
+func (f *fakeRun) Ticks() int                          { return f.ticks }
+func (f *fakeRun) Err() error                          { return nil }
+func (f *fakeRun) Done() bool                          { return false }
+func (f *fakeRun) NextDue() avtime.WorldTime           { return f.due }
+func (f *fakeRun) CommitHorizon() avtime.WorldTime     { return f.due }
+func (f *fakeRun) SetRound(int64)                      {}
+func (f *fakeRun) SwapObs(s obs.Sink) obs.Sink         { return nil }
 func (f *fakeRun) Finish() (*activity.RunStats, error) { return &activity.RunStats{}, nil }
 
 func (f *fakeRun) Tick() (bool, error) {

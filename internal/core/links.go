@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"avdb/internal/schema"
-	"avdb/internal/txn"
 )
 
 // Link is a hypermedia link between two stored objects — Scenario I's
@@ -85,6 +84,9 @@ func (ls *linkStore) to(oid schema.OID) []Link {
 
 func sortLinks(ls []Link) {
 	sort.Slice(ls, func(i, j int) bool {
+		if ls[i].From != ls[j].From {
+			return ls[i].From < ls[j].From
+		}
 		if ls[i].To != ls[j].To {
 			return ls[i].To < ls[j].To
 		}
@@ -139,34 +141,18 @@ func (db *Database) Links(from schema.OID) []Link { return db.links.from(from) }
 func (db *Database) Backlinks(to schema.OID) []Link { return db.links.to(to) }
 
 func linkKey(l Link) string {
-	return fmt.Sprintf("link/%d/%d/%s", uint64(l.From), uint64(l.To), l.Label)
+	return fmt.Sprintf(linkPrefix+"%d/%d/%s", uint64(l.From), uint64(l.To), l.Label)
 }
 
-// recoverLinks rebuilds the link store from the recovered WAL state.
-func (db *Database) recoverLinks(records []txn.Record) error {
-	db.links = newLinkStore()
-	seen := make(map[string]bool)
-	for _, rec := range records {
-		if !strings.HasPrefix(rec.Key, "link/") || seen[rec.Key] {
-			continue
-		}
-		seen[rec.Key] = true
-		if _, live := db.kv.Get(rec.Key); !live {
-			continue
-		}
-		parts := strings.SplitN(strings.TrimPrefix(rec.Key, "link/"), "/", 3)
-		if len(parts) != 3 {
-			return fmt.Errorf("core: malformed link key %q", rec.Key)
-		}
-		from, err := parseOID(parts[0])
-		if err != nil {
-			return err
-		}
-		to, err := parseOID(parts[1])
-		if err != nil {
-			return err
-		}
-		db.links.add(Link{From: from, To: to, Label: parts[2]})
+// parseLinkKey is linkKey's inverse, for recovery.
+func parseLinkKey(key string) (Link, error) {
+	from, rest, err := cutOID(strings.TrimPrefix(key, linkPrefix))
+	if err != nil {
+		return Link{}, err
 	}
-	return nil
+	to, label, err := cutOID(rest)
+	if err != nil {
+		return Link{}, err
+	}
+	return Link{From: from, To: to, Label: label}, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"avdb/internal/media"
@@ -143,4 +144,36 @@ func importScalable(clip *media.VideoValue) (media.Value, error) {
 		return nil, err
 	}
 	return db.ImportVideo(clip, RepresentationHints{Scalable: true})
+}
+
+// TestBacklinksOrderIsTotal: links that differ only in their source come
+// back in one order, whatever order recovery met their keys in.
+func TestBacklinksOrderIsTotal(t *testing.T) {
+	db := testDB(t)
+	target := storeNewscast(t, db, "60 Minutes", 2)
+	var want []Link
+	for i := 0; i < 8; i++ {
+		doc, err := db.NewObject("MediaObject")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, Link{From: doc.OID(), To: target, Label: "cites"})
+	}
+	for _, i := range []int{5, 2, 7, 0, 3, 6, 1, 4} {
+		if err := db.AddLink(want[i].From, target, "cites"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := db.Backlinks(target); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Backlinks = %v, want %v", got, want)
+	}
+	for round := 0; round < 50; round++ {
+		db.Crash()
+		if err := db.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		if got := db.Backlinks(target); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: Backlinks = %v, want %v", round, got, want)
+		}
+	}
 }

@@ -29,11 +29,11 @@ import (
 // platter swaps, so the rendition shows where the hierarchy moved the
 // cost: swaps in the cold wave, the copy in the ramp, neither after.
 const (
-	jbDisks   = 4                 // the disk tier promotion stripes over
-	jbClips   = 3                 // library size, one disc each
-	jbSwap    = 2 * avtime.Second // carousel swap latency
-	jbSeed    = 31
-	jbIdle    = 60 * avtime.Second // quiet period before the demotion sweep
+	jbDisks     = 4                 // the disk tier promotion stripes over
+	jbClips     = 3                 // library size, one disc each
+	jbSwap      = 2 * avtime.Second // carousel swap latency
+	jbSeed      = 31
+	jbIdle      = 60 * avtime.Second // quiet period before the demotion sweep
 	jbPromote   = 2.0
 	jbReplicate = 3.0
 	jbDemote    = 0.5

@@ -25,7 +25,7 @@ import (
 // engine gives each session its own.
 type Stage struct {
 	ops   []stageOp
-	provs int     // BeginSpans staged this cycle (provisional id source)
+	provs int      // BeginSpans staged this cycle (provisional id source)
 	real  []SpanID // provisional index -> real id, filled during Flush
 }
 

@@ -168,6 +168,17 @@ func (s *Store) RestoreObject(c *Class, oid OID) (*Object, error) {
 	return o, nil
 }
 
+// ReserveBelow advances the allocator so that NewObject never returns an
+// OID below next — recovery's way of retiring the OIDs of objects that
+// were deleted before the crash.  It never moves the allocator back.
+func (s *Store) ReserveBelow(next OID) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if next > s.nextOID {
+		s.nextOID = next
+	}
+}
+
 // Get returns the object with the given OID.
 func (s *Store) Get(oid OID) (*Object, bool) {
 	s.mu.RLock()

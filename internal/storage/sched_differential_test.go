@@ -540,11 +540,11 @@ func corpusOverloadCancels() []byte {
 			// everything due immediately.
 			data = append(data, 0, sid, sid%diffDisks, tick, sid*3%24, 6, 7, 0, 99)
 		}
-		data = append(data, 6, tick%8)            // drop one stream's result
+		data = append(data, 6, tick%8)                 // drop one stream's result
 		data = append(data, 7, 2, 1, 9, 3, 6, 3, 1, 0) // straggler submit
-		data = append(data, 8, tick)              // demand note
-		data = append(data, 3)                    // tick
-		data = append(data, 9)                    // flush
+		data = append(data, 8, tick)                   // demand note
+		data = append(data, 3)                         // tick
+		data = append(data, 9)                         // flush
 	}
 	return data
 }

@@ -407,14 +407,14 @@ type Stream struct {
 	sink     obs.Sink // copied from the store at open time
 
 	// Shared buffer pool attachment; nil when caching is disabled.
-	pool     *bufferPool
-	pid      int64      // pool-attach order, orders staged ops
-	poolSeq  int64      // program order of this stream's staged ops
-	cstats   CacheStats // this stream's view of pool behavior
-	poolLo   int        // own staged fill window [poolLo, poolHi] ...
-	poolHi   int        //
-	poolRnd  int64      // ... staged at this round, valid while poolWin
-	poolWin  bool
+	pool    *bufferPool
+	pid     int64      // pool-attach order, orders staged ops
+	poolSeq int64      // program order of this stream's staged ops
+	cstats  CacheStats // this stream's view of pool behavior
+	poolLo  int        // own staged fill window [poolLo, poolHi] ...
+	poolHi  int        //
+	poolRnd int64      // ... staged at this round, valid while poolWin
+	poolWin bool
 }
 
 // OpenStream reserves rate on the segment's device and returns a stream.

@@ -148,7 +148,7 @@ func TestTierPromotionDefersWhileStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if !st.TierInfo(2*avtime.Second)[0].Promoted {
+	if !st.TierInfo(2 * avtime.Second)[0].Promoted {
 		t.Fatal("quiet access did not promote")
 	}
 }
@@ -341,7 +341,7 @@ func TestTierReplicationOnHotValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if got := st.TierInfo(2*avtime.Second)[0].Copies; got != 2 {
+	if got := st.TierInfo(2 * avtime.Second)[0].Copies; got != 2 {
 		t.Fatalf("copies = %d after third access, want 2", got)
 	}
 }

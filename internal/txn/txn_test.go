@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -450,6 +451,127 @@ func TestRecoveryEquivalenceProperty(t *testing.T) {
 				t.Fatalf("trial %d: %s = %q, want %q", trial, k, got, v)
 			}
 		}
+		// Recover installs the log's images by reference, so a slice Get
+		// hands out must be the caller's own: scribbling on it may change
+		// neither the store nor the log.
+		before := kv.WAL().Records()
+		for k := range want {
+			got, _ := kv.Get(k)
+			for i := range got {
+				got[i] ^= 0xff
+			}
+		}
+		for k, v := range want {
+			if got, _ := kv.Get(k); string(got) != v {
+				t.Fatalf("trial %d: writing to Get's slice changed the store: %s = %q, want %q", trial, k, got, v)
+			}
+		}
+		if after := kv.WAL().Records(); !reflect.DeepEqual(before, after) {
+			t.Fatalf("trial %d: writing to Get's slice changed the log", trial)
+		}
+		kv.Crash()
+		kv.Recover()
+		for k, v := range want {
+			if got, _ := kv.Get(k); string(got) != v {
+				t.Fatalf("trial %d: second recovery: %s = %q, want %q", trial, k, got, v)
+			}
+		}
+	}
+}
+
+// TestKVLoserIsUndoneOnce: recovery logs its rollback of a loser, so the
+// next recovery does not roll it back again over a later commit.
+func TestKVLoserIsUndoneOnce(t *testing.T) {
+	m := NewManager()
+	kv := NewKV()
+	put := func(key, val string) {
+		t.Helper()
+		tx := m.Begin()
+		if err := kv.Put(tx, key, []byte(val)); err != nil {
+			t.Fatal(err)
+		}
+		kv.Commit(tx)
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put("k", "a")
+	for _, id := range []int{0, 1} { // two losers, begun in either order
+		loser := m.Begin()
+		if err := kv.Put(loser, "k", []byte(fmt.Sprintf("loser-%d", id))); err != nil {
+			t.Fatal(err)
+		}
+		if err := kv.Put(loser, fmt.Sprintf("new-%d", id), []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kv.Crash()
+	kv.Recover()
+	if v, _ := kv.Get("k"); string(v) != "a" || kv.Len() != 1 {
+		t.Fatalf("after recovery k = %q with %d keys, want \"a\" alone", v, kv.Len())
+	}
+	logged := kv.WAL().Len()
+	put("k", "c")
+	put("new-0", "kept")
+	kv.Crash()
+	kv.Recover()
+	if v, _ := kv.Get("k"); string(v) != "c" {
+		t.Errorf("k = %q after the second recovery, want the later commit's \"c\"", v)
+	}
+	if v, _ := kv.Get("new-0"); string(v) != "kept" {
+		t.Errorf("new-0 = %q after the second recovery, want \"kept\"", v)
+	}
+	if got := kv.WAL().Len(); got != logged+6 {
+		t.Errorf("the second recovery logged %d records, want none: the losers were already aborted", got-logged-6)
+	}
+}
+
+func TestKVEmptyValueIsNotADelete(t *testing.T) {
+	m := NewManager()
+	kv := NewKV()
+	tx := m.Begin()
+	if err := kv.Put(tx, "k", []byte{}); err != nil {
+		t.Fatal(err)
+	}
+	kv.Commit(tx)
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	kv.Crash()
+	kv.Recover()
+	if v, ok := kv.Get("k"); !ok || len(v) != 0 {
+		t.Errorf("empty value after recovery = %q, %v; want present and empty", v, ok)
+	}
+}
+
+func TestKVRangeVisitsLiveKeys(t *testing.T) {
+	m := NewManager()
+	kv := NewKV()
+	tx := m.Begin()
+	for _, k := range []string{"a", "b", "c"} {
+		if err := kv.Put(tx, k, []byte(k+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := kv.Put(tx, "b", nil); err != nil {
+		t.Fatal(err)
+	}
+	kv.Commit(tx)
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[string]string)
+	kv.Range(func(k string, v []byte) bool {
+		seen[k] = string(v)
+		return true
+	})
+	if want := map[string]string{"a": "aa", "c": "cc"}; !reflect.DeepEqual(seen, want) {
+		t.Errorf("Range saw %v, want %v", seen, want)
+	}
+	calls := 0
+	kv.Range(func(string, []byte) bool { calls++; return false })
+	if calls != 1 {
+		t.Errorf("Range made %d calls after fn returned false, want 1", calls)
 	}
 }
 

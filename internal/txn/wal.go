@@ -2,6 +2,7 @@ package txn
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 )
 
@@ -61,6 +62,11 @@ func NewWAL() *WAL {
 func (w *WAL) Append(r Record) uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.appendLocked(r)
+}
+
+// appendLocked is Append for a caller that holds w.mu.
+func (w *WAL) appendLocked(r Record) uint64 {
 	r.LSN = w.nextLSN
 	w.nextLSN++
 	w.records = append(w.records, r)
@@ -84,6 +90,11 @@ func (w *WAL) Len() int {
 // KV is a recoverable key-value store: mutations go through transactions,
 // every update is logged before it is applied (write-ahead rule), and
 // after a crash Recover rebuilds exactly the committed state.
+//
+// A value image is immutable from the moment Put has copied it in: the
+// log's before/after images and the volatile store share it by
+// reference, and Get copies it out.  Every method takes kv.mu and then
+// the log's lock, in that order.
 type KV struct {
 	wal *WAL
 
@@ -119,6 +130,37 @@ func (kv *KV) Len() int {
 	return len(kv.mem)
 }
 
+// Range calls fn for every live key, in no particular order, until fn
+// returns false.  It runs under the store's lock and hands out the
+// store's own image of each value: fn must not call back into kv, and
+// may keep val but must never write to it.
+func (kv *KV) Range(fn func(key string, val []byte) bool) {
+	kv.mu.Lock()
+	defer kv.mu.Unlock()
+	for k, v := range kv.mem {
+		if !fn(k, v) {
+			return
+		}
+	}
+}
+
+// install makes img the value of key; a nil image deletes the key.
+// The caller holds kv.mu.
+func (kv *KV) install(key string, img []byte) {
+	if img == nil {
+		delete(kv.mem, key)
+	} else {
+		kv.mem[key] = img
+	}
+}
+
+// undo rolls one update record back: it logs the compensation record and
+// installs the before-image.  The caller holds kv.mu and the log's lock.
+func (kv *KV) undo(r Record) {
+	kv.wal.appendLocked(Record{Type: RecCLR, TxID: r.TxID, Key: r.Key, Before: kv.mem[r.Key], After: r.Before})
+	kv.install(r.Key, r.Before)
+}
+
 // Put writes key=val under tx.  Passing val nil deletes the key.
 func (kv *KV) Put(tx *Tx, key string, val []byte) error {
 	if err := tx.ensureActive(); err != nil {
@@ -126,21 +168,18 @@ func (kv *KV) Put(tx *Tx, key string, val []byte) error {
 	}
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
+	kv.wal.mu.Lock()
+	defer kv.wal.mu.Unlock()
 	if !kv.inTx[tx.ID()] {
-		kv.wal.Append(Record{Type: RecBegin, TxID: tx.ID()})
+		kv.wal.appendLocked(Record{Type: RecBegin, TxID: tx.ID()})
 		kv.inTx[tx.ID()] = true
 	}
-	var before []byte
-	if old, ok := kv.mem[key]; ok {
-		before = append([]byte(nil), old...)
+	var after []byte // nil only for a delete: an empty value is a value
+	if val != nil {
+		after = append([]byte{}, val...)
 	}
-	kv.wal.Append(Record{Type: RecUpdate, TxID: tx.ID(), Key: key,
-		Before: before, After: append([]byte(nil), val...)})
-	if val == nil {
-		delete(kv.mem, key)
-	} else {
-		kv.mem[key] = append([]byte(nil), val...)
-	}
+	kv.wal.appendLocked(Record{Type: RecUpdate, TxID: tx.ID(), Key: key, Before: kv.mem[key], After: after})
+	kv.install(key, after)
 	return nil
 }
 
@@ -155,34 +194,32 @@ func (kv *KV) Commit(tx *Tx) {
 	}
 }
 
-// Abort undoes the transaction's updates from the log (newest first),
-// logging a compensation record for every undo action, and then logs the
-// abort.
+// Abort undoes the transaction's updates from the log (newest first, back
+// to its begin record), logging a compensation record for every undo
+// action, and then logs the abort.
 func (kv *KV) Abort(tx *Tx) {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
 	if !kv.inTx[tx.ID()] {
 		return
 	}
-	recs := kv.wal.Records()
-	for i := len(recs) - 1; i >= 0; i-- {
-		r := recs[i]
-		if r.Type != RecUpdate || r.TxID != tx.ID() {
+	kv.wal.mu.Lock()
+	defer kv.wal.mu.Unlock()
+	for i := len(kv.wal.records) - 1; i >= 0; i-- {
+		// By value: the appends below may move the log.
+		r := kv.wal.records[i]
+		if r.TxID != tx.ID() {
 			continue
 		}
-		var cur []byte
-		if v, ok := kv.mem[r.Key]; ok {
-			cur = append([]byte(nil), v...)
+		if r.Type == RecBegin {
+			break
 		}
-		kv.wal.Append(Record{Type: RecCLR, TxID: tx.ID(), Key: r.Key,
-			Before: cur, After: append([]byte(nil), r.Before...)})
-		if r.Before == nil {
-			delete(kv.mem, r.Key)
-		} else {
-			kv.mem[r.Key] = append([]byte(nil), r.Before...)
+		if r.Type != RecUpdate {
+			continue
 		}
+		kv.undo(r)
 	}
-	kv.wal.Append(Record{Type: RecAbort, TxID: tx.ID()})
+	kv.wal.appendLocked(Record{Type: RecAbort, TxID: tx.ID()})
 	delete(kv.inTx, tx.ID())
 }
 
@@ -195,51 +232,55 @@ func (kv *KV) Crash() {
 	kv.inTx = make(map[uint64]bool)
 }
 
-// Recover rebuilds the store from the log: redo every update in LSN
-// order, then undo the updates of transactions without a commit record,
-// newest first (ARIES analysis/redo/undo over physical images).
+// Recover rebuilds the store from the log, walked in place: redo every
+// update in LSN order, then undo the updates of the losers, newest first
+// (ARIES analysis/redo/undo over physical images).  A loser is a
+// transaction with an update and neither a commit nor an abort record —
+// in flight at the crash; the analysis runs inside the redo pass, and
+// with no loser, the usual case, there is no undo pass.  The undo is
+// logged like any abort, compensation records and then the abort, so a
+// loser is rolled back once: a later recovery repeats that history
+// instead of undoing it again over whatever has committed since.
 func (kv *KV) Recover() {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
-	recs := kv.wal.Records()
-
-	committed := make(map[uint64]bool)
-	aborted := make(map[uint64]bool)
-	for _, r := range recs {
-		switch r.Type {
-		case RecCommit:
-			committed[r.TxID] = true
-		case RecAbort:
-			aborted[r.TxID] = true
-		}
-	}
+	kv.wal.mu.Lock()
+	defer kv.wal.mu.Unlock()
+	recs := kv.wal.records // the appends below go past its end
 
 	kv.mem = make(map[string][]byte)
+	kv.inTx = make(map[uint64]bool)
+	losers := make(map[uint64]struct{})
 	// Redo phase: repeat history, including compensation records — their
 	// replay re-performs the rollbacks aborts already did.
-	for _, r := range recs {
-		if r.Type != RecUpdate && r.Type != RecCLR {
-			continue
-		}
-		if r.After == nil {
-			delete(kv.mem, r.Key)
-		} else {
-			kv.mem[r.Key] = append([]byte(nil), r.After...)
+	for i := range recs {
+		r := &recs[i]
+		switch r.Type {
+		case RecUpdate:
+			losers[r.TxID] = struct{}{}
+			kv.install(r.Key, r.After)
+		case RecCLR:
+			kv.install(r.Key, r.After)
+		case RecCommit, RecAbort:
+			delete(losers, r.TxID)
 		}
 	}
-	// Undo phase: roll back the losers — transactions with neither a
-	// commit nor an abort record (in flight at the crash).  Aborted
-	// transactions are already compensated by their CLRs.
+	if len(losers) == 0 {
+		return
+	}
+	// Undo phase.  Aborted transactions are already compensated by
+	// their CLRs.
 	for i := len(recs) - 1; i >= 0; i-- {
-		r := recs[i]
-		if r.Type != RecUpdate || committed[r.TxID] || aborted[r.TxID] {
-			continue
-		}
-		if r.Before == nil {
-			delete(kv.mem, r.Key)
-		} else {
-			kv.mem[r.Key] = append([]byte(nil), r.Before...)
+		if _, lost := losers[recs[i].TxID]; lost && recs[i].Type == RecUpdate {
+			kv.undo(recs[i])
 		}
 	}
-	kv.inTx = make(map[uint64]bool)
+	ids := make([]uint64, 0, len(losers))
+	for id := range losers {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		kv.wal.appendLocked(Record{Type: RecAbort, TxID: id})
+	}
 }
