@@ -11,9 +11,6 @@
 //	avbench -exp obs -metrics -trace
 //	                         # instrumented playback with the full
 //	                         # metric and span-tree rendition
-//	avbench -exp scale -workers 4
-//	                         # wavefront scaling sweep: serial vs 2 vs
-//	                         # 4 worker lanes on an 8-wide graph
 //	avbench -exp stripe -width 4
 //	                         # striped placement + SCAN-EDF rounds vs
 //	                         # single-disk multi-stream reads
@@ -87,23 +84,7 @@ func (o obsStringer) String() string {
 	return s
 }
 
-// scaleSweep picks the worker counts for the scale experiment: always
-// the serial baseline, then doublings up to the requested lane count
-// (0 means GOMAXPROCS, appended as the final arm).
-func scaleSweep(workers int) []int {
-	sweep := []int{1}
-	for w := 2; w < workers; w *= 2 {
-		sweep = append(sweep, w)
-	}
-	if workers > 1 {
-		sweep = append(sweep, workers)
-	} else if workers <= 0 {
-		sweep = append(sweep, 2, 0)
-	}
-	return sweep
-}
-
-func runners(metrics, trace bool, workers, width, sessions int) []runner {
+func runners(metrics, trace bool, width, sessions int) []runner {
 	return []runner{
 		{"rates", "media data rates and measured compression", func(int) (fmt.Stringer, error) {
 			return experiment.Rates()
@@ -159,9 +140,6 @@ func runners(metrics, trace bool, workers, width, sessions int) []runner {
 			}
 			return obsStringer{res: res, metrics: metrics, trace: trace}, nil
 		}},
-		{"scale", "wavefront scaling: serial vs parallel execution of a wide graph", func(frames int) (fmt.Stringer, error) {
-			return experiment.Scale(8, frames, scaleSweep(workers))
-		}},
 		{"stripe", "striped placement + SCAN-EDF rounds vs single-disk reads", func(frames int) (fmt.Stringer, error) {
 			return experiment.Stripe(frames, width)
 		}},
@@ -190,12 +168,11 @@ func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
 	metrics := flag.Bool("metrics", false, "print the full metric registry after the obs experiment")
 	trace := flag.Bool("trace", false, "print the span tree after the obs experiment")
-	workers := flag.Int("workers", 0, "top worker count for the scale experiment (0 = GOMAXPROCS)")
 	width := flag.Int("width", 4, "stripe width for the stripe experiment")
 	sessions := flag.Int("sessions", 4, "session count for the tenancy and overload experiments")
 	flag.Parse()
 
-	rs := runners(*metrics, *trace, *workers, *width, *sessions)
+	rs := runners(*metrics, *trace, *width, *sessions)
 	if *list {
 		for _, r := range rs {
 			fmt.Printf("%-8s %s\n", r.name, r.desc)

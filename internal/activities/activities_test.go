@@ -1073,7 +1073,7 @@ func TestGraphRunTickAllocs(t *testing.T) {
 	if err := g.Start(); err != nil {
 		t.Fatal(err)
 	}
-	run, err := g.Begin(activity.RunConfig{Clock: sched.NewVirtualClock(0), Workers: 1})
+	run, err := g.Begin(activity.RunConfig{Clock: sched.NewVirtualClock(0)})
 	if err != nil {
 		t.Fatal(err)
 	}

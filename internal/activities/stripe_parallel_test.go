@@ -14,11 +14,11 @@ import (
 	"avdb/internal/storage"
 )
 
-// runStripedWide plays 8 striped streams through VideoReaders under the
-// given worker count and returns everything the determinism comparison
-// needs: run stats, per-window arrival times, the scheduler counters,
-// and the full obs snapshot.
-func runStripedWide(t *testing.T, workers int) (*activity.RunStats, [][]avtime.WorldTime, storage.IOStats, []byte) {
+// runStripedWide plays 8 striped streams through VideoReaders in one
+// graph and returns everything the determinism comparison needs: run
+// stats, per-window arrival times, the scheduler counters, and the full
+// obs snapshot.
+func runStripedWide(t *testing.T) (*activity.RunStats, [][]avtime.WorldTime, storage.IOStats, []byte) {
 	t.Helper()
 	const (
 		lanes  = 8
@@ -68,14 +68,14 @@ func runStripedWide(t *testing.T, workers int) (*activity.RunStats, [][]avtime.W
 	if err := g.Start(); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := g.Run(activity.RunConfig{Clock: sched.NewVirtualClock(0), Workers: workers, Obs: col})
+	stats, err := g.Run(activity.RunConfig{Clock: sched.NewVirtualClock(0), Obs: col})
 	if err != nil {
 		t.Fatal(err)
 	}
 	arrivals := make([][]avtime.WorldTime, lanes)
 	for i, w := range wins {
 		if w.FramesShown() != frames {
-			t.Fatalf("workers=%d: window %d showed %d/%d frames", workers, i, w.FramesShown(), frames)
+			t.Fatalf("window %d showed %d/%d frames", i, w.FramesShown(), frames)
 		}
 		arrivals[i] = w.Arrivals()
 	}
@@ -87,28 +87,25 @@ func runStripedWide(t *testing.T, workers int) (*activity.RunStats, [][]avtime.W
 }
 
 func TestStripedSerialParallelEquivalence(t *testing.T) {
-	// The round scheduler sits on the hot path of every worker lane;
-	// batching per tick must not let the lane count leak into results.
-	// Serial and parallel runs must agree on stats, every stream's
-	// arrival times, the scheduler counters, and the byte-exact obs
-	// snapshot.
-	serialStats, serialArr, serialIO, serialSnap := runStripedWide(t, 1)
-	if serialIO.Scheduled == 0 || serialIO.SeeksSaved == 0 {
-		t.Fatalf("scheduler idle in the striped run: %+v", serialIO)
+	// The round scheduler sits on the hot path of every reader in the
+	// level: eight streams batching per tick must actually share rounds,
+	// and a repeat must agree on stats, every stream's arrival times, the
+	// scheduler counters, and the byte-exact obs snapshot.
+	stats, arr, io, snap := runStripedWide(t)
+	if io.Scheduled == 0 || io.SeeksSaved == 0 {
+		t.Fatalf("scheduler idle in the striped run: %+v", io)
 	}
-	for _, workers := range []int{2, 4} {
-		parStats, parArr, parIO, parSnap := runStripedWide(t, workers)
-		if !reflect.DeepEqual(serialStats, parStats) {
-			t.Errorf("workers=%d: RunStats diverged:\nserial   %+v\nparallel %+v", workers, serialStats, parStats)
-		}
-		if !reflect.DeepEqual(serialArr, parArr) {
-			t.Errorf("workers=%d: frame arrival times diverged", workers)
-		}
-		if serialIO != parIO {
-			t.Errorf("workers=%d: IO scheduler stats diverged:\nserial   %+v\nparallel %+v", workers, serialIO, parIO)
-		}
-		if !bytes.Equal(serialSnap, parSnap) {
-			t.Errorf("workers=%d: obs snapshots differ (%d vs %d bytes)", workers, len(serialSnap), len(parSnap))
-		}
+	stats2, arr2, io2, snap2 := runStripedWide(t)
+	if !reflect.DeepEqual(stats, stats2) {
+		t.Errorf("RunStats diverged:\nfirst  %+v\nsecond %+v", stats, stats2)
+	}
+	if !reflect.DeepEqual(arr, arr2) {
+		t.Errorf("frame arrival times diverged")
+	}
+	if io != io2 {
+		t.Errorf("IO scheduler stats diverged:\nfirst  %+v\nsecond %+v", io, io2)
+	}
+	if !bytes.Equal(snap, snap2) {
+		t.Errorf("obs snapshots differ (%d vs %d bytes)", len(snap), len(snap2))
 	}
 }

@@ -100,7 +100,7 @@ func BenchmarkCompositeOverhead(b *testing.B) {
 
 // benchBurnSource synthesizes one frame per tick and runs `passes` of a
 // deterministic pixel transform over it — a stand-in for the per-lane
-// decode/effects work the wavefront executor exists to parallelize.
+// decode/effects work a wide level carries.
 // Copy-only sources make every wide graph overhead-bound; these do not.
 type benchBurnSource struct {
 	*Base
@@ -176,7 +176,7 @@ func (s *benchBurnSink) Tick(tc *TickContext) error {
 
 // buildBurnGraph wires a wide fan-in/fan-out shape: width compute-heavy
 // sources into one mixer whose output fans out to width compute-heavy
-// sinks.  Both wide levels carry real work, so lanes matter.
+// sinks.  Both wide levels carry real work.
 func buildBurnGraph(b *testing.B, width, frames, passes int) (*Graph, []*benchBurnSink) {
 	b.Helper()
 	g := NewGraph("burn")
@@ -206,10 +206,8 @@ func buildBurnGraph(b *testing.B, width, frames, passes int) (*Graph, []*benchBu
 	return g, sinks
 }
 
-// benchGraphRun measures one full run of the wide burn graph under the
-// given lane count.  The serial and parallel variants execute identical
-// work on identical graphs; only RunConfig.Workers differs.
-func benchGraphRun(b *testing.B, workers int) {
+// benchGraphRun measures one full run of the wide burn graph.
+func benchGraphRun(b *testing.B) {
 	const (
 		width  = 8
 		frames = 30
@@ -223,7 +221,7 @@ func benchGraphRun(b *testing.B, workers int) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		stats, err := g.Run(RunConfig{Clock: sched.NewVirtualClock(0), Workers: workers})
+		stats, err := g.Run(RunConfig{Clock: sched.NewVirtualClock(0)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -240,12 +238,10 @@ func benchGraphRun(b *testing.B, workers int) {
 	}
 }
 
-// BenchmarkGraphRun compares the wavefront executor's serial and
-// parallel modes on an 8-wide fan-in/fan-out graph; scripts/bench_pr3.sh
-// turns the two into BENCH_pr3.json.
+// BenchmarkGraphRun guards the cost of a run over an 8-wide
+// fan-in/fan-out graph.
 func BenchmarkGraphRun(b *testing.B) {
-	b.Run("wide-serial", func(b *testing.B) { benchGraphRun(b, 1) })
-	b.Run("wide-parallel", func(b *testing.B) { benchGraphRun(b, 0) })
+	b.Run("wide", benchGraphRun)
 }
 
 type benchSource struct {

@@ -271,11 +271,8 @@ type RunConfig struct {
 	Rate     avtime.Rate         // tick rate; defaults to 30Hz
 	MaxTicks int                 // safety bound; defaults to 10 million
 
-	// Workers bounds the wavefront executor's pool: activities in the
-	// same dependency level tick concurrently on up to this many lanes.
-	// Zero (the default) means GOMAXPROCS; one forces serial execution.
-	// Either way the run's RunStats and observability output are
-	// byte-identical — see executor.go.
+	// Deprecated: Workers is ignored — a run ticks on the calling
+	// goroutine.  It stays only because the frozen bench/ module sets it.
 	Workers int
 
 	// Obs, when non-nil, receives a playback span covering the run with

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"avdb/internal/avtime"
@@ -15,7 +16,7 @@ import (
 )
 
 // testMixer merges up to `ins` video inputs by pixel-summing them, the
-// fan-in half of a wide wavefront graph.
+// fan-in half of a wide graph.
 type testMixer struct {
 	*Base
 	ins int
@@ -58,9 +59,9 @@ func (m *testMixer) Tick(tc *TickContext) error {
 }
 
 // buildWideGraph wires width jittered sources through seeded network
-// connections into one mixer feeding a sink — fan-in wide enough to give
-// the wavefront executor real work, with every random draw seeded so two
-// builds behave identically.
+// connections into one mixer feeding a sink — one level width nodes
+// wide, then two of one — with every random draw seeded so two builds
+// behave identically.
 func buildWideGraph(t *testing.T, width, frames int) (*Graph, *frameSink) {
 	t.Helper()
 	g := NewGraph("wide")
@@ -103,9 +104,9 @@ func TestLevelsPartitionTopoOrder(t *testing.T) {
 		t.Fatal("wide graph reported a cycle")
 	}
 	// The levels must be contiguous stretches of the topological order —
-	// depth never decreases along it — which is what keeps the phased
-	// executor's serial phases in the serial executor's order.  The graph
-	// was built mixer and sink first, so the order is not insertion order.
+	// depth never decreases along it — which is what lets Tick walk the
+	// plan level by level.  The graph was built mixer and sink first, so
+	// the order is not insertion order.
 	want := []string{"src0", "src1", "src2", "src3", "mix", "sink"}
 	if len(nodes) != len(want) {
 		t.Fatalf("plan holds %d nodes, want %d", len(nodes), len(want))
@@ -132,29 +133,17 @@ func TestLevelsPartitionTopoOrder(t *testing.T) {
 	}
 }
 
-func TestResolveWorkers(t *testing.T) {
-	if got := resolveWorkers(8, 3); got != 3 {
-		t.Errorf("workers capped to width: got %d, want 3", got)
-	}
-	if got := resolveWorkers(2, 10); got != 2 {
-		t.Errorf("explicit workers: got %d, want 2", got)
-	}
-	if got := resolveWorkers(0, 10); got < 1 {
-		t.Errorf("default workers = %d, want >= 1", got)
-	}
-}
-
-// runWide executes a fresh wide graph under the given worker count and
-// returns everything an equivalence check needs: run stats, the
-// observability snapshot bytes, and the sink's arrival times.
-func runWide(t *testing.T, workers int) (*RunStats, []byte, []avtime.WorldTime) {
+// runWide executes a fresh wide graph with Graph.Run and returns
+// everything an equivalence check needs: run stats, the observability
+// snapshot bytes, and the sink's arrival times.
+func runWide(t *testing.T) (*RunStats, []byte, []avtime.WorldTime) {
 	t.Helper()
 	g, sink := buildWideGraph(t, 4, 40)
 	col := obs.NewCollector()
 	if err := g.Start(); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := g.Run(RunConfig{Clock: sched.NewVirtualClock(0), Workers: workers, Obs: col})
+	stats, err := g.Run(RunConfig{Clock: sched.NewVirtualClock(0), Obs: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +158,7 @@ func runWide(t *testing.T, workers int) (*RunStats, []byte, []avtime.WorldTime) 
 // state machine externally, exactly the way the multi-session engine
 // does for a lone session: explicit round tags per step and one clock
 // commit (to the minimum — here only — commit horizon) after each tick.
-func runWideStepped(t *testing.T, workers int) (*RunStats, []byte, []avtime.WorldTime) {
+func runWideStepped(t *testing.T) (*RunStats, []byte, []avtime.WorldTime) {
 	t.Helper()
 	g, sink := buildWideGraph(t, 4, 40)
 	col := obs.NewCollector()
@@ -177,7 +166,7 @@ func runWideStepped(t *testing.T, workers int) (*RunStats, []byte, []avtime.Worl
 		t.Fatal(err)
 	}
 	clock := sched.NewVirtualClock(0)
-	run, err := g.Begin(RunConfig{Clock: clock, Workers: workers, Obs: col})
+	run, err := g.Begin(RunConfig{Clock: clock, Obs: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,37 +193,59 @@ func runWideStepped(t *testing.T, workers int) (*RunStats, []byte, []avtime.Worl
 }
 
 func TestSerialParallelEquivalence(t *testing.T) {
-	// Same seeds, different lane counts and drivers: the runs must be
-	// byte-identical in stats, arrivals, and the full observability
-	// snapshot (span IDs, metric values, histogram buckets).  The
-	// "stepped" arms drive Begin/Tick/Commit/Finish externally — the
-	// multi-session engine's protocol — and must reproduce the classic
-	// Run loop exactly, pinning one-session-under-the-engine to today's
-	// behavior for any Workers.
-	serialStats, serialSnap, serialArr := runWide(t, 1)
-	for _, workers := range []int{2, 4, 8} {
-		parStats, parSnap, parArr := runWide(t, workers)
-		if !reflect.DeepEqual(serialStats, parStats) {
-			t.Errorf("workers=%d: RunStats diverged:\nserial   %+v\nparallel %+v", workers, serialStats, parStats)
-		}
-		if !reflect.DeepEqual(serialArr, parArr) {
-			t.Errorf("workers=%d: sink arrival times diverged", workers)
-		}
-		if !bytes.Equal(serialSnap, parSnap) {
-			t.Errorf("workers=%d: obs snapshots differ (%d vs %d bytes)", workers, len(serialSnap), len(parSnap))
+	// Same seeds, different drivers: the runs must be byte-identical in
+	// stats, arrivals, and the full observability snapshot (span IDs,
+	// metric values, histogram buckets).  The stepped arm drives
+	// Begin/Tick/Commit/Finish externally — the multi-session engine's
+	// protocol — and must reproduce the classic Run loop exactly, pinning
+	// one-session-under-the-engine to a direct Run.
+	runStats, runSnap, runArr := runWide(t)
+	stStats, stSnap, stArr := runWideStepped(t)
+	if !reflect.DeepEqual(runStats, stStats) {
+		t.Errorf("RunStats diverged:\nrun     %+v\nstepped %+v", runStats, stStats)
+	}
+	if !reflect.DeepEqual(runArr, stArr) {
+		t.Errorf("sink arrival times diverged")
+	}
+	if !bytes.Equal(runSnap, stSnap) {
+		t.Errorf("obs snapshots differ (%d vs %d bytes)", len(runSnap), len(stSnap))
+	}
+}
+
+// TestGraphRunStartsNoGoroutines pins that a run has no host
+// parallelism of its own: whatever RunConfig.Workers says, Begin, Tick
+// and Finish all execute on the calling goroutine and start none.
+func TestGraphRunStartsNoGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	g, sink := buildWideGraph(t, 4, 10)
+	if err := g.Start(); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	check := func(at string) {
+		t.Helper()
+		if n := runtime.NumGoroutine(); n != before {
+			t.Fatalf("%s: %d goroutines, %d before Begin", at, n, before)
 		}
 	}
-	for _, workers := range []int{1, 2, 4} {
-		stStats, stSnap, stArr := runWideStepped(t, workers)
-		if !reflect.DeepEqual(serialStats, stStats) {
-			t.Errorf("stepped workers=%d: RunStats diverged:\nrun     %+v\nstepped %+v", workers, serialStats, stStats)
+	run, err := g.Begin(RunConfig{Clock: sched.NewVirtualClock(0), Workers: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("after Begin")
+	for done := false; !done; {
+		if done, err = run.Tick(); err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(serialArr, stArr) {
-			t.Errorf("stepped workers=%d: sink arrival times diverged", workers)
-		}
-		if !bytes.Equal(serialSnap, stSnap) {
-			t.Errorf("stepped workers=%d: obs snapshots differ (%d vs %d bytes)", workers, len(serialSnap), len(stSnap))
-		}
+		check(fmt.Sprintf("after tick %d", run.Ticks()))
+		run.Commit()
+	}
+	if _, err := run.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	check("after Finish")
+	if len(sink.frames) != 10 {
+		t.Fatalf("delivered %d frames, want 10", len(sink.frames))
 	}
 }
 
@@ -360,46 +371,97 @@ func TestFanOutMultiPayloadLatencyAppliedOnce(t *testing.T) {
 	}
 }
 
+// scriptedLatency is a frame source whose processing latency is a
+// function of how many ticks it has executed.
+type scriptedLatency struct {
+	*frameSource
+	calls int
+	lat   func(call int) avtime.WorldTime
+}
+
+func (s *scriptedLatency) SampleLatency() avtime.WorldTime {
+	s.calls++
+	return s.lat(s.calls - 1)
+}
+
 func TestRunDrainsInFlightArrivals(t *testing.T) {
 	// A source whose processing latency exceeds the tick interval leaves
-	// its final chunks arriving after the last tick; the run must extend
-	// the clock (and Elapsed) to cover them instead of cutting them off.
-	g := NewGraph("tail")
-	src := newFrameSource("src", AtDatabase)
-	src.SetLatency(sched.NewLatency(100*avtime.Millisecond, 0, 1))
-	sink := newFrameSink("sink", AtApplication)
-	if err := g.Add(src); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Add(sink); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Connect(src, "out", sink, "in"); err != nil {
-		t.Fatal(err)
-	}
-	if err := src.Bind(testValue(10), "out"); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Start(); err != nil {
-		t.Fatal(err)
-	}
-	clock := sched.NewVirtualClock(0)
-	stats, err := g.Run(RunConfig{Clock: clock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sink.arrived) != 10 {
-		t.Fatalf("delivered %d frames, want 10", len(sink.arrived))
-	}
-	last := sink.arrived[len(sink.arrived)-1]
-	if stats.LastArrival != last {
-		t.Errorf("LastArrival = %v, want %v", stats.LastArrival, last)
-	}
-	if now := clock.Now(); now < last {
-		t.Errorf("final clock %v does not cover last arrival %v", now, last)
-	}
-	if stats.Elapsed < last {
-		t.Errorf("Elapsed %v under-reports tail latency (last arrival %v)", stats.Elapsed, last)
+	// chunks arriving after the last tick; the run must extend the clock
+	// (and Elapsed) to cover the latest of them instead of cutting it
+	// off — and only ever forwards.
+	constant := func(int) avtime.WorldTime { return 100 * avtime.Millisecond }
+	for _, tc := range []struct {
+		name  string
+		lat   func(call int) avtime.WorldTime
+		ahead avtime.WorldTime // where another run on the shared clock left it before Finish
+	}{
+		{name: "tail past the last tick", lat: constant},
+		{
+			// The first chunk is the latest to arrive: the later, lower
+			// arrivals must not lower LastArrival.
+			name: "later arrivals are earlier",
+			lat: func(call int) avtime.WorldTime {
+				if call == 0 {
+					return 900 * avtime.Millisecond
+				}
+				return 0
+			},
+		},
+		// Finish never rewinds a clock another run already advanced.
+		{name: "clock already past the tail", lat: constant, ahead: 5 * avtime.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := NewGraph("tail")
+			src := &scriptedLatency{frameSource: newFrameSource("src", AtDatabase), lat: tc.lat}
+			sink := newFrameSink("sink", AtApplication)
+			if err := g.Add(src); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.Add(sink); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := g.Connect(src, "out", sink, "in"); err != nil {
+				t.Fatal(err)
+			}
+			if err := src.Bind(testValue(10), "out"); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.Start(); err != nil {
+				t.Fatal(err)
+			}
+			clock := sched.NewVirtualClock(0)
+			run, err := g.Begin(RunConfig{Clock: clock})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for done := false; !done; {
+				if done, err = run.Tick(); err != nil {
+					t.Fatal(err)
+				}
+				run.Commit()
+			}
+			clock.AdvanceTo(tc.ahead)
+			stats, err := run.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(sink.arrived) != 10 {
+				t.Fatalf("delivered %d frames, want 10", len(sink.arrived))
+			}
+			var last avtime.WorldTime
+			for _, a := range sink.arrived {
+				last = max(last, a)
+			}
+			if stats.LastArrival != last {
+				t.Errorf("LastArrival = %v, want %v", stats.LastArrival, last)
+			}
+			if now, want := clock.Now(), max(last, tc.ahead); now != want {
+				t.Errorf("final clock %v, want %v (covers the last arrival, never rewinds)", now, want)
+			}
+			if stats.Elapsed != clock.Now() {
+				t.Errorf("Elapsed %v is not the final clock reading %v", stats.Elapsed, clock.Now())
+			}
+		})
 	}
 }
 
@@ -446,25 +508,6 @@ func TestStopErrorsSurface(t *testing.T) {
 	}
 }
 
-func TestGraphRunParallelWideRace(t *testing.T) {
-	// Exercises the worker pool under the race detector: a wide level
-	// with per-node latency models, faults absent, many ticks.
-	g, sink := buildWideGraph(t, 8, 60)
-	if err := g.Start(); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := g.Run(RunConfig{Clock: sched.NewVirtualClock(0), Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sink.frames) != 60 {
-		t.Fatalf("delivered %d frames, want 60", len(sink.frames))
-	}
-	if stats.Chunks != 8*60+60 {
-		t.Errorf("stats.Chunks = %d, want %d", stats.Chunks, 8*60+60)
-	}
-}
-
 // TestRunPlanStoppedNodePublishesNothing guards what reading a
 // producer's retained tick context could break: a node that does not
 // tick must publish nothing that tick.  The relay between source and
@@ -493,7 +536,7 @@ func TestRunPlanStoppedNodePublishesNothing(t *testing.T) {
 	if err := g.Start(); err != nil {
 		t.Fatal(err)
 	}
-	run, err := g.Begin(RunConfig{Clock: sched.NewVirtualClock(0), Workers: 1})
+	run, err := g.Begin(RunConfig{Clock: sched.NewVirtualClock(0)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,9 +31,8 @@ type planFeed struct {
 	k    int // the connection's index in the list the plan was built from
 }
 
-// exec runs the parallel-safe part of a node's tick: the Tick itself and
-// the node's latency draw (each activity owns its latency model and RNG,
-// so draws from different nodes commute).
+// exec runs a node's tick: the Tick itself and the node's latency draw
+// (each activity owns its latency model and RNG).
 func (n *planNode) exec() {
 	n.lat = 0
 	if n.err = n.act.Tick(&n.tc); n.err == nil {
@@ -52,8 +51,7 @@ func (f *planFeed) out() *Chunk { return f.from.tc.out[f.conn.fromPort.name] }
 // The order is Kahn's with a FIFO frontier seeded in acts' order, so it
 // is deterministic, and because a FIFO dequeues a whole frontier before
 // any of its successors, depth never decreases along it: the nodes of
-// one dependency level are contiguous.  The wavefront executor relies
-// on both.
+// one dependency level are contiguous.  GraphRun.Tick relies on both.
 func planNodes(acts []Activity, conns []*Connection) (nodes []planNode, ok bool) {
 	index := make(map[string]int, len(acts))
 	for i, a := range acts {

@@ -14,7 +14,7 @@ import (
 //
 //	r, err := g.Begin(cfg)        // validate, plan, open spans
 //	for {
-//	    done, err := r.Tick()     // one wavefront over every level
+//	    done, err := r.Tick()     // one pass over every level
 //	    if err != nil { break }
 //	    r.Commit()                // advance the clock past the tick
 //	    if done { break }
@@ -40,9 +40,8 @@ type GraphRun struct {
 	// their tick contexts and resolved feeds (plan.go).
 	nodes  []planNode
 	conns  []*Connection
-	pool   *tickPool
-	gate   *sched.AdvanceGate
-	staged []*planNode // the nodes of the level being ticked that are running
+	staged []*planNode      // the nodes of the level being ticked that are running
+	latest avtime.WorldTime // latest chunk arrival so far; Finish drains the clock to it
 
 	startAt avtime.WorldTime
 	lastNow avtime.WorldTime // scheduled time of the last executed tick
@@ -83,11 +82,6 @@ func (g *Graph) Begin(cfg RunConfig) (*GraphRun, error) {
 		return nil, fmt.Errorf("activity: graph %q contains a cycle", g.name)
 	}
 	levels, width := levelShape(nodes)
-	workers := resolveWorkers(cfg.Workers, width)
-	var pool *tickPool
-	if workers > 1 {
-		pool = newTickPool(workers)
-	}
 	r := &GraphRun{
 		g:        g,
 		clock:    cfg.Clock,
@@ -95,8 +89,6 @@ func (g *Graph) Begin(cfg RunConfig) (*GraphRun, error) {
 		maxTicks: maxTicks,
 		nodes:    nodes,
 		conns:    conns,
-		pool:     pool,
-		gate:     sched.NewAdvanceGate(cfg.Clock),
 		staged:   make([]*planNode, 0, width),
 		startAt:  cfg.Clock.Now(),
 		sink:     cfg.Obs,
@@ -118,9 +110,7 @@ func (g *Graph) Begin(cfg RunConfig) (*GraphRun, error) {
 		for k, c := range conns {
 			r.connSpans[k] = r.sink.BeginSpan(r.pbSpan, obs.KindConnection, c.label, r.startAt)
 		}
-		// Executor shape, not executor configuration: both gauges depend
-		// only on the graph, so serial and parallel snapshots stay
-		// byte-identical.
+		// Executor shape: both gauges depend only on the graph.
 		r.sink.SetGauge("exec.levels", int64(levels))
 		r.sink.SetGauge("exec.width", int64(width))
 	}
@@ -186,19 +176,18 @@ func (r *GraphRun) SetRound(round int64) { r.round = round }
 // Tick; a multi-run scheduler instead commits once per step, to the
 // minimum CommitHorizon across its active runs.
 func (r *GraphRun) Commit() {
-	r.gate.CommitTick(r.CommitHorizon())
+	r.clock.AdvanceTo(r.CommitHorizon())
 	r.stats.Elapsed = r.clock.Now() - r.startAt
 }
 
 // Tick executes one scheduling interval: every dependency level of the
 // run plan in order, with the phase A/B/C discipline of executor.go
-// (serial delivery, pooled execution, serial publication), so any
-// Workers count reproduces the serial byte stream.  It returns done=true
-// when the run has nothing further to execute — no node running, every
-// source exhausted, or the tick bound reached.  Tick never advances the
-// clock; the caller commits (Commit, or a scheduler-wide advance)
-// between ticks.  After an error the run is terminal and Finish skips
-// the drain.
+// (delivery, execution, publication), all on the calling goroutine.  It
+// returns done=true when the run has nothing further to execute — no
+// node running, every source exhausted, or the tick bound reached.  Tick
+// never advances the clock; the caller commits (Commit, or a
+// scheduler-wide advance) between ticks.  After an error the run is
+// terminal and Finish skips the drain.
 func (r *GraphRun) Tick() (bool, error) {
 	if r.finished || r.runErr != nil || r.done {
 		return true, r.runErr
@@ -228,7 +217,7 @@ func (r *GraphRun) Tick() (bool, error) {
 		hi = levelEnd(r.nodes, lo)
 		r.staged = r.staged[:0]
 
-		// Phase A — serial, in topological order: move chunks across
+		// Phase A — in topological order: move chunks across
 		// connections, account faults, emit chunk spans, stage every
 		// running node's tick inputs.  Producers sit in strictly
 		// earlier levels, so their outputs are complete for this level.
@@ -284,18 +273,12 @@ func (r *GraphRun) Tick() (bool, error) {
 			r.staged = append(r.staged, node)
 		}
 
-		// Phase B — tick the level: on the pool when more than one
-		// node is staged, inline otherwise.  A single lane executes
-		// in staging order, which is exactly the serial order.
-		if r.pool != nil && len(r.staged) > 1 {
-			r.pool.run(r.staged)
-		} else {
-			for _, node := range r.staged {
-				node.exec()
-			}
+		// Phase B — tick the level's staged nodes in plan order.
+		for _, node := range r.staged {
+			node.exec()
 		}
 
-		// Phase C — serial, in topological order: surface the first
+		// Phase C — in topological order: surface the first
 		// error, stamp activity latency onto outputs and leave them in
 		// the node's context for the next levels to read.
 		for _, node := range r.staged {
@@ -324,8 +307,8 @@ func (r *GraphRun) Tick() (bool, error) {
 	}
 
 	stats.Ticks++
-	if last > 0 {
-		r.gate.Propose(last)
+	if last > r.latest {
+		r.latest = last
 	}
 	r.lastNow = now
 	r.tick++
@@ -345,10 +328,10 @@ func (r *GraphRun) sourcesFinished() bool {
 	return true
 }
 
-// Finish completes the run: on success it drains the advance gate so the
-// final clock reading covers the latest in-flight arrival, then on every
-// path it closes the observability spans, releases the worker pool and
-// stops the graph's nodes (teardown failures surface as StopErr).
+// Finish completes the run: on success it drains the clock so the final
+// reading covers the latest in-flight arrival, then on every path it
+// closes the observability spans and stops the graph's nodes (teardown
+// failures surface as StopErr).
 // Finish is idempotent; later calls return the same result.
 func (r *GraphRun) Finish() (*RunStats, error) {
 	if r.finished {
@@ -360,14 +343,11 @@ func (r *GraphRun) Finish() (*RunStats, error) {
 		// this run.  The final clock reading must cover the latest
 		// arrival, so tail latency shows up in Elapsed instead of being
 		// cut off.
-		r.stats.LastArrival = r.gate.Latest()
-		r.gate.Drain()
+		r.stats.LastArrival = r.latest
+		r.clock.AdvanceTo(r.latest)
 		r.stats.Elapsed = r.clock.Now() - r.startAt
 	}
 	r.closeObs()
-	if r.pool != nil {
-		r.pool.close()
-	}
 	// A finished run leaves every activity quiescent so the graph can be
 	// cued and started again; teardown failures surface through stats.
 	if err := r.g.Stop(); err != nil {

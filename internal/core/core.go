@@ -70,17 +70,14 @@ type Config struct {
 	// Resources is the admission-control budget for database-side
 	// activities and streams.
 	Resources sched.Resources
-	// Workers bounds the wavefront executor for sessions on this
-	// database: activities in the same dependency level of a graph tick
-	// concurrently on up to this many lanes.  Zero means GOMAXPROCS;
-	// one forces serial execution.  Sessions may override per stream
-	// with Session.SetWorkers.
+	// Deprecated: Workers is ignored — EngineWorkers is the only host
+	// parallelism.  It stays only because the frozen bench/ module sets it.
 	Workers int
 	// EngineWorkers bounds the engine's session-stepping pool: runs due
 	// on the same step are partitioned into shards and ticked on up to
 	// this many goroutines, with results merged in admission order at
 	// the commit barrier so any value produces byte-identical output.
-	// Zero or one keeps the engine serial.  See also Engine.SetWorkers.
+	// Zero or one keeps the engine serial.
 	EngineWorkers int
 	// Cache configures per-stream chunk caching and lookahead
 	// prefetching in the media store; the zero value disables it.
@@ -90,13 +87,12 @@ type Config struct {
 	// placements over that many disks, Seeks prices every demand chunk
 	// read with a positioning cost, Rounds batches co-admitted streams'
 	// chunk requests into per-disk service rounds.  The zero value
-	// changes nothing.  Sessions may override per stream with
-	// Session.SetStriping.
+	// changes nothing.
 	Striping storage.StripePolicy
 	// Tiering configures the storage hierarchy: popularity-driven
 	// promotion of jukebox values to the disk tier, demotion sweeps, and
 	// hot-clip replication across stripe groups.  The zero value
-	// disables it.  Sessions may opt out with Session.SetTiered(false).
+	// disables it.
 	Tiering storage.TierPolicy
 	// Priority is the default service class for sessions this database
 	// opens; individual sessions may override with Session.SetPriority.
@@ -124,7 +120,6 @@ type Database struct {
 	links     *linkStore
 	runEngine *Engine // the one run loop advancing the shared clock
 
-	workers  int            // executor lanes for sessions; 0 = GOMAXPROCS
 	priority sched.Priority // default service class for new sessions
 
 	// allocMu makes an OID's allocation and its NewObject's log records
@@ -137,9 +132,6 @@ type Database struct {
 	segments    map[string]storage.SegID // "oid/attr[/track]" -> segment
 	obsC        *obs.Collector
 }
-
-// Workers reports the database-wide executor lane bound.
-func (db *Database) Workers() int { return db.workers }
 
 // Open creates a database.  Devices and network links are registered
 // afterwards through Devices() and Network().  It fails on an invalid
@@ -167,7 +159,6 @@ func Open(cfg Config) (*Database, error) {
 		clock:     sched.NewVirtualClock(0),
 		links:     newLinkStore(),
 		segments:  make(map[string]storage.SegID),
-		workers:   cfg.Workers,
 		priority:  cfg.Priority,
 	}
 	db.mediaSt.SetCachePolicy(cfg.Cache)
@@ -175,7 +166,7 @@ func Open(cfg Config) (*Database, error) {
 	db.mediaSt.SetTierPolicy(cfg.Tiering)
 	db.engine = query.NewEngine(db.schema, db.objects)
 	db.runEngine = newEngine(db)
-	db.runEngine.SetWorkers(cfg.EngineWorkers)
+	db.runEngine.setWorkers(cfg.EngineWorkers)
 	return db, nil
 }
 
@@ -354,8 +345,10 @@ func (db *Database) GetAttr(oid schema.OID, attr string) (schema.Datum, error) {
 }
 
 // DeleteObject removes an object, its index entries, its durable scalar
-// state and the database's record of where its media were placed (the
-// device segments themselves stay: the store has no free call).
+// state and the database's record of where its media were placed.  The
+// device segments themselves are deliberately left allocated — not
+// handed to storage.Store.Delete — until delete vs open-stream vs
+// checked-in-version semantics are defined (ROADMAP item 8).
 func (db *Database) DeleteObject(oid schema.OID) error {
 	o, ok := db.objects.Get(oid)
 	if !ok {

@@ -27,13 +27,13 @@ import (
 //     of them with the same storage service round so their chunk
 //     requests merge into shared per-disk SCAN-EDF batches,
 //  3. commits the clock once, to the minimum commit horizon across the
-//     surviving runs, via the AdvanceGate discipline,
+//     surviving runs,
 //  4. retires finished runs (drain, span close-out, node teardown) and
 //     completes their Playback handles.
 //
 // A single admitted session therefore executes the exact sequence
 // Graph.Run would: same tick times, same round numbers, same commit
-// points — byte-identical RunStats and obs output for any Workers.
+// points — byte-identical RunStats and obs output.
 //
 // The loop runs on one goroutine, started lazily at first admission and
 // exited when the run set drains; the step counter persists across
@@ -50,8 +50,7 @@ import (
 // metrics registry) is either lock-protected and order-independent or
 // read-only, and per-run telemetry is buffered in a private obs.Stage
 // replayed in admission order at the barrier — so any worker count
-// stays byte-identical to serial, the cross-session restatement of the
-// wavefront executor's guarantee.  Sessions admitted from inside event
+// stays byte-identical to serial.  Sessions admitted from inside event
 // handlers during a parallel tick keep working but fall outside the
 // byte-identity guarantee (admission order then depends on worker
 // interleaving), as do probabilistic fault hooks shared by sessions in
@@ -88,7 +87,7 @@ type Engine struct {
 	rrShard  int   // round-robin cursor for unkeyed admissions
 
 	// Worker pool, built lazily at the first parallel step and torn
-	// down when the run set drains (or SetWorkers resizes it).
+	// down when the run set drains (or setWorkers resizes it).
 	workCh   chan engineShardJob
 	poolSize int // goroutines the live pool was built with
 	stepWG   sync.WaitGroup
@@ -134,7 +133,7 @@ type engineRun interface {
 
 // engineShards is the fixed shard count runs are partitioned over.
 // Decoupling it from the worker count keeps shard assignment stable
-// across SetWorkers calls: workers pull shard jobs from a channel, so
+// across setWorkers calls: workers pull shard jobs from a channel, so
 // any pool size serves any shard population.
 const engineShards = 16
 
@@ -187,14 +186,12 @@ func newEngine(db *Database) *Engine {
 	return e
 }
 
-// SetWorkers bounds the engine's tick-phase worker pool; n <= 1 steps
+// setWorkers bounds the engine's tick-phase worker pool; n <= 1 steps
 // serially.  The output is byte-identical for any value, so it is
-// purely a host-parallelism knob (Config.EngineWorkers sets it at
-// Open).  Call it before admitting sessions: telemetry staging is
-// decided per admission, so runs admitted while the engine was serial
-// keep emitting directly and would interleave nondeterministically if
-// later steps went parallel.
-func (e *Engine) SetWorkers(n int) {
+// purely a host-parallelism knob, fixed at Open from
+// Config.EngineWorkers (telemetry staging is decided per admission, so
+// it must not change once sessions are admitted).
+func (e *Engine) setWorkers(n int) {
 	if n < 1 {
 		n = 1
 	}
@@ -203,15 +200,8 @@ func (e *Engine) SetWorkers(n int) {
 		e.cond.Wait()
 	}
 	e.workers = n
-	e.stopPoolLocked()
+	e.stopPool()
 	e.mu.Unlock()
-}
-
-// Workers reports the engine's tick-phase pool bound.
-func (e *Engine) Workers() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.workers
 }
 
 // ensurePool makes the worker pool match e.workers, building it on
@@ -237,11 +227,6 @@ func (e *Engine) stopPool() {
 		e.poolSize = 0
 	}
 }
-
-// stopPoolLocked is stopPool for callers holding e.mu; the pool fields
-// themselves are only ever touched between steps, so the lock is about
-// caller convenience, not the channel.
-func (e *Engine) stopPoolLocked() { e.stopPool() }
 
 // poolWorker drains shard jobs until the channel closes.
 func (e *Engine) poolWorker(ch chan engineShardJob) {
@@ -425,7 +410,7 @@ func (e *Engine) stepOnce() bool {
 	}
 	if e.set.Len() == 0 {
 		e.running = false
-		e.stopPoolLocked()
+		e.stopPool()
 		e.cond.Broadcast()
 		e.mu.Unlock()
 		return false

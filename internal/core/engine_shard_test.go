@@ -13,26 +13,24 @@ import (
 )
 
 // engine_shard_test.go pins the PR 9 guarantee: the sharded engine's
-// output is byte-identical to serial for ANY EngineWorkers count — the
-// cross-session restatement of the wavefront executor's Workers
-// guarantee, proven the same way the PR 5 suite proved the serial
-// engine equivalent to back-to-back Graph.Run.
+// output is byte-identical to serial for ANY EngineWorkers count,
+// proven the same way the PR 5 suite proved the serial engine
+// equivalent to back-to-back Graph.Run.
 
-// TestEngineShardedDeterminism crosses EngineWorkers {1,2,4} with
-// session Workers {1,2}: every combination must produce the same obs
-// snapshot bytes and the same per-session RunStats as the fully serial
-// engine.  Sessions are unstriped here, so shard assignment is
-// round-robin; the Zipf tenancy experiment covers stripe-keyed shards.
+// TestEngineShardedDeterminism sweeps EngineWorkers {1,2,4}: every
+// value must produce the same obs snapshot bytes and the same
+// per-session RunStats as the serial engine.  Sessions are unstriped
+// here, so shard assignment is round-robin; the Zipf tenancy experiment
+// covers stripe-keyed shards.
 func TestEngineShardedDeterminism(t *testing.T) {
 	const sessions = 5
-	run := func(engineWorkers, sessionWorkers int) (string, []*activity.RunStats) {
+	run := func(engineWorkers int) (string, []*activity.RunStats) {
 		db := testDB(t)
 		col := db.EnableObservability()
-		db.Engine().SetWorkers(engineWorkers)
+		db.Engine().setWorkers(engineWorkers)
 		var pss []*playbackSession
 		for i := 0; i < sessions; i++ {
 			ps := buildPlaybackSession(t, db, fmt.Sprintf("shard-%d", i), 15+4*i)
-			ps.sess.SetWorkers(sessionWorkers)
 			pss = append(pss, ps)
 		}
 		db.Engine().Pause()
@@ -65,20 +63,14 @@ func TestEngineShardedDeterminism(t *testing.T) {
 		return js, all
 	}
 
-	baseSnap, baseStats := run(1, 1)
-	for _, sw := range []int{1, 2} {
-		for _, ew := range []int{1, 2, 4} {
-			if ew == 1 && sw == 1 {
-				continue
-			}
-			snap, stats := run(ew, sw)
-			if !reflect.DeepEqual(baseStats, stats) {
-				t.Errorf("EngineWorkers=%d Workers=%d: per-session RunStats diverged", ew, sw)
-			}
-			if snap != baseSnap {
-				t.Errorf("EngineWorkers=%d Workers=%d: obs snapshots differ (%d vs %d bytes)",
-					ew, sw, len(snap), len(baseSnap))
-			}
+	baseSnap, baseStats := run(1)
+	for _, ew := range []int{2, 4} {
+		snap, stats := run(ew)
+		if !reflect.DeepEqual(baseStats, stats) {
+			t.Errorf("EngineWorkers=%d: per-session RunStats diverged", ew)
+		}
+		if snap != baseSnap {
+			t.Errorf("EngineWorkers=%d: obs snapshots differ (%d vs %d bytes)", ew, len(snap), len(baseSnap))
 		}
 	}
 }
@@ -98,7 +90,7 @@ func TestEngineShardedChaosDeterminism(t *testing.T) {
 	run := func(engineWorkers int) (string, []isoOutcome) {
 		db := isoDB(t, 3)
 		col := db.EnableObservability()
-		db.Engine().SetWorkers(engineWorkers)
+		db.Engine().setWorkers(engineWorkers)
 		vLink := netsim.NewLink("lan-victim", 12*media.MBPerSecond, 2*avtime.Millisecond, avtime.Millisecond, 7)
 		if err := db.Network().AddLink(vLink); err != nil {
 			t.Fatal(err)

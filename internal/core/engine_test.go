@@ -117,18 +117,18 @@ func TestEngineSharedClockMonotonic(t *testing.T) {
 }
 
 // TestEngineCrossSessionDeterminism pins N concurrent sessions to one
-// byte stream: for every Workers setting the obs snapshot (spans,
-// metrics, engine counters) and each session's RunStats must be
-// identical.
+// byte stream: on every repeat the obs snapshot (spans, metrics, engine
+// counters) and each session's RunStats must be identical, however the
+// host schedules the engine loop and the waiting clients
+// (TestEngineShardedDeterminism sweeps EngineWorkers).
 func TestEngineCrossSessionDeterminism(t *testing.T) {
 	const sessions = 3
-	run := func(workers int) (string, []*activity.RunStats) {
+	run := func() (string, []*activity.RunStats) {
 		db := testDB(t)
 		col := db.EnableObservability()
 		var pss []*playbackSession
 		for i := 0; i < sessions; i++ {
 			ps := buildPlaybackSession(t, db, "client-"+string(rune('a'+i)), 20+5*i)
-			ps.sess.SetWorkers(workers)
 			pss = append(pss, ps)
 		}
 		db.Engine().Pause()
@@ -161,15 +161,15 @@ func TestEngineCrossSessionDeterminism(t *testing.T) {
 		return js, all
 	}
 
-	baseSnap, baseStats := run(1)
-	for _, workers := range []int{2, 4} {
-		snap, stats := run(workers)
+	baseSnap, baseStats := run()
+	for repeat := 1; repeat <= 2; repeat++ {
+		snap, stats := run()
 		if !reflect.DeepEqual(baseStats, stats) {
-			t.Errorf("workers=%d: per-session RunStats diverged", workers)
+			t.Errorf("repeat %d: per-session RunStats diverged", repeat)
 		}
 		if snap != baseSnap {
-			t.Errorf("workers=%d: obs snapshots differ (%d vs %d bytes); %s",
-				workers, len(snap), len(baseSnap), firstDifferingLine(snap, baseSnap))
+			t.Errorf("repeat %d: obs snapshots differ (%d vs %d bytes); %s",
+				repeat, len(snap), len(baseSnap), firstDifferingLine(snap, baseSnap))
 		}
 	}
 }

@@ -105,15 +105,16 @@ type isoOutcome struct {
 // of disk2 that never recovers.  The armed session on disk2 fails soft
 // (sacrifices frames, completes), the unarmed one dies with a device
 // error, and the three bystanders on other disks are untouched —
-// byte-for-byte the same observability output at Workers 1, 2 and 4,
-// and the same per-session outcomes as a crash-free run.
+// byte-for-byte the same observability output at EngineWorkers 1, 2 and
+// 4, and the same per-session outcomes as a crash-free run.
 func TestEngineDiskCrashIsolation(t *testing.T) {
 	const frames = 30
 	total := avtime.WorldTime(frames) * avtime.Second / 30
 
-	run := func(workers int, inject bool) (string, []isoOutcome, []*activity.RunStats) {
+	run := func(engineWorkers int, inject bool) (string, []isoOutcome, []*activity.RunStats) {
 		db := isoDB(t, 4)
 		col := db.EnableObservability()
+		db.Engine().setWorkers(engineWorkers)
 		if inject {
 			plan, err := fault.NewPlan(7).Add(fault.Fault{
 				Kind: fault.DeviceOutage, Target: "disk2", Start: total / 3, Dur: total,
@@ -131,9 +132,6 @@ func TestEngineDiskCrashIsolation(t *testing.T) {
 		hard := buildPlaybackOn(t, db, "victim-hard", frames, "disk2", "lan0")
 		d := buildPlaybackOn(t, db, "bystander-d", frames, "disk3", "lan0")
 		all := []*playbackSession{a, b, soft, hard, d}
-		for _, ps := range all {
-			ps.sess.SetWorkers(workers)
-		}
 
 		db.Engine().Pause()
 		var pbs []*Playback
@@ -185,17 +183,17 @@ func TestEngineDiskCrashIsolation(t *testing.T) {
 	}
 
 	// The crash response is deterministic: identical outcomes, RunStats
-	// and observability bytes at every worker count.
-	for _, workers := range []int{2, 4} {
-		wSnap, wOuts, wStats := run(workers, true)
+	// and observability bytes at every EngineWorkers.
+	for _, ew := range []int{2, 4} {
+		wSnap, wOuts, wStats := run(ew, true)
 		if !reflect.DeepEqual(outs, wOuts) {
-			t.Errorf("workers=%d: outcomes diverged under crash: %+v vs %+v", workers, wOuts, outs)
+			t.Errorf("EngineWorkers=%d: outcomes diverged under crash: %+v vs %+v", ew, wOuts, outs)
 		}
 		if !reflect.DeepEqual(stats, wStats) {
-			t.Errorf("workers=%d: per-session RunStats diverged under crash", workers)
+			t.Errorf("EngineWorkers=%d: per-session RunStats diverged under crash", ew)
 		}
 		if wSnap != snap {
-			t.Errorf("workers=%d: obs snapshots differ (%d vs %d bytes)", workers, len(wSnap), len(snap))
+			t.Errorf("EngineWorkers=%d: obs snapshots differ (%d vs %d bytes)", ew, len(wSnap), len(snap))
 		}
 	}
 
@@ -214,8 +212,9 @@ func TestEngineDiskCrashIsolation(t *testing.T) {
 // sacrifice, fail-soft transfers, degradation) rides out transient
 // faults, an outage and a link collapse on its own disk and link, while
 // two bystanders on separate spindles and the shared link stream
-// unharmed.  The whole ensemble is deterministic across repeats at
-// Workers 4 — the configuration the race detector exercises.
+// unharmed.  The whole ensemble is deterministic across repeats on the
+// serial engine (TestEngineShardedChaosDeterminism is the EngineWorkers
+// 4 arm).
 func TestEngineChaosIsolationDeterminism(t *testing.T) {
 	const frames = 30
 	total := avtime.WorldTime(frames) * avtime.Second / 30
@@ -250,9 +249,6 @@ func TestEngineChaosIsolationDeterminism(t *testing.T) {
 		b1 := buildPlaybackOn(t, db, "bystander-1", frames, "disk1", "lan0")
 		b2 := buildPlaybackOn(t, db, "bystander-2", frames, "disk2", "lan0")
 		all := []*playbackSession{victim, b1, b2}
-		for _, ps := range all {
-			ps.sess.SetWorkers(4)
-		}
 
 		db.Engine().Pause()
 		var pbs []*Playback

@@ -36,9 +36,6 @@ type Session struct {
 	devices  []string
 	playback *Playback
 	closed   bool
-	workers  int                    // 0 inherits the database's Workers setting
-	striping *storage.StripePolicy  // nil inherits the store's policy
-	tiered   *bool                  // nil follows the store's tier policy
 	span     obs.SpanID             // session span when observability is on
 	priority sched.Priority         // service class for overload sweeps
 	deg      *degradeState          // armed degradation path, nil if none
@@ -88,35 +85,6 @@ func (s *Session) Closed() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.closed
-}
-
-// SetWorkers overrides the database's executor lane bound for this
-// session's streams.  Zero restores the database default; one forces
-// serial execution.  Configure before Start.
-func (s *Session) SetWorkers(n int) {
-	s.mu.Lock()
-	s.workers = n
-	s.mu.Unlock()
-}
-
-// SetStriping overrides the store's stripe policy for streams this
-// session binds afterwards (the Width field is placement-time and has no
-// effect here; Seeks and Rounds govern how the session's reads are
-// priced and scheduled).  Configure before binding values.
-func (s *Session) SetStriping(p storage.StripePolicy) {
-	s.mu.Lock()
-	s.striping = &p
-	s.mu.Unlock()
-}
-
-// SetTiered overrides whether streams this session binds afterwards go
-// through popularity accounting (storage tier promotion/replication).
-// By default sessions follow the store's tier policy; administrative
-// sessions that should not skew popularity pass false.
-func (s *Session) SetTiered(on bool) {
-	s.mu.Lock()
-	s.tiered = &on
-	s.mu.Unlock()
 }
 
 // CacheStats aggregates the buffer-pool behavior of the session's open
@@ -355,27 +323,13 @@ func (s *Session) attachPlacement(oid schema.OID, attr, track string, act activi
 	if !ok {
 		return nil
 	}
-	s.mu.Lock()
-	override := s.striping
-	tiered := s.tiered
-	s.mu.Unlock()
-	useTier := s.db.mediaSt.Tiering().Enabled()
-	if tiered != nil {
-		useTier = useTier && *tiered
-	}
-	policy := s.db.mediaSt.Striping()
-	if override != nil {
-		policy = *override
-	}
 	var stream *storage.Stream
 	var err error
-	if useTier {
+	if s.db.mediaSt.Tiering().Enabled() {
 		// Tiered open: the access bumps the value's popularity and may
 		// promote or replicate it; any copy cost lands on this stream's
 		// startup, charged to its first read.
-		stream, _, err = s.db.mediaSt.OpenStreamTieredWith(seg.ID(), rate, s.db.clock.Now(), policy)
-	} else if override != nil {
-		stream, _, err = s.db.mediaSt.OpenStreamWith(seg.ID(), rate, *override)
+		stream, _, err = s.db.mediaSt.OpenStreamTiered(seg.ID(), rate, s.db.clock.Now())
 	} else {
 		stream, _, err = s.db.mediaSt.OpenStream(seg.ID(), rate)
 	}
@@ -434,12 +388,8 @@ func (s *Session) StartAt(rate avtime.Rate, maxTicks int) (*Playback, error) {
 	if err := s.graph.Start(); err != nil {
 		return nil, err
 	}
-	workers := s.workers
-	if workers == 0 {
-		workers = s.db.workers
-	}
 	cfg := activity.RunConfig{
-		Clock: s.db.clock, Rate: rate, MaxTicks: maxTicks, Workers: workers,
+		Clock: s.db.clock, Rate: rate, MaxTicks: maxTicks,
 		Obs: s.db.sink(), ObsParent: s.span,
 	}
 	// The playback no longer owns a private run loop: the graph is split

@@ -8,34 +8,46 @@ import (
 	"avdb/internal/avtime"
 	"avdb/internal/device"
 	"avdb/internal/media"
+	"avdb/internal/netsim"
 	"avdb/internal/sched"
 	"avdb/internal/schema"
 	"avdb/internal/storage"
 )
 
-// TestConfigStripingReachesStore pins the Config -> store plumbing: the
-// policy set at Open governs automatic placement.
-func TestConfigStripingReachesStore(t *testing.T) {
+// stripedDB opens a two-disk database with one client link under the
+// stripe policy given as Config.Striping.
+func stripedDB(t *testing.T, policy storage.StripePolicy) *Database {
+	t.Helper()
 	db, err := Open(Config{
 		Name:      "striped",
 		Resources: sched.Resources{Buffers: 64, CPU: 100 * media.MBPerSecond, Bus: 100 * media.MBPerSecond},
-		Striping:  storage.StripePolicy{Width: 2, Seeks: true},
+		Striping:  policy,
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := db.mediaSt.Striping(); got.Width != 2 || !got.Seeks {
-		t.Fatalf("store policy = %+v, want Width 2 + Seeks", got)
 	}
 	for _, id := range []string{"disk0", "disk1"} {
 		if err := db.Devices().Register(device.NewDisk(id, 100_000_000, 20*media.MBPerSecond, 10*avtime.Millisecond)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if err := db.Network().AddLink(netsim.NewLink("lan0", 12*media.MBPerSecond, 2*avtime.Millisecond, avtime.Millisecond, 7)); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := db.DefineClass("MediaObject", "", []schema.AttrDef{
 		{Name: "videoTrack", Kind: schema.KindMedia, MediaKind: media.KindVideo},
 	}); err != nil {
 		t.Fatal(err)
+	}
+	return db
+}
+
+// TestConfigStripingReachesStore pins the Config -> store plumbing: the
+// policy set at Open governs automatic placement.
+func TestConfigStripingReachesStore(t *testing.T) {
+	db := stripedDB(t, storage.StripePolicy{Width: 2, Seeks: true})
+	if got := db.mediaSt.Striping(); got.Width != 2 || !got.Seeks {
+		t.Fatalf("store policy = %+v, want Width 2 + Seeks", got)
 	}
 	o, err := db.NewObject("MediaObject")
 	if err != nil {
@@ -59,8 +71,8 @@ func TestConfigStripingReachesStore(t *testing.T) {
 // bind, play, and verify the round scheduler carried the reads and the
 // stripe reservations settle at close.
 func TestSessionStripedPlayback(t *testing.T) {
-	db := testDB(t)
-	o, err := db.NewObject("SimpleNewscast")
+	db := stripedDB(t, storage.StripePolicy{Seeks: true, Rounds: true})
+	o, err := db.NewObject("MediaObject")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +91,6 @@ func TestSessionStripedPlayback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.SetStriping(storage.StripePolicy{Seeks: true, Rounds: true})
 	q, _ := media.ParseVideoQuality(testQualityStr)
 	reader, err := activities.NewVideoReader("dbSource", activity.AtDatabase, media.TypeRawVideo30)
 	if err != nil {

@@ -111,7 +111,7 @@ func TestEngineTierFaultIsolation(t *testing.T) {
 	run := func(engineWorkers int, inject bool) (string, []tierOutcome, []storage.TierInfo) {
 		db := isoDB(t, 4)
 		col := db.EnableObservability()
-		db.Engine().SetWorkers(engineWorkers)
+		db.Engine().setWorkers(engineWorkers)
 		db.Storage().SetTierPolicy(storage.TierPolicy{
 			PromoteAt: 2,
 			Width:     4, // promotion wants every disk, including dead disk0

@@ -61,54 +61,3 @@ func (c *VirtualClock) AdvanceTo(w avtime.WorldTime) {
 		c.now = w
 	}
 }
-
-// AdvanceGate coordinates clock advances for an executor whose lanes
-// complete out of order.  Lanes Propose the world times their chunks
-// reached; the executor alone moves the clock — once per scheduling
-// interval via CommitTick, and once at the end via Drain, which extends
-// the clock to the latest proposed arrival so in-flight deliveries whose
-// accumulated latency lands past the final tick are still covered by the
-// run's timeline.
-type AdvanceGate struct {
-	clock *VirtualClock
-
-	mu     sync.Mutex
-	latest avtime.WorldTime
-}
-
-// NewAdvanceGate returns a gate over the clock.
-func NewAdvanceGate(c *VirtualClock) *AdvanceGate {
-	if c == nil {
-		panic("sched: advance gate needs a clock")
-	}
-	return &AdvanceGate{clock: c}
-}
-
-// Propose records a world time a lane reached.  Proposals never move the
-// clock; they only raise the drain horizon.  Safe for concurrent use.
-func (g *AdvanceGate) Propose(w avtime.WorldTime) {
-	g.mu.Lock()
-	if w > g.latest {
-		g.latest = w
-	}
-	g.mu.Unlock()
-}
-
-// Latest reports the highest proposed time so far.
-func (g *AdvanceGate) Latest() avtime.WorldTime {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.latest
-}
-
-// CommitTick advances the clock to the end of one scheduling interval.
-func (g *AdvanceGate) CommitTick(w avtime.WorldTime) {
-	g.clock.AdvanceTo(w)
-}
-
-// Drain advances the clock to the latest proposed time and returns the
-// clock's final reading, which is guaranteed to cover every proposal.
-func (g *AdvanceGate) Drain() avtime.WorldTime {
-	g.clock.AdvanceTo(g.Latest())
-	return g.clock.Now()
-}

@@ -2,7 +2,7 @@ package storage
 
 // alloc_test.go pins the storage hot paths' allocation discipline with
 // testing.AllocsPerRun, the same gate the activity package applies to
-// the wavefront executor.  The scheduled chunk-read path must allocate
+// the graph tick.  The scheduled chunk-read path must allocate
 // nothing once the round buffers are warm: requests live in recycled
 // flat rounds, results land in the per-stream slot, and track keys come
 // from the segment's cached track map.  A regression here silently

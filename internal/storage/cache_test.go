@@ -198,7 +198,7 @@ func TestCacheMetricsThroughSink(t *testing.T) {
 
 func TestCacheConcurrentStreamsRace(t *testing.T) {
 	// Several streams over segments on one device, read concurrently —
-	// the wavefront executor's lanes do exactly this.  Run under -race.
+	// the sharded engine's workers do exactly this.  Run under -race.
 	_, st := testRig(t)
 	st.SetSink(obs.NewCollector())
 	st.SetCachePolicy(CachePolicy{Capacity: 8, Lookahead: 4})

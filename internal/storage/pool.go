@@ -13,7 +13,7 @@ package storage
 // of earlier rounds, applying them sorted by (pid, seq): pid is the
 // pool-attach order of the stream and seq the stream's own program
 // order, so the applied sequence is identical no matter which lanes
-// staged first, and any Workers/EngineWorkers count leaves residency,
+// staged first, and any EngineWorkers count leaves residency,
 // eviction order and every counter byte-identical to serial.  Reads
 // with round < 0 (no tick context) apply their ops immediately, which
 // is exactly the retired per-stream LRU's behavior; the differential

@@ -1,19 +1,19 @@
 package storage
 
 // sched.go implements IOSched, the per-device round scheduler.  Streams
-// driven by the wavefront executor submit the *next* chunk they will
-// need while consuming the current one; all requests submitted during
-// one graph tick form a round.  When the first stream of a later tick
+// driven by a graph run submit the *next* chunk they will need while
+// consuming the current one; all requests submitted during one graph
+// tick form a round.  When the first stream of a later tick
 // consumes its result, every complete earlier round is serviced: each
 // disk's batch is ordered SCAN-EDF — earliest playback deadline first,
 // ties by track position, then stream — and charged one positioned seek
 // per run of adjacent tracks instead of one full seek per chunk.
 //
-// Determinism under parallel execution is structural.  The executor's
-// tick barrier guarantees that every submission of round T happens
-// before any activity of tick T+1 runs, so by the time flushBefore(T+1)
-// fires, round T's batch content is complete and identical no matter how
-// many workers raced through tick T.  The SCAN-EDF sort key (deadline,
+// Determinism is structural.  The tick barrier guarantees that every
+// submission of round T happens before any activity of tick T+1 runs,
+// so by the time flushBefore(T+1) fires, round T's batch content is
+// complete and identical no matter in which order tick T's streams
+// submitted.  The SCAN-EDF sort key (deadline,
 // track, stream, chunk) is total — sid is unique within one disk's batch
 // because a stream resubmitting in the same round replaces its previous
 // request, so no two distinct batch members ever compare equal (pinned
@@ -424,8 +424,8 @@ func (io *IOSched) submit(round int64, q ioReq) {
 }
 
 // flushBefore services every pending round strictly below round, in
-// ascending order.  The caller's tick barrier — within a session the
-// wavefront executor's, across sessions the sharded engine's
+// ascending order.  The caller's tick barrier — within a run the end
+// of GraphRun.Tick, across sessions the sharded engine's
 // admission-order commit barrier — guarantees those rounds are
 // complete.  Concurrent callers race on the watermark: exactly one
 // wins and services, the rest exit lock-free, and because batch

@@ -37,7 +37,7 @@ type StripePolicy struct {
 	// stream pays positioning (the historical single-stream pricing).
 	Seeks bool
 	// Rounds enables the SCAN-EDF round scheduler: chunk requests
-	// issued during one wavefront tick are batched per disk, ordered by
+	// issued during one graph tick are batched per disk, ordered by
 	// (deadline, track) and charged one amortized seek per run of
 	// adjacent requests.
 	Rounds bool

@@ -134,14 +134,8 @@ func (st *Store) TierAccess(id SegID, now avtime.WorldTime) avtime.WorldTime {
 // returned startup time includes any copy the access triggered (charged
 // to this stream's first read).  now is the caller's virtual time.
 func (st *Store) OpenStreamTiered(id SegID, rate media.DataRate, now avtime.WorldTime) (*Stream, avtime.WorldTime, error) {
-	return st.OpenStreamTieredWith(id, rate, now, st.Striping())
-}
-
-// OpenStreamTieredWith is OpenStreamTiered under an explicit stripe
-// policy, for callers carrying a per-session override.
-func (st *Store) OpenStreamTieredWith(id SegID, rate media.DataRate, now avtime.WorldTime, policy StripePolicy) (*Stream, avtime.WorldTime, error) {
 	extra := st.TierAccess(id, now)
-	stream, startup, err := st.OpenStreamWith(id, rate, policy)
+	stream, startup, err := st.OpenStream(id, rate)
 	if err != nil {
 		return nil, extra, err
 	}
