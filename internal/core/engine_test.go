@@ -14,6 +14,7 @@ import (
 	"avdb/internal/avtime"
 	"avdb/internal/media"
 	"avdb/internal/sched"
+	"avdb/internal/schema"
 )
 
 // playbackSession wires one VideoReader → VideoWindow stream over its
@@ -26,12 +27,18 @@ type playbackSession struct {
 
 func buildPlaybackSession(t testing.TB, db *Database, client string, frames int) *playbackSession {
 	t.Helper()
-	oid := storeNewscast(t, db, client+"-clip", frames)
+	return bindPlayback(t, db, client, "lan0", storeNewscast(t, db, client+"-clip", frames))
+}
+
+// bindPlayback wires a reader → window session over the given link to
+// the videoTrack of an object that already holds a placed clip.
+func bindPlayback(t testing.TB, db *Database, client, link string, oid schema.OID) *playbackSession {
+	t.Helper()
 	q, err := media.ParseVideoQuality(testQualityStr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := db.Connect(client, "lan0")
+	sess, err := db.Connect(client, link)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,14 +6,12 @@ import (
 	"testing"
 	"time"
 
-	"avdb/internal/activities"
 	"avdb/internal/activity"
 	"avdb/internal/avtime"
 	"avdb/internal/device"
 	"avdb/internal/fault"
 	"avdb/internal/media"
 	"avdb/internal/netsim"
-	"avdb/internal/sched"
 	"avdb/internal/schema"
 )
 
@@ -64,32 +62,7 @@ func buildPlaybackOn(t testing.TB, db *Database, client string, frames int, disk
 	if _, err := db.PlaceMedia(o.OID(), "videoTrack", disk, media.MBPerSecond); err != nil {
 		t.Fatal(err)
 	}
-	q, err := media.ParseVideoQuality(testQualityStr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := db.Connect(client, link)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := activities.NewVideoReader("src", activity.AtDatabase, media.TypeRawVideo30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Install(src, sched.Resources{Buffers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	win := activities.NewVideoWindow("win", activity.AtApplication, q, avtime.Second)
-	if err := sess.Install(win, sched.Resources{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Connect(src, "out", win, "in", q.DataRate()); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.BindValue(o.OID(), "videoTrack", src, "out", media.MBPerSecond); err != nil {
-		t.Fatal(err)
-	}
-	return &playbackSession{sess: sess, src: src, win: win}
+	return bindPlayback(t, db, client, link, o.OID())
 }
 
 // isoOutcome is the per-session result a crash must not perturb for

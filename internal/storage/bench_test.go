@@ -9,18 +9,6 @@ import (
 	"avdb/internal/media"
 )
 
-// benchClip builds a small raw clip without testing.T plumbing.
-func benchClip(b *testing.B, frames int) *media.VideoValue {
-	b.Helper()
-	v := media.NewVideoValue(media.TypeRawVideo30, 40, 30, 8) // 1200 B/frame
-	for i := 0; i < frames; i++ {
-		if err := v.AppendFrame(media.NewFrame(40, 30, 8)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return v
-}
-
 // BenchmarkIOSchedFlush isolates the scheduler itself: one op is a full
 // round — submit every stream's request, then flush — with no stream or
 // store plumbing around it.  Arms cross batch width (narrow: 2 streams,
@@ -76,63 +64,18 @@ func BenchmarkIOSchedFlush(b *testing.B) {
 }
 
 // BenchmarkStripedRead measures the host cost of the chunk-read path
-// under the three storage configurations the stripe experiment compares:
-// demand reads on one disk, demand reads over a stripe, and SCAN-EDF
-// service rounds over a stripe.  Each op is a full pass of 8 streams
-// over their clips — the scheduler's map/sort work happens on this path,
-// so the benchmark bounds its overhead against the plain demand read.
+// under the three stripeArms configurations TestStripedRoundsBeatDemand
+// compares.  Each op is a full pass of 8 streams over their clips — the
+// scheduler's map/sort work happens on this path, so the benchmark
+// bounds its overhead against the plain demand read.
 func BenchmarkStripedRead(b *testing.B) {
 	const (
 		streams = 8
 		frames  = 30
 	)
-	arms := []struct {
-		name   string
-		width  int
-		policy StripePolicy
-	}{
-		{"single-demand", 1, StripePolicy{Seeks: true}},
-		{"striped-demand", 4, StripePolicy{Seeks: true}},
-		{"striped-scan-edf", 4, StripePolicy{Seeks: true, Rounds: true}},
-	}
-	for _, arm := range arms {
+	for _, arm := range stripeArms {
 		b.Run(arm.name, func(b *testing.B) {
-			dm := device.NewManager()
-			nDisks := arm.width
-			for i := 0; i < nDisks; i++ {
-				d := device.NewDisk(fmt.Sprintf("disk%d", i), 64_000_000,
-					media.DataRate(streams)*media.MBPerSecond, 10*avtime.Millisecond)
-				if err := d.SetGeometry(16, avtime.Millisecond); err != nil {
-					b.Fatal(err)
-				}
-				if err := dm.Register(d); err != nil {
-					b.Fatal(err)
-				}
-			}
-			st := NewStore(dm)
-			st.SetStriping(arm.policy)
-			ss := make([]*Stream, streams)
-			for j := 0; j < streams; j++ {
-				clip := benchClip(b, frames)
-				var seg *Segment
-				var err error
-				if arm.width > 1 {
-					seg, err = st.PlaceStriped(clip, media.MBPerSecond, arm.width)
-				} else {
-					seg, err = st.Place(clip, "disk0")
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				if ss[j], _, err = st.OpenStream(seg.ID(), media.MBPerSecond); err != nil {
-					b.Fatal(err)
-				}
-			}
-			defer func() {
-				for _, s := range ss {
-					s.Close()
-				}
-			}()
+			_, ss := openStripeArm(b, arm.width, arm.policy, streams, frames)
 			unit := media.TypeRawVideo30.Rate.UnitDuration()
 			round := int64(0) // monotonic across iterations: rounds never rewind
 			b.ResetTimer()

@@ -372,7 +372,7 @@ func TestDifferentialRandomOpStreams(t *testing.T) {
 	}
 }
 
-// TestDifferentialExperimentTraces replays the experiment-shaped op
+// TestDifferentialExperimentTraces replays the workload-shaped op
 // streams that also seed the fuzz corpus: steady striped playback,
 // multi-tenant key-collision pressure, and overload with cancellations.
 func TestDifferentialExperimentTraces(t *testing.T) {
@@ -479,7 +479,7 @@ func randBytes(rng *rand.Rand, n int) []byte {
 
 // --- seed corpus -----------------------------------------------------
 
-// corpusSeeds returns the experiment-shaped op streams committed under
+// corpusSeeds returns the workload-shaped op streams committed under
 // testdata/fuzz/FuzzSCANEDFOrder.  Regenerate the files with
 //
 //	go test -run TestFuzzCorpusSeeds -update-corpus ./internal/storage
@@ -499,9 +499,9 @@ func emitRead(data []byte, sid, chunk byte, flags byte, next [8]byte) []byte {
 	return append(data, next[:]...)
 }
 
-// corpusStripeSteady mirrors the stripe experiment: eight streams in
-// steady sequential playback over four disks, each read prefetching the
-// next chunk on its round-robin home disk.
+// corpusStripeSteady is steady striped playback: eight streams read
+// sequentially over four disks, each read prefetching the next chunk on
+// its round-robin home disk.
 func corpusStripeSteady() []byte {
 	var data []byte
 	for tick := byte(0); tick < 12; tick++ {
@@ -514,9 +514,9 @@ func corpusStripeSteady() []byte {
 	return data
 }
 
-// corpusTenancyTies mirrors the tenancy experiment: four sessions over
-// one shared clip — same chunks, same tracks, same deadlines — so every
-// round is decided purely by the sid tiebreak.
+// corpusTenancyTies is four sessions over one shared clip — same
+// chunks, same tracks, same deadlines — so every round is decided
+// purely by the sid tiebreak.
 func corpusTenancyTies() []byte {
 	var data []byte
 	for tick := byte(0); tick < 10; tick++ {
@@ -529,9 +529,9 @@ func corpusTenancyTies() []byte {
 	return data
 }
 
-// corpusOverloadCancels mirrors the overload experiment: tight
-// deadlines, oversized requests, mid-round cancellations (drops), plus
-// stragglers and demand reads between rounds.
+// corpusOverloadCancels is an overloaded disk array: tight deadlines,
+// oversized requests, mid-round cancellations (drops), plus stragglers
+// and demand reads between rounds.
 func corpusOverloadCancels() []byte {
 	var data []byte
 	for tick := byte(0); tick < 10; tick++ {

@@ -6,7 +6,7 @@ package storage
 // must stay byte-identical to the retained map+sort reference on every
 // observable — service order, seek charges, results, head positions,
 // IOStats and sink events.  The committed seeds under
-// testdata/fuzz/FuzzSCANEDFOrder are experiment-shaped traces (steady
+// testdata/fuzz/FuzzSCANEDFOrder are workload-shaped traces (steady
 // striped playback, tenancy deadline ties, overload with cancellations)
 // and run as part of plain go test; CI additionally runs a short
 // -fuzz smoke.  Run it locally when touching sched.go:

@@ -26,7 +26,7 @@ func testRig(t *testing.T) (*device.Manager, *Store) {
 	return dm, NewStore(dm)
 }
 
-func clip(t *testing.T, frames int) *media.VideoValue {
+func clip(t testing.TB, frames int) *media.VideoValue {
 	t.Helper()
 	v := media.NewVideoValue(media.TypeRawVideo30, 40, 30, 8) // 1200 B/frame
 	for i := 0; i < frames; i++ {

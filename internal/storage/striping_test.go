@@ -2,6 +2,7 @@ package storage
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 
 // stripeRig builds a store over n identical disks with a positional
 // geometry, the shape PlaceStriped and the round scheduler target.
-func stripeRig(t *testing.T, n int) (*device.Manager, *Store) {
+func stripeRig(t testing.TB, n int) (*device.Manager, *Store) {
 	t.Helper()
 	dm := device.NewManager()
 	for i := 0; i < n; i++ {
@@ -517,6 +518,103 @@ func TestScheduledStreamReadsThroughRounds(t *testing.T) {
 	if total >= demand {
 		t.Errorf("scheduled total %v >= demand total %v; rounds saved nothing", total, demand)
 	}
+}
+
+// stripeArms are the three storage configurations the striped read path
+// is compared under: demand reads on one disk, demand reads over a
+// stripe, and SCAN-EDF service rounds over the same stripe.
+var stripeArms = []struct {
+	name   string
+	width  int
+	policy StripePolicy
+}{
+	{"single-demand", 1, StripePolicy{Seeks: true}},
+	{"striped-demand", 4, StripePolicy{Seeks: true}},
+	{"striped-scan-edf", 4, StripePolicy{Seeks: true, Rounds: true}},
+}
+
+// openStripeArm places one clip of frames frames per stream on width
+// disks and opens a stream on each at its admission maximum: a disk
+// carries streams MB/s, and a stream reserves 1 MB/s on every disk it
+// spans.  Each disk holds twice the whole corpus, so on one disk the
+// clips cover half its tracks.  The streams close at test cleanup.
+func openStripeArm(t testing.TB, width int, policy StripePolicy, streams, frames int) (*Store, []*Stream) {
+	t.Helper()
+	dm := device.NewManager()
+	for i := 0; i < width; i++ {
+		d := device.NewDisk(diskID(i), 2*int64(streams*frames)*1200, media.DataRate(streams)*media.MBPerSecond, 10*avtime.Millisecond)
+		if err := d.SetGeometry(16, avtime.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if err := dm.Register(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := NewStore(dm)
+	st.SetStriping(policy)
+	rate := media.DataRate(width) * media.MBPerSecond
+	ss := make([]*Stream, streams)
+	for j := range ss {
+		var seg *Segment
+		var err error
+		if width > 1 {
+			seg, err = st.PlaceStriped(clip(t, frames), rate, width)
+		} else {
+			seg, err = st.Place(clip(t, frames), diskID(0))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ss[j], _, err = st.OpenStream(seg.ID(), rate); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(ss[j].Close)
+	}
+	return st, ss
+}
+
+// TestStripedRoundsBeatDemand holds the striped read path's claim: eight
+// streams each read every frame of their own clip, one chunk per tick.
+// Striping alone finishes sooner than one disk, and SCAN-EDF rounds over
+// the stripe charge under half the demand arm's seeks, reach at least 3x
+// the single-disk throughput and miss no deadline.  Every arm moves the
+// same bytes, so throughput compares as the slowest stream's read time.
+func TestStripedRoundsBeatDemand(t *testing.T) {
+	const streams, frames = 8, 90
+	unit := media.TypeRawVideo30.Rate.UnitDuration()
+	wall := make([]avtime.WorldTime, len(stripeArms))
+	io := make([]IOStats, len(stripeArms))
+	for a, arm := range stripeArms {
+		st, ss := openStripeArm(t, arm.width, arm.policy, streams, frames)
+		per := make([]avtime.WorldTime, streams)
+		for f := 0; f < frames; f++ {
+			now := avtime.WorldTime(f) * unit
+			for j, s := range ss {
+				dt, err := s.ReadChunkTimeAt(f, 1200, int64(f), now, now)
+				if err != nil {
+					t.Fatal(err)
+				}
+				per[j] += dt
+			}
+		}
+		wall[a] = slices.Max(per)
+		io[a] = st.IOStats()
+	}
+	single, demand, rounds := 0, 1, 2
+	if wall[demand] >= wall[single] {
+		t.Errorf("striped demand reads took %v, single disk %v: striping bought no throughput", wall[demand], wall[single])
+	}
+	if 2*io[rounds].SeeksCharged >= io[demand].SeeksCharged {
+		t.Errorf("rounds charged %d seeks, demand %d: want under half", io[rounds].SeeksCharged, io[demand].SeeksCharged)
+	}
+	if speedup := float64(wall[single]) / float64(wall[rounds]); speedup < 3 {
+		t.Errorf("rounds throughput %.2fx the single disk, want >= 3x", speedup)
+	}
+	if io[rounds].DeadlineMisses != 0 {
+		t.Errorf("rounds missed %d deadlines, want 0", io[rounds].DeadlineMisses)
+	}
+	t.Logf("slowest stream: single %v, striped demand %v, rounds %v; seeks %d/%d/%d",
+		wall[single], wall[demand], wall[rounds], io[single].SeeksCharged, io[demand].SeeksCharged, io[rounds].SeeksCharged)
 }
 
 // ---- satellite (c): chunk cache x striping ----
