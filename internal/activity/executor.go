@@ -5,7 +5,7 @@ package activity
 //
 // The paper frames an AV database as a locus of *concurrent* activities
 // (§3.1, §4.4); concurrency across sessions is the engine's business
-// (core.Engine's shard pool).  Inside one run, each scheduling interval
+// (core.Engine's tick workers).  Inside one run, each scheduling interval
 // executes level by level on the calling goroutine, in three phases:
 //
 //	A  deliver chunks across connections, account faults, emit chunk
@@ -15,9 +15,9 @@ package activity
 //	C  surface the first error in topological order, stamp latency
 //	   onto outputs, publish produced chunks.
 //
-// Everything order-sensitive — span IDs, metric updates, fault-plan RNG
-// draws on links, stats accumulation — happens in this one order, which
-// is what the experiment goldens pin.
+// Everything order-sensitive — span IDs, metric updates, the transfer
+// ordinals that key fault draws on links, stats accumulation — happens
+// in this one order, which is what the experiment goldens pin.
 
 // levelEnd returns where the dependency level that starts at nodes[lo]
 // ends.  A level is a contiguous stretch of nodes of one depth (see

@@ -130,7 +130,7 @@ func (r *GraphRun) Ticks() int { return r.tick }
 func (r *GraphRun) Err() error { return r.runErr }
 
 // SwapObs replaces the run's telemetry sink and returns the previous
-// one.  The sharded engine uses it right after Begin (which emits the
+// one.  The parallel engine uses it right after Begin (which emits the
 // session's setup spans directly) to point the run at a private
 // obs.Stage, so ticks on parallel workers buffer telemetry race-free
 // for an admission-ordered replay at the commit barrier.  Callers must

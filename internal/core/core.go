@@ -73,11 +73,11 @@ type Config struct {
 	// Deprecated: Workers is ignored — EngineWorkers is the only host
 	// parallelism.  It stays only because the frozen bench/ module sets it.
 	Workers int
-	// EngineWorkers bounds the engine's session-stepping pool: runs due
-	// on the same step are partitioned into shards and ticked on up to
-	// this many goroutines, with results merged in admission order at
-	// the commit barrier so any value produces byte-identical output.
-	// Zero or one keeps the engine serial.
+	// EngineWorkers is how many goroutines tick the runs due on one
+	// engine step, each claiming the next unticked run, with results
+	// merged in admission order at the commit barrier so any value
+	// produces byte-identical output.  Zero or one keeps the engine
+	// serial.
 	EngineWorkers int
 	// Cache configures per-stream chunk caching and lookahead
 	// prefetching in the media store; the zero value disables it.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime/pprof"
 	"sync"
+	"sync/atomic"
 
 	"avdb/internal/activity"
 	"avdb/internal/avtime"
@@ -41,20 +42,19 @@ import (
 // flush watermark.
 //
 // With EngineWorkers > 1 the tick phase itself fans out (DESIGN.md
-// §14): admitted runs are partitioned into engineShards session shards
-// (keyed by stripe group when striped, round-robin otherwise), each
-// step hands the due batch's shard slices to a bounded worker pool, and
-// the commit barrier merges results back in admission order.  Runs tick
-// on disjoint per-run state; every shared structure they touch
-// mid-tick (SCAN-EDF rounds, device fault hooks, link counters, the
-// metrics registry) is either lock-protected and order-independent or
-// read-only, and per-run telemetry is buffered in a private obs.Stage
-// replayed in admission order at the barrier — so any worker count
-// stays byte-identical to serial.  Sessions admitted from inside event
-// handlers during a parallel tick keep working but fall outside the
-// byte-identity guarantee (admission order then depends on worker
-// interleaving), as do probabilistic fault hooks shared by sessions in
-// different shards (their RNG draw order follows service order).
+// §14): the loop goroutine and EngineWorkers-1 helpers claim the due
+// batch's runs from one atomic cursor, so any run may tick on any
+// worker, and the commit barrier merges results back in admission
+// order.  Runs tick on disjoint per-run state; every shared structure
+// they touch mid-tick (SCAN-EDF rounds, the buffer pool, device fault
+// hooks, link counters, the metrics registry) is either lock-protected
+// and order-independent or read-only — a fault hook keys each draw by
+// the operation it decides, not by arrival — and per-run telemetry is
+// buffered in a private obs.Stage replayed in admission order at the
+// barrier, so any worker count stays byte-identical to serial.
+// Sessions admitted from inside event handlers during a parallel tick
+// keep working but fall outside the byte-identity guarantee (admission
+// order then depends on worker interleaving).
 //
 // The step path follows the same allocation-free discipline as the
 // SCAN-EDF scheduler (DESIGN.md §12, §13): the due batch, the retired
@@ -75,7 +75,7 @@ type Engine struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	set      *sched.ShardedRunSet
+	set      sched.RunSet
 	entries  map[sched.RunID]*engineEntry
 	admitted []sched.RunID // active ids, admission order (ids are monotonic)
 	running  bool          // loop goroutine alive
@@ -83,24 +83,22 @@ type Engine struct {
 	stepping bool // a step is executing outside the lock
 	steps    int64
 	finished int64 // runs retired since open
-	workers  int   // tick-phase pool size; <= 1 steps serially
-	rrShard  int   // round-robin cursor for unkeyed admissions
+	workers  int   // goroutines ticking a step, the loop's included; fixed at Open
 
-	// Worker pool, built lazily at the first parallel step and torn
-	// down when the run set drains (or setWorkers resizes it).
-	workCh   chan engineShardJob
-	poolSize int // goroutines the live pool was built with
-	stepWG   sync.WaitGroup
+	// The workers-1 helpers, started at the first parallel step and
+	// stopped when the run set drains.
+	helpCh chan tickJob
+	stepWG sync.WaitGroup
 
 	// Step-path scratch, reused step to step.  Only the loop goroutine
 	// (or a test driving stepOnce directly) touches these outside the
 	// engine lock.
-	stepBatch   []*engineEntry   // entries due this step, admission order
-	shardBatch  [][]*engineEntry // the same entries sliced by shard
-	retiredBuf  []*engineEntry   // entries finishing this step
-	sessScratch []*Session       // degradeCandidates session snapshot
-	candScratch []*Session       // degradeCandidates result buffer
-	baseCtx     context.Context  // label-free context restored after a step's ticks
+	stepBatch   []*engineEntry  // entries due this step, admission order
+	claimed     atomic.Int64    // stepBatch entries claimed by tickBatch so far
+	retiredBuf  []*engineEntry  // entries finishing this step
+	sessScratch []*Session      // degradeCandidates session snapshot
+	candScratch []*Session      // degradeCandidates result buffer
+	baseCtx     context.Context // label-free context restored after a step's ticks
 
 	// overload control; all nil/zero until EnableOverloadControl
 	detector      *sched.OverloadDetector
@@ -131,22 +129,15 @@ type engineRun interface {
 	Finish() (*activity.RunStats, error)
 }
 
-// engineShards is the fixed shard count runs are partitioned over.
-// Decoupling it from the worker count keeps shard assignment stable
-// across setWorkers calls: workers pull shard jobs from a channel, so
-// any pool size serves any shard population.
-const engineShards = 16
-
-// engineShardJob asks a pool worker to tick one shard's slice of the
-// current due batch.
-type engineShardJob struct {
-	shard  int
+// tickJob is what every goroutine ticking a step needs besides the
+// batch itself.
+type tickJob struct {
 	step   int64
 	sample bool // sample stall episodes (overload control armed)
 }
 
 // engineEntry is one admitted playback.  The ticks/due/rate fields are
-// the loop-maintained snapshot Sessions() reads under the engine lock:
+// the loop-maintained snapshot SessionsAppend reads under the engine lock:
 // introspection must never call into the GraphRun itself, which the
 // loop may be mid-Tick on outside the lock.
 type engineEntry struct {
@@ -158,16 +149,15 @@ type engineEntry struct {
 	playback *Playback
 	labelCtx context.Context // pprof labels, built once at admission
 
-	rate       avtime.Rate      // immutable after Begin; cached for Sessions()
+	rate       avtime.Rate      // immutable after Begin; cached for SessionsAppend
 	ticks      int              // snapshot, written and read under the engine lock
 	due        avtime.WorldTime // snapshot of the next due time, under the engine lock
-	lastStalls int64            // stall episodes at the previous sample (loop only)
+	lastStalls int64            // stall episodes at the previous sample (ticking goroutine)
 
-	shard int        // home shard, fixed at admission
 	stage *obs.Stage // private telemetry buffer under parallel stepping
 
 	// Tick results, written by the ticking goroutine during phase 1 and
-	// read by the loop goroutine at the merge (the pool's WaitGroup
+	// read by the loop goroutine at the merge (the helpers' WaitGroup
 	// provides the happens-before edge).
 	tickDone  bool
 	tickStall int64
@@ -175,74 +165,69 @@ type engineEntry struct {
 
 func newEngine(db *Database) *Engine {
 	e := &Engine{
-		db:         db,
-		set:        sched.NewShardedRunSet(engineShards),
-		entries:    make(map[sched.RunID]*engineEntry),
-		shardBatch: make([][]*engineEntry, engineShards),
-		workers:    1,
-		baseCtx:    context.Background(),
+		db:      db,
+		entries: make(map[sched.RunID]*engineEntry),
+		workers: 1,
+		baseCtx: context.Background(),
 	}
 	e.cond = sync.NewCond(&e.mu)
 	return e
 }
 
-// setWorkers bounds the engine's tick-phase worker pool; n <= 1 steps
+// setWorkers sets how many goroutines tick each step; n <= 1 steps
 // serially.  The output is byte-identical for any value, so it is
 // purely a host-parallelism knob, fixed at Open from
-// Config.EngineWorkers (telemetry staging is decided per admission, so
-// it must not change once sessions are admitted).
+// Config.EngineWorkers, before any admission (telemetry staging is
+// decided per admission).
 func (e *Engine) setWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
 	e.mu.Lock()
-	for e.stepping {
-		e.cond.Wait()
-	}
-	e.workers = n
-	e.stopPool()
+	e.workers = max(n, 1)
 	e.mu.Unlock()
 }
 
-// ensurePool makes the worker pool match e.workers, building it on
-// first (or post-resize) use.  Only the loop goroutine calls it.
-func (e *Engine) ensurePool(n int) {
-	if e.workCh != nil && e.poolSize == n {
+// startHelpers starts the n helper goroutines on the first parallel
+// step.  Only the loop goroutine calls it.
+func (e *Engine) startHelpers(n int) {
+	if e.helpCh != nil {
 		return
 	}
-	e.stopPool()
-	e.workCh = make(chan engineShardJob, engineShards)
-	e.poolSize = n
+	e.helpCh = make(chan tickJob, n)
 	for i := 0; i < n; i++ {
-		go e.poolWorker(e.workCh)
+		go e.helper(e.helpCh)
 	}
 }
 
-// stopPool closes the pool; in-flight jobs have already been waited
-// for (the step barrier precedes every call).
-func (e *Engine) stopPool() {
-	if e.workCh != nil {
-		close(e.workCh)
-		e.workCh = nil
-		e.poolSize = 0
+// stopHelpers releases the helpers; the step barrier precedes every
+// call, so none is mid-batch.
+func (e *Engine) stopHelpers() {
+	if e.helpCh != nil {
+		close(e.helpCh)
+		e.helpCh = nil
 	}
 }
 
-// poolWorker drains shard jobs until the channel closes.
-func (e *Engine) poolWorker(ch chan engineShardJob) {
+// helper joins one step's tickBatch per job until the channel closes.
+func (e *Engine) helper(ch chan tickJob) {
 	for job := range ch {
-		e.tickShard(job)
+		e.tickBatch(job)
 		e.stepWG.Done()
 	}
 }
 
-// tickShard executes one shard's slice of the due batch: every run
-// ticks in admission order within the shard, recording its outcome on
-// its own entry.  Cross-shard ordering is free to race — runs touch
-// disjoint per-run state, and all shared mid-tick structures are
-// lock-protected and order-independent (see the Engine doc comment).
-func (e *Engine) tickShard(job engineShardJob) {
-	for _, en := range e.shardBatch[job.shard] {
+// tickBatch ticks stepBatch entries until none is left to claim.  The
+// loop goroutine and every helper run it at once, each claiming the
+// next entry from one atomic cursor, so a run may tick on any of them;
+// each records its outcome on its own entry.  Ordering across runs is
+// free to race — runs touch disjoint per-run state, and all shared
+// mid-tick structures are lock-protected and order-independent (see the
+// Engine doc comment).
+func (e *Engine) tickBatch(job tickJob) {
+	for {
+		i := int(e.claimed.Add(1)) - 1
+		if i >= len(e.stepBatch) {
+			break
+		}
+		en := e.stepBatch[i]
 		en.run.SetRound(job.step)
 		pprof.SetGoroutineLabels(en.labelCtx)
 		done, _ := en.run.Tick()
@@ -315,27 +300,17 @@ func (e *Engine) admitCheck() error {
 // loop.  Called by Session.StartAt with the graph already started and
 // the playback handle registered on the session.  The pprof label
 // context is built here, once per admission, so the step path never
-// constructs label sets per tick.
-//
-// shardKey picks the run's home shard: a non-negative key (the
-// session's stripe-group hash, computed by the caller since it owns
-// the session lock) maps sessions sharing a disk group to the same
-// shard, a negative key takes the round-robin cursor.  Under parallel
-// stepping with observability on, the run's sink is swapped for a
-// private obs.Stage here — after Begin, which emitted the session's
-// setup spans directly, and before the first tick.
-func (e *Engine) admit(s *Session, run engineRun, p *Playback, shardKey int) {
+// constructs label sets per tick.  Under parallel stepping with
+// observability on, the run's sink is swapped for a private obs.Stage
+// here — after Begin, which emitted the session's setup spans directly,
+// and before the first tick.
+func (e *Engine) admit(s *Session, run engineRun, p *Playback) {
 	labels := pprof.Labels("avdb_session", s.ID(), "avdb_graph", run.Graph().Name())
 	ctx := pprof.WithLabels(context.Background(), labels)
 	sink := e.db.sink()
 	e.mu.Lock()
-	shard := shardKey % engineShards
-	if shard < 0 {
-		shard = e.rrShard
-		e.rrShard = (e.rrShard + 1) % engineShards
-	}
 	due := run.NextDue()
-	id := e.set.Admit(due, shard)
+	id := e.set.Admit(due)
 	en := &engineEntry{
 		id:       id,
 		sess:     s,
@@ -346,7 +321,6 @@ func (e *Engine) admit(s *Session, run engineRun, p *Playback, shardKey int) {
 		labelCtx: ctx,
 		rate:     run.Rate(),
 		due:      due,
-		shard:    shard,
 	}
 	if sink != nil && e.workers > 1 {
 		en.stage = &obs.Stage{}
@@ -410,7 +384,7 @@ func (e *Engine) stepOnce() bool {
 	}
 	if e.set.Len() == 0 {
 		e.running = false
-		e.stopPool()
+		e.stopHelpers()
 		e.cond.Broadcast()
 		e.mu.Unlock()
 		return false
@@ -420,16 +394,10 @@ func (e *Engine) stepOnce() bool {
 	e.steps++
 	// The DueBatch buffer is owned by the run set and only valid until
 	// its next call; resolve ids to entries into the engine's own
-	// reusable batch buffer (and its per-shard slices) before dropping
-	// the lock.
+	// reusable batch buffer before dropping the lock.
 	e.stepBatch = e.stepBatch[:0]
-	for i := range e.shardBatch {
-		e.shardBatch[i] = e.shardBatch[i][:0]
-	}
 	for _, id := range ids {
-		en := e.entries[id]
-		e.stepBatch = append(e.stepBatch, en)
-		e.shardBatch[en.shard] = append(e.shardBatch[en.shard], en)
+		e.stepBatch = append(e.stepBatch, e.entries[id])
 	}
 	batch := e.stepBatch
 	det := e.detector
@@ -451,43 +419,21 @@ func (e *Engine) stepOnce() bool {
 
 	// Phase 1 — tick every due run, all tagged with this step's service
 	// round so the store batches their chunk requests into the same
-	// per-disk SCAN-EDF rounds.  Serial engines walk the batch in
-	// admission order on this goroutine; parallel engines hand each
-	// shard's slice to the worker pool and wait at the barrier.  Either
-	// way each run ticks under its admission-time pprof label context.
-	if workers > 1 && len(batch) > 1 {
-		e.ensurePool(workers)
-		pending := 0
-		for si := range e.shardBatch {
-			if len(e.shardBatch[si]) > 0 {
-				pending++
-			}
-		}
-		e.stepWG.Add(pending)
-		sample := det != nil
-		for si := range e.shardBatch {
-			if len(e.shardBatch[si]) > 0 {
-				e.workCh <- engineShardJob{shard: si, step: step, sample: sample}
-			}
-		}
-		e.stepWG.Wait()
-	} else {
-		for _, en := range batch {
-			en.run.SetRound(step)
-			pprof.SetGoroutineLabels(en.labelCtx)
-			done, _ := en.run.Tick()
-			en.tickDone = done
-			en.tickStall = 0
-			if det != nil {
-				eps := en.sess.stallEpisodes()
-				en.tickStall = eps - en.lastStalls
-				en.lastStalls = eps
-			}
-		}
-		if len(batch) > 0 {
-			pprof.SetGoroutineLabels(e.baseCtx)
+	// per-disk SCAN-EDF rounds.  This goroutine runs tickBatch, joined
+	// by up to workers-1 helpers when the batch has runs to spare, and
+	// waits for them at the barrier.  Each run ticks under its
+	// admission-time pprof label context.
+	job := tickJob{step: step, sample: det != nil}
+	e.claimed.Store(0)
+	if helpers := min(workers, len(batch)) - 1; helpers > 0 {
+		e.startHelpers(workers - 1)
+		e.stepWG.Add(helpers)
+		for i := 0; i < helpers; i++ {
+			e.helpCh <- job
 		}
 	}
+	e.tickBatch(job)
+	e.stepWG.Wait()
 
 	// Merge — walk the batch in admission order: accumulate the stall
 	// sample, replay each run's staged telemetry into the real sink
@@ -522,7 +468,7 @@ func (e *Engine) stepOnce() bool {
 		}
 	}
 	for _, en := range batch {
-		// Refresh the introspection snapshot under the lock: Sessions()
+		// Refresh the introspection snapshot under the lock: SessionsAppend
 		// reads these fields instead of calling into the run, which
 		// this goroutine mutates outside the lock.
 		en.ticks = en.run.Ticks()
@@ -759,14 +705,6 @@ type EngineSession struct {
 	PoolMisses int64 // buffer-pool misses across the session's open streams
 
 	sess *Session // carried between the two SessionsAppend passes, then cleared
-}
-
-// Sessions lists the active engine entries in admission order.  It
-// allocates a fresh slice so concurrent pollers never share a buffer;
-// callers that poll at scale should use SessionsAppend with a retained
-// buffer (and a cap) instead.
-func (e *Engine) Sessions() []EngineSession {
-	return e.SessionsAppend(nil, 0)
 }
 
 // SessionsAppend appends up to top active entries (0 = all), in

@@ -43,11 +43,11 @@ func (f *fakeRun) Tick() (bool, error) {
 	return false, nil
 }
 
-// admitFakeRuns enters n fake runs into the engine with the loop
-// goroutine held out (running forced true), so the test drives
-// stepOnce synchronously.  All fakes share one due time, so every step
-// batches all of them — the widest, worst-case step.
-func admitFakeRuns(t testing.TB, db *Database, n int) *Engine {
+// admitFakeRuns enters n fake runs into an engine of the given worker
+// count with the loop goroutine held out (running forced true), so the
+// test drives stepOnce synchronously.  All fakes share one due time, so
+// every step batches all of them — the widest, worst-case step.
+func admitFakeRuns(t testing.TB, db *Database, n, workers int) *Engine {
 	t.Helper()
 	s, err := db.Connect("alloc-harness", "lan0")
 	if err != nil {
@@ -55,12 +55,13 @@ func admitFakeRuns(t testing.TB, db *Database, n int) *Engine {
 	}
 	t.Cleanup(func() { s.Close() })
 	e := db.Engine()
+	e.setWorkers(workers)
 	e.mu.Lock()
 	e.running = true // keep the loop goroutine out; the test steps directly
 	e.mu.Unlock()
 	g := activity.NewGraph("fake")
 	for i := 0; i < n; i++ {
-		e.admit(s, &fakeRun{g: g, unit: avtime.Millisecond}, &Playback{done: make(chan struct{})}, -1)
+		e.admit(s, &fakeRun{g: g, unit: avtime.Millisecond}, &Playback{done: make(chan struct{})})
 	}
 	return e
 }
@@ -70,17 +71,16 @@ func admitFakeRuns(t testing.TB, db *Database, n int) *Engine {
 // per-run label switch and tick, snapshot refresh, reschedule, clock
 // commit — performs zero heap allocations of its own.  The runs are
 // no-op fakes, so any allocation measured here is engine bookkeeping.
-// 256 sessions at 4 workers is the sharded step with several runs per
-// shard — the arm BenchmarkEngineStepSharded starts from.
+// 256 sessions at 4 workers is the parallel step with many runs per
+// worker — the arm BenchmarkEngineStepSharded starts from.
 func TestEngineAllocsPerStep(t *testing.T) {
 	for _, n := range []int{1, 16, 256} {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("sessions-%d-workers-%d", n, workers), func(t *testing.T) {
 				db := testDB(t)
-				e := admitFakeRuns(t, db, n)
-				e.setWorkers(workers)
-				// Warm the batch/retired/DueBatch buffers (and, sharded, the
-				// worker pool and its goroutines' sudog caches) past growth.
+				e := admitFakeRuns(t, db, n, workers)
+				// Warm the batch/retired/DueBatch buffers (and, in parallel,
+				// the helpers and their goroutines' sudog caches) past growth.
 				for i := 0; i < 32; i++ {
 					e.stepOnce()
 				}
@@ -116,7 +116,7 @@ func (r *busyRun) Tick() (bool, error) {
 }
 
 // admitBusyRuns is admitFakeRuns over busyRuns.
-func admitBusyRuns(t testing.TB, db *Database, n, spin int) *Engine {
+func admitBusyRuns(t testing.TB, db *Database, n, spin, workers int) *Engine {
 	t.Helper()
 	s, err := db.Connect("shard-harness", "lan0")
 	if err != nil {
@@ -124,19 +124,20 @@ func admitBusyRuns(t testing.TB, db *Database, n, spin int) *Engine {
 	}
 	t.Cleanup(func() { s.Close() })
 	e := db.Engine()
+	e.setWorkers(workers)
 	e.mu.Lock()
 	e.running = true // keep the loop goroutine out; the test steps directly
 	e.mu.Unlock()
 	g := activity.NewGraph("busy")
 	for i := 0; i < n; i++ {
-		e.admit(s, &busyRun{fakeRun: fakeRun{g: g, unit: avtime.Millisecond}, spin: spin}, &Playback{done: make(chan struct{})}, -1)
+		e.admit(s, &busyRun{fakeRun: fakeRun{g: g, unit: avtime.Millisecond}, spin: spin}, &Playback{done: make(chan struct{})})
 	}
 	return e
 }
 
 // BenchmarkEngineStepSharded measures step throughput as the tick
-// phase fans out: serial versus a 4-worker pool at 256/1k/4k sessions
-// of µs-scale busy work.  A guard, not a claim: whether the shard pool
+// phase fans out: serial versus 4 workers at 256/1k/4k sessions of
+// µs-scale busy work.  A guard, not a claim: whether parallel stepping
 // pays is measured end to end by bench/ (core.engine.parallel_ratio);
 // TestEngineAllocsPerStep holds the 0 allocs/step bound.
 func BenchmarkEngineStepSharded(b *testing.B) {
@@ -145,8 +146,7 @@ func BenchmarkEngineStepSharded(b *testing.B) {
 		for _, workers := range []int{1, 4} {
 			b.Run(fmt.Sprintf("sessions-%d-workers-%d", n, workers), func(b *testing.B) {
 				db := testDB(b)
-				e := admitBusyRuns(b, db, n, spin)
-				e.setWorkers(workers)
+				e := admitBusyRuns(b, db, n, spin, workers)
 				for i := 0; i < 8; i++ {
 					e.stepOnce()
 				}
@@ -171,7 +171,7 @@ func BenchmarkEngineStep(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			db := testDB(b)
-			e := admitFakeRuns(b, db, n)
+			e := admitFakeRuns(b, db, n, 1)
 			for i := 0; i < 32; i++ {
 				e.stepOnce()
 			}
@@ -185,14 +185,14 @@ func BenchmarkEngineStep(b *testing.B) {
 }
 
 // BenchmarkRunSetCoDue is the run-set share of a vod_zipf step on its
-// own: 1000 runs admitted co-due round-robin over the engine's 16
-// shards, each step popping the batch and moving every member one
-// period on.  One op is one step of 1000 runs; it must not allocate.
+// own: 1000 runs admitted co-due, each step popping the batch and
+// moving every member one period on.  One op is one step of 1000 runs;
+// it must not allocate.
 func BenchmarkRunSetCoDue(b *testing.B) {
 	const runs = 1000
-	set := sched.NewShardedRunSet(engineShards)
+	var set sched.RunSet
 	for i := 0; i < runs; i++ {
-		set.Admit(0, i%engineShards)
+		set.Admit(0)
 	}
 	period := avtime.RateVideo30.UnitDuration()
 	batch := make([]sched.RunID, 0, runs)
@@ -213,11 +213,11 @@ func BenchmarkRunSetCoDue(b *testing.B) {
 	}
 }
 
-// TestEngineSessionsPollRace is the regression for the Sessions()
+// TestEngineSessionsPollRace is the regression for the session-listing
 // introspection race: it used to call run.Ticks()/Rate()/NextDue()
 // after dropping the engine lock while the loop was mid-Tick on the
 // same GraphRun — a data race on the run's tick counter that -race
-// reports reliably under a busy multi-session load.  Sessions() now
+// reports reliably under a busy multi-session load.  SessionsAppend
 // reads the loop-maintained snapshot under the lock.
 func TestEngineSessionsPollRace(t *testing.T) {
 	db := testDB(t)
@@ -248,7 +248,7 @@ func TestEngineSessionsPollRace(t *testing.T) {
 					return
 				default:
 				}
-				for _, es := range db.Engine().Sessions() {
+				for _, es := range db.Engine().SessionsAppend(nil, 0) {
 					if es.Ticks < 0 || es.Due < 0 {
 						t.Errorf("implausible snapshot: %+v", es)
 						return

@@ -10,13 +10,14 @@ import (
 	"avdb/internal/fault"
 	"avdb/internal/media"
 	"avdb/internal/netsim"
+	"avdb/internal/obs"
 	"avdb/internal/storage"
 )
 
-// engine_shard_test.go pins the PR 9 guarantee: the sharded engine's
-// output is byte-identical to serial for ANY EngineWorkers count,
-// proven the same way the PR 5 suite proved the serial engine
-// equivalent to back-to-back Graph.Run.
+// engine_shard_test.go pins the parallel engine's guarantee: its output
+// is byte-identical to serial for ANY EngineWorkers count, proven the
+// same way the serial engine is proven equivalent to back-to-back
+// Graph.Run.
 
 // audienceRun is one co-admitted audience played to completion.
 type audienceRun struct {
@@ -28,8 +29,7 @@ type audienceRun struct {
 // playAudience plays audience[k] sessions over clip k (15+4k frames,
 // each on disk0 of testDB) under the given buffer-pool policy and
 // EngineWorkers count.  Every session is admitted into the same first
-// engine step.  The clips are unstriped, so the engine shards sessions
-// round-robin and a clip's viewers land on different shards.
+// engine step, and any of its runs may tick on any worker.
 func playAudience(t *testing.T, audience []int, cache storage.CachePolicy, engineWorkers int) audienceRun {
 	t.Helper()
 	db := testDB(t)
@@ -77,11 +77,10 @@ func playAudience(t *testing.T, audience []int, cache storage.CachePolicy, engin
 
 // TestEngineShardedDeterminism sweeps EngineWorkers {1,2,4}: every
 // value must produce the same obs snapshot bytes, per-session RunStats
-// and per-session cache stats as the serial engine.  Sessions are
-// unstriped, so shard assignment is round-robin.  The pooled input is
-// several viewers per clip over the shared buffer pool (a hot clip, a
-// warm one and a single viewer): a clip's viewers land on different
-// shards that hit each other's chunks, so it holds the pool's staged
+// and per-session cache stats as the serial engine.  The pooled input
+// is several viewers per clip over the shared buffer pool (a hot clip,
+// a warm one and a single viewer): a clip's viewers tick on different
+// workers and hit each other's chunks, so it holds the pool's staged
 // (pid, seq) commit to the same bar.
 func TestEngineShardedDeterminism(t *testing.T) {
 	for _, in := range []struct {
@@ -111,47 +110,25 @@ func TestEngineShardedDeterminism(t *testing.T) {
 }
 
 // TestEngineShardedChaosDeterminism is the chaos arm the race detector
-// exercises: a victim session with the full recovery stack rides out
-// probabilistic transient faults, a mid-run disk outage and a link
-// collapse while bystanders stream on other spindles — all under
-// EngineWorkers 4, repeated, and compared byte-for-byte against the
-// serial engine.  The probabilistic fault targets disk0, which exactly
-// one session reads, so its RNG draws serialize inside that session's
-// tick stream and stay deterministic under parallel stepping.
+// exercises: probabilistic faults under EngineWorkers 2 and 4, repeated,
+// compared byte-for-byte against the serial engine.  Two inputs:
+//
+//   - victim: one session with the full recovery stack rides out
+//     transient faults, a mid-run disk outage and a link collapse while
+//     bystanders stream on other spindles, untouched;
+//   - shared: six unstriped sessions on disk0 and two striped over the
+//     disk0+disk1 group all draw from one injector — transient reads on
+//     disk0, corruption on their shared lan0 — and sacrifice faulted
+//     frames.  Which session loses which frame depends only on the
+//     draws, so this holds only because every draw is keyed by the
+//     operation, not by the order sessions tick in.
 func TestEngineShardedChaosDeterminism(t *testing.T) {
 	const frames = 30
 	total := avtime.WorldTime(frames) * avtime.Second / 30
 
-	run := func(engineWorkers int) (string, []isoOutcome) {
-		db := isoDB(t, 3)
-		col := db.EnableObservability()
-		db.Engine().setWorkers(engineWorkers)
-		vLink := netsim.NewLink("lan-victim", 12*media.MBPerSecond, 2*avtime.Millisecond, avtime.Millisecond, 7)
-		if err := db.Network().AddLink(vLink); err != nil {
-			t.Fatal(err)
-		}
-
-		plan := fault.NewPlan(7)
-		for _, f := range []fault.Fault{
-			{Kind: fault.TransientRead, Target: "disk0", Start: 0, Dur: total / 2, Probability: 0.4},
-			{Kind: fault.DeviceOutage, Target: "disk0", Start: total * 2 / 5, Dur: total / 10},
-			{Kind: fault.LinkDegrade, Target: "lan-victim", Start: total / 2, Dur: total / 4, Factor: 0.25},
-		} {
-			if _, err := plan.Add(f); err != nil {
-				t.Fatal(err)
-			}
-		}
-		inj := fault.NewInjector(plan, db.Clock())
-		db.Devices().SetFaultHook(inj)
-		vLink.SetFaultHook(inj)
-
-		victim := buildPlaybackOn(t, db, "victim", frames, "disk0", "lan-victim")
-		victim.src.SetRetry(fault.DefaultRetry)
-		victim.src.SetDropOnFault(true)
-		b1 := buildPlaybackOn(t, db, "bystander-1", frames, "disk1", "lan0")
-		b2 := buildPlaybackOn(t, db, "bystander-2", frames, "disk2", "lan0")
-		all := []*playbackSession{victim, b1, b2}
-
+	// play co-admits the sessions, plays them out and returns the obs
+	// snapshot and per-session outcomes.
+	play := func(db *Database, col *obs.Collector, all []*playbackSession) (string, []isoOutcome) {
 		db.Engine().Pause()
 		var pbs []*Playback
 		for _, ps := range all {
@@ -162,7 +139,6 @@ func TestEngineShardedChaosDeterminism(t *testing.T) {
 			pbs = append(pbs, pb)
 		}
 		db.Engine().Resume()
-
 		outs := make([]isoOutcome, len(all))
 		for i, pb := range pbs {
 			_, err := pb.Wait()
@@ -181,24 +157,99 @@ func TestEngineShardedChaosDeterminism(t *testing.T) {
 		return js, outs
 	}
 
-	serialSnap, serialOuts := run(1)
-	if serialOuts[0].Err != "" {
-		t.Errorf("armed victim died: %v", serialOuts[0].Err)
+	victim := func(engineWorkers int) (string, []isoOutcome) {
+		db := isoDB(t, 3)
+		col := db.EnableObservability()
+		db.Engine().setWorkers(engineWorkers)
+		vLink := netsim.NewLink("lan-victim", 12*media.MBPerSecond, 2*avtime.Millisecond, avtime.Millisecond, 7)
+		if err := db.Network().AddLink(vLink); err != nil {
+			t.Fatal(err)
+		}
+		inj := fault.NewInjector(fault.NewPlan(7).
+			MustAdd(fault.Fault{Kind: fault.TransientRead, Target: "disk0", Start: 0, Dur: total / 2, Probability: 0.4}).
+			MustAdd(fault.Fault{Kind: fault.DeviceOutage, Target: "disk0", Start: total * 2 / 5, Dur: total / 10}).
+			MustAdd(fault.Fault{Kind: fault.LinkDegrade, Target: "lan-victim", Start: total / 2, Dur: total / 4, Factor: 0.25}),
+			db.Clock())
+		db.Devices().SetFaultHook(inj)
+		vLink.SetFaultHook(inj)
+
+		v := buildPlaybackOn(t, db, "victim", frames, "disk0", "lan-victim")
+		v.src.SetRetry(fault.DefaultRetry)
+		v.src.SetDropOnFault(true)
+		b1 := buildPlaybackOn(t, db, "bystander-1", frames, "disk1", "lan0")
+		b2 := buildPlaybackOn(t, db, "bystander-2", frames, "disk2", "lan0")
+		return play(db, col, []*playbackSession{v, b1, b2})
 	}
-	for i := 1; i < 3; i++ {
-		if serialOuts[i] != (isoOutcome{Shown: frames}) {
-			t.Errorf("bystander %d touched by victim's faults: %+v", i, serialOuts[i])
+
+	shared := func(engineWorkers int) (string, []isoOutcome) {
+		db := isoDB(t, 2)
+		col := db.EnableObservability()
+		db.Engine().setWorkers(engineWorkers)
+		inj := fault.NewInjector(fault.NewPlan(7).
+			MustAdd(fault.Fault{Kind: fault.TransientRead, Target: "disk0", Start: 0, Dur: total, Probability: 0.3}).
+			MustAdd(fault.Fault{Kind: fault.ChunkCorrupt, Target: "lan0", Start: 0, Dur: total, Probability: 0.2}),
+			db.Clock())
+		db.Devices().SetFaultHook(inj)
+		lan0, _ := db.Network().Link("lan0")
+		lan0.SetFaultHook(inj)
+
+		var all []*playbackSession
+		for i := 0; i < 6; i++ {
+			all = append(all, buildPlaybackOn(t, db, fmt.Sprintf("unstriped-%d", i), frames, "disk0", "lan0"))
 		}
+		for i := 0; i < 2; i++ {
+			client := fmt.Sprintf("striped-%d", i)
+			oid := tierNewscast(t, db, client+"-clip", frames)
+			if _, err := db.PlaceMediaStriped(oid, "videoTrack", media.MBPerSecond, 2); err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, bindPlayback(t, db, client, "lan0", oid))
+		}
+		for _, ps := range all {
+			ps.src.SetDropOnFault(true)
+		}
+		return play(db, col, all)
 	}
-	for rep := 0; rep < 2; rep++ {
-		snap, outs := run(4)
-		if !reflect.DeepEqual(serialOuts, outs) {
-			t.Errorf("EngineWorkers=4 rep %d: outcomes diverged: %+v vs %+v", rep, outs, serialOuts)
-		}
-		if snap != serialSnap {
-			t.Errorf("EngineWorkers=4 rep %d: obs snapshot differs from serial (%d vs %d bytes)",
-				rep, len(snap), len(serialSnap))
-		}
+
+	for _, in := range []struct {
+		name  string
+		run   func(engineWorkers int) (string, []isoOutcome)
+		check func(t *testing.T, serial []isoOutcome)
+	}{
+		{"victim", victim, func(t *testing.T, outs []isoOutcome) {
+			if outs[0].Err != "" {
+				t.Errorf("armed victim died: %v", outs[0].Err)
+			}
+			for i := 1; i < 3; i++ {
+				if outs[i] != (isoOutcome{Shown: frames}) {
+					t.Errorf("bystander %d touched by victim's faults: %+v", i, outs[i])
+				}
+			}
+		}},
+		{"shared", shared, func(t *testing.T, outs []isoOutcome) {
+			for i, o := range outs {
+				if o.Err != "" || o.Lost == 0 || o.Shown+o.Lost != frames {
+					t.Errorf("session %d: %+v, want faulted frames sacrificed and the rest shown", i, o)
+				}
+			}
+		}},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			serialSnap, serialOuts := in.run(1)
+			in.check(t, serialOuts)
+			for rep := 0; rep < 2; rep++ {
+				for _, ew := range []int{2, 4} {
+					snap, outs := in.run(ew)
+					if !reflect.DeepEqual(serialOuts, outs) {
+						t.Errorf("EngineWorkers=%d rep %d: outcomes diverged: %+v vs %+v", ew, rep, outs, serialOuts)
+					}
+					if snap != serialSnap {
+						t.Errorf("EngineWorkers=%d rep %d: obs snapshot differs from serial (%d vs %d bytes)",
+							ew, rep, len(snap), len(serialSnap))
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -378,9 +378,9 @@ func TestEngineIntrospection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	list := eng.Sessions()
+	list := eng.SessionsAppend(nil, 0)
 	if len(list) != 2 {
-		t.Fatalf("Sessions() = %d entries, want 2", len(list))
+		t.Fatalf("SessionsAppend = %d entries, want 2", len(list))
 	}
 	if list[0].Session != a.sess.ID() || list[1].Session != b.sess.ID() {
 		t.Errorf("admission order lost: %q then %q", list[0].Session, list[1].Session)
@@ -417,8 +417,8 @@ func TestEngineIntrospection(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if len(eng.Sessions()) != 0 {
-		t.Errorf("Sessions() after drain = %v", eng.Sessions())
+	if list := eng.SessionsAppend(nil, 0); len(list) != 0 {
+		t.Errorf("SessionsAppend after drain = %v", list)
 	}
 }
 

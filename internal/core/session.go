@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
 
 	"avdb/internal/activity"
@@ -404,34 +403,8 @@ func (s *Session) StartAt(rate avtime.Rate, maxTicks int) (*Playback, error) {
 	}
 	p := &Playback{graph: s.graph, done: make(chan struct{})}
 	s.playback = p
-	s.db.runEngine.admit(s, run, p, s.stripeShardKeyLocked())
+	s.db.runEngine.admit(s, run, p)
 	return p, nil
-}
-
-// stripeShardKeyLocked derives the session's engine shard key from the
-// disk groups its streams read: sessions over the same stripe group
-// land in the same shard, so a shard's tick slice leans on one disk
-// group's SCAN-EDF batches rather than spraying every shard across
-// every disk.  Unstriped (or streamless) sessions return -1 and are
-// spread round-robin by the engine.  The caller holds s.mu.
-func (s *Session) stripeShardKeyLocked() int {
-	h := fnv.New32a()
-	keyed := false
-	for _, st := range s.streams {
-		seg := st.Segment()
-		if seg == nil {
-			continue
-		}
-		for _, id := range seg.Stripe() {
-			h.Write([]byte(id))
-			keyed = true
-		}
-	}
-	if !keyed {
-		return -1
-	}
-	// Mask to non-negative; the engine reduces modulo its shard count.
-	return int(h.Sum32() & 0x7fffffff)
 }
 
 // Done returns a channel closed when the stream completes — the

@@ -81,17 +81,27 @@ var ErrDeviceFailed = fmt.Errorf("device: device failed")
 // prescribed recovery.
 var ErrTransientRead = fmt.Errorf("device: transient read fault")
 
+// Access names one faultable operation independently of when it runs:
+// Src is the requester (a stream, a connection, a disc) and Seq that
+// requester's own count of such operations.  A fault hook keys its
+// probabilistic decisions on it, so they do not depend on the order in
+// which concurrent requesters reach the device.
+type Access struct {
+	Src, Seq int64
+}
+
 // FaultHook is consulted on a device's timed operations; a fault
 // injector implements it to make simulated hardware misbehave on a
 // deterministic schedule.  A nil hook is a fault-free device.
 type FaultHook interface {
-	// BeforeRead runs before a read of bytes from the device.  It
+	// BeforeRead runs before the read a of bytes from the device.  It
 	// returns extra world time the fault costs (charged to the read) and
 	// an error to inject: one wrapping ErrTransientRead for a retryable
 	// fault, or ErrDeviceFailed for an outage.
-	BeforeRead(deviceID string, bytes int64) (avtime.WorldTime, error)
-	// BeforeSwap runs before a jukebox disc swap and may fail it.
-	BeforeSwap(deviceID string, disc int) error
+	BeforeRead(deviceID string, a Access, bytes int64) (avtime.WorldTime, error)
+	// BeforeSwap runs before a jukebox disc swap and may fail it; a.Src
+	// is the disc being loaded.
+	BeforeSwap(deviceID string, a Access) error
 }
 
 // Faultable is satisfied by devices that accept a fault hook and expose
@@ -99,7 +109,7 @@ type FaultHook interface {
 // faulted reads.
 type Faultable interface {
 	SetFaultHook(FaultHook)
-	CheckRead(bytes int64) (avtime.WorldTime, error)
+	CheckRead(a Access, bytes int64) (avtime.WorldTime, error)
 }
 
 // bwAccount is a reservable bandwidth budget shared by disks and the
@@ -331,14 +341,14 @@ func (d *Disk) SetFaultHook(h FaultHook) {
 	d.hook.Store(&h)
 }
 
-// CheckRead implements Faultable: it consults the fault hook before a
-// read of bytes, returning any extra latency and injected error.
-func (d *Disk) CheckRead(bytes int64) (avtime.WorldTime, error) {
+// CheckRead implements Faultable: it consults the fault hook before the
+// read a of bytes, returning any extra latency and injected error.
+func (d *Disk) CheckRead(a Access, bytes int64) (avtime.WorldTime, error) {
 	p := d.hook.Load()
 	if p == nil || *p == nil {
 		return 0, nil
 	}
-	return (*p).BeforeRead(d.id, bytes)
+	return (*p).BeforeRead(d.id, a, bytes)
 }
 
 // Jukebox is an analog videodisc jukebox: several discs, of which a
@@ -354,12 +364,13 @@ type Jukebox struct {
 	swap    avtime.WorldTime
 	bw      bwAccount
 
-	mu     sync.Mutex
-	used   []int64
-	loaded []int // discs in the platter slots, most recently used first
-	slots  int   // platter slots; discs loaded at once
-	swaps  int64 // completed disc swaps
-	hook   FaultHook
+	mu        sync.Mutex
+	used      []int64
+	loaded    []int // discs in the platter slots, most recently used first
+	slots     int   // platter slots; discs loaded at once
+	swaps     int64 // completed disc swaps
+	swapTries int64 // swap attempts, jammed ones included; keys the fault hook
+	hook      FaultHook
 }
 
 // NewJukebox returns a jukebox with the given number of discs and one
@@ -507,8 +518,10 @@ func (j *Jukebox) AccessTime(disc int, bytes int64) (avtime.WorldTime, error) {
 		copy(j.loaded[1:], j.loaded[:i])
 		j.loaded[0] = disc
 	} else {
+		try := Access{Src: int64(disc), Seq: j.swapTries}
+		j.swapTries++
 		if j.hook != nil {
-			if err := j.hook.BeforeSwap(j.id, disc); err != nil {
+			if err := j.hook.BeforeSwap(j.id, try); err != nil {
 				// The swap mechanism jammed: the platter keeps its discs
 				// and the failed attempt still costs a swap latency.
 				return j.swap, err
@@ -545,14 +558,14 @@ func (j *Jukebox) SetFaultHook(h FaultHook) {
 }
 
 // CheckRead implements Faultable.
-func (j *Jukebox) CheckRead(bytes int64) (avtime.WorldTime, error) {
+func (j *Jukebox) CheckRead(a Access, bytes int64) (avtime.WorldTime, error) {
 	j.mu.Lock()
 	h := j.hook
 	j.mu.Unlock()
 	if h == nil {
 		return 0, nil
 	}
-	return h.BeforeRead(j.id, bytes)
+	return h.BeforeRead(j.id, a, bytes)
 }
 
 // Unit is a non-storage device: framebuffer, ADC, DAC, DSP or video

@@ -2,6 +2,7 @@ package device
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -452,13 +453,13 @@ func TestJukeboxPlatterSlots(t *testing.T) {
 	}
 }
 
-// jamOnce fails the first swap it sees.
-type jamOnce struct{ jammed *bool }
+// jamOnce fails the first swap it sees and records every attempt.
+type jamOnce struct{ seen *[]Access }
 
-func (h jamOnce) BeforeRead(string, int64) (avtime.WorldTime, error) { return 0, nil }
-func (h jamOnce) BeforeSwap(string, int) error {
-	if !*h.jammed {
-		*h.jammed = true
+func (h jamOnce) BeforeRead(string, Access, int64) (avtime.WorldTime, error) { return 0, nil }
+func (h jamOnce) BeforeSwap(_ string, a Access) error {
+	*h.seen = append(*h.seen, a)
+	if len(*h.seen) == 1 {
 		return errors.New("jam")
 	}
 	return nil
@@ -466,8 +467,8 @@ func (h jamOnce) BeforeSwap(string, int) error {
 
 func TestJukeboxSwapJamKeepsPlatter(t *testing.T) {
 	j := NewJukebox("jb0", 3, 1000, 1*media.MBPerSecond, 5*avtime.Second)
-	jammed := false
-	j.SetFaultHook(jamOnce{jammed: &jammed})
+	var seen []Access
+	j.SetFaultHook(jamOnce{seen: &seen})
 	dt, err := j.AccessTime(1, 0)
 	if err == nil {
 		t.Fatal("jammed swap succeeded")
@@ -485,5 +486,9 @@ func TestJukeboxSwapJamKeepsPlatter(t *testing.T) {
 	}
 	if !j.DiscLoaded(1) || j.Swaps() != 1 {
 		t.Errorf("after retry: loaded %v, swaps %d; want disc 1, 1", j.Loaded(), j.Swaps())
+	}
+	// The jammed attempt counts, so the retry is a fresh draw for a hook.
+	if want := []Access{{Src: 1, Seq: 0}, {Src: 1, Seq: 1}}; !reflect.DeepEqual(seen, want) {
+		t.Errorf("swap attempts seen = %v, want %v", seen, want)
 	}
 }

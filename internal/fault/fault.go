@@ -9,15 +9,16 @@
 // Everything the paper's §3.3 guarantees — resource pre-allocation,
 // client-visible scheduling, quality-factor representation — is only
 // meaningful when hardware misbehaves, so faults are simulated with the
-// same discipline as the hardware itself: probabilistic faults draw
-// from PRNGs seeded per fault, windows are expressed in world time, and
-// identical plans against identical workloads inject identical faults.
-// An hour of hardware failure replays in milliseconds, byte-identically.
+// same discipline as the hardware itself: windows are expressed in world
+// time, and every probabilistic decision is a hash of the plan seed, the
+// fault and the operation's name (device.Access) — never of the order
+// operations arrive in — so identical plans against identical workloads
+// inject identical faults however the engine interleaves sessions.  An
+// hour of hardware failure replays in milliseconds, byte-identically.
 package fault
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 
@@ -188,11 +189,11 @@ func (p *Plan) Seed() int64 { return p.seed }
 // device.FaultHook and netsim.FaultHook; install it with
 // device.Manager.SetFaultHook and netsim.Link.SetFaultHook.
 type Injector struct {
-	clock sched.Clock
+	clock  sched.Clock
+	seed   uint64
+	faults []Fault // immutable after NewInjector
 
 	mu     sync.Mutex
-	faults []Fault
-	rngs   []*rand.Rand // one per fault, seeded plan.seed + index
 	counts map[Kind]int64
 	sink   obs.Sink
 }
@@ -219,20 +220,36 @@ func NewInjector(p *Plan, clock sched.Clock) *Injector {
 	if clock == nil {
 		panic("fault: injector needs a clock")
 	}
-	in := &Injector{
+	return &Injector{
 		clock:  clock,
+		seed:   uint64(p.seed),
 		faults: append([]Fault(nil), p.faults...),
-		rngs:   make([]*rand.Rand, len(p.faults)),
 		counts: make(map[Kind]int64),
 	}
-	for i := range in.rngs {
-		in.rngs[i] = rand.New(rand.NewSource(p.seed + int64(i)*104729))
-	}
-	return in
+}
+
+// draw is fault i's uniform sample in [0, 1) for operation a: a pure
+// function of the plan seed, the fault index and a, so it is the same
+// whatever other operations were drawn for before it.
+func (in *Injector) draw(i int, a device.Access) float64 {
+	h := splitmix64(in.seed)
+	h = splitmix64(h ^ uint64(i))
+	h = splitmix64(h ^ uint64(a.Src))
+	h = splitmix64(h ^ uint64(a.Seq))
+	return float64(h>>11) / (1 << 53)
+}
+
+// splitmix64 is one SplitMix64 step: a bijective 64-bit mix that
+// scatters nearby inputs across the whole range.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }
 
 // BeforeRead implements device.FaultHook.
-func (in *Injector) BeforeRead(deviceID string, bytes int64) (avtime.WorldTime, error) {
+func (in *Injector) BeforeRead(deviceID string, a device.Access, bytes int64) (avtime.WorldTime, error) {
 	now := in.clock.Now()
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -245,7 +262,7 @@ func (in *Injector) BeforeRead(deviceID string, bytes int64) (avtime.WorldTime, 
 			in.bump(DeviceOutage)
 			return 0, fmt.Errorf("fault: %q down at %v: %w", deviceID, now, device.ErrDeviceFailed)
 		case TransientRead:
-			if in.rngs[i].Float64() < f.Probability {
+			if in.draw(i, a) < f.Probability {
 				in.bump(TransientRead)
 				return 0, fmt.Errorf("fault: %q read fault at %v: %w", deviceID, now, device.ErrTransientRead)
 			}
@@ -255,7 +272,7 @@ func (in *Injector) BeforeRead(deviceID string, bytes int64) (avtime.WorldTime, 
 }
 
 // BeforeSwap implements device.FaultHook.
-func (in *Injector) BeforeSwap(deviceID string, disc int) error {
+func (in *Injector) BeforeSwap(deviceID string, a device.Access) error {
 	now := in.clock.Now()
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -263,40 +280,44 @@ func (in *Injector) BeforeSwap(deviceID string, disc int) error {
 		if f.Kind != DiscSwapFail || f.Target != deviceID || !f.active(now) {
 			continue
 		}
-		if in.rngs[i].Float64() < f.Probability {
+		if in.draw(i, a) < f.Probability {
 			in.bump(DiscSwapFail)
-			return fmt.Errorf("fault: %q swap to disc %d jammed at %v: %w", deviceID, disc, now, device.ErrTransientRead)
+			return fmt.Errorf("fault: %q swap to disc %d jammed at %v: %w", deviceID, a.Src, now, device.ErrTransientRead)
 		}
 	}
 	return nil
 }
 
-// TransferFault implements netsim.FaultHook.
-func (in *Injector) TransferFault(linkID string, bytes int64) netsim.TransferFault {
+// TransferFault implements netsim.FaultHook.  A partitioned link fails
+// the transfer outright: nothing else is evaluated or counted for it.
+func (in *Injector) TransferFault(linkID string, a device.Access, bytes int64) netsim.TransferFault {
 	now := in.clock.Now()
 	in.mu.Lock()
 	defer in.mu.Unlock()
+	for _, f := range in.faults {
+		if f.Kind == LinkPartition && f.Target == linkID && f.active(now) {
+			in.bump(LinkPartition)
+			return netsim.TransferFault{Down: true}
+		}
+	}
 	var out netsim.TransferFault
 	for i, f := range in.faults {
 		if f.Target != linkID || !f.active(now) {
 			continue
 		}
 		switch f.Kind {
-		case LinkPartition:
-			in.bump(LinkPartition)
-			out.Down = true
 		case LinkDegrade:
 			if slow := 1 / f.Factor; slow > out.SlowFactor {
 				out.SlowFactor = slow
 			}
 			in.bump(LinkDegrade)
 		case ChunkLoss:
-			if in.rngs[i].Float64() < f.Probability {
+			if in.draw(i, a) < f.Probability {
 				in.bump(ChunkLoss)
 				out.Drop = true
 			}
 		case ChunkCorrupt:
-			if in.rngs[i].Float64() < f.Probability {
+			if in.draw(i, a) < f.Probability {
 				in.bump(ChunkCorrupt)
 				out.Corrupt = true
 			}

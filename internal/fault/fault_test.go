@@ -3,6 +3,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"avdb/internal/avtime"
@@ -81,13 +82,13 @@ func TestInjectorBeforeRead(t *testing.T) {
 	in := NewInjector(p, clock)
 
 	// Outside the outage window, disk0 is healthy.
-	if _, err := in.BeforeRead("disk0", 4096); err != nil {
+	if _, err := in.BeforeRead("disk0", device.Access{}, 4096); err != nil {
 		t.Errorf("healthy read failed: %v", err)
 	}
 	// Inside it, every read fails hard.
 	clock.now = time(12)
 	for i := 0; i < 3; i++ {
-		_, err := in.BeforeRead("disk0", 4096)
+		_, err := in.BeforeRead("disk0", device.Access{Seq: int64(i)}, 4096)
 		if !errors.Is(err, device.ErrDeviceFailed) {
 			t.Errorf("outage read %d: %v", i, err)
 		}
@@ -99,13 +100,13 @@ func TestInjectorBeforeRead(t *testing.T) {
 	// retryable; an untargeted device is untouched.
 	hits := 0
 	for i := 0; i < 1000; i++ {
-		if _, err := in.BeforeRead("disk1", 4096); err != nil {
+		if _, err := in.BeforeRead("disk1", device.Access{Seq: int64(i)}, 4096); err != nil {
 			if !Retryable(err) {
 				t.Fatalf("transient fault not retryable: %v", err)
 			}
 			hits++
 		}
-		if _, err := in.BeforeRead("disk9", 4096); err != nil {
+		if _, err := in.BeforeRead("disk9", device.Access{Seq: int64(i)}, 4096); err != nil {
 			t.Fatalf("untargeted device faulted: %v", err)
 		}
 	}
@@ -130,7 +131,7 @@ func TestInjectorTransferFault(t *testing.T) {
 		MustAdd(Fault{Kind: ChunkLoss, Target: "lan0", Start: 0, Probability: 0.3})
 	in := NewInjector(p, clock)
 
-	tf := in.TransferFault("lan0", 3072)
+	tf := in.TransferFault("lan0", device.Access{}, 3072)
 	if tf.Down {
 		t.Error("lan0 partitioned; only wan0 is")
 	}
@@ -140,7 +141,7 @@ func TestInjectorTransferFault(t *testing.T) {
 	}
 	drops := 0
 	for i := 0; i < 1000; i++ {
-		if in.TransferFault("lan0", 3072).Drop {
+		if in.TransferFault("lan0", device.Access{Seq: int64(i)}, 3072).Drop {
 			drops++
 		}
 	}
@@ -148,15 +149,15 @@ func TestInjectorTransferFault(t *testing.T) {
 		t.Errorf("drops = %d of 1000 at p=0.3", drops)
 	}
 	// The partition window.
-	if in.TransferFault("wan0", 3072).Down {
+	if in.TransferFault("wan0", device.Access{}, 3072).Down {
 		t.Error("wan0 down before its window")
 	}
 	clock.now = time(200)
-	if !in.TransferFault("wan0", 3072).Down {
+	if !in.TransferFault("wan0", device.Access{}, 3072).Down {
 		t.Error("wan0 up inside its open-ended partition")
 	}
 	var zero netsim.TransferFault
-	if got := in.TransferFault("lan9", 3072); got != zero {
+	if got := in.TransferFault("lan9", device.Access{}, 3072); got != zero {
 		t.Errorf("untargeted link faulted: %+v", got)
 	}
 }
@@ -171,10 +172,10 @@ func TestInjectorDeterministic(t *testing.T) {
 		trace := ""
 		for i := 0; i < 200; i++ {
 			clock.now = avtime.WorldTime(i) * avtime.Millisecond
-			if _, err := in.BeforeRead("d", 1024); err != nil {
+			if _, err := in.BeforeRead("d", device.Access{Seq: int64(i)}, 1024); err != nil {
 				trace += "R"
 			}
-			if in.TransferFault("l", 1024).Drop {
+			if in.TransferFault("l", device.Access{Seq: int64(i)}, 1024).Drop {
 				trace += "D"
 			}
 			trace += "."
@@ -189,6 +190,90 @@ func TestInjectorDeterministic(t *testing.T) {
 	t3, _ := run(100)
 	if t1 == t3 {
 		t.Error("different seed replayed the same trace")
+	}
+}
+
+// TestInjectorDrawsAreOrderFree: every probabilistic decision is keyed by
+// the operation's name, so asking for the same operations in a shuffled
+// order yields the same verdict per (src, seq) and the same counts.
+func TestInjectorDrawsAreOrderFree(t *testing.T) {
+	type query struct {
+		op string // "read", "swap" or "xfer"
+		a  device.Access
+	}
+	var queries []query
+	for src := int64(0); src < 4; src++ {
+		for seq := int64(0); seq < 50; seq++ {
+			for _, op := range []string{"read", "swap", "xfer"} {
+				queries = append(queries, query{op, device.Access{Src: src, Seq: seq}})
+			}
+		}
+	}
+	run := func(qs []query) (map[query]string, map[Kind]int64) {
+		p := NewPlan(5).
+			MustAdd(Fault{Kind: TransientRead, Target: "d", Probability: 0.3}).
+			MustAdd(Fault{Kind: DiscSwapFail, Target: "j", Probability: 0.5}).
+			MustAdd(Fault{Kind: ChunkLoss, Target: "l", Probability: 0.2}).
+			MustAdd(Fault{Kind: ChunkCorrupt, Target: "l", Probability: 0.2})
+		in := NewInjector(p, &fakeClock{})
+		verdicts := make(map[query]string, len(qs))
+		for _, q := range qs {
+			switch q.op {
+			case "read":
+				_, err := in.BeforeRead("d", q.a, 1024)
+				verdicts[q] = fmt.Sprint(err != nil)
+			case "swap":
+				verdicts[q] = fmt.Sprint(in.BeforeSwap("j", q.a) != nil)
+			case "xfer":
+				verdicts[q] = fmt.Sprintf("%+v", in.TransferFault("l", q.a, 1024))
+			}
+		}
+		return verdicts, in.Counts()
+	}
+	inOrder, inOrderCounts := run(queries)
+
+	// Fisher-Yates with the package's own mixer as the random source.
+	shuffled := append([]query(nil), queries...)
+	for i := len(shuffled) - 1; i > 0; i-- {
+		j := int(splitmix64(uint64(i)) % uint64(i+1))
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	}
+	got, gotCounts := run(shuffled)
+	if !reflect.DeepEqual(got, inOrder) {
+		for _, q := range queries {
+			if got[q] != inOrder[q] {
+				t.Errorf("%s %+v: %s shuffled, %s in order", q.op, q.a, got[q], inOrder[q])
+			}
+		}
+	}
+	if !reflect.DeepEqual(gotCounts, inOrderCounts) {
+		t.Errorf("counts %v shuffled, %v in order", gotCounts, inOrderCounts)
+	}
+	// The keyed draws still honour the probabilities.
+	if n := inOrderCounts[TransientRead]; n < 40 || n > 80 {
+		t.Errorf("transient reads = %d of 200 at p=0.3", n)
+	}
+	if n := inOrderCounts[DiscSwapFail]; n < 75 || n > 125 {
+		t.Errorf("swap jams = %d of 200 at p=0.5", n)
+	}
+}
+
+// TestInjectorPartitionShortCircuits: a transfer over a partitioned link
+// fails outright, so loss that would have hit it is neither drawn nor
+// counted.
+func TestInjectorPartitionShortCircuits(t *testing.T) {
+	clock := &fakeClock{now: time(1)}
+	p := NewPlan(3).
+		MustAdd(Fault{Kind: ChunkLoss, Target: "lan0", Start: 0, Dur: time(10), Probability: 1}).
+		MustAdd(Fault{Kind: LinkPartition, Target: "lan0", Start: 0, Dur: time(10)})
+	in := NewInjector(p, clock)
+	for i := 0; i < 5; i++ {
+		if got := in.TransferFault("lan0", device.Access{Seq: int64(i)}, 1024); got != (netsim.TransferFault{Down: true}) {
+			t.Fatalf("transfer %d over the partition = %+v, want Down only", i, got)
+		}
+	}
+	if got := in.Counts(); !reflect.DeepEqual(got, map[Kind]int64{LinkPartition: 5}) {
+		t.Errorf("counts = %v, want link-partition:5 only", got)
 	}
 }
 

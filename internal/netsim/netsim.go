@@ -19,6 +19,7 @@ import (
 	"sync"
 
 	"avdb/internal/avtime"
+	"avdb/internal/device"
 	"avdb/internal/media"
 	"avdb/internal/obs"
 )
@@ -45,9 +46,11 @@ type TransferFault struct {
 
 // FaultHook is consulted on every transfer; a fault injector implements
 // it to make the simulated network misbehave on a deterministic
-// schedule.  A nil hook is a fault-free link.
+// schedule.  A nil hook is a fault-free link.  a names the transfer:
+// Src is the connection's id on its link, Seq its ordinal among the
+// connection's carried transfers.
 type FaultHook interface {
-	TransferFault(linkID string, bytes int64) TransferFault
+	TransferFault(linkID string, a device.Access, bytes int64) TransferFault
 }
 
 // Delivery describes how one transfer went: the world time it occupied
@@ -224,7 +227,7 @@ func (c *Conn) TransferChunk(bytes int64) (Delivery, error) {
 	c.link.mu.Unlock()
 	var f TransferFault
 	if hook != nil {
-		f = hook.TransferFault(c.link.id, bytes)
+		f = hook.TransferFault(c.link.id, device.Access{Src: int64(c.id), Seq: c.messages}, bytes)
 	}
 	if f.Down {
 		if sink != nil {

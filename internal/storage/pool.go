@@ -37,6 +37,41 @@ import (
 	"avdb/internal/obs"
 )
 
+// CachePolicy configures chunk caching for streams opened from a store.
+// The zero value disables caching, preserving the uncached read costs.
+// A non-zero policy sizes the store's shared buffer pool: the pool
+// holds Capacity chunks per attached stream.
+type CachePolicy struct {
+	Capacity  int // pool chunks per attached stream; <= 0 disables caching
+	Lookahead int // chunks staged past each demand miss
+}
+
+// Enabled reports whether the policy caches at all.
+func (p CachePolicy) Enabled() bool { return p.Capacity > 0 }
+
+// CacheStats summarizes cache behavior — per stream on
+// Stream.CacheStats, pool-wide on Store.PoolStats.  Under scheduled
+// (staged) reads, evictions happen at the round commit and are
+// accounted to the pool aggregate, not to individual streams.
+type CacheStats struct {
+	Hits       int64 // reads served from resident chunks at zero device cost
+	Misses     int64 // demand reads that paid the device
+	Shared     int64 // hits on chunks some other stream made resident
+	Prefetched int64 // chunks staged by lookahead
+	Evicted    int64 // chunks dropped to respect capacity
+}
+
+// PoolStats snapshots the shared buffer pool: the aggregate stats over
+// every stream that ever attached (they survive stream close) plus the
+// pool's current occupancy.
+type PoolStats struct {
+	CacheStats
+	Resident int // chunks currently resident
+	Capacity int // Capacity × attached streams
+	Streams  int // streams currently attached
+	Staged   int // residency operations of rounds not yet committed
+}
+
 // poolKey identifies one resident chunk store-wide.
 type poolKey struct {
 	seg   SegID

@@ -22,7 +22,7 @@ package storage
 // independent of submission order.  Within one flush, rounds are
 // serviced in ascending round order and disks in ID order.
 //
-// The same argument covers the sharded engine's cross-SESSION
+// The same argument covers the parallel engine's cross-SESSION
 // parallelism (EngineWorkers > 1): every method that touches shared
 // scheduler state takes io.mu, so racing sessions' submissions of the
 // same engine step interleave safely, and because the key is total the
@@ -425,7 +425,7 @@ func (io *IOSched) submit(round int64, q ioReq) {
 
 // flushBefore services every pending round strictly below round, in
 // ascending order.  The caller's tick barrier — within a run the end
-// of GraphRun.Tick, across sessions the sharded engine's
+// of GraphRun.Tick, across sessions the parallel engine's
 // admission-order commit barrier — guarantees those rounds are
 // complete.  Concurrent callers race on the watermark: exactly one
 // wins and services, the rest exit lock-free, and because batch

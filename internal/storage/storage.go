@@ -99,7 +99,8 @@ type Store struct {
 
 	mu       sync.Mutex
 	nextID   SegID
-	nextSID  int64 // stream IDs, for the round scheduler's total order
+	nextSID  int64 // stream IDs: the round scheduler's total order, fault-hook keys
+	probes   int64 // tier reachability probes, keying their fault checks
 	segments map[SegID]*Segment
 	sink     obs.Sink
 	policy   CachePolicy
@@ -388,8 +389,9 @@ type Stream struct {
 	dev  device.Device
 	rate media.DataRate
 
+	sid int64 // open order: the round scheduler's total order, fault-hook key
+
 	// Striped and scheduled streams only.
-	sid    int64            // total order for the round scheduler
 	disks  []*device.Disk   // stripe home disks, nil when unstriped
 	shares []media.DataRate // per-disk reservation, sums to rate
 	io     *IOSched         // non-nil under a Seeks or Rounds policy
@@ -402,6 +404,7 @@ type Stream struct {
 	mu       sync.Mutex
 	open     bool
 	startup  avtime.WorldTime // positioning cost charged on the first read
+	checks   int64            // fault checks made, keying the next one
 	bytes    int64
 	readFrac float64  // fraction of each chunk scheduled reads transfer; 0 = full
 	sink     obs.Sink // copied from the store at open time
@@ -498,6 +501,8 @@ func (st *Store) OpenStreamWith(id SegID, rate media.DataRate, policy StripePoli
 	stream.sink = st.sink
 	stream.reps = s.replicas
 	stream.seeks = policy.Seeks
+	stream.sid = st.nextSID
+	st.nextSID++
 	if st.policy.Enabled() {
 		if st.pool == nil {
 			st.pool = newBufferPool(st.policy, st.sink)
@@ -509,8 +514,6 @@ func (st *Store) OpenStreamWith(id SegID, rate media.DataRate, policy StripePoli
 			st.io = newIOSched(st.sink)
 		}
 		stream.io = st.io
-		stream.sid = st.nextSID
-		st.nextSID++
 	}
 	if policy.Rounds {
 		// Rounds route chunks to tracks, which needs the chunk layout;
@@ -583,7 +586,7 @@ func (s *Stream) ReadTime(bytes int64) (avtime.WorldTime, error) {
 func (s *Stream) readLocked(bytes int64) (avtime.WorldTime, error) {
 	var extra avtime.WorldTime
 	if f, ok := s.dev.(device.Faultable); ok {
-		dt, err := f.CheckRead(bytes)
+		dt, err := f.CheckRead(s.accessLocked(), bytes)
 		if err != nil {
 			if s.sink != nil {
 				s.sink.Count("storage.read_faults", 1)
@@ -602,6 +605,15 @@ func (s *Stream) readLocked(bytes int64) (avtime.WorldTime, error) {
 		s.sink.Observe("storage.read_time_us", int64(t))
 	}
 	return t, nil
+}
+
+// accessLocked names the stream's next fault check, so a fault hook's
+// verdict depends on which read it is, not on when other streams read;
+// the caller holds s.mu.
+func (s *Stream) accessLocked() device.Access {
+	a := device.Access{Src: s.sid, Seq: s.checks}
+	s.checks++
+	return a
 }
 
 // ReadChunkTime accounts a read of the segment's idx'th chunk and
@@ -692,14 +704,14 @@ func (s *Stream) ReadChunkTimeAt(idx int, bytes int64, round int64, now, deadlin
 			if res.disk != nil {
 				// The scheduler recorded which replica serviced the chunk.
 				served = res.disk
-				extra, err = res.disk.CheckRead(bytes)
+				extra, err = res.disk.CheckRead(s.accessLocked(), bytes)
 			} else if s.disks != nil && s.seg.chunkDev != nil && idx < len(s.seg.chunkDev) {
 				// Devirtualized fast path: striped homes are always disks.
 				served = s.disks[s.seg.chunkDev[idx]]
-				extra, err = s.disks[s.seg.chunkDev[idx]].CheckRead(bytes)
+				extra, err = s.disks[s.seg.chunkDev[idx]].CheckRead(s.accessLocked(), bytes)
 			} else if f, isF := s.chunkDevice(idx).(device.Faultable); isF {
 				served = s.chunkDevice(idx)
-				extra, err = f.CheckRead(bytes)
+				extra, err = f.CheckRead(s.accessLocked(), bytes)
 			}
 			if err != nil {
 				if alt, adt, live := s.failoverLocked(idx, bytes, served, err); live {
@@ -773,7 +785,7 @@ func (s *Stream) failoverLocked(idx int, bytes int64, failed device.Device, caus
 		return nil, 0, false
 	}
 	if d, _, ok := s.chunkHome(idx); ok && device.Device(d) != failed {
-		if dt, err := d.CheckRead(bytes); err == nil {
+		if dt, err := d.CheckRead(s.accessLocked(), bytes); err == nil {
 			s.noteFailoverLocked()
 			return d, dt, true
 		}
@@ -786,7 +798,7 @@ func (s *Stream) failoverLocked(idx int, bytes int64, failed device.Device, caus
 		if device.Device(d) == failed {
 			continue
 		}
-		if dt, err := d.CheckRead(bytes); err == nil {
+		if dt, err := d.CheckRead(s.accessLocked(), bytes); err == nil {
 			s.noteFailoverLocked()
 			return d, dt, true
 		}
@@ -848,7 +860,7 @@ func (s *Stream) readChunkLocked(idx int, bytes int64) (avtime.WorldTime, error)
 	dev := s.chunkDevice(idx)
 	var extra avtime.WorldTime
 	if f, ok := dev.(device.Faultable); ok {
-		dt, err := f.CheckRead(bytes)
+		dt, err := f.CheckRead(s.accessLocked(), bytes)
 		if err != nil {
 			alt, adt, live := s.failoverLocked(idx, bytes, dev, err)
 			if !live {

@@ -622,14 +622,14 @@ func TestStripedRoundsBeatDemand(t *testing.T) {
 // failHook fails every read on the listed devices.
 type failHook struct{ fail map[string]bool }
 
-func (h failHook) BeforeRead(deviceID string, bytes int64) (avtime.WorldTime, error) {
+func (h failHook) BeforeRead(deviceID string, _ device.Access, bytes int64) (avtime.WorldTime, error) {
 	if h.fail[deviceID] {
 		return avtime.Millisecond, device.ErrTransientRead
 	}
 	return 0, nil
 }
 
-func (h failHook) BeforeSwap(string, int) error { return nil }
+func (h failHook) BeforeSwap(string, device.Access) error { return nil }
 
 func TestCacheHitsSkipStripeHomeDisk(t *testing.T) {
 	dm, st := stripeRig(t, 2)

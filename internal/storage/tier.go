@@ -214,7 +214,7 @@ func (st *Store) promoteLocked(s *Segment, now avtime.WorldTime, pol TierPolicy)
 	// at first read.
 	var probe avtime.WorldTime
 	for k := 0; k < width; k++ {
-		dt, err := chosen[k].d.CheckRead(s.perDev[k])
+		dt, err := chosen[k].d.CheckRead(st.probeLocked(), s.perDev[k])
 		if err != nil {
 			rollback()
 			return readT + dt, err
@@ -286,7 +286,7 @@ func (st *Store) addReplicaLocked(s *Segment) (avtime.WorldTime, error) {
 	}
 	var probe avtime.WorldTime
 	for k, d := range chosen {
-		dt, err := d.CheckRead(s.perDev[k])
+		dt, err := d.CheckRead(st.probeLocked(), s.perDev[k])
 		if err != nil {
 			for u, du := range chosen {
 				du.Free(s.perDev[u])
@@ -430,6 +430,15 @@ func (st *Store) TierInfo(now avtime.WorldTime) []TierInfo {
 		})
 	}
 	return out
+}
+
+// probeLocked names the next reachability probe for the fault hook:
+// probes belong to no stream, so they count in a store-wide sequence.
+// The store lock is held.
+func (st *Store) probeLocked() device.Access {
+	a := device.Access{Src: -1, Seq: st.probes}
+	st.probes++
+	return a
 }
 
 func (st *Store) countLocked(name string, n int64) {

@@ -156,8 +156,8 @@ func TestTierPromotionDefersWhileStreaming(t *testing.T) {
 // jamHook fails the first n jukebox swaps, then lets them through.
 type jamHook struct{ n *int }
 
-func (h jamHook) BeforeRead(string, int64) (avtime.WorldTime, error) { return 0, nil }
-func (h jamHook) BeforeSwap(string, int) error {
+func (h jamHook) BeforeRead(string, device.Access, int64) (avtime.WorldTime, error) { return 0, nil }
+func (h jamHook) BeforeSwap(string, device.Access) error {
 	if *h.n > 0 {
 		*h.n--
 		return errors.New("carousel jammed")
@@ -387,14 +387,14 @@ func TestTierReplicaFailoverOnOutage(t *testing.T) {
 // a transient fault — failover only engages on ErrDeviceFailed).
 type downHook struct{ down map[string]bool }
 
-func (h downHook) BeforeRead(deviceID string, bytes int64) (avtime.WorldTime, error) {
+func (h downHook) BeforeRead(deviceID string, _ device.Access, bytes int64) (avtime.WorldTime, error) {
 	if h.down[deviceID] {
 		return avtime.Millisecond, device.ErrDeviceFailed
 	}
 	return 0, nil
 }
 
-func (h downHook) BeforeSwap(string, int) error { return nil }
+func (h downHook) BeforeSwap(string, device.Access) error { return nil }
 
 // TestTierFlexRoutingLeastLoaded drives the scheduler directly: two
 // streams request replicated chunks in one round, and the flex
