@@ -315,7 +315,7 @@ func (d *VideoDecoder) Tick(tc *activity.TickContext) error {
 // ports "out0".."out{n-1}".
 type VideoTee struct {
 	*activity.Base
-	n int
+	outs []string // out port names
 }
 
 // NewVideoTee returns a tee with n outputs.
@@ -323,10 +323,10 @@ func NewVideoTee(name string, loc activity.Location, n int) (*VideoTee, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("activities: a tee needs at least 2 outputs, got %d", n)
 	}
-	t := &VideoTee{Base: activity.NewBase(name, "VideoTee", loc), n: n}
+	t := &VideoTee{Base: activity.NewBase(name, "VideoTee", loc), outs: portNames("out", n)}
 	t.AddPort("in", activity.In, media.TypeRawVideo30)
-	for i := 0; i < n; i++ {
-		t.AddPort(fmt.Sprintf("out%d", i), activity.Out, media.TypeRawVideo30)
+	for _, p := range t.outs {
+		t.AddPort(p, activity.Out, media.TypeRawVideo30)
 	}
 	return t, nil
 }
@@ -337,11 +337,19 @@ func (t *VideoTee) Tick(tc *activity.TickContext) error {
 	if in == nil {
 		return nil
 	}
-	for i := 0; i < t.n; i++ {
-		out := *in
-		tc.Emit(fmt.Sprintf("out%d", i), &out)
+	for _, p := range t.outs {
+		tc.Emit(p, in)
 	}
 	return nil
+}
+
+// portNames returns prefix0 .. prefix{n-1}.
+func portNames(prefix string, n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("%s%d", prefix, i)
+	}
+	return names
 }
 
 // VideoMixer is Table 1's "video mixer": n raw streams in, one blended
@@ -351,6 +359,11 @@ func (t *VideoTee) Tick(tc *activity.TickContext) error {
 type VideoMixer struct {
 	*activity.Base
 	weights []float64
+	ins     []string // in port names, one per weight
+
+	// Per-tick scratch, reused tick after tick.
+	frames  []*media.Frame
+	present []float64 // the weights of the inputs present
 }
 
 // NewVideoMixer returns a mixer with one in port per weight
@@ -365,9 +378,15 @@ func NewVideoMixer(name string, loc activity.Location, weights []float64) (*Vide
 			return nil, fmt.Errorf("activities: mixer weights must be positive, got %v", w)
 		}
 	}
-	m := &VideoMixer{Base: activity.NewBase(name, "VideoMixer", loc), weights: append([]float64(nil), weights...)}
-	for i := range weights {
-		m.AddPort(fmt.Sprintf("in%d", i), activity.In, media.TypeRawVideo30)
+	m := &VideoMixer{
+		Base:    activity.NewBase(name, "VideoMixer", loc),
+		weights: append([]float64(nil), weights...),
+		ins:     portNames("in", len(weights)),
+		frames:  make([]*media.Frame, 0, len(weights)),
+		present: make([]float64, 0, len(weights)),
+	}
+	for _, p := range m.ins {
+		m.AddPort(p, activity.In, media.TypeRawVideo30)
 	}
 	m.AddPort("out", activity.Out, media.TypeRawVideo30)
 	return m, nil
@@ -375,12 +394,12 @@ func NewVideoMixer(name string, loc activity.Location, weights []float64) (*Vide
 
 // Tick implements activity.Activity.
 func (m *VideoMixer) Tick(tc *activity.TickContext) error {
-	var frames []*media.Frame
-	var weights []float64
-	var chunks []*activity.Chunk
+	frames, weights := m.frames[:0], m.present[:0]
+	defer clear(frames[:cap(frames)]) // keep no payload past the tick
 	var seq int
-	for i := range m.weights {
-		in := tc.In(fmt.Sprintf("in%d", i))
+	var arrived avtime.WorldTime
+	for i, p := range m.ins {
+		in := tc.In(p)
 		if in == nil {
 			continue
 		}
@@ -390,7 +409,7 @@ func (m *VideoMixer) Tick(tc *activity.TickContext) error {
 		}
 		frames = append(frames, f)
 		weights = append(weights, m.weights[i])
-		chunks = append(chunks, in)
+		arrived = max(arrived, in.Arrived)
 		seq = in.Seq
 	}
 	if len(frames) == 0 {
@@ -417,7 +436,7 @@ func (m *VideoMixer) Tick(tc *activity.TickContext) error {
 	}
 	tc.Emit("out", &activity.Chunk{
 		Seq: seq, At: tc.Now,
-		Arrived: activity.MaxArrival(chunks...),
+		Arrived: arrived,
 		Payload: out,
 	})
 	return nil

@@ -193,6 +193,12 @@ func (s State) String() string {
 // Chunk is the unit of data on a stream: one media element (a video
 // frame, an audio block, a text cue) with its scheduled presentation time
 // and the accumulated actual delivery time.
+//
+// A Chunk is an envelope that travels by value; its payload is shared.
+// A *Chunk handed to Tick — by TickContext.In, or read back with Out — is
+// borrowed: it is valid only during that Tick, and an activity that needs
+// the chunk later copies it.  The payload may be kept: elements are
+// immutable once emitted and owned by the garbage collector.
 type Chunk struct {
 	Seq       int              // element sequence number in the stream
 	At        avtime.WorldTime // scheduled presentation time
@@ -200,6 +206,11 @@ type Chunk struct {
 	Track     string           // track label inside composites, else ""
 	Corrupted bool             // payload damaged in flight by a fault
 	Payload   media.Element
+
+	// shift is the latency a multiplexed chunk has accumulated since its
+	// parts were bundled; demultiplexing adds it to every part.  It means
+	// nothing on any other chunk.
+	shift avtime.WorldTime
 }
 
 // Size reports the payload size in bytes (zero for empty chunks).

@@ -776,15 +776,21 @@ func TestCompositeSyncBoundsSkew(t *testing.T) {
 
 func TestMultiPayloadElement(t *testing.T) {
 	f := media.NewFrame(2, 2, 8)
-	mp := &MultiPayload{Parts: map[string]*Chunk{
-		"v": {Payload: f},
-		"a": {Payload: f},
+	mp := &MultiPayload{Parts: []Chunk{
+		{Track: "v", Payload: f},
+		{Track: "a", Payload: f},
 	}}
 	if mp.ElementKind() != media.KindMulti {
 		t.Error("kind wrong")
 	}
 	if mp.Size() != 8 {
 		t.Errorf("Size = %d", mp.Size())
+	}
+	if p := mp.Part("a"); p != &mp.Parts[1] {
+		t.Errorf("Part(a) = %p, want the second part", p)
+	}
+	if mp.Part("x") != nil {
+		t.Error("Part found a track that is not there")
 	}
 	var c Chunk
 	if c.Size() != 0 {

@@ -282,7 +282,9 @@ func (b *Base) Reset() error {
 
 // TickContext carries one scheduling interval through an activity's Tick:
 // the chunks that arrived on its In ports and the chunks it emits on its
-// Out ports.
+// Out ports.  The context owns its chunks: SetIn and Emit copy the chunk
+// they are given, and In and Out lend a pointer to the context's copy,
+// valid until the context is next reset (see Chunk).
 type TickContext struct {
 	Now      avtime.WorldTime // scheduled tick time
 	Seq      int              // tick number since graph start
@@ -294,10 +296,17 @@ type TickContext struct {
 	// shares one round, so the per-disk SCAN-EDF batches span sessions.
 	Round int64
 
-	// Made by the first SetIn and Emit: a source never needs the one nor
-	// a sink the other.
-	in  map[string]*Chunk
-	out map[string]*Chunk
+	// One slot per port ever used, kept across resets: a retained context
+	// reaches its steady state after one tick and never allocates again.
+	in  []slot
+	out []slot
+}
+
+// slot holds the chunk on one port of a tick context.
+type slot struct {
+	port string
+	set  bool // a chunk is on the port this tick
+	c    Chunk
 }
 
 // NewTickContext returns a context for one tick.  Graph runs and
@@ -311,31 +320,50 @@ func NewTickContext(now avtime.WorldTime, seq int, iv avtime.Interval) *TickCont
 // and storage round.
 func (tc *TickContext) reset(now avtime.WorldTime, seq int, iv avtime.Interval, round int64) {
 	tc.Now, tc.Seq, tc.Interval, tc.Round = now, seq, iv, round
-	clear(tc.in)
-	clear(tc.out)
+	tc.clear()
+}
+
+// clear empties every slot, dropping the payloads they referenced.
+func (tc *TickContext) clear() {
+	for i := range tc.in {
+		tc.in[i] = slot{port: tc.in[i].port}
+	}
+	for i := range tc.out {
+		tc.out[i] = slot{port: tc.out[i].port}
+	}
 }
 
 // In returns the chunk delivered to the named In port this tick, or nil.
-func (tc *TickContext) In(port string) *Chunk { return tc.in[port] }
+func (tc *TickContext) In(port string) *Chunk { return get(tc.in, port) }
 
-// SetIn places a chunk on an In port (the graph runner's side).
-func (tc *TickContext) SetIn(port string, c *Chunk) {
-	if tc.in == nil {
-		tc.in = make(map[string]*Chunk)
-	}
-	tc.in[port] = c
-}
+// SetIn places a copy of c on an In port (the graph runner's side).
+func (tc *TickContext) SetIn(port string, c *Chunk) { tc.in = put(tc.in, port, c) }
 
-// Emit places a chunk on an Out port.
-func (tc *TickContext) Emit(port string, c *Chunk) {
-	if tc.out == nil {
-		tc.out = make(map[string]*Chunk)
-	}
-	tc.out[port] = c
-}
+// Emit places a copy of c on an Out port.
+func (tc *TickContext) Emit(port string, c *Chunk) { tc.out = put(tc.out, port, c) }
 
 // Out returns the chunk emitted on the named Out port this tick, or nil.
-func (tc *TickContext) Out(port string) *Chunk { return tc.out[port] }
+func (tc *TickContext) Out(port string) *Chunk { return get(tc.out, port) }
 
-// Outputs returns the emitted chunks by port name.
-func (tc *TickContext) Outputs() map[string]*Chunk { return tc.out }
+func get(slots []slot, port string) *Chunk {
+	for i := range slots {
+		if slots[i].port == port {
+			if slots[i].set {
+				return &slots[i].c
+			}
+			return nil
+		}
+	}
+	return nil
+}
+
+func put(slots []slot, port string, c *Chunk) []slot {
+	v := *c
+	for i := range slots {
+		if slots[i].port == port {
+			slots[i].set, slots[i].c = true, v
+			return slots
+		}
+	}
+	return append(slots, slot{port: port, set: true, c: v})
+}

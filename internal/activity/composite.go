@@ -14,8 +14,14 @@ import (
 // one chunk per track, bundled so that temporally correlated tracks cross
 // a single connection together (the paper's single arrow between the
 // MultiSource and MultiSink composites in Fig. 3).
+//
+// Unlike other elements it is an envelope, with an envelope's lifetime:
+// the composite port that bundles it refills the same MultiPayload every
+// tick, so it is valid only during the tick that carries it.  A part's
+// Arrived is as bundled; the latency the outer chunk picked up since is
+// added when a composite demultiplexes it.
 type MultiPayload struct {
-	Parts map[string]*Chunk // track name -> the track's chunk this tick
+	Parts []Chunk // one chunk per track; Chunk.Track names it
 }
 
 // ElementKind reports media.KindMulti.
@@ -24,33 +30,27 @@ func (m *MultiPayload) ElementKind() media.Kind { return media.KindMulti }
 // Size reports the total payload size of all parts.
 func (m *MultiPayload) Size() int64 {
 	var n int64
-	for _, c := range m.Parts {
-		n += c.Size()
+	for i := range m.Parts {
+		n += m.Parts[i].Size()
 	}
 	return n
 }
 
-// Clone returns a deep copy of the payload: a fresh part map holding
-// struct copies of the part chunks, with nested multiplexed payloads
-// cloned recursively.  Leaf payload elements stay shared — they are
-// immutable on the delivery path.
-func (m *MultiPayload) Clone() *MultiPayload { return m.cloneShifted(0) }
-
-// cloneShifted is Clone with every part's (and nested part's) Arrived
-// time shifted by extra, in one pass.  propagateExtra uses it so a chunk
-// copy gets a privately shifted payload while siblings sharing the
-// original — fan-out branches, the producer's own copy — are untouched.
-func (m *MultiPayload) cloneShifted(extra avtime.WorldTime) *MultiPayload {
-	parts := make(map[string]*Chunk, len(m.Parts))
-	for name, p := range m.Parts {
-		cp := *p
-		cp.Arrived += extra
-		if nested, ok := cp.Payload.(*MultiPayload); ok {
-			cp.Payload = nested.cloneShifted(extra)
+// Part returns the named track's chunk, or nil.
+func (m *MultiPayload) Part(track string) *Chunk {
+	for i := range m.Parts {
+		if m.Parts[i].Track == track {
+			return &m.Parts[i]
 		}
-		parts[name] = &cp
 	}
-	return &MultiPayload{Parts: parts}
+	return nil
+}
+
+// empty drops the parts, and the payloads they reference, keeping their
+// storage for the next tick's bundle.
+func (m *MultiPayload) empty() {
+	clear(m.Parts)
+	m.Parts = m.Parts[:0]
 }
 
 // Composite is a composite activity — flow-composition rule 2: an
@@ -105,7 +105,8 @@ type planPort struct {
 
 type planMux struct {
 	name   string
-	tracks []planPort // name is the track's, i.e. the component's
+	tracks []planPort    // name is the track's, i.e. the component's
+	env    *MultiPayload // an Out port's envelope, refilled every tick
 }
 
 // NewComposite returns an empty composite activity.
@@ -346,8 +347,7 @@ func (c *Composite) Tick(tc *TickContext) error {
 	// Route composite inputs.
 	for _, ex := range plan.exportsIn {
 		if in := tc.In(ex.name); in != nil {
-			cp := *in
-			ex.child.tc.SetIn(ex.port, &cp)
+			ex.child.tc.SetIn(ex.port, in)
 		}
 	}
 	for _, mux := range plan.muxIn {
@@ -360,11 +360,15 @@ func (c *Composite) Tick(tc *TickContext) error {
 			return fmt.Errorf("activity: %s.%s received non-multiplexed payload", c.Name(), mux.name)
 		}
 		for _, tr := range mux.tracks {
-			part := mp.Parts[tr.name]
+			part := mp.Part(tr.name)
 			if part == nil {
 				continue
 			}
+			// The envelope's latency since bundling reaches the part here,
+			// and a nested envelope carries it on to its own parts.
 			cp := *part
+			cp.Arrived += in.shift
+			cp.shift += in.shift
 			if plan.sync != nil {
 				lat := cp.Arrived - cp.At
 				if lat < 0 {
@@ -391,12 +395,12 @@ func (c *Composite) Tick(tc *TickContext) error {
 			if oc.err != nil {
 				return oc.err
 			}
-			if oc.chunk == nil {
+			if !oc.arrived {
 				// Lost or absorbed in flight inside the composite.
 				emitFault(conn.to, EventInfo{Event: EventFault, Activity: conn.to.Name(), At: tc.Now, Seq: chunk.Seq})
 				continue
 			}
-			pc.tc.SetIn(conn.toPort.name, oc.chunk)
+			pc.tc.SetIn(conn.toPort.name, &oc.chunk)
 		}
 		if pc.act.State() != StateStarted {
 			continue
@@ -405,10 +409,11 @@ func (c *Composite) Tick(tc *TickContext) error {
 			return fmt.Errorf("activity: composite %s component %s: %w", c.Name(), pc.act.Name(), pc.err)
 		}
 		lat := pc.lat
-		for _, chunk := range pc.tc.out {
-			if chunk == nil {
+		for i := range pc.tc.out {
+			if !pc.tc.out[i].set {
 				continue
 			}
+			chunk := &pc.tc.out[i].c
 			if chunk.Arrived < tc.Now {
 				chunk.Arrived = tc.Now
 			}
@@ -427,21 +432,20 @@ func (c *Composite) Tick(tc *TickContext) error {
 		}
 	}
 	for _, mux := range plan.muxOut {
-		var mp *MultiPayload
+		env := mux.env
+		env.empty()
 		var arrived avtime.WorldTime
 		for _, tr := range mux.tracks {
 			chunk := tr.child.tc.Out(tr.port)
 			if chunk == nil {
 				continue
 			}
-			if mp == nil {
-				mp = &MultiPayload{Parts: make(map[string]*Chunk, len(mux.tracks))}
-			}
-			mp.Parts[tr.name] = chunk
+			env.Parts = append(env.Parts, *chunk)
+			env.Parts[len(env.Parts)-1].Track = tr.name
 			arrived = max(arrived, chunk.Arrived)
 		}
-		if mp != nil {
-			tc.Emit(mux.name, &Chunk{Seq: tc.Seq, At: tc.Now, Arrived: arrived, Payload: mp})
+		if len(env.Parts) > 0 {
+			tc.Emit(mux.name, &Chunk{Seq: tc.Seq, At: tc.Now, Arrived: arrived, Payload: env})
 		}
 	}
 
@@ -498,5 +502,25 @@ func (c *Composite) buildPlan() (*compositePlan, error) {
 		return out
 	}
 	plan.muxIn, plan.muxOut = mux(c.muxIn), mux(c.muxOut)
+	for i := range plan.muxOut {
+		plan.muxOut[i].env = &MultiPayload{Parts: make([]Chunk, 0, len(plan.muxOut[i].tracks))}
+	}
 	return plan, nil
+}
+
+// clearPlan empties the plan's retained contexts and envelopes (see
+// planNode.clear).
+func (c *Composite) clearPlan() {
+	c.mu.Lock()
+	plan := c.plan
+	c.mu.Unlock()
+	if plan == nil {
+		return
+	}
+	for i := range plan.nodes {
+		plan.nodes[i].clear()
+	}
+	for _, mux := range plan.muxOut {
+		mux.env.empty()
+	}
 }

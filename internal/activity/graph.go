@@ -93,11 +93,12 @@ func (c *Connection) String() string { return c.label }
 
 // outcome describes how one delivery attempt went.
 type outcome struct {
-	chunk     *Chunk // nil when nothing arrived
-	dropped   bool   // lost in flight
-	failed    bool   // transfer failed (fail-soft absorbed it)
-	corrupted bool   // arrived damaged
-	err       error  // fatal (fail-hard) failure
+	chunk     Chunk // what arrives downstream, when arrived is set
+	arrived   bool
+	dropped   bool  // lost in flight
+	failed    bool  // transfer failed (fail-soft absorbed it)
+	corrupted bool  // arrived damaged
+	err       error // fatal (fail-hard) failure
 }
 
 // deliver moves a chunk across the connection, returning the copy that
@@ -136,7 +137,7 @@ func (c *Connection) deliver(in *Chunk) outcome {
 		c.corrupted++
 	}
 	c.mu.Unlock()
-	return outcome{chunk: &out, corrupted: out.Corrupted}
+	return outcome{chunk: out, arrived: true, corrupted: out.Corrupted}
 }
 
 // Graph is an activity graph: the unit of flow composition.  Nodes are
@@ -361,23 +362,11 @@ func sampleLatency(a Activity) avtime.WorldTime {
 	return 0
 }
 
-// propagateExtra adds a shared path delay to every part of a multiplexed
-// payload, keeping part arrival times consistent with the outer chunk's.
-//
-// The shift is copy-on-write: chunk copies made by deliver (and by tee
-// activities fanning one output to several ports) share the same
-// *MultiPayload, so shifting the shared parts in place would apply one
-// branch's latency to every branch — double-counting on fan-out.  The
-// chunk instead gets its own shifted clone and the shared original is
-// left untouched.
-func propagateExtra(c *Chunk, extra avtime.WorldTime) {
-	if extra == 0 {
-		return
-	}
-	if mp, ok := c.Payload.(*MultiPayload); ok {
-		c.Payload = mp.cloneShifted(extra)
-	}
-}
+// propagateExtra records a path delay added to c after its parts, if it
+// carries any, were bundled.  The shift travels on the envelope, so fan-
+// out copies each carry their own and the shared parts are never touched;
+// demultiplexing applies it (Composite.Tick).
+func propagateExtra(c *Chunk, extra avtime.WorldTime) { c.shift += extra }
 
 // MaxArrival reports the latest arrival time among chunks, for
 // transformers that merge inputs.

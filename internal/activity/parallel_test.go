@@ -371,6 +371,110 @@ func TestFanOutMultiPayloadLatencyAppliedOnce(t *testing.T) {
 	}
 }
 
+// TestNestedMuxLatencyAppliedOnce: latency added after bundling rides on
+// the envelope and reaches the parts only when they are demultiplexed —
+// through a nested envelope too.  The MultiSource "outer" bundles a
+// muxing composite "inner" (tracks v and a) with a plain track s; every
+// component and both composites have a fixed latency, and outer's stream
+// fans out over a link to two MultiSinks that demultiplex it in turn.
+// Every part must arrive exactly its own hops later: each latency once,
+// the link once per branch.
+func TestNestedMuxLatencyAppliedOnce(t *testing.T) {
+	const ms = avtime.Millisecond
+	lat := func(a interface{ SetLatency(*sched.Latency) }, d avtime.WorldTime) {
+		a.SetLatency(sched.NewLatency(d, 0, 1))
+	}
+	install := func(c *Composite, children ...Activity) {
+		for _, child := range children {
+			if err := c.Install(child); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const frames = 10
+	g := NewGraph("nested")
+
+	inner := NewComposite("inner", "MultiSource", AtDatabase)
+	v, a := newFrameSource("v", AtDatabase), newFrameSource("a", AtDatabase)
+	install(inner, v, a)
+	if err := inner.ExportMuxOut("out", TrackRef{v, "out"}, TrackRef{a, "out"}); err != nil {
+		t.Fatal(err)
+	}
+	outer := NewComposite("outer", "MultiSource", AtDatabase)
+	s := newFrameSource("s", AtDatabase)
+	install(outer, inner, s)
+	if err := outer.ExportMuxOut("out", TrackRef{inner, "out"}, TrackRef{s, "out"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []*frameSource{v, a, s} {
+		if err := src.Bind(testValue(frames), "out"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lat(v, 2*ms)
+	lat(a, 5*ms)
+	lat(s, 1*ms)
+	lat(inner, 7*ms)
+	lat(outer, 11*ms)
+	if err := g.Add(outer); err != nil {
+		t.Fatal(err)
+	}
+
+	// Per branch: 3 ms propagation + three 16-byte parts at 1 MB/s.
+	link := netsim.NewLink("lan", 2*media.MBPerSecond, 3*ms, 0, 1)
+	hop := 3*ms + 48*avtime.Microsecond
+	want := map[string]avtime.WorldTime{
+		"v": 2*ms + 7*ms + 11*ms + hop,
+		"a": 5*ms + 7*ms + 11*ms + hop,
+		"s": 1*ms + 11*ms + hop,
+	}
+	var sinks [2]map[string]*frameSink
+	for b := range sinks {
+		wv, wa, ws := newFrameSink("v", AtApplication), newFrameSink("a", AtApplication), newFrameSink("s", AtApplication)
+		innerSink := NewComposite("inner", "MultiSink", AtApplication)
+		install(innerSink, wv, wa)
+		if err := innerSink.ExportMuxIn("in", TrackRef{wv, "in"}, TrackRef{wa, "in"}); err != nil {
+			t.Fatal(err)
+		}
+		sink := NewComposite(fmt.Sprintf("sink%d", b), "MultiSink", AtApplication)
+		install(sink, innerSink, ws)
+		if err := sink.ExportMuxIn("in", TrackRef{innerSink, "in"}, TrackRef{ws, "in"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Add(sink); err != nil {
+			t.Fatal(err)
+		}
+		nc, err := link.Connect(media.MBPerSecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.ConnectVia(outer, "out", sink, "in", nc); err != nil {
+			t.Fatal(err)
+		}
+		sinks[b] = map[string]*frameSink{"v": wv, "a": wa, "s": ws}
+	}
+
+	if err := g.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Run(RunConfig{Clock: sched.NewVirtualClock(0)}); err != nil {
+		t.Fatal(err)
+	}
+	for b, bySink := range sinks {
+		for track, w := range bySink {
+			if len(w.arrived) != frames {
+				t.Fatalf("branch %d track %s: %d frames arrived, want %d", b, track, len(w.arrived), frames)
+			}
+			for i, got := range w.arrived {
+				at := avtime.RateVideo30.DurationOf(avtime.ObjectTime(i))
+				if got-at != want[track] {
+					t.Errorf("branch %d track %s frame %d: %v late, want %v", b, track, i, got-at, want[track])
+				}
+			}
+		}
+	}
+}
+
 // scriptedLatency is a frame source whose processing latency is a
 // function of how many ticks it has executed.
 type scriptedLatency struct {

@@ -9,7 +9,8 @@ import (
 // topological order, each node with a tick context that is reset and
 // reused every tick and with its incoming connections resolved to the
 // producing node, so a consumer reads the producer's retained outputs
-// directly and a tick builds no map, no slice and no context of its own.
+// directly and a tick allocates no chunk, no slice and no context of its
+// own.
 
 // planNode is one activity of a plan.
 type planNode struct {
@@ -40,10 +41,20 @@ func (n *planNode) exec() {
 	}
 }
 
+// clear empties the node's context and, for a composite, the contexts and
+// envelopes of its own plan, so nothing the last tick carried stays
+// reachable from a finished run.
+func (n *planNode) clear() {
+	n.tc.clear()
+	if c, ok := n.act.(interface{ clearPlan() }); ok {
+		c.clearPlan()
+	}
+}
+
 // out returns what the feed's producer emitted on the feed's port in the
 // tick under way, or nil.  A producer that is not ticking has had its
 // context cleared, so nothing stale is ever read.
-func (f *planFeed) out() *Chunk { return f.from.tc.out[f.conn.fromPort.name] }
+func (f *planFeed) out() *Chunk { return f.from.tc.Out(f.conn.fromPort.name) }
 
 // planNodes orders acts topologically along conns and resolves the
 // result into plan nodes; ok is false when the connections form a cycle.

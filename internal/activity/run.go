@@ -241,7 +241,7 @@ func (r *GraphRun) Tick() (bool, error) {
 					r.runErr = oc.err
 					return true, r.runErr
 				}
-				if oc.chunk == nil {
+				if !oc.arrived {
 					// Lost in flight or absorbed by a fail-soft connection:
 					// nothing arrives this tick; the receiver sees the gap and
 					// the client hears about it.
@@ -263,7 +263,7 @@ func (r *GraphRun) Tick() (bool, error) {
 					sink.EndSpan(cs, oc.chunk.Arrived)
 					sink.Observe("stream.chunk_latency_us", int64(oc.chunk.Arrived-oc.chunk.At))
 				}
-				node.tc.SetIn(conn.toPort.name, oc.chunk)
+				node.tc.SetIn(conn.toPort.name, &oc.chunk)
 				stats.Chunks++
 				stats.BytesMoved += oc.chunk.Size()
 				if oc.chunk.Arrived > last {
@@ -286,17 +286,19 @@ func (r *GraphRun) Tick() (bool, error) {
 				r.runErr = fmt.Errorf("activity: %s at tick %d: %w", node.act.Name(), tick, node.err)
 				return true, r.runErr
 			}
-			for port, c := range node.tc.out {
-				if c == nil {
+			for i := range node.tc.out {
+				s := &node.tc.out[i]
+				if !s.set {
 					continue
 				}
+				c := &s.c
 				if c.Arrived < now {
 					c.Arrived = now
 				}
 				c.Arrived += node.lat
 				propagateExtra(c, node.lat)
-				if _, ok := node.act.Port(port); !ok {
-					r.runErr = fmt.Errorf("activity: %s emitted on unknown port %q", node.act.Name(), port)
+				if _, ok := node.act.Port(s.port); !ok {
+					r.runErr = fmt.Errorf("activity: %s emitted on unknown port %q", node.act.Name(), s.port)
 					return true, r.runErr
 				}
 				if c.Arrived > last {
@@ -352,6 +354,10 @@ func (r *GraphRun) Finish() (*RunStats, error) {
 	// cued and started again; teardown failures surface through stats.
 	if err := r.g.Stop(); err != nil {
 		r.stats.StopErr = err
+	}
+	// Nor does it pin the last tick's payloads.
+	for i := range r.nodes {
+		r.nodes[i].clear()
 	}
 	return r.stats, r.runErr
 }

@@ -96,6 +96,59 @@ func TestIOSchedAllocsPerRun(t *testing.T) {
 	}
 }
 
+// TestOpenStreamAllocsIndependentOfLength: opening a scheduled stream
+// builds no per-chunk state, so it costs the same few allocations on an
+// 800-sample audio segment as on an 80 000-sample one.  The chunk layout
+// appears at the first chunk-indexed read, never for a stream read by
+// size alone.
+func TestOpenStreamAllocsIndependentOfLength(t *testing.T) {
+	open := func(samples int) float64 {
+		dm := device.NewManager()
+		if err := dm.Register(device.NewDisk("d", 64_000_000, 8*media.MBPerSecond, avtime.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+		st := NewStore(dm)
+		st.SetStriping(StripePolicy{Rounds: true})
+		a := media.NewAudioValue(media.TypeCDAudio, 2)
+		if err := a.AppendSamples(make([]int16, 2*samples)); err != nil {
+			t.Fatal(err)
+		}
+		seg, err := st.Place(a, "d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			s, _, err := st.OpenStream(seg.ID(), media.MBPerSecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.ReadTime(4096); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+		})
+		if seg.chunkDev != nil {
+			t.Fatalf("%d samples: streams read by size built a chunk map", samples)
+		}
+		s, _, err := st.OpenStream(seg.ID(), media.MBPerSecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if _, err := s.ReadChunkTimeAt(0, 4, 0, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if len(seg.chunkDev) != samples || len(seg.chunkTrck) != samples {
+			t.Fatalf("%d samples: the first chunk read left a %d-chunk map, %d tracks", samples, len(seg.chunkDev), len(seg.chunkTrck))
+		}
+		return allocs
+	}
+	short, long := open(800), open(80_000)
+	if long != short || long > 8 {
+		t.Errorf("open+read+close allocates %.0f times at 800 samples, %.0f at 80 000; want the same, at most 8", short, long)
+	}
+}
+
 // TestCacheHitAllocs is the companion gate for the PR-3 cache path: a
 // read served from a resident chunk is a map probe plus an LRU bump and
 // must not allocate either.

@@ -49,8 +49,9 @@ type Segment struct {
 	frames int
 
 	// Stripe map, nil/empty for unstriped segments.  chunkDev/chunkOff/
-	// chunkSize also serve scheduled unstriped streams (built lazily
-	// under the store lock); once built the map is immutable.
+	// chunkSize also serve scheduled unstriped streams (built at the
+	// first chunk read, see Stream.layoutLocked); once built the map is
+	// immutable.
 	stripe    []string // disk IDs in round-robin order
 	base      []int64  // allocation base offset on each stripe disk
 	perDev    []int64  // bytes allocated per stripe disk
@@ -397,6 +398,7 @@ type Stream struct {
 	io     *IOSched         // non-nil under a Seeks or Rounds policy
 	slot   ioSlot           // serviced-result slot, guarded by io.mu
 	rounds bool             // submit/consume through service rounds
+	mapped bool             // layoutLocked has run; guarded by mu
 	seeks  bool             // contended pricing: every demand read seeks
 	unit   avtime.WorldTime // playback interval between chunk deadlines
 	reps   []*segReplica    // replica snapshot taken at open time
@@ -516,26 +518,12 @@ func (st *Store) OpenStreamWith(id SegID, rate media.DataRate, policy StripePoli
 		stream.io = st.io
 	}
 	if policy.Rounds {
-		// Rounds route chunks to tracks, which needs the chunk layout;
-		// striped segments built theirs at placement, unstriped disk
-		// segments get a single-device map here.  Jukebox segments stay
-		// on the demand path: one read head has nothing to batch.
+		// Rounds route chunks to tracks, which needs the chunk layout
+		// (layoutLocked builds it at the first chunk read).  Jukebox
+		// segments stay on the demand path: one read head has nothing to
+		// batch.
 		_, onDisk := stream.dev.(*device.Disk)
 		if s.Striped() || onDisk {
-			if s.chunkDev == nil {
-				if err := s.buildChunkMap(1); err != nil {
-					st.mu.Unlock()
-					stream.releaseReservations()
-					return nil, 0, err
-				}
-			}
-			if s.chunkTrck == nil {
-				if stream.disks != nil {
-					s.buildTrackMap(stream.disks)
-				} else if d, isDisk := stream.dev.(*device.Disk); isDisk {
-					s.buildTrackMap([]*device.Disk{d})
-				}
-			}
 			stream.rounds = true
 			stream.unit = s.value.Type().Rate.UnitDuration()
 		}
@@ -651,6 +639,11 @@ func (s *Stream) ReadChunkTimeAt(idx int, bytes int64, round int64, now, deadlin
 	defer s.mu.Unlock()
 	if !s.open {
 		return 0, fmt.Errorf("%w: read on closed stream", ErrStreamClosed)
+	}
+	if s.rounds && !s.mapped {
+		if err := s.layoutLocked(); err != nil {
+			return 0, err
+		}
 	}
 	scheduled := s.rounds && round >= 0
 	if scheduled {
@@ -773,6 +766,33 @@ func (s *Stream) ReadChunkTimeAt(idx int, bytes int64, round int64, now, deadlin
 	s.cstats.Prefetched += int64(staged)
 	s.cstats.Evicted += int64(evicted)
 	return t, nil
+}
+
+// layoutLocked makes the segment's chunk and track maps exist for a
+// scheduled stream.  They are built at the stream's first chunk read, not
+// at open, so a stream only ever read by size — an audio reader's, where
+// a chunk is a sample — never builds a per-sample map.  The build runs
+// under the store lock, and every stream passes through that lock before
+// it reads the maps, so once built they are immutable to all readers.
+// The caller holds s.mu.
+func (s *Stream) layoutLocked() error {
+	seg := s.seg
+	s.st.mu.Lock()
+	defer s.st.mu.Unlock()
+	if seg.chunkDev == nil {
+		if err := seg.buildChunkMap(1); err != nil {
+			return err
+		}
+	}
+	if seg.chunkTrck == nil {
+		if s.disks != nil {
+			seg.buildTrackMap(s.disks)
+		} else if d, isDisk := s.dev.(*device.Disk); isDisk {
+			seg.buildTrackMap([]*device.Disk{d})
+		}
+	}
+	s.mapped = true
+	return nil
 }
 
 // failoverLocked finds a live disk holding another copy of chunk idx

@@ -119,16 +119,14 @@ func (s *Segment) Stripe() []string {
 // byte offset within that device's share, and size for every chunk,
 // assigning chunks round-robin over width devices.  It is called before
 // the segment becomes visible (PlaceStriped) or under the store lock
-// (lazy build for scheduled unstriped streams), so the map is immutable
-// to readers.
+// (Stream.layoutLocked, promotion), so the map is immutable to readers;
+// on error the segment keeps the map it had.
 func (s *Segment) buildChunkMap(width int) error {
 	if width < 1 {
 		width = 1
 	}
 	n := s.frames
-	s.chunkDev = make([]int, n)
-	s.chunkOff = make([]int64, n)
-	s.chunkSize = make([]int64, n)
+	dev, offs, sizes := make([]int, n), make([]int64, n), make([]int64, n)
 	off := make([]int64, width)
 	for i := 0; i < n; i++ {
 		el, err := s.value.ElementAt(avtime.ObjectTime(i))
@@ -136,12 +134,10 @@ func (s *Segment) buildChunkMap(width int) error {
 			return fmt.Errorf("storage: chunk map for %v: %w", s.id, err)
 		}
 		d := i % width
-		s.chunkDev[i] = d
-		s.chunkOff[i] = off[d]
-		s.chunkSize[i] = el.Size()
+		dev[i], offs[i], sizes[i] = d, off[d], el.Size()
 		off[d] += el.Size()
 	}
-	s.perDev = off
+	s.chunkDev, s.chunkOff, s.chunkSize, s.perDev = dev, offs, sizes, off
 	return nil
 }
 

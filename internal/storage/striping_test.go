@@ -786,3 +786,51 @@ func TestStripedConcurrentStreamsRace(t *testing.T) {
 		t.Error("no reads went through the scheduler")
 	}
 }
+
+// TestLazyLayoutConcurrentStreamsRace: two scheduled streams on one
+// unstriped segment race to build its chunk layout at their first chunk
+// read, then keep reading it.  Run under -race.
+func TestLazyLayoutConcurrentStreamsRace(t *testing.T) {
+	dm := device.NewManager()
+	d := device.NewDisk("d", 64_000_000, 8*media.MBPerSecond, avtime.Millisecond)
+	if err := d.SetGeometry(16, avtime.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if err := dm.Register(d); err != nil {
+		t.Fatal(err)
+	}
+	st := NewStore(dm)
+	st.SetStriping(StripePolicy{Rounds: true})
+	const frames = 40
+	seg, err := st.Place(clip(t, frames), "d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	unit := media.TypeRawVideo30.Rate.UnitDuration()
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		s, _, err := st.OpenStream(seg.ID(), media.MBPerSecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		wg.Add(1)
+		go func(s *Stream) {
+			defer wg.Done()
+			for i := 0; i < frames; i++ {
+				now := avtime.WorldTime(i) * unit
+				if _, err := s.ReadChunkTimeAt(i, 1200, int64(i), now, now); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	if len(seg.chunkDev) != frames || len(seg.chunkTrck) != frames {
+		t.Errorf("layout holds %d chunks and %d tracks, want %d", len(seg.chunkDev), len(seg.chunkTrck), frames)
+	}
+	if io := st.IOStats(); io.Scheduled == 0 {
+		t.Error("no read was served from a round: the layout never reached the scheduler")
+	}
+}
