@@ -207,9 +207,12 @@ type Chunk struct {
 	Corrupted bool             // payload damaged in flight by a fault
 	Payload   media.Element
 
-	// shift is the latency a multiplexed chunk has accumulated since its
-	// parts were bundled; demultiplexing adds it to every part.  It means
-	// nothing on any other chunk.
+	// shift is the path delay a chunk has picked up since its parts, if
+	// it carries any, were bundled: every latency added to Arrived is
+	// added here too.  It travels on the envelope, so fan-out copies each
+	// carry their own and the shared parts are never touched;
+	// demultiplexing adds it to every part (Composite.Tick).  It means
+	// nothing on a chunk without parts.
 	shift avtime.WorldTime
 }
 

@@ -324,9 +324,10 @@ func (c *Composite) Stop() error {
 }
 
 // Tick implements Activity: it routes composite inputs to components,
-// runs the components in internal topological order with their latencies
-// and the synchronization corrections applied, and assembles composite
-// outputs.  Components tick in the storage round the composite was given.
+// with the synchronization corrections applied, steps the components in
+// internal topological order exactly as a graph run steps its nodes
+// (planNode.step), and assembles composite outputs.  Components tick in
+// the storage round the composite was given.
 func (c *Composite) Tick(tc *TickContext) error {
 	c.mu.Lock()
 	plan := c.plan
@@ -381,46 +382,18 @@ func (c *Composite) Tick(tc *TickContext) error {
 		}
 	}
 
-	// Run components.  A component's outputs stay in its context, where
-	// the components it feeds and the composite's Out ports find them.
+	// Run components, each by the step a graph runs its nodes with.  A
+	// component's outputs stay in its context, where the components it
+	// feeds and the composite's Out ports find them; each is named as its
+	// component's track.
 	for i := range plan.nodes {
 		pc := &plan.nodes[i]
-		for fi := range pc.feeds {
-			conn := pc.feeds[fi].conn
-			chunk := pc.feeds[fi].out()
-			if chunk == nil {
-				continue
-			}
-			oc := conn.deliver(chunk)
-			if oc.err != nil {
-				return oc.err
-			}
-			if !oc.arrived {
-				// Lost or absorbed in flight inside the composite.
-				emitFault(conn.to, EventInfo{Event: EventFault, Activity: conn.to.Name(), At: tc.Now, Seq: chunk.Seq})
-				continue
-			}
-			pc.tc.SetIn(conn.toPort.name, &oc.chunk)
+		if _, _, err := pc.step(tc.Now, nil); err != nil {
+			return err
 		}
-		if pc.act.State() != StateStarted {
-			continue
-		}
-		if pc.exec(); pc.err != nil {
-			return fmt.Errorf("activity: composite %s component %s: %w", c.Name(), pc.act.Name(), pc.err)
-		}
-		lat := pc.lat
-		for i := range pc.tc.out {
-			if !pc.tc.out[i].set {
-				continue
-			}
-			chunk := &pc.tc.out[i].c
-			if chunk.Arrived < tc.Now {
-				chunk.Arrived = tc.Now
-			}
-			chunk.Arrived += lat
-			propagateExtra(chunk, lat)
-			if chunk.Track == "" {
-				chunk.Track = pc.act.Name()
+		for j := range pc.tc.out {
+			if s := &pc.tc.out[j]; s.set && s.c.Track == "" {
+				s.c.Track = pc.act.Name()
 			}
 		}
 	}
@@ -450,17 +423,8 @@ func (c *Composite) Tick(tc *TickContext) error {
 	}
 
 	// A source composite finishes when all its source components have.
-	if c.Kind() == KindSource {
-		done := true
-		for i := range plan.nodes {
-			if pc := &plan.nodes[i]; pc.source && pc.act.State() == StateStarted {
-				done = false
-				break
-			}
-		}
-		if done {
-			c.MarkDone()
-		}
+	if c.Kind() == KindSource && sourcesDone(plan.nodes) {
+		c.MarkDone()
 	}
 	return nil
 }

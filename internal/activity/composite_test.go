@@ -2,6 +2,7 @@ package activity
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"avdb/internal/avtime"
@@ -275,5 +276,71 @@ func TestCompositeTickAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state composite tick: %.1f allocs, want 0", allocs)
+	}
+}
+
+// TestCompositeStoppedComponentReceivesNothing: a stopped component is
+// skipped whole, as a stopped graph node is — nothing crosses the internal
+// connection into it while it is stopped.
+func TestCompositeStoppedComponentReceivesNothing(t *testing.T) {
+	comp := NewComposite("c", "C", AtDatabase)
+	src, tap := newFrameSource("src", AtDatabase), newFrameSink("tap", AtDatabase)
+	for _, a := range []Activity{src, tap} {
+		if err := comp.Install(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn, err := comp.ConnectChildren(src, "out", tap, "in")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Bind(testValue(10), "out"); err != nil {
+		t.Fatal(err)
+	}
+	if err := comp.Start(); err != nil {
+		t.Fatal(err)
+	}
+	seq := 0
+	for ; seq < 3; seq++ {
+		tickComposite(t, comp, seq, nil)
+	}
+	if err := tap.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	for ; seq < 6; seq++ {
+		tickComposite(t, comp, seq, nil)
+	}
+	if got := conn.Chunks(); got != 3 {
+		t.Errorf("the internal connection moved %d chunks, want 3: %d went to the stopped component", got, got-3)
+	}
+	if len(tap.frames) != 3 {
+		t.Errorf("the stopped component took %d frames, want 3", len(tap.frames))
+	}
+}
+
+// stray emits on a port it never declared.
+type stray struct{ *Base }
+
+func (s *stray) Tick(tc *TickContext) error {
+	tc.Emit("nowhere", &Chunk{Seq: tc.Seq, At: tc.Now, Arrived: tc.Now})
+	return nil
+}
+
+// TestCompositeUnknownPortFails: a component that emits on an undeclared
+// port fails the composite's tick, as a graph node fails the run.
+func TestCompositeUnknownPortFails(t *testing.T) {
+	comp := NewComposite("c", "C", AtDatabase)
+	s := &stray{Base: NewBase("stray", "TestStray", AtDatabase)}
+	s.AddPort("out", Out, media.TypeRawVideo30)
+	if err := comp.Install(s); err != nil {
+		t.Fatal(err)
+	}
+	if err := comp.Start(); err != nil {
+		t.Fatal(err)
+	}
+	tc := NewTickContext(0, 0, avtime.Interval{Dur: tickDur})
+	err := comp.Tick(tc)
+	if err == nil || !strings.Contains(err.Error(), `"nowhere"`) {
+		t.Fatalf("tick with an undeclared port: err = %v, want the unknown port named", err)
 	}
 }

@@ -128,7 +128,7 @@ func (c *Connection) deliver(in *Chunk) outcome {
 			out.Corrupted = true
 		}
 		out.Arrived += d.Time
-		propagateExtra(&out, d.Time)
+		out.shift += d.Time
 	}
 	c.mu.Lock()
 	c.bytes += in.Size()
@@ -361,12 +361,6 @@ func sampleLatency(a Activity) avtime.WorldTime {
 	}
 	return 0
 }
-
-// propagateExtra records a path delay added to c after its parts, if it
-// carries any, were bundled.  The shift travels on the envelope, so fan-
-// out copies each carry their own and the shared parts are never touched;
-// demultiplexing applies it (Composite.Tick).
-func propagateExtra(c *Chunk, extra avtime.WorldTime) { c.shift += extra }
 
 // MaxArrival reports the latest arrival time among chunks, for
 // transformers that merge inputs.

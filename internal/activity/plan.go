@@ -1,6 +1,8 @@
 package activity
 
 import (
+	"fmt"
+
 	"avdb/internal/avtime"
 )
 
@@ -10,7 +12,7 @@ import (
 // reused every tick and with its incoming connections resolved to the
 // producing node, so a consumer reads the producer's retained outputs
 // directly and a tick allocates no chunk, no slice and no context of its
-// own.
+// own — and the one step that runs a node within a tick.
 
 // planNode is one activity of a plan.
 type planNode struct {
@@ -18,11 +20,6 @@ type planNode struct {
 	source bool // act.Kind() == KindSource
 	tc     TickContext
 	feeds  []planFeed // incoming connections, in connection order
-	depth  int        // dependency level: 0 without feeds, else 1 + the deepest producer's
-
-	// Results of the last exec, read by the serial phase that follows.
-	lat avtime.WorldTime
-	err error
 }
 
 // planFeed is one incoming connection of a node.
@@ -32,13 +29,74 @@ type planFeed struct {
 	k    int // the connection's index in the list the plan was built from
 }
 
-// exec runs a node's tick: the Tick itself and the node's latency draw
-// (each activity owns its latency model and RNG).
-func (n *planNode) exec() {
-	n.lat = 0
-	if n.err = n.act.Tick(&n.tc); n.err == nil {
-		n.lat = sampleLatency(n.act)
+// step runs the node in the tick its context was reset to, at now.  A
+// node that is not started is skipped: it receives nothing and, its
+// context being reset, publishes nothing.  Otherwise step delivers each
+// feed's chunk across its connection, emitting FAULT for one that did
+// not arrive; ticks the activity; and stamps each output, leaving it in
+// the context for the nodes downstream: raised to at least now, delayed
+// by the activity's latency draw, and refused on a port the activity
+// does not declare.  When run is non-nil, every delivery is also
+// accounted to the run (GraphRun.delivered).  step reports whether the
+// node ran and the latest arrival it saw.
+//
+// Both walks call step on their nodes in plan order, so everything
+// order-sensitive — chunk span ids, transfer ordinals, latency draws,
+// stats — happens in that one order, which is what the goldens pin.
+func (n *planNode) step(now avtime.WorldTime, run *GraphRun) (ran bool, last avtime.WorldTime, err error) {
+	if n.act.State() != StateStarted {
+		return false, 0, nil
 	}
+	for fi := range n.feeds {
+		f := &n.feeds[fi]
+		src := f.out()
+		if src == nil {
+			continue
+		}
+		oc := f.conn.deliver(src)
+		if oc.err != nil {
+			return true, last, oc.err
+		}
+		if run != nil {
+			run.delivered(f, src, &oc)
+		}
+		if !oc.arrived {
+			// Lost in flight or absorbed by a fail-soft connection: the
+			// receiver sees the gap and the client hears about it.
+			emitFault(f.conn.to, EventInfo{Event: EventFault, Activity: f.conn.to.Name(), At: now, Seq: src.Seq})
+			continue
+		}
+		n.tc.SetIn(f.conn.toPort.name, &oc.chunk)
+		last = max(last, oc.chunk.Arrived)
+	}
+	if err := n.act.Tick(&n.tc); err != nil {
+		return true, last, fmt.Errorf("activity: %s at tick %d: %w", n.act.Name(), n.tc.Seq, err)
+	}
+	lat := sampleLatency(n.act)
+	for i := range n.tc.out {
+		s := &n.tc.out[i]
+		if !s.set {
+			continue
+		}
+		if _, ok := n.act.Port(s.port); !ok {
+			return true, last, fmt.Errorf("activity: %s emitted on unknown port %q", n.act.Name(), s.port)
+		}
+		c := &s.c
+		c.Arrived = max(c.Arrived, now) + lat
+		c.shift += lat
+		last = max(last, c.Arrived)
+	}
+	return true, last, nil
+}
+
+// sourcesDone reports whether no source node of a plan remains started.
+func sourcesDone(nodes []planNode) bool {
+	for i := range nodes {
+		if n := &nodes[i]; n.source && n.act.State() == StateStarted {
+			return false
+		}
+	}
+	return true
 }
 
 // clear empties the node's context and, for a composite, the contexts and
@@ -60,9 +118,7 @@ func (f *planFeed) out() *Chunk { return f.from.tc.Out(f.conn.fromPort.name) }
 // result into plan nodes; ok is false when the connections form a cycle.
 //
 // The order is Kahn's with a FIFO frontier seeded in acts' order, so it
-// is deterministic, and because a FIFO dequeues a whole frontier before
-// any of its successors, depth never decreases along it: the nodes of
-// one dependency level are contiguous.  GraphRun.Tick relies on both.
+// is deterministic, and every producer comes before its consumers.
 func planNodes(acts []Activity, conns []*Connection) (nodes []planNode, ok bool) {
 	index := make(map[string]int, len(acts))
 	for i, a := range acts {
@@ -120,11 +176,6 @@ func planNodes(acts []Activity, conns []*Connection) (nodes []planNode, ok bool)
 	for k, c := range conns {
 		n := &nodes[pos[to[k]]]
 		n.feeds = append(n.feeds, planFeed{conn: c, from: &nodes[pos[from[k]]], k: k})
-	}
-	for i := range nodes {
-		for _, f := range nodes[i].feeds {
-			nodes[i].depth = max(nodes[i].depth, f.from.depth+1)
-		}
 	}
 	return nodes, true
 }

@@ -14,7 +14,7 @@ import (
 //
 //	r, err := g.Begin(cfg)        // validate, plan, open spans
 //	for {
-//	    done, err := r.Tick()     // one pass over every level
+//	    done, err := r.Tick()     // one step of every node, in plan order
 //	    if err != nil { break }
 //	    r.Commit()                // advance the clock past the tick
 //	    if done { break }
@@ -36,11 +36,9 @@ type GraphRun struct {
 	maxTicks int
 
 	// The run plan, built once by Begin: the nodes in topological order
-	// — dependency level by level, each level a contiguous stretch — with
-	// their tick contexts and resolved feeds (plan.go).
+	// with their tick contexts and resolved feeds (plan.go).
 	nodes  []planNode
 	conns  []*Connection
-	staged []*planNode      // the nodes of the level being ticked that are running
 	latest avtime.WorldTime // latest chunk arrival so far; Finish drains the clock to it
 
 	startAt avtime.WorldTime
@@ -81,7 +79,6 @@ func (g *Graph) Begin(cfg RunConfig) (*GraphRun, error) {
 	if !ok {
 		return nil, fmt.Errorf("activity: graph %q contains a cycle", g.name)
 	}
-	levels, width := levelShape(nodes)
 	r := &GraphRun{
 		g:        g,
 		clock:    cfg.Clock,
@@ -89,7 +86,6 @@ func (g *Graph) Begin(cfg RunConfig) (*GraphRun, error) {
 		maxTicks: maxTicks,
 		nodes:    nodes,
 		conns:    conns,
-		staged:   make([]*planNode, 0, width),
 		startAt:  cfg.Clock.Now(),
 		sink:     cfg.Obs,
 		stats:    &RunStats{},
@@ -110,9 +106,6 @@ func (g *Graph) Begin(cfg RunConfig) (*GraphRun, error) {
 		for k, c := range conns {
 			r.connSpans[k] = r.sink.BeginSpan(r.pbSpan, obs.KindConnection, c.label, r.startAt)
 		}
-		// Executor shape: both gauges depend only on the graph.
-		r.sink.SetGauge("exec.levels", int64(levels))
-		r.sink.SetGauge("exec.width", int64(width))
 	}
 	return r, nil
 }
@@ -180,13 +173,13 @@ func (r *GraphRun) Commit() {
 	r.stats.Elapsed = r.clock.Now() - r.startAt
 }
 
-// Tick executes one scheduling interval: every dependency level of the
-// run plan in order, with the phase A/B/C discipline of executor.go
-// (delivery, execution, publication), all on the calling goroutine.  It
-// returns done=true when the run has nothing further to execute — no
-// node running, every source exhausted, or the tick bound reached.  Tick
-// never advances the clock; the caller commits (Commit, or a
-// scheduler-wide advance) between ticks.  After an error the run is
+// Tick executes one scheduling interval on the calling goroutine: every
+// node of the run plan resets its tick context and takes its step
+// (planNode.step), in plan order, so each node's feeds are complete
+// before it runs.  It returns done=true when the run has nothing further
+// to execute — no node running, every source exhausted, or the tick bound
+// reached.  Tick never advances the clock; the caller commits (Commit,
+// or a scheduler-wide advance) between ticks.  After an error the run is
 // terminal and Finish skips the drain.
 func (r *GraphRun) Tick() (bool, error) {
 	if r.finished || r.runErr != nil || r.done {
@@ -202,132 +195,59 @@ func (r *GraphRun) Tick() (bool, error) {
 	r.stats.Elapsed = r.clock.Now() - r.startAt
 
 	tick := r.tick
-	stats := r.stats
-	sink := r.sink
 	now := r.startAt + r.rate.DurationOf(avtime.ObjectTime(tick))
 	iv := avtime.Interval{Start: now, Dur: r.rate.UnitDuration()}
 	round := r.round
 	if round < 0 {
 		round = int64(tick)
 	}
-
 	anyRunning := false
-	var last avtime.WorldTime
-	for lo, hi := 0, 0; lo < len(r.nodes); lo = hi {
-		hi = levelEnd(r.nodes, lo)
-		r.staged = r.staged[:0]
-
-		// Phase A — in topological order: move chunks across
-		// connections, account faults, emit chunk spans, stage every
-		// running node's tick inputs.  Producers sit in strictly
-		// earlier levels, so their outputs are complete for this level.
-		for i := lo; i < hi; i++ {
-			node := &r.nodes[i]
-			node.tc.reset(now, tick, iv, round)
-			if node.act.State() != StateStarted {
-				// Reset and not ticked: it publishes nothing this tick.
-				continue
-			}
-			anyRunning = true
-			for fi := range node.feeds {
-				feed := &node.feeds[fi]
-				src := feed.out()
-				if src == nil {
-					continue
-				}
-				conn := feed.conn
-				oc := conn.deliver(src)
-				if oc.err != nil {
-					r.runErr = oc.err
-					return true, r.runErr
-				}
-				if !oc.arrived {
-					// Lost in flight or absorbed by a fail-soft connection:
-					// nothing arrives this tick; the receiver sees the gap and
-					// the client hears about it.
-					if oc.dropped {
-						stats.ChunksDropped++
-					}
-					if oc.failed {
-						stats.TransferFailures++
-					}
-					emitFault(conn.to, EventInfo{Event: EventFault, Activity: conn.to.Name(), At: now, Seq: src.Seq})
-					continue
-				}
-				if oc.corrupted {
-					stats.ChunksCorrupted++
-				}
-				if sink != nil {
-					cs := sink.BeginSpan(r.connSpans[feed.k], obs.KindChunk, conn.label, src.At)
-					sink.SpanAttr(cs, "seq", int64(src.Seq))
-					sink.EndSpan(cs, oc.chunk.Arrived)
-					sink.Observe("stream.chunk_latency_us", int64(oc.chunk.Arrived-oc.chunk.At))
-				}
-				node.tc.SetIn(conn.toPort.name, &oc.chunk)
-				stats.Chunks++
-				stats.BytesMoved += oc.chunk.Size()
-				if oc.chunk.Arrived > last {
-					last = oc.chunk.Arrived
-				}
-			}
-			r.staged = append(r.staged, node)
+	for i := range r.nodes {
+		node := &r.nodes[i]
+		node.tc.reset(now, tick, iv, round)
+		ran, last, err := node.step(now, r)
+		if err != nil {
+			r.runErr = err
+			return true, err
 		}
-
-		// Phase B — tick the level's staged nodes in plan order.
-		for _, node := range r.staged {
-			node.exec()
-		}
-
-		// Phase C — in topological order: surface the first
-		// error, stamp activity latency onto outputs and leave them in
-		// the node's context for the next levels to read.
-		for _, node := range r.staged {
-			if node.err != nil {
-				r.runErr = fmt.Errorf("activity: %s at tick %d: %w", node.act.Name(), tick, node.err)
-				return true, r.runErr
-			}
-			for i := range node.tc.out {
-				s := &node.tc.out[i]
-				if !s.set {
-					continue
-				}
-				c := &s.c
-				if c.Arrived < now {
-					c.Arrived = now
-				}
-				c.Arrived += node.lat
-				propagateExtra(c, node.lat)
-				if _, ok := node.act.Port(s.port); !ok {
-					r.runErr = fmt.Errorf("activity: %s emitted on unknown port %q", node.act.Name(), s.port)
-					return true, r.runErr
-				}
-				if c.Arrived > last {
-					last = c.Arrived
-				}
-			}
-		}
+		anyRunning = anyRunning || ran
+		r.latest = max(r.latest, last)
 	}
 
-	stats.Ticks++
-	if last > r.latest {
-		r.latest = last
-	}
+	r.stats.Ticks++
 	r.lastNow = now
 	r.tick++
-	if !anyRunning || r.sourcesFinished() || r.tick >= r.maxTicks {
+	if !anyRunning || sourcesDone(r.nodes) || r.tick >= r.maxTicks {
 		r.done = true
 	}
 	return r.done, nil
 }
 
-// sourcesFinished reports whether no source activity remains started.
-func (r *GraphRun) sourcesFinished() bool {
-	for i := range r.nodes {
-		if n := &r.nodes[i]; n.source && n.act.State() == StateStarted {
-			return false
+// delivered accounts one delivery attempt on feed f of src to the run:
+// the fault counters for a chunk that did not arrive, and the stream
+// counters and chunk span for one that did.
+func (r *GraphRun) delivered(f *planFeed, src *Chunk, oc *outcome) {
+	stats := r.stats
+	if !oc.arrived {
+		if oc.dropped {
+			stats.ChunksDropped++
 		}
+		if oc.failed {
+			stats.TransferFailures++
+		}
+		return
 	}
-	return true
+	if oc.corrupted {
+		stats.ChunksCorrupted++
+	}
+	if r.sink != nil {
+		cs := r.sink.BeginSpan(r.connSpans[f.k], obs.KindChunk, f.conn.label, src.At)
+		r.sink.SpanAttr(cs, "seq", int64(src.Seq))
+		r.sink.EndSpan(cs, oc.chunk.Arrived)
+		r.sink.Observe("stream.chunk_latency_us", int64(oc.chunk.Arrived-oc.chunk.At))
+	}
+	stats.Chunks++
+	stats.BytesMoved += oc.chunk.Size()
 }
 
 // Finish completes the run: on success it drains the clock so the final

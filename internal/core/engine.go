@@ -87,7 +87,7 @@ type Engine struct {
 
 	// The workers-1 helpers, started at the first parallel step and
 	// stopped when the run set drains.
-	helpCh chan tickJob
+	helpCh chan int64 // one step number per helper per parallel step
 	stepWG sync.WaitGroup
 
 	// Step-path scratch, reused step to step.  Only the loop goroutine
@@ -129,13 +129,6 @@ type engineRun interface {
 	Finish() (*activity.RunStats, error)
 }
 
-// tickJob is what every goroutine ticking a step needs besides the
-// batch itself.
-type tickJob struct {
-	step   int64
-	sample bool // sample stall episodes (overload control armed)
-}
-
 // engineEntry is one admitted playback.  The ticks/due/rate fields are
 // the loop-maintained snapshot SessionsAppend reads under the engine lock:
 // introspection must never call into the GraphRun itself, which the
@@ -152,15 +145,14 @@ type engineEntry struct {
 	rate       avtime.Rate      // immutable after Begin; cached for SessionsAppend
 	ticks      int              // snapshot, written and read under the engine lock
 	due        avtime.WorldTime // snapshot of the next due time, under the engine lock
-	lastStalls int64            // stall episodes at the previous sample (ticking goroutine)
+	lastStalls int64            // stall episodes at the previous sample (loop goroutine)
 
 	stage *obs.Stage // private telemetry buffer under parallel stepping
 
-	// Tick results, written by the ticking goroutine during phase 1 and
+	// Tick result, written by the ticking goroutine during phase 1 and
 	// read by the loop goroutine at the merge (the helpers' WaitGroup
 	// provides the happens-before edge).
-	tickDone  bool
-	tickStall int64
+	tickDone bool
 }
 
 func newEngine(db *Database) *Engine {
@@ -191,7 +183,7 @@ func (e *Engine) startHelpers(n int) {
 	if e.helpCh != nil {
 		return
 	}
-	e.helpCh = make(chan tickJob, n)
+	e.helpCh = make(chan int64, n)
 	for i := 0; i < n; i++ {
 		go e.helper(e.helpCh)
 	}
@@ -206,10 +198,11 @@ func (e *Engine) stopHelpers() {
 	}
 }
 
-// helper joins one step's tickBatch per job until the channel closes.
-func (e *Engine) helper(ch chan tickJob) {
-	for job := range ch {
-		e.tickBatch(job)
+// helper joins one step's tickBatch per step number it receives, until
+// the channel closes.
+func (e *Engine) helper(ch chan int64) {
+	for step := range ch {
+		e.tickBatch(step)
 		e.stepWG.Done()
 	}
 }
@@ -221,23 +214,19 @@ func (e *Engine) helper(ch chan tickJob) {
 // free to race — runs touch disjoint per-run state, and all shared
 // mid-tick structures are lock-protected and order-independent (see the
 // Engine doc comment).
-func (e *Engine) tickBatch(job tickJob) {
+func (e *Engine) tickBatch(step int64) {
 	for {
 		i := int(e.claimed.Add(1)) - 1
 		if i >= len(e.stepBatch) {
 			break
 		}
 		en := e.stepBatch[i]
-		en.run.SetRound(job.step)
+		en.run.SetRound(step)
 		pprof.SetGoroutineLabels(en.labelCtx)
+		// A tick error stays on the run (Err), which the merge and the
+		// retirement read; Wait returns it.
 		done, _ := en.run.Tick()
 		en.tickDone = done
-		en.tickStall = 0
-		if job.sample {
-			eps := en.sess.stallEpisodes()
-			en.tickStall = eps - en.lastStalls
-			en.lastStalls = eps
-		}
 	}
 	pprof.SetGoroutineLabels(e.baseCtx)
 }
@@ -423,27 +412,32 @@ func (e *Engine) stepOnce() bool {
 	// by up to workers-1 helpers when the batch has runs to spare, and
 	// waits for them at the barrier.  Each run ticks under its
 	// admission-time pprof label context.
-	job := tickJob{step: step, sample: det != nil}
 	e.claimed.Store(0)
 	if helpers := min(workers, len(batch)) - 1; helpers > 0 {
 		e.startHelpers(workers - 1)
 		e.stepWG.Add(helpers)
 		for i := 0; i < helpers; i++ {
-			e.helpCh <- job
+			e.helpCh <- step
 		}
 	}
-	e.tickBatch(job)
+	e.tickBatch(step)
 	e.stepWG.Wait()
 
-	// Merge — walk the batch in admission order: accumulate the stall
-	// sample, replay each run's staged telemetry into the real sink
-	// (re-establishing exactly the emission order a serial step would
-	// have produced), and collect finished runs.  This is the commit
-	// barrier that makes any worker count byte-identical to serial.
+	// Merge — walk the batch in admission order: sample each session's
+	// stall episodes (they change only during its own tick, so sampling
+	// here sums to what sampling after each tick would), replay each
+	// run's staged telemetry into the real sink (re-establishing exactly
+	// the emission order a serial step would have produced), and collect
+	// finished runs.  This is the commit barrier that makes any worker
+	// count byte-identical to serial.
 	e.retiredBuf = e.retiredBuf[:0]
 	var stallDelta int64
 	for _, en := range batch {
-		stallDelta += en.tickStall
+		if det != nil {
+			eps := en.sess.stallEpisodes()
+			stallDelta += eps - en.lastStalls
+			en.lastStalls = eps
+		}
 		if en.stage != nil {
 			en.stage.Flush(sink)
 		}

@@ -576,23 +576,35 @@ func (s *Stream) readLocked(bytes int64) (avtime.WorldTime, error) {
 	if f, ok := s.dev.(device.Faultable); ok {
 		dt, err := f.CheckRead(s.accessLocked(), bytes)
 		if err != nil {
-			if s.sink != nil {
-				s.sink.Count("storage.read_faults", 1)
-			}
-			return dt, fmt.Errorf("storage: reading %v from %q: %w", s.seg.id, s.seg.devID, err)
+			return s.readFailed(s.seg.devID, dt, err)
 		}
 		extra = dt
 	}
-	s.bytes += bytes
 	t := extra + avtime.WorldTime(bytes*int64(avtime.Second)/int64(s.rate))
 	t += s.startup
 	s.startup = 0
+	return s.readDone(bytes, t)
+}
+
+// readDone accounts a completed read of bytes that took t to the stream
+// and its sink, and returns t; the caller holds s.mu.
+func (s *Stream) readDone(bytes int64, t avtime.WorldTime) (avtime.WorldTime, error) {
+	s.bytes += bytes
 	if s.sink != nil {
 		s.sink.Count("storage.reads", 1)
 		s.sink.Count("storage.read_bytes", bytes)
 		s.sink.Observe("storage.read_time_us", int64(t))
 	}
 	return t, nil
+}
+
+// readFailed accounts a read that faulted on device dev after costing t,
+// and returns t with the fault wrapped; the caller holds s.mu.
+func (s *Stream) readFailed(dev string, t avtime.WorldTime, err error) (avtime.WorldTime, error) {
+	if s.sink != nil {
+		s.sink.Count("storage.read_faults", 1)
+	}
+	return t, fmt.Errorf("storage: reading %v from %q: %w", s.seg.id, dev, err)
 }
 
 // accessLocked names the stream's next fault check, so a fault hook's
@@ -712,30 +724,13 @@ func (s *Stream) ReadChunkTimeAt(idx int, bytes int64, round int64, now, deadlin
 					// the chunk from a surviving replica as a demand read —
 					// a seek plus the transfer at the stream's rate, on top
 					// of the failed attempt's cost.
-					s.bytes += bytes
-					t = extra + adt + alt.SeekTime() + avtime.WorldTime(bytes*int64(avtime.Second)/int64(s.rate))
-					err = nil
-					if s.sink != nil {
-						s.sink.Count("storage.reads", 1)
-						s.sink.Count("storage.read_bytes", bytes)
-						s.sink.Observe("storage.read_time_us", int64(t))
-					}
+					t, err = s.readDone(bytes, extra+adt+alt.SeekTime()+avtime.WorldTime(bytes*int64(avtime.Second)/int64(s.rate)))
 				} else {
 					s.io.unconsume(&s.slot, res, round, nextReq)
-					t = extra
-					err = fmt.Errorf("storage: reading %v from %q: %w", s.seg.id, s.chunkDevice(idx).ID(), err)
-					if s.sink != nil {
-						s.sink.Count("storage.read_faults", 1)
-					}
+					t, err = s.readFailed(s.chunkDevice(idx).ID(), extra, err)
 				}
 			} else {
-				s.bytes += bytes
-				t = extra + res.cost
-				if s.sink != nil {
-					s.sink.Count("storage.reads", 1)
-					s.sink.Count("storage.read_bytes", bytes)
-					s.sink.Observe("storage.read_time_us", int64(t))
-				}
+				t, err = s.readDone(bytes, extra+res.cost)
 			}
 		} else {
 			t, err = s.readChunkLocked(idx, bytes)
@@ -884,10 +879,7 @@ func (s *Stream) readChunkLocked(idx int, bytes int64) (avtime.WorldTime, error)
 		if err != nil {
 			alt, adt, live := s.failoverLocked(idx, bytes, dev, err)
 			if !live {
-				if s.sink != nil {
-					s.sink.Count("storage.read_faults", 1)
-				}
-				return dt, fmt.Errorf("storage: reading %v from %q: %w", s.seg.id, dev.ID(), err)
+				return s.readFailed(dev.ID(), dt, err)
 			}
 			// Fail-soft onto a surviving replica: the read continues there,
 			// paying the failed attempt's cost on top.
@@ -896,7 +888,6 @@ func (s *Stream) readChunkLocked(idx int, bytes int64) (avtime.WorldTime, error)
 			extra = dt
 		}
 	}
-	s.bytes += bytes
 	t := extra + avtime.WorldTime(bytes*int64(avtime.Second)/int64(s.rate))
 	seeked := false
 	if s.startup > 0 {
@@ -912,12 +903,7 @@ func (s *Stream) readChunkLocked(idx int, bytes int64) (avtime.WorldTime, error)
 	if s.io != nil {
 		s.io.noteDemand(seeked)
 	}
-	if s.sink != nil {
-		s.sink.Count("storage.reads", 1)
-		s.sink.Count("storage.read_bytes", bytes)
-		s.sink.Observe("storage.read_time_us", int64(t))
-	}
-	return t, nil
+	return s.readDone(bytes, t)
 }
 
 // stageNext fills req with the request for the chunk after idx, due one
