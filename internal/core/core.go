@@ -348,7 +348,7 @@ func (db *Database) GetAttr(oid schema.OID, attr string) (schema.Datum, error) {
 // state and the database's record of where its media were placed.  The
 // device segments themselves are deliberately left allocated — not
 // handed to storage.Store.Delete — until delete vs open-stream vs
-// checked-in-version semantics are defined (ROADMAP item 8).
+// checked-in-version semantics are defined (ROADMAP item 10).
 func (db *Database) DeleteObject(oid schema.OID) error {
 	o, ok := db.objects.Get(oid)
 	if !ok {
@@ -608,6 +608,7 @@ func (db *Database) Recover() error {
 	if err != nil {
 		return err
 	}
+	// In ascending OID order each restore lands at its extent's end.
 	sort.Slice(objs, func(i, j int) bool { return objs[i].oid < objs[j].oid })
 	for _, p := range objs {
 		if _, err := db.objects.RestoreObject(p.class, p.oid); err != nil {

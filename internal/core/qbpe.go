@@ -41,12 +41,12 @@ func (db *Database) FindSimilar(className, attr string, example *media.Frame, li
 	}
 	want := media.SignatureOf(example)
 
+	// Collect the extent under the store's lock; compute signatures
+	// outside it.
+	var objs []*schema.Object
+	db.objects.Scan(c, func(o *schema.Object) { objs = append(objs, o) })
 	var out []SimilarityMatch
-	for _, oid := range db.objects.OfClass(c, true) {
-		o, ok := db.objects.Get(oid)
-		if !ok {
-			continue
-		}
+	for _, o := range objs {
 		d, ok := o.Get(attr)
 		if !ok {
 			continue
@@ -64,7 +64,7 @@ func (db *Database) FindSimilar(className, attr string, example *media.Frame, li
 		default:
 			continue
 		}
-		out = append(out, SimilarityMatch{OID: oid, Distance: want.Distance(sig)})
+		out = append(out, SimilarityMatch{OID: o.OID(), Distance: want.Distance(sig)})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Distance != out[j].Distance {

@@ -98,6 +98,7 @@ type Pred struct {
 	Lit  Literal
 
 	datum schema.Datum // resolved by check
+	slot  int          // the attribute's slot in the class layout, resolved by check
 }
 
 // String implements Expr.
@@ -115,6 +116,7 @@ func (p *Pred) check(c *schema.Class) error {
 		return err
 	}
 	p.datum = d
+	p.slot, _ = c.Slot(p.Attr)
 	switch p.Op {
 	case OpEq, OpNe:
 		if attr.Kind == schema.KindMedia || attr.Kind == schema.KindTComp {
@@ -181,11 +183,11 @@ func resolveLiteral(lit Literal, kind schema.AttrKind) (schema.Datum, error) {
 	return schema.Datum{}, fmt.Errorf("%w: attribute kind %v has no literals", ErrType, kind)
 }
 
-func (p *Pred) eval(o *schema.Object) bool {
-	d, ok := o.Get(p.Attr)
-	if !ok {
-		return false // unset attributes satisfy nothing
-	}
+// eval tests the attribute's slot in place; unset attributes satisfy
+// nothing.
+func (p *Pred) eval(o *schema.Object) bool { return o.Match(p.slot, p.test) }
+
+func (p *Pred) test(d *schema.Datum) bool {
 	switch p.Op {
 	case OpEq:
 		return d.Equal(p.datum)

@@ -1,8 +1,11 @@
 package query
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
+	"avdb/internal/media"
 	"avdb/internal/schema"
 )
 
@@ -127,4 +130,57 @@ func benchDB(b *testing.B, n int) (*schema.Schema, *schema.Store, *Engine) {
 		}
 	}
 	return s, store, NewEngine(s, store)
+}
+
+// BenchmarkQueryContainsScan is the unindexed keyword scan one catalog
+// browse makes, over 8000 objects of the §4.1 Newscast shape.
+func BenchmarkQueryContainsScan(b *testing.B) {
+	eng := newscastCatalog(b, 8000)
+	q, err := Parse(`select Newscast where keywords contains "sports"`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Run(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// newscastCatalog builds n objects of the §4.1 Newscast shape — title,
+// source, date, a few keywords, a frame count, and unset media and tcomp
+// attributes — and returns an unindexed engine over them.
+func newscastCatalog(tb testing.TB, n int) *Engine {
+	tb.Helper()
+	s := schema.NewSchema()
+	cls, err := s.Define("Newscast", "", []schema.AttrDef{
+		{Name: "title", Kind: schema.KindString},
+		{Name: "broadcastSource", Kind: schema.KindString},
+		{Name: "whenBroadcast", Kind: schema.KindDate},
+		{Name: "keywords", Kind: schema.KindString},
+		{Name: "frames", Kind: schema.KindInt},
+		{Name: "video", Kind: schema.KindMedia, MediaKind: media.KindVideo},
+		{Name: "clip", Kind: schema.KindTComp, Tracks: []schema.TrackDef{
+			{Name: "videoTrack", MediaKind: media.KindVideo},
+			{Name: "englishTrack", MediaKind: media.KindAudio},
+		}},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	store := schema.NewStore()
+	words := []string{"politics", "sports", "weather", "finance", "science", "arts", "local", "world"}
+	sources := []string{"CBS", "NBC", "ABC", "PBS", "CNN"}
+	base := time.Date(1993, 1, 1, 0, 0, 0, 0, time.UTC)
+	for i := 0; i < n; i++ {
+		o := store.NewObject(cls)
+		must(tb, o.Set("title", schema.String(fmt.Sprintf("Newscast %d", i))))
+		must(tb, o.Set("broadcastSource", schema.String(sources[i%len(sources)])))
+		must(tb, o.Set("whenBroadcast", schema.Date(base.AddDate(0, 0, i/10))))
+		must(tb, o.Set("keywords", schema.String(words[i%len(words)]+" "+words[(i/len(words))%len(words)])))
+		must(tb, o.Set("frames", schema.Int(int64(100+i%50))))
+	}
+	return NewEngine(s, store)
 }

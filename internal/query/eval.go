@@ -2,7 +2,7 @@ package query
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -154,15 +154,11 @@ func (e *Engine) CreateIndex(className, attr string, kind IndexKind) (*Index, er
 	} else {
 		ix.tree = newBTree()
 	}
-	for _, oid := range e.store.OfClass(c, true) {
-		o, ok := e.store.Get(oid)
-		if !ok {
-			continue
-		}
+	e.store.Scan(c, func(o *schema.Object) {
 		if d, ok := o.Get(attr); ok {
-			ix.Add(oid, d)
+			ix.Add(o.OID(), d)
 		}
-	}
+	})
 	e.indexes[name] = ix
 	return ix, nil
 }
@@ -317,36 +313,33 @@ func (e *Engine) RunString(src string) ([]schema.OID, error) {
 	return e.Run(q)
 }
 
-// Execute runs a prepared plan.
+// Execute runs a prepared plan.  A full scan walks the class extent in
+// OID order and needs no sort; index candidates come in key order and
+// are sorted at the end.
 func (e *Engine) Execute(plan *Plan) ([]schema.OID, error) {
-	var candidates []schema.OID
-	if plan.IndexUsed != "" {
-		ix, ok := e.Index(plan.Class.Name(), plan.IndexPred.Attr)
-		if !ok {
-			return nil, fmt.Errorf("%w: plan references missing index %s", ErrIndex, plan.IndexUsed)
-		}
-		var err error
-		candidates, err = indexCandidates(ix, plan.IndexPred, plan.IndexBound)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		candidates = e.store.OfClass(plan.Class, true)
-	}
 	var out []schema.OID
-	for _, oid := range candidates {
-		o, ok := e.store.Get(oid)
-		if !ok {
-			continue
-		}
-		if !o.Class().IsSubclassOf(plan.Class) {
-			continue
-		}
-		if plan.Where == nil || plan.Where.eval(o) {
-			out = append(out, oid)
-		}
+	if plan.IndexUsed == "" {
+		e.store.Scan(plan.Class, func(o *schema.Object) {
+			if plan.Where == nil || plan.Where.eval(o) {
+				out = append(out, o.OID())
+			}
+		})
+		return out, nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	ix, ok := e.Index(plan.Class.Name(), plan.IndexPred.Attr)
+	if !ok {
+		return nil, fmt.Errorf("%w: plan references missing index %s", ErrIndex, plan.IndexUsed)
+	}
+	candidates, err := indexCandidates(ix, plan.IndexPred, plan.IndexBound)
+	if err != nil {
+		return nil, err
+	}
+	e.store.Visit(candidates, func(o *schema.Object) {
+		if o.Class().IsSubclassOf(plan.Class) && plan.Where.eval(o) {
+			out = append(out, o.OID())
+		}
+	})
+	slices.Sort(out)
 	return out, nil
 }
 

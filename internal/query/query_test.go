@@ -602,3 +602,29 @@ func TestOpAndIndexKindStrings(t *testing.T) {
 		t.Error("out-of-range index kind name wrong")
 	}
 }
+
+// TestFullScanAllocsIndependentOfExtent pins that a full scan walks the
+// extent in place: a contains that matches nothing allocates the same
+// over 1000 objects as over 8000 — no copy of the extent, no sort.
+func TestFullScanAllocsIndependentOfExtent(t *testing.T) {
+	allocs := func(n int) float64 {
+		eng := newscastCatalog(t, n)
+		q, err := Parse(`select Newscast where keywords contains "nowhere"`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := eng.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if oids, err := eng.Execute(plan); err != nil || len(oids) != 0 {
+				t.Fatalf("matched %v, %v", oids, err)
+			}
+		})
+	}
+	small, large := allocs(1000), allocs(8000)
+	if small != large {
+		t.Errorf("scan allocates %v over 1000 objects and %v over 8000", small, large)
+	}
+}

@@ -16,13 +16,24 @@ type OID uint64
 // String formats the OID.
 func (o OID) String() string { return fmt.Sprintf("oid:%d", uint64(o)) }
 
-// Object is a class instance.
+// Object is a class instance.  Its values sit in one slot per attribute
+// of its class's layout (Class.Attrs).
 type Object struct {
 	oid   OID
 	class *Class
 
 	mu     sync.RWMutex
-	fields map[string]Datum
+	fields []field
+}
+
+// field is one attribute slot of an object.
+type field struct {
+	d   Datum
+	set bool
+}
+
+func newObject(c *Class, oid OID) *Object {
+	return &Object{oid: oid, class: c, fields: make([]field, len(c.all))}
 }
 
 // OID returns the object's identifier.
@@ -35,10 +46,11 @@ func (o *Object) Class() *Class { return o.class }
 // datum matches its declared kind (including the media kind and the
 // track layout of tcomp attributes).
 func (o *Object) Set(name string, d Datum) error {
-	attr, ok := o.class.Attr(name)
+	slot, ok := o.class.slots[name]
 	if !ok {
 		return fmt.Errorf("schema: class %s has no attribute %q", o.class.name, name)
 	}
+	attr := o.class.all[slot]
 	if attr.Kind != d.Kind() {
 		return fmt.Errorf("schema: attribute %s.%s is %v, got %v", o.class.name, name, attr.Kind, d.Kind())
 	}
@@ -53,7 +65,7 @@ func (o *Object) Set(name string, d Datum) error {
 		}
 	}
 	o.mu.Lock()
-	o.fields[name] = d
+	o.fields[slot] = field{d, true}
 	o.mu.Unlock()
 	return nil
 }
@@ -103,10 +115,24 @@ func checkTComp(attr AttrDef, d Datum) error {
 
 // Get returns an attribute's value.
 func (o *Object) Get(name string) (Datum, bool) {
+	slot, ok := o.class.slots[name]
+	if !ok {
+		return Datum{}, false
+	}
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	d, ok := o.fields[name]
-	return d, ok
+	f := &o.fields[slot]
+	return f.d, f.set
+}
+
+// Match tests the value in a slot of the object's class layout (see
+// Class.Slot) in place, under the object's read lock; an unset slot
+// matches nothing.
+func (o *Object) Match(slot int, pred func(*Datum) bool) bool {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	f := &o.fields[slot]
+	return f.set && pred(&f.d)
 }
 
 // Fields returns the set attribute names, sorted.
@@ -114,8 +140,10 @@ func (o *Object) Fields() []string {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
 	names := make([]string, 0, len(o.fields))
-	for n := range o.fields {
-		names = append(names, n)
+	for i := range o.fields {
+		if o.fields[i].set {
+			names = append(names, o.class.all[i].Name)
+		}
 	}
 	sort.Strings(names)
 	return names
@@ -126,27 +154,29 @@ func (o *Object) String() string {
 	return fmt.Sprintf("%s(%v)", o.class.name, o.oid)
 }
 
-// Store holds class instances and assigns OIDs.
+// Store holds class instances and assigns OIDs.  Each class's direct
+// instances are kept in one list in ascending OID order, so a scan of a
+// class extent walks objects in the order queries return them.
 type Store struct {
 	mu      sync.RWMutex
 	nextOID OID
 	objects map[OID]*Object
-	byClass map[string][]OID
+	byClass map[*Class][]*Object // ascending OID
 }
 
 // NewStore returns an empty object store.
 func NewStore() *Store {
-	return &Store{nextOID: 1, objects: make(map[OID]*Object), byClass: make(map[string][]OID)}
+	return &Store{nextOID: 1, objects: make(map[OID]*Object), byClass: make(map[*Class][]*Object)}
 }
 
 // NewObject creates an instance of the class.
 func (s *Store) NewObject(c *Class) *Object {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	o := &Object{oid: s.nextOID, class: c, fields: make(map[string]Datum)}
+	o := newObject(c, s.nextOID)
 	s.nextOID++
 	s.objects[o.oid] = o
-	s.byClass[c.name] = append(s.byClass[c.name], o.oid)
+	s.byClass[c] = append(s.byClass[c], o) // the newest OID sorts last
 	return o
 }
 
@@ -159,13 +189,24 @@ func (s *Store) RestoreObject(c *Class, oid OID) (*Object, error) {
 	if _, live := s.objects[oid]; live {
 		return nil, fmt.Errorf("schema: OID %v already live", oid)
 	}
-	o := &Object{oid: oid, class: c, fields: make(map[string]Datum)}
+	o := newObject(c, oid)
 	s.objects[oid] = o
-	s.byClass[c.name] = append(s.byClass[c.name], oid)
+	ext := s.byClass[c]
+	i := search(ext, oid)
+	ext = append(ext, nil)
+	copy(ext[i+1:], ext[i:])
+	ext[i] = o
+	s.byClass[c] = ext
 	if oid >= s.nextOID {
 		s.nextOID = oid + 1
 	}
 	return o, nil
+}
+
+// search returns the index of the first object in the ascending list
+// whose OID is not below oid.
+func search(ext []*Object, oid OID) int {
+	return sort.Search(len(ext), func(i int) bool { return ext[i].oid >= oid })
 }
 
 // ReserveBelow advances the allocator so that NewObject never returns an
@@ -196,13 +237,11 @@ func (s *Store) Delete(oid OID) error {
 		return fmt.Errorf("schema: no object %v", oid)
 	}
 	delete(s.objects, oid)
-	oids := s.byClass[o.class.name]
-	for i, id := range oids {
-		if id == oid {
-			s.byClass[o.class.name] = append(oids[:i], oids[i+1:]...)
-			break
-		}
-	}
+	ext := s.byClass[o.class]
+	i := search(ext, oid)
+	copy(ext[i:], ext[i+1:])
+	ext[len(ext)-1] = nil
+	s.byClass[o.class] = ext[:len(ext)-1]
 	return nil
 }
 
@@ -213,23 +252,66 @@ func (s *Store) Count() int {
 	return len(s.objects)
 }
 
-// OfClass returns the OIDs of the class's direct instances, in creation
-// order.  With subclasses true it also includes instances of descendant
-// classes (the class extent).
-func (s *Store) OfClass(c *Class, subclasses bool) []OID {
+// Visit calls fn, under one read lock of the store, for each of the
+// OIDs that names a live object, in the order given.  fn must not call
+// back into the store.
+func (s *Store) Visit(oids []OID, fn func(*Object)) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if !subclasses {
-		return append([]OID(nil), s.byClass[c.name]...)
-	}
-	var out []OID
-	for _, oids := range s.byClass {
-		for _, oid := range oids {
-			if s.objects[oid].class.IsSubclassOf(c) {
-				out = append(out, oid)
-			}
+	for _, oid := range oids {
+		if o, ok := s.objects[oid]; ok {
+			fn(o)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+}
+
+// Scan calls fn for every object in the extent of c — its instances and
+// those of its subclasses — in ascending OID order, under one read lock
+// of the store.  fn must not call back into the store.
+func (s *Store) Scan(c *Class, fn func(*Object)) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var lists [][]*Object
+	for k, ext := range s.byClass {
+		if len(ext) > 0 && k.IsSubclassOf(c) {
+			lists = append(lists, ext)
+		}
+	}
+	if len(lists) == 1 {
+		for _, o := range lists[0] {
+			fn(o)
+		}
+		return
+	}
+	// Merge: each step takes the lowest head among the class lists.
+	for {
+		next := -1
+		for i, ext := range lists {
+			if len(ext) > 0 && (next < 0 || ext[0].oid < lists[next][0].oid) {
+				next = i
+			}
+		}
+		if next < 0 {
+			return
+		}
+		fn(lists[next][0])
+		lists[next] = lists[next][1:]
+	}
+}
+
+// OfClass returns the OIDs of the class's direct instances, in ascending
+// OID order.  With subclasses true it also includes instances of
+// descendant classes (the class extent).
+func (s *Store) OfClass(c *Class, subclasses bool) []OID {
+	var out []OID
+	if !subclasses {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		for _, o := range s.byClass[c] {
+			out = append(out, o.oid)
+		}
+		return out
+	}
+	s.Scan(c, func(o *Object) { out = append(out, o.oid) })
 	return out
 }

@@ -89,11 +89,17 @@ type AttrDef struct {
 	Tracks []TrackDef
 }
 
-// Class is a class definition with single inheritance.
+// Class is a class definition with single inheritance.  Its slot layout
+// is fixed at Define: all holds the inherited attributes first, then the
+// class's own, in declaration order, so a subclass keeps every inherited
+// attribute at its superclass's slot and an object stores its values in
+// one slice indexed the same way.
 type Class struct {
 	name  string
 	super *Class
 	attrs []AttrDef
+	all   []AttrDef
+	slots map[string]int // attribute name → index into all
 }
 
 // Name returns the class name.
@@ -105,26 +111,24 @@ func (c *Class) Super() *Class { return c.super }
 // OwnAttrs returns the attributes declared by this class (not inherited).
 func (c *Class) OwnAttrs() []AttrDef { return append([]AttrDef(nil), c.attrs...) }
 
-// Attrs returns all attributes, inherited first, in declaration order.
-func (c *Class) Attrs() []AttrDef {
-	var out []AttrDef
-	if c.super != nil {
-		out = c.super.Attrs()
+// Attrs returns all attributes, inherited first, in declaration order:
+// the class's slot layout.
+func (c *Class) Attrs() []AttrDef { return append([]AttrDef(nil), c.all...) }
+
+// Attr looks an attribute up by name, inherited or own.
+func (c *Class) Attr(name string) (AttrDef, bool) {
+	i, ok := c.slots[name]
+	if !ok {
+		return AttrDef{}, false
 	}
-	return append(out, c.attrs...)
+	return c.all[i], true
 }
 
-// Attr looks an attribute up by name through the inheritance chain.
-func (c *Class) Attr(name string) (AttrDef, bool) {
-	for _, a := range c.attrs {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	if c.super != nil {
-		return c.super.Attr(name)
-	}
-	return AttrDef{}, false
+// Slot returns the attribute's index in the class's slot layout, the
+// same in every subclass.
+func (c *Class) Slot(name string) (int, bool) {
+	i, ok := c.slots[name]
+	return i, ok
 }
 
 // IsSubclassOf reports whether c is o or a descendant of o.
@@ -171,22 +175,25 @@ func (s *Schema) Define(name, superName string, attrs []AttrDef) (*Class, error)
 			return nil, fmt.Errorf("schema: superclass %q of %q not defined", superName, name)
 		}
 	}
-	seen := make(map[string]bool)
+	var all []AttrDef
 	if super != nil {
-		for _, a := range super.Attrs() {
-			seen[a.Name] = true
-		}
+		all = append(all, super.all...)
+	}
+	slots := make(map[string]int, len(all)+len(attrs))
+	for i, a := range all {
+		slots[a.Name] = i
 	}
 	for _, a := range attrs {
 		if err := validateAttr(a); err != nil {
 			return nil, fmt.Errorf("schema: class %q: %w", name, err)
 		}
-		if seen[a.Name] {
+		if _, dup := slots[a.Name]; dup {
 			return nil, fmt.Errorf("schema: class %q: duplicate attribute %q", name, a.Name)
 		}
-		seen[a.Name] = true
+		slots[a.Name] = len(all)
+		all = append(all, a)
 	}
-	c := &Class{name: name, super: super, attrs: append([]AttrDef(nil), attrs...)}
+	c := &Class{name: name, super: super, attrs: append([]AttrDef(nil), attrs...), all: all, slots: slots}
 	s.classes[name] = c
 	return c, nil
 }
