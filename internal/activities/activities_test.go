@@ -674,6 +674,28 @@ func TestAudioSynthesizerSource(t *testing.T) {
 	}
 }
 
+func TestAudioSynthesizerNegativeDuration(t *testing.T) {
+	// Validate used to pass a sequence with no events whatever its
+	// duration, and Synthesize then panicked sizing a negative buffer.
+	src, err := NewAudioSynthesizer("midi", db, &synth.MIDISequence{DurMS: -5}, media.AudioQualityFM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink, err := NewAudioSink("out", app, media.TypeFMAudio, media.AudioQualityFM, avtime.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := activity.NewGraph("g")
+	addAll(t, g, src, sink)
+	connect(t, g, src, "out", sink, "in")
+	if err := g.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Run(activity.RunConfig{Clock: sched.NewVirtualClock(0)}); err == nil {
+		t.Error("negative-duration sequence ran without error")
+	}
+}
+
 func TestSubtitlePipeline(t *testing.T) {
 	subs, err := synth.Subtitles([]string{"hello", "world"}, 1000)
 	if err != nil {

@@ -19,6 +19,9 @@ func Tone(q media.AudioQuality, freq float64, durSec float64, amplitude float64)
 	if amplitude < 0 || amplitude > 1 {
 		return nil, fmt.Errorf("synth: amplitude %v outside [0,1]", amplitude)
 	}
+	if err := checkDuration(durSec); err != nil {
+		return nil, err
+	}
 	a := media.NewAudioValue(q.Type(), ch)
 	n := int(float64(rate.N) / float64(rate.D) * durSec)
 	samples := make([]int16, n*ch)
@@ -40,6 +43,9 @@ func Speech(q media.AudioQuality, durSec float64, seed int64) (*media.AudioValue
 	rate, ch, _ := q.Params()
 	if rate.IsZero() {
 		return nil, fmt.Errorf("synth: quality %v has no sampling parameters", q)
+	}
+	if err := checkDuration(durSec); err != nil {
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed))
 	a := media.NewAudioValue(q.Type(), ch)
@@ -72,6 +78,15 @@ func Speech(q media.AudioQuality, durSec float64, seed int64) (*media.AudioValue
 	return a, nil
 }
 
+// checkDuration rejects a duration no sample count can be made from:
+// negative, NaN or infinite.
+func checkDuration(durSec float64) error {
+	if !(durSec >= 0) || math.IsInf(durSec, 1) {
+		return fmt.Errorf("synth: duration %v s is not finite and non-negative", durSec)
+	}
+	return nil
+}
+
 // MIDIEvent is one note event: velocity > 0 starts a note, velocity 0
 // ends it.
 type MIDIEvent struct {
@@ -87,8 +102,11 @@ type MIDISequence struct {
 	DurMS  int64
 }
 
-// Validate checks event ordering and ranges.
+// Validate checks the duration, event ordering and ranges.
 func (s *MIDISequence) Validate() error {
+	if s.DurMS < 0 {
+		return fmt.Errorf("synth: MIDI sequence duration %d ms is negative", s.DurMS)
+	}
 	var last int64
 	for i, e := range s.Events {
 		if e.TickMS < last {

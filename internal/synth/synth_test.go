@@ -259,3 +259,35 @@ func TestSynthesize(t *testing.T) {
 		t.Error("unspecified quality accepted")
 	}
 }
+
+func TestAudioRejectsInvalidDurations(t *testing.T) {
+	for _, d := range []float64{-1, -1e-9, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Tone(media.AudioQualityCD, 440, d, 0.5); err == nil {
+			t.Errorf("Tone accepted duration %v", d)
+		}
+		if _, err := Speech(media.AudioQualityVoice, d, 1); err == nil {
+			t.Errorf("Speech accepted duration %v", d)
+		}
+	}
+	// Zero is a valid, empty duration.
+	if a, err := Tone(media.AudioQualityCD, 440, 0, 0.5); err != nil || a.NumSamples() != 0 {
+		t.Errorf("Tone(0 s) = %v, %v", a, err)
+	}
+	if a, err := Speech(media.AudioQualityVoice, 0, 1); err != nil || a.NumSamples() != 0 {
+		t.Errorf("Speech(0 s) = %v, %v", a, err)
+	}
+	for _, seq := range []*MIDISequence{
+		{DurMS: -5},
+		{DurMS: -1, Events: []MIDIEvent{{TickMS: -3, Note: 60, Velocity: 1}}},
+	} {
+		if err := seq.Validate(); err == nil {
+			t.Errorf("Validate accepted %+v", seq)
+		}
+		if _, err := Synthesize(seq, media.AudioQualityFM); err == nil {
+			t.Errorf("Synthesize accepted %+v", seq)
+		}
+	}
+	if a, err := Synthesize(&MIDISequence{}, media.AudioQualityFM); err != nil || a.NumSamples() != 0 {
+		t.Errorf("Synthesize(empty) = %v, %v", a, err)
+	}
+}

@@ -73,60 +73,67 @@ func Video(typ *media.Type, pattern Pattern, w, h, depth, frames int, seed int64
 }
 
 func renderPattern(f *media.Frame, pattern Pattern, frame, w, h, bpp int, rng *rand.Rand) {
+	stride := w * bpp
 	switch pattern {
-	case PatternGradient:
-		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
-				setLum(f, x, y, bpp, byte(x*255/w))
-			}
+	case PatternGradient, PatternMotion:
+		for x := 0; x < w; x++ {
+			fill(f.Pix[x*bpp:(x+1)*bpp], byte(x*255/w))
 		}
-	case PatternBars:
-		bars := []byte{235, 209, 184, 158, 133, 107, 82, 16}
-		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
-				setLum(f, x, y, bpp, bars[x*len(bars)/w])
-			}
+		copyRows(f.Pix, stride)
+		if pattern == PatternGradient {
+			return
 		}
-	case PatternMotion:
-		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
-				setLum(f, x, y, bpp, byte(x*255/w))
-			}
-		}
-		// A block orbiting the frame center.
+		// A block orbiting the frame center, clipped to the frame.
 		side := max(4, w/8)
 		angle := float64(frame) * 2 * math.Pi / 60
 		cx := w/2 + int(float64(w)/3*math.Cos(angle))
 		cy := h/2 + int(float64(h)/3*math.Sin(angle))
-		for dy := -side / 2; dy < side/2; dy++ {
-			for dx := -side / 2; dx < side/2; dx++ {
-				x, y := cx+dx, cy+dy
-				if x >= 0 && x < w && y >= 0 && y < h {
-					setLum(f, x, y, bpp, 255)
-				}
-			}
+		x0, x1 := max(0, cx-side/2), min(w, cx+side/2)
+		for y := max(0, cy-side/2); y < min(h, cy+side/2) && x0 < x1; y++ {
+			fill(f.Pix[y*stride+x0*bpp:y*stride+x1*bpp], 255)
 		}
+	case PatternBars:
+		bars := []byte{235, 209, 184, 158, 133, 107, 82, 16}
+		for x := 0; x < w; x++ {
+			fill(f.Pix[x*bpp:(x+1)*bpp], bars[x*len(bars)/w])
+		}
+		copyRows(f.Pix, stride)
 	case PatternNoise:
 		rng.Read(f.Pix)
 	case PatternChecker:
+		// Rows change only where a cell band starts; the rest repeat the
+		// row above.
 		cell := max(2, w/16)
 		phase := frame % (2 * cell)
 		for y := 0; y < h; y++ {
+			line := f.Pix[y*stride : (y+1)*stride]
+			if y%cell != 0 {
+				copy(line, f.Pix[(y-1)*stride:])
+				continue
+			}
 			for x := 0; x < w; x++ {
 				v := byte(32)
 				if ((x+phase)/cell+y/cell)%2 == 0 {
 					v = 224
 				}
-				setLum(f, x, y, bpp, v)
+				fill(line[x*bpp:(x+1)*bpp], v)
 			}
 		}
 	}
 }
 
-func setLum(f *media.Frame, x, y, bpp int, v byte) {
-	off := f.PixelOffset(x, y)
-	for b := 0; b < bpp; b++ {
-		f.Pix[off+b] = v
+// fill sets every byte of p to v.
+func fill(p []byte, v byte) {
+	for i := range p {
+		p[i] = v
+	}
+}
+
+// copyRows repeats pix's first row, stride bytes long, down every later
+// row, doubling the copied span each pass.
+func copyRows(pix []byte, stride int) {
+	for n := stride; n < len(pix); n *= 2 {
+		copy(pix[n:], pix[:n])
 	}
 }
 
@@ -181,13 +188,22 @@ func (a *Animation) Render(depth int) *media.Frame {
 			b.Y += 2 * b.VY
 		}
 	}
-	for y := 0; y < a.H; y++ {
-		for x := 0; x < a.W; x++ {
-			for _, b := range a.Balls {
+	// Paint each ball over its bounding box clipped to the frame, last to
+	// first, so the first ball that covers a pixel is painted last.
+	for i := len(a.Balls) - 1; i >= 0; i-- {
+		b := a.Balls[i]
+		r := math.Abs(b.R) // the test squares R, so a negative R paints too
+		x0, x1 := math.Max(0, math.Floor(b.X-r)), math.Min(float64(a.W), math.Ceil(b.X+r)+1)
+		y0, y1 := math.Max(0, math.Floor(b.Y-r)), math.Min(float64(a.H), math.Ceil(b.Y+r)+1)
+		if !(x0 < x1 && y0 < y1) { // also skips a NaN position or radius
+			continue
+		}
+		for y := int(y0); y < int(y1); y++ {
+			for x := int(x0); x < int(x1); x++ {
 				dx, dy := float64(x)-b.X, float64(y)-b.Y
 				if dx*dx+dy*dy <= b.R*b.R {
-					setLum(f, x, y, bpp, b.Shade)
-					break
+					off := (y*a.W + x) * bpp
+					fill(f.Pix[off:off+bpp], b.Shade)
 				}
 			}
 		}
