@@ -18,7 +18,7 @@
 //	internal/media      media values, types and quality factors
 //	internal/codec      intra/inter/scalable video and audio codecs
 //	internal/query      the query language and indexes
-//	internal/txn        locking, WAL recovery and versioning
+//	internal/txn        locking, the catalog's redo log and versioning
 //	internal/storage    device-placed media segments
 //	internal/device     the simulated hardware platform
 //	internal/netsim     the simulated client network

@@ -4,8 +4,8 @@
 // activities" (§3.1): it holds the class catalog and object store,
 // answers queries with references, places media values on platform
 // devices, grants resources through admission control, arbitrates
-// exclusive hardware, keeps scalar state recoverable through a WAL, and
-// gives clients the asynchronous, stream-based session interface of §3.3.
+// exclusive hardware, keeps scalar state recoverable through a redo log,
+// and gives clients the asynchronous, stream-based session interface of §3.3.
 package core
 
 import (
@@ -115,16 +115,16 @@ type Database struct {
 	txns      *txn.Manager
 	versions  *txn.VersionStore
 	admission *sched.Admission
-	kv        *txn.KV
+	log       *txn.Log
 	clock     *sched.VirtualClock
 	links     *linkStore
 	runEngine *Engine // the one run loop advancing the shared clock
 
 	priority sched.Priority // default service class for new sessions
 
-	// allocMu makes an OID's allocation and its NewObject's log records
-	// one step (allocate), so the images of nextOIDKey never interleave
-	// between transactions: undoing a loser puts back the value it found.
+	// allocMu makes an OID's allocation and its NewObject's commit one
+	// step (allocate), so the images of nextOIDKey rise in log order and
+	// the last one recovery sees is above every OID handed out.
 	allocMu sync.Mutex
 
 	mu          sync.Mutex
@@ -155,7 +155,7 @@ func Open(cfg Config) (*Database, error) {
 		txns:      txn.NewManager(),
 		versions:  txn.NewVersionStore(),
 		admission: admission,
-		kv:        txn.NewKV(),
+		log:       new(txn.Log),
 		clock:     sched.NewVirtualClock(0),
 		links:     newLinkStore(),
 		segments:  make(map[string]storage.SegID),
@@ -267,27 +267,22 @@ func (db *Database) NewObject(className string) (*schema.Object, error) {
 	if err := tx.LockClass(className, txn.ModeIX); err != nil {
 		return nil, err
 	}
-	o, err := db.allocate(tx, c)
-	if err != nil {
-		return nil, err
-	}
-	return o, tx.Commit()
+	return db.allocate(c), tx.Commit()
 }
 
-// allocate creates the object and logs, as one step under allocMu, its
-// objmeta/ key, the allocator's new high-water mark and the commit.
-func (db *Database) allocate(tx *txn.Tx, c *schema.Class) (*schema.Object, error) {
+// allocate creates the object and commits, as one step under allocMu,
+// its objmeta/ key and the allocator's new high-water mark.
+func (db *Database) allocate(c *schema.Class) *schema.Object {
 	db.allocMu.Lock()
 	defer db.allocMu.Unlock()
 	o := db.objects.NewObject(c)
-	if err := db.kv.Put(tx, metaKey(o.OID()), []byte(c.Name())); err != nil {
-		return nil, err
-	}
-	if err := db.kv.Put(tx, nextOIDKey, binary.BigEndian.AppendUint64(nil, uint64(o.OID())+1)); err != nil {
-		return nil, err
-	}
-	db.kv.Commit(tx)
-	return o, nil
+	var next [8]byte
+	binary.BigEndian.PutUint64(next[:], uint64(o.OID())+1)
+	db.log.Commit(
+		txn.Write{Key: metaKey(o.OID()), Val: []byte(c.Name())},
+		txn.Write{Key: nextOIDKey, Val: next[:]},
+	)
+	return o
 }
 
 // SetAttr assigns an attribute under a short auto-commit transaction,
@@ -315,11 +310,8 @@ func (db *Database) SetAttr(oid schema.OID, attr string, d schema.Datum) error {
 		if err != nil {
 			return err
 		}
-		if err := db.kv.Put(tx, attrKey(oid, attr), enc); err != nil {
-			return err
-		}
+		db.log.Commit(txn.Write{Key: attrKey(oid, attr), Val: enc})
 	}
-	db.kv.Commit(tx)
 	return tx.Commit()
 }
 
@@ -363,17 +355,13 @@ func (db *Database) DeleteObject(oid schema.OID) error {
 	if err := db.objects.Delete(oid); err != nil {
 		return err
 	}
-	if err := db.kv.Put(tx, metaKey(oid), nil); err != nil {
-		return err
-	}
+	ws := []txn.Write{{Key: metaKey(oid)}}
 	for _, attr := range o.Fields() {
 		if d, had := o.Get(attr); had && isScalar(d.Kind()) {
-			if err := db.kv.Put(tx, attrKey(oid, attr), nil); err != nil {
-				return err
-			}
+			ws = append(ws, txn.Write{Key: attrKey(oid, attr)})
 		}
 	}
-	db.kv.Commit(tx)
+	db.log.Commit(ws...)
 	prefix := placementKey(oid, "", "") // "<oid>/"
 	db.mu.Lock()
 	for k := range db.segments {
@@ -534,25 +522,24 @@ func (db *Database) Placement(oid schema.OID, attr, track string) (*storage.Segm
 	return db.mediaSt.Get(id)
 }
 
-// Crash simulates loss of the database's volatile state: objects, index
-// structures and the volatile store vanish; the WAL and the media
-// segments on devices survive.
+// Crash simulates loss of the database's volatile state: objects and
+// index structures vanish; the log and the media segments on devices
+// survive.
 func (db *Database) Crash() {
-	db.kv.Crash()
 	db.objects = schema.NewStore()
 	db.engine = query.NewEngine(db.schema, db.objects)
 }
 
-// Recover rebuilds the catalog from the keys the store's own recovery
-// left live, visited once: objmeta/ keys are the objects (restored in
-// ascending OID order, which is creation order), attr/ keys their scalar
-// attributes, link/ keys the hypermedia links, and nextOIDKey retires
-// every OID the log has named.  Media attributes are re-attached from
-// their surviving segments.  Attribute indexes are volatile structures:
-// recreate them with CreateIndex after recovery (they rebuild from the
-// recovered extent).
+// Recover rebuilds the catalog from the keys the log leaves live,
+// visited once: objmeta/ keys are the objects (restored in ascending OID
+// order, which is creation order), attr/ keys their scalar attributes,
+// link/ keys the hypermedia links, and nextOIDKey retires every OID the
+// log has named.  Media attributes are re-attached from their surviving
+// segments.  Attribute indexes are volatile structures: recreate them
+// with CreateIndex after recovery (they rebuild from the recovered
+// extent).
 func (db *Database) Recover() error {
-	db.kv.Recover()
+	live := db.log.Live()
 	type liveObject struct {
 		oid   schema.OID
 		class *schema.Class
@@ -564,11 +551,11 @@ func (db *Database) Recover() error {
 	}
 	var (
 		objs  []liveObject
-		attrs = make([]liveAttr, 0, db.kv.Len()) // most live keys are attributes
+		attrs = make([]liveAttr, 0, len(live)) // most live keys are attributes
 		links = newLinkStore()
 		next  schema.OID
 	)
-	visit := func(key string, val []byte) error {
+	for key, val := range live {
 		switch {
 		case strings.HasPrefix(key, metaPrefix):
 			oid, err := parseOID(key[len(metaPrefix):])
@@ -591,22 +578,13 @@ func (db *Database) Recover() error {
 			if err != nil {
 				return err
 			}
-			links.add(l)
+			links.insert(l)
 		case key == nextOIDKey:
 			if len(val) != 8 {
 				return fmt.Errorf("core: malformed OID allocator value % x", val)
 			}
 			next = schema.OID(binary.BigEndian.Uint64(val))
 		}
-		return nil
-	}
-	var err error
-	db.kv.Range(func(key string, val []byte) bool {
-		err = visit(key, val)
-		return err == nil
-	})
-	if err != nil {
-		return err
 	}
 	// In ascending OID order each restore lands at its extent's end.
 	sort.Slice(objs, func(i, j int) bool { return objs[i].oid < objs[j].oid })

@@ -39,7 +39,7 @@ type DegradeSpec struct {
 }
 
 // degradeState is the session's recorded degradation path plus enough
-// of the original stream to undo it: the full-quality binding, grant
+// of the original stream to reverse it: the full-quality binding, grant
 // bundle and connection rate.  It is written on the engine goroutine
 // (stall handlers and overload sweeps both run there) and read under
 // the session lock.
@@ -181,7 +181,7 @@ func (s *Session) degradeNow(at avtime.WorldTime) error {
 	return nil
 }
 
-// restoreNow undoes a fired degradation once pressure clears: the
+// restoreNow reverses a fired degradation once pressure clears: the
 // grant grows back (competing for the budget again — failure leaves
 // the session degraded), the connection renegotiates up, the original
 // binding is restored, and EventRestored is announced.  The engine's

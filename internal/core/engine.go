@@ -643,7 +643,7 @@ func (e *Engine) degradeSweep(level sched.PressureLevel, now avtime.WorldTime, s
 	return victims
 }
 
-// restoreSweep undoes at most one degradation per clear window, most
+// restoreSweep reverses at most one degradation per clear window, most
 // recently degraded first — the mirror image of the degrade order, so
 // the longest-suffering (lowest-priority, earliest-victim) session is
 // restored last, when the most headroom has proven stable.

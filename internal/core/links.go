@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"avdb/internal/schema"
+	"avdb/internal/txn"
 )
 
 // Link is a hypermedia link between two stored objects — Scenario I's
@@ -33,26 +34,38 @@ func newLinkStore() *linkStore {
 	return &linkStore{forward: make(map[schema.OID][]Link), back: make(map[schema.OID][]Link)}
 }
 
-func (ls *linkStore) add(l Link) bool {
+// insert adds l, which the store must not hold yet.  The caller holds
+// ls.mu or owns ls outright.
+func (ls *linkStore) insert(l Link) {
+	ls.forward[l.From] = append(ls.forward[l.From], l)
+	ls.back[l.To] = append(ls.back[l.To], l)
+}
+
+// add inserts l, unless the store holds it already, and commits its key
+// to log in the same critical section: the log orders a link's adds and
+// removes as memory does.
+func (ls *linkStore) add(l Link, log *txn.Log) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
 	for _, e := range ls.forward[l.From] {
 		if e == l {
-			return false
+			return
 		}
 	}
-	ls.forward[l.From] = append(ls.forward[l.From], l)
-	ls.back[l.To] = append(ls.back[l.To], l)
-	return true
+	ls.insert(l)
+	log.Commit(txn.Write{Key: linkKey(l), Val: []byte{1}})
 }
 
-func (ls *linkStore) remove(l Link) bool {
+// remove deletes l and commits its key's deletion to log under the same
+// lock, reporting whether the store held l.
+func (ls *linkStore) remove(l Link, log *txn.Log) bool {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
 	removed := false
 	ls.forward[l.From], removed = drop(ls.forward[l.From], l)
 	if removed {
 		ls.back[l.To], _ = drop(ls.back[l.To], l)
+		log.Commit(txn.Write{Key: linkKey(l)})
 	}
 	return removed
 }
@@ -106,32 +119,17 @@ func (db *Database) AddLink(from, to schema.OID, label string) error {
 	if _, ok := db.objects.Get(to); !ok {
 		return fmt.Errorf("%w: %v", ErrNoObject, to)
 	}
-	l := Link{From: from, To: to, Label: label}
-	if !db.links.add(l) {
-		return nil
-	}
-	tx := db.txns.Begin()
-	defer tx.Abort()
-	if err := db.kv.Put(tx, linkKey(l), []byte{1}); err != nil {
-		return err
-	}
-	db.kv.Commit(tx)
-	return tx.Commit()
+	db.links.add(Link{From: from, To: to, Label: label}, db.log)
+	return nil
 }
 
 // RemoveLink deletes a link; removing a missing link is an error.
 func (db *Database) RemoveLink(from, to schema.OID, label string) error {
 	l := Link{From: from, To: to, Label: label}
-	if !db.links.remove(l) {
+	if !db.links.remove(l, db.log) {
 		return fmt.Errorf("core: no link %v", l)
 	}
-	tx := db.txns.Begin()
-	defer tx.Abort()
-	if err := db.kv.Put(tx, linkKey(l), nil); err != nil {
-		return err
-	}
-	db.kv.Commit(tx)
-	return tx.Commit()
+	return nil
 }
 
 // Links returns the outgoing links of an object, sorted.

@@ -2,6 +2,9 @@ package core
 
 import (
 	"reflect"
+	"runtime"
+	"strconv"
+	"sync"
 	"testing"
 
 	"avdb/internal/media"
@@ -100,6 +103,52 @@ func TestLinksSurviveCrash(t *testing.T) {
 	}
 	if back := db.Backlinks(video); len(back) != 1 {
 		t.Errorf("backlinks after recovery = %v", back)
+	}
+}
+
+// TestLinkAddRemoveRaceRecovers races an AddLink of an absent link
+// against a RemoveLink retried until it succeeds.  The link ends absent
+// in memory, and recovery must agree: each call changes memory and the
+// log under one lock, so the log cannot order the add after the remove.
+func TestLinkAddRemoveRaceRecovers(t *testing.T) {
+	db := testDB(t)
+	var ends [2]schema.OID
+	for i := range ends {
+		o, err := db.NewObject("MediaObject")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends[i] = o.OID()
+	}
+	from, to := ends[0], ends[1]
+	const trials = 1000
+	for i := 0; i < trials; i++ {
+		label := "t" + strconv.Itoa(i)
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			if err := db.AddLink(from, to, label); err != nil {
+				t.Error(err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for db.RemoveLink(from, to, label) != nil {
+				runtime.Gosched()
+			}
+		}()
+		wg.Wait()
+	}
+	if got := db.Links(from); len(got) != 0 {
+		t.Fatalf("%d links left in memory, want none", len(got))
+	}
+	db.Crash()
+	if err := db.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Links(from); len(got) != 0 {
+		t.Errorf("recovery brought back %d of %d removed links, first %v", len(got), trials, got[0])
 	}
 }
 

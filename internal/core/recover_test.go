@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -63,6 +64,63 @@ func TestRecoverNeverReusesOID(t *testing.T) {
 	}
 	if last, err := db.NewObject("MediaObject"); err != nil || last.OID() <= o.OID() {
 		t.Errorf("after deleting everything the next OID is %v (%v), want above %v", last.OID(), err, o.OID())
+	}
+}
+
+// TestRecoverOIDAboveConcurrentAllocations: NewObject calls race, every
+// object is deleted, and after a crash the next OID must still be above
+// every OID handed out.  No live key names those OIDs, so it rests on
+// the last nextoid image in the log being the highest.
+func TestRecoverOIDAboveConcurrentAllocations(t *testing.T) {
+	db, err := Open(Config{Name: "oids"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.DefineClass("Item", "", nil); err != nil {
+		t.Fatal(err)
+	}
+	const rounds, goroutines = 300, 4
+	var highest schema.OID
+	for r := 0; r < rounds; r++ {
+		oids := make([]schema.OID, goroutines)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := range oids {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				o, err := db.NewObject("Item")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				oids[g] = o.OID()
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for _, oid := range oids {
+			highest = max(highest, oid)
+			if err := db.DeleteObject(oid); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db.Crash()
+		if err := db.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		o, err := db.NewObject("Item")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.OID() <= highest {
+			t.Fatalf("round %d: after recovery NewObject returned %v, not above %v", r, o.OID(), highest)
+		}
+		highest = o.OID()
+		if err := db.DeleteObject(o.OID()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -240,43 +298,10 @@ func (m *recoverModel) step(t *testing.T, db *Database, rng *rand.Rand) {
 	}
 }
 
-// scribble writes to the durable store under a transaction of its own,
-// behind the catalog's back, and returns without finishing it: an update
-// and a delete of live state, an insert, and a lowered OID allocator.
-func scribble(t *testing.T, db *Database, m *recoverModel, rng *rand.Rand) (abort func()) {
-	t.Helper()
-	live := m.liveOIDs()
-	victim := live[rng.Intn(len(live))]
-	enc, err := encodeDatum(schema.String("never committed"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx := db.txns.Begin()
-	for _, w := range []struct {
-		key string
-		val []byte
-	}{
-		{attrKey(victim, "s"), enc},
-		{attrKey(live[0], "n"), nil},
-		{metaKey(live[len(live)-1]), nil},
-		{metaKey(1 << 40), []byte("Item")},
-		{attrKey(1<<40, "s"), enc},
-		{linkKey(Link{From: victim, To: live[0], Label: "never"}), []byte{1}},
-		{nextOIDKey, make([]byte, 8)},
-	} {
-		if err := db.kv.Put(tx, w.key, w.val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return func() {
-		db.kv.Abort(tx)
-		tx.Abort()
-	}
-}
-
-// TestRecoverMatchesModel runs seeded random programs against a model,
-// with one aborted transaction in the log and one in flight at the crash,
-// and holds the recovered database to the model.
+// TestRecoverMatchesModel runs seeded random programs against a model
+// and holds the recovered database to the model.  No API can leave an
+// aborted or partial statement in the log; that a crash sees each
+// statement whole is txn.TestLogSnapshotsSeeWholeStatements'.
 func TestRecoverMatchesModel(t *testing.T) {
 	seeds := 60
 	if testing.Short() {
@@ -315,22 +340,16 @@ func TestRecoverMatchesModel(t *testing.T) {
 			}
 			index()
 			m := &recoverModel{objects: make(map[schema.OID]*modelObject), links: make(map[Link]bool)}
-			abortAt := 50 + rng.Intn(100)
 			for op := 0; op < 200; op++ {
 				m.step(t, db, rng)
-				if op == abortAt {
-					scribble(t, db, m, rng)() // aborted: CLRs in the log
-				}
 			}
 			m.check(t, db, "before the crash")
-			scribble(t, db, m, rng) // in flight at the crash
 			recoverDB()
 			m.check(t, db, "after recovery")
 			recoverDB()
 			m.check(t, db, "after a second recovery")
 			// The recovered database carries on, never reusing an OID, and
-			// what it commits from here on survives the next crash although
-			// the log holds a loser.
+			// what it commits from here on survives the next crash.
 			for op := 0; op < 60; op++ {
 				m.step(t, db, rng)
 			}
@@ -392,6 +411,16 @@ func catalogDB(tb testing.TB, n int) (db *Database, cycle func()) {
 		if err := db.CreateIndex("Newscast", "whenBroadcast", query.BTreeIndex); err != nil {
 			tb.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCatalogLoad is the load of an 8000-object catalog through
+// NewObject and SetAttr: 48,000 committed statements, the catalog's
+// share of setup_s on record_and_catalog.
+func BenchmarkCatalogLoad(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		catalogDB(b, 8000)
 	}
 }
 

@@ -34,47 +34,31 @@ func BenchmarkLockSharedParallel(b *testing.B) {
 }
 
 func BenchmarkKVPutCommit(b *testing.B) {
-	m := NewManager()
-	kv := NewKV()
+	var log Log
 	payload := make([]byte, 128)
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tx := m.Begin()
-		if err := kv.Put(tx, fmt.Sprintf("k%d", i%1024), payload); err != nil {
-			b.Fatal(err)
-		}
-		kv.Commit(tx)
-		if err := tx.Commit(); err != nil {
-			b.Fatal(err)
-		}
+		log.Commit(Write{Key: fmt.Sprintf("k%d", i%1024), Val: payload})
 	}
 }
 
 func BenchmarkRecovery(b *testing.B) {
-	m := NewManager()
-	kv := NewKV()
+	var log Log
 	for i := 0; i < 2000; i++ {
-		tx := m.Begin()
-		if err := kv.Put(tx, fmt.Sprintf("k%d", i%256), []byte{byte(i)}); err != nil {
-			b.Fatal(err)
-		}
+		key := fmt.Sprintf("k%d", i%256)
 		if i%7 == 0 {
-			kv.Abort(tx)
-			tx.Abort()
+			log.Commit(Write{Key: key})
 			continue
 		}
-		kv.Commit(tx)
-		if err := tx.Commit(); err != nil {
-			b.Fatal(err)
-		}
+		log.Commit(Write{Key: key, Val: []byte{byte(i)}})
 	}
 	b.ResetTimer()
+	var live map[string][]byte
 	for i := 0; i < b.N; i++ {
-		kv.Crash()
-		kv.Recover()
+		live = log.Live()
 	}
-	if kv.Len() == 0 {
+	if len(live) == 0 {
 		b.Fatal("recovery produced nothing")
 	}
 }

@@ -1,9 +1,9 @@
 // Package txn provides the transactional substrate of the AV database:
 // a hierarchical two-phase lock manager with multigranularity modes
-// (IS/IX/S/SIX/X) and deadlock detection, a write-ahead log with
-// ARIES-style redo/undo recovery over a volatile store, and a version
-// store for media values ("the problem of version control has also been
-// investigated", §2).
+// (IS/IX/S/SIX/X) and deadlock detection, a redo-only log of
+// single-statement commits whose fold is the recovered catalog state,
+// and a version store for media values ("the problem of version control
+// has also been investigated", §2).
 package txn
 
 import (

@@ -205,15 +205,8 @@ func TestConcurrentTransfersSerialize(t *testing.T) {
 	// Classic bank transfer under 2PL: concurrent increments of a shared
 	// counter keyed by object locks never lose updates.
 	m := NewManager()
-	kv := NewKV()
-	seed := m.Begin()
-	if err := kv.Put(seed, "balance", []byte{0}); err != nil {
-		t.Fatal(err)
-	}
-	kv.Commit(seed)
-	if err := seed.Commit(); err != nil {
-		t.Fatal(err)
-	}
+	var log Log
+	log.Commit(Write{Key: "balance", Val: []byte{0}})
 
 	const workers, iters = 8, 20
 	var wg sync.WaitGroup
@@ -228,11 +221,8 @@ func TestConcurrentTransfersSerialize(t *testing.T) {
 						tx.Abort()
 						continue
 					}
-					v, _ := kv.Get("balance")
-					if err := kv.Put(tx, "balance", []byte{v[0] + 1}); err != nil {
-						t.Error(err)
-					}
-					kv.Commit(tx)
+					v := log.Live()["balance"]
+					log.Commit(Write{Key: "balance", Val: []byte{v[0] + 1}})
 					if err := tx.Commit(); err != nil {
 						t.Error(err)
 					}
@@ -242,337 +232,173 @@ func TestConcurrentTransfersSerialize(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	v, _ := kv.Get("balance")
-	if v[0] != workers*iters {
+	if v := log.Live()["balance"]; v[0] != workers*iters {
 		t.Errorf("balance = %d, want %d", v[0], workers*iters)
 	}
 }
 
-func TestWALAppendAndTypes(t *testing.T) {
-	w := NewWAL()
-	lsn1 := w.Append(Record{Type: RecBegin, TxID: 1})
-	lsn2 := w.Append(Record{Type: RecCommit, TxID: 1})
-	if lsn1 != 1 || lsn2 != 2 || w.Len() != 2 {
-		t.Error("LSN assignment wrong")
-	}
-	if RecUpdate.String() != "UPDATE" || RecordType(9).String() != "RecordType(9)" {
-		t.Error("record type names wrong")
-	}
-}
-
 func TestKVCommitDurableAcrossCrash(t *testing.T) {
-	m := NewManager()
-	kv := NewKV()
-	tx := m.Begin()
-	if err := kv.Put(tx, "a", []byte("1")); err != nil {
-		t.Fatal(err)
+	var log Log
+	log.Commit(Write{Key: "a", Val: []byte("1")}, Write{Key: "b", Val: []byte("2")})
+	if log.Len() != 1 {
+		t.Errorf("Len = %d statements, want 1", log.Len())
 	}
-	if err := kv.Put(tx, "b", []byte("2")); err != nil {
-		t.Fatal(err)
-	}
-	kv.Commit(tx)
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	kv.Crash()
-	if kv.Len() != 0 {
-		t.Fatal("crash did not clear volatile store")
-	}
-	kv.Recover()
-	if v, ok := kv.Get("a"); !ok || string(v) != "1" {
+	live := log.Live()
+	if v, ok := live["a"]; !ok || string(v) != "1" {
 		t.Errorf("a after recovery = %q, %v", v, ok)
 	}
-	if v, ok := kv.Get("b"); !ok || string(v) != "2" {
+	if v, ok := live["b"]; !ok || string(v) != "2" {
 		t.Errorf("b after recovery = %q, %v", v, ok)
 	}
 }
 
-func TestKVUncommittedRolledBackOnRecovery(t *testing.T) {
-	m := NewManager()
-	kv := NewKV()
-	committed := m.Begin()
-	if err := kv.Put(committed, "stable", []byte("yes")); err != nil {
-		t.Fatal(err)
-	}
-	kv.Commit(committed)
-	if err := committed.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	loser := m.Begin()
-	if err := kv.Put(loser, "stable", []byte("overwritten")); err != nil {
-		t.Fatal(err)
-	}
-	if err := kv.Put(loser, "new", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	// Crash with the loser in flight.
-	kv.Crash()
-	kv.Recover()
-	if v, ok := kv.Get("stable"); !ok || string(v) != "yes" {
-		t.Errorf("loser's overwrite survived: %q, %v", v, ok)
-	}
-	if _, ok := kv.Get("new"); ok {
-		t.Error("loser's insert survived")
-	}
-}
-
-func TestKVAbortUndoes(t *testing.T) {
-	m := NewManager()
-	kv := NewKV()
-	setup := m.Begin()
-	if err := kv.Put(setup, "k", []byte("old")); err != nil {
-		t.Fatal(err)
-	}
-	kv.Commit(setup)
-	if err := setup.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	tx := m.Begin()
-	if err := kv.Put(tx, "k", []byte("new")); err != nil {
-		t.Fatal(err)
-	}
-	if err := kv.Put(tx, "k", []byte("newer")); err != nil {
-		t.Fatal(err)
-	}
-	if err := kv.Put(tx, "fresh", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	kv.Abort(tx)
-	tx.Abort()
-	if v, _ := kv.Get("k"); string(v) != "old" {
-		t.Errorf("k after abort = %q", v)
-	}
-	if _, ok := kv.Get("fresh"); ok {
-		t.Error("aborted insert survived")
-	}
-	// Recovery after an abort keeps the same state.
-	kv.Crash()
-	kv.Recover()
-	if v, _ := kv.Get("k"); string(v) != "old" {
-		t.Errorf("k after recovery = %q", v)
-	}
-	if _, ok := kv.Get("fresh"); ok {
-		t.Error("aborted insert reappeared after recovery")
-	}
-}
-
 func TestKVDeleteAndRecovery(t *testing.T) {
-	m := NewManager()
-	kv := NewKV()
-	tx := m.Begin()
-	if err := kv.Put(tx, "k", []byte("v")); err != nil {
-		t.Fatal(err)
+	var log Log
+	log.Commit(Write{Key: "k", Val: []byte("v")}, Write{Key: "k"}) // put, then delete
+	log.Commit(Write{Key: "j", Val: []byte("v")})
+	log.Commit(Write{Key: "j"})
+	live := log.Live()
+	if _, ok := live["k"]; ok {
+		t.Error("key deleted in its own statement resurrected by recovery")
 	}
-	if err := kv.Put(tx, "k", nil); err != nil { // delete
-		t.Fatal(err)
-	}
-	kv.Commit(tx)
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := kv.Get("k"); ok {
-		t.Error("deleted key readable")
-	}
-	kv.Crash()
-	kv.Recover()
-	if _, ok := kv.Get("k"); ok {
-		t.Error("deleted key resurrected by recovery")
-	}
-}
-
-func TestKVPutOnFinishedTx(t *testing.T) {
-	m := NewManager()
-	kv := NewKV()
-	tx := m.Begin()
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := kv.Put(tx, "k", []byte("v")); err == nil {
-		t.Error("put on committed tx accepted")
-	}
-}
-
-func TestRecoveryEquivalenceProperty(t *testing.T) {
-	// Random workload; crash+recover must reproduce exactly the state
-	// committed transactions left behind.
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 20; trial++ {
-		m := NewManager()
-		kv := NewKV()
-		want := make(map[string]string)
-		for txi := 0; txi < 10; txi++ {
-			tx := m.Begin()
-			pending := make(map[string]*string)
-			for op := 0; op < 5; op++ {
-				key := fmt.Sprintf("k%d", rng.Intn(8))
-				if rng.Intn(5) == 0 {
-					if err := kv.Put(tx, key, nil); err != nil {
-						t.Fatal(err)
-					}
-					pending[key] = nil
-				} else {
-					val := fmt.Sprintf("v%d-%d", txi, op)
-					if err := kv.Put(tx, key, []byte(val)); err != nil {
-						t.Fatal(err)
-					}
-					v := val
-					pending[key] = &v
-				}
-			}
-			if rng.Intn(3) == 0 && txi != 9 {
-				kv.Abort(tx)
-				tx.Abort()
-				continue
-			}
-			// The last transaction stays uncommitted (in flight at crash).
-			if txi == 9 {
-				break
-			}
-			kv.Commit(tx)
-			if err := tx.Commit(); err != nil {
-				t.Fatal(err)
-			}
-			for k, v := range pending {
-				if v == nil {
-					delete(want, k)
-				} else {
-					want[k] = *v
-				}
-			}
-		}
-		kv.Crash()
-		kv.Recover()
-		if kv.Len() != len(want) {
-			t.Fatalf("trial %d: %d keys, want %d", trial, kv.Len(), len(want))
-		}
-		for k, v := range want {
-			got, ok := kv.Get(k)
-			if !ok || string(got) != v {
-				t.Fatalf("trial %d: %s = %q, want %q", trial, k, got, v)
-			}
-		}
-		// Recover installs the log's images by reference, so a slice Get
-		// hands out must be the caller's own: scribbling on it may change
-		// neither the store nor the log.
-		before := kv.WAL().Records()
-		for k := range want {
-			got, _ := kv.Get(k)
-			for i := range got {
-				got[i] ^= 0xff
-			}
-		}
-		for k, v := range want {
-			if got, _ := kv.Get(k); string(got) != v {
-				t.Fatalf("trial %d: writing to Get's slice changed the store: %s = %q, want %q", trial, k, got, v)
-			}
-		}
-		if after := kv.WAL().Records(); !reflect.DeepEqual(before, after) {
-			t.Fatalf("trial %d: writing to Get's slice changed the log", trial)
-		}
-		kv.Crash()
-		kv.Recover()
-		for k, v := range want {
-			if got, _ := kv.Get(k); string(got) != v {
-				t.Fatalf("trial %d: second recovery: %s = %q, want %q", trial, k, got, v)
-			}
-		}
-	}
-}
-
-// TestKVLoserIsUndoneOnce: recovery logs its rollback of a loser, so the
-// next recovery does not roll it back again over a later commit.
-func TestKVLoserIsUndoneOnce(t *testing.T) {
-	m := NewManager()
-	kv := NewKV()
-	put := func(key, val string) {
-		t.Helper()
-		tx := m.Begin()
-		if err := kv.Put(tx, key, []byte(val)); err != nil {
-			t.Fatal(err)
-		}
-		kv.Commit(tx)
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	put("k", "a")
-	for _, id := range []int{0, 1} { // two losers, begun in either order
-		loser := m.Begin()
-		if err := kv.Put(loser, "k", []byte(fmt.Sprintf("loser-%d", id))); err != nil {
-			t.Fatal(err)
-		}
-		if err := kv.Put(loser, fmt.Sprintf("new-%d", id), []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	kv.Crash()
-	kv.Recover()
-	if v, _ := kv.Get("k"); string(v) != "a" || kv.Len() != 1 {
-		t.Fatalf("after recovery k = %q with %d keys, want \"a\" alone", v, kv.Len())
-	}
-	logged := kv.WAL().Len()
-	put("k", "c")
-	put("new-0", "kept")
-	kv.Crash()
-	kv.Recover()
-	if v, _ := kv.Get("k"); string(v) != "c" {
-		t.Errorf("k = %q after the second recovery, want the later commit's \"c\"", v)
-	}
-	if v, _ := kv.Get("new-0"); string(v) != "kept" {
-		t.Errorf("new-0 = %q after the second recovery, want \"kept\"", v)
-	}
-	if got := kv.WAL().Len(); got != logged+6 {
-		t.Errorf("the second recovery logged %d records, want none: the losers were already aborted", got-logged-6)
+	if _, ok := live["j"]; ok {
+		t.Error("key deleted by a later statement resurrected by recovery")
 	}
 }
 
 func TestKVEmptyValueIsNotADelete(t *testing.T) {
-	m := NewManager()
-	kv := NewKV()
-	tx := m.Begin()
-	if err := kv.Put(tx, "k", []byte{}); err != nil {
-		t.Fatal(err)
-	}
-	kv.Commit(tx)
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	kv.Crash()
-	kv.Recover()
-	if v, ok := kv.Get("k"); !ok || len(v) != 0 {
+	var log Log
+	log.Commit(Write{Key: "k", Val: []byte{}})
+	if v, ok := log.Live()["k"]; !ok || v == nil || len(v) != 0 {
 		t.Errorf("empty value after recovery = %q, %v; want present and empty", v, ok)
 	}
 }
 
 func TestKVRangeVisitsLiveKeys(t *testing.T) {
-	m := NewManager()
-	kv := NewKV()
-	tx := m.Begin()
-	for _, k := range []string{"a", "b", "c"} {
-		if err := kv.Put(tx, k, []byte(k+k)); err != nil {
-			t.Fatal(err)
+	var log Log
+	log.Commit(Write{Key: "a", Val: []byte("aa")}, Write{Key: "b", Val: []byte("bb")}, Write{Key: "c", Val: []byte("cc")})
+	log.Commit(Write{Key: "b"})
+	seen := make(map[string]string)
+	for k, v := range log.Live() {
+		seen[k] = string(v)
+	}
+	if want := map[string]string{"a": "aa", "c": "cc"}; !reflect.DeepEqual(seen, want) {
+		t.Errorf("Live = %v, want %v", seen, want)
+	}
+}
+
+func TestRecoveryEquivalenceProperty(t *testing.T) {
+	// Random statements; the log's fold must reproduce exactly the state
+	// they left behind.
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 20; trial++ {
+		var log Log
+		want := make(map[string]string)
+		for stmt := 0; stmt < 10; stmt++ {
+			var ws []Write
+			for op := 0; op < 5; op++ {
+				key := fmt.Sprintf("k%d", rng.Intn(8))
+				if rng.Intn(5) == 0 {
+					ws = append(ws, Write{Key: key})
+					delete(want, key)
+				} else {
+					val := fmt.Sprintf("v%d-%d", stmt, op)
+					ws = append(ws, Write{Key: key, Val: []byte(val)})
+					want[key] = val
+				}
+			}
+			log.Commit(ws...)
+			// The log keeps its own copy: scribbling on the caller's
+			// buffers may not change it.
+			for _, w := range ws {
+				for i := range w.Val {
+					w.Val[i] ^= 0xff
+				}
+			}
+		}
+		for pass := 1; pass <= 2; pass++ {
+			live := log.Live()
+			if len(live) != len(want) {
+				t.Fatalf("trial %d, fold %d: %d keys, want %d", trial, pass, len(live), len(want))
+			}
+			for k, v := range want {
+				if got, ok := live[k]; !ok || string(got) != v {
+					t.Fatalf("trial %d, fold %d: %s = %q, want %q", trial, pass, k, got, v)
+				}
+			}
 		}
 	}
-	if err := kv.Put(tx, "b", nil); err != nil {
-		t.Fatal(err)
+}
+
+// TestLogSnapshotsSeeWholeStatements: goroutines commit bursts of
+// multi-key statements while another folds the log.  Every fold — what a
+// crash at that instant would recover — holds each statement whole or
+// not at all, and each goroutine's statements as a prefix of its order.
+func TestLogSnapshotsSeeWholeStatements(t *testing.T) {
+	const goroutines, stmts, keys, snapshots = 4, 1000, 4, 50
+	var names [goroutines][stmts][keys]string // never overwritten: one key per (g, s, k)
+	for g := range names {
+		for s := range names[g] {
+			for k := range names[g][s] {
+				names[g][s][k] = fmt.Sprintf("g%d/s%d/k%d", g, s, k)
+			}
+		}
 	}
-	kv.Commit(tx)
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
+	check := func(live map[string][]byte) {
+		t.Helper()
+		whole := 0
+		for g := range names {
+			for _, stmt := range names[g] {
+				present := 0
+				for _, key := range stmt {
+					if v, ok := live[key]; ok {
+						if string(v) != key {
+							t.Fatalf("%s = %q", key, v)
+						}
+						present++
+					}
+				}
+				if present == 0 {
+					break
+				}
+				if present != keys {
+					t.Fatalf("%v: %d of %d keys live, a torn statement", stmt, present, keys)
+				}
+				whole++
+			}
+		}
+		// Every live key is in some goroutine's prefix of whole statements.
+		if len(live) != whole*keys {
+			t.Fatalf("%d keys live, %d in each goroutine's prefix of whole statements", len(live), whole*keys)
+		}
 	}
-	seen := make(map[string]string)
-	kv.Range(func(k string, v []byte) bool {
-		seen[k] = string(v)
-		return true
-	})
-	if want := map[string]string{"a": "aa", "c": "cc"}; !reflect.DeepEqual(seen, want) {
-		t.Errorf("Range saw %v, want %v", seen, want)
+	var log Log
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := range names {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ws := make([]Write, keys)
+			for _, stmt := range names[g] {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for k, key := range stmt {
+					ws[k] = Write{Key: key, Val: []byte(key)}
+				}
+				log.Commit(ws...)
+			}
+		}()
 	}
-	calls := 0
-	kv.Range(func(string, []byte) bool { calls++; return false })
-	if calls != 1 {
-		t.Errorf("Range made %d calls after fn returned false, want 1", calls)
+	for i := 0; i < snapshots; i++ {
+		check(log.Live())
 	}
+	close(stop)
+	wg.Wait()
+	check(log.Live())
 }
 
 func TestVersionStore(t *testing.T) {
