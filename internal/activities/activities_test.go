@@ -418,8 +418,8 @@ func TestVideoMixerGeometryMismatch(t *testing.T) {
 }
 
 // TestVideoTeeMixerTickAllocs pins the steady-state tick of the two
-// fan-out/fan-in activities: the tee allocates nothing, the mixer only
-// the blended frame it emits (the Frame and its pixels).
+// fan-out/fan-in activities at zero allocations: the tee passes its
+// input on, the mixer blends into the one scratch frame it reuses.
 func TestVideoTeeMixerTickAllocs(t *testing.T) {
 	tee, err := NewVideoTee("tee", db, 3)
 	if err != nil {
@@ -437,7 +437,7 @@ func TestVideoTeeMixerTickAllocs(t *testing.T) {
 		max  float64
 	}{
 		{tee, []string{"in"}, []string{"out0", "out1", "out2"}, 0},
-		{mix, []string{"in0", "in2"}, []string{"out"}, 2},
+		{mix, []string{"in0", "in2"}, []string{"out"}, 0},
 	} {
 		tc := activity.NewTickContext(0, 0, avtime.Interval{})
 		seq := 0
@@ -461,26 +461,16 @@ func TestVideoTeeMixerTickAllocs(t *testing.T) {
 	}
 }
 
-// TestVideoWindowKeptFramesStayPut: a chunk is borrowed for one tick but
-// its payload may be kept, so the frames a KeepFrames window retained
-// must read the same after every later tick — nothing upstream may
-// recycle a delivered frame.
-func TestVideoWindowKeptFramesStayPut(t *testing.T) {
-	const frames = 30
-	clip := motionClip(frames)
-	enc, err := codec.MPEG.Encode(clip)
+// mpegStream returns an MPEG encoding of a motion clip, the frames
+// codec.MPEG.Decode makes of it, and a VideoDecoder for the stream.
+func mpegStream(t *testing.T, frames int) (*codec.EncodedVideo, *media.VideoValue, *VideoDecoder) {
+	t.Helper()
+	enc, err := codec.MPEG.Encode(motionClip(frames))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, err := codec.MPEG.Decode(enc)
 	if err != nil {
-		t.Fatal(err)
-	}
-	reader, err := NewVideoReader("read", db, codec.TypeMPEGVideo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := reader.Bind(enc, "out"); err != nil {
 		t.Fatal(err)
 	}
 	sd, err := codec.NewVideoStreamDecoder(32, 24, 8, 2)
@@ -489,6 +479,42 @@ func TestVideoWindowKeptFramesStayPut(t *testing.T) {
 	}
 	dec, err := NewVideoDecoder("decode", app, codec.TypeMPEGVideo, sd)
 	if err != nil {
+		t.Fatal(err)
+	}
+	return enc, want, dec
+}
+
+// decodeTick hands the decoder encoded frame i and returns what it
+// emitted.
+func decodeTick(t *testing.T, dec *VideoDecoder, tc *activity.TickContext, enc *codec.EncodedVideo, i int) *activity.Chunk {
+	t.Helper()
+	ef, err := enc.FrameData(i)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc.SetIn("in", &activity.Chunk{Seq: i, Payload: ef})
+	if err := dec.Tick(tc); err != nil {
+		t.Fatal(err)
+	}
+	out := tc.Out("out")
+	if out == nil || out.Seq != i {
+		t.Fatalf("decoder put %v on out for frame %d", out, i)
+	}
+	return out
+}
+
+// TestVideoWindowKeptFramesStayPut: a chunk is borrowed for one tick but
+// its payload may be kept, so the frames a KeepFrames window retained
+// must read the same after every later tick — nothing upstream may
+// recycle a delivered frame.
+func TestVideoWindowKeptFramesStayPut(t *testing.T) {
+	const frames = 30
+	enc, want, dec := mpegStream(t, frames)
+	reader, err := NewVideoReader("read", db, codec.TypeMPEGVideo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reader.Bind(enc, "out"); err != nil {
 		t.Fatal(err)
 	}
 	win := NewVideoWindow("w", app, media.VideoQuality{}, 0)
@@ -520,6 +546,94 @@ func TestVideoWindowKeptFramesStayPut(t *testing.T) {
 	}
 	if len(win.Frames()) != frames {
 		t.Fatalf("window kept %d frames, want %d", len(win.Frames()), frames)
+	}
+}
+
+// TestVideoDecoderTickAllocs pins the decoder's steady-state tick at zero
+// allocations: it reconstructs into the stream decoder's two frames.
+func TestVideoDecoderTickAllocs(t *testing.T) {
+	enc, _, dec := mpegStream(t, 30)
+	tc := activity.NewTickContext(0, 0, avtime.Interval{})
+	i := 0
+	tick := func() {
+		decodeTick(t, dec, tc, enc, i%enc.NumFrames())
+		i++
+	}
+	tick()
+	tick()
+	if allocs := testing.AllocsPerRun(100, tick); allocs != 0 {
+		t.Errorf("decoder tick allocates %.2f times, want 0", allocs)
+	}
+}
+
+// TestVideoWriterKeptFramesStayPut: a writer recording a decoder's output
+// — appended to a bound raw value, or collected without one — keeps
+// every frame as decoded, though the decoder reuses its frames.
+func TestVideoWriterKeptFramesStayPut(t *testing.T) {
+	const frames = 30
+	for _, bound := range []bool{true, false} {
+		enc, want, dec := mpegStream(t, frames)
+		reader, err := NewVideoReader("read", db, codec.TypeMPEGVideo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reader.Bind(enc, "out"); err != nil {
+			t.Fatal(err)
+		}
+		wr, err := NewVideoWriter("rec", app, media.TypeRawVideo30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := media.NewVideoValue(media.TypeRawVideo30, 32, 24, 8)
+		if bound {
+			if err := wr.Bind(dst, "in"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g := activity.NewGraph("record")
+		addAll(t, g, reader, dec, wr)
+		connect(t, g, reader, "out", dec, "in")
+		connect(t, g, dec, "out", wr, "in")
+		runGraph(t, g)
+		if !bound {
+			for _, el := range wr.Collected() {
+				if err := dst.AppendFrame(el.(*media.Frame)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if dst.NumFrames() != frames {
+			t.Fatalf("bound=%v: writer recorded %d frames, want %d", bound, dst.NumFrames(), frames)
+		}
+		for i := 0; i < frames; i++ {
+			got, _ := dst.Frame(i)
+			if wf, _ := want.Frame(i); !got.Equal(wf) {
+				t.Fatalf("bound=%v: recorded frame %d no longer reads as decoded", bound, i)
+			}
+		}
+	}
+}
+
+// TestRenderTextureStaysPut: the render activity textures every frame it
+// renders with the last video frame it received, so that frame must read
+// the same however often the decoder that produced it has run since.
+func TestRenderTextureStaysPut(t *testing.T) {
+	const shown = 5
+	enc, want, dec := mpegStream(t, 10)
+	ra := NewRenderActivity("render", app, render.NewRenderer(render.Museum(), 48, 36))
+	dtc := activity.NewTickContext(0, 0, avtime.Interval{})
+	for i := 0; i <= shown+2; i++ {
+		out := decodeTick(t, dec, dtc, enc, i)
+		if i == shown {
+			rtc := activity.NewTickContext(0, 0, avtime.Interval{})
+			rtc.SetIn("video", out)
+			if err := ra.Tick(rtc); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if wf, _ := want.Frame(shown); !ra.lastTex.Equal(wf) {
+		t.Fatalf("texture no longer reads as decoded frame %d after two more decoder ticks", shown)
 	}
 }
 

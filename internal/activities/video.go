@@ -273,7 +273,7 @@ func (e *VideoEncoder) Tick(tc *activity.TickContext) error {
 }
 
 // VideoDecoder is Table 1's "video decoder": compressed frames in, raw
-// frames out.
+// frames out.  The frames are the stream decoder's scratch frames.
 type VideoDecoder struct {
 	*activity.Base
 	dec *codec.VideoStreamDecoder
@@ -301,7 +301,7 @@ func (d *VideoDecoder) Tick(tc *activity.TickContext) error {
 	if !ok {
 		return fmt.Errorf("activities: %s received %T, want encoded frame", d.Name(), in.Payload)
 	}
-	f, err := d.dec.DecodeFrame(ef)
+	f, err := d.dec.Decode(ef)
 	if err != nil {
 		return err
 	}
@@ -355,7 +355,8 @@ func portNames(prefix string, n int) []string {
 // VideoMixer is Table 1's "video mixer": n raw streams in, one blended
 // raw stream out — the operation behind "video mixing is commonly used
 // during video editing".  Inputs are averaged with the configured
-// weights; absent inputs are skipped that tick.
+// weights; absent inputs are skipped that tick.  The blend is one scratch
+// frame, rewritten every tick.
 type VideoMixer struct {
 	*activity.Base
 	weights []float64
@@ -363,7 +364,8 @@ type VideoMixer struct {
 
 	// Per-tick scratch, reused tick after tick.
 	frames  []*media.Frame
-	present []float64 // the weights of the inputs present
+	present []float64    // the weights of the inputs present
+	out     *media.Frame // the blend, a scratch frame
 }
 
 // NewVideoMixer returns a mixer with one in port per weight
@@ -426,7 +428,11 @@ func (m *VideoMixer) Tick(tc *activity.TickContext) error {
 	for _, w := range weights {
 		total += w
 	}
-	out := media.NewFrame(first.Width, first.Height, first.Depth)
+	out := m.out
+	if out == nil || out.Width != first.Width || out.Height != first.Height || out.Depth != first.Depth {
+		out = media.NewScratchFrame(first.Width, first.Height, first.Depth)
+		m.out = out
+	}
 	for p := range out.Pix {
 		var acc float64
 		for i, f := range frames {
@@ -473,7 +479,8 @@ func NewVideoWindow(name string, loc activity.Location, q media.VideoQuality, to
 	return w
 }
 
-// KeepFrames retains delivered frames for test inspection.
+// KeepFrames retains delivered frames (each frame's Keep) for test
+// inspection.
 func (w *VideoWindow) KeepFrames() { w.keepFrames = true }
 
 // EnableStallDetection arms a detector that declares a stall after
@@ -518,7 +525,7 @@ func (w *VideoWindow) Tick(tc *activity.TickContext) error {
 	}
 	w.arrivals = append(w.arrivals, in.Arrived)
 	if w.keepFrames {
-		w.kept = append(w.kept, f)
+		w.kept = append(w.kept, f.Keep())
 	}
 	return nil
 }
@@ -576,15 +583,18 @@ func (w *VideoWriter) Tick(tc *activity.TickContext) error {
 			return err
 		}
 	}
-	// Raw frames destined for a bound VideoValue are appended in place.
-	if dst, ok := w.Binding("in"); ok {
-		vv, isRaw := dst.(*media.VideoValue)
-		f, isFrame := in.Payload.(*media.Frame)
-		if isRaw && isFrame {
-			return vv.AppendFrame(f)
+	el := in.Payload
+	if f, isFrame := el.(*media.Frame); isFrame {
+		f = f.Keep()
+		// Raw frames destined for a bound VideoValue are appended in place.
+		if dst, ok := w.Binding("in"); ok {
+			if vv, isRaw := dst.(*media.VideoValue); isRaw {
+				return vv.AppendFrame(f)
+			}
 		}
+		el = f
 	}
-	w.collected = append(w.collected, in.Payload)
+	w.collected = append(w.collected, el)
 	return nil
 }
 

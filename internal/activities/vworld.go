@@ -92,7 +92,7 @@ func (ra *RenderActivity) Tick(tc *activity.TickContext) error {
 		if !ok {
 			return fmt.Errorf("activities: %s video input is %T, want raw frame", ra.Name(), v.Payload)
 		}
-		ra.lastTex = f
+		ra.lastTex = f.Keep()
 	}
 	mv := tc.In("move")
 	if mv != nil {

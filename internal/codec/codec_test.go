@@ -84,7 +84,7 @@ func rleEncode(src []byte) []byte {
 
 func rleDecode(n int, enc []byte) ([]byte, error) {
 	dst := make([]byte, n)
-	if err := unpack(dst, enc, make([]byte, n)); err != nil {
+	if err := unpack(dst, enc, make([]byte, n), 0); err != nil {
 		return nil, err
 	}
 	return dst, nil

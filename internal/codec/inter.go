@@ -78,12 +78,13 @@ func (c *Inter) DecodeFrame(e *EncodedVideo, i int) (*media.Frame, error) {
 		return nil, err
 	}
 	d := e.streamDecoder()
+	var f *media.Frame
 	for k := key; k <= i; k++ {
-		if err := d.advance(e.frames[k]); err != nil {
+		if f, err = d.Decode(e.frames[k]); err != nil {
 			return nil, fmt.Errorf("codec: frame %d: %w", k, err)
 		}
 	}
-	return d.frame(), nil
+	return f.Clone(), nil
 }
 
 // streamDecoder returns a decoder for e's frames.

@@ -83,11 +83,7 @@ func checkQuant(q int) error {
 // decodeIntraFrame reconstructs an intra-coded frame into pix, which must
 // have the frame's exact length.
 func decodeIntraFrame(pix, data []byte, q int) error {
-	if err := unpack(pix, data, nil); err != nil {
-		return err
-	}
-	dequantizeInto(pix, pix, q)
-	return nil
+	return unpack(pix, data, nil, q)
 }
 
 // DVI is a coarse intra-frame production codec ("DVI-Videovalue"): frames

@@ -86,6 +86,66 @@ func TestPackMatchesReference(t *testing.T) {
 	}
 }
 
+// TestUnpackMatchesReference holds unpack to the old passes it fuses —
+// PackBits decode, add to the prediction, dequantize — for every quant,
+// both predictors and lengths around the word loop's tail.  The residuals
+// are arbitrary bytes, so quantized sums leave [0, 2^(8-q)) as a corrupt
+// stream's do, and so may the reference frame's quantized bytes.
+func TestUnpackMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 1200; trial++ {
+		n := 1 + trial%24
+		if trial%3 == 0 {
+			n = 1 + rng.Intn(600)
+		}
+		q := trial % 8
+		resid := runStructured(rng, n)
+		if trial%4 == 1 {
+			rng.Read(resid)
+		}
+		data := refRLEEncode(nil, resid)
+		refT := make([]byte, n) // the previous frame, quantized
+		rng.Read(refT)
+		if trial%2 == 0 {
+			for i := range refT {
+				refT[i] &= 0xff >> q
+			}
+		}
+		ref := make([]byte, n) // and as the fused decoder holds it
+		refDequantizeInto(ref, refT, q)
+
+		for _, intra := range []bool{false, true} {
+			decoded, err := refRLEDecode(nil, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var prev byte
+			for i := range decoded {
+				if intra {
+					prev += decoded[i]
+					decoded[i] = prev
+				} else {
+					decoded[i] += refT[i]
+				}
+			}
+			want := make([]byte, n)
+			refDequantizeInto(want, decoded, q)
+
+			got := make([]byte, n)
+			pred := ref
+			if intra {
+				pred = nil
+			}
+			if err := unpack(got, data, pred, q); err != nil {
+				t.Fatalf("trial %d (n=%d q=%d intra=%v): %v", trial, n, q, intra, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("trial %d (n=%d q=%d intra=%v): unpack differs from the reference at %d", trial, n, q, intra, firstDiff(got, want))
+			}
+		}
+	}
+}
+
 func firstDiff(a, b []byte) int {
 	for i := range a {
 		if i >= len(b) || a[i] != b[i] {
@@ -267,23 +327,27 @@ func runStreamProgram(t *testing.T, prog []byte) {
 		size = min(size, len(prog))
 		ef.Data, prog = prog[:size], prog[size:]
 
-		before, primed := append([]byte(nil), dec.ref...), dec.primed
-		got, err := dec.DecodeFrame(ef)
+		cur, primed := dec.cur, dec.primed
+		var before []byte
+		if primed {
+			before = append(before, dec.frames[cur].Pix...)
+		}
+		got, err := dec.Decode(ef)
 		want, refErr := ref.DecodeFrame(ef)
 		if (err != nil) != (refErr != nil) {
 			t.Fatalf("frame %d: fused decoder error %v, reference error %v", n, err, refErr)
 		}
 		if err != nil {
-			if dec.primed != primed || primed && !bytes.Equal(dec.ref, before) {
-				t.Fatalf("frame %d: failed decode (%v) changed the decoder's reference", n, err)
+			if dec.cur != cur || dec.primed != primed || primed && !bytes.Equal(dec.frames[cur].Pix, before) {
+				t.Fatalf("frame %d: failed decode (%v) changed the decoder's current frame", n, err)
 			}
 			continue
 		}
+		if got != dec.frames[dec.cur] {
+			t.Fatalf("frame %d: Decode returned a frame other than the decoder's current one", n)
+		}
 		if !got.Equal(want) {
 			t.Fatalf("frame %d: decoded pixels differ from the reference", n)
-		}
-		if !bytes.Equal(dec.ref, ref.ref) {
-			t.Fatalf("frame %d: quantized reference differs from the reference decoder's", n)
 		}
 	}
 }
@@ -412,19 +476,35 @@ func newsFrames(tb testing.TB, frames int) (*media.VideoValue, []*EncodedFrame) 
 	return clip, out
 }
 
-// TestStreamDecodeAllocs pins DecodeFrame at the Frame and its Pix.
+// TestStreamDecodeAllocs pins the steady state of Decode at nothing — it
+// reconstructs into the decoder's two frames — and of DecodeFrame at the
+// caller's copy, a Frame and its Pix.
 func TestStreamDecodeAllocs(t *testing.T) {
 	_, efs := newsFrames(t, 30)
 	dec, _ := NewVideoStreamDecoder(160, 120, 24, 2)
-	i := 0
-	allocs := testing.AllocsPerRun(60, func() {
-		if _, err := dec.DecodeFrame(efs[i%len(efs)]); err != nil {
+	for _, ef := range efs[:2] { // allocate both of the decoder's frames
+		if _, err := dec.Decode(ef); err != nil {
 			t.Fatal(err)
 		}
-		i++
-	})
-	if allocs > 2 {
-		t.Errorf("DecodeFrame: %.1f allocs per frame, want <= 2", allocs)
+	}
+	for _, c := range []struct {
+		name   string
+		decode func(*EncodedFrame) (*media.Frame, error)
+		max    float64
+	}{
+		{"Decode", dec.Decode, 0},
+		{"DecodeFrame", dec.DecodeFrame, 2},
+	} {
+		i := 0
+		allocs := testing.AllocsPerRun(60, func() {
+			if _, err := c.decode(efs[i%len(efs)]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if allocs > c.max {
+			t.Errorf("%s: %.1f allocs per frame, want <= %.0f", c.name, allocs, c.max)
+		}
 	}
 }
 

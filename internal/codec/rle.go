@@ -14,10 +14,11 @@ import (
 //
 // The frame kernels below fuse that stage with the transforms around it:
 // pack quantizes, predicts and run-length codes in one pass over the
-// pixels, unpack run-length decodes straight into the reconstructed
-// quantized frame.  Neither materializes the residual.  What they must
-// emit and accept, byte for byte and error for error, is pinned by the
-// three-pass kernels they replaced, kept in reference_test.go.
+// pixels, unpack run-length decodes, predicts and dequantizes in one pass
+// straight into the reconstructed pixels.  Neither materializes the
+// residual.  What they must emit and accept, byte for byte and error for
+// error, is pinned by the multi-pass kernels they replaced, kept in
+// reference_test.go.
 
 const (
 	maxRun       = 128 // longest literal or repeat run one control byte covers
@@ -136,14 +137,23 @@ func pack(out, pix, ref, keep []byte, q int) []byte {
 }
 
 // unpack decodes the PackBits stream src into dst, which it must fill
-// exactly, adding each decoded byte to its prediction: ref[i], or with a
-// nil ref the byte just reconstructed (the intra predictor).  dst may be
-// ref itself.  On error dst holds garbage; a ref that is not dst is
-// untouched.
-func unpack(dst, src, ref []byte) error {
+// exactly, as pixels: each decoded residual is added to its prediction in
+// the quantized domain, and the sum restored with q low bits at their
+// midpoint.  The prediction is ref[i] — a frame unpack produced with the
+// same q, or at q 0 any frame — or with a nil ref the quantized byte just
+// reconstructed (the intra predictor).  dst may be ref itself.  On error
+// dst holds garbage; a ref that is not dst is untouched.
+//
+// ref's low q bits are all the midpoint, so adding a residual shifted up
+// by q to a ref pixel adds it in the quantized domain: the low bits never
+// carry, and the high bits wrap as the quantized byte does.
+func unpack(dst, src, ref []byte, q int) error {
+	s := uint(q) & 7
+	mid := byte(1) << s >> 1
+	high := lanes * uint64(0xff<<s&0xff)
 	var (
 		o    int  // bytes of dst reconstructed
-		prev byte // dst[o-1], the intra predictor
+		prev byte // the quantized dst[o-1], the intra predictor
 	)
 	for i := 0; i < len(src); {
 		c := src[i]
@@ -173,10 +183,10 @@ func unpack(dst, src, ref []byte) error {
 			if ref == nil {
 				for k, b := range lit {
 					prev += b
-					d[k] = prev
+					d[k] = prev<<s | mid
 				}
 			} else {
-				addInto(d, ref[o:o+n], lit)
+				addShiftedInto(d, ref[o:o+n], lit, s, high)
 			}
 		} else {
 			v := src[i]
@@ -185,11 +195,12 @@ func unpack(dst, src, ref []byte) error {
 			case ref == nil:
 				for k := range d {
 					prev += v
-					d[k] = prev
+					d[k] = prev<<s | mid
 				}
 			case v == 0:
 				copy(d, ref[o:o+n])
 			default:
+				v <<= s
 				for k, b := range ref[o : o+n] {
 					d[k] = b + v
 				}
@@ -203,19 +214,22 @@ func unpack(dst, src, ref []byte) error {
 	return nil
 }
 
-// addInto sets d[k] = a[k] + b[k]; the three have one length.
-func addInto(d, a, b []byte) {
+// addShiftedInto sets d[k] = a[k] + b[k]<<s; the three have one length,
+// and high masks the bits of each lane that b<<s leaves in it.
+func addShiftedInto(d, a, b []byte, s uint, high uint64) {
 	k := 0
 	for ; len(d)-k >= 8; k += 8 {
-		binary.LittleEndian.PutUint64(d[k:], addLanes(binary.LittleEndian.Uint64(a[k:]), binary.LittleEndian.Uint64(b[k:])))
+		bs := binary.LittleEndian.Uint64(b[k:]) << s & high
+		binary.LittleEndian.PutUint64(d[k:], addLanes(binary.LittleEndian.Uint64(a[k:]), bs))
 	}
 	for ; k < len(d); k++ {
-		d[k] = a[k] + b[k]
+		d[k] = a[k] + b[k]<<s
 	}
 }
 
 // dequantizeInto restores pixel bytes from the quantized domain with
-// midpoint reconstruction.  pix may be t itself.
+// midpoint reconstruction, the decoder's view of a frame the scalable
+// encoder predicts from.  pix may be t itself.
 func dequantizeInto(pix, t []byte, q int) {
 	s := uint(q) & 7
 	mid := byte(1) << s >> 1

@@ -140,7 +140,7 @@ func (c *Scalable) DecodeFrameLayers(e *EncodedVideo, i, k int) (*media.Frame, e
 	// Layer 1: exact half resolution, the residual added in place.
 	half := make([]byte, hw*hh*bpp)
 	upsample2Linear(half, quarter, hw, hh, bpp)
-	if err := unpack(half, layers[1], half); err != nil {
+	if err := unpack(half, layers[1], half, 0); err != nil {
 		return nil, fmt.Errorf("codec: frame %d layer 1: %w", i, err)
 	}
 	upsample2Linear(f.Pix, half, w, h, bpp)
@@ -149,7 +149,7 @@ func (c *Scalable) DecodeFrameLayers(e *EncodedVideo, i, k int) (*media.Frame, e
 	}
 
 	// Layer 2: exact full resolution.
-	if err := unpack(f.Pix, layers[2], f.Pix); err != nil {
+	if err := unpack(f.Pix, layers[2], f.Pix, 0); err != nil {
 		return nil, fmt.Errorf("codec: frame %d layer 2: %w", i, err)
 	}
 	return f, nil

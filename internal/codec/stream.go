@@ -81,11 +81,13 @@ func (e *VideoStreamEncoder) Reset() { e.count = 0 }
 type VideoStreamDecoder struct {
 	quant                int
 	width, height, depth int
-	// ref is the last reconstructed frame in the quantized domain, next
-	// the buffer the following one is built in; a decoded frame swaps
-	// them, a failed one leaves ref as it was.
-	ref, next []byte
-	primed    bool // ref holds a frame
+	// frames are the two scratch frames the decoder reconstructs into in
+	// turn: frames[cur] is the last decoded frame, the reference of the
+	// next, which is built in the other; a failed decode leaves cur as
+	// it was.
+	frames [2]*media.Frame
+	cur    int
+	primed bool // frames[cur] holds a frame
 }
 
 // NewVideoStreamDecoder returns a decoder for streams of the given
@@ -100,43 +102,40 @@ func NewVideoStreamDecoder(width, height, depth, quant int) (*VideoStreamDecoder
 	return &VideoStreamDecoder{quant: quant, width: width, height: height, depth: depth}, nil
 }
 
-// DecodeFrame reconstructs one frame.  A non-key frame before any key
-// frame is an error.  A frame that fails to decode leaves the decoder's
-// state untouched: the next frame is predicted from the last good one.
-func (d *VideoStreamDecoder) DecodeFrame(ef *EncodedFrame) (*media.Frame, error) {
-	if err := d.advance(ef); err != nil {
-		return nil, err
-	}
-	return d.frame(), nil
-}
-
-// advance reconstructs ef in the quantized domain and makes it the
-// reference.
-func (d *VideoStreamDecoder) advance(ef *EncodedFrame) error {
+// Decode reconstructs one frame into a scratch frame the decoder owns:
+// it is valid until the next Decode, so a consumer that keeps it longer
+// keeps its Keep().  A non-key frame before any key frame is an error.
+// A frame that fails to decode leaves the decoder's state untouched: the
+// next frame is predicted from the last good one.
+func (d *VideoStreamDecoder) Decode(ef *EncodedFrame) (*media.Frame, error) {
 	var ref []byte
 	if !ef.Key {
 		if !d.primed {
-			return fmt.Errorf("codec: predicted frame received before any key frame")
+			return nil, fmt.Errorf("codec: predicted frame received before any key frame")
 		}
-		ref = d.ref
+		ref = d.frames[d.cur].Pix
 	}
-	if d.next == nil {
-		n := d.width * d.height * d.depth / 8
-		d.ref, d.next = make([]byte, n), make([]byte, n)
+	next := d.frames[1-d.cur]
+	if next == nil {
+		next = media.NewScratchFrame(d.width, d.height, d.depth)
+		d.frames[1-d.cur] = next
 	}
-	if err := unpack(d.next, ef.Data, ref); err != nil {
-		return err
+	if err := unpack(next.Pix, ef.Data, ref, d.quant); err != nil {
+		return nil, err
 	}
-	d.ref, d.next = d.next, d.ref
+	d.cur = 1 - d.cur
 	d.primed = true
-	return nil
+	return next, nil
 }
 
-// frame returns the reference frame as pixels.
-func (d *VideoStreamDecoder) frame() *media.Frame {
-	f := media.NewFrame(d.width, d.height, d.depth)
-	dequantizeInto(f.Pix, d.ref, d.quant)
-	return f
+// DecodeFrame reconstructs one frame, as Decode does, into a frame the
+// caller owns.
+func (d *VideoStreamDecoder) DecodeFrame(ef *EncodedFrame) (*media.Frame, error) {
+	f, err := d.Decode(ef)
+	if err != nil {
+		return nil, err
+	}
+	return f.Clone(), nil
 }
 
 // Reset drops the reference frame.

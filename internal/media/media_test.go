@@ -229,6 +229,28 @@ func TestVideoValueCloneEqual(t *testing.T) {
 	}
 }
 
+// TestFrameKeep: Keep copies a scratch frame, and only a scratch frame;
+// the copy is the keeper's, so keeping it again copies nothing.
+func TestFrameKeep(t *testing.T) {
+	f := NewFrame(4, 3, 8)
+	if f.Keep() != f {
+		t.Error("Keep copied a frame that is not scratch")
+	}
+	s := NewScratchFrame(4, 3, 8)
+	s.Pix[5] = 9
+	k := s.Keep()
+	if k == s || !k.Equal(s) {
+		t.Fatal("Keep of a scratch frame is not an equal copy")
+	}
+	s.Pix[5] = 10
+	if k.Pix[5] != 9 {
+		t.Error("kept frame shares pixels with the scratch frame")
+	}
+	if k.Keep() != k || s.Clone().scratch {
+		t.Error("a copy of a scratch frame is scratch")
+	}
+}
+
 func TestFramePixelAccess(t *testing.T) {
 	f := NewFrame(4, 3, 8)
 	f.Set(2, 1, 42)

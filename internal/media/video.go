@@ -9,9 +9,14 @@ import (
 // Frame is a raster video frame: Depth bits per pixel, rows packed
 // top-to-bottom into Pix.  Only byte-aligned depths (8, 16, 24, 32) are
 // used; Pix holds Width*Height*Depth/8 bytes.
+//
+// A frame from NewScratchFrame is reused by its producer: it is
+// overwritten once the tick that delivered it is over.  A consumer that
+// retains a frame past its tick retains Keep's result instead.
 type Frame struct {
 	Width, Height, Depth int
 	Pix                  []byte
+	scratch              bool
 }
 
 // NewFrame allocates a zeroed frame.
@@ -20,6 +25,22 @@ func NewFrame(w, h, depth int) *Frame {
 		panic(fmt.Sprintf("media: invalid frame geometry %dx%dx%d", w, h, depth))
 	}
 	return &Frame{Width: w, Height: h, Depth: depth, Pix: make([]byte, w*h*depth/8)}
+}
+
+// NewScratchFrame allocates a zeroed frame its producer will reuse.
+func NewScratchFrame(w, h, depth int) *Frame {
+	f := NewFrame(w, h, depth)
+	f.scratch = true
+	return f
+}
+
+// Keep returns a frame that stays as it is: a copy of a scratch frame,
+// any other frame itself.
+func (f *Frame) Keep() *Frame {
+	if f.scratch {
+		return f.Clone()
+	}
+	return f
 }
 
 // ElementKind reports KindVideo.
@@ -50,11 +71,12 @@ func (f *Frame) PixelOffset(x, y int) int {
 	return (y*f.Width + x) * f.BytesPerPixel()
 }
 
-// Clone returns a deep copy of the frame.
+// Clone returns a deep copy of the frame, owned by the caller.
 func (f *Frame) Clone() *Frame {
 	c := *f
 	c.Pix = make([]byte, len(f.Pix))
 	copy(c.Pix, f.Pix)
+	c.scratch = false
 	return &c
 }
 
