@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"avdb/internal/avtime"
 	"avdb/internal/media"
 	"avdb/internal/schema"
 )
@@ -154,17 +155,25 @@ func TestLinkAddRemoveRaceRecovers(t *testing.T) {
 
 func TestRetrieveAtQualityTemporalScaling(t *testing.T) {
 	clip := testClip(60) // 2s at 30fps
-	// Raw value, lower frame rate requested: frames are dropped.
+	// Raw value, lower frame rate requested: frames are dropped, and the
+	// rest keep the source's timeline.
 	lowFPS := media.VideoQuality{Width: 32, Height: 24, Depth: 8, FPS: 15}
-	v, info, err := RetrieveAtQuality(clip, lowFPS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Method != "frame-drop" {
-		t.Errorf("method = %s", info.Method)
-	}
-	if v.NumElements() != 30 {
-		t.Errorf("frames = %d, want 30", v.NumElements())
+	placed := testClip(60)
+	placed.Translate(250 * avtime.Millisecond)
+	for _, src := range []*media.VideoValue{clip, placed} {
+		v, info, err := RetrieveAtQuality(src, lowFPS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Method != "frame-drop" {
+			t.Errorf("method = %s", info.Method)
+		}
+		if v.NumElements() != 30 {
+			t.Errorf("frames = %d, want 30", v.NumElements())
+		}
+		if v.Duration() != src.Duration() || v.Start() != src.Start() {
+			t.Errorf("raw frame-drop moved the timeline: %v+%v -> %v+%v", src.Start(), src.Duration(), v.Start(), v.Duration())
+		}
 	}
 	// Scalable value, lower resolution AND rate: layers and frames drop.
 	enc, err := importScalable(clip)

@@ -65,8 +65,10 @@ type RetrievalInfo struct {
 // factor.  Scalable values are served by dropping layers — "a video
 // value encoded at one quality can be viewed at a lower quality by
 // ignoring some of the encoded data" — which touches only the retained
-// bytes.  Other representations must be transcoded: fully decoded,
-// resampled and re-encoded, touching every stored byte.
+// bytes.  Other encoded representations must be transcoded: fully
+// decoded, resampled and re-encoded, touching every stored byte.  A raw
+// value is served as a media.ResampledVideo view, which drops and
+// resamples frames only as they are read.
 func RetrieveAtQuality(v media.Value, q media.VideoQuality) (media.Value, RetrievalInfo, error) {
 	if !q.Valid() {
 		return nil, RetrievalInfo{}, fmt.Errorf("core: invalid quality %v", q)
@@ -78,30 +80,18 @@ func RetrieveAtQuality(v media.Value, q media.VideoQuality) (media.Value, Retrie
 		}
 		return transcodeEncoded(stored, q)
 	case *media.VideoValue:
-		out := stored
-		method := "direct"
-		if keep := frameKeepFactor(stored.Type().Rate, q); keep > 1 {
-			sub := media.NewVideoValue(stored.Type(), stored.Width(), stored.Height(), stored.Depth())
-			for i := 0; i < stored.NumFrames(); i += keep {
-				f, err := stored.Frame(i)
-				if err != nil {
-					return nil, RetrievalInfo{}, err
-				}
-				if err := sub.AppendFrame(f); err != nil {
-					return nil, RetrievalInfo{}, err
-				}
-			}
-			out = sub
-			method = "frame-drop"
+		keep := frameKeepFactor(stored.Type().Rate, q)
+		resize := stored.Width() != q.Width || stored.Height() != q.Height
+		if keep == 1 && !resize {
+			return stored, RetrievalInfo{Method: "direct", BytesProcessed: stored.Size(), BytesOut: stored.Size()}, nil
 		}
-		if out.Width() != q.Width || out.Height() != q.Height {
-			resized, err := resizeVideo(out, q.Width, q.Height)
-			if err != nil {
-				return nil, RetrievalInfo{}, err
-			}
-			return resized, RetrievalInfo{Method: "transcode", BytesProcessed: out.Size() + resized.Size(), BytesOut: resized.Size()}, nil
+		out := stored.Resample(q.Width, q.Height, keep)
+		if !resize {
+			return out, RetrievalInfo{Method: "frame-drop", BytesProcessed: out.Size(), BytesOut: out.Size()}, nil
 		}
-		return out, RetrievalInfo{Method: method, BytesProcessed: out.Size(), BytesOut: out.Size()}, nil
+		// Resizing touches each kept source frame and its resample.
+		read := int64(out.NumElements()) * int64(stored.Width()*stored.Height()*stored.Depth()/8)
+		return out, RetrievalInfo{Method: "transcode", BytesProcessed: read + out.Size(), BytesOut: out.Size()}, nil
 	}
 	return nil, RetrievalInfo{}, fmt.Errorf("core: cannot serve %T at a video quality", v)
 }
@@ -178,10 +168,7 @@ func transcodeEncoded(e *codec.EncodedVideo, q media.VideoQuality) (media.Value,
 	}
 	resized := raw
 	if raw.Width() != q.Width || raw.Height() != q.Height {
-		resized, err = resizeVideo(raw, q.Width, q.Height)
-		if err != nil {
-			return nil, RetrievalInfo{}, err
-		}
+		resized = raw.Resample(q.Width, q.Height, 1).Materialize()
 	}
 	out, err := c.Encode(resized)
 	if err != nil {
@@ -189,50 +176,4 @@ func transcodeEncoded(e *codec.EncodedVideo, q media.VideoQuality) (media.Value,
 	}
 	touched := e.Size() + raw.Size() + resized.Size() + out.Size()
 	return out, RetrievalInfo{Method: "transcode", BytesProcessed: touched, BytesOut: out.Size()}, nil
-}
-
-// resizeVideo nearest-neighbor resamples every frame.
-func resizeVideo(v *media.VideoValue, w, h int) (*media.VideoValue, error) {
-	if w <= 0 || h <= 0 {
-		return nil, fmt.Errorf("core: invalid resize target %dx%d", w, h)
-	}
-	out := media.NewVideoValue(media.TypeRawVideo30, w, h, v.Depth())
-	bpp := v.Depth() / 8
-	// Output column x shows source column x*W/w.  Walking x, that quotient
-	// grows by step and its remainder by frac, carrying at w: no division
-	// per pixel, and nothing allocated per call.
-	step, frac := v.Width()/w*bpp, v.Width()%w
-	stride := w * bpp
-	for i := 0; i < v.NumFrames(); i++ {
-		src, err := v.Frame(i)
-		if err != nil {
-			return nil, err
-		}
-		dst := media.NewFrame(w, h, v.Depth())
-		prevSy := -1
-		for y := 0; y < h; y++ {
-			row := dst.Pix[y*stride : (y+1)*stride]
-			sy := y * src.Height / h
-			if sy == prevSy {
-				copy(row, dst.Pix[(y-1)*stride:y*stride])
-				continue
-			}
-			prevSy = sy
-			srow := src.Pix[sy*src.Width*bpp : (sy+1)*src.Width*bpp]
-			for d, c, rem := 0, 0, 0; d < stride; d += bpp {
-				for b := 0; b < bpp; b++ { // a pixel is 1-3 bytes: cheaper moved bytewise than by a copy call
-					row[d+b] = srow[c+b]
-				}
-				c += step
-				if rem += frac; rem >= w {
-					rem -= w
-					c += bpp
-				}
-			}
-		}
-		if err := out.AppendFrame(dst); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

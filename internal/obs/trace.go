@@ -28,31 +28,52 @@ type Span struct {
 // Dur reports the span's world-time extent.
 func (s Span) Dur() avtime.WorldTime { return s.End - s.Start }
 
+// spanBlock is the number of spans one tracer block holds.
+const spanBlock = 1024
+
 // Tracer records spans.  IDs are assigned in call order, so a
 // single-goroutine workload (the discrete-event graph runner) produces
 // identical traces on every run.
+//
+// Span id i lives at position (i-1)%spanBlock of block (i-1)/spanBlock.
+// Blocks are fixed-size and never move, so Begin neither copies nor
+// re-zeroes a recorded span, and End and Attr index their span directly.
 type Tracer struct {
-	mu    sync.Mutex
-	spans []Span
-	index map[SpanID]int // id -> position in spans
+	mu     sync.Mutex
+	blocks []*[spanBlock]Span
+	n      int // spans recorded
 }
 
 // NewTracer returns an empty tracer.
 func NewTracer() *Tracer {
-	return &Tracer{index: make(map[SpanID]int)}
+	return &Tracer{}
 }
 
 // Begin opens a span under parent (NoSpan for a root).
 func (t *Tracer) Begin(parent SpanID, kind, name string, at avtime.WorldTime) SpanID {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	id := SpanID(len(t.spans) + 1)
-	t.spans = append(t.spans, Span{
+	i := t.n
+	if i%spanBlock == 0 {
+		t.blocks = append(t.blocks, new([spanBlock]Span))
+	}
+	t.n++
+	id := SpanID(t.n)
+	t.blocks[i/spanBlock][i%spanBlock] = Span{
 		ID: id, Parent: parent, Kind: kind, Name: name,
 		Start: at, End: at, Open: true,
-	})
-	t.index[id] = len(t.spans) - 1
+	}
 	return id
+}
+
+// span returns the recorded span with the given id, or nil.  The caller
+// holds t.mu.
+func (t *Tracer) span(id SpanID) *Span {
+	if id < 1 || id > SpanID(t.n) {
+		return nil
+	}
+	i := int(id - 1)
+	return &t.blocks[i/spanBlock][i%spanBlock]
 }
 
 // End closes a span.  Ending NoSpan, an unknown span, or a span that is
@@ -60,13 +81,13 @@ func (t *Tracer) Begin(parent SpanID, kind, name string, at avtime.WorldTime) Sp
 func (t *Tracer) End(id SpanID, at avtime.WorldTime) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i, ok := t.index[id]
-	if !ok || !t.spans[i].Open {
+	s := t.span(id)
+	if s == nil || !s.Open {
 		return
 	}
-	t.spans[i].Open = false
-	if at > t.spans[i].Start {
-		t.spans[i].End = at
+	s.Open = false
+	if at > s.Start {
+		s.End = at
 	}
 }
 
@@ -76,19 +97,19 @@ func (t *Tracer) End(id SpanID, at avtime.WorldTime) {
 func (t *Tracer) Attr(id SpanID, key string, value int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i, ok := t.index[id]
-	if !ok {
-		return
+	if s := t.span(id); s != nil {
+		s.Attrs = append(s.Attrs, Attr{Key: key, Value: value})
 	}
-	t.spans[i].Attrs = append(t.spans[i].Attrs, Attr{Key: key, Value: value})
 }
 
 // Spans returns a copy of the recorded spans in ID order.
 func (t *Tracer) Spans() []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Span, len(t.spans))
-	copy(out, t.spans)
+	out := make([]Span, t.n)
+	for b, blk := range t.blocks {
+		copy(out[b*spanBlock:], blk[:])
+	}
 	for i := range out {
 		out[i].Attrs = append([]Attr(nil), out[i].Attrs...)
 	}
@@ -99,5 +120,5 @@ func (t *Tracer) Spans() []Span {
 func (t *Tracer) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.spans)
+	return t.n
 }
