@@ -32,16 +32,12 @@ func (MuLaw) Encode(a *media.AudioValue) (*EncodedAudio, error) {
 	for i, s := range src {
 		data[i] = muLawEncode(s)
 	}
-	return &EncodedAudio{
-		typ: TypeMuLawAudio, codec: "mulaw",
-		channels: a.Channels(), samples: n, data: data,
-		tr: avtime.NewTransform(a.Type().Rate),
-	}, nil
+	return newEncodedAudio(TypeMuLawAudio, "mulaw", a.Channels(), n, data, avtime.NewTransform(a.Type().Rate)), nil
 }
 
 // Decode implements AudioCodec.
 func (MuLaw) Decode(e *EncodedAudio) (*media.AudioValue, error) {
-	rawType, err := rawAudioTypeFor(e.tr.Rate)
+	rawType, err := rawAudioTypeFor(e.Transform().Rate)
 	if err != nil {
 		return nil, err
 	}
@@ -244,16 +240,12 @@ func (ADPCM) Encode(a *media.AudioValue) (*EncodedAudio, error) {
 	if half {
 		data = append(data, cur)
 	}
-	return &EncodedAudio{
-		typ: TypeADPCMAudio, codec: "adpcm-sim",
-		channels: ch, samples: n, data: data,
-		tr: avtime.NewTransform(a.Type().Rate),
-	}, nil
+	return newEncodedAudio(TypeADPCMAudio, "adpcm-sim", ch, n, data, avtime.NewTransform(a.Type().Rate)), nil
 }
 
 // Decode implements AudioCodec.
 func (ADPCM) Decode(e *EncodedAudio) (*media.AudioValue, error) {
-	rawType, err := rawAudioTypeFor(e.tr.Rate)
+	rawType, err := rawAudioTypeFor(e.Transform().Rate)
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,13 @@
 // accessible, inter-coded video compresses better but must decode from the
 // preceding key frame, and scalable video can be served at reduced quality
 // by ignoring encoded layers (§4.1).
+//
+// A whole value is coded GOP-parallel: its frames split into GOPs (GOPN
+// frames for Inter, one for the all-key codecs), which
+// min(GOMAXPROCS, GOPs) workers, the caller among them, claim from one
+// atomic cursor.  Every GOP opens with a key frame, so the bytes do not
+// depend on the split; a GOP's encoded frames share one exact-size
+// block, and a failed decode reports the lowest failing frame.
 package codec
 
 import (
@@ -138,25 +145,24 @@ func (f *EncodedFrame) Size() int64 { return int64(len(f.Data)) }
 // media.Value so encoded values can be stored, bound to activities and
 // streamed like raw values; its elements are EncodedFrames.
 type EncodedVideo struct {
-	typ                  *media.Type
+	media.Base
 	codec                string
 	width, height, depth int
 	quant                int // codec quantization parameter at encode time
 	gop                  int // key-frame period (1 for intra codecs)
 	layers               int // layer count for scalable encodings (0 otherwise)
 	frames               []*EncodedFrame
-	tr                   avtime.Transform
 }
 
 var _ media.Value = (*EncodedVideo)(nil)
 
 func newEncodedVideo(typ *media.Type, codecName string, w, h, depth, quant, gop, layers int) *EncodedVideo {
-	return &EncodedVideo{
-		typ: typ, codec: codecName,
-		width: w, height: h, depth: depth,
+	e := &EncodedVideo{
+		codec: codecName, width: w, height: h, depth: depth,
 		quant: quant, gop: gop, layers: layers,
-		tr: avtime.NewTransform(typ.Rate),
 	}
+	e.Base = media.NewBase(typ, e.NumFrames)
+	return e
 }
 
 // Codec reports the name of the codec that produced this value.
@@ -177,52 +183,15 @@ func (e *EncodedVideo) Layers() int { return e.layers }
 // GOP reports the key-frame period.
 func (e *EncodedVideo) GOP() int { return e.gop }
 
-// Type implements media.Value.
-func (e *EncodedVideo) Type() *media.Type { return e.typ }
-
 // NumElements implements media.Value.
 func (e *EncodedVideo) NumElements() int { return len(e.frames) }
 
 // NumFrames reports the frame count.
 func (e *EncodedVideo) NumFrames() int { return len(e.frames) }
 
-// Start implements media.Value.
-func (e *EncodedVideo) Start() avtime.WorldTime { return e.tr.Translate }
-
-// Duration implements media.Value.
-func (e *EncodedVideo) Duration() avtime.WorldTime {
-	return e.tr.DurationOf(avtime.ObjectTime(len(e.frames)))
-}
-
-// Interval implements media.Value.
-func (e *EncodedVideo) Interval() avtime.Interval {
-	return avtime.Interval{Start: e.Start(), Dur: e.Duration()}
-}
-
-// WorldToObject implements media.Value.
-func (e *EncodedVideo) WorldToObject(w avtime.WorldTime) avtime.ObjectTime {
-	return e.tr.WorldToObject(w)
-}
-
-// ObjectToWorld implements media.Value.
-func (e *EncodedVideo) ObjectToWorld(o avtime.ObjectTime) avtime.WorldTime {
-	return e.tr.ObjectToWorld(o)
-}
-
-// Scale implements media.Value.
-func (e *EncodedVideo) Scale(f float64) {
-	if f <= 0 {
-		panic("codec: Scale factor must be positive")
-	}
-	e.tr = e.tr.Scaled(f)
-}
-
-// Translate implements media.Value.
-func (e *EncodedVideo) Translate(dw avtime.WorldTime) { e.tr = e.tr.Translated(dw) }
-
 // Element implements media.Value.
 func (e *EncodedVideo) Element(w avtime.WorldTime) (media.Element, error) {
-	return e.ElementAt(e.tr.WorldToObject(w))
+	return e.ElementAt(e.WorldToObject(w))
 }
 
 // ElementAt implements media.Value.
@@ -279,20 +248,26 @@ func (e *EncodedVideo) CompressionRatio() float64 {
 
 // String describes the encoded value.
 func (e *EncodedVideo) String() string {
-	return fmt.Sprintf("%s %dx%dx%d, %d frames, %.1f:1", e.typ.Name, e.width, e.height, e.depth, len(e.frames), e.CompressionRatio())
+	return fmt.Sprintf("%s %dx%dx%d, %d frames, %.1f:1", e.Type().Name, e.width, e.height, e.depth, len(e.frames), e.CompressionRatio())
 }
 
 // EncodedAudio is a compressed audio representation.
 type EncodedAudio struct {
-	typ      *media.Type
+	media.Base
 	codec    string
 	channels int
 	samples  int // decoded sample-frame count
 	data     []byte
-	tr       avtime.Transform
 }
 
 var _ media.Value = (*EncodedAudio)(nil)
+
+func newEncodedAudio(typ *media.Type, codecName string, channels, samples int, data []byte, tr avtime.Transform) *EncodedAudio {
+	e := &EncodedAudio{codec: codecName, channels: channels, samples: samples, data: data}
+	e.Base = media.NewBase(typ, e.NumElements)
+	e.SetTransform(tr)
+	return e
+}
 
 // Codec reports the producing codec's name.
 func (e *EncodedAudio) Codec() string { return e.codec }
@@ -303,45 +278,8 @@ func (e *EncodedAudio) Channels() int { return e.channels }
 // Data returns the raw encoded byte stream.
 func (e *EncodedAudio) Data() []byte { return e.data }
 
-// Type implements media.Value.
-func (e *EncodedAudio) Type() *media.Type { return e.typ }
-
 // NumElements implements media.Value: the decoded sample-frame count.
 func (e *EncodedAudio) NumElements() int { return e.samples }
-
-// Start implements media.Value.
-func (e *EncodedAudio) Start() avtime.WorldTime { return e.tr.Translate }
-
-// Duration implements media.Value.
-func (e *EncodedAudio) Duration() avtime.WorldTime {
-	return e.tr.DurationOf(avtime.ObjectTime(e.samples))
-}
-
-// Interval implements media.Value.
-func (e *EncodedAudio) Interval() avtime.Interval {
-	return avtime.Interval{Start: e.Start(), Dur: e.Duration()}
-}
-
-// WorldToObject implements media.Value.
-func (e *EncodedAudio) WorldToObject(w avtime.WorldTime) avtime.ObjectTime {
-	return e.tr.WorldToObject(w)
-}
-
-// ObjectToWorld implements media.Value.
-func (e *EncodedAudio) ObjectToWorld(o avtime.ObjectTime) avtime.WorldTime {
-	return e.tr.ObjectToWorld(o)
-}
-
-// Scale implements media.Value.
-func (e *EncodedAudio) Scale(f float64) {
-	if f <= 0 {
-		panic("codec: Scale factor must be positive")
-	}
-	e.tr = e.tr.Scaled(f)
-}
-
-// Translate implements media.Value.
-func (e *EncodedAudio) Translate(dw avtime.WorldTime) { e.tr = e.tr.Translated(dw) }
 
 // encodedAudioChunk is the element type of encoded audio: a byte window.
 type encodedAudioChunk []byte
@@ -379,5 +317,5 @@ func (e *EncodedAudio) CompressionRatio() float64 {
 
 // String describes the encoded audio value.
 func (e *EncodedAudio) String() string {
-	return fmt.Sprintf("%s %dch, %d samples, %.1f:1", e.typ.Name, e.channels, e.samples, e.CompressionRatio())
+	return fmt.Sprintf("%s %dch, %d samples, %.1f:1", e.Type().Name, e.channels, e.samples, e.CompressionRatio())
 }

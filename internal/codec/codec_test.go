@@ -536,8 +536,7 @@ func TestADPCMOddSampleCount(t *testing.T) {
 }
 
 func TestADPCMTruncatedPayload(t *testing.T) {
-	e := &EncodedAudio{typ: TypeADPCMAudio, codec: "adpcm-sim", channels: 2, samples: 100,
-		data: []byte{0, 0, 0, 0}, tr: avtime.NewTransform(avtime.RateCDAudio)}
+	e := newEncodedAudio(TypeADPCMAudio, "adpcm-sim", 2, 100, []byte{0, 0, 0, 0}, avtime.NewTransform(avtime.RateCDAudio))
 	if _, err := ADPCMCodec.Decode(e); err == nil {
 		t.Error("truncated ADPCM accepted")
 	}

@@ -3,7 +3,6 @@ package codec
 import (
 	"fmt"
 
-	"avdb/internal/avtime"
 	"avdb/internal/media"
 )
 
@@ -41,33 +40,19 @@ func (c *Inter) Encode(v *media.VideoValue) (*EncodedVideo, error) {
 		return nil, fmt.Errorf("codec: GOP %d must be >= 1", gop)
 	}
 	e := newEncodedVideo(TypeMPEGVideo, c.Name(), v.Width(), v.Height(), v.Depth(), c.Quant, gop, 0)
-	e.tr = avtime.NewTransform(v.Type().Rate)
-
-	enc := &VideoStreamEncoder{quant: c.Quant, gop: gop}
-	for i := 0; i < v.NumFrames(); i++ {
-		f, err := v.Frame(i)
-		if err != nil {
-			return nil, err
-		}
-		e.frames = append(e.frames, enc.encode(f.Pix))
-	}
+	e.encodeFrames(v, (*VideoStreamEncoder).appendFrame)
 	return e, nil
 }
 
 // Decode implements VideoCodec.
 func (c *Inter) Decode(e *EncodedVideo) (*media.VideoValue, error) {
-	v := media.NewVideoValue(media.TypeRawVideo30, e.width, e.height, e.depth)
-	d := e.streamDecoder()
-	for i, ef := range e.frames {
-		f, err := d.DecodeFrame(ef)
+	return e.decodeFrames(func(d *VideoStreamDecoder, i int) (*media.Frame, error) {
+		f, err := d.DecodeFrame(e.frames[i])
 		if err != nil {
 			return nil, fmt.Errorf("codec: frame %d: %w", i, err)
 		}
-		if err := v.AppendFrame(f); err != nil {
-			return nil, err
-		}
-	}
-	return v, nil
+		return f, nil
+	})
 }
 
 // DecodeFrame implements VideoCodec, decoding forward from the nearest

@@ -3,7 +3,6 @@ package codec
 import (
 	"fmt"
 
-	"avdb/internal/avtime"
 	"avdb/internal/media"
 )
 
@@ -33,31 +32,13 @@ func (c *Intra) Encode(v *media.VideoValue) (*EncodedVideo, error) {
 		return nil, err
 	}
 	e := newEncodedVideo(c.Typ, c.CodecName, v.Width(), v.Height(), v.Depth(), c.Quant, 1, 0)
-	e.tr = avtime.NewTransform(v.Type().Rate)
-	enc := &VideoStreamEncoder{quant: c.Quant, gop: 1}
-	for i := 0; i < v.NumFrames(); i++ {
-		f, err := v.Frame(i)
-		if err != nil {
-			return nil, err
-		}
-		e.frames = append(e.frames, enc.encode(f.Pix))
-	}
+	e.encodeFrames(v, (*VideoStreamEncoder).appendFrame)
 	return e, nil
 }
 
 // Decode implements VideoCodec.
 func (c *Intra) Decode(e *EncodedVideo) (*media.VideoValue, error) {
-	v := media.NewVideoValue(media.TypeRawVideo30, e.width, e.height, e.depth)
-	for i := range e.frames {
-		f, err := c.DecodeFrame(e, i)
-		if err != nil {
-			return nil, err
-		}
-		if err := v.AppendFrame(f); err != nil {
-			return nil, err
-		}
-	}
-	return v, nil
+	return e.decodeFrames(func(_ *VideoStreamDecoder, i int) (*media.Frame, error) { return c.DecodeFrame(e, i) })
 }
 
 // DecodeFrame implements VideoCodec.  Intra frames decode independently.
@@ -110,32 +91,15 @@ func (c *DVI) Encode(v *media.VideoValue) (*EncodedVideo, error) {
 		return nil, err
 	}
 	e := newEncodedVideo(TypeDVIVideo, c.Name(), v.Width(), v.Height(), v.Depth(), c.Quant, 1, 0)
-	e.tr = avtime.NewTransform(v.Type().Rate)
-	bpp := v.Depth() / 8
-	enc := &VideoStreamEncoder{quant: c.Quant, gop: 1}
-	for i := 0; i < v.NumFrames(); i++ {
-		f, err := v.Frame(i)
-		if err != nil {
-			return nil, err
-		}
-		e.frames = append(e.frames, enc.encode(downsample2(f.Pix, v.Width(), v.Height(), bpp)))
-	}
+	e.encodeFrames(v, func(enc *VideoStreamEncoder, dst, pix []byte) ([]byte, bool) {
+		return enc.appendFrame(dst, downsample2(pix, e.width, e.height, e.depth/8))
+	})
 	return e, nil
 }
 
 // Decode implements VideoCodec.
 func (c *DVI) Decode(e *EncodedVideo) (*media.VideoValue, error) {
-	v := media.NewVideoValue(media.TypeRawVideo30, e.width, e.height, e.depth)
-	for i := range e.frames {
-		f, err := c.DecodeFrame(e, i)
-		if err != nil {
-			return nil, err
-		}
-		if err := v.AppendFrame(f); err != nil {
-			return nil, err
-		}
-	}
-	return v, nil
+	return e.decodeFrames(func(_ *VideoStreamDecoder, i int) (*media.Frame, error) { return c.DecodeFrame(e, i) })
 }
 
 // DecodeFrame implements VideoCodec.

@@ -3,6 +3,7 @@ package codec
 import (
 	"fmt"
 
+	"avdb/internal/avtime"
 	"avdb/internal/media"
 )
 
@@ -197,4 +198,165 @@ func (d *refStreamDecoder) DecodeFrame(ef *EncodedFrame) (*media.Frame, error) {
 	f := media.NewFrame(d.width, d.height, d.depth)
 	refDequantizeInto(f.Pix, t, d.quant)
 	return f, nil
+}
+
+// The whole-value Encode and Decode loops of the four video codecs as they
+// stood before encodeFrames and decodeFrames replaced them: one frame
+// after another on the calling goroutine, each frame's bytes and struct
+// their own allocations.  They are kept verbatim (methods turned into
+// functions of their codec, the transform set through SetTransform) as
+// the oracle of TestWholeValueCodecMatchesReference.  Their values start
+// at 0 at the type's rate whatever the source's timeline: the oracle
+// pins bytes, key flags, pixels and errors, not timelines.
+
+func refIntraEncode(c *Intra, v *media.VideoValue) (*EncodedVideo, error) {
+	if err := checkQuant(c.Quant); err != nil {
+		return nil, err
+	}
+	e := newEncodedVideo(c.Typ, c.CodecName, v.Width(), v.Height(), v.Depth(), c.Quant, 1, 0)
+	e.SetTransform(avtime.NewTransform(v.Type().Rate))
+	enc := &VideoStreamEncoder{quant: c.Quant, gop: 1}
+	for i := 0; i < v.NumFrames(); i++ {
+		f, err := v.Frame(i)
+		if err != nil {
+			return nil, err
+		}
+		e.frames = append(e.frames, enc.encode(f.Pix))
+	}
+	return e, nil
+}
+
+func refIntraDecode(c *Intra, e *EncodedVideo) (*media.VideoValue, error) {
+	v := media.NewVideoValue(media.TypeRawVideo30, e.width, e.height, e.depth)
+	for i := range e.frames {
+		f, err := c.DecodeFrame(e, i)
+		if err != nil {
+			return nil, err
+		}
+		if err := v.AppendFrame(f); err != nil {
+			return nil, err
+		}
+	}
+	return v, nil
+}
+
+func refDVIEncode(c *DVI, v *media.VideoValue) (*EncodedVideo, error) {
+	if err := checkQuant(c.Quant); err != nil {
+		return nil, err
+	}
+	e := newEncodedVideo(TypeDVIVideo, c.Name(), v.Width(), v.Height(), v.Depth(), c.Quant, 1, 0)
+	e.SetTransform(avtime.NewTransform(v.Type().Rate))
+	bpp := v.Depth() / 8
+	enc := &VideoStreamEncoder{quant: c.Quant, gop: 1}
+	for i := 0; i < v.NumFrames(); i++ {
+		f, err := v.Frame(i)
+		if err != nil {
+			return nil, err
+		}
+		e.frames = append(e.frames, enc.encode(downsample2(f.Pix, v.Width(), v.Height(), bpp)))
+	}
+	return e, nil
+}
+
+func refDVIDecode(c *DVI, e *EncodedVideo) (*media.VideoValue, error) {
+	v := media.NewVideoValue(media.TypeRawVideo30, e.width, e.height, e.depth)
+	for i := range e.frames {
+		f, err := c.DecodeFrame(e, i)
+		if err != nil {
+			return nil, err
+		}
+		if err := v.AppendFrame(f); err != nil {
+			return nil, err
+		}
+	}
+	return v, nil
+}
+
+func refInterEncode(c *Inter, v *media.VideoValue) (*EncodedVideo, error) {
+	if err := checkQuant(c.Quant); err != nil {
+		return nil, err
+	}
+	gop := c.GOPN
+	if gop < 1 {
+		return nil, fmt.Errorf("codec: GOP %d must be >= 1", gop)
+	}
+	e := newEncodedVideo(TypeMPEGVideo, c.Name(), v.Width(), v.Height(), v.Depth(), c.Quant, gop, 0)
+	e.SetTransform(avtime.NewTransform(v.Type().Rate))
+
+	enc := &VideoStreamEncoder{quant: c.Quant, gop: gop}
+	for i := 0; i < v.NumFrames(); i++ {
+		f, err := v.Frame(i)
+		if err != nil {
+			return nil, err
+		}
+		e.frames = append(e.frames, enc.encode(f.Pix))
+	}
+	return e, nil
+}
+
+func refInterDecode(c *Inter, e *EncodedVideo) (*media.VideoValue, error) {
+	v := media.NewVideoValue(media.TypeRawVideo30, e.width, e.height, e.depth)
+	d := e.streamDecoder()
+	for i, ef := range e.frames {
+		f, err := d.DecodeFrame(ef)
+		if err != nil {
+			return nil, fmt.Errorf("codec: frame %d: %w", i, err)
+		}
+		if err := v.AppendFrame(f); err != nil {
+			return nil, err
+		}
+	}
+	return v, nil
+}
+
+func refScalableEncode(c *Scalable, v *media.VideoValue) (*EncodedVideo, error) {
+	if err := checkQuant(c.BaseQuant); err != nil {
+		return nil, err
+	}
+	w, h, bpp := v.Width(), v.Height(), v.Depth()/8
+	hw, hh := (w+1)/2, (h+1)/2
+	e := newEncodedVideo(TypeScalableVideo, c.Name(), w, h, v.Depth(), c.BaseQuant, 1, NumLayers)
+	e.SetTransform(avtime.NewTransform(v.Type().Rate))
+
+	var l0, l1, l2 []byte // per-layer scratch; packLayers copies out of it
+	for i := 0; i < v.NumFrames(); i++ {
+		f, err := v.Frame(i)
+		if err != nil {
+			return nil, err
+		}
+		half := downsample2(f.Pix, w, h, bpp)
+		quarter := downsample2(half, hw, hh, bpp)
+
+		// Layer 0: quantized base, and the base as the decoder will see it.
+		reconQ := make([]byte, len(quarter))
+		l0 = pack(l0[:0], quarter, nil, reconQ, c.BaseQuant)
+		dequantizeInto(reconQ, reconQ, c.BaseQuant)
+
+		// Layer 1: exact half-res residual against the upsampled base.
+		predHalf := make([]byte, len(half))
+		upsample2Linear(predHalf, reconQ, hw, hh, bpp)
+		l1 = pack(l1[:0], half, predHalf, nil, 0)
+
+		// Layer 2: exact full-res residual against the upsampled half.
+		predFull := make([]byte, len(f.Pix))
+		upsample2Linear(predFull, half, w, h, bpp)
+		l2 = pack(l2[:0], f.Pix, predFull, nil, 0)
+
+		e.frames = append(e.frames, &EncodedFrame{Data: packLayers(l0, l1, l2), Key: true})
+	}
+	return e, nil
+}
+
+func refScalableDecodeLayers(c *Scalable, e *EncodedVideo, k int) (*media.VideoValue, error) {
+	v := media.NewVideoValue(media.TypeRawVideo30, e.width, e.height, e.depth)
+	for i := range e.frames {
+		f, err := c.DecodeFrameLayers(e, i, k)
+		if err != nil {
+			return nil, err
+		}
+		if err := v.AppendFrame(f); err != nil {
+			return nil, err
+		}
+	}
+	return v, nil
 }

@@ -43,34 +43,25 @@ func (c *Scalable) Encode(v *media.VideoValue) (*EncodedVideo, error) {
 	w, h, bpp := v.Width(), v.Height(), v.Depth()/8
 	hw, hh := (w+1)/2, (h+1)/2
 	e := newEncodedVideo(TypeScalableVideo, c.Name(), w, h, v.Depth(), c.BaseQuant, 1, NumLayers)
-	e.tr = avtime.NewTransform(v.Type().Rate)
-
-	var l0, l1, l2 []byte // per-layer scratch; packLayers copies out of it
-	for i := 0; i < v.NumFrames(); i++ {
-		f, err := v.Frame(i)
-		if err != nil {
-			return nil, err
-		}
-		half := downsample2(f.Pix, w, h, bpp)
+	e.encodeFrames(v, func(_ *VideoStreamEncoder, dst, pix []byte) ([]byte, bool) {
+		half := downsample2(pix, w, h, bpp)
 		quarter := downsample2(half, hw, hh, bpp)
 
 		// Layer 0: quantized base, and the base as the decoder will see it.
 		reconQ := make([]byte, len(quarter))
-		l0 = pack(l0[:0], quarter, nil, reconQ, c.BaseQuant)
+		dst = appendLayer(dst, quarter, nil, reconQ, c.BaseQuant)
 		dequantizeInto(reconQ, reconQ, c.BaseQuant)
 
 		// Layer 1: exact half-res residual against the upsampled base.
 		predHalf := make([]byte, len(half))
 		upsample2Linear(predHalf, reconQ, hw, hh, bpp)
-		l1 = pack(l1[:0], half, predHalf, nil, 0)
+		dst = appendLayer(dst, half, predHalf, nil, 0)
 
 		// Layer 2: exact full-res residual against the upsampled half.
-		predFull := make([]byte, len(f.Pix))
+		predFull := make([]byte, len(pix))
 		upsample2Linear(predFull, half, w, h, bpp)
-		l2 = pack(l2[:0], f.Pix, predFull, nil, 0)
-
-		e.frames = append(e.frames, &EncodedFrame{Data: packLayers(l0, l1, l2), Key: true})
-	}
+		return appendLayer(dst, pix, predFull, nil, 0), true
+	})
 	return e, nil
 }
 
@@ -81,17 +72,7 @@ func (c *Scalable) Decode(e *EncodedVideo) (*media.VideoValue, error) {
 
 // DecodeLayers decodes using only the first k layers of each frame.
 func (c *Scalable) DecodeLayers(e *EncodedVideo, k int) (*media.VideoValue, error) {
-	v := media.NewVideoValue(media.TypeRawVideo30, e.width, e.height, e.depth)
-	for i := range e.frames {
-		f, err := c.DecodeFrameLayers(e, i, k)
-		if err != nil {
-			return nil, err
-		}
-		if err := v.AppendFrame(f); err != nil {
-			return nil, err
-		}
-	}
-	return v, nil
+	return e.decodeFrames(func(_ *VideoStreamDecoder, i int) (*media.Frame, error) { return c.DecodeFrameLayers(e, i, k) })
 }
 
 // DecodeFrame implements VideoCodec.
@@ -165,8 +146,8 @@ func DropLayers(e *EncodedVideo, k int) (*EncodedVideo, error) {
 	if k < 1 || k > e.layers {
 		return nil, fmt.Errorf("codec: keep %d of %d layers", k, e.layers)
 	}
-	out := newEncodedVideo(e.typ, e.codec, e.width, e.height, e.depth, e.quant, e.gop, k)
-	out.tr = e.tr
+	out := newEncodedVideo(e.Type(), e.codec, e.width, e.height, e.depth, e.quant, e.gop, k)
+	out.SetTransform(e.Transform())
 	for i, ef := range e.frames {
 		layers, err := unpackLayers(ef.Data)
 		if err != nil {
@@ -192,14 +173,23 @@ func DropFrames(e *EncodedVideo, keepEvery int) (*EncodedVideo, error) {
 			return nil, fmt.Errorf("codec: frame %d is predicted; cannot drop frames from %q", i, e.codec)
 		}
 	}
-	out := newEncodedVideo(e.typ, e.codec, e.width, e.height, e.depth, e.quant, e.gop, e.layers)
-	oldRate := e.tr.Rate
-	out.tr = avtime.NewTransform(avtime.MakeRate(oldRate.N, oldRate.D*int64(keepEvery)))
-	out.tr.Translate = e.tr.Translate
+	out := newEncodedVideo(e.Type(), e.codec, e.width, e.height, e.depth, e.quant, e.gop, e.layers)
+	tr := e.Transform()
+	tr.Rate = avtime.MakeRate(tr.Rate.N, tr.Rate.D*int64(keepEvery))
+	out.SetTransform(tr)
 	for i := 0; i < len(e.frames); i += keepEvery {
 		out.frames = append(out.frames, e.frames[i])
 	}
 	return out, nil
+}
+
+// appendLayer appends one packLayers layer to dst: pack(pix, ref, keep,
+// q) behind its length.
+func appendLayer(dst, pix, ref, keep []byte, q int) []byte {
+	n := len(dst)
+	dst = pack(append(dst, 0, 0, 0, 0), pix, ref, keep, q)
+	binary.BigEndian.PutUint32(dst[n:], uint32(len(dst)-n-4))
+	return dst
 }
 
 // packLayers concatenates layer payloads, each preceded by a big-endian

@@ -56,9 +56,18 @@ func (e *VideoStreamEncoder) EncodeFrame(f *media.Frame) (*EncodedFrame, error) 
 	return e.encode(f.Pix), nil
 }
 
-// encode compresses the stream's next frame from its pixel bytes: a key
-// frame every gop-th call, predicted from the retained reference between.
+// encode compresses the stream's next frame from its pixel bytes into
+// an EncodedFrame of its own.
 func (e *VideoStreamEncoder) encode(pix []byte) *EncodedFrame {
+	var key bool
+	e.out, key = e.appendFrame(e.out[:0], pix)
+	return &EncodedFrame{Data: append([]byte(nil), e.out...), Key: key}
+}
+
+// appendFrame appends the coding of the stream's next frame to dst and
+// reports whether it is a key frame: one every gop-th call, predicted
+// from the retained reference between.
+func (e *VideoStreamEncoder) appendFrame(dst, pix []byte) ([]byte, bool) {
 	key := e.count%e.gop == 0
 	if e.gop > 1 && len(e.ref) != len(pix) {
 		e.ref = make([]byte, len(pix))
@@ -67,9 +76,8 @@ func (e *VideoStreamEncoder) encode(pix []byte) *EncodedFrame {
 	if !key {
 		ref = e.ref
 	}
-	e.out = pack(e.out[:0], pix, ref, e.ref, e.quant)
 	e.count++
-	return &EncodedFrame{Data: append([]byte(nil), e.out...), Key: key}
+	return pack(dst, pix, ref, e.ref, e.quant), key
 }
 
 // Reset returns the encoder to its initial state (the next frame is a

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"avdb/internal/avtime"
+	"avdb/internal/codec"
 	"avdb/internal/media"
 	"avdb/internal/schema"
 )
@@ -193,6 +194,33 @@ func TestRetrieveAtQualityTemporalScaling(t *testing.T) {
 	}
 	if v2.Duration() != enc.Duration() {
 		t.Errorf("duration changed: %v -> %v", enc.Duration(), v2.Duration())
+	}
+}
+
+// TestRetrieveAtQualityKeepsTimeline: a value placed at 250 ms and played
+// at twice its speed keeps that place and speed through the transcode
+// path (decode, resize, encode) and through an encoded frame drop.
+func TestRetrieveAtQualityKeepsTimeline(t *testing.T) {
+	clip := testClip(60)
+	clip.Translate(250 * avtime.Millisecond)
+	clip.Scale(2)
+	for _, c := range []codec.VideoCodec{codec.JPEG, codec.DVICodec, codec.MPEG} {
+		stored, err := c.Encode(clip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []media.VideoQuality{
+			{Width: 16, Height: 12, Depth: 8, FPS: 30},
+			{Width: 32, Height: 24, Depth: 8, FPS: 15},
+		} {
+			v, info, err := RetrieveAtQuality(stored, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.Interval() != clip.Interval() {
+				t.Errorf("%s at %v (%s): spans %v, source %v", c.Name(), q, info.Method, v.Interval(), clip.Interval())
+			}
+		}
 	}
 }
 

@@ -54,7 +54,7 @@ func (a *AudioValue) Block(i, j int) (*AudioBlock, error) {
 // sequence of sample frames.  Samples are stored interleaved; depth is
 // fixed at 16 bits (the storage layer packs narrower qualities).
 type AudioValue struct {
-	base
+	Base
 	channels int
 	samples  []int16 // interleaved: frame i occupies [i*channels, (i+1)*channels)
 }
@@ -71,7 +71,7 @@ func NewAudioValue(typ *Type, channels int) *AudioValue {
 		panic(fmt.Sprintf("media: invalid channel count %d", channels))
 	}
 	a := &AudioValue{channels: channels}
-	a.base = newBase(typ, func() int { return a.NumSamples() })
+	a.Base = NewBase(typ, func() int { return a.NumSamples() })
 	return a
 }
 

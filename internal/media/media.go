@@ -201,55 +201,66 @@ type Value interface {
 // fall outside the value.
 var ErrOutOfRange = fmt.Errorf("media: time out of value's range")
 
-// base carries the transform bookkeeping shared by every concrete value.
-type base struct {
+// Base carries the type and the transform bookkeeping every value
+// shares: a concrete value embeds it, as the codecs' encoded values do
+// too, and gets Value's time methods from it.
+type Base struct {
 	typ *Type
 	tr  avtime.Transform
 	n   func() int // element count, supplied by the concrete type
 }
 
-func newBase(typ *Type, n func() int) base {
-	return base{typ: typ, tr: avtime.NewTransform(typ.Rate), n: n}
+// NewBase returns the Base of a value of type typ with n() elements,
+// starting at world time 0 at the type's rate.
+func NewBase(typ *Type, n func() int) Base {
+	return Base{typ: typ, tr: avtime.NewTransform(typ.Rate), n: n}
 }
 
-func (b *base) Type() *Type { return b.typ }
+// Transform reports the value's world/object transform.
+func (b *Base) Transform() avtime.Transform { return b.tr }
 
-func (b *base) Start() avtime.WorldTime { return b.tr.Translate }
+// SetTransform places the value on the given transform, as a codec does
+// to carry a value's timeline across encoding and decoding.
+func (b *Base) SetTransform(t avtime.Transform) { b.tr = t }
 
-func (b *base) Duration() avtime.WorldTime {
+func (b *Base) Type() *Type { return b.typ }
+
+func (b *Base) Start() avtime.WorldTime { return b.tr.Translate }
+
+func (b *Base) Duration() avtime.WorldTime {
 	return b.tr.DurationOf(avtime.ObjectTime(b.n()))
 }
 
-func (b *base) Interval() avtime.Interval {
+func (b *Base) Interval() avtime.Interval {
 	return avtime.Interval{Start: b.Start(), Dur: b.Duration()}
 }
 
-func (b *base) WorldToObject(w avtime.WorldTime) avtime.ObjectTime {
+func (b *Base) WorldToObject(w avtime.WorldTime) avtime.ObjectTime {
 	return b.tr.WorldToObject(w)
 }
 
-func (b *base) ObjectToWorld(o avtime.ObjectTime) avtime.WorldTime {
+func (b *Base) ObjectToWorld(o avtime.ObjectTime) avtime.WorldTime {
 	return b.tr.ObjectToWorld(o)
 }
 
-func (b *base) Scale(f float64) {
+func (b *Base) Scale(f float64) {
 	if f <= 0 {
 		panic("media: Scale factor must be positive")
 	}
 	b.tr = b.tr.Scaled(f)
 }
 
-func (b *base) Translate(dw avtime.WorldTime) {
+func (b *Base) Translate(dw avtime.WorldTime) {
 	b.tr = b.tr.Translated(dw)
 }
 
 // objectIndex converts a world time to a bounds-checked element index.
-func (b *base) objectIndex(w avtime.WorldTime) (int, error) {
+func (b *Base) objectIndex(w avtime.WorldTime) (int, error) {
 	o := b.tr.WorldToObject(w)
 	return b.checkIndex(o)
 }
 
-func (b *base) checkIndex(o avtime.ObjectTime) (int, error) {
+func (b *Base) checkIndex(o avtime.ObjectTime) (int, error) {
 	if o < 0 || int(o) >= b.n() {
 		return 0, fmt.Errorf("%w: element %d of %d", ErrOutOfRange, o, b.n())
 	}

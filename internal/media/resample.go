@@ -17,7 +17,7 @@ import (
 // the source's divided by keep, so it spans the same stretch of world
 // time (as codec.DropFrames does for encoded values).
 type ResampledVideo struct {
-	base
+	Base
 	src                 *VideoValue
 	width, height, keep int
 }
@@ -32,7 +32,7 @@ func (v *VideoValue) Resample(w, h, keep int) *ResampledVideo {
 		panic(fmt.Sprintf("media: invalid resample target %dx%d keeping 1 in %d", w, h, keep))
 	}
 	r := &ResampledVideo{src: v, width: w, height: h, keep: keep}
-	r.base = newBase(v.typ, r.NumElements)
+	r.Base = NewBase(v.typ, r.NumElements)
 	r.tr = v.tr
 	r.tr.Rate = avtime.MakeRate(v.tr.Rate.N, v.tr.Rate.D*int64(keep))
 	return r

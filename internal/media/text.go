@@ -26,7 +26,7 @@ func (c Cue) Size() int64 { return int64(len(c.Text)) }
 // object time is the tick, so NumElements is the tick length of the
 // stream, not the cue count.
 type TextStreamValue struct {
-	base
+	Base
 	cues  []Cue
 	ticks avtime.ObjectTime // total extent in ticks
 }
@@ -40,7 +40,7 @@ func NewTextStreamValue(ticks avtime.ObjectTime) *TextStreamValue {
 		panic("media: negative text stream extent")
 	}
 	v := &TextStreamValue{ticks: ticks}
-	v.base = newBase(TypeTextStream, func() int { return int(v.ticks) })
+	v.Base = NewBase(TypeTextStream, func() int { return int(v.ticks) })
 	return v
 }
 
@@ -130,7 +130,7 @@ func (v *TextStreamValue) String() string {
 // ImageValue is a single untimed raster image, used for the virtual-world
 // scenario's high-resolution raster images and surface-scan data.
 type ImageValue struct {
-	base
+	Base
 	frame *Frame
 }
 
@@ -139,7 +139,7 @@ var _ Value = (*ImageValue)(nil)
 // NewImageValue wraps a frame as an untimed image value.
 func NewImageValue(f *Frame) *ImageValue {
 	v := &ImageValue{frame: f}
-	v.base = newBase(TypeImage, func() int { return 1 })
+	v.Base = NewBase(TypeImage, func() int { return 1 })
 	return v
 }
 

@@ -100,7 +100,7 @@ func (f *Frame) Equal(o *Frame) bool {
 // sequence of raster frames.  The zero value is not usable; construct with
 // NewVideoValue.
 type VideoValue struct {
-	base
+	Base
 	width, height, depth int
 	frames               []*Frame
 }
@@ -118,7 +118,7 @@ func NewVideoValue(typ *Type, w, h, depth int) *VideoValue {
 		panic(fmt.Sprintf("media: invalid video geometry %dx%dx%d", w, h, depth))
 	}
 	v := &VideoValue{width: w, height: h, depth: depth}
-	v.base = newBase(typ, func() int { return len(v.frames) })
+	v.Base = NewBase(typ, func() int { return len(v.frames) })
 	return v
 }
 
