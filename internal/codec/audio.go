@@ -21,7 +21,7 @@ func (MuLaw) Name() string { return "mulaw" }
 // EncodedType implements AudioCodec.
 func (MuLaw) EncodedType() *media.Type { return TypeMuLawAudio }
 
-// Encode implements AudioCodec.
+// Encode implements AudioCodec.  The encoded value keeps a's timeline.
 func (MuLaw) Encode(a *media.AudioValue) (*EncodedAudio, error) {
 	n := a.NumSamples()
 	src, err := a.Samples(0, n)
@@ -32,16 +32,17 @@ func (MuLaw) Encode(a *media.AudioValue) (*EncodedAudio, error) {
 	for i, s := range src {
 		data[i] = muLawEncode(s)
 	}
-	return newEncodedAudio(TypeMuLawAudio, "mulaw", a.Channels(), n, data, avtime.NewTransform(a.Type().Rate)), nil
+	return newEncodedAudio(TypeMuLawAudio, "mulaw", a.Channels(), n, data, a.Transform()), nil
 }
 
-// Decode implements AudioCodec.
+// Decode implements AudioCodec, restoring e's timeline.
 func (MuLaw) Decode(e *EncodedAudio) (*media.AudioValue, error) {
 	rawType, err := rawAudioTypeFor(e.Transform().Rate)
 	if err != nil {
 		return nil, err
 	}
 	a := media.NewAudioValue(rawType, e.channels)
+	a.SetTransform(e.Transform())
 	samples := make([]int16, len(e.data))
 	for i, b := range e.data {
 		samples[i] = muLawDecode(b)
@@ -201,7 +202,8 @@ func clampIndex(i int) int {
 
 // Encode implements AudioCodec.  The payload is, per channel, a 4-byte
 // header (initial predictor, step index) followed by the packed nibbles
-// of all channels interleaved two samples per byte per channel.
+// of all channels interleaved two samples per byte per channel.  The
+// encoded value keeps a's timeline.
 func (ADPCM) Encode(a *media.AudioValue) (*EncodedAudio, error) {
 	n, ch := a.NumSamples(), a.Channels()
 	src, err := a.Samples(0, n)
@@ -240,10 +242,10 @@ func (ADPCM) Encode(a *media.AudioValue) (*EncodedAudio, error) {
 	if half {
 		data = append(data, cur)
 	}
-	return newEncodedAudio(TypeADPCMAudio, "adpcm-sim", ch, n, data, avtime.NewTransform(a.Type().Rate)), nil
+	return newEncodedAudio(TypeADPCMAudio, "adpcm-sim", ch, n, data, a.Transform()), nil
 }
 
-// Decode implements AudioCodec.
+// Decode implements AudioCodec, restoring e's timeline.
 func (ADPCM) Decode(e *EncodedAudio) (*media.AudioValue, error) {
 	rawType, err := rawAudioTypeFor(e.Transform().Rate)
 	if err != nil {
@@ -275,6 +277,7 @@ func (ADPCM) Decode(e *EncodedAudio) (*media.AudioValue, error) {
 		samples[i] = states[i%ch].decodeSample(nib)
 	}
 	a := media.NewAudioValue(rawType, ch)
+	a.SetTransform(e.Transform())
 	if err := a.AppendSamples(samples); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"testing"
+	"time"
 
 	"avdb/internal/media"
 )
@@ -179,39 +180,92 @@ func BenchmarkADPCMDecode(b *testing.B) {
 	}
 }
 
-// The stream coder on the frames of a decoded Newscast viewer (160×120×24
-// motion clip, quant 2, GOP 15).  Guards for the fused kernels, not
-// claims: the claim is made end to end by bench/.
+// The stream coder, quant 2 and GOP 15, on two 160×120 motion clips:
+// "news24", the 24-bit frames of a decoded Newscast viewer, and "camera8",
+// the 8-bit camera a recording encodes.  Key and predicted frames are
+// timed apart (key-ns/frame, P-ns/frame and per byte), as their kernels'
+// paths differ.  Guards for the fused kernels, not claims: the claim is
+// made end to end by bench/.
+
+var streamContents = []struct {
+	name  string
+	depth int
+}{{"news24", 24}, {"camera8", 8}}
+
+// frameTimes accumulates a stream benchmark's time by frame kind.
+type frameTimes struct {
+	ns, frames [2]int64 // [0] predicted, [1] key
+}
+
+func (ft *frameTimes) add(key bool, d time.Duration) {
+	k := 0
+	if key {
+		k = 1
+	}
+	ft.ns[k] += int64(d)
+	ft.frames[k]++
+}
+
+func (ft *frameTimes) report(b *testing.B, frameBytes int) {
+	for k, kind := range []string{"P", "key"} {
+		if ft.frames[k] == 0 {
+			continue
+		}
+		perFrame := float64(ft.ns[k]) / float64(ft.frames[k])
+		b.ReportMetric(perFrame, kind+"-ns/frame")
+		b.ReportMetric(perFrame/float64(frameBytes), kind+"-ns/B")
+	}
+}
 
 func BenchmarkStreamDecode(b *testing.B) {
-	_, efs := newsFrames(b, 30)
-	dec, err := NewVideoStreamDecoder(160, 120, 24, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(160 * 120 * 3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dec.DecodeFrame(efs[i%len(efs)]); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range streamContents {
+		b.Run(c.name, func(b *testing.B) {
+			_, efs := motionFrames(b, c.depth, 30)
+			dec, err := NewVideoStreamDecoder(160, 120, c.depth, 2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			frameBytes := 160 * 120 * c.depth / 8
+			var ft frameTimes
+			b.SetBytes(int64(frameBytes))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ef := efs[i%len(efs)]
+				start := time.Now()
+				if _, err := dec.DecodeFrame(ef); err != nil {
+					b.Fatal(err)
+				}
+				ft.add(ef.Key, time.Since(start))
+			}
+			ft.report(b, frameBytes)
+		})
 	}
 }
 
 func BenchmarkStreamEncode(b *testing.B) {
-	clip, _ := newsFrames(b, 30)
-	enc, err := NewInterStreamEncoder(2, 15)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(160 * 120 * 3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f, _ := clip.Frame(i % clip.NumFrames())
-		if _, err := enc.EncodeFrame(f); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range streamContents {
+		b.Run(c.name, func(b *testing.B) {
+			clip, _ := motionFrames(b, c.depth, 30)
+			enc, err := NewInterStreamEncoder(2, 15)
+			if err != nil {
+				b.Fatal(err)
+			}
+			frameBytes := 160 * 120 * c.depth / 8
+			var ft frameTimes
+			b.SetBytes(int64(frameBytes))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f, _ := clip.Frame(i % clip.NumFrames())
+				start := time.Now()
+				ef, err := enc.EncodeFrame(f)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ft.add(ef.Key, time.Since(start))
+			}
+			ft.report(b, frameBytes)
+		})
 	}
 }

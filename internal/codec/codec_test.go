@@ -579,6 +579,34 @@ func TestEncodedAudioValueInterface(t *testing.T) {
 	}
 }
 
+// TestAudioCodecsKeepTimeline: a translated, scaled audio value keeps its
+// place on the world timeline through encoding, and decoding restores it,
+// as TestCodecsKeepTimeline holds the video codecs to.
+func TestAudioCodecsKeepTimeline(t *testing.T) {
+	a := media.NewAudioValue(media.TypeVoiceAudio, 2)
+	if err := a.AppendSamples(make([]int16, 2*8000)); err != nil {
+		t.Fatal(err)
+	}
+	a.Translate(250 * avtime.Millisecond)
+	a.Scale(2)
+	for _, c := range []AudioCodec{MuLawCodec, ADPCMCodec} {
+		e, err := c.Encode(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Transform() != a.Transform() || e.Interval() != a.Interval() {
+			t.Errorf("%s: encoded value spans %v, source %v", c.Name(), e.Interval(), a.Interval())
+		}
+		d, err := c.Decode(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Transform() != a.Transform() || d.Interval() != a.Interval() {
+			t.Errorf("%s: decoded value spans %v, source %v", c.Name(), d.Interval(), a.Interval())
+		}
+	}
+}
+
 func TestCodecRegistry(t *testing.T) {
 	if c, ok := LookupVideoCodec("jpeg-sim"); !ok || c != JPEG {
 		t.Error("jpeg-sim not registered")

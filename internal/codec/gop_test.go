@@ -254,5 +254,17 @@ func FuzzPackMatchesReference(f *testing.F) {
 	f.Add(motion)
 	f.Add(append([]byte{2, 0, 2}, bytes.Repeat([]byte{7}, 64*3)...))
 	f.Add([]byte{5, 7, 1, 0, 255, 3, 3, 3, 3, 9})
+	// A static 8-bit GOP: every word of a predicted frame equals its
+	// reference, so pack skips it in place.
+	still := synth.Video(media.TypeRawVideo30, synth.PatternMotion, 16, 4, 8, 1, 5)
+	fr, _ := still.Frame(0)
+	f.Add(append([]byte{2, 2, 3}, bytes.Repeat(fr.Pix, 4)...))
+	// A gradient key frame: its residual is runs of one and two bytes,
+	// which join a literal run inline up to its 128-byte cap.
+	gradient := []byte{3, 0, 0}
+	for i := 0; i < 13*7*2; i++ {
+		gradient = append(gradient, byte(i+i/3))
+	}
+	f.Add(gradient)
 	f.Fuzz(func(t *testing.T, prog []byte) { runPackProgram(t, prog) })
 }

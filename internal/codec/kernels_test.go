@@ -37,60 +37,201 @@ func runStructured(rng *rand.Rand, n int) []byte {
 	return out
 }
 
-// TestPackMatchesReference holds pack to the old quantize → residual →
-// PackBits passes on run-structured inputs, for both predictors.
+// pixFor returns pixels whose quantized residual is resid: against ref,
+// or with a nil ref against the intra predictor.  The q low bits dropped
+// are random.
+func pixFor(rng *rand.Rand, resid, ref []byte, q int) []byte {
+	pix := make([]byte, len(resid))
+	var prev byte
+	for i := range pix {
+		tq := resid[i] + prev
+		if ref != nil {
+			tq = resid[i] + ref[i]
+		}
+		tq &= 0xff >> q
+		prev = tq
+		pix[i] = tq<<q | byte(rng.Intn(1<<q))
+	}
+	return pix
+}
+
+// checkPack holds pack on one frame to the old quantize → residual →
+// PackBits passes, appending behind a byte already in out.  With a nil
+// ref it is a key frame, packed with keep nil and with a keep of its
+// own.  With a ref it is a predicted frame, packed with each keep a
+// caller passes: nil (the scalable enhancement layers), a buffer of its
+// own that starts out differing from ref everywhere, and ref itself (the
+// stream encoder, which replaces the reference as it reads it; last,
+// since it rewrites ref).
+func checkPack(t *testing.T, name string, pix, ref []byte, q int) {
+	t.Helper()
+	tq := refQuantize(pix, q)
+	var want []byte
+	keeps := [][]byte{nil, make([]byte, len(pix))}
+	if ref == nil {
+		want = refDeltaRLE(tq)
+	} else {
+		d := make([]byte, len(tq))
+		for i := range d {
+			d[i] = tq[i] - ref[i]
+			keeps[1][i] = ^ref[i]
+		}
+		want = refRLEEncode(nil, d)
+		keeps = append(keeps, ref)
+	}
+	for k, keep := range keeps {
+		got := pack([]byte{0xee}, pix, ref, keep, q)
+		if got[0] != 0xee || !bytes.Equal(got[1:], want) {
+			t.Fatalf("%s (q=%d, keep mode %d): pack emitted %d bytes, reference %d, first difference at %d",
+				name, q, k, len(got)-1, len(want), firstDiff(got[1:], want))
+		}
+		if keep != nil && !bytes.Equal(keep, tq) {
+			t.Fatalf("%s (q=%d, keep mode %d): kept frame differs from the quantized frame at %d", name, q, k, firstDiff(keep, tq))
+		}
+	}
+}
+
+// TestPackMatchesReference holds pack to the reference (checkPack) on
+// run-structured inputs for both predictors, on zero runs starting and
+// ending at every offset of a few words — the in-place path starts and
+// stops on them — and on runs of one and two bytes that bring a literal
+// run to each length around its 128-byte cap.
 func TestPackMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 800; trial++ {
 		n := 1 + rng.Intn(1500)
 		q := rng.Intn(8)
-		// Pixels whose quantized residual is run-structured.
 		resid := runStructured(rng, n)
-		ref := make([]byte, n)
-		rng.Read(ref)
-		for i := range ref {
-			ref[i] &= 0xff >> q
-		}
-		pix := make([]byte, n)
-		key := trial%2 == 0
-		var prev byte
-		for i := range pix {
-			tq := resid[i] + ref[i]
-			if key {
-				tq = resid[i] + prev
+		var ref []byte // key frames on even trials
+		if trial%2 == 1 {
+			ref = make([]byte, n)
+			rng.Read(ref)
+			for i := range ref {
+				ref[i] &= 0xff >> q
 			}
-			tq &= 0xff >> q
-			prev = tq
-			pix[i] = tq<<q | byte(rng.Intn(1<<q))
 		}
-		tq := refQuantize(pix, q)
-		var got, want, keep []byte
-		if key {
-			keep = make([]byte, n)
-			got, want = pack(nil, pix, nil, keep, q), refDeltaRLE(tq)
-		} else {
-			d := make([]byte, n)
-			for i := range d {
-				d[i] = tq[i] - ref[i]
+		checkPack(t, fmt.Sprintf("trial %d (n=%d)", trial, n), pixFor(rng, resid, ref, q), ref, q)
+	}
+
+	// A zero run over [a, b) in a residual of literal bytes.
+	const n = 43
+	for a := 0; a <= n; a++ {
+		for b := a; b <= n; b++ {
+			resid := make([]byte, n)
+			for i := range resid {
+				if i < a || i >= b {
+					resid[i] = byte(1 + i%3)
+				}
 			}
-			keep = ref // as the stream encoder does: the reference is replaced as it is read
-			got, want = pack(nil, pix, ref, keep, q), refRLEEncode(nil, d)
+			for _, q := range []int{0, 3} {
+				ref := make([]byte, n)
+				rng.Read(ref)
+				for i := range ref {
+					ref[i] &= 0xff >> q
+				}
+				checkPack(t, fmt.Sprintf("zero run [%d, %d)", a, b), pixFor(rng, resid, ref, q), ref, q)
+			}
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("trial %d (n=%d q=%d key=%v): pack emitted %d bytes, reference %d, first difference at %d",
-				trial, n, q, key, len(got), len(want), firstDiff(got, want))
-		}
-		if !bytes.Equal(keep, tq) {
-			t.Fatalf("trial %d (n=%d q=%d key=%v): kept frame differs from the quantized frame at %d", trial, n, q, key, firstDiff(keep, tq))
+	}
+
+	// A repeat run, then lit literal bytes in runs of one and two
+	// (lengths cycling through pat), which cross the 128-byte cap when
+	// lit > 128, then another repeat run and a few literal bytes more.
+	for lit := 120; lit <= 131; lit++ {
+		for _, pat := range [][]int{{1}, {2}, {1, 2}, {2, 1}, {2, 2, 1}} {
+			resid := bytes.Repeat([]byte{7}, 4)
+			for k, left := 0, lit; left > 0; k++ {
+				r := min(pat[k%len(pat)], left)
+				resid = append(resid, bytes.Repeat([]byte{byte(1 + k%2)}, r)...)
+				left -= r
+			}
+			resid = append(resid, 9, 9, 9, 9, 9, 3, 4, 4, 5)
+			for _, key := range []bool{true, false} {
+				var ref []byte
+				if !key {
+					ref = make([]byte, len(resid))
+					rng.Read(ref)
+					for i := range ref {
+						ref[i] &= 0x3f
+					}
+				}
+				for _, skip := range []int{4, 0} { // without the leading repeat run, and with
+					name := fmt.Sprintf("literal of %d in runs %v, key %v, from %d", lit, pat, key, skip)
+					var r []byte
+					if ref != nil {
+						r = ref[skip:]
+					}
+					checkPack(t, name, pixFor(rng, resid[skip:], r, 2), r, 2)
+				}
+			}
 		}
 	}
 }
 
-// TestUnpackMatchesReference holds unpack to the old passes it fuses —
-// PackBits decode, add to the prediction, dequantize — for every quant,
+// refUnpack is unpack as the old passes it fuses computed it: PackBits
+// decode, add to the prediction — refT, the previous frame quantized, or
+// with a nil refT the intra predictor — then dequantize into n bytes.
+// Its error is the one unpack owes src: that of the first run, in stream
+// order, that is malformed or ends past the frame.  The reference
+// decoder reports a run past the frame only as a wrong length at the
+// end, so a run past the frame is found as the shortest prefix of whole
+// runs that decodes to more than n bytes.
+func refUnpack(src, refT []byte, n, q int) ([]byte, error) {
+	for p := 1; p <= len(src); p++ {
+		if d, err := refRLEDecode(nil, src[:p]); err == nil && len(d) > n {
+			return nil, fmt.Errorf("codec: RLE stream ran past the frame's %d bytes", n)
+		}
+	}
+	decoded, err := refRLEDecode(nil, src)
+	if err != nil {
+		return nil, err
+	}
+	if len(decoded) != n {
+		return nil, fmt.Errorf("codec: decoded %d bytes, want %d", len(decoded), n)
+	}
+	var prev byte
+	for i := range decoded {
+		if refT == nil {
+			prev += decoded[i]
+			decoded[i] = prev
+		} else {
+			decoded[i] += refT[i]
+		}
+	}
+	out := make([]byte, n)
+	refDequantizeInto(out, decoded, q)
+	return out, nil
+}
+
+// checkUnpack holds unpack of src into an n-byte frame to refUnpack:
+// the same pixels or the same error.  dst and the reference frame both
+// have room past n bytes, so a kernel that writes past the frame shows
+// as a wrong result, not a panic.
+func checkUnpack(t *testing.T, name string, src, refT []byte, n, q int) {
+	t.Helper()
+	want, wantErr := refUnpack(src, refT, n, q)
+	var pred []byte
+	if refT != nil {
+		pred = make([]byte, n, n+512) // the previous frame as the fused decoder holds it
+		refDequantizeInto(pred, refT, q)
+	}
+	got := make([]byte, n, n+512)
+	err := unpack(got, src, pred, q)
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("%s (n=%d q=%d intra=%v): unpack error %v, reference %v", name, n, q, refT == nil, err, wantErr)
+	}
+	if err == nil && !bytes.Equal(got, want) {
+		t.Fatalf("%s (n=%d q=%d intra=%v): unpack differs from the reference at %d", name, n, q, refT == nil, firstDiff(got, want))
+	}
+}
+
+// TestUnpackMatchesReference holds unpack to refUnpack for every quant,
 // both predictors and lengths around the word loop's tail.  The residuals
 // are arbitrary bytes, so quantized sums leave [0, 2^(8-q)) as a corrupt
-// stream's do, and so may the reference frame's quantized bytes.
+// stream's do, and so may the reference frame's quantized bytes.  Then
+// chains of zero repeat runs, which unpack copies from the reference
+// frame as one, end at, short of and past the frame's end, or in a
+// truncated or reserved control byte.
 func TestUnpackMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for trial := 0; trial < 1200; trial++ {
@@ -111,36 +252,35 @@ func TestUnpackMatchesReference(t *testing.T) {
 				refT[i] &= 0xff >> q
 			}
 		}
-		ref := make([]byte, n) // and as the fused decoder holds it
-		refDequantizeInto(ref, refT, q)
+		name := fmt.Sprintf("trial %d", trial)
+		checkUnpack(t, name, data, refT, n, q)
+		checkUnpack(t, name, data, nil, n, q)
+	}
 
-		for _, intra := range []bool{false, true} {
-			decoded, err := refRLEDecode(nil, data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var prev byte
-			for i := range decoded {
-				if intra {
-					prev += decoded[i]
-					decoded[i] = prev
-				} else {
-					decoded[i] += refT[i]
+	tails := [][]byte{
+		nil,
+		{257 - 5},       // truncated repeat run
+		{128, 0},        // reserved control byte
+		{6, 1, 2},       // truncated literal run
+		{257 - 4, 3},    // a non-zero repeat run
+		{1, 5, 6},       // a literal run
+		{257 - 3, 0, 0}, // a zero repeat run, then a literal run cut short
+	}
+	for _, lens := range [][]int{{3}, {128, 128}, {5, 128, 3, 77}, {3, 3, 3, 3}, {100, 127, 128}} {
+		chain := []byte{1, 9, 9} // a literal run first: the chain starts mid-frame
+		total := 2
+		for _, l := range lens {
+			chain = append(chain, byte(257-l), 0)
+			total += l
+		}
+		for k, tail := range tails {
+			src := append(append([]byte(nil), chain...), tail...)
+			for n := total - lens[len(lens)-1] - 1; n <= total+8; n++ {
+				refT := make([]byte, n)
+				rng.Read(refT)
+				for _, q := range []int{0, 3} {
+					checkUnpack(t, fmt.Sprintf("zero chain %v, tail %d", lens, k), src, refT, n, q)
 				}
-			}
-			want := make([]byte, n)
-			refDequantizeInto(want, decoded, q)
-
-			got := make([]byte, n)
-			pred := ref
-			if intra {
-				pred = nil
-			}
-			if err := unpack(got, data, pred, q); err != nil {
-				t.Fatalf("trial %d (n=%d q=%d intra=%v): %v", trial, n, q, intra, err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("trial %d (n=%d q=%d intra=%v): unpack differs from the reference at %d", trial, n, q, intra, firstDiff(got, want))
 			}
 		}
 	}
@@ -455,11 +595,12 @@ func FuzzStreamDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prog []byte) { runStreamProgram(t, prog) })
 }
 
-// newsFrames returns a 160×120×24 motion clip, the frames of a decoded
-// Newscast viewer, and its GOP-15 encoding.
-func newsFrames(tb testing.TB, frames int) (*media.VideoValue, []*EncodedFrame) {
+// motionFrames returns a 160×120 motion clip of the given depth — at 24
+// bits the frames of a decoded Newscast viewer, at 8 a recording's camera
+// — and its quant-2, GOP-15 encoding.
+func motionFrames(tb testing.TB, depth, frames int) (*media.VideoValue, []*EncodedFrame) {
 	tb.Helper()
-	clip := synth.Video(media.TypeRawVideo30, synth.PatternMotion, 160, 120, 24, frames, 1)
+	clip := synth.Video(media.TypeRawVideo30, synth.PatternMotion, 160, 120, depth, frames, 1)
 	enc, err := NewInterStreamEncoder(2, 15)
 	if err != nil {
 		tb.Fatal(err)
@@ -480,7 +621,7 @@ func newsFrames(tb testing.TB, frames int) (*media.VideoValue, []*EncodedFrame) 
 // reconstructs into the decoder's two frames — and of DecodeFrame at the
 // caller's copy, a Frame and its Pix.
 func TestStreamDecodeAllocs(t *testing.T) {
-	_, efs := newsFrames(t, 30)
+	_, efs := motionFrames(t, 24, 30)
 	dec, _ := NewVideoStreamDecoder(160, 120, 24, 2)
 	for _, ef := range efs[:2] { // allocate both of the decoder's frames
 		if _, err := dec.Decode(ef); err != nil {
@@ -511,7 +652,7 @@ func TestStreamDecodeAllocs(t *testing.T) {
 // TestStreamEncodeAllocs pins EncodeFrame at the EncodedFrame and its
 // Data.
 func TestStreamEncodeAllocs(t *testing.T) {
-	clip, _ := newsFrames(t, 30)
+	clip, _ := motionFrames(t, 24, 30)
 	enc, _ := NewInterStreamEncoder(2, 15)
 	i := 0
 	allocs := testing.AllocsPerRun(60, func() {

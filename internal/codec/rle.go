@@ -3,6 +3,7 @@ package codec
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Run-length entropy coding in the PackBits style: a control byte c is
@@ -16,7 +17,24 @@ import (
 // pack quantizes, predicts and run-length codes in one pass over the
 // pixels, unpack run-length decodes, predicts and dequantizes in one pass
 // straight into the reconstructed pixels.  Neither materializes the
-// residual.  What they must emit and accept, byte for byte and error for
+// residual.  Three fast paths serve the shapes real streams are made of,
+// each exact under the condition it names:
+//
+//   - (a) pack, in-place zero words: when keep is ref and the open run is
+//     zero, words whose quantized pixels equal ref's lengthen the run in
+//     a loop of their own (sameWords) and are not stored.  Exact because
+//     keep aliases ref, which already holds those bytes.
+//   - (b) pack, inline short literals: a run of one or two bytes joins
+//     the open literal run in place, or opens one, while that run stays
+//     short of maxRun bytes; every other run goes through emit.  Exact
+//     because a run under minRepeatRun is coded as literals and the cap
+//     is not reached.
+//   - (c) unpack, coalesced zero repeats: zero repeat runs against a
+//     reference that follow one another are one copy, extended over each
+//     next run only while it is whole and in bounds, so a malformed run
+//     or one past the frame still fails where it stands.
+//
+// What the kernels must emit and accept, byte for byte and error for
 // error, is pinned by the multi-pass kernels they replaced, kept in
 // reference_test.go.
 
@@ -41,50 +59,23 @@ func addLanes(a, b uint64) uint64 {
 	return ((a &^ laneHigh) + (b &^ laneHigh)) ^ ((a ^ b) & laneHigh)
 }
 
-// packer is a streaming PackBits writer: it is handed the maximal runs of
-// its input in order and appends their encoding to out.
-type packer struct {
-	out []byte
-	lit int // index of the open literal run's control byte, -1 when none
-}
-
-// literal appends one byte to the open literal run, closing it at maxRun.
-func (p *packer) literal(b byte) {
-	if p.lit < 0 {
-		p.lit = len(p.out)
-		p.out = append(p.out, 0, b)
-		return
-	}
-	p.out = append(p.out, b)
-	p.out[p.lit]++
-	if p.out[p.lit] == maxRun-1 {
-		p.lit = -1
-	}
-}
-
-// run appends a maximal run of n bytes of value v: repeat runs of up to
-// maxRun while at least minRepeatRun bytes remain, the rest as literals.
-func (p *packer) run(v byte, n int) {
-	if n >= minRepeatRun {
-		p.lit = -1
-	}
-	for n >= minRepeatRun {
-		k := min(n, maxRun)
-		p.out = append(p.out, byte(257-k), v)
-		n -= k
-	}
-	for ; n > 0; n-- {
-		p.literal(v)
-	}
-}
-
 // pack appends to out the PackBits coding of a frame's residual: pix with
 // q low bits dropped, minus its prediction — ref, the previous frame in
 // the quantized domain, or with a nil ref the previous quantized byte of
 // the frame itself (the intra predictor).  A non-nil keep receives the
 // quantized frame, the next frame's ref; it may be ref itself.
+//
+// The residual is walked a word of eight pixels at a time as maximal
+// runs, each coded when the next one starts (paths a and b, emit) into
+// out grown once for the worst case: every byte a literal, plus one
+// control byte per maxRun.  A word that is all the open run's value only
+// lengthens it.
 func pack(out, pix, ref, keep []byte, q int) []byte {
-	p := packer{out: out, lit: -1}
+	o := len(out)
+	buf := slices.Grow(out, len(pix)+(len(pix)+maxRun-1)/maxRun) // the worst case: all literals
+	buf = buf[:cap(buf)]
+	lit := -1 // index of the open literal run's control byte, -1 when none
+	inPlace := len(ref) > 0 && len(keep) > 0 && &keep[0] == &ref[0]
 	s := uint(q) & 7
 	low := lanes * uint64(0xff>>s)
 	var (
@@ -94,6 +85,14 @@ func pack(out, pix, ref, keep []byte, q int) []byte {
 		i    int
 	)
 	for ; i+8 <= len(pix); i += 8 {
+		if inPlace && v == 0 {
+			n := sameWords(pix[i:], ref[i:], s, low)
+			i += n
+			run += n
+			if i+8 > len(pix) {
+				break
+			}
+		}
 		t := binary.LittleEndian.Uint64(pix[i:i+8]) >> s & low
 		pred := t<<8 | uint64(prev)
 		if ref != nil {
@@ -108,13 +107,7 @@ func pack(out, pix, ref, keep []byte, q int) []byte {
 			run += 8
 			continue
 		}
-		for k := 0; k < 8; k++ {
-			if b := byte(r >> (8 * k)); b != v {
-				p.run(v, run)
-				v, run = b, 0
-			}
-			run++
-		}
+		o, lit, v, run = packLanes(buf, o, lit, v, run, r)
 	}
 	for ; i < len(pix); i++ {
 		t := pix[i] >> s
@@ -127,13 +120,89 @@ func pack(out, pix, ref, keep []byte, q int) []byte {
 		}
 		prev = t
 		if b := t - pred; b != v {
-			p.run(v, run)
+			o, lit = emit(buf, o, lit, v, run)
 			v, run = b, 0
 		}
 		run++
 	}
-	p.run(v, run)
-	return p.out
+	o, _ = emit(buf, o, lit, v, run)
+	return buf[:o]
+}
+
+// sameWords returns the length of the longest run of whole words at the
+// start of pix that, shifted right by s and masked by low, equal ref's.
+// It stays out of line so that its loop keeps its state in registers,
+// which inside pack's word loop would be spilled on every word.
+//
+//go:noinline
+func sameWords(pix, ref []byte, s uint, low uint64) int {
+	s &= 7
+	n := 0
+	for ; len(pix) >= 8 && len(ref) >= 8; n += 8 {
+		if binary.LittleEndian.Uint64(pix)>>s&low != binary.LittleEndian.Uint64(ref) {
+			break
+		}
+		pix, ref = pix[8:], ref[8:]
+	}
+	return n
+}
+
+// packLanes feeds the eight byte lanes of the residual word r, lowest
+// first, to pack's open run of value v and length run, and returns the
+// new output state.  A run that ends is written in place when path (b)
+// allows, and goes through emit otherwise.
+func packLanes(buf []byte, o, lit int, v byte, run int, r uint64) (int, int, byte, int) {
+	for k := 0; k < 8; k++ {
+		if b := byte(r); b != v {
+			if run > 0 && run < minRepeatRun && (lit < 0 || o-lit-1+run < maxRun) {
+				if lit < 0 {
+					lit = o
+					o++
+				}
+				// Both stores are in bounds: the byte b, still to
+				// come, takes at least one more output byte.
+				buf[o], buf[o+1] = v, v
+				o += run
+				buf[lit] = byte(o - lit - 2)
+			} else {
+				o, lit = emit(buf, o, lit, v, run)
+			}
+			v, run = b, 0
+		}
+		r >>= 8
+		run++
+	}
+	return o, lit, v, run
+}
+
+// emit writes at buf[o] the coding of a maximal run of n bytes of value
+// v, given the open literal run's control byte at lit (-1 when none):
+// repeat runs of up to maxRun while at least minRepeatRun bytes remain,
+// the rest joining the literal run, which closes at maxRun bytes.  It
+// returns the new o and lit.
+func emit(buf []byte, o, lit int, v byte, n int) (int, int) {
+	if n >= minRepeatRun {
+		lit = -1
+	}
+	for n >= minRepeatRun {
+		k := min(n, maxRun)
+		buf[o], buf[o+1] = byte(257-k), v
+		o += 2
+		n -= k
+	}
+	for ; n > 0; n-- {
+		if lit < 0 {
+			lit = o
+			o++
+		}
+		buf[o] = v
+		o++
+		buf[lit] = byte(o - lit - 2)
+		if o-lit-1 == maxRun {
+			lit = -1
+		}
+	}
+	return o, lit
 }
 
 // unpack decodes the PackBits stream src into dst, which it must fill
@@ -198,7 +267,13 @@ func unpack(dst, src, ref []byte, q int) error {
 					d[k] = prev<<s | mid
 				}
 			case v == 0:
-				copy(d, ref[o:o+n])
+				// The zero repeats that follow, while each is whole and
+				// in bounds, join one copy (path c).
+				for i+1 < len(src) && src[i] > 128 && src[i+1] == 0 && 257-int(src[i]) <= len(dst)-o-n {
+					n += 257 - int(src[i])
+					i += 2
+				}
+				copy(dst[o:o+n], ref[o:o+n])
 			default:
 				v <<= s
 				for k, b := range ref[o : o+n] {
