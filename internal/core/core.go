@@ -112,7 +112,6 @@ type Database struct {
 	mediaSt   *storage.Store
 	devices   *device.Manager
 	network   *netsim.Network
-	txns      *txn.Manager
 	versions  *txn.VersionStore
 	admission *sched.Admission
 	log       *txn.Log
@@ -121,6 +120,12 @@ type Database struct {
 	runEngine *Engine // the one run loop advancing the shared clock
 
 	priority sched.Priority // default service class for new sessions
+
+	// classLocks holds one lock per class, made by DefineClass: a
+	// writer of the class's objects holds it exclusively, a Select of
+	// the class shared.  classMu guards the map only.
+	classMu    sync.RWMutex
+	classLocks map[string]*sync.RWMutex
 
 	// allocMu makes an OID's allocation and its NewObject's commit one
 	// step (allocate), so the images of nextOIDKey rise in log order and
@@ -152,7 +157,6 @@ func Open(cfg Config) (*Database, error) {
 		devices:   devices,
 		mediaSt:   storage.NewStore(devices),
 		network:   netsim.NewNetwork(),
-		txns:      txn.NewManager(),
 		versions:  txn.NewVersionStore(),
 		admission: admission,
 		log:       new(txn.Log),
@@ -160,6 +164,8 @@ func Open(cfg Config) (*Database, error) {
 		links:     newLinkStore(),
 		segments:  make(map[string]storage.SegID),
 		priority:  cfg.Priority,
+
+		classLocks: make(map[string]*sync.RWMutex),
 	}
 	db.mediaSt.SetCachePolicy(cfg.Cache)
 	db.mediaSt.SetStriping(cfg.Striping)
@@ -244,9 +250,39 @@ func (db *Database) Clock() *sched.VirtualClock { return db.clock }
 // Schema returns the class catalog.
 func (db *Database) Schema() *schema.Schema { return db.schema }
 
-// DefineClass registers a class.
+// DefineClass registers a class and makes its lock.
 func (db *Database) DefineClass(name, super string, attrs []schema.AttrDef) (*schema.Class, error) {
-	return db.schema.Define(name, super, attrs)
+	db.classMu.Lock()
+	defer db.classMu.Unlock()
+	c, err := db.schema.Define(name, super, attrs)
+	if err == nil {
+		db.classLocks[name] = new(sync.RWMutex)
+	}
+	return c, err
+}
+
+// classLock returns the lock DefineClass made for the class, or nil for
+// a name it never defined.
+func (db *Database) classLock(name string) *sync.RWMutex {
+	db.classMu.RLock()
+	defer db.classMu.RUnlock()
+	return db.classLocks[name]
+}
+
+// lockObject returns the live object for oid with its class's lock held
+// exclusively; the caller unlocks.  It looks the object up again once
+// the lock is held, so a writer never changes an object that a
+// DeleteObject detached while the writer waited.
+func (db *Database) lockObject(oid schema.OID) (*schema.Object, *sync.RWMutex, error) {
+	if o, ok := db.objects.Get(oid); ok {
+		l := db.classLock(o.Class().Name())
+		l.Lock()
+		if cur, ok := db.objects.Get(oid); ok && cur == o {
+			return o, l, nil
+		}
+		l.Unlock()
+	}
+	return nil, nil, fmt.Errorf("%w: %v", ErrNoObject, oid)
 }
 
 // CreateIndex builds an attribute index used by the query planner.
@@ -255,19 +291,17 @@ func (db *Database) CreateIndex(className, attr string, kind query.IndexKind) er
 	return err
 }
 
-// NewObject creates an instance of the class under a short auto-commit
-// transaction.
+// NewObject creates an instance of the class and commits it, holding
+// the class's lock.
 func (db *Database) NewObject(className string) (*schema.Object, error) {
 	c, ok := db.schema.Class(className)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoClass, className)
 	}
-	tx := db.txns.Begin()
-	defer tx.Abort()
-	if err := tx.LockClass(className, txn.ModeIX); err != nil {
-		return nil, err
-	}
-	return db.allocate(c), tx.Commit()
+	l := db.classLock(className)
+	l.Lock()
+	defer l.Unlock()
+	return db.allocate(c), nil
 }
 
 // allocate creates the object and commits, as one step under allocMu,
@@ -285,18 +319,14 @@ func (db *Database) allocate(c *schema.Class) *schema.Object {
 	return o
 }
 
-// SetAttr assigns an attribute under a short auto-commit transaction,
-// maintaining indexes and, for scalar attributes, durability.
+// SetAttr assigns an attribute and, for a scalar, commits it, holding
+// the class's lock across the object, its indexes and the log.
 func (db *Database) SetAttr(oid schema.OID, attr string, d schema.Datum) error {
-	o, ok := db.objects.Get(oid)
-	if !ok {
-		return fmt.Errorf("%w: %v", ErrNoObject, oid)
-	}
-	tx := db.txns.Begin()
-	defer tx.Abort()
-	if err := tx.LockObject(o.Class().Name(), oid, txn.ModeX); err != nil {
+	o, l, err := db.lockObject(oid)
+	if err != nil {
 		return err
 	}
+	defer l.Unlock()
 	var old *schema.Datum
 	if prev, had := o.Get(attr); had {
 		old = &prev
@@ -312,26 +342,19 @@ func (db *Database) SetAttr(oid schema.OID, attr string, d schema.Datum) error {
 		}
 		db.log.Commit(txn.Write{Key: attrKey(oid, attr), Val: enc})
 	}
-	return tx.Commit()
+	return nil
 }
 
-// GetAttr reads an attribute under a short shared-lock transaction.
+// GetAttr reads an attribute.  It takes no class lock: the object's own
+// lock makes the read atomic.
 func (db *Database) GetAttr(oid schema.OID, attr string) (schema.Datum, error) {
 	o, ok := db.objects.Get(oid)
 	if !ok {
 		return schema.Datum{}, fmt.Errorf("%w: %v", ErrNoObject, oid)
 	}
-	tx := db.txns.Begin()
-	defer tx.Abort()
-	if err := tx.LockObject(o.Class().Name(), oid, txn.ModeS); err != nil {
-		return schema.Datum{}, err
-	}
 	d, had := o.Get(attr)
 	if !had {
 		return schema.Datum{}, fmt.Errorf("core: %v has no value for %q", oid, attr)
-	}
-	if err := tx.Commit(); err != nil {
-		return schema.Datum{}, err
 	}
 	return d, nil
 }
@@ -340,17 +363,14 @@ func (db *Database) GetAttr(oid schema.OID, attr string) (schema.Datum, error) {
 // state and the database's record of where its media were placed.  The
 // device segments themselves are deliberately left allocated — not
 // handed to storage.Store.Delete — until delete vs open-stream vs
-// checked-in-version semantics are defined (ROADMAP item 10).
+// checked-in-version semantics are defined (ROADMAP item 10).  It holds
+// the class's lock throughout.
 func (db *Database) DeleteObject(oid schema.OID) error {
-	o, ok := db.objects.Get(oid)
-	if !ok {
-		return fmt.Errorf("%w: %v", ErrNoObject, oid)
-	}
-	tx := db.txns.Begin()
-	defer tx.Abort()
-	if err := tx.LockObject(o.Class().Name(), oid, txn.ModeX); err != nil {
+	o, l, err := db.lockObject(oid)
+	if err != nil {
 		return err
 	}
+	defer l.Unlock()
 	db.engine.OnDelete(o)
 	if err := db.objects.Delete(oid); err != nil {
 		return err
@@ -370,26 +390,23 @@ func (db *Database) DeleteObject(oid schema.OID) error {
 		}
 	}
 	db.mu.Unlock()
-	return tx.Commit()
+	return nil
 }
 
 // Select parses and runs a query, returning references: "queries may
 // return references to AV values rather than the values themselves."
+// It holds the class's lock shared, so no writer of the class's own
+// objects runs beside it.
 func (db *Database) Select(src string) ([]schema.OID, error) {
 	q, err := query.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	tx := db.txns.Begin()
-	defer tx.Abort()
-	if err := tx.LockClass(q.ClassName, txn.ModeS); err != nil {
-		return nil, err
+	if l := db.classLock(q.ClassName); l != nil {
+		l.RLock()
+		defer l.RUnlock()
 	}
-	oids, err := db.engine.Run(q)
-	if err != nil {
-		return nil, err
-	}
-	return oids, tx.Commit()
+	return db.engine.Run(q)
 }
 
 // SelectOne runs a query expected to match exactly one object.

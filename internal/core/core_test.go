@@ -768,7 +768,7 @@ func TestVersioningWorkflow(t *testing.T) {
 	if err != nil || n != 2 {
 		t.Fatal(err)
 	}
-	cur, ok := db.Versions().Current(oid, "videoTrack")
+	cur, ok := db.Versions().Get(oid, "videoTrack", 2)
 	if !ok || cur.Value != media.Value(finalCut) {
 		t.Error("current version wrong")
 	}

@@ -5,34 +5,6 @@ import (
 	"testing"
 )
 
-func BenchmarkLockAcquireReleaseUncontended(b *testing.B) {
-	m := NewManager()
-	for i := 0; i < b.N; i++ {
-		tx := m.Begin()
-		if err := tx.LockObject("Newscast", 1, ModeX); err != nil {
-			b.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkLockSharedParallel(b *testing.B) {
-	m := NewManager()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			tx := m.Begin()
-			if err := tx.LockClass("Newscast", ModeS); err != nil {
-				b.Fatal(err)
-			}
-			if err := tx.Commit(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 func BenchmarkKVPutCommit(b *testing.B) {
 	var log Log
 	payload := make([]byte, 128)

@@ -1,18 +1,12 @@
 package txn
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"avdb/internal/media"
 	"avdb/internal/schema"
 )
-
-// ErrNoVersion is wrapped when an operation names a version number that
-// does not exist in the attribute's chain.
-var ErrNoVersion = errors.New("txn: no such version")
 
 // Version is one entry in a media attribute's version chain.
 type Version struct {
@@ -30,7 +24,7 @@ type versionKey struct {
 // VersionStore keeps version chains for media-valued attributes, the
 // version control §2 calls for in multimedia databases: editing
 // applications check in successive cuts of a video value and can retrieve
-// or revert to any earlier version.
+// any earlier version.
 type VersionStore struct {
 	mu     sync.RWMutex
 	chains map[versionKey][]Version
@@ -55,17 +49,6 @@ func (vs *VersionStore) Checkin(oid schema.OID, attr string, v media.Value, note
 	return num, nil
 }
 
-// Current returns the newest version.
-func (vs *VersionStore) Current(oid schema.OID, attr string) (Version, bool) {
-	vs.mu.RLock()
-	defer vs.mu.RUnlock()
-	chain := vs.chains[versionKey{oid, attr}]
-	if len(chain) == 0 {
-		return Version{}, false
-	}
-	return chain[len(chain)-1], true
-}
-
 // Get returns a specific version.
 func (vs *VersionStore) Get(oid schema.OID, attr string, num int) (Version, bool) {
 	vs.mu.RLock()
@@ -82,29 +65,4 @@ func (vs *VersionStore) History(oid schema.OID, attr string) []Version {
 	vs.mu.RLock()
 	defer vs.mu.RUnlock()
 	return append([]Version(nil), vs.chains[versionKey{oid, attr}]...)
-}
-
-// Revert appends a copy of an older version as the new current version,
-// preserving history.
-func (vs *VersionStore) Revert(oid schema.OID, attr string, num int) (int, error) {
-	old, ok := vs.Get(oid, attr, num)
-	if !ok {
-		return 0, fmt.Errorf("%w: version %d of %v.%s", ErrNoVersion, num, oid, attr)
-	}
-	return vs.Checkin(oid, attr, old.Value, fmt.Sprintf("revert to v%d", num))
-}
-
-// VersionedAttrs lists the attributes of an object that have chains,
-// sorted.
-func (vs *VersionStore) VersionedAttrs(oid schema.OID) []string {
-	vs.mu.RLock()
-	defer vs.mu.RUnlock()
-	var out []string
-	for k := range vs.chains {
-		if k.oid == oid {
-			out = append(out, k.attr)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,3 +1,8 @@
+// Package txn holds the catalog's durable substrate: a redo-only log of
+// single-statement commits whose fold is the recovered catalog state,
+// and a version store for media values ("the problem of version control
+// has also been investigated", §2).  Core orders each statement with one
+// lock per class, not here: see DESIGN §17.
 package txn
 
 import "sync"
