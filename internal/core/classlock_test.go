@@ -201,7 +201,7 @@ func TestConcurrentSetAttrAgreesAcrossRecovery(t *testing.T) {
 }
 
 // TestGetAttrAllocs pins GetAttr at 0 allocations: it reads under the
-// object's own lock and begins nothing.
+// store's lock and begins nothing.
 func TestGetAttrAllocs(t *testing.T) {
 	db, _ := intClassDB(t)
 	o, err := db.NewObject("C")

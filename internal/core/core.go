@@ -345,8 +345,9 @@ func (db *Database) SetAttr(oid schema.OID, attr string, d schema.Datum) error {
 	return nil
 }
 
-// GetAttr reads an attribute.  It takes no class lock: the object's own
-// lock makes the read atomic.
+// GetAttr reads an attribute.  It takes no class lock: the object
+// store's lock, which guards every object's slots, makes the read
+// atomic.
 func (db *Database) GetAttr(oid schema.OID, attr string) (schema.Datum, error) {
 	o, ok := db.objects.Get(oid)
 	if !ok {

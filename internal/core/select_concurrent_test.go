@@ -229,3 +229,144 @@ func TestSelectConcurrentWithWrites(t *testing.T) {
 			func(it catalogItem) bool { return it.title == title })
 	}
 }
+
+// TestScanAgainstSubclassWrites holds the rule that the store's lock
+// guards every object's slots.  A Select of the root class holds only
+// the root's class lock, so SetAttr on subclass objects — under the
+// subclass's lock alone — runs beside its scan, as do GetAttr and
+// Object(oid).Get.  Run under -race, an Object.Set that skipped the
+// store's lock fails here.  Once the writers stop, the scan must equal
+// the writers' model.
+func TestScanAgainstSubclassWrites(t *testing.T) {
+	const (
+		objects = 400
+		writers = 2
+		ops     = 300 // per writer
+	)
+	words := []string{"politics", "sports", "weather"}
+	db, err := Open(Config{Name: "subclass-writes"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.DefineClass("Clip", "", []schema.AttrDef{
+		{Name: "keywords", Kind: schema.KindString},
+		{Name: "n", Kind: schema.KindInt},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.DefineClass("NewsClip", "Clip", nil); err != nil {
+		t.Fatal(err)
+	}
+	keywords := make(map[schema.OID]string) // the model
+	var subs []schema.OID                   // the NewsClip objects
+	for i := 0; i < objects; i++ {
+		class := "Clip"
+		if i%2 == 1 {
+			class = "NewsClip"
+		}
+		o, err := db.NewObject(class)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keywords[o.OID()] = words[i%len(words)]
+		if err := db.SetAttr(o.OID(), "keywords", schema.String(keywords[o.OID()])); err != nil {
+			t.Fatal(err)
+		}
+		if class == "NewsClip" {
+			subs = append(subs, o.OID())
+		}
+	}
+
+	var (
+		writeWG, readWG sync.WaitGroup
+		done            = make(chan struct{})
+		mu              sync.Mutex // guards keywords while writers run
+	)
+	for w := 0; w < writers; w++ {
+		writeWG.Add(1)
+		go func(w int) {
+			defer writeWG.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < ops; i++ {
+				oid := subs[w+writers*rng.Intn(len(subs)/writers)] // each writer owns its own objects
+				kw := words[rng.Intn(len(words))] + " " + words[rng.Intn(len(words))]
+				if err := db.SetAttr(oid, "keywords", schema.String(kw)); err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+				if err := db.SetAttr(oid, "n", schema.Int(int64(i))); err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+				mu.Lock()
+				keywords[oid] = kw
+				mu.Unlock()
+			}
+		}(w)
+	}
+	reader := func(read func(rng *rand.Rand) error) {
+		readWG.Add(1)
+		go func() {
+			defer readWG.Done()
+			rng := rand.New(rand.NewSource(99))
+			for {
+				if err := read(rng); err != nil {
+					t.Error(err)
+					return
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	reader(func(rng *rand.Rand) error {
+		q := fmt.Sprintf("select Clip where keywords contains %q or n >= 150", words[rng.Intn(len(words))])
+		oids, err := db.Select(q)
+		for i := 1; err == nil && i < len(oids); i++ {
+			if oids[i] <= oids[i-1] {
+				err = fmt.Errorf("%s: result not ascending and distinct at %d", q, i)
+			}
+		}
+		return err
+	})
+	reader(func(rng *rand.Rand) error {
+		oid := subs[rng.Intn(len(subs))]
+		if _, err := db.GetAttr(oid, "keywords"); err != nil {
+			return err
+		}
+		o, ok := db.Object(oid)
+		if !ok {
+			return fmt.Errorf("%v vanished", oid)
+		}
+		if _, had := o.Get("keywords"); !had {
+			return fmt.Errorf("%v lost its keywords", oid)
+		}
+		return nil
+	})
+	writeWG.Wait()
+	close(done)
+	readWG.Wait()
+	if t.Failed() {
+		return
+	}
+
+	for _, word := range words {
+		got, err := db.Select(fmt.Sprintf("select Clip where keywords contains %q", word))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []schema.OID
+		for oid, kw := range keywords {
+			if strings.Contains(kw, word) {
+				want = append(want, oid)
+			}
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%q: got %d objects, want %d", word, len(got), len(want))
+		}
+	}
+}

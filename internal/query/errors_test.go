@@ -67,7 +67,7 @@ func TestSentinelClassification(t *testing.T) {
 	}
 
 	// A well-formed, well-typed query still works after all that.
-	if _, err := eng.RunString(`select SimpleNewscast where title = "60 Minutes"`); err != nil {
+	if _, err := run(eng, `select SimpleNewscast where title = "60 Minutes"`); err != nil {
 		t.Errorf("valid query rejected: %v", err)
 	}
 }

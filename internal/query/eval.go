@@ -2,8 +2,8 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"slices"
-	"strconv"
 	"sync"
 
 	"avdb/internal/schema"
@@ -37,22 +37,53 @@ type Index struct {
 	kind  IndexKind
 
 	mu   sync.RWMutex
-	hash map[string][]schema.OID
+	hash map[hashKey][]schema.OID
 	tree *btree
 }
 
-// hashKey encodes a datum as a map key, prefixed by kind so values of
-// different kinds never collide.
-func hashKey(d schema.Datum) string {
-	return strconv.Itoa(int(d.Kind())) + "|" + d.Format()
+// hashKey is a datum as a map key: its kind, so values of different
+// kinds never collide, and its string or its value as one 8-byte word,
+// with -0 folded into +0 so that the key agrees with Datum.Equal.
+type hashKey struct {
+	kind schema.AttrKind
+	n    uint64
+	s    string
+}
+
+func keyOf(d schema.Datum) hashKey {
+	k := hashKey{kind: d.Kind(), s: d.Str()}
+	switch d.Kind() {
+	case schema.KindInt:
+		k.n = uint64(d.IntVal())
+	case schema.KindFloat:
+		if f := d.FloatVal(); f != 0 {
+			k.n = math.Float64bits(f)
+		}
+	case schema.KindBool:
+		if d.BoolVal() {
+			k.n = 1
+		}
+	case schema.KindDate:
+		k.n = uint64(d.DateVal().Unix())
+	}
+	return k
+}
+
+// isNaN reports a NaN float.  Indexes leave NaN out: it satisfies none
+// of the predicates an index serves (=, <, <=, >, >=).
+func isNaN(d *schema.Datum) bool {
+	return d != nil && d.Kind() == schema.KindFloat && math.IsNaN(d.FloatVal())
 }
 
 // Add indexes one object's value of the attribute.
 func (ix *Index) Add(oid schema.OID, d schema.Datum) {
+	if isNaN(&d) {
+		return
+	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if ix.kind == HashIndex {
-		k := hashKey(d)
+		k := keyOf(d)
 		ix.hash[k] = append(ix.hash[k], oid)
 		return
 	}
@@ -61,10 +92,13 @@ func (ix *Index) Add(oid schema.OID, d schema.Datum) {
 
 // Remove drops one object's entry.
 func (ix *Index) Remove(oid schema.OID, d schema.Datum) {
+	if isNaN(&d) {
+		return
+	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if ix.kind == HashIndex {
-		k := hashKey(d)
+		k := keyOf(d)
 		oids := ix.hash[k]
 		for i, id := range oids {
 			if id == oid {
@@ -80,23 +114,31 @@ func (ix *Index) Remove(oid schema.OID, d schema.Datum) {
 	ix.tree.remove(d, oid)
 }
 
-// Lookup returns the OIDs with the exact value.
+// Lookup returns the OIDs with the exact value (none for NaN, which
+// equals nothing).
 func (ix *Index) Lookup(d schema.Datum) []schema.OID {
+	if isNaN(&d) {
+		return nil
+	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	if ix.kind == HashIndex {
-		return append([]schema.OID(nil), ix.hash[hashKey(d)]...)
+		return append([]schema.OID(nil), ix.hash[keyOf(d)]...)
 	}
 	return ix.tree.lookup(d)
 }
 
 // Range returns the OIDs with values in the given bounds (nil = open),
-// in key order.  Only B-tree indexes support ranges.
+// in key order; a NaN bound admits nothing.  Only B-tree indexes
+// support ranges.
 func (ix *Index) Range(lo, hi *schema.Datum, loIncl, hiIncl bool) ([]schema.OID, error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	if ix.kind != BTreeIndex {
 		return nil, fmt.Errorf("%w: %v index on %s.%s cannot serve ranges", ErrIndex, ix.kind, ix.class.Name(), ix.attr)
+	}
+	if isNaN(lo) || isNaN(hi) {
+		return nil, nil
 	}
 	var out []schema.OID
 	ix.tree.ascend(lo, hi, loIncl, hiIncl, func(_ schema.Datum, oids []schema.OID) bool {
@@ -150,14 +192,22 @@ func (e *Engine) CreateIndex(className, attr string, kind IndexKind) (*Index, er
 	}
 	ix := &Index{class: c, attr: attr, kind: kind}
 	if kind == HashIndex {
-		ix.hash = make(map[string][]schema.OID)
+		ix.hash = make(map[hashKey][]schema.OID)
 	} else {
 		ix.tree = newBTree()
 	}
+	// Inside Scan the store's read lock is held: read through Match,
+	// never Get, which would take it again and deadlock behind a
+	// waiting writer.
+	slot, _ := c.Slot(attr)
+	var oid schema.OID
+	add := func(d *schema.Datum) bool {
+		ix.Add(oid, *d)
+		return true
+	}
 	e.store.Scan(c, func(o *schema.Object) {
-		if d, ok := o.Get(attr); ok {
-			ix.Add(o.OID(), d)
-		}
+		oid = o.OID()
+		o.Match(slot, add)
 	})
 	e.indexes[name] = ix
 	return ix, nil
@@ -302,15 +352,6 @@ func (e *Engine) Run(q *Query) ([]schema.OID, error) {
 		return nil, err
 	}
 	return e.Execute(plan)
-}
-
-// RunString parses and executes a query string.
-func (e *Engine) RunString(src string) ([]schema.OID, error) {
-	q, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return e.Run(q)
 }
 
 // Execute runs a prepared plan.  A full scan walks the class extent in

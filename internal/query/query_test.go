@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -51,6 +52,15 @@ func must(t testing.TB, err error) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// run parses and executes a query string.
+func run(e *Engine, src string) ([]schema.OID, error) {
+	q, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return e.Run(q)
 }
 
 func TestLexBasics(t *testing.T) {
@@ -150,7 +160,7 @@ func TestParseErrors(t *testing.T) {
 
 func TestRunEqualityFullScan(t *testing.T) {
 	_, store, eng := newsDB(t, 40)
-	oids, err := eng.RunString(`select SimpleNewscast where title = "60 Minutes"`)
+	oids, err := run(eng, `select SimpleNewscast where title = "60 Minutes"`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +191,7 @@ func TestRunComparisonsAndBooleans(t *testing.T) {
 		`select SimpleNewscast where broadcastSource != "CBS"`:                                    26,
 	}
 	for src, want := range cases {
-		oids, err := eng.RunString(src)
+		oids, err := run(eng, src)
 		if err != nil {
 			t.Errorf("%s: %v", src, err)
 			continue
@@ -205,7 +215,7 @@ func TestRunTypeErrors(t *testing.T) {
 		`select SimpleNewscast where rating = "x"`,
 		`select SimpleNewscast where archived = 1`,
 	} {
-		if _, err := eng.RunString(bad); err == nil {
+		if _, err := run(eng, bad); err == nil {
 			t.Errorf("%s: succeeded", bad)
 		}
 	}
@@ -225,7 +235,7 @@ func TestUnsetAttributeNeverMatches(t *testing.T) {
 		`select Sparse where x != 0`,
 		`select Sparse where x < 100`,
 	} {
-		oids, err := eng.RunString(src)
+		oids, err := run(eng, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +249,7 @@ func TestSubclassExtent(t *testing.T) {
 	s, store, _ := newsDB(t, 3)
 	eng := NewEngine(s, store)
 	// Querying the root class sees SimpleNewscast instances.
-	oids, err := eng.RunString(`select MediaObject where title contains "Minutes"`)
+	oids, err := run(eng, `select MediaObject where title contains "Minutes"`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +283,7 @@ func TestHashIndexUsedForEquality(t *testing.T) {
 	}
 	// The same query without the index gives identical results.
 	eng2 := func() *Engine { _, _, e := newsDB(t, 100); return e }()
-	plain, err := eng2.RunString(`select SimpleNewscast where title = "60 Minutes" and runtimeMin > 0`)
+	plain, err := run(eng2, `select SimpleNewscast where title = "60 Minutes" and runtimeMin > 0`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +382,7 @@ func TestBTreeRangeMatchesFullScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := plain.RunString(src)
+		want, err := run(plain, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -429,7 +439,7 @@ func TestIndexMaintenance(t *testing.T) {
 	must(t, o.Set("title", schema.String("Late Edition")))
 	eng.OnSet(o, "title", nil, schema.String("Late Edition"))
 
-	oids, err := eng.RunString(`select SimpleNewscast where title = "Late Edition"`)
+	oids, err := run(eng, `select SimpleNewscast where title = "Late Edition"`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,18 +450,18 @@ func TestIndexMaintenance(t *testing.T) {
 	old := schema.String("Late Edition")
 	must(t, o.Set("title", schema.String("Final Edition")))
 	eng.OnSet(o, "title", &old, schema.String("Final Edition"))
-	oids, _ = eng.RunString(`select SimpleNewscast where title = "Late Edition"`)
+	oids, _ = run(eng, `select SimpleNewscast where title = "Late Edition"`)
 	if len(oids) != 0 {
 		t.Error("stale index entry after update")
 	}
-	oids, _ = eng.RunString(`select SimpleNewscast where title = "Final Edition"`)
+	oids, _ = run(eng, `select SimpleNewscast where title = "Final Edition"`)
 	if len(oids) != 1 {
 		t.Error("updated value not indexed")
 	}
 	// Delete.
 	eng.OnDelete(o)
 	must(t, store.Delete(o.OID()))
-	oids, _ = eng.RunString(`select SimpleNewscast where title = "Final Edition"`)
+	oids, _ = run(eng, `select SimpleNewscast where title = "Final Edition"`)
 	if len(oids) != 0 {
 		t.Error("deleted object still indexed")
 	}
@@ -466,8 +476,8 @@ func TestIndexAndScanAgreeProperty(t *testing.T) {
 	ops := []string{"=", "<", "<=", ">", ">="}
 	f := func(opIdx uint8, val uint8) bool {
 		src := fmt.Sprintf(`select SimpleNewscast where runtimeMin %s %d`, ops[int(opIdx)%len(ops)], int(val)%70)
-		a, err1 := scanEng.RunString(src)
-		b, err2 := idxEng.RunString(src)
+		a, err1 := run(scanEng, src)
+		b, err2 := run(idxEng, src)
 		if (err1 == nil) != (err2 == nil) || len(a) != len(b) {
 			return false
 		}
@@ -626,5 +636,94 @@ func TestFullScanAllocsIndependentOfExtent(t *testing.T) {
 	small, large := allocs(1000), allocs(8000)
 	if small != large {
 		t.Errorf("scan allocates %v over 1000 objects and %v over 8000", small, large)
+	}
+}
+
+// TestScanAndIndexesAgreeOnFloats holds a full scan, a hash index and a
+// B-tree index to one answer over floats that include NaN, ±0 and ±Inf,
+// for every operator and for literals drawn from the same edges.  NaN
+// satisfies no ordering and no equality, so the indexes leave it out;
+// -0 equals +0, so the hash key folds the two.
+func TestScanAndIndexesAgreeOnFloats(t *testing.T) {
+	edges := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), 1, -1, 0.5, 2.5}
+	lits := []string{"NaN", "-0", "0", "+Inf", "-Inf", "1", "-1", "0.5", "2.5", "2"}
+	ops := []Op{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe}
+	rng := rand.New(rand.NewSource(11))
+	draw := func() float64 {
+		if rng.Intn(2) == 0 {
+			return edges[rng.Intn(len(edges))]
+		}
+		return float64(rng.Intn(9)-4) / 2
+	}
+	for round := 0; round < 30; round++ {
+		s := schema.NewSchema()
+		cls, err := s.Define("F", "", []schema.AttrDef{{Name: "x", Kind: schema.KindFloat}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		store := schema.NewStore()
+		scan, hash, tree := NewEngine(s, store), NewEngine(s, store), NewEngine(s, store)
+		objs := make([]*schema.Object, 40)
+		for i := range objs {
+			objs[i] = store.NewObject(cls)
+			if i%8 != 7 { // some stay unset
+				must(t, objs[i].Set("x", schema.Float(draw())))
+			}
+		}
+		// Build the indexes over the first values, then maintain them
+		// through overwrites and new objects.
+		if _, err := hash.CreateIndex("F", "x", HashIndex); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tree.CreateIndex("F", "x", BTreeIndex); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20; i++ {
+			o := objs[rng.Intn(len(objs))]
+			if i%4 == 0 {
+				o = store.NewObject(cls)
+				objs = append(objs, o)
+			}
+			var old *schema.Datum
+			if prev, had := o.Get("x"); had {
+				old = &prev
+			}
+			d := schema.Float(draw())
+			must(t, o.Set("x", d))
+			hash.OnSet(o, "x", old, d)
+			tree.OnSet(o, "x", old, d)
+		}
+		for _, op := range ops {
+			for _, lit := range lits {
+				q := &Query{ClassName: "F", Where: &Pred{Attr: "x", Op: op, Lit: Literal{kind: tokNumber, text: lit}}}
+				want, err := scan.Run(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range []struct {
+					name    string
+					eng     *Engine
+					indexed bool
+				}{
+					{"hash", hash, op == OpEq},
+					{"btree", tree, op != OpNe},
+				} {
+					plan, err := e.eng.Prepare(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if (plan.IndexUsed != "") != e.indexed {
+						t.Fatalf("round %d: %s plan for x %v %s = %v", round, e.name, op, lit, plan)
+					}
+					got, err := e.eng.Execute(plan)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("round %d: x %v %s: %s index %v, full scan %v", round, op, lit, e.name, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -17,12 +17,13 @@ type OID uint64
 func (o OID) String() string { return fmt.Sprintf("oid:%d", uint64(o)) }
 
 // Object is a class instance.  Its values sit in one slot per attribute
-// of its class's layout (Class.Attrs).
+// of its class's layout (Class.Attrs).  The slots are guarded by the
+// lock of the store that made the object: Set holds it exclusively, Get
+// and Fields shared, and Match runs under a Scan or Visit that holds it.
 type Object struct {
-	oid   OID
-	class *Class
-
-	mu     sync.RWMutex
+	oid    OID
+	class  *Class
+	store  *Store
 	fields []field
 }
 
@@ -32,8 +33,8 @@ type field struct {
 	set bool
 }
 
-func newObject(c *Class, oid OID) *Object {
-	return &Object{oid: oid, class: c, fields: make([]field, len(c.all))}
+func newObject(s *Store, c *Class, oid OID) *Object {
+	return &Object{oid: oid, class: c, store: s, fields: make([]field, len(c.all))}
 }
 
 // OID returns the object's identifier.
@@ -64,9 +65,9 @@ func (o *Object) Set(name string, d Datum) error {
 			return fmt.Errorf("schema: attribute %s.%s: %w", o.class.name, name, err)
 		}
 	}
-	o.mu.Lock()
+	o.store.mu.Lock()
 	o.fields[slot] = field{d, true}
-	o.mu.Unlock()
+	o.store.mu.Unlock()
 	return nil
 }
 
@@ -119,26 +120,25 @@ func (o *Object) Get(name string) (Datum, bool) {
 	if !ok {
 		return Datum{}, false
 	}
-	o.mu.RLock()
-	defer o.mu.RUnlock()
+	o.store.mu.RLock()
+	defer o.store.mu.RUnlock()
 	f := &o.fields[slot]
 	return f.d, f.set
 }
 
 // Match tests the value in a slot of the object's class layout (see
-// Class.Slot) in place, under the object's read lock; an unset slot
-// matches nothing.
+// Class.Slot) in place; an unset slot matches nothing.  It takes no
+// lock: call it only from a Scan or Visit callback, which runs under
+// the store's read lock.
 func (o *Object) Match(slot int, pred func(*Datum) bool) bool {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
 	f := &o.fields[slot]
 	return f.set && pred(&f.d)
 }
 
 // Fields returns the set attribute names, sorted.
 func (o *Object) Fields() []string {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
+	o.store.mu.RLock()
+	defer o.store.mu.RUnlock()
 	names := make([]string, 0, len(o.fields))
 	for i := range o.fields {
 		if o.fields[i].set {
@@ -156,7 +156,9 @@ func (o *Object) String() string {
 
 // Store holds class instances and assigns OIDs.  Each class's direct
 // instances are kept in one list in ascending OID order, so a scan of a
-// class extent walks objects in the order queries return them.
+// class extent walks objects in the order queries return them.  Its
+// lock also guards its objects' slots; the only code from outside the
+// store that runs under it is a Scan or Visit callback.
 type Store struct {
 	mu      sync.RWMutex
 	nextOID OID
@@ -173,7 +175,7 @@ func NewStore() *Store {
 func (s *Store) NewObject(c *Class) *Object {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	o := newObject(c, s.nextOID)
+	o := newObject(s, c, s.nextOID)
 	s.nextOID++
 	s.objects[o.oid] = o
 	s.byClass[c] = append(s.byClass[c], o) // the newest OID sorts last
@@ -189,7 +191,7 @@ func (s *Store) RestoreObject(c *Class, oid OID) (*Object, error) {
 	if _, live := s.objects[oid]; live {
 		return nil, fmt.Errorf("schema: OID %v already live", oid)
 	}
-	o := newObject(c, oid)
+	o := newObject(s, c, oid)
 	s.objects[oid] = o
 	ext := s.byClass[c]
 	i := search(ext, oid)
@@ -253,8 +255,9 @@ func (s *Store) Count() int {
 }
 
 // Visit calls fn, under one read lock of the store, for each of the
-// OIDs that names a live object, in the order given.  fn must not call
-// back into the store.
+// OIDs that names a live object, in the order given.  fn reads slots
+// with Object.Match and must not call back into the store, an object's
+// Get, Set or Fields included.
 func (s *Store) Visit(oids []OID, fn func(*Object)) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -267,7 +270,8 @@ func (s *Store) Visit(oids []OID, fn func(*Object)) {
 
 // Scan calls fn for every object in the extent of c — its instances and
 // those of its subclasses — in ascending OID order, under one read lock
-// of the store.  fn must not call back into the store.
+// of the store.  fn reads slots with Object.Match and must not call back
+// into the store, an object's Get, Set or Fields included.
 func (s *Store) Scan(c *Class, fn func(*Object)) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

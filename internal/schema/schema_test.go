@@ -1,6 +1,7 @@
 package schema
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -339,6 +340,9 @@ func TestDatumCompare(t *testing.T) {
 	}
 	if _, err := Bool(true).Compare(Bool(false)); err == nil {
 		t.Error("bool compare accepted")
+	}
+	if _, err := Float(math.NaN()).Compare(Float(1)); err == nil {
+		t.Error("NaN ordered")
 	}
 	if !String("hello world").Contains("lo wo") {
 		t.Error("Contains wrong")
