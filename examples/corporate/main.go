@@ -18,7 +18,9 @@
 //  4. version control: the edit is checked in as a new version of the
 //     promotional video;
 //
-//  5. archival: the master is moved to the analog videodisc jukebox.
+//  5. hypermedia: the promo links to the broadcast it cites;
+//
+//  6. archival: the master is moved to the analog videodisc jukebox.
 //
 //     go run ./examples/corporate
 package main
@@ -31,6 +33,7 @@ import (
 	"avdb/internal/activities"
 	"avdb/internal/activity"
 	"avdb/internal/avtime"
+	"avdb/internal/codec"
 	"avdb/internal/core"
 	"avdb/internal/media"
 	"avdb/internal/query"
@@ -67,7 +70,14 @@ func run() error {
 	if err := bilingualPlayback(db, oid); err != nil {
 		return err
 	}
-	if err := editAndRecord(db); err != nil {
+	if err := timelines(db, oid); err != nil {
+		return err
+	}
+	promo, err := editAndRecord(db)
+	if err != nil {
+		return err
+	}
+	if err := linkPresentation(db, promo, oid); err != nil {
 		return err
 	}
 	return archiveToJukebox(db, oid)
@@ -193,6 +203,10 @@ func bilingualPlayback(db *core.Database, _ schema.OID) error {
 		if err := dbSource.Install(a); err != nil {
 			return err
 		}
+		// Cue each track to world time 0, its first element.
+		if err := a.Cue(0); err != nil {
+			return err
+		}
 	}
 	if err := activities.SealMultiSource(dbSource); err != nil {
 		return err
@@ -258,18 +272,55 @@ func bilingualPlayback(db *core.Database, _ schema.OID) error {
 	return nil
 }
 
-// editAndRecord performs a non-linear edit: cross-mix two source clips on
-// the effects processor and record the result as a new Promo version.
-func editAndRecord(db *core.Database) error {
-	sess, err := db.Connect("edit-suite", "lan0")
+// timelines shows §4.1's world and object time: a CCIR 601 copy of the
+// broadcast's first second read through the MediaValue interface, the
+// whole clip moved on the world timeline, and a §3.3 quality factor.
+func timelines(db *core.Database, oid schema.OID) error {
+	d, err := db.GetAttr(oid, "clip")
 	if err != nil {
 		return err
+	}
+	clip := d.TCompVal()
+	track, _ := clip.Track("videoTrack")
+	ccir := media.NewVideoValue(media.TypeCCIRVideo, w, h, 8)
+	for i := 0; i < 25; i++ {
+		f, _ := track.Value.(*media.VideoValue).Frame(i)
+		if err := ccir.AppendFrame(f); err != nil {
+			return err
+		}
+	}
+	var v media.Value = ccir
+	v.Scale(2)
+	at := v.ObjectToWorld(10)
+	el, err := v.Element(at)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("CCIR 601 copy at double speed: %v long, frame %d at %v (%d bytes)\n", v.Duration(), v.WorldToObject(at), at, el.Size())
+	clip.Translate(avtime.Second)
+	fmt.Printf("clip translated on the world timeline to %v\n", clip.Interval())
+	clip.Translate(-avtime.Second)
+	cd, err := media.ParseAudioQuality("CD")
+	if err != nil {
+		return err
+	}
+	fmt.Printf("narration at %v quality would need %v\n", cd, cd.DataRate())
+	return nil
+}
+
+// editAndRecord performs a non-linear edit: cross-mix two source clips on
+// the effects processor and record the result as a new Promo version.
+// It returns the promo's reference.
+func editAndRecord(db *core.Database) (schema.OID, error) {
+	sess, err := db.Connect("edit-suite", "lan0")
+	if err != nil {
+		return 0, err
 	}
 	defer sess.Close()
 
 	// The edit needs the (expensive, shared) video effects processor.
 	if err := sess.AcquireDevice("fx0"); err != nil {
-		return err
+		return 0, err
 	}
 	fmt.Println("edit suite acquired the effects processor")
 
@@ -279,56 +330,56 @@ func editAndRecord(db *core.Database) error {
 	clipB := synth.Video(media.TypeRawVideo30, synth.PatternChecker, w, h, 8, frames, 202)
 	promo, err := db.NewObject("Promo")
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if err := db.SetAttr(promo.OID(), "title", schema.String("Product Launch")); err != nil {
-		return err
+		return 0, err
 	}
 	if err := db.SetAttr(promo.OID(), "product", schema.String("ObjectBase 2.0")); err != nil {
-		return err
+		return 0, err
 	}
 	if err := db.SetAttr(promo.OID(), "videoTrack", schema.Media(clipA)); err != nil {
-		return err
+		return 0, err
 	}
 	segA, err := db.PlaceMedia(promo.OID(), "videoTrack", "disk0", 2*media.MBPerSecond)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	segB, err := db.Storage().Place(clipB, "disk1")
 	if err != nil {
-		return err
+		return 0, err
 	}
 	fmt.Printf("sources placed for simultaneous production: %v / %v\n", segA, segB)
 
 	readerA, err := activities.NewVideoReader("srcA", activity.AtDatabase, media.TypeRawVideo30)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if err := readerA.Bind(clipA, "out"); err != nil {
-		return err
+		return 0, err
 	}
 	readerB, err := activities.NewVideoReader("srcB", activity.AtDatabase, media.TypeRawVideo30)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if err := readerB.Bind(clipB, "out"); err != nil {
-		return err
+		return 0, err
 	}
 	mixer, err := activities.NewVideoMixer("fx-mix", activity.AtDatabase, []float64{2, 1})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	recorder, err := activities.NewVideoWriter("record", activity.AtDatabase, media.TypeRawVideo30)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	edited := media.NewVideoValue(media.TypeRawVideo30, w, h, 8)
 	if err := recorder.Bind(edited, "in"); err != nil {
-		return err
+		return 0, err
 	}
 	for _, a := range []activity.Activity{readerA, readerB, mixer, recorder} {
 		if err := sess.Install(a, sched.Resources{Buffers: 1}); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	for _, c := range []struct {
@@ -342,28 +393,42 @@ func editAndRecord(db *core.Database) error {
 		{mixer, "out", recorder, "in"},
 	} {
 		if _, err := sess.Connect(c.from, c.fp, c.to, c.tp, 0); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	pb, err := sess.Start()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if _, err := pb.Wait(); err != nil {
-		return err
+		return 0, err
 	}
 	fmt.Printf("edit rendered: %d mixed frames recorded\n", edited.NumFrames())
 
 	// Check the edit in as version 2 of the promo's video.
 	if _, err := db.Versions().Checkin(promo.OID(), "videoTrack", clipA, "camera original"); err != nil {
-		return err
+		return 0, err
 	}
 	v, err := db.Versions().Checkin(promo.OID(), "videoTrack", edited, "mixed master")
 	if err != nil {
-		return err
+		return 0, err
 	}
 	fmt.Printf("checked in as version %d (%d versions in history)\n",
 		v, len(db.Versions().History(promo.OID(), "videoTrack")))
+	return promo.OID(), nil
+}
+
+// linkPresentation links the promo to the broadcast it cites, Scenario
+// I's hypermedia link from a presentation to its material.
+func linkPresentation(db *core.Database, promo, news schema.OID) error {
+	if err := db.AddLink(promo, news, "cites"); err != nil {
+		return err
+	}
+	fmt.Printf("hypermedia link %v; the broadcast has %d backlink(s)\n", db.Links(promo)[0], len(db.Backlinks(news)))
+	if err := db.RemoveLink(promo, news, "cites"); err != nil {
+		return err
+	}
+	fmt.Printf("link removed: the promo has %d link(s)\n", len(db.Links(promo)))
 	return nil
 }
 
@@ -374,8 +439,17 @@ func archiveToJukebox(db *core.Database, oid schema.OID) error {
 	if err != nil {
 		return err
 	}
+	// Mastered to videodisc: the same frames as an LV value.
 	track, _ := d.TCompVal().Track("videoTrack")
-	seg, err := db.Storage().PlaceOnDisc(track.Value, "jukebox0", 2)
+	src := track.Value.(*media.VideoValue)
+	lv := media.NewVideoValue(codec.TypeLVVideo, w, h, 8)
+	for i := 0; i < src.NumFrames(); i++ {
+		f, _ := src.Frame(i)
+		if err := lv.AppendFrame(f); err != nil {
+			return err
+		}
+	}
+	seg, err := db.Storage().PlaceOnDisc(lv, "jukebox0", 2)
 	if err != nil {
 		return err
 	}

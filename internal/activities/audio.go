@@ -6,7 +6,6 @@ import (
 	"avdb/internal/activity"
 	"avdb/internal/avtime"
 	"avdb/internal/media"
-	"avdb/internal/sched"
 	"avdb/internal/storage"
 	"avdb/internal/synth"
 )
@@ -142,8 +141,8 @@ func (s *AudioSynthesizer) Tick(tc *activity.TickContext) error {
 }
 
 // AudioSink consumes audio blocks at a DAC: it validates stream
-// continuity (no gaps or overlaps in sample positions) and keeps deadline
-// statistics.
+// continuity (no gaps or overlaps in sample positions) and records when
+// each block arrived.
 type AudioSink struct {
 	*activity.Base
 	quality media.AudioQuality
@@ -152,16 +151,16 @@ type AudioSink struct {
 	haveNext bool
 	samples  int64
 	arrivals []avtime.WorldTime
-	monitor  *sched.Monitor
 }
 
 // NewAudioSink returns a sink accepting the given audio type at the given
-// quality factor.
+// quality factor.  The sink keeps no deadline statistics, so it ignores
+// the tolerance, which its callers pass as they pass a VideoWindow's.
 func NewAudioSink(name string, loc activity.Location, typ *media.Type, q media.AudioQuality, tolerance avtime.WorldTime) (*AudioSink, error) {
 	if typ.Kind != media.KindAudio {
 		return nil, fmt.Errorf("activities: AudioSink needs an audio type, got %s", typ.Name)
 	}
-	s := &AudioSink{Base: activity.NewBase(name, "AudioSink", loc), quality: q, monitor: sched.NewMonitor(tolerance)}
+	s := &AudioSink{Base: activity.NewBase(name, "AudioSink", loc), quality: q}
 	s.AddPort("in", activity.In, typ)
 	return s, nil
 }
@@ -182,7 +181,6 @@ func (s *AudioSink) Tick(tc *activity.TickContext) error {
 	s.next = b.Start + avtime.ObjectTime(b.NumFrames())
 	s.haveNext = true
 	s.samples += int64(b.NumFrames())
-	s.monitor.Record(in.At, in.Arrived)
 	s.arrivals = append(s.arrivals, in.Arrived)
 	return nil
 }
@@ -192,43 +190,3 @@ func (s *AudioSink) SamplesPlayed() int64 { return s.samples }
 
 // Arrivals returns per-block actual delivery times.
 func (s *AudioSink) Arrivals() []avtime.WorldTime { return s.arrivals }
-
-// Monitor returns the sink's deadline statistics.
-func (s *AudioSink) Monitor() *sched.Monitor { return s.monitor }
-
-// AudioWriter appends received blocks to the audio value bound to its in
-// port — audio recording.
-type AudioWriter struct {
-	*activity.Base
-}
-
-// NewAudioWriter returns a writer accepting the given audio type.
-func NewAudioWriter(name string, loc activity.Location, typ *media.Type) (*AudioWriter, error) {
-	if typ.Kind != media.KindAudio {
-		return nil, fmt.Errorf("activities: AudioWriter needs an audio type, got %s", typ.Name)
-	}
-	w := &AudioWriter{Base: activity.NewBase(name, "AudioWriter", loc)}
-	w.AddPort("in", activity.In, typ)
-	return w, nil
-}
-
-// Tick implements activity.Activity.
-func (w *AudioWriter) Tick(tc *activity.TickContext) error {
-	in := tc.In("in")
-	if in == nil {
-		return nil
-	}
-	b, ok := in.Payload.(*media.AudioBlock)
-	if !ok {
-		return fmt.Errorf("activities: %s received %T, want audio block", w.Name(), in.Payload)
-	}
-	dst, ok := w.Binding("in")
-	if !ok {
-		return fmt.Errorf("activities: %s has no bound destination", w.Name())
-	}
-	av, ok := dst.(*media.AudioValue)
-	if !ok {
-		return fmt.Errorf("activities: %s bound to %T, want AudioValue", w.Name(), dst)
-	}
-	return av.AppendSamples(b.Samples)
-}

@@ -96,17 +96,11 @@ type Port struct {
 	owner string // owning activity's name, set at AddPort
 }
 
-// Name returns the port's name.
-func (p *Port) Name() string { return p.name }
-
 // Dir returns the port's direction.
 func (p *Port) Dir() Dir { return p.dir }
 
 // Type returns the port's media data type.
 func (p *Port) Type() *media.Type { return p.typ }
-
-// Owner returns the owning activity's name.
-func (p *Port) Owner() string { return p.owner }
 
 // String formats the port as "activity.port(dir type)".
 func (p *Port) String() string {
@@ -229,8 +223,6 @@ func (c *Chunk) Size() int64 {
 type Activity interface {
 	// Name returns the activity instance's unique name.
 	Name() string
-	// Class returns the activity class name (e.g. "VideoSource").
-	Class() string
 	// Location reports where the activity executes.
 	Location() Location
 	// Kind classifies the activity by its port directions.
@@ -239,8 +231,6 @@ type Activity interface {
 	Ports() []*Port
 	// Port looks a port up by name.
 	Port(name string) (*Port, bool)
-	// Events returns the events the activity can generate.
-	Events() []Event
 	// Bind associates a media value with a port (typically configuring a
 	// source to produce the value).  The value's type must match the
 	// port's.

@@ -131,7 +131,7 @@ func TestBaseMetadataAndKind(t *testing.T) {
 		t.Error("sink kind wrong")
 	}
 	ports := src.Ports()
-	if len(ports) != 1 || ports[0].Name() != "out" || ports[0].Dir() != Out {
+	if len(ports) != 1 || ports[0].name != "out" || ports[0].Dir() != Out {
 		t.Errorf("Ports = %v", ports)
 	}
 	if _, ok := src.Port("out"); !ok {
@@ -140,9 +140,8 @@ func TestBaseMetadataAndKind(t *testing.T) {
 	if got := ports[0].String(); !strings.Contains(got, "src.out") {
 		t.Errorf("port String = %q", got)
 	}
-	evs := src.Events()
-	if len(evs) != 4 { // STARTED, STOPPED, EACH_FRAME, LAST_FRAME
-		t.Errorf("Events = %v", evs)
+	if evs := src.events; len(evs) != 4 { // STARTED, STOPPED, EACH_FRAME, LAST_FRAME
+		t.Errorf("events = %v", evs)
 	}
 	if AtDatabase.String() != "database" || AtApplication.String() != "application" {
 		t.Error("location names wrong")
@@ -202,12 +201,6 @@ func TestStartStopStateMachine(t *testing.T) {
 	}
 	if len(events) != 2 || events[0] != EventStarted || events[1] != EventStopped {
 		t.Errorf("events = %v", events)
-	}
-	if err := src.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if src.State() != StateIdle {
-		t.Error("reset did not idle")
 	}
 	if StateIdle.String() != "idle" || StateDone.String() != "done" {
 		t.Error("state names wrong")
@@ -279,7 +272,7 @@ func TestGraphConnectTypeRules(t *testing.T) {
 	if _, err := g.Connect(src, "out", sink, "nope"); err == nil {
 		t.Error("missing in port accepted")
 	}
-	if n, ok := g.Node("src"); !ok || n.Name() != "src" {
+	if n, ok := g.nodes["src"]; !ok || n.Name() != "src" {
 		t.Error("Node lookup failed")
 	}
 	if len(g.Nodes()) != 2 || len(g.Connections()) != 1 {
@@ -420,8 +413,8 @@ func TestGraphRunWithNetworkAndLatency(t *testing.T) {
 	if got := sink.arrived[0] - 0; got != want {
 		t.Errorf("first arrival lateness = %v, want %v", got, want)
 	}
-	if conn.BytesCarried() != 160 || conn.Chunks() != 10 {
-		t.Errorf("connection accounting: %d bytes, %d chunks", conn.BytesCarried(), conn.Chunks())
+	if conn.bytes != 160 || conn.Chunks() != 10 {
+		t.Errorf("connection accounting: %d bytes, %d chunks", conn.bytes, conn.Chunks())
 	}
 	if conn.Network() != nc {
 		t.Error("Network accessor wrong")
@@ -617,7 +610,7 @@ func TestCompositeKindAndLifecycle(t *testing.T) {
 	if cs := comp.Children(); len(cs) != 1 || cs[0].Name() != "v" {
 		t.Error("Children wrong")
 	}
-	if _, ok := comp.Child("v"); !ok {
+	if _, ok := comp.children["v"]; !ok {
 		t.Error("Child lookup failed")
 	}
 	// Location mismatch rejected.
@@ -780,9 +773,6 @@ func TestMultiPayloadElement(t *testing.T) {
 		{Track: "v", Payload: f},
 		{Track: "a", Payload: f},
 	}}
-	if mp.ElementKind() != media.KindMulti {
-		t.Error("kind wrong")
-	}
 	if mp.Size() != 8 {
 		t.Errorf("Size = %d", mp.Size())
 	}

@@ -2,7 +2,6 @@ package activity
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"avdb/internal/avtime"
@@ -140,18 +139,6 @@ func (b *Base) Port(name string) (*Port, bool) {
 	return p, ok
 }
 
-// Events implements Activity.
-func (b *Base) Events() []Event {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	evs := make([]Event, 0, len(b.events))
-	for e := range b.events {
-		evs = append(evs, e)
-	}
-	sort.Slice(evs, func(i, j int) bool { return evs[i] < evs[j] })
-	return evs
-}
-
 // Bind implements Activity.
 func (b *Base) Bind(v media.Value, port string) error {
 	b.mu.Lock()
@@ -266,18 +253,6 @@ func (b *Base) MarkDone() {
 		b.state = StateDone
 	}
 	b.mu.Unlock()
-}
-
-// Reset returns a stopped or done activity to idle for reuse.
-func (b *Base) Reset() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state == StateStarted {
-		return fmt.Errorf("activity: %s: reset while started", b.name)
-	}
-	b.state = StateIdle
-	b.cue = 0
-	return nil
 }
 
 // TickContext carries one scheduling interval through an activity's Tick:

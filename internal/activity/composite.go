@@ -24,9 +24,6 @@ type MultiPayload struct {
 	Parts []Chunk // one chunk per track; Chunk.Track names it
 }
 
-// ElementKind reports media.KindMulti.
-func (m *MultiPayload) ElementKind() media.Kind { return media.KindMulti }
-
 // Size reports the total payload size of all parts.
 func (m *MultiPayload) Size() int64 {
 	var n int64
@@ -149,14 +146,6 @@ func (c *Composite) Children() []Activity {
 		out[i] = c.children[n]
 	}
 	return out
-}
-
-// Child returns the named component.
-func (c *Composite) Child(name string) (Activity, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	a, ok := c.children[name]
-	return a, ok
 }
 
 // ConnectChildren wires two components inside the composite; the same

@@ -24,13 +24,10 @@ type Connection struct {
 	net      *netsim.Conn
 	label    string // precomputed String(), reused for span names
 
-	mu        sync.Mutex
-	failSoft  bool
-	bytes     int64
-	chunks    int64
-	dropped   int64
-	corrupted int64
-	failures  int64
+	mu       sync.Mutex
+	failSoft bool
+	bytes    int64
+	chunks   int64
 }
 
 // SetFailSoft chooses the connection's transfer-failure policy.  A
@@ -44,42 +41,8 @@ func (c *Connection) SetFailSoft(on bool) {
 	c.mu.Unlock()
 }
 
-// Dropped reports chunks lost in flight by injected faults.
-func (c *Connection) Dropped() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dropped
-}
-
-// CorruptedCount reports chunks delivered with damaged payloads.
-func (c *Connection) CorruptedCount() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.corrupted
-}
-
-// Failures reports transfers that failed outright (link down, closed).
-func (c *Connection) Failures() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.failures
-}
-
-// From returns the upstream activity and port.
-func (c *Connection) From() (Activity, *Port) { return c.from, c.fromPort }
-
-// To returns the downstream activity and port.
-func (c *Connection) To() (Activity, *Port) { return c.to, c.toPort }
-
 // Network returns the reserved network connection, if any.
 func (c *Connection) Network() *netsim.Conn { return c.net }
-
-// BytesCarried reports the total payload bytes moved over the connection.
-func (c *Connection) BytesCarried() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
 
 // Chunks reports the number of chunks moved.
 func (c *Connection) Chunks() int64 {
@@ -110,7 +73,6 @@ func (c *Connection) deliver(in *Chunk) outcome {
 		d, err := c.net.TransferChunk(in.Size())
 		if err != nil {
 			c.mu.Lock()
-			c.failures++
 			soft := c.failSoft
 			c.mu.Unlock()
 			if soft {
@@ -119,9 +81,6 @@ func (c *Connection) deliver(in *Chunk) outcome {
 			return outcome{err: fmt.Errorf("activity: %v: %w", c, err)}
 		}
 		if d.Dropped {
-			c.mu.Lock()
-			c.dropped++
-			c.mu.Unlock()
 			return outcome{dropped: true}
 		}
 		if d.Corrupted {
@@ -133,9 +92,6 @@ func (c *Connection) deliver(in *Chunk) outcome {
 	c.mu.Lock()
 	c.bytes += in.Size()
 	c.chunks++
-	if out.Corrupted {
-		c.corrupted++
-	}
 	c.mu.Unlock()
 	return outcome{chunk: out, arrived: true, corrupted: out.Corrupted}
 }
@@ -170,14 +126,6 @@ func (g *Graph) Add(a Activity) error {
 	g.nodes[a.Name()] = a
 	g.order = append(g.order, a.Name())
 	return nil
-}
-
-// Node returns the activity with the given name.
-func (g *Graph) Node(name string) (Activity, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	a, ok := g.nodes[name]
-	return a, ok
 }
 
 // Nodes returns the activities in insertion order.

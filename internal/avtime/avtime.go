@@ -14,7 +14,6 @@ package avtime
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // WorldTime is a point on (or a span of) the global presentation timeline.
@@ -28,30 +27,11 @@ const (
 	Microsecond WorldTime = 1
 	Millisecond           = 1000 * Microsecond
 	Second                = 1000 * Millisecond
-	Minute                = 60 * Second
-	Hour                  = 60 * Minute
 )
-
-// FromDuration converts a time.Duration to WorldTime, truncating to
-// microsecond resolution.
-func FromDuration(d time.Duration) WorldTime {
-	return WorldTime(d / time.Microsecond)
-}
-
-// Duration converts a WorldTime span to a time.Duration.
-func (w WorldTime) Duration() time.Duration {
-	return time.Duration(w) * time.Microsecond
-}
 
 // Seconds reports the span as floating-point seconds.
 func (w WorldTime) Seconds() float64 {
 	return float64(w) / float64(Second)
-}
-
-// FromSeconds converts floating-point seconds to WorldTime, rounding to the
-// nearest microsecond.
-func FromSeconds(s float64) WorldTime {
-	return WorldTime(math.Round(s * float64(Second)))
 }
 
 // String formats the world time as seconds with microsecond precision,
@@ -75,14 +55,11 @@ type Rate struct {
 
 // Common media rates.
 var (
-	RateFilm24   = Rate{24, 1}       // film
-	RateVideo25  = Rate{25, 1}       // PAL/CCIR 625-line video
-	RateVideo30  = Rate{30, 1}       // the paper's video timecode unit (1/30 s)
-	RateNTSC     = Rate{30000, 1001} // NTSC color video
-	RateCDAudio  = Rate{44100, 1}    // CD encoded audio samples
-	RateDATAudio = Rate{48000, 1}    // DAT / professional audio
-	RateFMAudio  = Rate{22050, 1}    // "FM-quality" audio
-	RateVoice    = Rate{8000, 1}     // "voice-quality" audio
+	RateVideo25 = Rate{25, 1}    // PAL/CCIR 625-line video
+	RateVideo30 = Rate{30, 1}    // the paper's video timecode unit (1/30 s)
+	RateCDAudio = Rate{44100, 1} // CD encoded audio samples
+	RateFMAudio = Rate{22050, 1} // "FM-quality" audio
+	RateVoice   = Rate{8000, 1}  // "voice-quality" audio
 )
 
 // MakeRate returns the rate n/d, normalised to lowest terms with a positive

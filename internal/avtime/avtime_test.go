@@ -4,19 +4,16 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
+// minute is one minute of world time.
+const minute = 60 * Second
+
+// rateNTSC is NTSC color video's 30000/1001 frames per second, the rate
+// that makes rates rational.
+var rateNTSC = Rate{30000, 1001}
+
 func TestWorldTimeConversions(t *testing.T) {
-	if got := FromDuration(1500 * time.Millisecond); got != 1500*Millisecond {
-		t.Errorf("FromDuration(1.5s) = %v, want %v", got, 1500*Millisecond)
-	}
-	if got := (2 * Second).Duration(); got != 2*time.Second {
-		t.Errorf("Duration(2s) = %v, want 2s", got)
-	}
-	if got := FromSeconds(0.5); got != 500*Millisecond {
-		t.Errorf("FromSeconds(0.5) = %v, want %v", got, 500*Millisecond)
-	}
 	if got := (1500 * Millisecond).Seconds(); got != 1.5 {
 		t.Errorf("Seconds() = %v, want 1.5", got)
 	}
@@ -56,7 +53,7 @@ func TestRateHzAndUnitDuration(t *testing.T) {
 	if hz := RateVideo30.Hz(); hz != 30 {
 		t.Errorf("30fps Hz = %v", hz)
 	}
-	if hz := RateNTSC.Hz(); math.Abs(hz-29.97) > 0.01 {
+	if hz := rateNTSC.Hz(); math.Abs(hz-29.97) > 0.01 {
 		t.Errorf("NTSC Hz = %v, want ≈29.97", hz)
 	}
 	if d := RateVideo30.UnitDuration(); d != 33333 {
@@ -77,7 +74,7 @@ func TestRateDurationOfExact(t *testing.T) {
 		t.Errorf("44100 samples = %v, want 1s", d)
 	}
 	// 30000 frames of NTSC is exactly 1001 seconds.
-	if d := RateNTSC.DurationOf(30000); d != 1001*Second {
+	if d := rateNTSC.DurationOf(30000); d != 1001*Second {
 		t.Errorf("30000 NTSC frames = %v, want 1001s", d)
 	}
 }
@@ -89,13 +86,13 @@ func TestRateUnitsIn(t *testing.T) {
 	if n := RateVideo30.UnitsIn(Second - 1); n != 29 {
 		t.Errorf("frames in 1s-1µs = %d, want 29", n)
 	}
-	if n := RateCDAudio.UnitsIn(Minute); n != 44100*60 {
+	if n := RateCDAudio.UnitsIn(minute); n != 44100*60 {
 		t.Errorf("samples in 1min = %d, want %d", n, 44100*60)
 	}
 }
 
 func TestRateRoundTripProperty(t *testing.T) {
-	rates := []Rate{RateFilm24, RateVideo25, RateVideo30, RateNTSC, RateCDAudio, RateVoice}
+	rates := []Rate{{24, 1}, RateVideo25, RateVideo30, rateNTSC, RateCDAudio, RateVoice}
 	f := func(nRaw int32) bool {
 		n := ObjectTime(nRaw)
 		if n < 0 {
@@ -157,7 +154,7 @@ func TestTransformScale(t *testing.T) {
 }
 
 func TestTransformMonotonicProperty(t *testing.T) {
-	tr := NewTransform(RateNTSC).Translated(-Second).Scaled(1.5)
+	tr := NewTransform(rateNTSC).Translated(-Second).Scaled(1.5)
 	f := func(aRaw, bRaw int32) bool {
 		a, b := WorldTime(aRaw)*Millisecond, WorldTime(bRaw)*Millisecond
 		if a > b {
@@ -235,9 +232,6 @@ func TestIntervalBasics(t *testing.T) {
 	if iv.IsEmpty() {
 		t.Error("non-empty interval reported empty")
 	}
-	if got := iv.Shift(Second); got.Start != 2*Second {
-		t.Errorf("Shift = %v", got)
-	}
 	if got := iv.String(); got != "[1.000000s, 3.000000s)" {
 		t.Errorf("String = %q", got)
 	}
@@ -255,22 +249,11 @@ func TestIntervalOfPanicsOnReversed(t *testing.T) {
 func TestIntervalIntersectUnion(t *testing.T) {
 	a := IntervalOf(0, 2*Second)
 	b := IntervalOf(Second, 3*Second)
-	got, ok := a.Intersect(b)
-	if !ok || got != IntervalOf(Second, 2*Second) {
-		t.Errorf("Intersect = %v, %v", got, ok)
-	}
 	if u := a.Union(b); u != IntervalOf(0, 3*Second) {
 		t.Errorf("Union = %v", u)
 	}
-	c := IntervalOf(5*Second, 6*Second)
-	if _, ok := a.Intersect(c); ok {
-		t.Error("disjoint intervals intersected")
-	}
-	if !a.Overlaps(b) || a.Overlaps(c) {
-		t.Error("Overlaps misclassified")
-	}
-	if !a.ContainsInterval(IntervalOf(0, Second)) || a.ContainsInterval(b) {
-		t.Error("ContainsInterval misclassified")
+	if u := a.Union(IntervalOf(5*Second, 6*Second)); u != IntervalOf(0, 6*Second) {
+		t.Errorf("disjoint Union = %v", u)
 	}
 	empty := Interval{}
 	if u := empty.Union(a); u != a {
@@ -332,8 +315,8 @@ func TestRateStringAndIsZero(t *testing.T) {
 	if RateVideo30.String() != "30Hz" {
 		t.Errorf("String = %q", RateVideo30.String())
 	}
-	if RateNTSC.String() != "30000/1001Hz" {
-		t.Errorf("NTSC String = %q", RateNTSC.String())
+	if rateNTSC.String() != "30000/1001Hz" {
+		t.Errorf("NTSC String = %q", rateNTSC.String())
 	}
 	if !(Rate{}).IsZero() || RateVideo30.IsZero() {
 		t.Error("IsZero wrong")

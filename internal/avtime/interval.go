@@ -31,27 +31,6 @@ func (iv Interval) Contains(w WorldTime) bool {
 	return w >= iv.Start && w < iv.End()
 }
 
-// ContainsInterval reports whether o lies entirely within iv.
-func (iv Interval) ContainsInterval(o Interval) bool {
-	return o.Start >= iv.Start && o.End() <= iv.End()
-}
-
-// Overlaps reports whether the two intervals share any instant.
-func (iv Interval) Overlaps(o Interval) bool {
-	return iv.Start < o.End() && o.Start < iv.End()
-}
-
-// Intersect returns the overlapping portion of the two intervals and
-// whether it is non-empty.
-func (iv Interval) Intersect(o Interval) (Interval, bool) {
-	start := max(iv.Start, o.Start)
-	end := min(iv.End(), o.End())
-	if end <= start {
-		return Interval{}, false
-	}
-	return IntervalOf(start, end), true
-}
-
 // Union returns the smallest interval covering both (their convex hull).
 func (iv Interval) Union(o Interval) Interval {
 	if iv.IsEmpty() {
@@ -61,12 +40,6 @@ func (iv Interval) Union(o Interval) Interval {
 		return iv
 	}
 	return IntervalOf(min(iv.Start, o.Start), max(iv.End(), o.End()))
-}
-
-// Shift returns the interval translated by dw.
-func (iv Interval) Shift(dw WorldTime) Interval {
-	iv.Start += dw
-	return iv
 }
 
 // String formats the interval as "[a, b)".

@@ -12,14 +12,8 @@ import (
 // 8 bits per sample, 2:1.  Lossy with logarithmic quantization error.
 type MuLaw struct{}
 
-// MuLawCodec is the registered µ-law codec.
-var MuLawCodec = RegisterAudioCodec(MuLaw{})
-
-// Name implements AudioCodec.
-func (MuLaw) Name() string { return "mulaw" }
-
-// EncodedType implements AudioCodec.
-func (MuLaw) EncodedType() *media.Type { return TypeMuLawAudio }
+// MuLawCodec is the µ-law codec.
+var MuLawCodec AudioCodec = MuLaw{}
 
 // Encode implements AudioCodec.  The encoded value keeps a's timeline.
 func (MuLaw) Encode(a *media.AudioValue) (*EncodedAudio, error) {
@@ -32,7 +26,7 @@ func (MuLaw) Encode(a *media.AudioValue) (*EncodedAudio, error) {
 	for i, s := range src {
 		data[i] = muLawEncode(s)
 	}
-	return newEncodedAudio(TypeMuLawAudio, "mulaw", a.Channels(), n, data, a.Transform()), nil
+	return newEncodedAudio(TypeMuLawAudio, a.Channels(), n, data, a.Transform()), nil
 }
 
 // Decode implements AudioCodec, restoring e's timeline.
@@ -94,14 +88,8 @@ func muLawDecode(b byte) int16 {
 // channel (initial predictor and step index).
 type ADPCM struct{}
 
-// ADPCMCodec is the registered IMA ADPCM codec.
-var ADPCMCodec = RegisterAudioCodec(ADPCM{})
-
-// Name implements AudioCodec.
-func (ADPCM) Name() string { return "adpcm-sim" }
-
-// EncodedType implements AudioCodec.
-func (ADPCM) EncodedType() *media.Type { return TypeADPCMAudio }
+// ADPCMCodec is the IMA ADPCM codec.
+var ADPCMCodec AudioCodec = ADPCM{}
 
 var imaIndexTable = [16]int{-1, -1, -1, -1, 2, 4, 6, 8, -1, -1, -1, -1, 2, 4, 6, 8}
 
@@ -242,7 +230,7 @@ func (ADPCM) Encode(a *media.AudioValue) (*EncodedAudio, error) {
 	if half {
 		data = append(data, cur)
 	}
-	return newEncodedAudio(TypeADPCMAudio, "adpcm-sim", ch, n, data, a.Transform()), nil
+	return newEncodedAudio(TypeADPCMAudio, ch, n, data, a.Transform()), nil
 }
 
 // Decode implements AudioCodec, restoring e's timeline.

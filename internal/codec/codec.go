@@ -21,7 +21,6 @@ package codec
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"avdb/internal/avtime"
@@ -32,13 +31,13 @@ import (
 // stored and retrieved as whole frames by the jukebox device, digitized on
 // read; it has no software codec.
 var (
-	TypeJPEGVideo     = media.RegisterType(&media.Type{Name: "video/jpeg-sim", Kind: media.KindVideo, Rate: avtime.RateVideo30, Compressed: true})
-	TypeMPEGVideo     = media.RegisterType(&media.Type{Name: "video/mpeg-sim", Kind: media.KindVideo, Rate: avtime.RateVideo30, Compressed: true})
-	TypeDVIVideo      = media.RegisterType(&media.Type{Name: "video/dvi-sim", Kind: media.KindVideo, Rate: avtime.RateVideo30, Compressed: true})
-	TypeScalableVideo = media.RegisterType(&media.Type{Name: "video/scalable-sim", Kind: media.KindVideo, Rate: avtime.RateVideo30, Compressed: true})
-	TypeLVVideo       = media.RegisterType(&media.Type{Name: "video/lv-analog", Kind: media.KindVideo, Rate: avtime.RateVideo30})
-	TypeADPCMAudio    = media.RegisterType(&media.Type{Name: "audio/adpcm-sim", Kind: media.KindAudio, Rate: avtime.RateCDAudio, Compressed: true})
-	TypeMuLawAudio    = media.RegisterType(&media.Type{Name: "audio/mulaw", Kind: media.KindAudio, Rate: avtime.RateVoice, Compressed: true})
+	TypeJPEGVideo     = &media.Type{Name: "video/jpeg-sim", Kind: media.KindVideo, Rate: avtime.RateVideo30, Compressed: true}
+	TypeMPEGVideo     = &media.Type{Name: "video/mpeg-sim", Kind: media.KindVideo, Rate: avtime.RateVideo30, Compressed: true}
+	TypeDVIVideo      = &media.Type{Name: "video/dvi-sim", Kind: media.KindVideo, Rate: avtime.RateVideo30, Compressed: true}
+	TypeScalableVideo = &media.Type{Name: "video/scalable-sim", Kind: media.KindVideo, Rate: avtime.RateVideo30, Compressed: true}
+	TypeLVVideo       = &media.Type{Name: "video/lv-analog", Kind: media.KindVideo, Rate: avtime.RateVideo30}
+	TypeADPCMAudio    = &media.Type{Name: "audio/adpcm-sim", Kind: media.KindAudio, Rate: avtime.RateCDAudio, Compressed: true}
+	TypeMuLawAudio    = &media.Type{Name: "audio/mulaw", Kind: media.KindAudio, Rate: avtime.RateVoice, Compressed: true}
 )
 
 // VideoCodec encodes raw video values into an encoded representation and
@@ -46,25 +45,16 @@ var (
 type VideoCodec interface {
 	// Name returns the codec's registry name.
 	Name() string
-	// EncodedType returns the media data type of this codec's output.
-	EncodedType() *media.Type
 	// Encode compresses a raw video value.
 	Encode(v *media.VideoValue) (*EncodedVideo, error)
 	// Decode reconstructs a raw video value.  For lossy settings the
 	// result approximates the original within the codec's error bound.
 	Decode(e *EncodedVideo) (*media.VideoValue, error)
-	// DecodeFrame reconstructs the single frame with index i, decoding
-	// from the nearest preceding key frame as required.
-	DecodeFrame(e *EncodedVideo, i int) (*media.Frame, error)
 }
 
 // AudioCodec encodes raw audio values into an encoded representation and
 // back.
 type AudioCodec interface {
-	// Name returns the codec's registry name.
-	Name() string
-	// EncodedType returns the media data type of this codec's output.
-	EncodedType() *media.Type
 	// Encode compresses a raw audio value.
 	Encode(a *media.AudioValue) (*EncodedAudio, error)
 	// Decode reconstructs a raw audio value.
@@ -74,8 +64,7 @@ type AudioCodec interface {
 var codecRegistry = struct {
 	sync.RWMutex
 	video map[string]VideoCodec
-	audio map[string]AudioCodec
-}{video: make(map[string]VideoCodec), audio: make(map[string]AudioCodec)}
+}{video: make(map[string]VideoCodec)}
 
 // RegisterVideoCodec adds a video codec to the registry; duplicate names
 // panic.
@@ -89,18 +78,6 @@ func RegisterVideoCodec(c VideoCodec) VideoCodec {
 	return c
 }
 
-// RegisterAudioCodec adds an audio codec to the registry; duplicate names
-// panic.
-func RegisterAudioCodec(c AudioCodec) AudioCodec {
-	codecRegistry.Lock()
-	defer codecRegistry.Unlock()
-	if _, dup := codecRegistry.audio[c.Name()]; dup {
-		panic(fmt.Sprintf("codec: duplicate audio codec %q", c.Name()))
-	}
-	codecRegistry.audio[c.Name()] = c
-	return c
-}
-
 // LookupVideoCodec returns the registered video codec with the given name.
 func LookupVideoCodec(name string) (VideoCodec, bool) {
 	codecRegistry.RLock()
@@ -109,34 +86,11 @@ func LookupVideoCodec(name string) (VideoCodec, bool) {
 	return c, ok
 }
 
-// LookupAudioCodec returns the registered audio codec with the given name.
-func LookupAudioCodec(name string) (AudioCodec, bool) {
-	codecRegistry.RLock()
-	defer codecRegistry.RUnlock()
-	c, ok := codecRegistry.audio[name]
-	return c, ok
-}
-
-// VideoCodecs returns the names of all registered video codecs, sorted.
-func VideoCodecs() []string {
-	codecRegistry.RLock()
-	defer codecRegistry.RUnlock()
-	names := make([]string, 0, len(codecRegistry.video))
-	for n := range codecRegistry.video {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // EncodedFrame is one element of an encoded video value.
 type EncodedFrame struct {
 	Data []byte
 	Key  bool // independently decodable
 }
-
-// ElementKind reports media.KindVideo.
-func (f *EncodedFrame) ElementKind() media.Kind { return media.KindVideo }
 
 // Size reports the encoded frame's byte size.
 func (f *EncodedFrame) Size() int64 { return int64(len(f.Data)) }
@@ -210,19 +164,6 @@ func (e *EncodedVideo) FrameData(i int) (*EncodedFrame, error) {
 	return e.frames[i], nil
 }
 
-// KeyFrameBefore reports the index of the nearest key frame at or before i.
-func (e *EncodedVideo) KeyFrameBefore(i int) (int, error) {
-	if i < 0 || i >= len(e.frames) {
-		return 0, fmt.Errorf("%w: encoded frame %d of %d", media.ErrOutOfRange, i, len(e.frames))
-	}
-	for k := i; k >= 0; k-- {
-		if e.frames[k].Key {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("codec: no key frame at or before %d", i)
-}
-
 // Size implements media.Value: total encoded bytes.
 func (e *EncodedVideo) Size() int64 {
 	var n int64
@@ -254,7 +195,6 @@ func (e *EncodedVideo) String() string {
 // EncodedAudio is a compressed audio representation.
 type EncodedAudio struct {
 	media.Base
-	codec    string
 	channels int
 	samples  int // decoded sample-frame count
 	data     []byte
@@ -262,21 +202,12 @@ type EncodedAudio struct {
 
 var _ media.Value = (*EncodedAudio)(nil)
 
-func newEncodedAudio(typ *media.Type, codecName string, channels, samples int, data []byte, tr avtime.Transform) *EncodedAudio {
-	e := &EncodedAudio{codec: codecName, channels: channels, samples: samples, data: data}
+func newEncodedAudio(typ *media.Type, channels, samples int, data []byte, tr avtime.Transform) *EncodedAudio {
+	e := &EncodedAudio{channels: channels, samples: samples, data: data}
 	e.Base = media.NewBase(typ, e.NumElements)
 	e.SetTransform(tr)
 	return e
 }
-
-// Codec reports the producing codec's name.
-func (e *EncodedAudio) Codec() string { return e.codec }
-
-// Channels reports the decoded channel count.
-func (e *EncodedAudio) Channels() int { return e.channels }
-
-// Data returns the raw encoded byte stream.
-func (e *EncodedAudio) Data() []byte { return e.data }
 
 // NumElements implements media.Value: the decoded sample-frame count.
 func (e *EncodedAudio) NumElements() int { return e.samples }
@@ -284,8 +215,7 @@ func (e *EncodedAudio) NumElements() int { return e.samples }
 // encodedAudioChunk is the element type of encoded audio: a byte window.
 type encodedAudioChunk []byte
 
-func (c encodedAudioChunk) ElementKind() media.Kind { return media.KindAudio }
-func (c encodedAudioChunk) Size() int64             { return int64(len(c)) }
+func (c encodedAudioChunk) Size() int64 { return int64(len(c)) }
 
 // Element implements media.Value.  Encoded audio is not element-address-
 // able mid-stream in general; the element is the whole encoded payload.

@@ -27,9 +27,6 @@ var MPEG = RegisterVideoCodec(&Inter{Quant: 2, GOPN: 15})
 // Name implements VideoCodec.
 func (c *Inter) Name() string { return "mpeg-sim" }
 
-// EncodedType implements VideoCodec.
-func (c *Inter) EncodedType() *media.Type { return TypeMPEGVideo }
-
 // Encode implements VideoCodec.
 func (c *Inter) Encode(v *media.VideoValue) (*EncodedVideo, error) {
 	if err := checkQuant(c.Quant); err != nil {
@@ -53,23 +50,6 @@ func (c *Inter) Decode(e *EncodedVideo) (*media.VideoValue, error) {
 		}
 		return f, nil
 	})
-}
-
-// DecodeFrame implements VideoCodec, decoding forward from the nearest
-// key frame at or before i.
-func (c *Inter) DecodeFrame(e *EncodedVideo, i int) (*media.Frame, error) {
-	key, err := e.KeyFrameBefore(i)
-	if err != nil {
-		return nil, err
-	}
-	d := e.streamDecoder()
-	var f *media.Frame
-	for k := key; k <= i; k++ {
-		if f, err = d.Decode(e.frames[k]); err != nil {
-			return nil, fmt.Errorf("codec: frame %d: %w", k, err)
-		}
-	}
-	return f.Clone(), nil
 }
 
 // streamDecoder returns a decoder for e's frames.

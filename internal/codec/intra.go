@@ -23,9 +23,6 @@ var JPEG = RegisterVideoCodec(&Intra{CodecName: "jpeg-sim", Typ: TypeJPEGVideo, 
 // Name implements VideoCodec.
 func (c *Intra) Name() string { return c.CodecName }
 
-// EncodedType implements VideoCodec.
-func (c *Intra) EncodedType() *media.Type { return c.Typ }
-
 // Encode implements VideoCodec.
 func (c *Intra) Encode(v *media.VideoValue) (*EncodedVideo, error) {
 	if err := checkQuant(c.Quant); err != nil {
@@ -81,9 +78,6 @@ var DVICodec = RegisterVideoCodec(&DVI{Quant: 2})
 
 // Name implements VideoCodec.
 func (c *DVI) Name() string { return "dvi-sim" }
-
-// EncodedType implements VideoCodec.
-func (c *DVI) EncodedType() *media.Type { return TypeDVIVideo }
 
 // Encode implements VideoCodec.
 func (c *DVI) Encode(v *media.VideoValue) (*EncodedVideo, error) {

@@ -358,12 +358,14 @@ func checkStreamAgainstReference(t *testing.T, name string, clip *media.VideoVal
 		}
 		decoded = append(decoded, got)
 	}
-	// Random access and whole-value decode run the same kernels.
-	inter := &Inter{Quant: q, GOPN: gop}
+	// Whole-value decode runs the same kernels.
+	whole, err := (&Inter{Quant: q, GOPN: gop}).Decode(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, i := range []int{0, clip.NumFrames() / 2, clip.NumFrames() - 1} {
-		f, err := inter.DecodeFrame(batch, i)
-		if err != nil || !f.Equal(decoded[i]) {
-			t.Fatalf("%s: Inter.DecodeFrame(%d) differs from the stream decoder (err %v)", name, i, err)
+		if f, _ := whole.Frame(i); !f.Equal(decoded[i]) {
+			t.Fatalf("%s: Inter.Decode frame %d differs from the stream decoder", name, i)
 		}
 	}
 	if gop == 1 {
@@ -377,7 +379,7 @@ func checkStreamAgainstReference(t *testing.T, name string, clip *media.VideoVal
 			if !bytes.Equal(ef.Data, bf.Data) {
 				t.Fatalf("%s frame %d: intra encoding differs from the reference", name, i)
 			}
-			f, err := JPEG.DecodeFrame(intra, i)
+			f, err := JPEG.(*Intra).DecodeFrame(intra, i)
 			if err != nil || !f.Equal(decoded[i]) {
 				t.Fatalf("%s frame %d: intra decode differs from the reference (err %v)", name, i, err)
 			}
@@ -418,7 +420,7 @@ func TestScalableMatchesReference(t *testing.T) {
 				if ef, _ := e.FrameData(i); !bytes.Equal(ef.Data, want) {
 					t.Fatalf("%v q%d frame %d: scalable encoding differs from the reference", g, q, i)
 				}
-				got, err := c.DecodeFrame(e, i)
+				got, err := c.DecodeFrameLayers(e, i, NumLayers)
 				if err != nil || !got.Equal(f) {
 					t.Fatalf("%v q%d frame %d: full-layer decode not lossless (err %v)", g, q, i, err)
 				}

@@ -32,9 +32,6 @@ const NumLayers = 3
 // Name implements VideoCodec.
 func (c *Scalable) Name() string { return "scalable-sim" }
 
-// EncodedType implements VideoCodec.
-func (c *Scalable) EncodedType() *media.Type { return TypeScalableVideo }
-
 // Encode implements VideoCodec.
 func (c *Scalable) Encode(v *media.VideoValue) (*EncodedVideo, error) {
 	if err := checkQuant(c.BaseQuant); err != nil {
@@ -73,11 +70,6 @@ func (c *Scalable) Decode(e *EncodedVideo) (*media.VideoValue, error) {
 // DecodeLayers decodes using only the first k layers of each frame.
 func (c *Scalable) DecodeLayers(e *EncodedVideo, k int) (*media.VideoValue, error) {
 	return e.decodeFrames(func(_ *VideoStreamDecoder, i int) (*media.Frame, error) { return c.DecodeFrameLayers(e, i, k) })
-}
-
-// DecodeFrame implements VideoCodec.
-func (c *Scalable) DecodeFrame(e *EncodedVideo, i int) (*media.Frame, error) {
-	return c.DecodeFrameLayers(e, i, e.layers)
 }
 
 // DecodeFrameLayers decodes frame i using the first k of its layers.

@@ -38,12 +38,6 @@ func NewInterStreamEncoder(quant, gop int) (*VideoStreamEncoder, error) {
 	return &VideoStreamEncoder{quant: quant, gop: gop}, nil
 }
 
-// Quant reports the encoder's quantization parameter.
-func (e *VideoStreamEncoder) Quant() int { return e.quant }
-
-// GOP reports the key-frame period.
-func (e *VideoStreamEncoder) GOP() int { return e.gop }
-
 // EncodeFrame compresses one frame.  All frames of a stream must share
 // one geometry.
 func (e *VideoStreamEncoder) EncodeFrame(f *media.Frame) (*EncodedFrame, error) {

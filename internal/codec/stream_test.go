@@ -73,7 +73,7 @@ func TestStreamEncoderGeometryChangeRejected(t *testing.T) {
 	if _, err := se.EncodeFrame(media.NewFrame(4, 4, 8)); err != nil {
 		t.Errorf("encode after reset failed: %v", err)
 	}
-	if se.Quant() != 2 || se.GOP() != 1 {
+	if se.quant != 2 || se.gop != 1 {
 		t.Error("metadata wrong")
 	}
 }

@@ -801,9 +801,3 @@ func ResourcesForVideo(q media.VideoQuality) sched.Resources {
 	r := q.DataRate()
 	return sched.Resources{Buffers: 1, CPU: r, Bus: r}
 }
-
-// ResourcesForAudio estimates the bundle for an audio stream.
-func ResourcesForAudio(q media.AudioQuality) sched.Resources {
-	r := q.DataRate()
-	return sched.Resources{Buffers: 1, CPU: r, Bus: r}
-}

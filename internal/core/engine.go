@@ -249,18 +249,6 @@ func (e *Engine) EnableOverloadControl(p sched.OverloadPolicy) *sched.OverloadDe
 	return det
 }
 
-// Pressure reports the current pressure level; Normal when overload
-// control is off.
-func (e *Engine) Pressure() sched.PressureLevel {
-	e.mu.Lock()
-	det := e.detector
-	e.mu.Unlock()
-	if det == nil {
-		return sched.PressureNormal
-	}
-	return det.Level()
-}
-
 // admitCheck is the shed gate Session.Start passes through: while the
 // detector reads Overloaded, new admissions are rejected with an
 // *OverloadError carrying a virtual-time retry hint.  The level check,

@@ -320,7 +320,7 @@ func TestEngineActiveGaugeConsistency(t *testing.T) {
 	// Engine drained: every admit was matched by a retire, and because
 	// each publish happened atomically with its count change the final
 	// published value is the final count.
-	if g, ok := col.Snapshot().Gauge("engine.sessions.active"); !ok || g != 0 {
+	if g, ok := snapshotGauge(col.Snapshot(), "engine.sessions.active"); !ok || g != 0 {
 		t.Errorf("engine.sessions.active = %d,%v after drain, want 0", g, ok)
 	}
 	if st := db.Engine().Stats(); st.Active != 0 {

@@ -13,6 +13,7 @@ import (
 	"avdb/internal/activity"
 	"avdb/internal/avtime"
 	"avdb/internal/media"
+	"avdb/internal/obs"
 	"avdb/internal/sched"
 	"avdb/internal/schema"
 )
@@ -225,8 +226,9 @@ func TestEngineRetirePublishesBeforeWaitReturns(t *testing.T) {
 		go func() {
 			close(waiting)
 			_, err := pb.Wait()
-			active, _ := col.Registry().Gauge("engine.sessions.active")
-			got <- reading{col.Registry().Counter("engine.runs.finished"), active, err}
+			snap := col.Snapshot()
+			active, _ := snapshotGauge(snap, "engine.sessions.active")
+			got <- reading{snap.Counter("engine.runs.finished"), active, err}
 		}()
 		<-waiting
 		runtime.Gosched() // let the waiter reach Wait before anything can finish
@@ -540,4 +542,15 @@ func TestEngineTickErrorReachesWait(t *testing.T) {
 			}
 		}
 	}
+}
+
+// snapshotGauge reads a gauge from a snapshot, reporting whether it was
+// set.
+func snapshotGauge(s *obs.Snapshot, name string) (int64, bool) {
+	for _, g := range s.Gauges {
+		if g.Name == name {
+			return g.Value, true
+		}
+	}
+	return 0, false
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"avdb/internal/activities"
@@ -31,7 +32,7 @@ func TestJukeboxArchivePlayback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seg.Disc() != 2 || seg.Device() != "jukebox0" {
+	if !strings.Contains(seg.String(), "on jukebox0 disc 2 ") {
 		t.Fatalf("placement = %v", seg)
 	}
 

@@ -79,17 +79,16 @@ func OpenDefault(name string, pc PlatformConfig) (*Database, error) {
 	units := []struct {
 		id   string
 		kind device.Kind
-		rate media.DataRate
 		excl bool
 	}{
-		{"adc0", device.KindADC, 40 * media.MBPerSecond, true},
-		{"dac0", device.KindDAC, 2 * media.MBPerSecond, true},
-		{"dsp0", device.KindDSP, 80 * media.MBPerSecond, false},
-		{"fx0", device.KindEffects, 60 * media.MBPerSecond, true},
-		{"fb0", device.KindFramebuffer, 120 * media.MBPerSecond, true},
+		{"adc0", device.KindADC, true},
+		{"dac0", device.KindDAC, true},
+		{"dsp0", device.KindDSP, false},
+		{"fx0", device.KindEffects, true},
+		{"fb0", device.KindFramebuffer, true},
 	}
 	for _, u := range units {
-		if err := db.Devices().Register(device.NewUnit(u.id, u.kind, u.rate, u.excl)); err != nil {
+		if err := db.Devices().Register(device.NewUnit(u.id, u.kind, u.excl)); err != nil {
 			return nil, err
 		}
 	}

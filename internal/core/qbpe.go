@@ -36,8 +36,8 @@ func (db *Database) FindSimilar(className, attr string, example *media.Frame, li
 	if !ok {
 		return nil, fmt.Errorf("core: class %s has no attribute %q", className, attr)
 	}
-	if def.Kind != schema.KindMedia || (def.MediaKind != media.KindVideo && def.MediaKind != media.KindImage) {
-		return nil, fmt.Errorf("core: attribute %q is not a video or image attribute", attr)
+	if def.Kind != schema.KindMedia || def.MediaKind != media.KindVideo {
+		return nil, fmt.Errorf("core: attribute %q is not a video attribute", attr)
 	}
 	want := media.SignatureOf(example)
 
@@ -51,17 +51,12 @@ func (db *Database) FindSimilar(className, attr string, example *media.Frame, li
 		if !ok {
 			continue
 		}
-		var sig media.Signature
-		switch v := d.MediaVal().(type) {
-		case *media.VideoValue:
-			s, err := media.VideoSignature(v, 8)
-			if err != nil {
-				continue
-			}
-			sig = s
-		case *media.ImageValue:
-			sig = media.SignatureOf(v.Image())
-		default:
+		v, ok := d.MediaVal().(*media.VideoValue)
+		if !ok {
+			continue
+		}
+		sig, err := media.VideoSignature(v, 8)
+		if err != nil {
 			continue
 		}
 		out = append(out, SimilarityMatch{OID: o.OID(), Distance: want.Distance(sig)})

@@ -24,7 +24,8 @@ func TestResizeVideoNearestNeighbor(t *testing.T) {
 			got := src.Resample(w, h, 1)
 			for i := 0; i < src.NumFrames(); i++ {
 				sf, _ := src.Frame(i)
-				gf, _ := got.Frame(i)
+				el, _ := got.ElementAt(avtime.ObjectTime(i))
+				gf := el.(*media.Frame)
 				for y := 0; y < h; y++ {
 					for x := 0; x < w; x++ {
 						s := ((y*7/h)*13 + x*13/w) * bpp

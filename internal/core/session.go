@@ -106,35 +106,6 @@ func (s *Session) CacheStats() storage.CacheStats {
 	return agg
 }
 
-// InstallStriped is Install for an activity consuming a striped stream:
-// the admission reservation spans the stripe, scaling the buffer demand
-// by width while bus and CPU stay one stream's worth.
-func (s *Session) InstallStriped(act activity.Activity, res sched.Resources, width int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("%w: %s", ErrSessionClosed, s.id)
-	}
-	var g *sched.Grant
-	if act.Location() == activity.AtDatabase && !res.IsZero() {
-		var err error
-		g, err = s.db.admission.ReserveStriped(res, width)
-		if err != nil {
-			return err
-		}
-	}
-	if err := s.graph.Add(act); err != nil {
-		if g != nil {
-			g.Release()
-		}
-		return err
-	}
-	if g != nil {
-		s.grants = append(s.grants, g)
-	}
-	return nil
-}
-
 // Connect opens a session for a client reachable over the given network
 // link.
 func (db *Database) Connect(client, linkID string) (*Session, error) {
@@ -160,9 +131,6 @@ func (db *Database) Connect(client, linkID string) (*Session, error) {
 
 // ID returns the session's identifier.
 func (s *Session) ID() string { return s.id }
-
-// Graph exposes the session's activity graph.
-func (s *Session) Graph() *activity.Graph { return s.graph }
 
 // Install adds an activity to the session.  Database-located activities
 // reserve res from the database's admission budget first — creating an
@@ -495,6 +463,3 @@ func (s *Session) Close() error {
 	}
 	return closeErr
 }
-
-// Link returns the session's network link.
-func (s *Session) Link() *netsim.Link { return s.link }

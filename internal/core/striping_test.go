@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"avdb/internal/activities"
@@ -61,13 +62,13 @@ func TestConfigStripingReachesStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !seg.Striped() || len(seg.Stripe()) != 2 {
+	if !strings.Contains(seg.String(), "striped over [disk0 disk1]") {
 		t.Errorf("auto placement under Width 2 gave %v", seg)
 	}
 }
 
 // TestSessionStripedPlayback runs §4.3's program over a striped
-// placement with SCAN-EDF rounds: PlaceMediaStriped, InstallStriped,
+// placement with SCAN-EDF rounds: PlaceMediaStriped, Install,
 // bind, play, and verify the round scheduler carried the reads and the
 // stripe reservations settle at close.
 func TestSessionStripedPlayback(t *testing.T) {
@@ -83,8 +84,8 @@ func TestSessionStripedPlayback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seg.Stripe()) != 2 {
-		t.Fatalf("striped placement spans %v", seg.Stripe())
+	if !strings.Contains(seg.String(), "striped over [disk0 disk1]") {
+		t.Fatalf("striped placement is %v", seg)
 	}
 
 	sess, err := db.Connect("striped-app", "lan0")
@@ -96,7 +97,7 @@ func TestSessionStripedPlayback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.InstallStriped(reader, ResourcesForVideo(q), 2); err != nil {
+	if err := sess.Install(reader, ResourcesForVideo(q)); err != nil {
 		t.Fatal(err)
 	}
 	win := activities.NewVideoWindow("appSink", activity.AtApplication, q, 50*avtime.Millisecond)
@@ -110,7 +111,7 @@ func TestSessionStripedPlayback(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The bound stream reserved a half-rate share on each stripe disk.
-	for _, id := range seg.Stripe() {
+	for _, id := range []string{"disk0", "disk1"} {
 		d, _ := db.Devices().Get(id)
 		if got := d.(*device.Disk).ReservedBandwidth(); got != media.MBPerSecond/2 {
 			t.Errorf("disk %s reserves %v, want %v", id, got, media.MBPerSecond/2)
@@ -131,7 +132,7 @@ func TestSessionStripedPlayback(t *testing.T) {
 		t.Errorf("round scheduler idle during striped playback: %+v", io)
 	}
 	sess.Close()
-	for _, id := range seg.Stripe() {
+	for _, id := range []string{"disk0", "disk1"} {
 		d, _ := db.Devices().Get(id)
 		if got := d.(*device.Disk).ReservedBandwidth(); got != 0 {
 			t.Errorf("disk %s still reserves %v after close", id, got)

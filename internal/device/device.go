@@ -351,13 +351,11 @@ func (d *Disk) CheckRead(a Access, bytes int64) (avtime.WorldTime, error) {
 	return (*p).BeforeRead(d.id, a, bytes)
 }
 
-// Jukebox is an analog videodisc jukebox: several discs, of which a
-// small number fit the platter slots at once; switching a disc into a
-// slot costs a swap latency.  "An analog videodisc jukebox provides a
-// video storage capacity difficult to achieve using magnetic disks"
-// (§3.3) — here it is the bulk (tertiary) tier for LV-encoded values.
-// A jukebox starts with one slot, the classic single-platter player;
-// SetSlots widens it.
+// Jukebox is an analog videodisc jukebox: several discs, of which one
+// sits in the player at a time; switching discs costs a swap latency.
+// "An analog videodisc jukebox provides a video storage capacity
+// difficult to achieve using magnetic disks" (§3.3) — here it is the
+// bulk (tertiary) tier for LV-encoded values.
 type Jukebox struct {
 	id      string
 	perDisc int64
@@ -366,20 +364,19 @@ type Jukebox struct {
 
 	mu        sync.Mutex
 	used      []int64
-	loaded    []int // discs in the platter slots, most recently used first
-	slots     int   // platter slots; discs loaded at once
+	current   int   // the disc in the player
 	swaps     int64 // completed disc swaps
 	swapTries int64 // swap attempts, jammed ones included; keys the fault hook
 	hook      FaultHook
 }
 
-// NewJukebox returns a jukebox with the given number of discs and one
-// platter slot (disc 0 loaded).
+// NewJukebox returns a jukebox with the given number of discs, disc 0 in
+// the player.
 func NewJukebox(id string, discs int, perDiscCapacity int64, bandwidth media.DataRate, swap avtime.WorldTime) *Jukebox {
 	if discs <= 0 || perDiscCapacity <= 0 || bandwidth <= 0 || swap < 0 {
 		panic(fmt.Sprintf("device: invalid jukebox %q", id))
 	}
-	j := &Jukebox{id: id, perDisc: perDiscCapacity, swap: swap, used: make([]int64, discs), loaded: []int{0}, slots: 1}
+	j := &Jukebox{id: id, perDisc: perDiscCapacity, swap: swap, used: make([]int64, discs)}
 	j.bw.total = bandwidth
 	return j
 }
@@ -394,59 +391,12 @@ func (j *Jukebox) DeviceKind() Kind { return KindJukebox }
 // so the jukebox is acquired exclusively.
 func (j *Jukebox) Exclusive() bool { return true }
 
-// Discs reports the number of discs.
-func (j *Jukebox) Discs() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.used)
-}
-
-// CurrentDisc reports the most recently accessed loaded disc.
-func (j *Jukebox) CurrentDisc() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.loaded[0]
-}
-
-// Slots reports the number of platter slots.
-func (j *Jukebox) Slots() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.slots
-}
-
-// SetSlots resizes the platter to n slots.  Shrinking ejects the least
-// recently used discs beyond the new size at no cost (ejection overlaps
-// the next load's swap).
-func (j *Jukebox) SetSlots(n int) error {
-	if n < 1 {
-		return fmt.Errorf("device: jukebox %q needs at least one slot, got %d", j.id, n)
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.slots = n
-	if len(j.loaded) > n {
-		j.loaded = j.loaded[:n]
-	}
-	return nil
-}
-
-// Loaded returns the discs currently in the platter slots, most recently
-// used first.
-func (j *Jukebox) Loaded() []int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]int, len(j.loaded))
-	copy(out, j.loaded)
-	return out
-}
-
-// DiscLoaded reports whether the disc sits in a platter slot, so a read
-// of it needs no swap.
+// DiscLoaded reports whether the disc is in the player, so a read of it
+// needs no swap.
 func (j *Jukebox) DiscLoaded(disc int) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.slotOf(disc) >= 0
+	return j.current == disc
 }
 
 // Swaps reports the number of completed disc swaps.
@@ -454,23 +404,6 @@ func (j *Jukebox) Swaps() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.swaps
-}
-
-// slotOf returns the index of disc in j.loaded, or -1; j.mu is held.
-func (j *Jukebox) slotOf(disc int) int {
-	for i, d := range j.loaded {
-		if d == disc {
-			return i
-		}
-	}
-	return -1
-}
-
-// Capacity reports the total capacity across discs.
-func (j *Jukebox) Capacity() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.perDisc * int64(len(j.used))
 }
 
 // Allocate accounts for bytes on the given disc.
@@ -504,8 +437,7 @@ func (j *Jukebox) Free(disc int, bytes int64) {
 }
 
 // AccessTime reports the world time to read bytes from the given disc,
-// including a swap if it sits in no platter slot, and loads it.  Loading
-// into a full platter ejects the least recently used disc.
+// including a swap if it is not in the player, and loads it.
 func (j *Jukebox) AccessTime(disc int, bytes int64) (avtime.WorldTime, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -513,36 +445,25 @@ func (j *Jukebox) AccessTime(disc int, bytes int64) (avtime.WorldTime, error) {
 		return 0, fmt.Errorf("%w: jukebox %q has no disc %d", ErrNoDevice, j.id, disc)
 	}
 	var t avtime.WorldTime
-	if i := j.slotOf(disc); i >= 0 {
-		// Already loaded: bump to most recently used.
-		copy(j.loaded[1:], j.loaded[:i])
-		j.loaded[0] = disc
-	} else {
+	if disc != j.current {
 		try := Access{Src: int64(disc), Seq: j.swapTries}
 		j.swapTries++
 		if j.hook != nil {
 			if err := j.hook.BeforeSwap(j.id, try); err != nil {
-				// The swap mechanism jammed: the platter keeps its discs
+				// The swap mechanism jammed: the player keeps its disc
 				// and the failed attempt still costs a swap latency.
 				return j.swap, err
 			}
 		}
 		t += j.swap
 		j.swaps++
-		if len(j.loaded) < j.slots {
-			j.loaded = append(j.loaded, 0)
-		}
-		copy(j.loaded[1:], j.loaded)
-		j.loaded[0] = disc
+		j.current = disc
 	}
 	if bytes > 0 {
 		t += avtime.WorldTime(bytes * int64(avtime.Second) / int64(j.bw.total))
 	}
 	return t, nil
 }
-
-// TotalBandwidth reports the read head's transfer rate.
-func (j *Jukebox) TotalBandwidth() media.DataRate { return j.bw.total }
 
 // Reserve pre-allocates read bandwidth.
 func (j *Jukebox) Reserve(r media.DataRate) error { return j.bw.reserve(r) }
@@ -569,26 +490,21 @@ func (j *Jukebox) CheckRead(a Access, bytes int64) (avtime.WorldTime, error) {
 }
 
 // Unit is a non-storage device: framebuffer, ADC, DAC, DSP or video
-// effects processor.  Throughput is the data rate the unit can process;
-// exclusive units (converters, framebuffers, effects processors — the
-// paper's expensive shared boxes) serve one owner at a time via the
-// Manager.
+// effects processor.  Exclusive units (converters, framebuffers, effects
+// processors — the paper's expensive shared boxes) serve one owner at a
+// time via the Manager.
 type Unit struct {
-	id         string
-	kind       Kind
-	throughput media.DataRate
-	exclusive  bool
+	id        string
+	kind      Kind
+	exclusive bool
 }
 
 // NewUnit returns a non-storage device.
-func NewUnit(id string, kind Kind, throughput media.DataRate, exclusive bool) *Unit {
+func NewUnit(id string, kind Kind, exclusive bool) *Unit {
 	if kind == KindDisk || kind == KindJukebox {
 		panic(fmt.Sprintf("device: unit %q with storage kind %v", id, kind))
 	}
-	if throughput <= 0 {
-		panic(fmt.Sprintf("device: unit %q without throughput", id))
-	}
-	return &Unit{id: id, kind: kind, throughput: throughput, exclusive: exclusive}
+	return &Unit{id: id, kind: kind, exclusive: exclusive}
 }
 
 // ID implements Device.
@@ -599,15 +515,3 @@ func (u *Unit) DeviceKind() Kind { return u.kind }
 
 // Exclusive implements Device.
 func (u *Unit) Exclusive() bool { return u.exclusive }
-
-// Throughput reports the unit's processing rate.
-func (u *Unit) Throughput() media.DataRate { return u.throughput }
-
-// ProcessTime reports the world time the unit needs to process the given
-// bytes.
-func (u *Unit) ProcessTime(bytes int64) avtime.WorldTime {
-	if bytes <= 0 {
-		return 0
-	}
-	return avtime.WorldTime(bytes * int64(avtime.Second) / int64(u.throughput))
-}

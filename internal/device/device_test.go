@@ -117,7 +117,7 @@ func TestDiskConcurrentReservations(t *testing.T) {
 
 func TestJukebox(t *testing.T) {
 	j := NewJukebox("jb0", 3, 1000, 1*media.MBPerSecond, 5*avtime.Second)
-	if j.Discs() != 3 || j.Capacity() != 3000 || j.CurrentDisc() != 0 {
+	if len(j.used) != 3 || j.perDisc != 1000 || !j.DiscLoaded(0) {
 		t.Error("jukebox geometry wrong")
 	}
 	if err := j.Allocate(1, 800); err != nil {
@@ -144,7 +144,7 @@ func TestJukebox(t *testing.T) {
 	if err != nil || dt != 5*avtime.Second {
 		t.Errorf("swap access = %v, %v", dt, err)
 	}
-	if j.CurrentDisc() != 2 {
+	if !j.DiscLoaded(2) || j.DiscLoaded(0) {
 		t.Error("swap did not load disc")
 	}
 	if _, err := j.AccessTime(7, 0); err == nil {
@@ -160,25 +160,15 @@ func TestJukebox(t *testing.T) {
 		t.Error(err)
 	}
 	j.Release(media.MBPerSecond)
-	if j.TotalBandwidth() != media.MBPerSecond {
-		t.Error("bandwidth wrong")
+	if err := j.Reserve(media.MBPerSecond); err != nil {
+		t.Errorf("released bandwidth not reusable: %v", err)
 	}
 }
 
 func TestUnit(t *testing.T) {
-	u := NewUnit("fx0", KindEffects, 50*media.MBPerSecond, true)
+	u := NewUnit("fx0", KindEffects, true)
 	if u.ID() != "fx0" || u.DeviceKind() != KindEffects || !u.Exclusive() {
 		t.Error("unit metadata wrong")
-	}
-	if u.Throughput() != 50*media.MBPerSecond {
-		t.Error("throughput wrong")
-	}
-	// 50 MB at 50 MB/s = 1s.
-	if got := u.ProcessTime(50_000_000); got != avtime.Second {
-		t.Errorf("ProcessTime = %v", got)
-	}
-	if got := u.ProcessTime(-1); got != 0 {
-		t.Errorf("negative ProcessTime = %v", got)
 	}
 	func() {
 		defer func() {
@@ -186,15 +176,7 @@ func TestUnit(t *testing.T) {
 				t.Error("unit with storage kind did not panic")
 			}
 		}()
-		NewUnit("bad", KindDisk, 1, false)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("unit without throughput did not panic")
-			}
-		}()
-		NewUnit("bad", KindDSP, 0, false)
+		NewUnit("bad", KindDisk, false)
 	}()
 }
 
@@ -231,7 +213,7 @@ func TestManagerRegistry(t *testing.T) {
 	if _, ok := m.Get("nope"); ok {
 		t.Error("Get of missing device succeeded")
 	}
-	if err := m.Register(NewUnit("dac0", KindDAC, media.MBPerSecond, true)); err != nil {
+	if err := m.Register(NewUnit("dac0", KindDAC, true)); err != nil {
 		t.Fatal(err)
 	}
 	if ids := m.List(); len(ids) != 2 || ids[0] != "dac0" {
@@ -244,7 +226,7 @@ func TestManagerRegistry(t *testing.T) {
 
 func TestManagerExclusiveAcquisition(t *testing.T) {
 	m := NewManager()
-	fx := NewUnit("fx0", KindEffects, media.MBPerSecond, true)
+	fx := NewUnit("fx0", KindEffects, true)
 	disk := testDisk()
 	if err := m.Register(fx); err != nil {
 		t.Fatal(err)
@@ -269,16 +251,12 @@ func TestManagerExclusiveAcquisition(t *testing.T) {
 	if err := m.Acquire("disk0", "bob"); err != nil {
 		t.Errorf("shared acquire failed: %v", err)
 	}
-	if err := m.Release("disk0", "anyone"); err != nil {
-		t.Errorf("shared release failed: %v", err)
+	// Releasing another owner's devices leaves the holder's.
+	m.ReleaseAll("bob")
+	if h, ok := m.Holder("fx0"); !ok || h != "alice" {
+		t.Error("ReleaseAll of a non-holder released the device")
 	}
-	// Wrong-owner release is an error.
-	if err := m.Release("fx0", "bob"); err == nil {
-		t.Error("release by non-holder accepted")
-	}
-	if err := m.Release("fx0", "alice"); err != nil {
-		t.Fatal(err)
-	}
+	m.ReleaseAll("alice")
 	if err := m.Acquire("fx0", "bob"); err != nil {
 		t.Errorf("acquire after release failed: %v", err)
 	}
@@ -286,25 +264,15 @@ func TestManagerExclusiveAcquisition(t *testing.T) {
 	if err := m.Acquire("nope", "x"); err == nil {
 		t.Error("acquire of missing device accepted")
 	}
-	if err := m.Release("nope", "x"); err == nil {
-		t.Error("release of missing device accepted")
-	}
 	if err := m.Acquire("fx0", ""); err == nil {
 		t.Error("empty owner accepted")
-	}
-	// Double release is an error.
-	if err := m.Release("fx0", "bob"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Release("fx0", "bob"); err == nil {
-		t.Error("double release accepted")
 	}
 }
 
 func TestManagerReleaseAll(t *testing.T) {
 	m := NewManager()
 	for _, id := range []string{"a", "b", "c"} {
-		if err := m.Register(NewUnit(id, KindDAC, 1, true)); err != nil {
+		if err := m.Register(NewUnit(id, KindDAC, true)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -404,55 +372,6 @@ func TestDiskGeometryValidation(t *testing.T) {
 	}
 }
 
-func TestJukeboxPlatterSlots(t *testing.T) {
-	j := NewJukebox("jb0", 4, 1000, 1*media.MBPerSecond, 5*avtime.Second)
-	if j.Slots() != 1 {
-		t.Fatalf("default slots = %d, want 1 (legacy single-platter)", j.Slots())
-	}
-	if err := j.SetSlots(0); err == nil {
-		t.Error("zero slots accepted")
-	}
-	if err := j.SetSlots(2); err != nil {
-		t.Fatal(err)
-	}
-	// Disc 0 starts loaded; loading disc 1 fills the second slot with no
-	// eviction, so both stay swap-free afterwards.
-	if _, err := j.AccessTime(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !j.DiscLoaded(0) || !j.DiscLoaded(1) {
-		t.Fatalf("loaded = %v, want discs 0 and 1", j.Loaded())
-	}
-	if j.Swaps() != 1 {
-		t.Errorf("swaps = %d, want 1", j.Swaps())
-	}
-	dt, err := j.AccessTime(0, 0)
-	if err != nil || dt != 0 {
-		t.Errorf("access to resident disc cost %v, %v; want free", dt, err)
-	}
-	// Disc 2 evicts the least recently used resident (disc 1: disc 0 was
-	// just bumped).
-	if _, err := j.AccessTime(2, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !j.DiscLoaded(0) || j.DiscLoaded(1) || !j.DiscLoaded(2) {
-		t.Fatalf("loaded = %v, want discs 2 and 0", j.Loaded())
-	}
-	if j.CurrentDisc() != 2 {
-		t.Errorf("current disc = %d, want 2", j.CurrentDisc())
-	}
-	if j.Swaps() != 2 {
-		t.Errorf("swaps = %d, want 2", j.Swaps())
-	}
-	// Shrinking drops the colder residents.
-	if err := j.SetSlots(1); err != nil {
-		t.Fatal(err)
-	}
-	if got := j.Loaded(); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("loaded after shrink = %v, want [2]", got)
-	}
-}
-
 // jamOnce fails the first swap it sees and records every attempt.
 type jamOnce struct{ seen *[]Access }
 
@@ -478,14 +397,14 @@ func TestJukeboxSwapJamKeepsPlatter(t *testing.T) {
 	}
 	// The platter kept its disc and the failed attempt is not a swap.
 	if !j.DiscLoaded(0) || j.DiscLoaded(1) || j.Swaps() != 0 {
-		t.Errorf("after jam: loaded %v, swaps %d; want [0], 0", j.Loaded(), j.Swaps())
+		t.Errorf("after jam: in player %d, swaps %d; want 0, 0", j.current, j.Swaps())
 	}
 	// The retry goes through.
 	if _, err := j.AccessTime(1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !j.DiscLoaded(1) || j.Swaps() != 1 {
-		t.Errorf("after retry: loaded %v, swaps %d; want disc 1, 1", j.Loaded(), j.Swaps())
+		t.Errorf("after retry: in player %d, swaps %d; want 1, 1", j.current, j.Swaps())
 	}
 	// The jammed attempt counts, so the retry is a fresh draw for a hook.
 	if want := []Access{{Src: 1, Seq: 0}, {Src: 1, Seq: 1}}; !reflect.DeepEqual(seen, want) {

@@ -110,28 +110,6 @@ func (m *Manager) Acquire(id, owner string) error {
 	return nil
 }
 
-// Release returns an exclusive device.  Releasing a device the owner does
-// not hold is an error — it indicates a bookkeeping bug in the caller.
-func (m *Manager) Release(id, owner string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	d, ok := m.devices[id]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoDevice, id)
-	}
-	if !d.Exclusive() {
-		return nil
-	}
-	if h, held := m.holders[id]; !held || h != owner {
-		return fmt.Errorf("device: %q not held by %q", id, owner)
-	}
-	delete(m.holders, id)
-	if m.sink != nil {
-		m.sink.Count("device.released", 1)
-	}
-	return nil
-}
-
 // Holder reports which owner holds an exclusive device, if any.
 func (m *Manager) Holder(id string) (string, bool) {
 	m.mu.Lock()

@@ -24,7 +24,7 @@ func runObserved(t *testing.T, frames int, seed int64) *obs.Snapshot {
 		}
 	})
 	c.src.SetRetry(fault.DefaultRetry)
-	c.win.EnableStallDetection(tolerance, 3).SetSink(c.col)
+	c.win.EnableStallDetection(tolerance, 3)
 	c.conn.SetFailSoft(true)
 	pb, err := c.sess.Start()
 	if err != nil {
@@ -44,7 +44,7 @@ func runObserved(t *testing.T, frames int, seed int64) *obs.Snapshot {
 // text and as JSON.
 func TestObserveSnapshotDeterministic(t *testing.T) {
 	a, b := runObserved(t, 60, 7), runObserved(t, 60, 7)
-	if at, bt := a.Text(), b.Text(); at != bt {
+	if at, bt := a.MetricsText()+a.TraceText(), b.MetricsText()+b.TraceText(); at != bt {
 		t.Errorf("snapshot text differs between identical runs:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", at, bt)
 	}
 	aj, err := a.JSON()
@@ -92,18 +92,26 @@ func TestObserveCapturesAllSurfaces(t *testing.T) {
 			t.Errorf("counter %s never incremented", counter)
 		}
 	}
+	gauges := make(map[string]bool)
+	for _, g := range snap.Gauges {
+		gauges[g.Name] = true
+	}
 	for _, gauge := range []string{
 		"admission.total_buffers", "admission.used_buffers",
 		"admission.total_cpu", "admission.total_bus",
 	} {
-		if _, ok := snap.Gauge(gauge); !ok {
+		if !gauges[gauge] {
 			t.Errorf("gauge %s never set", gauge)
 		}
+	}
+	hists := make(map[string]int64)
+	for _, h := range snap.Histograms {
+		hists[h.Name] = h.Hist.N
 	}
 	for _, hist := range []string{
 		"stream.chunk_latency_us", "storage.read_time_us", "deadline.lateness_us",
 	} {
-		if h := snap.Histogram(hist); h == nil || h.N == 0 {
+		if hists[hist] == 0 {
 			t.Errorf("histogram %s has no observations", hist)
 		}
 	}

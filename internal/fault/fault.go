@@ -182,9 +182,6 @@ func (p *Plan) MustAdd(f Fault) *Plan {
 // Faults returns the scheduled faults in insertion order.
 func (p *Plan) Faults() []Fault { return append([]Fault(nil), p.faults...) }
 
-// Seed returns the plan's seed.
-func (p *Plan) Seed() int64 { return p.seed }
-
 // Injector realizes a plan against a clock.  It implements both
 // device.FaultHook and netsim.FaultHook; install it with
 // device.Manager.SetFaultHook and netsim.Link.SetFaultHook.

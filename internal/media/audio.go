@@ -11,9 +11,6 @@ import (
 // samples" for CD audio).
 type SampleFrame []int16
 
-// ElementKind reports KindAudio.
-func (s SampleFrame) ElementKind() Kind { return KindAudio }
-
 // Size reports the element's byte size (two bytes per channel sample).
 func (s SampleFrame) Size() int64 { return int64(len(s)) * 2 }
 
@@ -25,9 +22,6 @@ type AudioBlock struct {
 	Start    avtime.ObjectTime // object time of the first sample frame
 	Samples  []int16
 }
-
-// ElementKind reports KindAudio.
-func (b *AudioBlock) ElementKind() Kind { return KindAudio }
 
 // Size reports the block's byte size.
 func (b *AudioBlock) Size() int64 { return int64(len(b.Samples)) * 2 }
@@ -77,9 +71,6 @@ func NewAudioValue(typ *Type, channels int) *AudioValue {
 
 // Channels reports the number of audio channels.
 func (a *AudioValue) Channels() int { return a.channels }
-
-// SampleDepth reports the bits per sample (always 16 in memory).
-func (a *AudioValue) SampleDepth() int { return 16 }
 
 // NumSamples reports the number of sample frames.
 func (a *AudioValue) NumSamples() int { return len(a.samples) / a.channels }
@@ -144,37 +135,6 @@ func (a *AudioValue) ElementAt(o avtime.ObjectTime) (Element, error) {
 
 // Size implements Value: two bytes per channel sample.
 func (a *AudioValue) Size() int64 { return int64(len(a.samples)) * 2 }
-
-// Segment returns a new value sharing sample frames [i, j) with a.
-func (a *AudioValue) Segment(i, j int) (*AudioValue, error) {
-	if i < 0 || j < i || j > a.NumSamples() {
-		return nil, fmt.Errorf("%w: segment [%d,%d) of %d", ErrOutOfRange, i, j, a.NumSamples())
-	}
-	s := NewAudioValue(a.typ, a.channels)
-	s.samples = a.samples[i*a.channels : j*a.channels : j*a.channels]
-	return s, nil
-}
-
-// Clone returns a deep copy with an identity transform.
-func (a *AudioValue) Clone() *AudioValue {
-	c := NewAudioValue(a.typ, a.channels)
-	c.samples = append([]int16(nil), a.samples...)
-	return c
-}
-
-// Equal reports whether two audio values are identical in type, channel
-// layout and samples.
-func (a *AudioValue) Equal(o *AudioValue) bool {
-	if a.typ != o.typ || a.channels != o.channels || len(a.samples) != len(o.samples) {
-		return false
-	}
-	for i := range a.samples {
-		if a.samples[i] != o.samples[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // String describes the value, e.g. "audio/cd-pcm 2ch, 44100 samples".
 func (a *AudioValue) String() string {

@@ -1,6 +1,6 @@
 // Package media implements the AV data model of the paper's §4.1: media
-// values with world/object time behavior, concrete video, audio, text and
-// image value classes, media data types, and quality factors.
+// values with world/object time behavior, concrete video, audio and text
+// value classes, media data types, and quality factors.
 //
 // A media data type (Type) governs "the encoding and interpretation" of a
 // value's elements and determines its data rate.  A Value is a finite
@@ -11,8 +11,6 @@ package media
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"avdb/internal/avtime"
 )
@@ -27,7 +25,6 @@ const (
 	KindVideo Kind = iota
 	KindAudio
 	KindText
-	KindImage
 	KindMulti
 	// KindControl is the kind of low-rate control streams, e.g. the
 	// user-driven camera movement feeding the virtual-world renderer.
@@ -38,7 +35,6 @@ var kindNames = [...]string{
 	KindVideo:   "video",
 	KindAudio:   "audio",
 	KindText:    "text",
-	KindImage:   "image",
 	KindMulti:   "multi",
 	KindControl: "control",
 }
@@ -84,84 +80,40 @@ func (r DataRate) String() string {
 type Type struct {
 	Name       string      // canonical name, e.g. "video/ccir601"
 	Kind       Kind        // sense addressed
-	Rate       avtime.Rate // element rate; zero for untimed types (images)
+	Rate       avtime.Rate // element rate; zero for untimed types
 	Compressed bool        // true if elements are an encoded representation
 }
 
 // String returns the type's canonical name.
 func (t *Type) String() string { return t.Name }
 
-// typeRegistry holds the known media data types.  Codecs register their
-// encoded types at init time; lookups come from schema declarations.
-var typeRegistry = struct {
-	sync.RWMutex
-	m map[string]*Type
-}{m: make(map[string]*Type)}
-
-// RegisterType adds a media data type to the registry.  Registering a name
-// twice panics: type names are global constants of the system, and a
-// collision is a programming error.
-func RegisterType(t *Type) *Type {
-	typeRegistry.Lock()
-	defer typeRegistry.Unlock()
-	if _, dup := typeRegistry.m[t.Name]; dup {
-		panic(fmt.Sprintf("media: duplicate type registration %q", t.Name))
-	}
-	typeRegistry.m[t.Name] = t
-	return t
-}
-
-// LookupType returns the registered type with the given name.
-func LookupType(name string) (*Type, bool) {
-	typeRegistry.RLock()
-	defer typeRegistry.RUnlock()
-	t, ok := typeRegistry.m[name]
-	return t, ok
-}
-
-// Types returns the names of all registered media data types, sorted.
-func Types() []string {
-	typeRegistry.RLock()
-	defer typeRegistry.RUnlock()
-	names := make([]string, 0, len(typeRegistry.m))
-	for n := range typeRegistry.m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Built-in raw (uncompressed) media data types.
 var (
 	// TypeCCIRVideo is component digital video in the style of CCIR 601:
 	// raster frames of 8-bit samples.  We use the 25-frame variant so whole
 	// frames align with whole milliseconds.
-	TypeCCIRVideo = RegisterType(&Type{Name: "video/ccir601", Kind: KindVideo, Rate: avtime.RateVideo25})
+	TypeCCIRVideo = &Type{Name: "video/ccir601", Kind: KindVideo, Rate: avtime.RateVideo25}
 	// TypeRawVideo30 is uncompressed 30fps raster video, the paper's
 	// timecode rate.
-	TypeRawVideo30 = RegisterType(&Type{Name: "video/raw30", Kind: KindVideo, Rate: avtime.RateVideo30})
+	TypeRawVideo30 = &Type{Name: "video/raw30", Kind: KindVideo, Rate: avtime.RateVideo30}
 	// TypeCDAudio is CD encoded audio: pairs of 16-bit samples at 44.1kHz.
-	TypeCDAudio = RegisterType(&Type{Name: "audio/cd-pcm", Kind: KindAudio, Rate: avtime.RateCDAudio})
+	TypeCDAudio = &Type{Name: "audio/cd-pcm", Kind: KindAudio, Rate: avtime.RateCDAudio}
 	// TypeFMAudio is "FM-quality" PCM audio.
-	TypeFMAudio = RegisterType(&Type{Name: "audio/fm-pcm", Kind: KindAudio, Rate: avtime.RateFMAudio})
+	TypeFMAudio = &Type{Name: "audio/fm-pcm", Kind: KindAudio, Rate: avtime.RateFMAudio}
 	// TypeVoiceAudio is "voice-quality" PCM audio.
-	TypeVoiceAudio = RegisterType(&Type{Name: "audio/voice-pcm", Kind: KindAudio, Rate: avtime.RateVoice})
+	TypeVoiceAudio = &Type{Name: "audio/voice-pcm", Kind: KindAudio, Rate: avtime.RateVoice}
 	// TypeTextStream is a stream of timed text cues (subtitles) with
 	// millisecond tick resolution.
-	TypeTextStream = RegisterType(&Type{Name: "text/stream", Kind: KindText, Rate: avtime.Rate{N: 1000, D: 1}})
-	// TypeImage is a single untimed raster image.
-	TypeImage = RegisterType(&Type{Name: "image/raster", Kind: KindImage})
+	TypeTextStream = &Type{Name: "text/stream", Kind: KindText, Rate: avtime.Rate{N: 1000, D: 1}}
 	// TypeMultiTrack is the type of a multiplexed composite stream: the
 	// single connection between a MultiSource and a MultiSink carries
 	// chunks of this type, each bundling one element per track.
-	TypeMultiTrack = RegisterType(&Type{Name: "multi/tracks", Kind: KindMulti})
+	TypeMultiTrack = &Type{Name: "multi/tracks", Kind: KindMulti}
 )
 
 // Element is one data element of an AV value: a video frame, an audio
-// sample block, a text cue or an image.
+// sample block or a text cue.
 type Element interface {
-	// ElementKind reports the media kind of the element.
-	ElementKind() Kind
 	// Size reports the element's size in bytes as stored.
 	Size() int64
 }

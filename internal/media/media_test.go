@@ -50,33 +50,6 @@ func TestDataRateString(t *testing.T) {
 	}
 }
 
-func TestTypeRegistry(t *testing.T) {
-	typ, ok := LookupType("video/ccir601")
-	if !ok || typ != TypeCCIRVideo {
-		t.Fatal("CCIR type not registered")
-	}
-	if _, ok := LookupType("no/such"); ok {
-		t.Error("lookup of unknown type succeeded")
-	}
-	names := Types()
-	if len(names) < 7 {
-		t.Errorf("Types() = %d entries, want >= 7", len(names))
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Error("Types() not sorted")
-		}
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("duplicate registration did not panic")
-			}
-		}()
-		RegisterType(&Type{Name: "video/ccir601"})
-	}()
-}
-
 func TestVideoValueBasics(t *testing.T) {
 	v := testVideo(t, 90)
 	if v.Width() != 8 || v.Height() != 6 || v.Depth() != 8 {
@@ -154,40 +127,15 @@ func TestVideoValueEditing(t *testing.T) {
 	v := testVideo(t, 10)
 	nf := NewFrame(8, 6, 8)
 	nf.Pix[0] = 200
-	if err := v.ReplaceFrame(3, nf); err != nil {
+	if err := v.AppendFrame(nf); err != nil {
 		t.Fatal(err)
 	}
-	if f, _ := v.Frame(3); f.Pix[0] != 200 {
-		t.Error("ReplaceFrame did not take")
-	}
-	if err := v.InsertFrames(0, nf.Clone(), nf.Clone()); err != nil {
-		t.Fatal(err)
-	}
-	if v.NumFrames() != 12 {
-		t.Errorf("after insert NumFrames = %d, want 12", v.NumFrames())
-	}
-	if f, _ := v.Frame(2); f.Pix[0] != 0 {
-		t.Error("insert shifted frames wrongly")
-	}
-	if err := v.DeleteFrames(0, 2); err != nil {
-		t.Fatal(err)
-	}
-	if v.NumFrames() != 10 {
-		t.Errorf("after delete NumFrames = %d, want 10", v.NumFrames())
+	if f, _ := v.Frame(10); v.NumFrames() != 11 || f.Pix[0] != 200 {
+		t.Error("AppendFrame did not take")
 	}
 	// Geometry mismatches are rejected.
-	bad := NewFrame(4, 4, 8)
-	if err := v.AppendFrame(bad); err == nil {
+	if err := v.AppendFrame(NewFrame(4, 4, 8)); err == nil {
 		t.Error("AppendFrame with wrong geometry succeeded")
-	}
-	if err := v.ReplaceFrame(0, bad); err == nil {
-		t.Error("ReplaceFrame with wrong geometry succeeded")
-	}
-	if err := v.InsertFrames(0, bad); err == nil {
-		t.Error("InsertFrames with wrong geometry succeeded")
-	}
-	if err := v.DeleteFrames(5, 3); err == nil {
-		t.Error("DeleteFrames with reversed range succeeded")
 	}
 }
 
@@ -291,7 +239,7 @@ func TestAudioValueBasics(t *testing.T) {
 	if err := a.AppendSamples(samples); err != nil {
 		t.Fatal(err)
 	}
-	if a.NumSamples() != 44100 || a.Channels() != 2 || a.SampleDepth() != 16 {
+	if a.NumSamples() != 44100 || a.Channels() != 2 {
 		t.Error("audio layout wrong")
 	}
 	if a.Duration() != avtime.Second {
@@ -327,20 +275,6 @@ func TestAudioValueWindowsAndSegments(t *testing.T) {
 	if _, err := a.Samples(5, 2); err == nil {
 		t.Error("reversed window succeeded")
 	}
-	s, err := a.Segment(4, 8)
-	if err != nil || s.NumSamples() != 4 {
-		t.Fatalf("Segment = %v, %v", s, err)
-	}
-	if sf, _ := s.Sample(0); sf[0] != 4 {
-		t.Error("segment offset wrong")
-	}
-	c := a.Clone()
-	if !a.Equal(c) {
-		t.Error("clone not equal")
-	}
-	if a.Equal(s) {
-		t.Error("value equal to its shorter segment")
-	}
 }
 
 func TestAudioValueElementByWorldTime(t *testing.T) {
@@ -371,7 +305,7 @@ func TestTextStreamCues(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if v.NumCues() != 2 {
+	if len(v.cues) != 2 {
 		t.Error("cue count wrong")
 	}
 	if c, ok := v.CueAt(1500); !ok || c.Text != "hello" {
@@ -397,7 +331,7 @@ func TestTextStreamCues(t *testing.T) {
 	if err := v.AddCue(Cue{At: 0, Dur: 500, Text: "first"}); err != nil {
 		t.Fatal(err)
 	}
-	if c, _ := v.Cue(0); c.Text != "first" {
+	if v.cues[0].Text != "first" {
 		t.Error("cues not kept sorted")
 	}
 }
@@ -421,30 +355,6 @@ func TestTextStreamElement(t *testing.T) {
 	if v.Duration() != 3*avtime.Second {
 		t.Errorf("duration = %v", v.Duration())
 	}
-	if c := v.Clone(); c.NumCues() != 1 {
-		t.Error("clone lost cues")
-	}
-}
-
-func TestImageValue(t *testing.T) {
-	f := NewFrame(16, 16, 24)
-	v := NewImageValue(f)
-	if v.NumElements() != 1 || v.Duration() != 0 {
-		t.Error("image value timing wrong")
-	}
-	if v.Image() != f {
-		t.Error("Image() lost frame")
-	}
-	e, err := v.Element(123 * avtime.Second)
-	if err != nil || e != Element(f) {
-		t.Errorf("Element = %v, %v", e, err)
-	}
-	if _, err := v.ElementAt(1); !errors.Is(err, ErrOutOfRange) {
-		t.Error("ElementAt(1) succeeded for image")
-	}
-	if v.Size() != 16*16*3 {
-		t.Errorf("Size = %d", v.Size())
-	}
 }
 
 func TestVideoQualityString(t *testing.T) {
@@ -457,9 +367,6 @@ func TestVideoQualityString(t *testing.T) {
 	}
 	if q.DataRate() != DataRate(640*480*30) {
 		t.Errorf("DataRate = %v", q.DataRate())
-	}
-	if !q.Rate().Equal(avtime.RateVideo30) {
-		t.Error("Rate wrong")
 	}
 }
 
@@ -474,7 +381,9 @@ func TestParseVideoQuality(t *testing.T) {
 			t.Errorf("parsed quality %v invalid", q)
 		}
 	}
-	for _, bad := range []string{"", "640x480@30", "640x480x8", "ax480x8@30", "0x480x8@30", "640x480x7@30"} {
+	for _, bad := range []string{"", "640x480@30", "640x480x8", "ax480x8@30", "0x480x8@30", "640x480x7@30",
+		// Data rates past int64: 0 B/s, wrapped, or with no room to add.
+		"4294967296x4294967296x8@30", "3037000500x3037000500x8@30", "65536x65536x8@2147483647"} {
 		if _, err := ParseVideoQuality(bad); err == nil {
 			t.Errorf("ParseVideoQuality(%q) succeeded", bad)
 		}
@@ -559,22 +468,22 @@ func TestConstructorPanics(t *testing.T) {
 
 func TestElementKindsAndSmallAccessors(t *testing.T) {
 	f := NewFrame(2, 2, 8)
-	if f.ElementKind() != KindVideo {
-		t.Error("frame kind wrong")
+	if f.Size() != 4 {
+		t.Error("frame size wrong")
 	}
 	var sf SampleFrame = []int16{1, 2}
-	if sf.ElementKind() != KindAudio || sf.Size() != 4 {
+	if sf.Size() != 4 {
 		t.Error("sample frame wrong")
 	}
 	b := &AudioBlock{Channels: 2, Samples: []int16{1, 2, 3, 4}}
-	if b.ElementKind() != KindAudio || b.Size() != 8 || b.NumFrames() != 2 {
+	if b.Size() != 8 || b.NumFrames() != 2 {
 		t.Error("audio block wrong")
 	}
 	if (&AudioBlock{}).NumFrames() != 0 {
 		t.Error("zero block frames wrong")
 	}
 	c := Cue{Text: "hello"}
-	if c.ElementKind() != KindText || c.Size() != 5 {
+	if c.Size() != 5 {
 		t.Error("cue wrong")
 	}
 	typ := TypeCCIRVideo
@@ -639,9 +548,6 @@ func TestTextStreamSizeStringAndCues(t *testing.T) {
 	}
 	if v.NumElements() != 1000 {
 		t.Error("NumElements wrong")
-	}
-	if _, err := v.Cue(5); err == nil {
-		t.Error("missing cue index accepted")
 	}
 	if _, err := v.ElementAt(-1); err == nil {
 		t.Error("negative tick accepted")

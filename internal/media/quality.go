@@ -2,6 +2,8 @@ package media
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -29,14 +31,24 @@ func (q VideoQuality) String() string {
 // IsZero reports whether no quality has been specified.
 func (q VideoQuality) IsZero() bool { return q == VideoQuality{} }
 
-// Valid reports whether all components are positive and depth is
-// byte-aligned.
+// Valid reports whether all components are positive, depth is
+// byte-aligned, and the bit rate w·h·d·r fits an int64.  The byte rate
+// then fits with room to spare, so FrameSize, DataRate and the sums
+// admission control takes over them cannot overflow.
 func (q VideoQuality) Valid() bool {
-	return q.Width > 0 && q.Height > 0 && q.Depth > 0 && q.Depth%8 == 0 && q.FPS > 0
+	if q.Width <= 0 || q.Height <= 0 || q.Depth <= 0 || q.Depth%8 != 0 || q.FPS <= 0 {
+		return false
+	}
+	bitRate := uint64(1)
+	for _, f := range [...]int{q.Width, q.Height, q.Depth, q.FPS} {
+		hi, lo := bits.Mul64(bitRate, uint64(f))
+		if hi != 0 || lo > math.MaxInt64 {
+			return false
+		}
+		bitRate = lo
+	}
+	return true
 }
-
-// Rate returns the quality's frame rate.
-func (q VideoQuality) Rate() avtime.Rate { return avtime.MakeRate(int64(q.FPS), 1) }
 
 // DataRate reports the uncompressed data rate the quality implies, the
 // number admission control budgets for raw transport.

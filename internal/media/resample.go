@@ -50,18 +50,6 @@ func (r *ResampledVideo) Depth() int { return r.src.depth }
 // NumElements implements Value: ⌈source frames / keep⌉.
 func (r *ResampledVideo) NumElements() int { return (len(r.src.frames) + r.keep - 1) / r.keep }
 
-// Frame returns view frame i, source frame i·keep at the view's
-// geometry.  A resampled frame is freshly allocated and owned by the
-// caller; when the geometry is the source's, the source's own frame is
-// returned, as VideoValue.Frame would.  Either way it stays as it is for
-// every holder.
-func (r *ResampledVideo) Frame(i int) (*Frame, error) {
-	if i < 0 || i >= r.NumElements() {
-		return nil, fmt.Errorf("%w: frame %d of %d", ErrOutOfRange, i, r.NumElements())
-	}
-	return r.frame(i), nil
-}
-
 // frame returns view frame i, which must be in range.
 func (r *ResampledVideo) frame(i int) *Frame {
 	src := r.src.frames[i*r.keep]

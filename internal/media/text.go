@@ -15,9 +15,6 @@ type Cue struct {
 	Text string
 }
 
-// ElementKind reports KindText.
-func (c Cue) ElementKind() Kind { return KindText }
-
 // Size reports the cue's byte size.
 func (c Cue) Size() int64 { return int64(len(c.Text)) }
 
@@ -64,17 +61,6 @@ func (v *TextStreamValue) AddCue(c Cue) error {
 	return nil
 }
 
-// NumCues reports the number of cues.
-func (v *TextStreamValue) NumCues() int { return len(v.cues) }
-
-// Cue returns cue i in tick order.
-func (v *TextStreamValue) Cue(i int) (Cue, error) {
-	if i < 0 || i >= len(v.cues) {
-		return Cue{}, fmt.Errorf("%w: cue %d of %d", ErrOutOfRange, i, len(v.cues))
-	}
-	return v.cues[i], nil
-}
-
 // CueAt returns the cue displayed at tick o, if any.
 func (v *TextStreamValue) CueAt(o avtime.ObjectTime) (Cue, bool) {
 	i := sort.Search(len(v.cues), func(i int) bool { return v.cues[i].At+v.cues[i].Dur > o })
@@ -115,53 +101,7 @@ func (v *TextStreamValue) Size() int64 {
 	return n
 }
 
-// Clone returns a deep copy with an identity transform.
-func (v *TextStreamValue) Clone() *TextStreamValue {
-	c := NewTextStreamValue(v.ticks)
-	c.cues = append([]Cue(nil), v.cues...)
-	return c
-}
-
 // String describes the value.
 func (v *TextStreamValue) String() string {
 	return fmt.Sprintf("%s %d cues over %d ticks", v.typ.Name, len(v.cues), v.ticks)
 }
-
-// ImageValue is a single untimed raster image, used for the virtual-world
-// scenario's high-resolution raster images and surface-scan data.
-type ImageValue struct {
-	Base
-	frame *Frame
-}
-
-var _ Value = (*ImageValue)(nil)
-
-// NewImageValue wraps a frame as an untimed image value.
-func NewImageValue(f *Frame) *ImageValue {
-	v := &ImageValue{frame: f}
-	v.Base = NewBase(TypeImage, func() int { return 1 })
-	return v
-}
-
-// Image returns the underlying frame.
-func (v *ImageValue) Image() *Frame { return v.frame }
-
-// NumElements implements Value.
-func (v *ImageValue) NumElements() int { return 1 }
-
-// Element implements Value; an image is presented at every world time.
-func (v *ImageValue) Element(avtime.WorldTime) (Element, error) { return v.frame, nil }
-
-// ElementAt implements Value.
-func (v *ImageValue) ElementAt(o avtime.ObjectTime) (Element, error) {
-	if o != 0 {
-		return nil, fmt.Errorf("%w: image element %d", ErrOutOfRange, o)
-	}
-	return v.frame, nil
-}
-
-// Size implements Value.
-func (v *ImageValue) Size() int64 { return v.frame.Size() }
-
-// Duration implements Value: untimed values have zero duration.
-func (v *ImageValue) Duration() avtime.WorldTime { return 0 }

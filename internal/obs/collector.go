@@ -23,9 +23,6 @@ func NewCollector() *Collector {
 // Tracer exposes the collector's span store.
 func (c *Collector) Tracer() *Tracer { return c.tracer }
 
-// Registry exposes the collector's metric store.
-func (c *Collector) Registry() *Registry { return c.reg }
-
 // BeginSpan implements Sink.
 func (c *Collector) BeginSpan(parent SpanID, kind, name string, at avtime.WorldTime) SpanID {
 	return c.tracer.Begin(parent, kind, name, at)

@@ -56,14 +56,6 @@ func (h *Histogram) observe(v int64) {
 	h.Sum += v
 }
 
-// Mean reports the average observation (zero when empty).
-func (h *Histogram) Mean() float64 {
-	if h.N == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.N)
-}
-
 // Registry holds the named metrics: monotone counters, last-value
 // gauges, and fixed-bucket histograms.  Metrics are created on first
 // touch; histograms always use DefaultBuckets so layouts never diverge.
@@ -107,33 +99,4 @@ func (r *Registry) Observe(name string, value int64) {
 	}
 	h.observe(value)
 	r.mu.Unlock()
-}
-
-// Counter reads a counter (zero when absent).
-func (r *Registry) Counter(name string) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.counters[name]
-}
-
-// Gauge reads a gauge, reporting whether it has been set.
-func (r *Registry) Gauge(name string) (int64, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.gauges[name]
-	return v, ok
-}
-
-// HistogramSnapshot reads a copy of the named histogram, or nil.
-func (r *Registry) HistogramSnapshot(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		return nil
-	}
-	cp := *h
-	cp.Bounds = append([]int64(nil), h.Bounds...)
-	cp.Counts = append([]int64(nil), h.Counts...)
-	return &cp
 }

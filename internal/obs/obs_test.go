@@ -24,7 +24,7 @@ func TestTracerSpanLifecycle(t *testing.T) {
 	if spans[0].ID != root || spans[0].Parent != NoSpan || spans[0].End != 200 || spans[0].Open {
 		t.Errorf("root span wrong: %+v", spans[0])
 	}
-	if spans[1].Parent != root || spans[1].Dur() != 90 {
+	if spans[1].Parent != root || spans[1].End-spans[1].Start != 90 {
 		t.Errorf("child span wrong: %+v", spans[1])
 	}
 	if len(spans[1].Attrs) != 1 || spans[1].Attrs[0] != (Attr{"chunks", 42}) {
@@ -48,16 +48,16 @@ func TestRegistryMetrics(t *testing.T) {
 	r.Count("a", 3)
 	r.SetGauge("g", 7)
 	r.SetGauge("g", 9)
-	for _, v := range []int64{int64(avtime.Millisecond) / 2, int64(3 * avtime.Millisecond), int64(avtime.Minute)} {
+	for _, v := range []int64{int64(avtime.Millisecond) / 2, int64(3 * avtime.Millisecond), int64(60 * avtime.Second)} {
 		r.Observe("h", v)
 	}
-	if got := r.Counter("a"); got != 5 {
+	if got := r.counters["a"]; got != 5 {
 		t.Errorf("counter = %d, want 5", got)
 	}
-	if got, ok := r.Gauge("g"); !ok || got != 9 {
+	if got, ok := r.gauges["g"]; !ok || got != 9 {
 		t.Errorf("gauge = %d,%v, want 9,true", got, ok)
 	}
-	h := r.HistogramSnapshot("h")
+	h := r.hists["h"]
 	if h == nil || h.N != 3 {
 		t.Fatalf("histogram missing or wrong count: %+v", h)
 	}
@@ -67,7 +67,7 @@ func TestRegistryMetrics(t *testing.T) {
 	if h.Counts[len(h.Counts)-1] != 1 { // overflow
 		t.Errorf("overflow bucket = %d, want 1", h.Counts[len(h.Counts)-1])
 	}
-	if h.Min != int64(avtime.Millisecond)/2 || h.Max != int64(avtime.Minute) {
+	if h.Min != int64(avtime.Millisecond)/2 || h.Max != int64(60*avtime.Second) {
 		t.Errorf("min/max = %d/%d", h.Min, h.Max)
 	}
 }
@@ -87,7 +87,7 @@ func TestCollectorSnapshotDeterministic(t *testing.T) {
 		return c.Snapshot()
 	}
 	a, b := build(), build()
-	at, bt := a.Text(), b.Text()
+	at, bt := a.MetricsText()+a.TraceText(), b.MetricsText()+b.TraceText()
 	if at != bt {
 		t.Fatalf("snapshot text differs between identical runs:\n%s\n----\n%s", at, bt)
 	}
@@ -108,11 +108,11 @@ func TestCollectorSnapshotDeterministic(t *testing.T) {
 	if a.Counter("stream.chunks") != 10 {
 		t.Errorf("Counter accessor = %d", a.Counter("stream.chunks"))
 	}
-	if v, ok := a.Gauge("admission.used_buffers"); !ok || v != 2 {
-		t.Errorf("Gauge accessor = %d,%v", v, ok)
+	if g := a.Gauges; len(g) != 1 || g[0] != (MetricValue{"admission.used_buffers", 2}) {
+		t.Errorf("gauges = %v", g)
 	}
-	if h := a.Histogram("stream.chunk_latency_us"); h == nil || h.N != 1 {
-		t.Errorf("Histogram accessor wrong: %+v", h)
+	if h := a.Histograms; len(h) != 1 || h[0].Name != "stream.chunk_latency_us" || h[0].Hist.N != 1 {
+		t.Errorf("histograms = %+v", h)
 	}
 }
 

@@ -40,26 +40,6 @@ func (s *Snapshot) Counter(name string) int64 {
 	return 0
 }
 
-// Gauge reads a gauge from the snapshot, reporting whether it was set.
-func (s *Snapshot) Gauge(name string) (int64, bool) {
-	for _, g := range s.Gauges {
-		if g.Name == name {
-			return g.Value, true
-		}
-	}
-	return 0, false
-}
-
-// Histogram reads a histogram from the snapshot, or nil.
-func (s *Snapshot) Histogram(name string) *Histogram {
-	for _, h := range s.Histograms {
-		if h.Name == name {
-			return h.Hist
-		}
-	}
-	return nil
-}
-
 // MetricsText renders the metric section: one line per counter and
 // gauge, a summary plus populated buckets per histogram.
 func (s *Snapshot) MetricsText() string {
@@ -129,11 +109,6 @@ func (s *Snapshot) TraceText() string {
 		walk(r, 0)
 	}
 	return b.String()
-}
-
-// Text renders metrics followed by the trace.
-func (s *Snapshot) Text() string {
-	return s.MetricsText() + s.TraceText()
 }
 
 // JSON renders the snapshot as indented JSON.  Field order is fixed by

@@ -81,9 +81,6 @@ func (g *Stage) Observe(name string, value int64) {
 	g.ops = append(g.ops, stageOp{op: stageObserve, name: name, val: value})
 }
 
-// Pending reports the number of staged operations.
-func (g *Stage) Pending() int { return len(g.ops) }
-
 // resolve maps a staged id to the real one: provisional negatives index
 // the replay table, NoSpan and real positives pass through.
 func (g *Stage) resolve(id SpanID) SpanID {

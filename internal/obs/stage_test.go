@@ -47,12 +47,12 @@ func TestStageReplayMatchesDirect(t *testing.T) {
 			t.Fatalf("staged BeginSpan returned non-provisional id %v", id)
 		}
 	}
-	if stage.Pending() == 0 {
+	if len(stage.ops) == 0 {
 		t.Fatal("nothing staged")
 	}
 	stage.Flush(staged)
-	if stage.Pending() != 0 {
-		t.Fatalf("%d ops left after Flush", stage.Pending())
+	if len(stage.ops) != 0 {
+		t.Fatalf("%d ops left after Flush", len(stage.ops))
 	}
 	got, err := staged.Snapshot().JSON()
 	if err != nil {
@@ -104,8 +104,8 @@ func TestStageFlushNil(t *testing.T) {
 	id := stage.BeginSpan(NoSpan, KindSession, "s", 0)
 	stage.EndSpan(id, avtime.Millisecond)
 	stage.Flush(nil)
-	if stage.Pending() != 0 {
-		t.Fatalf("%d ops left after nil Flush", stage.Pending())
+	if len(stage.ops) != 0 {
+		t.Fatalf("%d ops left after nil Flush", len(stage.ops))
 	}
 	// Provisional numbering restarts; a fresh cycle must still resolve.
 	col := NewCollector()

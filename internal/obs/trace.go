@@ -25,9 +25,6 @@ type Span struct {
 	Attrs  []Attr           `json:"attrs,omitempty"`
 }
 
-// Dur reports the span's world-time extent.
-func (s Span) Dur() avtime.WorldTime { return s.End - s.Start }
-
 // spanBlock is the number of spans one tracer block holds.
 const spanBlock = 1024
 

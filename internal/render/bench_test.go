@@ -13,7 +13,7 @@ func BenchmarkRenderFrame320x240(b *testing.B) {
 	for i := range tex.Pix {
 		tex.Pix[i] = byte(i)
 	}
-	b.SetBytes(r.FrameSize())
+	b.SetBytes(320 * 240)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Render(cam, tex)
@@ -23,7 +23,7 @@ func BenchmarkRenderFrame320x240(b *testing.B) {
 func BenchmarkRenderFrame160x120(b *testing.B) {
 	r := NewRenderer(Museum(), 160, 120)
 	cam := Camera{X: 8, Y: 6, Angle: -1.3}
-	b.SetBytes(r.FrameSize())
+	b.SetBytes(160 * 120)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Render(cam, nil)

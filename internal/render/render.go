@@ -20,15 +20,12 @@ import (
 
 // TypeCameraControl is the media data type of camera-movement control
 // streams: the "move" activity of Fig. 4 produces elements of this type.
-var TypeCameraControl = media.RegisterType(&media.Type{Name: "control/camera", Kind: media.KindControl})
+var TypeCameraControl = &media.Type{Name: "control/camera", Kind: media.KindControl}
 
 // CameraElement is one control-stream element: a camera pose.
 type CameraElement struct {
 	Cam Camera
 }
-
-// ElementKind reports media.KindControl.
-func (CameraElement) ElementKind() media.Kind { return media.KindControl }
 
 // Size reports the element's wire size: four float64 fields.
 func (CameraElement) Size() int64 { return 32 }
@@ -130,9 +127,6 @@ func NewRenderer(world *World, w, h int) *Renderer {
 	}
 	return &Renderer{world: world, w: w, h: h}
 }
-
-// FrameSize reports the byte size of one rendered frame.
-func (r *Renderer) FrameSize() int64 { return int64(r.w) * int64(r.h) }
 
 // Render rasterizes the camera's view.  videoTex, when non-nil, textures
 // CellVideo walls; a nil texture renders them mid-gray.

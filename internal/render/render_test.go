@@ -83,8 +83,8 @@ func TestRenderProducesWallsFloorCeiling(t *testing.T) {
 	if f.Width != 64 || f.Height != 48 {
 		t.Fatal("frame size wrong")
 	}
-	if r.FrameSize() != 64*48 {
-		t.Error("FrameSize wrong")
+	if f.Size() != 64*48 {
+		t.Error("frame byte size wrong")
 	}
 	// Ceiling darker than floor, walls present in the middle.
 	if f.At(32, 0) != 16 {

@@ -124,13 +124,6 @@ func (a *Admission) Used() Resources {
 	return a.used
 }
 
-// Free reports the remaining budget.
-func (a *Admission) Free() Resources {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.total.Sub(a.used)
-}
-
 // Reserve grants r, failing if it does not fit the remaining budget.
 // The returned grant releases exactly once.
 func (a *Admission) Reserve(r Resources) (*Grant, error) {
@@ -186,14 +179,6 @@ type Grant struct {
 	r        Resources
 	width    int // stripe width for striped reservations, else 0
 	released bool
-}
-
-// Width reports the stripe width of a striped reservation, or 0 for a
-// plain one.
-func (g *Grant) Width() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.width
 }
 
 // Resources reports what the grant holds.

@@ -25,7 +25,8 @@ func TestAdmissionConcurrentNeverOvercommits(t *testing.T) {
 	a.SetSink(obs.NewCollector())
 
 	check := func() {
-		used, free := a.Used(), a.Free()
+		used := a.Used()
+		free := a.total.Sub(used)
 		// used and free are read in two steps, so each must individually
 		// respect the budget even if the other moved in between.
 		if !used.Fits(total) {
@@ -78,7 +79,7 @@ func TestAdmissionConcurrentNeverOvercommits(t *testing.T) {
 	if used := a.Used(); !used.IsZero() {
 		t.Errorf("resources leaked: used %v after all releases", used)
 	}
-	if free := a.Free(); free != total {
+	if free := a.total.Sub(a.Used()); free != total {
 		t.Errorf("free %v != total %v after all releases", free, total)
 	}
 }

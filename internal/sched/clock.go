@@ -41,17 +41,6 @@ func (c *VirtualClock) Now() avtime.WorldTime {
 	return c.now
 }
 
-// Advance moves the clock forward by dw.  Moving backward panics: world
-// time is monotone.
-func (c *VirtualClock) Advance(dw avtime.WorldTime) {
-	if dw < 0 {
-		panic("sched: clock moved backward")
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now += dw
-}
-
 // AdvanceTo moves the clock to w if w is later than now; earlier times
 // are ignored (several streams may report progress out of order).
 func (c *VirtualClock) AdvanceTo(w avtime.WorldTime) {

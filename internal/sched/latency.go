@@ -29,12 +29,6 @@ func NewLatency(base, jitter avtime.WorldTime, seed int64) *Latency {
 	return &Latency{base: base, jitter: jitter, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Base reports the fixed component.
-func (l *Latency) Base() avtime.WorldTime { return l.base }
-
-// MaxJitter reports the jitter bound.
-func (l *Latency) MaxJitter() avtime.WorldTime { return l.jitter }
-
 // Sample draws one delay.
 func (l *Latency) Sample() avtime.WorldTime {
 	if l.jitter == 0 {

@@ -59,9 +59,6 @@ func (m *Monitor) Record(scheduled, actual avtime.WorldTime) {
 	}
 }
 
-// Count reports the number of presentations recorded.
-func (m *Monitor) Count() int { return m.count }
-
 // Misses reports how many presentations ran later than the tolerance.
 func (m *Monitor) Misses() int { return m.misses }
 
@@ -75,14 +72,6 @@ func (m *Monitor) MissRate() float64 {
 
 // MaxLateness reports the worst observed lateness.
 func (m *Monitor) MaxLateness() avtime.WorldTime { return m.maxLate }
-
-// MeanLateness reports the average lateness.
-func (m *Monitor) MeanLateness() avtime.WorldTime {
-	if m.count == 0 {
-		return 0
-	}
-	return m.sumLate / avtime.WorldTime(m.count)
-}
 
 // String summarizes the monitor.
 func (m *Monitor) String() string {

@@ -63,13 +63,6 @@ func (r *Resync) Correction(track string) avtime.WorldTime {
 	return c
 }
 
-// Tracks reports how many tracks the controller has observed.
-func (r *Resync) Tracks() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.est)
-}
-
 // Skew reports the spread (max - min) of a set of per-track arrival
 // times; zero for fewer than two tracks.
 func Skew(arrivals map[string]avtime.WorldTime) avtime.WorldTime {

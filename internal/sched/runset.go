@@ -43,9 +43,7 @@ type RunSet struct {
 }
 
 // Admit adds a run due at the given time and returns its id.
-func (s *RunSet) Admit(due avtime.WorldTime) RunID { return s.admit(due).id }
-
-func (s *RunSet) admit(due avtime.WorldTime) *runSlot {
+func (s *RunSet) Admit(due avtime.WorldTime) RunID {
 	var r *runSlot
 	if n := len(s.slots); n > 0 {
 		r, s.slots = s.slots[n-1], s.slots[:n-1]
@@ -59,17 +57,7 @@ func (s *RunSet) admit(due avtime.WorldTime) *runSlot {
 	}
 	s.runs[r.id] = r
 	s.place(r, due)
-	return r
-}
-
-// MinDue reports the earliest due time in the set without collecting
-// the batch; ok is false when the set is empty.
-func (s *RunSet) MinDue() (avtime.WorldTime, bool) {
-	b := s.front()
-	if b == nil {
-		return 0, false
-	}
-	return b.due, true
+	return r.id
 }
 
 // Reschedule updates a run's next due time.  Unknown ids are ignored
@@ -122,10 +110,9 @@ func (s *RunSet) DueBatch() (due avtime.WorldTime, ids []RunID, ok bool) {
 // it, so moving or removing a run is a pointer update and the entry it
 // leaves behind is dropped the next time the bucket is compacted.
 type runSlot struct {
-	id    RunID
-	b     *dueBucket
-	i     int
-	shard int // ShardedRunSet's label
+	id RunID
+	b  *dueBucket
+	i  int
 }
 
 // dueBucket holds the runs due at one time.

@@ -19,12 +19,12 @@ import (
 func checkRunSetInvariants(t *testing.T, q *RunSet, linear *linearRunSet, where string) {
 	t.Helper()
 	// The peek must leave a live bucket (or nothing) at the top.
-	_, has := q.MinDue()
+	has := q.front() != nil
 	if has != (len(q.runs) > 0) {
-		t.Fatalf("%s: MinDue ok=%v with %d runs", where, has, len(q.runs))
+		t.Fatalf("%s: front ok=%v with %d runs", where, has, len(q.runs))
 	}
 	if len(q.heap) > 0 && q.heap[0].live == 0 {
-		t.Fatalf("%s: empty bucket (due %v) at the heap top after MinDue", where, q.heap[0].due)
+		t.Fatalf("%s: empty bucket (due %v) at the heap top after front", where, q.heap[0].due)
 	}
 	if len(q.byDue) != len(q.heap) {
 		t.Fatalf("%s: byDue has %d buckets, heap %d", where, len(q.byDue), len(q.heap))

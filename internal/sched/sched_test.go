@@ -15,10 +15,6 @@ func TestVirtualClock(t *testing.T) {
 	if c.Now() != avtime.Second {
 		t.Error("start time wrong")
 	}
-	c.Advance(500 * avtime.Millisecond)
-	if c.Now() != 1500*avtime.Millisecond {
-		t.Error("Advance wrong")
-	}
 	c.AdvanceTo(3 * avtime.Second)
 	if c.Now() != 3*avtime.Second {
 		t.Error("AdvanceTo wrong")
@@ -27,14 +23,6 @@ func TestVirtualClock(t *testing.T) {
 	if c.Now() != 3*avtime.Second {
 		t.Error("AdvanceTo moved backward")
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("backward Advance did not panic")
-			}
-		}()
-		c.Advance(-1)
-	}()
 	var zero VirtualClock
 	if zero.Now() != 0 {
 		t.Error("zero clock not at zero")
@@ -74,7 +62,7 @@ func TestAdmissionReserveRelease(t *testing.T) {
 	if _, err := adm.Reserve(Resources{CPU: 50 * media.MBPerSecond}); !errors.Is(err, ErrAdmission) {
 		t.Errorf("CPU over-reservation error = %v", err)
 	}
-	if free := adm.Free(); free.Buffers != 4 {
+	if free := adm.total.Sub(adm.Used()); free.Buffers != 4 {
 		t.Errorf("Free = %v", free)
 	}
 	if used := adm.Used(); used.Buffers != 6 {
@@ -169,9 +157,6 @@ func TestLatencySample(t *testing.T) {
 			t.Fatal("latency not deterministic")
 		}
 	}
-	if j.Base() != 5*avtime.Millisecond || j.MaxJitter() != 3*avtime.Millisecond {
-		t.Error("metadata wrong")
-	}
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -188,8 +173,8 @@ func TestMonitor(t *testing.T) {
 	m.Record(avtime.Second, avtime.Second)                           // exact
 	m.Record(2*avtime.Second, 2*avtime.Second+20*avtime.Millisecond) // miss
 	m.Record(3*avtime.Second, 2*avtime.Second)                       // early counts as on-time
-	if m.Count() != 4 || m.Misses() != 1 {
-		t.Errorf("count=%d misses=%d", m.Count(), m.Misses())
+	if m.count != 4 || m.Misses() != 1 {
+		t.Errorf("count=%d misses=%d", m.count, m.Misses())
 	}
 	if m.MissRate() != 0.25 {
 		t.Errorf("MissRate = %v", m.MissRate())
@@ -197,14 +182,11 @@ func TestMonitor(t *testing.T) {
 	if m.MaxLateness() != 20*avtime.Millisecond {
 		t.Errorf("MaxLateness = %v", m.MaxLateness())
 	}
-	if m.MeanLateness() != 25*avtime.Millisecond/4 {
-		t.Errorf("MeanLateness = %v", m.MeanLateness())
-	}
 	if m.String() == "" {
 		t.Error("empty String")
 	}
 	empty := NewMonitor(0)
-	if empty.MissRate() != 0 || empty.MeanLateness() != 0 {
+	if empty.MissRate() != 0 || empty.MaxLateness() != 0 {
 		t.Error("empty monitor stats wrong")
 	}
 	func() {
@@ -234,8 +216,8 @@ func TestResyncConvergesCorrections(t *testing.T) {
 	if r.Correction("unknown") != 0 {
 		t.Error("unknown track corrected")
 	}
-	if r.Tracks() != 2 {
-		t.Errorf("Tracks = %d", r.Tracks())
+	if len(r.est) != 2 {
+		t.Errorf("tracks = %d", len(r.est))
 	}
 	func() {
 		defer func() {
@@ -315,8 +297,8 @@ func TestAdmissionReserveStriped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Width() != 4 {
-		t.Errorf("grant width %d, want 4", g.Width())
+	if g.width != 4 {
+		t.Errorf("grant width %d, want 4", g.width)
 	}
 	if used := adm.Used(); used.Buffers != 8 || used.CPU != 10*media.MBPerSecond {
 		t.Errorf("Used = %v, want 8 buffers and unscaled rates", used)
@@ -338,8 +320,8 @@ func TestAdmissionReserveStriped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g1.Width() != 1 || adm.Used().Buffers != 2 {
-		t.Errorf("width-1 grant width=%d used=%v", g1.Width(), adm.Used())
+	if g1.width != 1 || adm.Used().Buffers != 2 {
+		t.Errorf("width-1 grant width=%d used=%v", g1.width, adm.Used())
 	}
 	g1.Release()
 }

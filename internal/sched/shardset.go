@@ -4,56 +4,27 @@ import (
 	"avdb/internal/avtime"
 )
 
-// ShardedRunSet is a RunSet whose runs each carry a shard label, chosen
-// at admit and never changed, so a parallel engine can hand each
-// shard's slice of the due batch to a different worker.  The book
-// itself is one RunSet: a due batch comes out in global admission
-// order whatever shards its members belong to, and shards whose runs
-// are co-due share a bucket instead of each keeping their own — so the
-// observable batch stream is that of a single RunSet fed the same
-// operations, which TestShardedRunSetMatchesLinear pins against the
-// retained linear reference.
+// ShardedRunSet is the run set of a parallel engine whose callers name
+// a shard for each run.  The book is one RunSet: a due batch comes out
+// in global admission order whatever shards its members were admitted
+// to, so the observable batch stream is that of a single RunSet fed the
+// same operations, which TestShardedRunSetMatchesLinear pins against
+// the retained linear reference.  Nothing reads a run's shard back, so
+// the set keeps neither the shard count nor the labels.
 //
 // Like RunSet, a ShardedRunSet is not goroutine-safe; the engine
 // serializes access under its own lock and only the *ticking* of the
 // batch happens in parallel.
 type ShardedRunSet struct {
-	set    RunSet
-	shards int
+	set RunSet
 }
 
-// NewShardedRunSet returns a set split over n shards (n < 1 is treated
-// as 1).
-func NewShardedRunSet(n int) *ShardedRunSet {
-	if n < 1 {
-		n = 1
-	}
-	return &ShardedRunSet{shards: n}
-}
+// NewShardedRunSet returns a set for the given number of shards.
+func NewShardedRunSet(shards int) *ShardedRunSet { return &ShardedRunSet{} }
 
-// Shards returns the shard count.
-func (s *ShardedRunSet) Shards() int { return s.shards }
-
-// Admit adds a run due at the given time to the given shard (taken
-// modulo the shard count) and returns its globally ordered id.
-func (s *ShardedRunSet) Admit(due avtime.WorldTime, shard int) RunID {
-	shard %= s.shards
-	if shard < 0 {
-		shard += s.shards
-	}
-	r := s.set.admit(due)
-	r.shard = shard
-	return r.id
-}
-
-// Shard reports which shard a run was admitted to.
-func (s *ShardedRunSet) Shard(id RunID) (int, bool) {
-	r := s.set.runs[id]
-	if r == nil {
-		return 0, false
-	}
-	return r.shard, true
-}
+// Admit adds a run due at the given time, for the given shard, and
+// returns its globally ordered id.
+func (s *ShardedRunSet) Admit(due avtime.WorldTime, shard int) RunID { return s.set.Admit(due) }
 
 // Reschedule updates a run's next due time.  Unknown ids are ignored.
 func (s *ShardedRunSet) Reschedule(id RunID, due avtime.WorldTime) { s.set.Reschedule(id, due) }

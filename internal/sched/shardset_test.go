@@ -74,10 +74,6 @@ func TestShardedRunSetMatchesLinear(t *testing.T) {
 						t.Fatalf("shards %d seed %d step %d: Admit ids diverge: %v != %v",
 							shards, seed, step, sid, lid)
 					}
-					if home, ok := sharded.Shard(sid); !ok || home < 0 || home >= shards {
-						t.Fatalf("shards %d seed %d step %d: Shard(%v) = %d,%v",
-							shards, seed, step, sid, home, ok)
-					}
 					live = append(live, sid)
 				case op < 6: // reschedule a random live run
 					id := live[rng.Intn(len(live))]
@@ -89,8 +85,8 @@ func TestShardedRunSetMatchesLinear(t *testing.T) {
 					id := live[i]
 					sharded.Remove(id)
 					linear.Remove(id)
-					if _, ok := sharded.Shard(id); ok {
-						t.Fatalf("shards %d seed %d step %d: Shard(%v) still homed after Remove",
+					if sharded.set.runs[id] != nil {
+						t.Fatalf("shards %d seed %d step %d: run %v still held after Remove",
 							shards, seed, step, id)
 					}
 					live = append(live[:i], live[i+1:]...)
@@ -113,10 +109,7 @@ func TestShardedRunSetMatchesLinear(t *testing.T) {
 // TestShardedRunSetEdges covers the corners the randomized drive can
 // miss: empty set, negative/overflowing shard indexes, unknown ids.
 func TestShardedRunSetEdges(t *testing.T) {
-	s := NewShardedRunSet(0) // clamps to 1
-	if s.Shards() != 1 {
-		t.Fatalf("Shards() = %d, want 1", s.Shards())
-	}
+	s := NewShardedRunSet(0)
 	if _, _, ok := s.DueBatch(); ok {
 		t.Fatal("DueBatch on empty set reported ok")
 	}
@@ -124,14 +117,8 @@ func TestShardedRunSetEdges(t *testing.T) {
 	s.Remove(99)                         // unknown id: no-op
 
 	s = NewShardedRunSet(4)
-	a := s.Admit(10*avtime.Millisecond, -1) // negative wraps
-	b := s.Admit(10*avtime.Millisecond, 7)  // overflow wraps
-	if home, ok := s.Shard(a); !ok || home != 3 {
-		t.Fatalf("Shard(a) = %d,%v, want 3", home, ok)
-	}
-	if home, ok := s.Shard(b); !ok || home != 3 {
-		t.Fatalf("Shard(b) = %d,%v, want 3", home, ok)
-	}
+	a := s.Admit(10*avtime.Millisecond, -1) // any shard label is accepted
+	b := s.Admit(10*avtime.Millisecond, 7)
 	due, ids, ok := s.DueBatch()
 	if !ok || due != 10*avtime.Millisecond || len(ids) != 2 || ids[0] != a || ids[1] != b {
 		t.Fatalf("DueBatch = %v,%v,%v", due, ids, ok)
@@ -141,19 +128,20 @@ func TestShardedRunSetEdges(t *testing.T) {
 	}
 }
 
-// TestRunSetMinDue pins the peek the sharded merge relies on.
+// TestRunSetMinDue pins the peek DueBatch starts from: the earliest
+// live bucket is at the front.
 func TestRunSetMinDue(t *testing.T) {
 	var s RunSet
-	if _, ok := s.MinDue(); ok {
-		t.Fatal("MinDue on empty set reported ok")
+	if s.front() != nil {
+		t.Fatal("front of an empty set is a bucket")
 	}
 	s.Admit(30 * avtime.Millisecond)
 	id := s.Admit(10 * avtime.Millisecond)
-	if d, ok := s.MinDue(); !ok || d != 10*avtime.Millisecond {
-		t.Fatalf("MinDue = %v,%v, want 10ms", d, ok)
+	if b := s.front(); b == nil || b.due != 10*avtime.Millisecond {
+		t.Fatalf("front = %v, want the 10ms bucket", b)
 	}
 	s.Remove(id)
-	if d, ok := s.MinDue(); !ok || d != 30*avtime.Millisecond {
-		t.Fatalf("MinDue = %v,%v, want 30ms", d, ok)
+	if b := s.front(); b == nil || b.due != 30*avtime.Millisecond {
+		t.Fatalf("front = %v, want the 30ms bucket", b)
 	}
 }

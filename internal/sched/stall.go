@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"avdb/internal/avtime"
-	"avdb/internal/obs"
 )
 
 // StallDetector watches one stream's scheduled-versus-actual presentation
@@ -29,21 +28,6 @@ type StallDetector struct {
 	episodes  int
 	onStall   func(at avtime.WorldTime)
 	onRecover func(at avtime.WorldTime)
-
-	resync *Resync
-	track  string
-	sink   obs.Sink
-}
-
-// SetSink installs an observability sink: stall edges emit the
-// stream.stalls / stream.recoveries counters.  The detector's internal
-// monitor is left uninstrumented — the stream's own Monitor is the one
-// that reports deadline.* metrics, and instrumenting both would double
-// every observation.
-func (d *StallDetector) SetSink(s obs.Sink) {
-	d.mu.Lock()
-	d.sink = s
-	d.mu.Unlock()
 }
 
 // NewStallDetector returns a detector that declares a stall after
@@ -69,16 +53,6 @@ func (d *StallDetector) OnRecover(fn func(at avtime.WorldTime)) {
 	d.onRecover = fn
 }
 
-// FeedResync forwards every recorded lateness to a resynchronization
-// controller under the given track name, so that a stalled track's
-// siblings receive corrections that keep the composite temporally
-// correlated while the stall lasts.
-func (d *StallDetector) FeedResync(r *Resync, track string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.resync, d.track = r, track
-}
-
 // Record notes one presentation and fires the edge callbacks.
 func (d *StallDetector) Record(scheduled, actual avtime.WorldTime) {
 	d.mu.Lock()
@@ -87,9 +61,6 @@ func (d *StallDetector) Record(scheduled, actual avtime.WorldTime) {
 	if late < 0 {
 		late = 0
 	}
-	if d.resync != nil {
-		d.resync.Observe(d.track, late)
-	}
 	var fire func(avtime.WorldTime)
 	if late > d.mon.tolerance {
 		d.run++
@@ -97,18 +68,12 @@ func (d *StallDetector) Record(scheduled, actual avtime.WorldTime) {
 			d.stalled = true
 			d.episodes++
 			fire = d.onStall
-			if d.sink != nil {
-				d.sink.Count("stream.stalls", 1)
-			}
 		}
 	} else {
 		d.run = 0
 		if d.stalled {
 			d.stalled = false
 			fire = d.onRecover
-			if d.sink != nil {
-				d.sink.Count("stream.recoveries", 1)
-			}
 		}
 	}
 	d.mu.Unlock()
@@ -117,23 +82,9 @@ func (d *StallDetector) Record(scheduled, actual avtime.WorldTime) {
 	}
 }
 
-// Stalled reports whether the stream is currently considered stalled.
-func (d *StallDetector) Stalled() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stalled
-}
-
 // Episodes reports how many distinct stalls have been detected.
 func (d *StallDetector) Episodes() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.episodes
-}
-
-// Monitor exposes the underlying deadline statistics.
-func (d *StallDetector) Monitor() *Monitor {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.mon
 }

@@ -137,15 +137,12 @@ func checkExtents(t *testing.T, store *Store, m *extentModel, classes []*Class, 
 		if !reflect.DeepEqual(scanned, want) {
 			t.Fatalf("%s: Scan(%s) = %v, want %v", when, c, scanned, want)
 		}
-		if got := store.OfClass(c, true); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: OfClass(%s, true) = %v, want %v", when, c, got, want)
-		}
-		if got, want := store.OfClass(c, false), m.extent(c, false); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: OfClass(%s, false) = %v, want %v", when, c, got, want)
+		if got, want := directOIDs(store, c), m.extent(c, false); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: direct instances of %s = %v, want %v", when, c, got, want)
 		}
 	}
-	if store.Count() != len(m.objects) {
-		t.Fatalf("%s: Count = %d, want %d", when, store.Count(), len(m.objects))
+	if len(store.objects) != len(m.objects) {
+		t.Fatalf("%s: %d objects, want %d", when, len(store.objects), len(m.objects))
 	}
 	for oid, mo := range m.objects {
 		o, ok := store.Get(oid)

@@ -247,13 +247,6 @@ func (s *Store) Delete(oid OID) error {
 	return nil
 }
 
-// Count reports the number of stored objects.
-func (s *Store) Count() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.objects)
-}
-
 // Visit calls fn, under one read lock of the store, for each of the
 // OIDs that names a live object, in the order given.  fn reads slots
 // with Object.Match and must not call back into the store, an object's
@@ -301,21 +294,4 @@ func (s *Store) Scan(c *Class, fn func(*Object)) {
 		fn(lists[next][0])
 		lists[next] = lists[next][1:]
 	}
-}
-
-// OfClass returns the OIDs of the class's direct instances, in ascending
-// OID order.  With subclasses true it also includes instances of
-// descendant classes (the class extent).
-func (s *Store) OfClass(c *Class, subclasses bool) []OID {
-	var out []OID
-	if !subclasses {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		for _, o := range s.byClass[c] {
-			out = append(out, o.oid)
-		}
-		return out
-	}
-	s.Scan(c, func(o *Object) { out = append(out, o.oid) })
-	return out
 }

@@ -108,9 +108,6 @@ func (c *Class) Name() string { return c.name }
 // Super returns the superclass, or nil.
 func (c *Class) Super() *Class { return c.super }
 
-// OwnAttrs returns the attributes declared by this class (not inherited).
-func (c *Class) OwnAttrs() []AttrDef { return append([]AttrDef(nil), c.attrs...) }
-
 // Attrs returns all attributes, inherited first, in declaration order:
 // the class's slot layout.
 func (c *Class) Attrs() []AttrDef { return append([]AttrDef(nil), c.all...) }

@@ -83,8 +83,8 @@ func TestSchemaDefineAndLookup(t *testing.T) {
 	if len(attrs) != 5 || attrs[0].Name != "title" {
 		t.Errorf("Attrs = %v", attrs)
 	}
-	if own := simple.OwnAttrs(); len(own) != 4 {
-		t.Errorf("OwnAttrs = %v", own)
+	if own := simple.attrs; len(own) != 4 {
+		t.Errorf("own attrs = %v", own)
 	}
 	if simple.String() != "SimpleNewscast" {
 		t.Error("String wrong")
@@ -193,7 +193,11 @@ func TestObjectTCompEnforcement(t *testing.T) {
 	if err := full.Add("englishTrack", eng); err != nil {
 		t.Fatal(err)
 	}
-	if err := full.Add("frenchTrack", eng.Clone()); err != nil {
+	fre := media.NewAudioValue(media.TypeVoiceAudio, 1)
+	if err := fre.AppendSamples(make([]int16, 8000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := full.Add("frenchTrack", fre); err != nil {
 		t.Fatal(err)
 	}
 	if err := full.Add("subtitleTrack", media.NewTextStreamValue(1000)); err != nil {
@@ -237,8 +241,8 @@ func TestStoreLifecycle(t *testing.T) {
 	if got, ok := store.Get(o1.OID()); !ok || got != o1 {
 		t.Error("Get failed")
 	}
-	if store.Count() != 2 {
-		t.Error("Count wrong")
+	if len(store.objects) != 2 {
+		t.Error("count wrong")
 	}
 	if err := store.Delete(o1.OID()); err != nil {
 		t.Fatal(err)
@@ -249,8 +253,8 @@ func TestStoreLifecycle(t *testing.T) {
 	if err := store.Delete(o1.OID()); err == nil {
 		t.Error("double delete accepted")
 	}
-	if store.Count() != 1 {
-		t.Error("Count after delete wrong")
+	if len(store.objects) != 1 {
+		t.Error("count after delete wrong")
 	}
 }
 
@@ -262,19 +266,35 @@ func TestStoreClassExtent(t *testing.T) {
 	n1 := store.NewObject(newscast)
 	n2 := store.NewObject(newscast)
 
-	if got := store.OfClass(newscast, false); len(got) != 2 {
+	if got := directOIDs(store, newscast); len(got) != 2 {
 		t.Errorf("direct instances = %v", got)
 	}
-	if got := store.OfClass(root, false); len(got) != 0 {
+	if got := directOIDs(store, root); len(got) != 0 {
 		t.Errorf("root direct instances = %v", got)
 	}
-	ext := store.OfClass(root, true)
+	ext := scanOIDs(store, root)
 	if len(ext) != 3 || ext[0] != s1.OID() || ext[2] != n2.OID() {
 		t.Errorf("root extent = %v", ext)
 	}
-	if got := store.OfClass(simple, true); len(got) != 1 || got[0] != n1.OID()-1 {
+	if got := scanOIDs(store, simple); len(got) != 1 || got[0] != n1.OID()-1 {
 		t.Errorf("simple extent = %v", got)
 	}
+}
+
+// directOIDs lists the OIDs of c's direct instances in c's extent order.
+func directOIDs(s *Store, c *Class) []OID {
+	var out []OID
+	for _, o := range s.byClass[c] {
+		out = append(out, o.oid)
+	}
+	return out
+}
+
+// scanOIDs lists the OIDs Scan visits for c: its whole extent.
+func scanOIDs(s *Store, c *Class) []OID {
+	var out []OID
+	s.Scan(c, func(o *Object) { out = append(out, o.OID()) })
+	return out
 }
 
 func TestDatumAccessorsAndEqual(t *testing.T) {

@@ -177,13 +177,13 @@ func TestCacheHitAllocs(t *testing.T) {
 	defer s.Close()
 	// Fault every chunk in, then hammer hits.
 	for i := 0; i < 8; i++ {
-		if _, err := s.ReadChunkTime(i, 1200); err != nil {
+		if _, err := s.ReadChunkTimeAt(i, 1200, -1, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	idx := 0
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := s.ReadChunkTime(idx%8, 1200); err != nil {
+		if _, err := s.ReadChunkTimeAt(idx%8, 1200, -1, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 		idx++

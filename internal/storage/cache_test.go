@@ -27,12 +27,12 @@ func cachedStream(t *testing.T, p CachePolicy, frames int) *Stream {
 
 func TestCachePolicyAccessors(t *testing.T) {
 	_, st := testRig(t)
-	if st.CachePolicy().Enabled() {
+	if st.policy.Enabled() {
 		t.Error("zero policy should be disabled")
 	}
 	p := CachePolicy{Capacity: 8, Lookahead: 2}
 	st.SetCachePolicy(p)
-	if got := st.CachePolicy(); got != p {
+	if got := st.policy; got != p {
 		t.Errorf("CachePolicy = %+v, want %+v", got, p)
 	}
 }
@@ -54,7 +54,7 @@ func TestReadChunkTimeWithoutPolicyMatchesReadTime(t *testing.T) {
 	}
 	defer b.Close()
 	for i := 0; i < 5; i++ {
-		ta, err := a.ReadChunkTime(i, 1200)
+		ta, err := a.ReadChunkTimeAt(i, 1200, -1, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestCacheLookaheadServesSequentialReads(t *testing.T) {
 	s := cachedStream(t, CachePolicy{Capacity: 8, Lookahead: 4}, 30)
 	// First read: demand miss — pays the device (startup + transfer) and
 	// stages the next 4 chunks.
-	t0, err := s.ReadChunkTime(0, 1200)
+	t0, err := s.ReadChunkTimeAt(0, 1200, -1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestCacheLookaheadServesSequentialReads(t *testing.T) {
 	}
 	// Chunks 1..4 were prefetched: zero device time.
 	for i := 1; i <= 4; i++ {
-		dt, err := s.ReadChunkTime(i, 1200)
+		dt, err := s.ReadChunkTimeAt(i, 1200, -1, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestCacheLookaheadServesSequentialReads(t *testing.T) {
 		}
 	}
 	// Chunk 5 lies past the window: demand miss again.
-	t5, err := s.ReadChunkTime(5, 1200)
+	t5, err := s.ReadChunkTimeAt(5, 1200, -1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +107,8 @@ func TestCacheLookaheadServesSequentialReads(t *testing.T) {
 	if cs.Prefetched != 8 {
 		t.Errorf("prefetched = %d, want 8 (4 per miss)", cs.Prefetched)
 	}
-	if s.BytesRead() != 6*1200 {
-		t.Errorf("BytesRead = %d, want %d (hits count toward the stream)", s.BytesRead(), 6*1200)
+	if s.bytes != 6*1200 {
+		t.Errorf("BytesRead = %d, want %d (hits count toward the stream)", s.bytes, 6*1200)
 	}
 }
 
@@ -117,14 +117,14 @@ func TestCacheLRUEviction(t *testing.T) {
 	// evicts 0 (least recently used); re-reading 0 misses again.
 	s := cachedStream(t, CachePolicy{Capacity: 3, Lookahead: 0}, 30)
 	for i := 0; i < 4; i++ {
-		if _, err := s.ReadChunkTime(i, 1200); err != nil {
+		if _, err := s.ReadChunkTimeAt(i, 1200, -1, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if dt, err := s.ReadChunkTime(1, 1200); err != nil || dt != 0 {
+	if dt, err := s.ReadChunkTimeAt(1, 1200, -1, 0, 0); err != nil || dt != 0 {
 		t.Errorf("chunk 1 should still be resident: dt=%v err=%v", dt, err)
 	}
-	if dt, err := s.ReadChunkTime(0, 1200); err != nil || dt == 0 {
+	if dt, err := s.ReadChunkTimeAt(0, 1200, -1, 0, 0); err != nil || dt == 0 {
 		t.Errorf("chunk 0 should have been evicted: dt=%v err=%v", dt, err)
 	}
 	cs := s.CacheStats()
@@ -135,7 +135,7 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCachePrefetchStopsAtSegmentEnd(t *testing.T) {
 	s := cachedStream(t, CachePolicy{Capacity: 16, Lookahead: 10}, 5)
-	if _, err := s.ReadChunkTime(3, 1200); err != nil {
+	if _, err := s.ReadChunkTimeAt(3, 1200, -1, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	cs := s.CacheStats()
@@ -149,7 +149,7 @@ func TestCacheDeterministicAcrossRuns(t *testing.T) {
 		s := cachedStream(t, CachePolicy{Capacity: 6, Lookahead: 3}, 40)
 		var costs []int64
 		for _, idx := range []int{0, 1, 2, 3, 4, 10, 11, 2, 12, 13, 14} {
-			dt, err := s.ReadChunkTime(idx, 1200)
+			dt, err := s.ReadChunkTimeAt(idx, 1200, -1, 0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,7 +184,7 @@ func TestCacheMetricsThroughSink(t *testing.T) {
 	}
 	defer s.Close()
 	for i := 0; i < 6; i++ {
-		if _, err := s.ReadChunkTime(i, 1200); err != nil {
+		if _, err := s.ReadChunkTimeAt(i, 1200, -1, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -220,7 +220,7 @@ func TestCacheConcurrentStreamsRace(t *testing.T) {
 			go func(s *Stream, off int) {
 				defer wg.Done()
 				for i := 0; i < 50; i++ {
-					if _, err := s.ReadChunkTime((i+off)%50, 1200); err != nil {
+					if _, err := s.ReadChunkTimeAt((i+off)%50, 1200, -1, 0, 0); err != nil {
 						t.Error(err)
 						return
 					}

@@ -1,7 +1,7 @@
 package storage
 
 // pool.go implements the store-level shared buffer pool behind
-// Stream.ReadChunkTime: residency is keyed by (segment, chunk), so
+// Stream.ReadChunkTimeAt: residency is keyed by (segment, chunk), so
 // co-admitted sessions of the same clip hit each other's chunks instead
 // of each paying the device for bytes a neighbor staged moments ago.
 //

@@ -112,7 +112,7 @@ func diffRig(t *testing.T, p CachePolicy, frames int) (*Stream, *lruOracle, int)
 func runDemandDiff(t *testing.T, s *Stream, oracle *lruOracle, limit int, idxs []int) {
 	t.Helper()
 	for n, idx := range idxs {
-		dt, err := s.ReadChunkTime(idx, 1200)
+		dt, err := s.ReadChunkTimeAt(idx, 1200, -1, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,13 +315,13 @@ func TestPoolSharedAcrossStreams(t *testing.T) {
 	}
 	defer b.Close()
 	for i := 0; i < 5; i++ {
-		if _, err := a.ReadChunkTime(i, 1200); err != nil {
+		if _, err := a.ReadChunkTimeAt(i, 1200, -1, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// a's first miss staged 0..4; b reads them at zero device cost.
 	for i := 0; i < 5; i++ {
-		dt, err := b.ReadChunkTime(i, 1200)
+		dt, err := b.ReadChunkTimeAt(i, 1200, -1, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,7 +369,7 @@ func TestPoolCapacityScalesWithStreams(t *testing.T) {
 		t.Fatalf("capacity with 2 streams = %d, want 6", got)
 	}
 	for i := 0; i < 6; i++ {
-		if _, err := a.ReadChunkTime(i, 1200); err != nil {
+		if _, err := a.ReadChunkTimeAt(i, 1200, -1, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -13,7 +13,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"avdb/internal/avtime"
@@ -74,12 +73,6 @@ func (s *Segment) ID() SegID { return s.id }
 // Value returns the stored media value.
 func (s *Segment) Value() media.Value { return s.value }
 
-// Device returns the ID of the device holding the segment.
-func (s *Segment) Device() string { return s.devID }
-
-// Disc returns the jukebox disc holding the segment, or -1.
-func (s *Segment) Disc() int { return s.disc }
-
 // Size returns the stored size in bytes.
 func (s *Segment) Size() int64 { return s.size }
 
@@ -124,13 +117,6 @@ func (st *Store) SetCachePolicy(p CachePolicy) {
 	st.mu.Unlock()
 }
 
-// CachePolicy reports the store's current cache policy.
-func (st *Store) CachePolicy() CachePolicy {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.policy
-}
-
 // SetSink installs an observability sink.  Streams opened afterwards
 // emit storage.reads / read_bytes / read_faults / streams_opened
 // counters and observe read costs into storage.read_time_us.
@@ -165,9 +151,6 @@ func (st *Store) PoolStats() PoolStats {
 func NewStore(devices *device.Manager) *Store {
 	return &Store{devices: devices, nextID: 1, segments: make(map[SegID]*Segment)}
 }
-
-// Devices exposes the device manager.
-func (st *Store) Devices() *device.Manager { return st.devices }
 
 // Place stores a value on the named disk device.
 func (st *Store) Place(v media.Value, deviceID string) (*Segment, error) {
@@ -224,18 +207,6 @@ func (st *Store) Get(id SegID) (*Segment, bool) {
 	defer st.mu.Unlock()
 	s, ok := st.segments[id]
 	return s, ok
-}
-
-// Segments returns all segment IDs, sorted.
-func (st *Store) Segments() []SegID {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	ids := make([]SegID, 0, len(st.segments))
-	for id := range st.segments {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // Delete removes a segment and frees its space.  The placement fields
@@ -543,12 +514,6 @@ func (st *Store) OpenStreamWith(id SegID, rate media.DataRate, policy StripePoli
 	return stream, stream.startup, nil
 }
 
-// Segment returns the streamed segment.
-func (s *Stream) Segment() *Segment { return s.seg }
-
-// Rate returns the reserved rate.
-func (s *Stream) Rate() media.DataRate { return s.rate }
-
 // ReadTime accounts a read of the given bytes and reports the world time
 // it occupies at the reserved rate.  The stream's startup cost — a seek,
 // or a disc swap on the jukebox — is charged to the first read.
@@ -616,7 +581,7 @@ func (s *Stream) accessLocked() device.Access {
 	return a
 }
 
-// ReadChunkTime accounts a read of the segment's idx'th chunk and
+// ReadChunkTimeAt accounts a read of the segment's idx'th chunk and
 // reports the world time it occupies.  Without a cache policy it behaves
 // exactly like ReadTime.  With one, a resident chunk costs zero device
 // time — the prefetcher staged it overlapped with earlier playback, on
@@ -625,15 +590,9 @@ func (s *Stream) accessLocked() device.Access {
 // full device read (including any startup cost and injected faults),
 // then stages the next Lookahead chunks.
 //
-// ReadChunkTime bypasses the round scheduler (round -1): callers that
-// cannot tag a playback deadline read on demand.
-func (s *Stream) ReadChunkTime(idx int, bytes int64) (avtime.WorldTime, error) {
-	return s.ReadChunkTimeAt(idx, bytes, -1, 0, 0)
-}
-
-// ReadChunkTimeAt is the deadline-tagged chunk read: round is the
-// caller's tick number, now the tick's world time, and deadline the
-// moment the chunk must be presentable.  Under a Rounds policy the call
+// The read is deadline-tagged: round is the caller's tick number, now
+// the tick's world time, and deadline the moment the chunk must be
+// presentable.  Under a Rounds policy the call
 // first services every complete earlier round, consumes the scheduled
 // result for this chunk if one was prefetched (paying its SCAN-EDF
 // amortized cost instead of a full seek), and submits the following
@@ -977,13 +936,6 @@ func (s *Stream) CacheStats() CacheStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.cstats
-}
-
-// BytesRead reports the bytes accounted so far.
-func (s *Stream) BytesRead() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytes
 }
 
 // Close releases the reserved bandwidth.  Closing twice is a no-op.

@@ -17,7 +17,7 @@ func testRig(t *testing.T) (*device.Manager, *Store) {
 		device.NewDisk("disk0", 1_000_000, 10*media.MBPerSecond, 10*avtime.Millisecond),
 		device.NewDisk("disk1", 500_000, 5*media.MBPerSecond, 10*avtime.Millisecond),
 		device.NewJukebox("jb0", 3, 10_000_000, 1*media.MBPerSecond, 5*avtime.Second),
-		device.NewUnit("dac0", device.KindDAC, media.MBPerSecond, true),
+		device.NewUnit("dac0", device.KindDAC, true),
 	} {
 		if err := dm.Register(d); err != nil {
 			t.Fatal(err)
@@ -44,7 +44,7 @@ func TestPlaceOnDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seg.Device() != "disk0" || seg.Size() != 120_000 || seg.Disc() != -1 {
+	if seg.devID != "disk0" || seg.Size() != 120_000 || seg.disc != -1 {
 		t.Errorf("segment = %v", seg)
 	}
 	if seg.Value() != media.Value(v) {
@@ -57,8 +57,8 @@ func TestPlaceOnDisk(t *testing.T) {
 	if got, ok := st.Get(seg.ID()); !ok || got != seg {
 		t.Error("Get failed")
 	}
-	if ids := st.Segments(); len(ids) != 1 || ids[0] != seg.ID() {
-		t.Errorf("Segments = %v", ids)
+	if len(st.segments) != 1 || st.segments[seg.ID()] != seg {
+		t.Errorf("segments = %v", st.segments)
 	}
 	if !strings.Contains(seg.String(), "disk0") {
 		t.Errorf("String = %q", seg.String())
@@ -99,11 +99,11 @@ func TestPlaceAutoPicksRoomiestQualifyingDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seg.Device() != "disk0" { // most free space
-		t.Errorf("auto placement chose %s", seg.Device())
+	if seg.devID != "disk0" { // most free space
+		t.Errorf("auto placement chose %s", seg.devID)
 	}
 	// Demand more bandwidth than disk1 has after loading disk0.
-	d0, _ := st.Devices().Get("disk0")
+	d0, _ := st.devices.Get("disk0")
 	if err := d0.(*device.Disk).Reserve(10 * media.MBPerSecond); err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +111,8 @@ func TestPlaceAutoPicksRoomiestQualifyingDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seg2.Device() != "disk1" {
-		t.Errorf("auto placement chose %s, want disk1 (disk0 saturated)", seg2.Device())
+	if seg2.devID != "disk1" {
+		t.Errorf("auto placement chose %s, want disk1 (disk0 saturated)", seg2.devID)
 	}
 	// Impossible demands fail.
 	if _, err := st.PlaceAuto(clip(t, 100), 100*media.MBPerSecond); err == nil {
@@ -161,7 +161,7 @@ func TestMoveCostsFullCopy(t *testing.T) {
 	if dt != want {
 		t.Errorf("move time = %v, want %v", dt, want)
 	}
-	if seg.Device() != "disk1" {
+	if seg.devID != "disk1" {
 		t.Error("move did not relocate")
 	}
 	// Moving to the same device is free.
@@ -170,8 +170,8 @@ func TestMoveCostsFullCopy(t *testing.T) {
 		t.Errorf("same-device move = %v, %v", dt, err)
 	}
 	// Source space freed, destination charged.
-	d0, _ := st.Devices().Get("disk0")
-	d1, _ := st.Devices().Get("disk1")
+	d0, _ := st.devices.Get("disk0")
+	d1, _ := st.devices.Get("disk1")
 	if d0.(*device.Disk).Used() != 0 || d1.(*device.Disk).Used() != 120_000 {
 		t.Error("move accounting wrong")
 	}
@@ -198,7 +198,7 @@ func TestMoveFromJukeboxIncludesSwap(t *testing.T) {
 	if dt != want {
 		t.Errorf("jukebox move time = %v, want %v", dt, want)
 	}
-	if seg.Disc() != -1 {
+	if seg.disc != -1 {
 		t.Error("disc not cleared after move")
 	}
 }
@@ -237,7 +237,7 @@ func TestOpenStreamReservesBandwidth(t *testing.T) {
 	if dt != 100*avtime.Millisecond {
 		t.Errorf("second ReadTime = %v", dt)
 	}
-	if s1.BytesRead() != 1_200_000 || s1.Rate() != 6*media.MBPerSecond || s1.Segment() != seg {
+	if s1.bytes != 1_200_000 || s1.rate != 6*media.MBPerSecond || s1.seg != seg {
 		t.Error("stream accounting wrong")
 	}
 	if _, err := s1.ReadTime(-1); err == nil {

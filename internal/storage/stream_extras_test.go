@@ -175,14 +175,6 @@ func TestPoolOwnWindowRepeatHit(t *testing.T) {
 // TestPolicyEnabledAndSegmentStrings pins the policy switches and the
 // segment rendering for each placement shape.
 func TestPolicyEnabledAndSegmentStrings(t *testing.T) {
-	if (StripePolicy{}).Enabled() {
-		t.Error("zero stripe policy reports enabled")
-	}
-	for _, p := range []StripePolicy{{Width: 2}, {Seeks: true}, {Rounds: true}} {
-		if !p.Enabled() {
-			t.Errorf("stripe policy %+v reports disabled", p)
-		}
-	}
 	if (TierPolicy{}).Enabled() {
 		t.Error("zero tier policy reports enabled")
 	}

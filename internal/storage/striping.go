@@ -7,7 +7,7 @@ package storage
 // saturates while the others idle".  A striped segment records a stripe
 // map (home disk, byte offset and size per chunk) at placement time;
 // OpenStream reserves a share of the stream rate on every participating
-// disk and ReadChunkTime routes each chunk to its home disk for fault
+// disk and ReadChunkTimeAt routes each chunk to its home disk for fault
 // checks and positioning costs.
 
 import (
@@ -42,9 +42,6 @@ type StripePolicy struct {
 	// adjacent requests.
 	Rounds bool
 }
-
-// Enabled reports whether the policy changes any behavior.
-func (p StripePolicy) Enabled() bool { return p.Width > 1 || p.Seeks || p.Rounds }
 
 // ReplicaPolicy configures hot-clip replication: values whose decayed
 // popularity reaches PromoteAt get extra copies of their chunks on
@@ -103,17 +100,6 @@ func (st *Store) IOStats() IOStats {
 // Striped reports whether the segment is striped, and over which
 // devices.
 func (s *Segment) Striped() bool { return len(s.stripe) > 0 }
-
-// Stripe returns the IDs of the disks holding the segment's stripes, in
-// chunk round-robin order; nil for unstriped segments.
-func (s *Segment) Stripe() []string {
-	if s.stripe == nil {
-		return nil
-	}
-	out := make([]string, len(s.stripe))
-	copy(out, s.stripe)
-	return out
-}
 
 // buildChunkMap computes the segment's chunk layout: home device index,
 // byte offset within that device's share, and size for every chunk,

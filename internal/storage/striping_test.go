@@ -50,7 +50,7 @@ func TestPlaceStripedRoundRobin(t *testing.T) {
 	if !seg.Striped() {
 		t.Fatal("segment not marked striped")
 	}
-	stripe := seg.Stripe()
+	stripe := seg.stripe
 	if len(stripe) != 4 {
 		t.Fatalf("stripe spans %d disks, want 4", len(stripe))
 	}
@@ -80,7 +80,7 @@ func TestPlaceStripedRoundRobin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Striped() || plain.Stripe() != nil {
+	if plain.Striped() || plain.stripe != nil {
 		t.Error("unstriped segment reports a stripe")
 	}
 }
@@ -165,7 +165,7 @@ func TestStripedStreamReservesAndReleasesShares(t *testing.T) {
 		t.Error("striped open reported zero startup")
 	}
 	var reserved media.DataRate
-	for _, id := range seg.Stripe() {
+	for _, id := range seg.stripe {
 		d := rigDisk(t, dm, id)
 		if d.ReservedBandwidth() != rate/3 {
 			t.Errorf("disk %s reserved %v, want %v", id, d.ReservedBandwidth(), rate/3)
@@ -177,7 +177,7 @@ func TestStripedStreamReservesAndReleasesShares(t *testing.T) {
 	}
 	s.Close()
 	s.Close() // double close must not double-release
-	for _, id := range seg.Stripe() {
+	for _, id := range seg.stripe {
 		if d := rigDisk(t, dm, id); d.ReservedBandwidth() != 0 {
 			t.Errorf("disk %s still reserves %v after close", id, d.ReservedBandwidth())
 		}
@@ -191,14 +191,14 @@ func TestStripedOpenRollsBackOnReserveFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Saturate the second stripe disk so its share reservation fails.
-	hog := rigDisk(t, dm, seg.Stripe()[1])
+	hog := rigDisk(t, dm, seg.stripe[1])
 	if err := hog.Reserve(8 * media.MBPerSecond); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := st.OpenStream(seg.ID(), 2*media.MBPerSecond); err == nil {
 		t.Fatal("open succeeded past a saturated stripe disk")
 	}
-	if d := rigDisk(t, dm, seg.Stripe()[0]); d.ReservedBandwidth() != 0 {
+	if d := rigDisk(t, dm, seg.stripe[0]); d.ReservedBandwidth() != 0 {
 		t.Errorf("first stripe disk leaked %v after failed open", d.ReservedBandwidth())
 	}
 }
@@ -230,7 +230,7 @@ func TestPlaceAutoLoadAwareDeterministicOrder(t *testing.T) {
 		if err := st.Delete(seg.ID()); err != nil {
 			t.Fatal(err)
 		}
-		return seg.Device()
+		return seg.devID
 	}
 	if got := place(); got != "c" {
 		t.Errorf("free bandwidth should win: placed on %q, want c", got)
@@ -315,7 +315,7 @@ func TestMoveStripedRefused(t *testing.T) {
 	}
 	// The refusal left the stripe allocations intact.
 	var sum int64
-	for _, id := range seg.Stripe() {
+	for _, id := range seg.stripe {
 		sum += rigDisk(t, dm, id).Used()
 	}
 	if sum != seg.Size() {
@@ -329,7 +329,7 @@ func TestDeleteStripedFreesEveryShare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stripe := seg.Stripe()
+	stripe := seg.stripe
 	if err := st.Delete(seg.ID()); err != nil {
 		t.Fatal(err)
 	}
@@ -496,8 +496,8 @@ func TestScheduledStreamReadsThroughRounds(t *testing.T) {
 		t.Errorf("seek accounting incomplete: charged=%d saved=%d over 20 reads",
 			stats.SeeksCharged, stats.SeeksSaved)
 	}
-	if s.BytesRead() != 20*1200 {
-		t.Errorf("bytes read %d, want %d", s.BytesRead(), 20*1200)
+	if s.bytes != 20*1200 {
+		t.Errorf("bytes read %d, want %d", s.bytes, 20*1200)
 	}
 
 	// The same sequence on demand (round -1) charges a seek per chunk
@@ -509,7 +509,7 @@ func TestScheduledStreamReadsThroughRounds(t *testing.T) {
 	defer s2.Close()
 	var demand avtime.WorldTime
 	for i := 0; i < 20; i++ {
-		dt, err := s2.ReadChunkTime(i, 1200)
+		dt, err := s2.ReadChunkTimeAt(i, 1200, -1, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

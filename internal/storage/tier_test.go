@@ -49,7 +49,7 @@ func TestTierPolicyAccessors(t *testing.T) {
 	if st.Tiering().Enabled() {
 		t.Error("zero tier policy should be disabled")
 	}
-	p := TierPolicy{PromoteAt: 3, DemoteBelow: 1, HalfLife: avtime.Minute, Width: 2}
+	p := TierPolicy{PromoteAt: 3, DemoteBelow: 1, HalfLife: 60 * avtime.Second, Width: 2}
 	st.SetTierPolicy(p)
 	if got := st.Tiering(); got != p {
 		t.Errorf("Tiering = %+v, want %+v", got, p)
@@ -113,7 +113,7 @@ func TestTierPromoteOnPopularity(t *testing.T) {
 	if !seg.Striped() {
 		t.Fatal("promoted segment should be striped")
 	}
-	if _, err := s.ReadChunkTime(0, 1200); err != nil {
+	if _, err := s.ReadChunkTimeAt(0, 1200, -1, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -238,7 +238,7 @@ func TestTierDiskOutageRollsBackPromotion(t *testing.T) {
 		t.Errorf("promote_failed = %d, want 1", got)
 	}
 	// The archival copy still serves reads.
-	if _, err := s.ReadChunkTime(0, 1200); err != nil {
+	if _, err := s.ReadChunkTimeAt(0, 1200, -1, 0, 0); err != nil {
 		t.Fatalf("jukebox read after failed promotion: %v", err)
 	}
 	s.Close()
@@ -297,7 +297,7 @@ func TestTierDemotionSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.ReadChunkTime(0, 1200); err != nil {
+	if _, err := c.ReadChunkTimeAt(0, 1200, -1, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -366,7 +366,7 @@ func TestTierReplicaFailoverOnOutage(t *testing.T) {
 	// Chunk 0's home (the first stripe disk) goes down hard; the read
 	// fails over to the replica's copy of the same stripe column.
 	dm.SetFaultHook(downHook{down: map[string]bool{diskID(0): true}})
-	dt, err := s.ReadChunkTime(0, 1200)
+	dt, err := s.ReadChunkTimeAt(0, 1200, -1, 0, 0)
 	if err != nil {
 		t.Fatalf("read with a live replica: %v", err)
 	}
@@ -378,7 +378,7 @@ func TestTierReplicaFailoverOnOutage(t *testing.T) {
 	}
 	// Primary home and its replica column both down: no live copy left.
 	dm.SetFaultHook(downHook{down: map[string]bool{diskID(0): true, diskID(2): true}})
-	if _, err := s.ReadChunkTime(2, 1200); !errors.Is(err, device.ErrDeviceFailed) {
+	if _, err := s.ReadChunkTimeAt(2, 1200, -1, 0, 0); !errors.Is(err, device.ErrDeviceFailed) {
 		t.Fatalf("read with no live copy: %v, want ErrDeviceFailed", err)
 	}
 }

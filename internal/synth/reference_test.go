@@ -70,35 +70,3 @@ func refSetLum(f *media.Frame, x, y, bpp int, v byte) {
 		f.Pix[off+b] = v
 	}
 }
-
-// refRender is Animation.Render as it stood: every pixel tests every
-// ball, first to last, and the first ball that covers it wins.
-func (a *Animation) refRender(depth int) *media.Frame {
-	f := media.NewFrame(a.W, a.H, depth)
-	bpp := depth / 8
-	for i := range a.Balls {
-		b := &a.Balls[i]
-		b.X += b.VX
-		b.Y += b.VY
-		if b.X < b.R || b.X > float64(a.W)-b.R {
-			b.VX = -b.VX
-			b.X += 2 * b.VX
-		}
-		if b.Y < b.R || b.Y > float64(a.H)-b.R {
-			b.VY = -b.VY
-			b.Y += 2 * b.VY
-		}
-	}
-	for y := 0; y < a.H; y++ {
-		for x := 0; x < a.W; x++ {
-			for _, b := range a.Balls {
-				dx, dy := float64(x)-b.X, float64(y)-b.Y
-				if dx*dx+dy*dy <= b.R*b.R {
-					refSetLum(f, x, y, bpp, b.Shade)
-					break
-				}
-			}
-		}
-	}
-	return f
-}

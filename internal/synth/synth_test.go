@@ -2,8 +2,10 @@ package synth
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"avdb/internal/avtime"
 	"avdb/internal/codec"
 	"avdb/internal/media"
 )
@@ -64,38 +66,18 @@ func TestMotionPatternMoves(t *testing.T) {
 	}
 }
 
-func TestAnimationRendering(t *testing.T) {
-	a := NewAnimation(64, 48, 3, 7)
-	if len(a.Balls) != 3 {
-		t.Fatal("ball count wrong")
-	}
-	v := a.RenderVideo(media.TypeRawVideo30, 8, 20)
-	if v.NumFrames() != 20 {
-		t.Fatal("frame count wrong")
-	}
-	f0, _ := v.Frame(0)
-	f10, _ := v.Frame(10)
-	if f0.Equal(f10) {
-		t.Error("animation static")
-	}
-	// Balls stay in the box: every ball remains within bounds.
-	for _, b := range a.Balls {
-		if b.X < 0 || b.X > 64 || b.Y < 0 || b.Y > 48 {
-			t.Errorf("ball escaped: %+v", b)
-		}
-	}
-}
-
 func TestSubtitles(t *testing.T) {
 	v, err := Subtitles([]string{"line one", "line two", "line three"}, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.NumCues() != 3 || v.NumElements() != 6000 {
-		t.Errorf("cues=%d ticks=%d", v.NumCues(), v.NumElements())
+	if v.NumElements() != 6000 {
+		t.Errorf("ticks=%d", v.NumElements())
 	}
-	if c, ok := v.CueAt(2500); !ok || c.Text != "line two" {
-		t.Errorf("CueAt(2500) = %v, %v", c, ok)
+	for i, line := range []string{"line one", "line two", "line three"} {
+		if c, ok := v.CueAt(avtime.ObjectTime(2000*i + 500)); !ok || c.Text != line {
+			t.Errorf("CueAt(%d) = %v, %v", 2000*i+500, c, ok)
+		}
 	}
 	if _, ok := v.CueAt(1999); ok {
 		t.Error("gap tick has a cue")
@@ -141,7 +123,8 @@ func TestSpeech(t *testing.T) {
 	}
 	// Deterministic.
 	b, _ := Speech(media.AudioQualityVoice, 2, 5)
-	if !a.Equal(b) {
+	sb, _ := b.Samples(0, b.NumSamples())
+	if sa, _ := a.Samples(0, a.NumSamples()); !slices.Equal(sa, sb) {
 		t.Error("speech not deterministic")
 	}
 	// Has both sound and silence.

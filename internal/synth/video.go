@@ -137,91 +137,6 @@ func copyRows(pix []byte, stride int) {
 	}
 }
 
-// Ball is one body of an animation scene.
-type Ball struct {
-	X, Y   float64 // position in pixels
-	VX, VY float64 // velocity in pixels per frame
-	R      float64 // radius in pixels
-	Shade  byte
-}
-
-// Animation is a minimal scene description: bodies bouncing in a box.
-// It stands in for the paper's "animation data" from which video frames
-// are rendered on demand.
-type Animation struct {
-	W, H  int
-	Balls []Ball
-}
-
-// NewAnimation returns a scene with n seeded bouncing balls.
-func NewAnimation(w, h, n int, seed int64) *Animation {
-	rng := rand.New(rand.NewSource(seed))
-	a := &Animation{W: w, H: h}
-	for i := 0; i < n; i++ {
-		r := float64(min(w, h)) / 10 * (0.5 + rng.Float64())
-		a.Balls = append(a.Balls, Ball{
-			X:     r + rng.Float64()*(float64(w)-2*r),
-			Y:     r + rng.Float64()*(float64(h)-2*r),
-			VX:    (rng.Float64() - 0.5) * float64(w) / 15,
-			VY:    (rng.Float64() - 0.5) * float64(h) / 15,
-			R:     r,
-			Shade: byte(96 + rng.Intn(160)),
-		})
-	}
-	return a
-}
-
-// Render advances the scene by one frame and rasterizes it.
-func (a *Animation) Render(depth int) *media.Frame {
-	f := media.NewFrame(a.W, a.H, depth)
-	bpp := depth / 8
-	for i := range a.Balls {
-		b := &a.Balls[i]
-		b.X += b.VX
-		b.Y += b.VY
-		if b.X < b.R || b.X > float64(a.W)-b.R {
-			b.VX = -b.VX
-			b.X += 2 * b.VX
-		}
-		if b.Y < b.R || b.Y > float64(a.H)-b.R {
-			b.VY = -b.VY
-			b.Y += 2 * b.VY
-		}
-	}
-	// Paint each ball over its bounding box clipped to the frame, last to
-	// first, so the first ball that covers a pixel is painted last.
-	for i := len(a.Balls) - 1; i >= 0; i-- {
-		b := a.Balls[i]
-		r := math.Abs(b.R) // the test squares R, so a negative R paints too
-		x0, x1 := math.Max(0, math.Floor(b.X-r)), math.Min(float64(a.W), math.Ceil(b.X+r)+1)
-		y0, y1 := math.Max(0, math.Floor(b.Y-r)), math.Min(float64(a.H), math.Ceil(b.Y+r)+1)
-		if !(x0 < x1 && y0 < y1) { // also skips a NaN position or radius
-			continue
-		}
-		for y := int(y0); y < int(y1); y++ {
-			for x := int(x0); x < int(x1); x++ {
-				dx, dy := float64(x)-b.X, float64(y)-b.Y
-				if dx*dx+dy*dy <= b.R*b.R {
-					off := (y*a.W + x) * bpp
-					fill(f.Pix[off:off+bpp], b.Shade)
-				}
-			}
-		}
-	}
-	return f
-}
-
-// RenderVideo renders a sequence of frames from the animation.
-func (a *Animation) RenderVideo(typ *media.Type, depth, frames int) *media.VideoValue {
-	v := media.NewVideoValue(typ, a.W, a.H, depth)
-	for i := 0; i < frames; i++ {
-		if err := v.AppendFrame(a.Render(depth)); err != nil {
-			panic(err)
-		}
-	}
-	return v
-}
-
 // Subtitles builds a text stream from lines shown back to back, each for
 // perLineTicks ticks (milliseconds) with a one-tick gap.
 func Subtitles(lines []string, perLineTicks int64) (*media.TextStreamValue, error) {

@@ -73,11 +73,6 @@ func (c *Composite) Track(name string) (*Track, bool) {
 	return t, ok
 }
 
-// Tracks returns the tracks in insertion order.
-func (c *Composite) Tracks() []*Track {
-	return append([]*Track(nil), c.tracks...)
-}
-
 // Interval reports the convex hull of all track intervals.
 func (c *Composite) Interval() avtime.Interval {
 	var hull avtime.Interval
@@ -90,12 +85,6 @@ func (c *Composite) Interval() avtime.Interval {
 	}
 	return hull
 }
-
-// Start reports the earliest track start.
-func (c *Composite) Start() avtime.WorldTime { return c.Interval().Start }
-
-// Duration reports the span from the earliest start to the latest end.
-func (c *Composite) Duration() avtime.WorldTime { return c.Interval().Dur }
 
 // Translate shifts every track by dw, moving the whole composite on the
 // world timeline.

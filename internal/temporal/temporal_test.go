@@ -61,12 +61,12 @@ func TestCompositeBasics(t *testing.T) {
 	if _, ok := c.Track("nope"); ok {
 		t.Error("missing track found")
 	}
-	tracks := c.Tracks()
+	tracks := c.tracks
 	if len(tracks) != 4 || tracks[0].Name != "videoTrack" {
 		t.Error("track order lost")
 	}
-	if c.Start() != 0 || c.Duration() != 4*avtime.Second {
-		t.Errorf("hull = [%v, %v)", c.Start(), c.Duration())
+	if iv := c.Interval(); iv.Start != 0 || iv.Dur != 4*avtime.Second {
+		t.Errorf("hull = %v", iv)
 	}
 }
 
@@ -106,8 +106,8 @@ func TestCompositeActiveAt(t *testing.T) {
 func TestCompositeTranslate(t *testing.T) {
 	c := newscastClip(t)
 	c.Translate(10 * avtime.Second)
-	if c.Start() != 10*avtime.Second {
-		t.Errorf("Start after translate = %v", c.Start())
+	if s := c.Interval().Start; s != 10*avtime.Second {
+		t.Errorf("Start after translate = %v", s)
 	}
 	// Internal correlations preserved.
 	spec := []Correlation{
@@ -203,9 +203,9 @@ func TestTimelineASCII(t *testing.T) {
 }
 
 func TestTimelineASCIIPointTrack(t *testing.T) {
-	// An untimed image occupies a point; it must still render a mark.
+	// A zero-length value occupies a point; it must still render a mark.
 	c := NewComposite("p")
-	img := media.NewImageValue(media.NewFrame(2, 2, 8))
+	img := media.NewTextStreamValue(0)
 	img.Translate(avtime.Second)
 	if err := c.Add("img", img); err != nil {
 		t.Fatal(err)

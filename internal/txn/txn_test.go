@@ -194,13 +194,7 @@ func TestVersionStore(t *testing.T) {
 	if err != nil || n != 2 {
 		t.Fatalf("checkin = %d, %v", n, err)
 	}
-	if old, ok := vs.Get(1, "videoTrack", 1); !ok || old.Value != v1 {
-		t.Error("Get wrong")
-	}
-	if _, ok := vs.Get(1, "videoTrack", 3); ok {
-		t.Error("missing version found")
-	}
-	if h := vs.History(1, "videoTrack"); len(h) != 2 || h[0].Note != "rough cut" {
+	if h := vs.History(1, "videoTrack"); len(h) != 2 || h[0].Note != "rough cut" || h[0].Value != v1 {
 		t.Errorf("History = %v", h)
 	}
 	if _, err := vs.Checkin(1, "x", nil, ""); err == nil {

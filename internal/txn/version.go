@@ -49,17 +49,6 @@ func (vs *VersionStore) Checkin(oid schema.OID, attr string, v media.Value, note
 	return num, nil
 }
 
-// Get returns a specific version.
-func (vs *VersionStore) Get(oid schema.OID, attr string, num int) (Version, bool) {
-	vs.mu.RLock()
-	defer vs.mu.RUnlock()
-	chain := vs.chains[versionKey{oid, attr}]
-	if num < 1 || num > len(chain) {
-		return Version{}, false
-	}
-	return chain[num-1], true
-}
-
 // History returns the full chain, oldest first.
 func (vs *VersionStore) History(oid schema.OID, attr string) []Version {
 	vs.mu.RLock()
