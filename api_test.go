@@ -44,27 +44,19 @@ var exportAllowlist = map[string]string{
 	// through it.
 	"storage.Store.Delete": "ROADMAP item 10 (DeleteObject frees placements); TestDeleteFreesSpace",
 
-	// Only their own tests call these; each goes with its tests when
-	// ROADMAP item 15's remainder deletes them.
-	"codec.MuLawCodec":                  "TestMuLawRoundTrip, TestEncodedAudioValueInterface; ROADMAP item 15",
-	"codec.ADPCMCodec":                  "TestADPCMRoundTripSNR, TestADPCMOddSampleCount, TestADPCMTruncatedPayload; ROADMAP item 15",
-	"codec.AudioCodec.Encode":           "TestAudioCodecsKeepTimeline; ROADMAP item 15",
-	"codec.AudioCodec.Decode":           "TestAudioCodecsKeepTimeline; ROADMAP item 15",
-	"avtime.TimecodeFromFrames":         "TestTimecodeRoundTrip, TestTimecodeString, TestPropTimecodeRoundTrip; ROADMAP item 15",
-	"avtime.ParseTimecode":              "TestParseTimecode, TestTimecodeParseFormatProperty; ROADMAP item 15",
-	"avtime.Timecode.WorldTime":         "TestTimecodeWorldTime; ROADMAP item 15",
-	"avtime.Relation.Inverse":           "TestAllenInverseProperty, TestPropRelateInverse; ROADMAP item 15",
-	"media.VideoValue.Clone":            "TestVideoValueCloneEqual, TestFrameKeep; ROADMAP item 15",
-	"media.VideoValue.Equal":            "TestVideoValueCloneEqual and the codec and synth round-trip tests; ROADMAP item 15",
-	"media.VideoValue.Segment":          "TestVideoValueSegmentShares; ROADMAP item 15",
-	"sched.Skew":                        "TestSkew, TestResyncReducesSkew; ROADMAP item 15",
-	"sched.Admission.ReserveStriped":    "TestAdmissionReserveStriped; ROADMAP item 15",
-	"synth.Tone":                        "TestTone and the audio pipeline tests' fixtures; ROADMAP item 15",
-	"synth.Jingle":                      "TestJingleAndValidate, TestSynthesize; ROADMAP item 15",
-	"activities.NewAudioSynthesizer":    "TestAudioSynthesizerSource, TestAudioSynthesizerNegativeDuration; ROADMAP item 15",
-	"activities.AudioSynthesizer.Class": "TestAudioSynthesizerSource; ROADMAP item 15",
-	"activity.Composite.SyncController": "TestMultiSourceSinkSealing checks that NewMultiSink enables sync; ROADMAP item 15",
-	"temporal.Composite.ActiveAt":       "TestCompositeActiveAt, TestPropActiveAtMatchesContainment; ROADMAP item 15",
+	// Only their own tests call these; each goes with its tests.
+	"avtime.TimecodeFromFrames":   "TestTimecodeRoundTrip, TestTimecodeString, TestPropTimecodeRoundTrip",
+	"avtime.ParseTimecode":        "TestParseTimecode, TestTimecodeParseFormatProperty",
+	"avtime.Timecode.WorldTime":   "TestTimecodeWorldTime",
+	"media.VideoValue.Segment":    "TestVideoValueSegmentShares",
+	"sched.Skew":                  "TestSkew, TestResyncReducesSkew",
+	"temporal.Composite.ActiveAt": "TestCompositeActiveAt, TestPropActiveAtMatchesContainment",
+
+	// Test oracles: the round-trip check the codec, synth, media, render
+	// and activities tests compare values with, and the only way
+	// TestMultiSourceSinkSealing can see that NewMultiSink enables sync.
+	"media.VideoValue.Equal":            "the codec, synth, media, render and activities round-trip tests",
+	"activity.Composite.SyncController": "TestMultiSourceSinkSealing checks that NewMultiSink enables sync",
 }
 
 // faultSurface is the reason the fault-injection surface stays.

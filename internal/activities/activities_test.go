@@ -143,12 +143,6 @@ func TestConstructorValidation(t *testing.T) {
 	if _, err := NewAudioSink("a", db, media.TypeRawVideo30, media.AudioQualityCD, 0); err == nil {
 		t.Error("video type accepted by AudioSink")
 	}
-	if _, err := NewAudioSynthesizer("s", db, nil, media.AudioQualityCD); err == nil {
-		t.Error("nil sequence accepted")
-	}
-	if _, err := NewAudioSynthesizer("s", db, synth.Jingle(100, 1), media.AudioQualityUnspecified); err == nil {
-		t.Error("unspecified quality accepted")
-	}
 	if _, err := NewMoveSource("m", app, render.Camera{}, nil, 5); err == nil {
 		t.Error("nil policy accepted")
 	}
@@ -679,7 +673,7 @@ func TestVideoWriterRecordsIntoBoundValue(t *testing.T) {
 }
 
 func TestAudioPipelineSampleAccurate(t *testing.T) {
-	tone, err := synth.Tone(media.AudioQualityCD, 440, 1.0, 0.5)
+	speech, err := synth.Speech(media.AudioQualityCD, 1.0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -687,7 +681,7 @@ func TestAudioPipelineSampleAccurate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reader.Bind(tone, "out"); err != nil {
+	if err := reader.Bind(speech, "out"); err != nil {
 		t.Fatal(err)
 	}
 	sink, err := NewAudioSink("as", app, media.TypeCDAudio, media.AudioQualityCD, avtime.Second)
@@ -707,7 +701,7 @@ func TestAudioPipelineSampleAccurate(t *testing.T) {
 }
 
 func TestAudioReaderCue(t *testing.T) {
-	tone, err := synth.Tone(media.AudioQualityVoice, 220, 2.0, 0.5)
+	speech, err := synth.Speech(media.AudioQualityVoice, 2.0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -715,7 +709,7 @@ func TestAudioReaderCue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reader.Bind(tone, "out"); err != nil {
+	if err := reader.Bind(speech, "out"); err != nil {
 		t.Fatal(err)
 	}
 	if err := reader.Cue(avtime.Second); err != nil {
@@ -731,50 +725,6 @@ func TestAudioReaderCue(t *testing.T) {
 	runGraph(t, g)
 	if sink.SamplesPlayed() != 8000 { // second half only
 		t.Errorf("played %d samples, want 8000", sink.SamplesPlayed())
-	}
-}
-
-func TestAudioSynthesizerSource(t *testing.T) {
-	seq := synth.Jingle(1000, 9)
-	src, err := NewAudioSynthesizer("midi", db, seq, media.AudioQualityFM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src.Class() != "AudioSynthesizer" {
-		t.Error("class name wrong")
-	}
-	sink, err := NewAudioSink("out", app, media.TypeFMAudio, media.AudioQualityFM, avtime.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := activity.NewGraph("g")
-	addAll(t, g, src, sink)
-	connect(t, g, src, "out", sink, "in")
-	runGraph(t, g)
-	if sink.SamplesPlayed() != 22050 {
-		t.Errorf("played %d samples, want 22050", sink.SamplesPlayed())
-	}
-}
-
-func TestAudioSynthesizerNegativeDuration(t *testing.T) {
-	// Validate used to pass a sequence with no events whatever its
-	// duration, and Synthesize then panicked sizing a negative buffer.
-	src, err := NewAudioSynthesizer("midi", db, &synth.MIDISequence{DurMS: -5}, media.AudioQualityFM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink, err := NewAudioSink("out", app, media.TypeFMAudio, media.AudioQualityFM, avtime.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := activity.NewGraph("g")
-	addAll(t, g, src, sink)
-	connect(t, g, src, "out", sink, "in")
-	if err := g.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Run(activity.RunConfig{Clock: sched.NewVirtualClock(0)}); err == nil {
-		t.Error("negative-duration sequence ran without error")
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"avdb/internal/avtime"
 	"avdb/internal/media"
 	"avdb/internal/storage"
-	"avdb/internal/synth"
 )
 
 // AudioReader is a source producing a stored audio value as sample-
@@ -94,50 +93,6 @@ func (r *AudioReader) Tick(tc *activity.TickContext) error {
 		r.MarkDone()
 	}
 	return nil
-}
-
-// AudioSynthesizer is a source that renders a MIDI sequence to PCM on
-// first start and then streams it — the paper's "synthesizing digital
-// audio from MIDI data" happening inside the database.
-type AudioSynthesizer struct {
-	*AudioReader
-	seq     *synth.MIDISequence
-	quality media.AudioQuality
-	made    bool
-}
-
-// NewAudioSynthesizer returns a synthesizer source for the sequence at
-// the given quality.
-func NewAudioSynthesizer(name string, loc activity.Location, seq *synth.MIDISequence, q media.AudioQuality) (*AudioSynthesizer, error) {
-	if seq == nil {
-		return nil, fmt.Errorf("activities: AudioSynthesizer needs a sequence")
-	}
-	if q.Type() == nil {
-		return nil, fmt.Errorf("activities: AudioSynthesizer needs a concrete quality, got %v", q)
-	}
-	inner, err := NewAudioReader(name, loc, q.Type())
-	if err != nil {
-		return nil, err
-	}
-	return &AudioSynthesizer{AudioReader: inner, seq: seq, quality: q}, nil
-}
-
-// Class reports "AudioSynthesizer".
-func (s *AudioSynthesizer) Class() string { return "AudioSynthesizer" }
-
-// Tick implements activity.Activity, synthesizing lazily on first tick.
-func (s *AudioSynthesizer) Tick(tc *activity.TickContext) error {
-	if !s.made {
-		a, err := synth.Synthesize(s.seq, s.quality)
-		if err != nil {
-			return err
-		}
-		if err := s.Bind(a, "out"); err != nil {
-			return err
-		}
-		s.made = true
-	}
-	return s.AudioReader.Tick(tc)
 }
 
 // AudioSink consumes audio blocks at a DAC: it validates stream

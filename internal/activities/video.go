@@ -11,9 +11,9 @@
 //	VideoWindow      sink         raw           (display)
 //	VideoWriter      sink         raw           (storage)
 //
-// plus AudioReader, AudioSynthesizer, AudioSink, SubtitleReader,
-// SubtitleSink, the virtual-world MoveSource and RenderActivity, and the
-// synchronized MultiSource/MultiSink composites of §4.3.
+// plus AudioReader, AudioSink, SubtitleReader, SubtitleSink, the
+// virtual-world MoveSource and RenderActivity, and the synchronized
+// MultiSource/MultiSink composites of §4.3.
 package activities
 
 import (

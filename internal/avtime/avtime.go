@@ -131,11 +131,6 @@ func (r Rate) UnitsIn(w WorldTime) ObjectTime {
 	return ObjectTime(mulDivFloor(int64(w), r.N, r.D*int64(Second)))
 }
 
-// Equal reports whether two rates denote the same frequency.
-func (r Rate) Equal(o Rate) bool {
-	return r.N*o.D == o.N*r.D
-}
-
 // String formats the rate, e.g. "30/1 Hz" prints as "30Hz" and NTSC as
 // "30000/1001Hz".
 func (r Rate) String() string {

@@ -31,7 +31,7 @@ func TestMakeRateNormalises(t *testing.T) {
 	if r.N != 30 || r.D != 1 {
 		t.Errorf("MakeRate(-30,-1) = %v, want 30/1", r)
 	}
-	if !MakeRate(30000, 1001).Equal(Rate{30000, 1001}) {
+	if MakeRate(30000, 1001) != (Rate{30000, 1001}) {
 		t.Error("NTSC rate should be in lowest terms already")
 	}
 }
@@ -295,7 +295,9 @@ func TestAllenInverseProperty(t *testing.T) {
 	f := func(a1, d1, b1, d2 uint16) bool {
 		a := Interval{WorldTime(a1), WorldTime(d1%100) + 1}
 		b := Interval{WorldTime(b1), WorldTime(d2%100) + 1}
-		return Relate(a, b).Inverse() == Relate(b, a)
+		// The relations are listed in mirror order: swapping the
+		// arguments reflects the relation about RelEqual.
+		return RelAfter-Relate(a, b)+RelBefore == Relate(b, a)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -367,5 +369,43 @@ func TestMulDivNegativeOperands(t *testing.T) {
 	}
 	if got := tr.Rate.DurationOf(-30); got != -Second {
 		t.Errorf("DurationOf(-30) = %v, want -1s", got)
+	}
+}
+
+func TestGCDSignsAndZero(t *testing.T) {
+	// MakeRate only passes positive operands; the helper itself takes
+	// either sign and never returns zero.
+	for _, c := range []struct{ a, b, want int64 }{
+		{12, 8, 4}, {-12, 8, 4}, {12, -8, 4}, {0, 5, 5}, {7, 0, 7}, {-7, 0, 7}, {0, 0, 1},
+	} {
+		if got := gcd(c.a, c.b); got != c.want {
+			t.Errorf("gcd(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+func TestMulDivBeforeOrigin(t *testing.T) {
+	// A negative dividend leaves a negative remainder, which both helpers
+	// make Euclidean: floor rounds toward -inf, round takes halves up.
+	for _, c := range []struct{ a, b, c, round, floor int64 }{
+		{-1, 1, 2, 0, -1},                   // -0.5
+		{-7, 1, 2, -3, -4},                  // -3.5
+		{-1, 1_000_000, 30, -33333, -33334}, // -33333.3
+		{-2, 1_000_000, 30, -66667, -66667}, // -66666.7
+	} {
+		if got := mulDivRound(c.a, c.b, c.c); got != c.round {
+			t.Errorf("mulDivRound(%d, %d, %d) = %d, want %d", c.a, c.b, c.c, got, c.round)
+		}
+		if got := mulDivFloor(c.a, c.b, c.c); got != c.floor {
+			t.Errorf("mulDivFloor(%d, %d, %d) = %d, want %d", c.a, c.b, c.c, got, c.floor)
+		}
+	}
+	// Through the rate API: one unit before the origin, and one
+	// microsecond before it.
+	if got := RateVideo30.DurationOf(-1); got != -33333 {
+		t.Errorf("DurationOf(-1) = %d µs, want -33333", int64(got))
+	}
+	if got := RateVideo30.UnitsIn(-1); got != -1 {
+		t.Errorf("UnitsIn(-1 µs) = %d, want -1", got)
 	}
 }

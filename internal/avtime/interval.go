@@ -51,8 +51,8 @@ func (iv Interval) String() string {
 // temporal-composition layer to describe and verify track correlations.
 type Relation int
 
-// Allen's interval relations.  Inverse relations are the same name with
-// the roles swapped (e.g. a Before b ⇔ b After a).
+// Allen's interval relations, in mirror order: swapping the roles maps r
+// to RelAfter-r+RelBefore (a Before b ⇔ b After a).
 const (
 	RelBefore Relation = iota
 	RelMeets
@@ -91,12 +91,6 @@ func (r Relation) String() string {
 		return fmt.Sprintf("Relation(%d)", int(r))
 	}
 	return relationNames[r]
-}
-
-// Inverse returns the relation that holds with the arguments swapped:
-// Relate(a, b).Inverse() == Relate(b, a).
-func (r Relation) Inverse() Relation {
-	return RelAfter - r + RelBefore
 }
 
 // Relate classifies how interval a stands to interval b using Allen's

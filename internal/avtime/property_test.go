@@ -60,9 +60,6 @@ func TestPropRateNormalizationInvariant(t *testing.T) {
 		if a != b {
 			t.Fatalf("iter %d: MakeRate(%d,%d) = %v but MakeRate(%d,%d) = %v", i, n, d, a, k*n, k*d, b)
 		}
-		if !a.Equal(Rate{k * n, k * d}) {
-			t.Fatalf("iter %d: Equal rejects unnormalized %d/%d", i, k*n, k*d)
-		}
 	}
 }
 
@@ -126,12 +123,10 @@ func TestPropRelateInverse(t *testing.T) {
 			}
 		}
 		ab, ba := Relate(a, b), Relate(b, a)
-		if ab.Inverse() != ba {
-			t.Fatalf("iter %d: Relate(%v,%v)=%v but Relate(%v,%v)=%v; inverse of first is %v",
-				i, a, b, ab, b, a, ba, ab.Inverse())
-		}
-		if ab.Inverse().Inverse() != ab {
-			t.Fatalf("iter %d: double inverse of %v is %v", i, ab, ab.Inverse().Inverse())
+		// Swapping the arguments mirrors the relation about RelEqual.
+		if want := RelAfter - ab + RelBefore; ba != want {
+			t.Fatalf("iter %d: Relate(%v,%v)=%v but Relate(%v,%v)=%v, want %v",
+				i, a, b, ab, b, a, ba, want)
 		}
 		if Relate(a, a) != RelEqual {
 			t.Fatalf("iter %d: Relate(%v,%v) = %v, want equal", i, a, a, Relate(a, a))

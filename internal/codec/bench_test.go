@@ -115,56 +115,6 @@ func BenchmarkScalableDropLayers(b *testing.B) {
 	}
 }
 
-func benchAudio(b *testing.B) *media.AudioValue {
-	b.Helper()
-	a := media.NewAudioValue(media.TypeCDAudio, 2)
-	samples := make([]int16, 44100*2)
-	for i := range samples {
-		samples[i] = int16((i * 37) % 16384)
-	}
-	if err := a.AppendSamples(samples); err != nil {
-		b.Fatal(err)
-	}
-	return a
-}
-
-func BenchmarkMuLawEncode(b *testing.B) {
-	a := benchAudio(b)
-	b.SetBytes(a.Size())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := MuLawCodec.Encode(a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkADPCMEncode(b *testing.B) {
-	a := benchAudio(b)
-	b.SetBytes(a.Size())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ADPCMCodec.Encode(a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkADPCMDecode(b *testing.B) {
-	a := benchAudio(b)
-	e, err := ADPCMCodec.Encode(a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(a.Size())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ADPCMCodec.Decode(e); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // The stream coder, quant 2 and GOP 15, on two 160×120 motion clips:
 // "news24", the 24-bit frames of a decoded Newscast viewer, and "camera8",
 // the 8-bit camera a recording encodes.  Key and predicted frames are

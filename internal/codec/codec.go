@@ -1,8 +1,8 @@
 // Package codec provides the encoded representations of AV values: an
 // intra-frame codec (JPEG-style), an inter-frame codec with key frames
 // (MPEG-style), a coarse production codec (DVI-style), a layered scalable
-// codec supporting quality down-scaling by layer dropping, and PCM/ADPCM/
-// µ-law audio codecs.
+// codec supporting quality down-scaling by layer dropping.  Audio is
+// stored as raw PCM.
 //
 // The codecs are real software codecs (predictive transform + quantization
 // + run-length entropy coding), not wrappers: they exhibit the properties
@@ -36,8 +36,6 @@ var (
 	TypeDVIVideo      = &media.Type{Name: "video/dvi-sim", Kind: media.KindVideo, Rate: avtime.RateVideo30, Compressed: true}
 	TypeScalableVideo = &media.Type{Name: "video/scalable-sim", Kind: media.KindVideo, Rate: avtime.RateVideo30, Compressed: true}
 	TypeLVVideo       = &media.Type{Name: "video/lv-analog", Kind: media.KindVideo, Rate: avtime.RateVideo30}
-	TypeADPCMAudio    = &media.Type{Name: "audio/adpcm-sim", Kind: media.KindAudio, Rate: avtime.RateCDAudio, Compressed: true}
-	TypeMuLawAudio    = &media.Type{Name: "audio/mulaw", Kind: media.KindAudio, Rate: avtime.RateVoice, Compressed: true}
 )
 
 // VideoCodec encodes raw video values into an encoded representation and
@@ -50,15 +48,6 @@ type VideoCodec interface {
 	// Decode reconstructs a raw video value.  For lossy settings the
 	// result approximates the original within the codec's error bound.
 	Decode(e *EncodedVideo) (*media.VideoValue, error)
-}
-
-// AudioCodec encodes raw audio values into an encoded representation and
-// back.
-type AudioCodec interface {
-	// Encode compresses a raw audio value.
-	Encode(a *media.AudioValue) (*EncodedAudio, error)
-	// Decode reconstructs a raw audio value.
-	Decode(e *EncodedAudio) (*media.AudioValue, error)
 }
 
 var codecRegistry = struct {
@@ -190,62 +179,4 @@ func (e *EncodedVideo) CompressionRatio() float64 {
 // String describes the encoded value.
 func (e *EncodedVideo) String() string {
 	return fmt.Sprintf("%s %dx%dx%d, %d frames, %.1f:1", e.Type().Name, e.width, e.height, e.depth, len(e.frames), e.CompressionRatio())
-}
-
-// EncodedAudio is a compressed audio representation.
-type EncodedAudio struct {
-	media.Base
-	channels int
-	samples  int // decoded sample-frame count
-	data     []byte
-}
-
-var _ media.Value = (*EncodedAudio)(nil)
-
-func newEncodedAudio(typ *media.Type, channels, samples int, data []byte, tr avtime.Transform) *EncodedAudio {
-	e := &EncodedAudio{channels: channels, samples: samples, data: data}
-	e.Base = media.NewBase(typ, e.NumElements)
-	e.SetTransform(tr)
-	return e
-}
-
-// NumElements implements media.Value: the decoded sample-frame count.
-func (e *EncodedAudio) NumElements() int { return e.samples }
-
-// encodedAudioChunk is the element type of encoded audio: a byte window.
-type encodedAudioChunk []byte
-
-func (c encodedAudioChunk) Size() int64 { return int64(len(c)) }
-
-// Element implements media.Value.  Encoded audio is not element-address-
-// able mid-stream in general; the element is the whole encoded payload.
-func (e *EncodedAudio) Element(avtime.WorldTime) (media.Element, error) {
-	return encodedAudioChunk(e.data), nil
-}
-
-// ElementAt implements media.Value.
-func (e *EncodedAudio) ElementAt(o avtime.ObjectTime) (media.Element, error) {
-	if o != 0 {
-		return nil, fmt.Errorf("%w: encoded audio element %d", media.ErrOutOfRange, o)
-	}
-	return encodedAudioChunk(e.data), nil
-}
-
-// Size implements media.Value.
-func (e *EncodedAudio) Size() int64 { return int64(len(e.data)) }
-
-// RawSize reports the decoded PCM size in bytes.
-func (e *EncodedAudio) RawSize() int64 { return int64(e.samples) * int64(e.channels) * 2 }
-
-// CompressionRatio reports raw size over encoded size.
-func (e *EncodedAudio) CompressionRatio() float64 {
-	if len(e.data) == 0 {
-		return 0
-	}
-	return float64(e.RawSize()) / float64(len(e.data))
-}
-
-// String describes the encoded audio value.
-func (e *EncodedAudio) String() string {
-	return fmt.Sprintf("%s %dch, %d samples, %.1f:1", e.Type().Name, e.channels, e.samples, e.CompressionRatio())
 }

@@ -3,7 +3,6 @@ package codec
 import (
 	"bytes"
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -426,188 +425,6 @@ func TestEncodedVideoValueInterface(t *testing.T) {
 	}
 	if e.GOP() != 1 || e.Codec() != "jpeg-sim" || e.Width() != 16 || e.Height() != 12 || e.Depth() != 8 {
 		t.Error("metadata wrong")
-	}
-}
-
-func TestMuLawRoundTrip(t *testing.T) {
-	a := media.NewAudioValue(media.TypeVoiceAudio, 1)
-	samples := make([]int16, 8000)
-	for i := range samples {
-		samples[i] = int16(12000 * math.Sin(float64(i)*2*math.Pi*440/8000))
-	}
-	if err := a.AppendSamples(samples); err != nil {
-		t.Fatal(err)
-	}
-	e, err := MuLawCodec.Encode(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Size() != 8000 {
-		t.Errorf("µ-law size = %d, want 8000", e.Size())
-	}
-	if e.CompressionRatio() != 2 {
-		t.Errorf("µ-law ratio = %v, want 2", e.CompressionRatio())
-	}
-	d, err := MuLawCodec.Decode(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.NumSamples() != 8000 || d.Type() != media.TypeVoiceAudio {
-		t.Fatalf("decode shape wrong: %v", d)
-	}
-	// µ-law error is proportional to magnitude: check relative error.
-	dec, _ := d.Samples(0, 8000)
-	for i, s := range samples {
-		diff := math.Abs(float64(dec[i]) - float64(s))
-		bound := math.Abs(float64(s))/16 + 64
-		if diff > bound {
-			t.Fatalf("sample %d: %d -> %d (err %.0f > %.0f)", i, s, dec[i], diff, bound)
-		}
-	}
-}
-
-func TestMuLawExtremes(t *testing.T) {
-	for _, s := range []int16{0, 1, -1, 32767, -32768, 12345, -12345} {
-		d := muLawDecode(muLawEncode(s))
-		diff := int32(d) - int32(s)
-		if diff < 0 {
-			diff = -diff
-		}
-		bound := int32(s)/8 + 64
-		if bound < 0 {
-			bound = -bound
-		}
-		if diff > bound+900 { // extremes clip at 32635
-			t.Errorf("µ-law %d -> %d", s, d)
-		}
-	}
-}
-
-func TestADPCMRoundTripSNR(t *testing.T) {
-	a := media.NewAudioValue(media.TypeCDAudio, 2)
-	n := 44100
-	samples := make([]int16, n*2)
-	for i := 0; i < n; i++ {
-		samples[i*2] = int16(9000 * math.Sin(float64(i)*2*math.Pi*440/44100))
-		samples[i*2+1] = int16(9000 * math.Sin(float64(i)*2*math.Pi*523/44100))
-	}
-	if err := a.AppendSamples(samples); err != nil {
-		t.Fatal(err)
-	}
-	e, err := ADPCMCodec.Encode(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ratio := e.CompressionRatio(); ratio < 3.5 {
-		t.Errorf("ADPCM ratio = %.2f, want ~4", ratio)
-	}
-	d, err := ADPCMCodec.Decode(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.NumSamples() != n || d.Channels() != 2 {
-		t.Fatalf("decode shape wrong: %v", d)
-	}
-	dec, _ := d.Samples(0, n)
-	var sig, noise float64
-	for i := range samples {
-		sig += float64(samples[i]) * float64(samples[i])
-		diff := float64(dec[i]) - float64(samples[i])
-		noise += diff * diff
-	}
-	snr := 10 * math.Log10(sig/noise)
-	if snr < 20 {
-		t.Errorf("ADPCM SNR = %.1f dB, want >= 20", snr)
-	}
-}
-
-func TestADPCMOddSampleCount(t *testing.T) {
-	a := media.NewAudioValue(media.TypeVoiceAudio, 1)
-	if err := a.AppendSamples([]int16{100, -200, 300}); err != nil {
-		t.Fatal(err)
-	}
-	e, err := ADPCMCodec.Encode(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := ADPCMCodec.Decode(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.NumSamples() != 3 {
-		t.Errorf("odd count decode = %d samples", d.NumSamples())
-	}
-}
-
-func TestADPCMTruncatedPayload(t *testing.T) {
-	e := newEncodedAudio(TypeADPCMAudio, 2, 100, []byte{0, 0, 0, 0}, avtime.NewTransform(avtime.RateCDAudio))
-	if _, err := ADPCMCodec.Decode(e); err == nil {
-		t.Error("truncated ADPCM accepted")
-	}
-	e.data = nil
-	if _, err := ADPCMCodec.Decode(e); err == nil {
-		t.Error("headerless ADPCM accepted")
-	}
-}
-
-func TestEncodedAudioValueInterface(t *testing.T) {
-	a := media.NewAudioValue(media.TypeVoiceAudio, 1)
-	if err := a.AppendSamples(make([]int16, 4000)); err != nil {
-		t.Fatal(err)
-	}
-	e, err := MuLawCodec.Encode(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var val media.Value = e
-	if val.Duration() != 500*avtime.Millisecond {
-		t.Errorf("duration = %v, want 0.5s", val.Duration())
-	}
-	if val.NumElements() != 4000 {
-		t.Errorf("NumElements = %d", val.NumElements())
-	}
-	el, err := val.Element(0)
-	if err != nil || el.Size() != 4000 {
-		t.Errorf("Element = %v, %v", el, err)
-	}
-	if _, err := val.ElementAt(1); !errors.Is(err, media.ErrOutOfRange) {
-		t.Error("ElementAt(1) succeeded")
-	}
-	val.Translate(avtime.Second)
-	val.Scale(2)
-	if val.Interval() != avtime.IntervalOf(avtime.Second, 1250*avtime.Millisecond) {
-		t.Errorf("interval = %v", val.Interval())
-	}
-	if e.channels != 1 || len(e.data) != 4000 {
-		t.Error("metadata wrong")
-	}
-}
-
-// TestAudioCodecsKeepTimeline: a translated, scaled audio value keeps its
-// place on the world timeline through encoding, and decoding restores it,
-// as TestCodecsKeepTimeline holds the video codecs to.
-func TestAudioCodecsKeepTimeline(t *testing.T) {
-	a := media.NewAudioValue(media.TypeVoiceAudio, 2)
-	if err := a.AppendSamples(make([]int16, 2*8000)); err != nil {
-		t.Fatal(err)
-	}
-	a.Translate(250 * avtime.Millisecond)
-	a.Scale(2)
-	for _, c := range []AudioCodec{MuLawCodec, ADPCMCodec} {
-		e, err := c.Encode(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e.Transform() != a.Transform() || e.Interval() != a.Interval() {
-			t.Errorf("%T: encoded value spans %v, source %v", c, e.Interval(), a.Interval())
-		}
-		d, err := c.Decode(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.Transform() != a.Transform() || d.Interval() != a.Interval() {
-			t.Errorf("%T: decoded value spans %v, source %v", c, d.Interval(), a.Interval())
-		}
 	}
 }
 

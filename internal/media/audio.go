@@ -69,9 +69,6 @@ func NewAudioValue(typ *Type, channels int) *AudioValue {
 	return a
 }
 
-// Channels reports the number of audio channels.
-func (a *AudioValue) Channels() int { return a.channels }
-
 // NumSamples reports the number of sample frames.
 func (a *AudioValue) NumSamples() int { return len(a.samples) / a.channels }
 

@@ -191,16 +191,6 @@ func (v *VideoValue) Segment(i, j int) (*VideoValue, error) {
 	return s, nil
 }
 
-// Clone returns a deep copy of the value with an identity transform.
-func (v *VideoValue) Clone() *VideoValue {
-	c := NewVideoValue(v.typ, v.width, v.height, v.depth)
-	c.frames = make([]*Frame, len(v.frames))
-	for i, f := range v.frames {
-		c.frames[i] = f.Clone()
-	}
-	return c
-}
-
 // Equal reports whether two values have identical geometry, type and
 // frame contents.
 func (v *VideoValue) Equal(o *VideoValue) bool {

@@ -146,38 +146,11 @@ func (a *Admission) Reserve(r Resources) (*Grant, error) {
 	return &Grant{a: a, r: r}, nil
 }
 
-// ReserveStriped grants the bundle for a stream striped over width
-// devices.  The client still consumes one stream's worth of bus and CPU,
-// but buffering scales with the stripe: each participating disk needs
-// its own staging buffer to overlap its share of a service round with
-// the others.  The returned grant records the width and holds the
-// scaled bundle, so releasing or shrinking it settles all width shares
-// at once.
-func (a *Admission) ReserveStriped(r Resources, width int) (*Grant, error) {
-	if width < 1 {
-		return nil, fmt.Errorf("sched: stripe width must be >= 1, got %d", width)
-	}
-	scaled := r
-	scaled.Buffers = r.Buffers * width
-	g, err := a.Reserve(scaled)
-	if err != nil {
-		return nil, err
-	}
-	g.width = width
-	a.mu.Lock()
-	if a.sink != nil {
-		a.sink.Count("admission.reserve_striped", 1)
-	}
-	a.mu.Unlock()
-	return g, nil
-}
-
 // Grant is an outstanding resource reservation.
 type Grant struct {
 	mu       sync.Mutex
 	a        *Admission
 	r        Resources
-	width    int // stripe width for striped reservations, else 0
 	released bool
 }
 

@@ -288,40 +288,3 @@ func TestNewAdmissionRejectsNegativeBudget(t *testing.T) {
 		t.Error("negative budget accepted")
 	}
 }
-
-func TestAdmissionReserveStriped(t *testing.T) {
-	adm := mustAdmission(t, Resources{Buffers: 12, CPU: 100 * media.MBPerSecond, Bus: 200 * media.MBPerSecond})
-	// A striped grant scales the buffer demand by the stripe width: one
-	// staging buffer per participating disk.
-	g, err := adm.ReserveStriped(Resources{Buffers: 2, CPU: 10 * media.MBPerSecond, Bus: 20 * media.MBPerSecond}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.width != 4 {
-		t.Errorf("grant width %d, want 4", g.width)
-	}
-	if used := adm.Used(); used.Buffers != 8 || used.CPU != 10*media.MBPerSecond {
-		t.Errorf("Used = %v, want 8 buffers and unscaled rates", used)
-	}
-	// The scaled demand is what admission judges: a request whose width
-	// multiplies it past the budget fails even though the base fits.
-	if _, err := adm.ReserveStriped(Resources{Buffers: 2}, 3); !errors.Is(err, ErrAdmission) {
-		t.Errorf("over-wide reservation error = %v", err)
-	}
-	g.Release()
-	if !adm.Used().IsZero() {
-		t.Error("striped release did not settle every component")
-	}
-	if _, err := adm.ReserveStriped(Resources{Buffers: 1}, 0); err == nil {
-		t.Error("zero width accepted")
-	}
-	// Width 1 is exactly a plain reservation.
-	g1, err := adm.ReserveStriped(Resources{Buffers: 2}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g1.width != 1 || adm.Used().Buffers != 2 {
-		t.Errorf("width-1 grant width=%d used=%v", g1.width, adm.Used())
-	}
-	g1.Release()
-}

@@ -224,3 +224,34 @@ func TestTimelineASCIIPointTrack(t *testing.T) {
 		t.Errorf("point track missing:\n%s", out)
 	}
 }
+
+func TestTimelineASCIIDegenerate(t *testing.T) {
+	// A hull of zero length is widened to one microsecond, so columns
+	// still divide; the point entry is empty and shades nothing.
+	point := &Timeline{Name: "pt", Entries: []TimelineEntry{{"p", avtime.Interval{Start: 5 * avtime.Second}}}}
+	want := "pt  [5.000000s .. 5.000001s]\n" +
+		"  p    |..........|\n" +
+		"  time  0          \n" +
+		"  t0 = 5.000000s\n"
+	if got := point.ASCII(10); got != want {
+		t.Errorf("zero-length hull:\n%q\nwant\n%q", got, want)
+	}
+	// Entries with negative durations fall outside the hull: their
+	// columns clamp to [0, width], and a one-column entry clamped to the
+	// right edge shades the last column.
+	bad := &Timeline{Name: "bad", Entries: []TimelineEntry{
+		{"a", avtime.IntervalOf(0, 10*avtime.Second)},
+		{"late", avtime.Interval{Start: 20 * avtime.Second, Dur: -5 * avtime.Second}},
+		{"early", avtime.Interval{Start: 5 * avtime.Second, Dur: -10 * avtime.Second}},
+	}}
+	want = "bad  [0.000000s .. 15.000000s]\n" +
+		"  a     |======....|\n" +
+		"  late  |.........=|\n" +
+		"  early |..........|\n" +
+		"  time   1  2  3  5 \n" +
+		"  t0 = -5.000000s\n  t1 = 0.000000s\n  t2 = 5.000000s\n" +
+		"  t3 = 10.000000s\n  t4 = 15.000000s\n  t5 = 20.000000s\n"
+	if got := bad.ASCII(10); got != want {
+		t.Errorf("clamped columns:\n%q\nwant\n%q", got, want)
+	}
+}
