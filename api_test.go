@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -44,14 +45,6 @@ var exportAllowlist = map[string]string{
 	// through it.
 	"storage.Store.Delete": "ROADMAP item 10 (DeleteObject frees placements); TestDeleteFreesSpace",
 
-	// Only their own tests call these; each goes with its tests.
-	"avtime.TimecodeFromFrames":   "TestTimecodeRoundTrip, TestTimecodeString, TestPropTimecodeRoundTrip",
-	"avtime.ParseTimecode":        "TestParseTimecode, TestTimecodeParseFormatProperty",
-	"avtime.Timecode.WorldTime":   "TestTimecodeWorldTime",
-	"media.VideoValue.Segment":    "TestVideoValueSegmentShares",
-	"sched.Skew":                  "TestSkew, TestResyncReducesSkew",
-	"temporal.Composite.ActiveAt": "TestCompositeActiveAt, TestPropActiveAtMatchesContainment",
-
 	// Test oracles: the round-trip check the codec, synth, media, render
 	// and activities tests compare values with, and the only way
 	// TestMultiSourceSinkSealing can see that NewMultiSink enables sync.
@@ -60,7 +53,7 @@ var exportAllowlist = map[string]string{
 }
 
 // faultSurface is the reason the fault-injection surface stays.
-const faultSurface = "TestEngineShardedChaosDeterminism, fault_recovery_test.go, isolation_test.go and experiment's chaos tests drive it; ROADMAP item 11"
+const faultSurface = "TestEngineSharedFaultDeterminism, fault_recovery_test.go, isolation_test.go and experiment's chaos tests drive it; ROADMAP item 11"
 
 // TestExportsHaveNonTestCallers type-checks every non-test package of the
 // repository (the root, internal/, cmd/, examples/ and the bench/ module)
@@ -71,17 +64,53 @@ const faultSurface = "TestEngineShardedChaosDeterminism, fault_recovery_test.go,
 // when the standard library calls it by name (sort and heap methods,
 // String, Error, Unwrap).
 func TestExportsHaveNonTestCallers(t *testing.T) {
-	unused, names := scanExports(t, ".")
+	s, err := repoScan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkUsed(t, s, s.decls, exportAllowlist, "delete it, or call it from an example")
+}
+
+// unexportedAllowlist names the unexported internal/ funcs and methods
+// that only tests call yet stay, each with the reason.
+var unexportedAllowlist = map[string]string{
+	// Invariant checkers the index tests assert the B-tree's shape with.
+	"query.btree.depth":           "TestBTreeInsertLookupRemove checks that inserts grow the tree past one level",
+	"query.btree.checkInvariants": "TestBTreeInsertLookupRemove and TestBTreeRandomDeleteProperty check key order and node fill after inserts and deletes",
+}
+
+// TestUnexportedFuncsHaveNonTestCallers is TestExportsHaveNonTestCallers
+// for the unexported package-level funcs and methods under internal/,
+// with the same interface rule: it fails for each one that no non-test
+// code of its package uses, and for each stale allowlist entry.
+func TestUnexportedFuncsHaveNonTestCallers(t *testing.T) {
+	s, err := repoScan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkUsed(t, s, s.udecls, unexportedAllowlist, "delete it, or move it into a test file")
+}
+
+// checkUsed fails for each name in decls that no non-test code uses and
+// allow does not name, and for each allow entry that names nothing in
+// decls or now has a use.
+func checkUsed(t *testing.T, s *exportScan, decls map[types.Object]string, allow map[string]string, fix string) {
+	t.Helper()
+	unused := s.unused(decls)
 	for _, name := range unused {
-		if _, ok := exportAllowlist[name]; !ok {
-			t.Errorf("%s has no non-test caller: delete it, or call it from an example", name)
+		if _, ok := allow[name]; !ok {
+			t.Errorf("%s has no non-test caller: %s", name, fix)
 		}
 	}
 	dead := make(map[string]bool, len(unused))
 	for _, name := range unused {
 		dead[name] = true
 	}
-	for name := range exportAllowlist {
+	names := make(map[string]bool, len(decls))
+	for _, name := range decls {
+		names[name] = true
+	}
+	for name := range allow {
 		switch {
 		case !names[name]:
 			t.Errorf("allowlist entry %s names nothing: remove it", name)
@@ -91,21 +120,25 @@ func TestExportsHaveNonTestCallers(t *testing.T) {
 	}
 }
 
-// scanExports returns the exported internal/ names under root that no
-// non-test code uses, sorted, and the set of every exported internal/
-// name it saw.
-func scanExports(t testing.TB, root string) ([]string, map[string]bool) {
-	t.Helper()
+// repoScan type-checks the repository once for every test that reads
+// the scan.
+var repoScan = sync.OnceValues(func() (*exportScan, error) { return scanRepo(".") })
+
+// scanRepo type-checks every non-test package under root, recording
+// the internal/ funcs, methods and other names it declares and every
+// use of them.
+func scanRepo(root string) (*exportScan, error) {
 	s := &exportScan{
-		fset:  token.NewFileSet(),
-		dirs:  make(map[string]string),
-		pkgs:  make(map[string]*types.Package),
-		std:   importer.Default(),
-		uses:  make(map[*ast.Ident]types.Object),
-		decls: make(map[types.Object]string),
+		fset:   token.NewFileSet(),
+		dirs:   make(map[string]string),
+		pkgs:   make(map[string]*types.Package),
+		std:    importer.Default(),
+		uses:   make(map[*ast.Ident]types.Object),
+		decls:  make(map[types.Object]string),
+		udecls: make(map[types.Object]string),
 	}
 	if err := s.findPackages(root); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	paths := make([]string, 0, len(s.dirs))
 	for path := range s.dirs {
@@ -114,21 +147,22 @@ func scanExports(t testing.TB, root string) ([]string, map[string]bool) {
 	sort.Strings(paths)
 	for _, path := range paths {
 		if _, err := s.Import(path); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 	}
-	return s.unused(), s.names()
+	return s, nil
 }
 
 // exportScan type-checks the repository's packages from source, each
 // once, sharing one Uses map so a use anywhere is visible.
 type exportScan struct {
-	fset  *token.FileSet
-	dirs  map[string]string // import path -> directory
-	pkgs  map[string]*types.Package
-	std   types.Importer
-	uses  map[*ast.Ident]types.Object
-	decls map[types.Object]string // exported internal/ object -> name
+	fset   *token.FileSet
+	dirs   map[string]string // import path -> directory
+	pkgs   map[string]*types.Package
+	std    types.Importer
+	uses   map[*ast.Ident]types.Object
+	decls  map[types.Object]string // exported internal/ object -> name
+	udecls map[types.Object]string // unexported internal/ func or method -> name
 }
 
 // findPackages maps each directory holding Go files to its import path:
@@ -189,10 +223,16 @@ func (s *exportScan) Import(path string) (*types.Package, error) {
 	s.pkgs[path] = pkg
 	if strings.HasPrefix(path, "avdb/internal/") {
 		for id, obj := range defs {
-			if obj != nil && id.IsExported() {
-				if name := exportName(pkg, obj); name != "" {
-					s.decls[obj] = name
-				}
+			if obj == nil {
+				continue
+			}
+			name := exportName(pkg, obj)
+			switch _, isFunc := obj.(*types.Func); {
+			case name == "":
+			case id.IsExported():
+				s.decls[obj] = name
+			case isFunc && id.Name != "init" && id.Name != "_":
+				s.udecls[obj] = name
 			}
 		}
 	}
@@ -244,8 +284,8 @@ var stdlibMethods = map[string]bool{
 	"String": true, "Error": true, "Unwrap": true,
 }
 
-// unused returns the exported internal/ names with no use, sorted.
-func (s *exportScan) unused() []string {
+// unused returns the names in decls with no use, sorted.
+func (s *exportScan) unused(decls map[types.Object]string) []string {
 	used := make(map[types.Object]bool)
 	for _, obj := range s.uses {
 		if fn, ok := obj.(*types.Func); ok {
@@ -297,7 +337,7 @@ func (s *exportScan) unused() []string {
 		}
 	}
 	var out []string
-	for obj, name := range s.decls {
+	for obj, name := range decls {
 		if used[obj] {
 			continue
 		}
@@ -307,14 +347,5 @@ func (s *exportScan) unused() []string {
 		out = append(out, name)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// names returns every exported internal/ name the scan saw.
-func (s *exportScan) names() map[string]bool {
-	out := make(map[string]bool, len(s.decls))
-	for _, name := range s.decls {
-		out[name] = true
-	}
 	return out
 }

@@ -122,18 +122,6 @@ func (r *GraphRun) Ticks() int { return r.tick }
 // Err returns the run's terminal error, if a Tick has failed.
 func (r *GraphRun) Err() error { return r.runErr }
 
-// SwapObs replaces the run's telemetry sink and returns the previous
-// one.  The parallel engine uses it right after Begin (which emits the
-// session's setup spans directly) to point the run at a private
-// obs.Stage, so ticks on parallel workers buffer telemetry race-free
-// for an admission-ordered replay at the commit barrier.  Callers must
-// not swap while a Tick is in flight.
-func (r *GraphRun) SwapObs(s obs.Sink) obs.Sink {
-	old := r.sink
-	r.sink = s
-	return old
-}
-
 // Done reports whether the run has no more ticks to execute.
 func (r *GraphRun) Done() bool { return r.done || r.runErr != nil || r.finished }
 

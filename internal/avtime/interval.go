@@ -26,11 +26,6 @@ func (iv Interval) End() WorldTime { return iv.Start + iv.Dur }
 // IsEmpty reports whether the interval has zero duration.
 func (iv Interval) IsEmpty() bool { return iv.Dur == 0 }
 
-// Contains reports whether world time w falls inside the interval.
-func (iv Interval) Contains(w WorldTime) bool {
-	return w >= iv.Start && w < iv.End()
-}
-
 // Union returns the smallest interval covering both (their convex hull).
 func (iv Interval) Union(o Interval) Interval {
 	if iv.IsEmpty() {

@@ -70,15 +70,11 @@ type Config struct {
 	// Resources is the admission-control budget for database-side
 	// activities and streams.
 	Resources sched.Resources
-	// Deprecated: Workers is ignored — EngineWorkers is the only host
-	// parallelism.  It stays only because the frozen bench/ module sets it.
-	Workers int
-	// EngineWorkers is how many goroutines tick the runs due on one
-	// engine step, each claiming the next unticked run, with results
-	// merged in admission order at the commit barrier so any value
-	// produces byte-identical output.  Zero or one keeps the engine
-	// serial.
-	EngineWorkers int
+	// Deprecated: ignored.  Workers and EngineWorkers once set host
+	// parallelism; the engine now ticks every run on its one loop
+	// goroutine.  They stay only because the frozen bench/ module sets
+	// them.
+	Workers, EngineWorkers int
 	// Cache configures per-stream chunk caching and lookahead
 	// prefetching in the media store; the zero value disables it.
 	Cache storage.CachePolicy
@@ -172,7 +168,6 @@ func Open(cfg Config) (*Database, error) {
 	db.mediaSt.SetTierPolicy(cfg.Tiering)
 	db.engine = query.NewEngine(db.schema, db.objects)
 	db.runEngine = newEngine(db)
-	db.runEngine.setWorkers(cfg.EngineWorkers)
 	return db, nil
 }
 

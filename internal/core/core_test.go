@@ -28,6 +28,14 @@ func testDB(t testing.TB) *Database {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defineTestClasses(t, db)
+	return db
+}
+
+// defineTestClasses defines the MediaObject, SimpleNewscast and
+// Newscast classes the tests store clips under.
+func defineTestClasses(t testing.TB, db *Database) {
+	t.Helper()
 	if _, err := db.DefineClass("MediaObject", "", []schema.AttrDef{
 		{Name: "title", Kind: schema.KindString},
 	}); err != nil {
@@ -54,7 +62,6 @@ func testDB(t testing.TB) *Database {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return db
 }
 
 func testClip(frames int) *media.VideoValue {

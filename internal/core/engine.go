@@ -4,7 +4,6 @@ import (
 	"context"
 	"runtime/pprof"
 	"sync"
-	"sync/atomic"
 
 	"avdb/internal/activity"
 	"avdb/internal/avtime"
@@ -41,20 +40,13 @@ import (
 // restarts so storage round numbers never rewind below the IOSched
 // flush watermark.
 //
-// With EngineWorkers > 1 the tick phase itself fans out (DESIGN.md
-// §14): the loop goroutine and EngineWorkers-1 helpers claim the due
-// batch's runs from one atomic cursor, so any run may tick on any
-// worker, and the commit barrier merges results back in admission
-// order.  Runs tick on disjoint per-run state; every shared structure
-// they touch mid-tick (SCAN-EDF rounds, the buffer pool, device fault
-// hooks, link counters, the metrics registry) is either lock-protected
-// and order-independent or read-only — a fault hook keys each draw by
-// the operation it decides, not by arrival — and per-run telemetry is
-// buffered in a private obs.Stage replayed in admission order at the
-// barrier, so any worker count stays byte-identical to serial.
-// Sessions admitted from inside event handlers during a parallel tick
-// keep working but fall outside the byte-identity guarantee (admission
-// order then depends on worker interleaving).
+// Every due run ticks on the loop goroutine, one after another in
+// admission order (DESIGN.md §14), so the engine is deterministic by
+// construction: telemetry reaches the sink in program order, and a
+// session admitted from an event handler mid-tick joins the run set at
+// the same point on every run.  Clients still call in from their own
+// goroutines (Start, Wait, introspection), so the engine's state, the
+// run set and every shared structure a tick touches stay locked.
 //
 // The step path follows the same allocation-free discipline as the
 // SCAN-EDF scheduler (DESIGN.md §12, §13): the due batch, the retired
@@ -83,18 +75,11 @@ type Engine struct {
 	stepping bool // a step is executing outside the lock
 	steps    int64
 	finished int64 // runs retired since open
-	workers  int   // goroutines ticking a step, the loop's included; fixed at Open
-
-	// The workers-1 helpers, started at the first parallel step and
-	// stopped when the run set drains.
-	helpCh chan int64 // one step number per helper per parallel step
-	stepWG sync.WaitGroup
 
 	// Step-path scratch, reused step to step.  Only the loop goroutine
 	// (or a test driving stepOnce directly) touches these outside the
 	// engine lock.
 	stepBatch   []*engineEntry  // entries due this step, admission order
-	claimed     atomic.Int64    // stepBatch entries claimed by tickBatch so far
 	retiredBuf  []*engineEntry  // entries finishing this step
 	sessScratch []*Session      // degradeCandidates session snapshot
 	candScratch []*Session      // degradeCandidates result buffer
@@ -124,7 +109,6 @@ type engineRun interface {
 	NextDue() avtime.WorldTime
 	CommitHorizon() avtime.WorldTime
 	SetRound(int64)
-	SwapObs(obs.Sink) obs.Sink
 	Tick() (bool, error)
 	Finish() (*activity.RunStats, error)
 }
@@ -146,87 +130,29 @@ type engineEntry struct {
 	ticks      int              // snapshot, written and read under the engine lock
 	due        avtime.WorldTime // snapshot of the next due time, under the engine lock
 	lastStalls int64            // stall episodes at the previous sample (loop goroutine)
-
-	stage *obs.Stage // private telemetry buffer under parallel stepping
-
-	// Tick result, written by the ticking goroutine during phase 1 and
-	// read by the loop goroutine at the merge (the helpers' WaitGroup
-	// provides the happens-before edge).
-	tickDone bool
+	tickDone   bool             // the last tick finished the run (loop goroutine)
 }
 
 func newEngine(db *Database) *Engine {
 	e := &Engine{
 		db:      db,
 		entries: make(map[sched.RunID]*engineEntry),
-		workers: 1,
 		baseCtx: context.Background(),
 	}
 	e.cond = sync.NewCond(&e.mu)
 	return e
 }
 
-// setWorkers sets how many goroutines tick each step; n <= 1 steps
-// serially.  The output is byte-identical for any value, so it is
-// purely a host-parallelism knob, fixed at Open from
-// Config.EngineWorkers, before any admission (telemetry staging is
-// decided per admission).
-func (e *Engine) setWorkers(n int) {
-	e.mu.Lock()
-	e.workers = max(n, 1)
-	e.mu.Unlock()
-}
-
-// startHelpers starts the n helper goroutines on the first parallel
-// step.  Only the loop goroutine calls it.
-func (e *Engine) startHelpers(n int) {
-	if e.helpCh != nil {
-		return
-	}
-	e.helpCh = make(chan int64, n)
-	for i := 0; i < n; i++ {
-		go e.helper(e.helpCh)
-	}
-}
-
-// stopHelpers releases the helpers; the step barrier precedes every
-// call, so none is mid-batch.
-func (e *Engine) stopHelpers() {
-	if e.helpCh != nil {
-		close(e.helpCh)
-		e.helpCh = nil
-	}
-}
-
-// helper joins one step's tickBatch per step number it receives, until
-// the channel closes.
-func (e *Engine) helper(ch chan int64) {
-	for step := range ch {
-		e.tickBatch(step)
-		e.stepWG.Done()
-	}
-}
-
-// tickBatch ticks stepBatch entries until none is left to claim.  The
-// loop goroutine and every helper run it at once, each claiming the
-// next entry from one atomic cursor, so a run may tick on any of them;
-// each records its outcome on its own entry.  Ordering across runs is
-// free to race — runs touch disjoint per-run state, and all shared
-// mid-tick structures are lock-protected and order-independent (see the
-// Engine doc comment).
+// tickBatch ticks every stepBatch entry in admission order, each under
+// its admission-time pprof label context, and records each outcome on
+// its entry.
 func (e *Engine) tickBatch(step int64) {
-	for {
-		i := int(e.claimed.Add(1)) - 1
-		if i >= len(e.stepBatch) {
-			break
-		}
-		en := e.stepBatch[i]
+	for _, en := range e.stepBatch {
 		en.run.SetRound(step)
 		pprof.SetGoroutineLabels(en.labelCtx)
 		// A tick error stays on the run (Err), which the merge and the
 		// retirement read; Wait returns it.
-		done, _ := en.run.Tick()
-		en.tickDone = done
+		en.tickDone, _ = en.run.Tick()
 	}
 	pprof.SetGoroutineLabels(e.baseCtx)
 }
@@ -277,10 +203,7 @@ func (e *Engine) admitCheck() error {
 // loop.  Called by Session.StartAt with the graph already started and
 // the playback handle registered on the session.  The pprof label
 // context is built here, once per admission, so the step path never
-// constructs label sets per tick.  Under parallel stepping with
-// observability on, the run's sink is swapped for a private obs.Stage
-// here — after Begin, which emitted the session's setup spans directly,
-// and before the first tick.
+// constructs label sets per tick.
 func (e *Engine) admit(s *Session, run engineRun, p *Playback) {
 	labels := pprof.Labels("avdb_session", s.ID(), "avdb_graph", run.Graph().Name())
 	ctx := pprof.WithLabels(context.Background(), labels)
@@ -298,10 +221,6 @@ func (e *Engine) admit(s *Session, run engineRun, p *Playback) {
 		labelCtx: ctx,
 		rate:     run.Rate(),
 		due:      due,
-	}
-	if sink != nil && e.workers > 1 {
-		en.stage = &obs.Stage{}
-		run.SwapObs(en.stage)
 	}
 	e.entries[id] = en
 	e.admitted = append(e.admitted, id)
@@ -361,7 +280,6 @@ func (e *Engine) stepOnce() bool {
 	}
 	if e.set.Len() == 0 {
 		e.running = false
-		e.stopHelpers()
 		e.cond.Broadcast()
 		e.mu.Unlock()
 		return false
@@ -378,7 +296,6 @@ func (e *Engine) stepOnce() bool {
 	}
 	batch := e.stepBatch
 	det := e.detector
-	workers := e.workers
 	e.stepping = true
 	e.mu.Unlock()
 
@@ -396,28 +313,13 @@ func (e *Engine) stepOnce() bool {
 
 	// Phase 1 — tick every due run, all tagged with this step's service
 	// round so the store batches their chunk requests into the same
-	// per-disk SCAN-EDF rounds.  This goroutine runs tickBatch, joined
-	// by up to workers-1 helpers when the batch has runs to spare, and
-	// waits for them at the barrier.  Each run ticks under its
-	// admission-time pprof label context.
-	e.claimed.Store(0)
-	if helpers := min(workers, len(batch)) - 1; helpers > 0 {
-		e.startHelpers(workers - 1)
-		e.stepWG.Add(helpers)
-		for i := 0; i < helpers; i++ {
-			e.helpCh <- step
-		}
-	}
+	// per-disk SCAN-EDF rounds.
 	e.tickBatch(step)
-	e.stepWG.Wait()
 
 	// Merge — walk the batch in admission order: sample each session's
 	// stall episodes (they change only during its own tick, so sampling
-	// here sums to what sampling after each tick would), replay each
-	// run's staged telemetry into the real sink (re-establishing exactly
-	// the emission order a serial step would have produced), and collect
-	// finished runs.  This is the commit barrier that makes any worker
-	// count byte-identical to serial.
+	// here sums to what sampling after each tick would) and collect
+	// finished runs.
 	e.retiredBuf = e.retiredBuf[:0]
 	var stallDelta int64
 	for _, en := range batch {
@@ -425,9 +327,6 @@ func (e *Engine) stepOnce() bool {
 			eps := en.sess.stallEpisodes()
 			stallDelta += eps - en.lastStalls
 			en.lastStalls = eps
-		}
-		if en.stage != nil {
-			en.stage.Flush(sink)
 		}
 		if en.tickDone || en.run.Err() != nil {
 			e.retiredBuf = append(e.retiredBuf, en)
@@ -472,13 +371,6 @@ func (e *Engine) stepOnce() bool {
 	// waiters unblock.
 	for _, en := range e.retiredBuf {
 		stats, err := en.run.Finish()
-		if en.stage != nil {
-			// Finish emits its close-out (span ends, teardown counters)
-			// through the run's sink — the stage, under parallel
-			// stepping.  Replay it now, at the same point a serial
-			// engine would have emitted it directly.
-			en.stage.Flush(sink)
-		}
 		e.mu.Lock()
 		e.set.Remove(en.id)
 		delete(e.entries, en.id)

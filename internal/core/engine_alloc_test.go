@@ -9,7 +9,6 @@ import (
 
 	"avdb/internal/activity"
 	"avdb/internal/avtime"
-	"avdb/internal/obs"
 	"avdb/internal/sched"
 )
 
@@ -34,7 +33,6 @@ func (f *fakeRun) Done() bool                          { return false }
 func (f *fakeRun) NextDue() avtime.WorldTime           { return f.due }
 func (f *fakeRun) CommitHorizon() avtime.WorldTime     { return f.due }
 func (f *fakeRun) SetRound(int64)                      {}
-func (f *fakeRun) SwapObs(s obs.Sink) obs.Sink         { return nil }
 func (f *fakeRun) Finish() (*activity.RunStats, error) { return &activity.RunStats{}, nil }
 
 func (f *fakeRun) Tick() (bool, error) {
@@ -43,11 +41,11 @@ func (f *fakeRun) Tick() (bool, error) {
 	return false, nil
 }
 
-// admitFakeRuns enters n fake runs into an engine of the given worker
-// count with the loop goroutine held out (running forced true), so the
-// test drives stepOnce synchronously.  All fakes share one due time, so
+// admitFakeRuns enters n fake runs into the engine with the loop
+// goroutine held out (running forced true), so the test drives stepOnce
+// synchronously.  All fakes share one due time, so
 // every step batches all of them — the widest, worst-case step.
-func admitFakeRuns(t testing.TB, db *Database, n, workers int) *Engine {
+func admitFakeRuns(t testing.TB, db *Database, n int) *Engine {
 	t.Helper()
 	s, err := db.Connect("alloc-harness", "lan0")
 	if err != nil {
@@ -55,7 +53,6 @@ func admitFakeRuns(t testing.TB, db *Database, n, workers int) *Engine {
 	}
 	t.Cleanup(func() { s.Close() })
 	e := db.Engine()
-	e.setWorkers(workers)
 	e.mu.Lock()
 	e.running = true // keep the loop goroutine out; the test steps directly
 	e.mu.Unlock()
@@ -71,92 +68,20 @@ func admitFakeRuns(t testing.TB, db *Database, n, workers int) *Engine {
 // per-run label switch and tick, snapshot refresh, reschedule, clock
 // commit — performs zero heap allocations of its own.  The runs are
 // no-op fakes, so any allocation measured here is engine bookkeeping.
-// 256 sessions at 4 workers is the parallel step with many runs per
-// worker — the arm BenchmarkEngineStepSharded starts from.
 func TestEngineAllocsPerStep(t *testing.T) {
 	for _, n := range []int{1, 16, 256} {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("sessions-%d-workers-%d", n, workers), func(t *testing.T) {
-				db := testDB(t)
-				e := admitFakeRuns(t, db, n, workers)
-				// Warm the batch/retired/DueBatch buffers (and, in parallel,
-				// the helpers and their goroutines' sudog caches) past growth.
-				for i := 0; i < 32; i++ {
-					e.stepOnce()
-				}
-				allocs := testing.AllocsPerRun(200, func() { e.stepOnce() })
-				if allocs != 0 {
-					t.Errorf("engine step allocates %.1f times per step at %d sessions, %d workers, want 0",
-						allocs, n, workers)
-				}
-			})
-		}
-	}
-}
-
-// busyRun is fakeRun with a deterministic arithmetic spin per tick,
-// sized to imitate a real session's host-side tick cost (~hundreds of
-// ns).  It gives BenchmarkEngineStepSharded actual work to divide across
-// workers while keeping the 0 allocs/step bound measurable.
-type busyRun struct {
-	fakeRun
-	spin int
-	acc  uint64 // accumulated so the spin cannot be dead-code eliminated
-}
-
-func (r *busyRun) Tick() (bool, error) {
-	x := r.acc + 12345
-	for i := 0; i < r.spin; i++ {
-		x = x*6364136223846793005 + 1442695040888963407
-	}
-	r.acc = x
-	r.ticks++
-	r.due += r.unit
-	return false, nil
-}
-
-// admitBusyRuns is admitFakeRuns over busyRuns.
-func admitBusyRuns(t testing.TB, db *Database, n, spin, workers int) *Engine {
-	t.Helper()
-	s, err := db.Connect("shard-harness", "lan0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	e := db.Engine()
-	e.setWorkers(workers)
-	e.mu.Lock()
-	e.running = true // keep the loop goroutine out; the test steps directly
-	e.mu.Unlock()
-	g := activity.NewGraph("busy")
-	for i := 0; i < n; i++ {
-		e.admit(s, &busyRun{fakeRun: fakeRun{g: g, unit: avtime.Millisecond}, spin: spin}, &Playback{done: make(chan struct{})})
-	}
-	return e
-}
-
-// BenchmarkEngineStepSharded measures step throughput as the tick
-// phase fans out: serial versus 4 workers at 256/1k/4k sessions of
-// µs-scale busy work.  A guard, not a claim: whether parallel stepping
-// pays is measured end to end by bench/ (core.engine.parallel_ratio);
-// TestEngineAllocsPerStep holds the 0 allocs/step bound.
-func BenchmarkEngineStepSharded(b *testing.B) {
-	const spin = 400
-	for _, n := range []int{256, 1024, 4096} {
-		for _, workers := range []int{1, 4} {
-			b.Run(fmt.Sprintf("sessions-%d-workers-%d", n, workers), func(b *testing.B) {
-				db := testDB(b)
-				e := admitBusyRuns(b, db, n, spin, workers)
-				for i := 0; i < 8; i++ {
-					e.stepOnce()
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					e.stepOnce()
-				}
-			})
-		}
+		t.Run(fmt.Sprintf("sessions-%d", n), func(t *testing.T) {
+			db := testDB(t)
+			e := admitFakeRuns(t, db, n)
+			// Warm the batch/retired/DueBatch buffers past growth.
+			for i := 0; i < 32; i++ {
+				e.stepOnce()
+			}
+			allocs := testing.AllocsPerRun(200, func() { e.stepOnce() })
+			if allocs != 0 {
+				t.Errorf("engine step allocates %.1f times per step at %d sessions, want 0", allocs, n)
+			}
+		})
 	}
 }
 
@@ -171,7 +96,7 @@ func BenchmarkEngineStep(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			db := testDB(b)
-			e := admitFakeRuns(b, db, n, 1)
+			e := admitFakeRuns(b, db, n)
 			for i := 0; i < 32; i++ {
 				e.stepOnce()
 			}

@@ -127,8 +127,7 @@ func TestEngineSharedClockMonotonic(t *testing.T) {
 // TestEngineCrossSessionDeterminism pins N concurrent sessions to one
 // byte stream: on every repeat the obs snapshot (spans, metrics, engine
 // counters) and each session's RunStats must be identical, however the
-// host schedules the engine loop and the waiting clients
-// (TestEngineShardedDeterminism sweeps EngineWorkers).
+// host schedules the engine loop and the waiting clients.
 func TestEngineCrossSessionDeterminism(t *testing.T) {
 	const sessions = 3
 	run := func() (string, []*activity.RunStats) {
@@ -482,64 +481,61 @@ func (s *tickBombSink) Tick(tc *activity.TickContext) error {
 
 // TestEngineTickErrorReachesWait: the engine drops the error a run's
 // Tick returns and reads it back from the run when it retires it, so a
-// failing tick must still reach Playback.Wait, at every EngineWorkers
-// count, while the session stepped beside it plays to the end.
+// failing tick must still reach Playback.Wait, while the session
+// stepped beside it plays to the end.
 func TestEngineTickErrorReachesWait(t *testing.T) {
 	const frames, after = 20, 5
 	errBoom := errors.New("sink wedged")
-	for _, ew := range []int{1, 2} {
-		db := testDB(t)
-		db.Engine().setWorkers(ew)
-		oid := storeNewscast(t, db, "clip", frames)
-		good := bindPlayback(t, db, "good", "lan0", oid)
-		bad, err := db.Connect("bad", "lan0")
-		if err != nil {
+	db := testDB(t)
+	oid := storeNewscast(t, db, "clip", frames)
+	good := bindPlayback(t, db, "good", "lan0", oid)
+	bad, err := db.Connect("bad", "lan0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := activities.NewVideoReader("src", activity.AtDatabase, media.TypeRawVideo30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bomb := &tickBombSink{Base: activity.NewBase("sink", "TickBomb", activity.AtApplication), after: after, fail: errBoom}
+	bomb.AddPort("in", activity.In, media.TypeRawVideo30)
+	for _, a := range []activity.Activity{src, bomb} {
+		if err := bad.Install(a, sched.Resources{}); err != nil {
 			t.Fatal(err)
 		}
-		src, err := activities.NewVideoReader("src", activity.AtDatabase, media.TypeRawVideo30)
-		if err != nil {
+	}
+	if _, err := bad.Connect(src, "out", bomb, "in", media.MBPerSecond); err != nil {
+		t.Fatal(err)
+	}
+	if err := bad.BindValue(oid, "videoTrack", src, "out", media.MBPerSecond); err != nil {
+		t.Fatal(err)
+	}
+	db.Engine().Pause()
+	pbGood, err := good.sess.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pbBad, err := bad.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Engine().Resume()
+	stats, err := pbBad.Wait()
+	if !errors.Is(err, errBoom) {
+		t.Fatalf("Wait = %v, want the tick's %v", err, errBoom)
+	}
+	if stats == nil || stats.Ticks != after {
+		t.Errorf("the failed run reports %+v, want %d clean ticks", stats, after)
+	}
+	if _, err := pbGood.Wait(); err != nil {
+		t.Fatalf("the healthy session failed too: %v", err)
+	}
+	if n := good.win.FramesShown(); n != frames {
+		t.Errorf("the healthy session showed %d frames, want %d", n, frames)
+	}
+	for _, s := range []*Session{good.sess, bad} {
+		if err := s.Close(); err != nil {
 			t.Fatal(err)
-		}
-		bomb := &tickBombSink{Base: activity.NewBase("sink", "TickBomb", activity.AtApplication), after: after, fail: errBoom}
-		bomb.AddPort("in", activity.In, media.TypeRawVideo30)
-		for _, a := range []activity.Activity{src, bomb} {
-			if err := bad.Install(a, sched.Resources{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := bad.Connect(src, "out", bomb, "in", media.MBPerSecond); err != nil {
-			t.Fatal(err)
-		}
-		if err := bad.BindValue(oid, "videoTrack", src, "out", media.MBPerSecond); err != nil {
-			t.Fatal(err)
-		}
-		db.Engine().Pause()
-		pbGood, err := good.sess.Start()
-		if err != nil {
-			t.Fatal(err)
-		}
-		pbBad, err := bad.Start()
-		if err != nil {
-			t.Fatal(err)
-		}
-		db.Engine().Resume()
-		stats, err := pbBad.Wait()
-		if !errors.Is(err, errBoom) {
-			t.Fatalf("EngineWorkers=%d: Wait = %v, want the tick's %v", ew, err, errBoom)
-		}
-		if stats == nil || stats.Ticks != after {
-			t.Errorf("EngineWorkers=%d: the failed run reports %+v, want %d clean ticks", ew, stats, after)
-		}
-		if _, err := pbGood.Wait(); err != nil {
-			t.Fatalf("EngineWorkers=%d: the healthy session failed too: %v", ew, err)
-		}
-		if n := good.win.FramesShown(); n != frames {
-			t.Errorf("EngineWorkers=%d: the healthy session showed %d frames, want %d", ew, n, frames)
-		}
-		for _, s := range []*Session{good.sess, bad} {
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 }

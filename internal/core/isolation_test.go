@@ -78,16 +78,15 @@ type isoOutcome struct {
 // of disk2 that never recovers.  The armed session on disk2 fails soft
 // (sacrifices frames, completes), the unarmed one dies with a device
 // error, and the three bystanders on other disks are untouched —
-// byte-for-byte the same observability output at EngineWorkers 1, 2 and
-// 4, and the same per-session outcomes as a crash-free run.
+// byte-for-byte the same observability output on a repeat run, and the
+// same per-session outcomes as a crash-free run.
 func TestEngineDiskCrashIsolation(t *testing.T) {
 	const frames = 30
 	total := avtime.WorldTime(frames) * avtime.Second / 30
 
-	run := func(engineWorkers int, inject bool) (string, []isoOutcome, []*activity.RunStats) {
+	run := func(inject bool) (string, []isoOutcome, []*activity.RunStats) {
 		db := isoDB(t, 4)
 		col := db.EnableObservability()
-		db.Engine().setWorkers(engineWorkers)
 		if inject {
 			plan, err := fault.NewPlan(7).Add(fault.Fault{
 				Kind: fault.DeviceOutage, Target: "disk2", Start: total / 3, Dur: total,
@@ -137,7 +136,7 @@ func TestEngineDiskCrashIsolation(t *testing.T) {
 		return js, outs, stats
 	}
 
-	snap, outs, stats := run(1, true)
+	snap, outs, stats := run(true)
 
 	// Bystanders (indices 0, 1, 4) are whole; soft victim survived with
 	// sacrificed frames; hard victim died of the device failure.
@@ -156,23 +155,21 @@ func TestEngineDiskCrashIsolation(t *testing.T) {
 	}
 
 	// The crash response is deterministic: identical outcomes, RunStats
-	// and observability bytes at every EngineWorkers.
-	for _, ew := range []int{2, 4} {
-		wSnap, wOuts, wStats := run(ew, true)
-		if !reflect.DeepEqual(outs, wOuts) {
-			t.Errorf("EngineWorkers=%d: outcomes diverged under crash: %+v vs %+v", ew, wOuts, outs)
-		}
-		if !reflect.DeepEqual(stats, wStats) {
-			t.Errorf("EngineWorkers=%d: per-session RunStats diverged under crash", ew)
-		}
-		if wSnap != snap {
-			t.Errorf("EngineWorkers=%d: obs snapshots differ (%d vs %d bytes)", ew, len(wSnap), len(snap))
-		}
+	// and observability bytes on a repeat run.
+	snap2, outs2, stats2 := run(true)
+	if !reflect.DeepEqual(outs, outs2) {
+		t.Errorf("outcomes under crash differ across repeats: %+v vs %+v", outs2, outs)
+	}
+	if !reflect.DeepEqual(stats, stats2) {
+		t.Error("per-session RunStats under crash differ across repeats")
+	}
+	if snap2 != snap {
+		t.Errorf("obs snapshots differ across repeats (%d vs %d bytes)", len(snap2), len(snap))
 	}
 
 	// Isolation proper: the bystanders' outcomes match a crash-free run
 	// of the same schedule — the disk2 outage leaked nothing across.
-	_, cleanOuts, _ := run(1, false)
+	_, cleanOuts, _ := run(false)
 	for _, i := range []int{0, 1, 4} {
 		if outs[i] != cleanOuts[i] {
 			t.Errorf("bystander %d perturbed by crash: %+v vs crash-free %+v", i, outs[i], cleanOuts[i])
@@ -185,9 +182,9 @@ func TestEngineDiskCrashIsolation(t *testing.T) {
 // sacrifice, fail-soft transfers, degradation) rides out transient
 // faults, an outage and a link collapse on its own disk and link, while
 // two bystanders on separate spindles and the shared link stream
-// unharmed.  The whole ensemble is deterministic across repeats on the
-// serial engine (TestEngineShardedChaosDeterminism is the EngineWorkers
-// 4 arm).
+// unharmed.  The whole ensemble is deterministic across repeats
+// (TestEngineSharedFaultDeterminism is the arm where every session draws
+// from one injector).
 func TestEngineChaosIsolationDeterminism(t *testing.T) {
 	const frames = 30
 	total := avtime.WorldTime(frames) * avtime.Second / 30

@@ -6,7 +6,7 @@ package core
 // breaking a promotion attempt (the copy rolls back, the value stays
 // archival and keeps playing from the jukebox), and a platter jam that
 // kills a swap-dependent open outright — all byte-identical across
-// engine worker counts, with bystanders untouched.
+// repeats, with bystanders untouched.
 
 import (
 	"reflect"
@@ -96,8 +96,8 @@ func tierNewscast(t testing.TB, db *Database, title string, frames int) schema.O
 //     on the jammed swap;
 //   - a bystander on disk3, untouched.
 //
-// The whole ensemble is byte-identical at EngineWorkers 1, 2 and 4, and
-// the bystander matches a fault-free run.
+// The whole ensemble is byte-identical on a repeat run, and the
+// bystander matches a fault-free run.
 func TestEngineTierFaultIsolation(t *testing.T) {
 	const frames = 30
 
@@ -108,10 +108,9 @@ func TestEngineTierFaultIsolation(t *testing.T) {
 		BindErr string
 	}
 
-	run := func(engineWorkers int, inject bool) (string, []tierOutcome, []storage.TierInfo) {
+	run := func(inject bool) (string, []tierOutcome, []storage.TierInfo) {
 		db := isoDB(t, 4)
 		col := db.EnableObservability()
-		db.Engine().setWorkers(engineWorkers)
 		db.Storage().SetTierPolicy(storage.TierPolicy{
 			PromoteAt: 2,
 			Width:     4, // promotion wants every disk, including dead disk0
@@ -241,7 +240,7 @@ func TestEngineTierFaultIsolation(t *testing.T) {
 		return js, outs, tiers
 	}
 
-	snap, outs, tiers := run(1, true)
+	snap, outs, tiers := run(true)
 
 	// Hot sessions rode the replica through the outage: all frames, no
 	// loss, no error.
@@ -270,24 +269,22 @@ func TestEngineTierFaultIsolation(t *testing.T) {
 		t.Errorf("bystander under faults: %+v, want %d/0 frames", outs[4], frames)
 	}
 
-	// Deterministic across engine parallelism: same outcomes, tier state
-	// and observability bytes at every worker count.
-	for _, workers := range []int{2, 4} {
-		wSnap, wOuts, wTiers := run(workers, true)
-		if !reflect.DeepEqual(outs, wOuts) {
-			t.Errorf("engine workers=%d: outcomes diverged: %+v vs %+v", workers, wOuts, outs)
-		}
-		if !reflect.DeepEqual(tiers, wTiers) {
-			t.Errorf("engine workers=%d: tier state diverged: %+v vs %+v", workers, wTiers, tiers)
-		}
-		if wSnap != snap {
-			t.Errorf("engine workers=%d: obs snapshots differ (%d vs %d bytes)", workers, len(wSnap), len(snap))
-		}
+	// Deterministic: the same outcomes, tier state and observability
+	// bytes on a repeat run.
+	snap2, outs2, tiers2 := run(true)
+	if !reflect.DeepEqual(outs, outs2) {
+		t.Errorf("outcomes differ across repeats: %+v vs %+v", outs2, outs)
+	}
+	if !reflect.DeepEqual(tiers, tiers2) {
+		t.Errorf("tier state differs across repeats: %+v vs %+v", tiers2, tiers)
+	}
+	if snap2 != snap {
+		t.Errorf("obs snapshots differ across repeats (%d vs %d bytes)", len(snap2), len(snap))
 	}
 
 	// The bystander matches a fault-free run; the promotion goes through
 	// when nothing is broken.
-	_, cleanOuts, cleanTiers := run(1, false)
+	_, cleanOuts, cleanTiers := run(false)
 	if outs[4] != cleanOuts[4] {
 		t.Errorf("bystander perturbed by tier faults: %+v vs clean %+v", outs[4], cleanOuts[4])
 	}

@@ -192,8 +192,8 @@ func playAudience(t *testing.T, audience []int, cache storage.CachePolicy) audie
 // reads, some of those hits land on chunks another session staged, and
 // the pooled audience moves at least the unpooled one's throughput.  A
 // hot clip, a warm one and a single viewer share the pool.  That the
-// pool keeps every EngineWorkers count byte-identical to serial is the
-// pooled input of core's TestEngineShardedDeterminism.
+// pool is deterministic across repeats is the pooled input of core's
+// TestEngineAudienceDeterminism.
 func TestZipfPooledArms(t *testing.T) {
 	audience := []int{4, 2, 1}
 	pooled := playAudience(t, audience, storage.CachePolicy{Capacity: 8, Lookahead: 4})

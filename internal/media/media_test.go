@@ -139,27 +139,6 @@ func TestVideoValueEditing(t *testing.T) {
 	}
 }
 
-func TestVideoValueSegmentShares(t *testing.T) {
-	v := testVideo(t, 30)
-	s, err := v.Segment(10, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.NumFrames() != 10 {
-		t.Errorf("segment frames = %d", s.NumFrames())
-	}
-	// Shared, not copied: mutating the parent's frame shows in the segment.
-	f, _ := v.Frame(10)
-	f.Pix[0] = 99
-	sf, _ := s.Frame(0)
-	if sf.Pix[0] != 99 {
-		t.Error("segment does not share frames with parent")
-	}
-	if _, err := v.Segment(20, 10); err == nil {
-		t.Error("reversed segment succeeded")
-	}
-}
-
 func TestVideoValueCloneEqual(t *testing.T) {
 	v := testVideo(t, 5)
 	c := testVideo(t, 5)

@@ -179,18 +179,6 @@ func (v *VideoValue) Size() int64 {
 	return n
 }
 
-// Segment returns a new value sharing frames [i, j) with v.  Segments are
-// how editing applications address portions of stored material without
-// copying (logical data sharing through aggregation, §2).
-func (v *VideoValue) Segment(i, j int) (*VideoValue, error) {
-	if i < 0 || j < i || j > len(v.frames) {
-		return nil, fmt.Errorf("%w: segment [%d,%d) of %d", ErrOutOfRange, i, j, len(v.frames))
-	}
-	s := NewVideoValue(v.typ, v.width, v.height, v.depth)
-	s.frames = v.frames[i:j:j]
-	return s, nil
-}
-
 // Equal reports whether two values have identical geometry, type and
 // frame contents.
 func (v *VideoValue) Equal(o *VideoValue) bool {

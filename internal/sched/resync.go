@@ -62,27 +62,3 @@ func (r *Resync) Correction(track string) avtime.WorldTime {
 	}
 	return c
 }
-
-// Skew reports the spread (max - min) of a set of per-track arrival
-// times; zero for fewer than two tracks.
-func Skew(arrivals map[string]avtime.WorldTime) avtime.WorldTime {
-	if len(arrivals) < 2 {
-		return 0
-	}
-	first := true
-	var lo, hi avtime.WorldTime
-	for _, a := range arrivals {
-		if first {
-			lo, hi = a, a
-			first = false
-			continue
-		}
-		if a < lo {
-			lo = a
-		}
-		if a > hi {
-			hi = a
-		}
-	}
-	return hi - lo
-}

@@ -235,41 +235,21 @@ func TestResyncReducesSkew(t *testing.T) {
 	r := NewResync(0.3)
 	video := NewLatency(18*avtime.Millisecond, 4*avtime.Millisecond, 11)
 	audio := NewLatency(3*avtime.Millisecond, 2*avtime.Millisecond, 13)
+	// spread is the skew between the two tracks' arrivals.
+	spread := func(v, a avtime.WorldTime) avtime.WorldTime { return max(v, a) - min(v, a) }
 	var rawWorst, corrWorst avtime.WorldTime
 	for tick := 0; tick < 200; tick++ {
 		lv, la := video.Sample(), audio.Sample()
-		raw := Skew(map[string]avtime.WorldTime{"v": lv, "a": la})
-		if raw > rawWorst {
-			rawWorst = raw
-		}
+		rawWorst = max(rawWorst, spread(lv, la))
 		// Warm the controller before judging corrected skew.
 		if tick > 20 {
-			corr := Skew(map[string]avtime.WorldTime{
-				"v": lv + r.Correction("video"),
-				"a": la + r.Correction("audio"),
-			})
-			if corr > corrWorst {
-				corrWorst = corr
-			}
+			corrWorst = max(corrWorst, spread(lv+r.Correction("video"), la+r.Correction("audio")))
 		}
 		r.Observe("video", lv)
 		r.Observe("audio", la)
 	}
 	if corrWorst >= rawWorst/2 {
 		t.Errorf("correction did not help: raw worst %v, corrected worst %v", rawWorst, corrWorst)
-	}
-}
-
-func TestSkew(t *testing.T) {
-	if Skew(nil) != 0 {
-		t.Error("nil skew not zero")
-	}
-	if Skew(map[string]avtime.WorldTime{"a": 5}) != 0 {
-		t.Error("single-track skew not zero")
-	}
-	got := Skew(map[string]avtime.WorldTime{"a": 5, "b": 12, "c": 8})
-	if got != 7 {
-		t.Errorf("Skew = %v, want 7", got)
 	}
 }
 

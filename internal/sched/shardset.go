@@ -4,17 +4,17 @@ import (
 	"avdb/internal/avtime"
 )
 
-// ShardedRunSet is the run set of a parallel engine whose callers name
-// a shard for each run.  The book is one RunSet: a due batch comes out
-// in global admission order whatever shards its members were admitted
-// to, so the observable batch stream is that of a single RunSet fed the
-// same operations, which TestShardedRunSetMatchesLinear pins against
-// the retained linear reference.  Nothing reads a run's shard back, so
-// the set keeps neither the shard count nor the labels.
+// ShardedRunSet is a run set whose callers name a shard for each run;
+// the engine no longer shards, and the set stays for the benchmark
+// module's probes, which still call it.  The book is one RunSet: a due
+// batch comes out in global admission order whatever shards its members
+// were admitted to, so the observable batch stream is that of a single
+// RunSet fed the same operations, which TestShardedRunSetMatchesLinear
+// pins against the retained linear reference.  Nothing reads a run's
+// shard back, so the set keeps neither the shard count nor the labels.
 //
-// Like RunSet, a ShardedRunSet is not goroutine-safe; the engine
-// serializes access under its own lock and only the *ticking* of the
-// batch happens in parallel.
+// Like RunSet, a ShardedRunSet is not goroutine-safe; callers serialize
+// access.
 type ShardedRunSet struct {
 	set RunSet
 }

@@ -12,9 +12,7 @@ import (
 // any shard count, fed any randomized Admit/Reschedule/Remove/step
 // sequence, must produce exactly the due batches of the single
 // linearRunSet — same times, same ids, same global admission order —
-// no matter how admissions are spread across shards.  That equivalence
-// is what lets the parallel engine claim its batch stream is identical
-// to the serial engine's.
+// no matter how admissions are spread across shards.
 
 // TestShardedRunSetMatchesLinear drives sharded sets of several widths
 // against the linear reference.  Shard choice per admit is random —

@@ -197,8 +197,8 @@ func TestCacheMetricsThroughSink(t *testing.T) {
 }
 
 func TestCacheConcurrentStreamsRace(t *testing.T) {
-	// Several streams over segments on one device, read concurrently —
-	// the sharded engine's workers do exactly this.  Run under -race.
+	// Several streams over segments on one device, read concurrently
+	// from several goroutines.  Run under -race.
 	_, st := testRig(t)
 	st.SetSink(obs.NewCollector())
 	st.SetCachePolicy(CachePolicy{Capacity: 8, Lookahead: 4})

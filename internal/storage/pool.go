@@ -5,19 +5,19 @@ package storage
 // co-admitted sessions of the same clip hit each other's chunks instead
 // of each paying the device for bytes a neighbor staged moments ago.
 //
-// Determinism under parallel execution follows the engine's
-// snapshot/commit playbook (DESIGN.md §15).  During a tick, lanes only
-// READ committed residency; every mutation — the LRU touch behind a
-// hit, the inserts behind a miss's fill — is staged as a poolOp tagged
-// (pid, seq, round).  The first read of a later round commits every op
-// of earlier rounds, applying them sorted by (pid, seq): pid is the
-// pool-attach order of the stream and seq the stream's own program
-// order, so the applied sequence is identical no matter which lanes
-// staged first, and any EngineWorkers count leaves residency,
-// eviction order and every counter byte-identical to serial.  Reads
-// with round < 0 (no tick context) apply their ops immediately, which
-// is exactly the retired per-stream LRU's behavior; the differential
-// harness in pool_differential_test.go holds the pool to that oracle.
+// Which session's read counts as a hit is decided per round (DESIGN.md
+// §15).  During a tick, streams only READ committed residency; every
+// mutation — the LRU touch behind a hit, the inserts behind a miss's
+// fill — is staged as a poolOp tagged (pid, seq, round).  The first
+// read of a later round commits every op of earlier rounds, applying
+// them sorted by (pid, seq): pid is the pool-attach order of the stream
+// and seq the stream's own program order.  So no session hits a chunk
+// another session staged in the same round, and residency, eviction
+// order and every counter are independent of the order the streams
+// read in.  Reads with round < 0 (no tick context) apply their ops
+// immediately, which is exactly the retired per-stream LRU's behavior;
+// the differential harness in pool_differential_test.go holds the pool
+// to that oracle.
 //
 // The warm hit path — commit watermark check, one map probe, staging
 // one touch — performs zero heap allocations (TestPoolHitAllocs): the
@@ -411,13 +411,6 @@ func (p *bufferPool) moveFrontLocked(i int32) {
 	if p.tail == poolNil {
 		p.tail = i
 	}
-}
-
-// residentCount reports how many chunks are resident.
-func (p *bufferPool) residentCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.resident)
 }
 
 // stats snapshots the pool's aggregate behavior.

@@ -22,18 +22,16 @@ package storage
 // independent of submission order.  Within one flush, rounds are
 // serviced in ascending round order and disks in ID order.
 //
-// The same argument covers the parallel engine's cross-SESSION
-// parallelism (EngineWorkers > 1): every method that touches shared
-// scheduler state takes io.mu, so racing sessions' submissions of the
-// same engine step interleave safely, and because the key is total the
-// interleaving is invisible.  Service itself is serialized by the
-// flushed watermark — the first tick of step T+1 to reach
-// flushBefore(T+1) on any worker services every complete round while
-// the other workers pass the lock-free watermark check — and demand
-// reads price seeks from the stream's own recorded position without
-// moving the shared per-disk heads, so only watermark-ordered service
-// advances them.  TestConcurrentSubmitDeterminism pins this under the
-// race detector.
+// The same argument covers submissions from different sessions: every
+// method that touches shared scheduler state takes io.mu, because
+// clients call into the store from their own goroutines, and the total
+// key makes any interleaving invisible.  Service itself is serialized
+// by the flushed watermark — the first read of step T+1 to reach
+// flushBefore(T+1) services every complete round while later readers
+// pass the lock-free watermark check — and demand reads price seeks
+// from the stream's own recorded position without moving the shared
+// per-disk heads, so only watermark-ordered service advances them.
+// TestConcurrentSubmitDeterminism pins this under the race detector.
 //
 // The hot path is allocation-free in steady state (pinned by
 // TestIOSchedAllocsPerRun).  Rounds live in flat, reusable buffers: a
@@ -425,11 +423,10 @@ func (io *IOSched) submit(round int64, q ioReq) {
 
 // flushBefore services every pending round strictly below round, in
 // ascending order.  The caller's tick barrier — within a run the end
-// of GraphRun.Tick, across sessions the parallel engine's
-// admission-order commit barrier — guarantees those rounds are
-// complete.  Concurrent callers race on the watermark: exactly one
-// wins and services, the rest exit lock-free, and because batch
-// content is already fixed it does not matter which.
+// of GraphRun.Tick, across sessions the end of the engine step —
+// guarantees those rounds are complete.  Concurrent callers race on the
+// watermark: exactly one wins and services, the rest exit lock-free,
+// and because batch content is already fixed it does not matter which.
 func (io *IOSched) flushBefore(round int64) {
 	if round <= io.flushed.Load() {
 		// Already serviced: the watermark only grows, so this lock-free
@@ -545,15 +542,10 @@ func (io *IOSched) serviceLocked(b *diskBatch) {
 	}
 }
 
-// take consumes the serviced result for the stream's chunk.  A stale
-// result — the stream sought or degraded past what it had prefetched —
-// is discarded so the read falls back to a demand read.
-func (io *IOSched) take(slot *ioSlot, chunk int) (ioResult, bool) {
-	io.mu.Lock()
-	defer io.mu.Unlock()
-	return io.takeLocked(slot, chunk)
-}
-
+// takeLocked consumes the serviced result for the stream's chunk; the
+// caller holds io.mu.  A stale result — the stream sought or degraded
+// past what it had prefetched — is discarded so the read falls back to
+// a demand read.
 func (io *IOSched) takeLocked(slot *ioSlot, chunk int) (ioResult, bool) {
 	if !slot.full {
 		return ioResult{}, false

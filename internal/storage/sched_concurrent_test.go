@@ -1,8 +1,7 @@
 package storage
 
-// sched_concurrent_test.go extends TestSubmitOrderIndependence to the
-// sharded engine's actual access pattern: sessions on different engine
-// workers submitting into the same round from different goroutines.
+// sched_concurrent_test.go extends TestSubmitOrderIndependence to
+// sessions submitting into the same round from different goroutines.
 // Order independence (the SCAN-EDF key is total) plus io.mu on every
 // shared-state touch means the interleaving must be invisible — the
 // service trace, head walks and counters after the flush have to match

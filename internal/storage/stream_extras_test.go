@@ -133,8 +133,7 @@ func TestSinkSwapReachesPoolAndScheduler(t *testing.T) {
 
 // TestPoolOwnWindowRepeatHit reads a chunk its own fill staged earlier
 // in the same round: the insert is not committed yet, so the hit goes
-// through the staged own-window path, and the commit must leave the
-// pool's occupancy agreeing with the resident map.
+// through the staged own-window path.
 func TestPoolOwnWindowRepeatHit(t *testing.T) {
 	_, st := stripeRig(t, 2)
 	st.SetCachePolicy(CachePolicy{Capacity: 6, Lookahead: 3})
@@ -162,13 +161,6 @@ func TestPoolOwnWindowRepeatHit(t *testing.T) {
 	cs := s.CacheStats()
 	if cs.Hits != 1 || cs.Misses != 1 {
 		t.Errorf("hits/misses = %d/%d, want 1/1", cs.Hits, cs.Misses)
-	}
-	// A later round commits the staged ops; occupancy views must agree.
-	if _, err := s.ReadChunkTimeAt(4, 1200, 4, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := s.pool.residentCount(), st.PoolStats().Resident; got != want {
-		t.Errorf("residentCount %d != PoolStats.Resident %d", got, want)
 	}
 }
 

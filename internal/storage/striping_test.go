@@ -391,12 +391,12 @@ func TestIOSchedBatchAmortizesSeeks(t *testing.T) {
 	}
 	// Every stream finds its serviced result, and the run's followers
 	// are strictly cheaper than its opener.
-	first, ok := io.take(&slots[0], 5)
+	first, ok := io.consumeNext(&slots[0], 5, 0, nil)
 	if !ok {
 		t.Fatal("stream 0's result missing")
 	}
 	for sid := int64(1); sid < 3; sid++ {
-		res, ok := io.take(&slots[sid], 5)
+		res, ok := io.consumeNext(&slots[sid], 5, 0, nil)
 		if !ok {
 			t.Fatalf("stream %d's result missing", sid)
 		}
@@ -425,8 +425,8 @@ func TestIOSchedScanEDFOrder(t *testing.T) {
 	if io.heads[d] != 1 {
 		t.Errorf("head at track %d, want 1 (EDF must outrank SCAN)", io.heads[d])
 	}
-	urgent, _ := io.take(&slots[0], 1)
-	relaxed, _ := io.take(&slots[1], 1)
+	urgent, _ := io.consumeNext(&slots[0], 1, 0, nil)
+	relaxed, _ := io.consumeNext(&slots[1], 1, 0, nil)
 	// The urgent stream paid the full 0->15 sweep; the relaxed one paid
 	// the shorter 15->1 return, cheaper than a cold full-span seek.
 	if urgent.cost <= relaxed.cost {
@@ -446,16 +446,16 @@ func TestIOSchedStaleAndStragglerRequests(t *testing.T) {
 	io.submit(0, ioReq{sid: 7, chunk: 3, bytes: 1200, disk: d, rate: media.MBPerSecond, deadline: avtime.Second, slot: &slots[0]})
 	io.flushBefore(2)
 	// Taking the wrong chunk discards the stale result entirely.
-	if _, ok := io.take(&slots[0], 9); ok {
+	if _, ok := io.consumeNext(&slots[0], 9, 0, nil); ok {
 		t.Error("stale result consumed for the wrong chunk")
 	}
-	if _, ok := io.take(&slots[0], 3); ok {
+	if _, ok := io.consumeNext(&slots[0], 3, 0, nil); ok {
 		t.Error("discarded result resurfaced")
 	}
 	// Submissions into an already-flushed round are dropped, so the
 	// consumer falls back to a demand read instead of waiting forever.
 	io.submit(1, ioReq{sid: 8, chunk: 0, bytes: 1200, disk: d, rate: media.MBPerSecond, slot: &slots[1]})
-	if _, ok := io.take(&slots[1], 0); ok {
+	if _, ok := io.consumeNext(&slots[1], 0, 0, nil); ok {
 		t.Error("straggler submission into a flushed round was serviced")
 	}
 	if st := io.Stats(); st.Rounds != 1 {

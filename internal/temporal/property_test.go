@@ -123,23 +123,6 @@ func TestPropTimelineBoundariesSortedUnique(t *testing.T) {
 	}
 }
 
-func TestPropActiveAtMatchesContainment(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	for i := 0; i < propIterations; i++ {
-		c := randomComposite(t, r)
-		w := avtime.WorldTime(r.Int63n(int64(20 * avtime.Second)))
-		active := make(map[string]bool)
-		for _, tr := range c.ActiveAt(w) {
-			active[tr.Name] = true
-		}
-		for _, tr := range c.tracks {
-			if tr.Interval().Contains(w) != active[tr.Name] {
-				t.Fatalf("iter %d: ActiveAt(%v) disagrees with %s interval %v", i, w, tr.Name, tr.Interval())
-			}
-		}
-	}
-}
-
 // shift returns iv translated by d on the world timeline.
 func shift(iv avtime.Interval, d avtime.WorldTime) avtime.Interval {
 	iv.Start += d

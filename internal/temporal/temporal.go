@@ -13,6 +13,7 @@ package temporal
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"avdb/internal/avtime"
@@ -92,17 +93,6 @@ func (c *Composite) Translate(dw avtime.WorldTime) {
 	for _, t := range c.tracks {
 		t.Value.Translate(dw)
 	}
-}
-
-// ActiveAt returns the tracks whose intervals contain w, in track order.
-func (c *Composite) ActiveAt(w avtime.WorldTime) []*Track {
-	var out []*Track
-	for _, t := range c.tracks {
-		if t.Interval().Contains(w) {
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 // Correlation declares that track A stands in the given Allen relation to
@@ -200,18 +190,23 @@ func (tl *Timeline) ASCII(width int) string {
 			nameWidth = len(e.Track)
 		}
 	}
-	if hull.Dur == 0 {
+	if hull.Dur <= 0 {
 		hull.Dur = 1
 	}
+	// col maps w to a column, clamped to [0, width].  The offset times
+	// width takes a 128-bit product, so a hull near the top of the
+	// int64 range still divides exactly.
 	col := func(w avtime.WorldTime) int {
-		c := int(int64(w-hull.Start) * int64(width) / int64(hull.Dur))
-		if c < 0 {
-			c = 0
+		if w <= hull.Start {
+			return 0
 		}
-		if c > width {
-			c = width
+		off := uint64(w) - uint64(hull.Start)
+		if off >= uint64(hull.Dur) {
+			return width
 		}
-		return c
+		hi, lo := bits.Mul64(off, uint64(width))
+		c, _ := bits.Div64(hi, lo, uint64(hull.Dur))
+		return int(c)
 	}
 
 	var b strings.Builder
@@ -221,8 +216,10 @@ func (tl *Timeline) ASCII(width int) string {
 		for i := range row {
 			row[i] = '.'
 		}
+		// An entry narrower than a column, a zero-length one included,
+		// still shades one cell.
 		lo, hi := col(e.Interval.Start), col(e.Interval.End())
-		if hi == lo && !e.Interval.IsEmpty() {
+		if hi == lo {
 			hi = lo + 1
 			if hi > width {
 				lo, hi = width-1, width

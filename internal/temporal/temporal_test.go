@@ -87,22 +87,6 @@ func TestCompositeAddValidation(t *testing.T) {
 	}
 }
 
-func TestCompositeActiveAt(t *testing.T) {
-	c := newscastClip(t)
-	if got := c.ActiveAt(500 * avtime.Millisecond); len(got) != 1 || got[0].Name != "videoTrack" {
-		t.Errorf("active at 0.5s = %d tracks", len(got))
-	}
-	if got := c.ActiveAt(2 * avtime.Second); len(got) != 4 {
-		t.Errorf("active at 2s = %d tracks, want 4", len(got))
-	}
-	if got := c.ActiveAt(3500 * avtime.Millisecond); len(got) != 1 {
-		t.Errorf("active at 3.5s = %d tracks, want 1", len(got))
-	}
-	if got := c.ActiveAt(10 * avtime.Second); got != nil {
-		t.Error("active past end")
-	}
-}
-
 func TestCompositeTranslate(t *testing.T) {
 	c := newscastClip(t)
 	c.Translate(10 * avtime.Second)
@@ -220,17 +204,17 @@ func TestTimelineASCIIPointTrack(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := c.Timeline().ASCII(20)
-	if !strings.Contains(out, "img") {
-		t.Errorf("point track missing:\n%s", out)
+	if !strings.Contains(out, "  img  |..........=.........|\n") {
+		t.Errorf("point track renders no mark at 1s of 2s:\n%s", out)
 	}
 }
 
 func TestTimelineASCIIDegenerate(t *testing.T) {
 	// A hull of zero length is widened to one microsecond, so columns
-	// still divide; the point entry is empty and shades nothing.
+	// still divide; the point entry shades the one cell it falls in.
 	point := &Timeline{Name: "pt", Entries: []TimelineEntry{{"p", avtime.Interval{Start: 5 * avtime.Second}}}}
 	want := "pt  [5.000000s .. 5.000001s]\n" +
-		"  p    |..........|\n" +
+		"  p    |=.........|\n" +
 		"  time  0          \n" +
 		"  t0 = 5.000000s\n"
 	if got := point.ASCII(10); got != want {
@@ -253,5 +237,17 @@ func TestTimelineASCIIDegenerate(t *testing.T) {
 		"  t3 = 10.000000s\n  t4 = 15.000000s\n  t5 = 20.000000s\n"
 	if got := bad.ASCII(10); got != want {
 		t.Errorf("clamped columns:\n%q\nwant\n%q", got, want)
+	}
+	// Hulls whose length times the width overflows int64 still map
+	// their columns exactly: a track spanning the hull fills the row.
+	for _, long := range []struct {
+		dur   avtime.WorldTime
+		width int
+	}{{1 << 60, 80}, {1 << 62, 10}} {
+		tl := &Timeline{Name: "long", Entries: []TimelineEntry{{"a", avtime.IntervalOf(0, long.dur)}}}
+		row := "  a    |" + strings.Repeat("=", long.width) + "|\n"
+		if got := tl.ASCII(long.width); !strings.Contains(got, row) {
+			t.Errorf("%v-long hull at width %d:\n%s\nwant row %q", long.dur, long.width, got, row)
+		}
 	}
 }
