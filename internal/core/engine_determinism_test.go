@@ -110,80 +110,83 @@ func TestEngineAudienceDeterminism(t *testing.T) {
 // transient reads on disk0, corruption on their shared lan0 — and
 // sacrifice faulted frames.  Which session loses which frame depends
 // only on the draws, each keyed by the operation it decides, so a
-// repeat run matches byte for byte.  TestEngineChaosIsolationDeterminism
+// repeat run matches byte for byte.  The subtest names the input, as
+// in TestEngineAudienceDeterminism; TestEngineChaosIsolationDeterminism
 // is the one-victim arm.
 func TestEngineSharedFaultDeterminism(t *testing.T) {
-	const frames = 30
-	total := avtime.WorldTime(frames) * avtime.Second / 30
+	t.Run("shared", func(t *testing.T) {
+		const frames = 30
+		total := avtime.WorldTime(frames) * avtime.Second / 30
 
-	run := func() (string, []isoOutcome) {
-		db := isoDB(t, 2)
-		col := db.EnableObservability()
-		inj := fault.NewInjector(fault.NewPlan(7).
-			MustAdd(fault.Fault{Kind: fault.TransientRead, Target: "disk0", Start: 0, Dur: total, Probability: 0.3}).
-			MustAdd(fault.Fault{Kind: fault.ChunkCorrupt, Target: "lan0", Start: 0, Dur: total, Probability: 0.2}),
-			db.Clock())
-		db.Devices().SetFaultHook(inj)
-		lan0, _ := db.Network().Link("lan0")
-		lan0.SetFaultHook(inj)
+		run := func() (string, []isoOutcome) {
+			db := isoDB(t, 2)
+			col := db.EnableObservability()
+			inj := fault.NewInjector(fault.NewPlan(7).
+				MustAdd(fault.Fault{Kind: fault.TransientRead, Target: "disk0", Start: 0, Dur: total, Probability: 0.3}).
+				MustAdd(fault.Fault{Kind: fault.ChunkCorrupt, Target: "lan0", Start: 0, Dur: total, Probability: 0.2}),
+				db.Clock())
+			db.Devices().SetFaultHook(inj)
+			lan0, _ := db.Network().Link("lan0")
+			lan0.SetFaultHook(inj)
 
-		var all []*playbackSession
-		for i := 0; i < 6; i++ {
-			all = append(all, buildPlaybackOn(t, db, fmt.Sprintf("unstriped-%d", i), frames, "disk0", "lan0"))
-		}
-		for i := 0; i < 2; i++ {
-			client := fmt.Sprintf("striped-%d", i)
-			oid := tierNewscast(t, db, client+"-clip", frames)
-			if _, err := db.PlaceMediaStriped(oid, "videoTrack", media.MBPerSecond, 2); err != nil {
-				t.Fatal(err)
+			var all []*playbackSession
+			for i := 0; i < 6; i++ {
+				all = append(all, buildPlaybackOn(t, db, fmt.Sprintf("unstriped-%d", i), frames, "disk0", "lan0"))
 			}
-			all = append(all, bindPlayback(t, db, client, "lan0", oid))
-		}
-		for _, ps := range all {
-			ps.src.SetDropOnFault(true)
-		}
+			for i := 0; i < 2; i++ {
+				client := fmt.Sprintf("striped-%d", i)
+				oid := tierNewscast(t, db, client+"-clip", frames)
+				if _, err := db.PlaceMediaStriped(oid, "videoTrack", media.MBPerSecond, 2); err != nil {
+					t.Fatal(err)
+				}
+				all = append(all, bindPlayback(t, db, client, "lan0", oid))
+			}
+			for _, ps := range all {
+				ps.src.SetDropOnFault(true)
+			}
 
-		db.Engine().Pause()
-		var pbs []*Playback
-		for _, ps := range all {
-			pb, err := ps.sess.Start()
+			db.Engine().Pause()
+			var pbs []*Playback
+			for _, ps := range all {
+				pb, err := ps.sess.Start()
+				if err != nil {
+					t.Fatal(err)
+				}
+				pbs = append(pbs, pb)
+			}
+			db.Engine().Resume()
+			outs := make([]isoOutcome, len(all))
+			for i, pb := range pbs {
+				_, err := pb.Wait()
+				outs[i] = isoOutcome{Shown: all[i].win.FramesShown(), Lost: all[i].src.FramesLost()}
+				if err != nil {
+					outs[i].Err = err.Error()
+				}
+			}
+			for _, ps := range all {
+				ps.sess.Close()
+			}
+			js, err := col.Snapshot().JSON()
 			if err != nil {
 				t.Fatal(err)
 			}
-			pbs = append(pbs, pb)
+			return js, outs
 		}
-		db.Engine().Resume()
-		outs := make([]isoOutcome, len(all))
-		for i, pb := range pbs {
-			_, err := pb.Wait()
-			outs[i] = isoOutcome{Shown: all[i].win.FramesShown(), Lost: all[i].src.FramesLost()}
-			if err != nil {
-				outs[i].Err = err.Error()
+
+		snap, outs := run()
+		for i, o := range outs {
+			if o.Err != "" || o.Lost == 0 || o.Shown+o.Lost != frames {
+				t.Errorf("session %d: %+v, want faulted frames sacrificed and the rest shown", i, o)
 			}
 		}
-		for _, ps := range all {
-			ps.sess.Close()
+		snap2, outs2 := run()
+		if !reflect.DeepEqual(outs, outs2) {
+			t.Errorf("outcomes differ across repeats: %+v vs %+v", outs2, outs)
 		}
-		js, err := col.Snapshot().JSON()
-		if err != nil {
-			t.Fatal(err)
+		if snap2 != snap {
+			t.Errorf("obs snapshots differ across repeats (%d vs %d bytes)", len(snap2), len(snap))
 		}
-		return js, outs
-	}
-
-	snap, outs := run()
-	for i, o := range outs {
-		if o.Err != "" || o.Lost == 0 || o.Shown+o.Lost != frames {
-			t.Errorf("session %d: %+v, want faulted frames sacrificed and the rest shown", i, o)
-		}
-	}
-	snap2, outs2 := run()
-	if !reflect.DeepEqual(outs, outs2) {
-		t.Errorf("outcomes differ across repeats: %+v vs %+v", outs2, outs)
-	}
-	if snap2 != snap {
-		t.Errorf("obs snapshots differ across repeats (%d vs %d bytes)", len(snap2), len(snap))
-	}
+	})
 }
 
 // workersDB opens a one-disk test platform through Open with the given
