@@ -16,14 +16,14 @@
 //	internal/activities the concrete activity classes of the paper's Table 1
 //	internal/temporal   temporal composition (tcomp, timelines)
 //	internal/media      media values, types and quality factors
-//	internal/codec      intra/inter/scalable video and audio codecs
+//	internal/codec      intra/inter/scalable video codecs (audio stays PCM)
 //	internal/query      the query language and indexes
-//	internal/txn        locking, the catalog's redo log and versioning
+//	internal/txn        the catalog's redo log and media versioning
 //	internal/storage    device-placed media segments
 //	internal/device     the simulated hardware platform
 //	internal/netsim     the simulated client network
 //	internal/sched      clocks, admission control, resynchronization
-//	internal/synth      synthetic capture (patterns, animation, MIDI)
+//	internal/synth      synthetic capture (test patterns, speech, subtitles)
 //	internal/render     the virtual-world renderer
 //	internal/experiment the paper's figures, table and design-claim benches
 //

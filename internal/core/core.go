@@ -90,12 +90,6 @@ type Config struct {
 	// hot-clip replication across stripe groups.  The zero value
 	// disables it.
 	Tiering storage.TierPolicy
-	// Priority is the default service class for sessions this database
-	// opens; individual sessions may override with Session.SetPriority.
-	// The zero value is sched.PriorityNormal.  Priority orders the
-	// engine's overload response: under pressure, lower-priority
-	// sessions are degraded first and restored last.
-	Priority sched.Priority
 }
 
 // Database is one AV database instance.
@@ -114,8 +108,6 @@ type Database struct {
 	clock     *sched.VirtualClock
 	links     *linkStore
 	runEngine *Engine // the one run loop advancing the shared clock
-
-	priority sched.Priority // default service class for new sessions
 
 	// classLocks holds one lock per class, made by DefineClass: a
 	// writer of the class's objects holds it exclusively, a Select of
@@ -159,7 +151,6 @@ func Open(cfg Config) (*Database, error) {
 		clock:     sched.NewVirtualClock(0),
 		links:     newLinkStore(),
 		segments:  make(map[string]storage.SegID),
-		priority:  cfg.Priority,
 
 		classLocks: make(map[string]*sync.RWMutex),
 	}

@@ -29,8 +29,9 @@ type audienceRun struct {
 
 // playAudience plays audience[k] sessions over clip k (15+4k frames,
 // each on disk0 of testDB) under the given buffer-pool policy.  Every
-// session is admitted into the same first engine step.
-func playAudience(t *testing.T, audience []int, cache storage.CachePolicy) audienceRun {
+// session is admitted into the same first engine step, in bind order or,
+// with reverse, in the reverse of it.
+func playAudience(t *testing.T, audience []int, cache storage.CachePolicy, reverse bool) audienceRun {
 	t.Helper()
 	db := testDB(t)
 	db.Storage().SetCachePolicy(cache)
@@ -40,6 +41,11 @@ func playAudience(t *testing.T, audience []int, cache storage.CachePolicy) audie
 		oid := storeNewscast(t, db, fmt.Sprintf("clip-%d", k), 15+4*k)
 		for i := 0; i < n; i++ {
 			pss = append(pss, bindPlayback(t, db, fmt.Sprintf("viewer-%d-%d", k, i), "lan0", oid))
+		}
+	}
+	if reverse {
+		for i, j := 0, len(pss)-1; i < j; i, j = i+1, j-1 {
+			pss[i], pss[j] = pss[j], pss[i]
 		}
 	}
 	db.Engine().Pause()
@@ -79,19 +85,25 @@ func playAudience(t *testing.T, audience []int, cache storage.CachePolicy) audie
 // per-session cache stats.  The pooled input is several viewers per
 // clip over the shared buffer pool (a hot clip, a warm one and a single
 // viewer): a clip's viewers hit each other's chunks, so it holds the
-// pool's staged (pid, seq) commit to the same bar.
+// pool's staged commit to the same bar.  pooled-start-reversed starts
+// the same audience in the reverse of bind order, so the pool ids given
+// out at bind no longer follow the admission order the engine ticks in:
+// the commit applies ops in staging order, not sorted by pool id.
 func TestEngineAudienceDeterminism(t *testing.T) {
+	pooled := storage.CachePolicy{Capacity: 8, Lookahead: 4}
 	for _, in := range []struct {
 		name     string
 		audience []int
 		cache    storage.CachePolicy
+		reverse  bool
 	}{
-		{"unpooled", []int{1, 1, 1, 1, 1}, storage.CachePolicy{}},
-		{"pooled", []int{4, 2, 1}, storage.CachePolicy{Capacity: 8, Lookahead: 4}},
+		{"unpooled", []int{1, 1, 1, 1, 1}, storage.CachePolicy{}, false},
+		{"pooled", []int{4, 2, 1}, pooled, false},
+		{"pooled-start-reversed", []int{4, 2, 1}, pooled, true},
 	} {
 		t.Run(in.name, func(t *testing.T) {
-			first := playAudience(t, in.audience, in.cache)
-			again := playAudience(t, in.audience, in.cache)
+			first := playAudience(t, in.audience, in.cache, in.reverse)
+			again := playAudience(t, in.audience, in.cache, in.reverse)
 			if !reflect.DeepEqual(first.stats, again.stats) {
 				t.Error("per-session RunStats differ across repeats")
 			}

@@ -41,13 +41,12 @@ func buildDegradableSession(t testing.TB, db *Database, client string, frames in
 	return &degradableSession{playbackSession: ps, grant: grant}
 }
 
-// TestSessionPriorityPlumbing covers the service-class wiring: sessions
-// inherit the database Config's priority and SetPriority overrides it.
+// TestSessionPriorityPlumbing covers the service-class wiring: a new
+// session is PriorityNormal and SetPriority overrides it.
 func TestSessionPriorityPlumbing(t *testing.T) {
 	db, err := Open(Config{
 		Name:      "prio",
 		Resources: sched.Resources{Buffers: 8, CPU: 100 * media.MBPerSecond, Bus: 100 * media.MBPerSecond},
-		Priority:  sched.PriorityLow,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,8 +59,8 @@ func TestSessionPriorityPlumbing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	if got := sess.Priority(); got != sched.PriorityLow {
-		t.Errorf("inherited priority = %v, want %v", got, sched.PriorityLow)
+	if got := sess.Priority(); got != sched.PriorityNormal {
+		t.Errorf("default priority = %v, want %v", got, sched.PriorityNormal)
 	}
 	sess.SetPriority(sched.PriorityHigh)
 	if got := sess.Priority(); got != sched.PriorityHigh {

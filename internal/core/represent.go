@@ -19,14 +19,16 @@ type RepresentationHints struct {
 	// Scalable favors a layered representation servable at several
 	// qualities without re-encoding.
 	Scalable bool
-	// Archive favors the smallest representation (inter-coded).
+	// Archive marks a value kept for the archive.  ChooseVideoCodec does
+	// not read it: inter-coding, the smallest representation, is already
+	// the default when no other hint applies.
 	Archive bool
 	// Raw skips encoding entirely (capture staging).
 	Raw bool
 }
 
 // ChooseVideoCodec resolves hints to a codec.  Priority: Raw (none) >
-// Scalable > RandomAccess > Archive > default (inter-coded).
+// Scalable > RandomAccess > default (inter-coded).
 func ChooseVideoCodec(h RepresentationHints) (codec.VideoCodec, bool) {
 	switch {
 	case h.Raw:

@@ -36,7 +36,7 @@ type Session struct {
 	playback *Playback
 	closed   bool
 	span     obs.SpanID             // session span when observability is on
-	priority sched.Priority         // service class for overload sweeps
+	priority sched.Priority         // service class for overload sweeps; zero is PriorityNormal
 	deg      *degradeState          // armed degradation path, nil if none
 	stalls   []*sched.StallDetector // detectors feeding the engine's pressure signal
 }
@@ -119,8 +119,7 @@ func (db *Database) Connect(client, linkID string) (*Session, error) {
 	db.mu.Unlock()
 	s := &Session{
 		db: db, id: id, client: client, link: link,
-		graph:    activity.NewGraph(id),
-		priority: db.priority,
+		graph: activity.NewGraph(id),
 	}
 	if sink := db.sink(); sink != nil {
 		s.span = sink.BeginSpan(obs.NoSpan, obs.KindSession, id, db.clock.Now())

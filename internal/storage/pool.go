@@ -8,22 +8,20 @@ package storage
 // Which session's read counts as a hit is decided per round (DESIGN.md
 // §15).  During a tick, streams only READ committed residency; every
 // mutation — the LRU touch behind a hit, the inserts behind a miss's
-// fill — is staged as a poolOp tagged (pid, seq, round).  The first
-// read of a later round commits every op of earlier rounds, applying
-// them sorted by (pid, seq): pid is the pool-attach order of the stream
-// and seq the stream's own program order.  So no session hits a chunk
-// another session staged in the same round, and residency, eviction
-// order and every counter are independent of the order the streams
-// read in.  Reads with round < 0 (no tick context) apply their ops
-// immediately, which is exactly the retired per-stream LRU's behavior;
-// the differential harness in pool_differential_test.go holds the pool
-// to that oracle.
+// fill — is staged as a poolOp tagged with its round.  The first read of
+// a later round commits every op of earlier rounds in staging order.
+// So no session hits a chunk any session (itself included) staged in
+// the same round; the engine steps sessions serially, so the staging
+// order, and with it residency, eviction order and every counter, is
+// the same on every run (TestEngineAudienceDeterminism).  Reads with
+// round < 0 (no tick context) apply their ops immediately, which is
+// exactly the retired per-stream LRU's behavior; the differential
+// harness in pool_differential_test.go holds the pool to that oracle.
 //
 // The warm hit path — commit watermark check, one map probe, staging
 // one touch — performs zero heap allocations (TestPoolHitAllocs): the
 // LRU is intrusive (index-linked entries in a flat slice with a free
-// list), staged ops land in a retained buffer, and the commit sorter is
-// a pointer receiver so sort.Sort boxes no value.
+// list) and staged ops land in a retained buffer.
 //
 // Capacity scales with attachment: the pool holds policy.Capacity
 // chunks per attached stream, so one stream sees exactly the old
@@ -31,7 +29,6 @@ package storage
 // pool.  Detaching shrinks it back, evicting coldest-first.
 
 import (
-	"sort"
 	"sync"
 
 	"avdb/internal/obs"
@@ -86,11 +83,9 @@ const (
 	opInsert                   // make resident (bump if already resident)
 )
 
-// poolOp is one staged residency mutation, ordered by (pid, seq) at
-// commit so the applied sequence is submission-order independent.
+// poolOp is one staged residency mutation; pid attributes an insert.
 type poolOp struct {
 	pid   int64
-	seq   int64
 	round int64
 	key   poolKey
 	kind  poolOpKind
@@ -107,20 +102,6 @@ type poolEntry struct {
 
 const poolNil = int32(-1)
 
-// opSorter orders staged ops by (pid, seq) for the commit; it is a
-// retained field so sort.Sort gets an existing pointer and the commit
-// allocates nothing.
-type opSorter struct{ ops []poolOp }
-
-func (s *opSorter) Len() int      { return len(s.ops) }
-func (s *opSorter) Swap(i, j int) { s.ops[i], s.ops[j] = s.ops[j], s.ops[i] }
-func (s *opSorter) Less(i, j int) bool {
-	if s.ops[i].pid != s.ops[j].pid {
-		return s.ops[i].pid < s.ops[j].pid
-	}
-	return s.ops[i].seq < s.ops[j].seq
-}
-
 // bufferPool is the store-level shared residency set.
 type bufferPool struct {
 	policy CachePolicy
@@ -136,8 +117,7 @@ type bufferPool struct {
 	capacity int   // policy.Capacity per attached stream
 	nextPID  int64
 	staged   []poolOp
-	commit   opSorter // retained apply buffer for one commit
-	flushed  int64    // rounds below this are applied
+	flushed  int64 // rounds below this are applied
 	agg      CacheStats
 }
 
@@ -157,8 +137,8 @@ func (p *bufferPool) setSink(s obs.Sink) {
 	p.mu.Unlock()
 }
 
-// attach registers a stream, growing capacity; the returned pid orders
-// the stream's staged ops against other streams'.
+// attach registers a stream, growing capacity; the returned pid tells
+// its hits on its own chunks from shared ones.
 func (p *bufferPool) attach() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -192,7 +172,7 @@ func (p *bufferPool) detach() {
 // every earlier round's staged ops; round < 0 applies the touch
 // immediately (the no-tick-context demand path).  shared reports a hit
 // on a chunk some other stream made resident.
-func (p *bufferPool) read(pid int64, seq *int64, key poolKey, round int64) (hit, shared bool) {
+func (p *bufferPool) read(pid int64, key poolKey, round int64) (hit, shared bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if round >= 0 {
@@ -208,8 +188,7 @@ func (p *bufferPool) read(pid int64, seq *int64, key poolKey, round int64) (hit,
 		p.agg.Shared++
 	}
 	if round >= 0 {
-		p.staged = append(p.staged, poolOp{pid: pid, seq: *seq, round: round, key: key, kind: opTouch})
-		*seq++
+		p.staged = append(p.staged, poolOp{pid: pid, round: round, key: key, kind: opTouch})
 	} else {
 		p.moveFrontLocked(i)
 	}
@@ -220,21 +199,6 @@ func (p *bufferPool) read(pid int64, seq *int64, key poolKey, round int64) (hit,
 		}
 	}
 	return true, shared
-}
-
-// touchOwn counts a hit on a chunk this stream staged earlier in the
-// same round (its fill window): the insert is not committed yet, so the
-// resident map cannot see it, but the bytes are as staged as any other
-// prefetch.  The touch commits after the insert — same pid, later seq.
-func (p *bufferPool) touchOwn(pid int64, seq *int64, key poolKey, round int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.agg.Hits++
-	p.staged = append(p.staged, poolOp{pid: pid, seq: *seq, round: round, key: key, kind: opTouch})
-	*seq++
-	if p.sink != nil {
-		p.sink.Count("storage.pool.hits", 1)
-	}
 }
 
 // miss counts a demand read that paid the device.
@@ -254,18 +218,16 @@ func (p *bufferPool) miss() {
 // chunks beyond idx were newly staged and, in immediate mode, how many
 // residents were evicted; staged-mode evictions happen at commit and
 // are accounted to the store aggregate there.
-func (p *bufferPool) fill(pid int64, seq *int64, seg SegID, idx, lookahead, limit int, round int64) (staged, evicted int) {
+func (p *bufferPool) fill(pid int64, seg SegID, idx, lookahead, limit int, round int64) (staged, evicted int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if round >= 0 {
-		p.staged = append(p.staged, poolOp{pid: pid, seq: *seq, round: round, key: poolKey{seg: seg, chunk: idx}, kind: opInsert})
-		*seq++
+		p.staged = append(p.staged, poolOp{pid: pid, round: round, key: poolKey{seg: seg, chunk: idx}, kind: opInsert})
 		for k := idx + 1; k <= idx+lookahead && k <= limit; k++ {
 			if _, ok := p.resident[poolKey{seg: seg, chunk: k}]; ok {
 				continue
 			}
-			p.staged = append(p.staged, poolOp{pid: pid, seq: *seq, round: round, key: poolKey{seg: seg, chunk: k}, kind: opInsert})
-			*seq++
+			p.staged = append(p.staged, poolOp{pid: pid, round: round, key: poolKey{seg: seg, chunk: k}, kind: opInsert})
 			staged++
 		}
 	} else {
@@ -291,44 +253,30 @@ func (p *bufferPool) fill(pid int64, seq *int64, seg SegID, idx, lookahead, limi
 	return staged, evicted
 }
 
-// commitLocked applies every staged op of rounds below round, sorted by
-// (pid, seq).  The caller's tick barrier guarantees those rounds are
-// complete, so the applied set — and therefore residency and eviction
-// order — is independent of which lane triggers the commit; p.mu is
-// held.
+// commitLocked applies every staged op of rounds below round in staging
+// order and keeps the rest.  The caller's tick barrier guarantees those
+// rounds are complete, so the applied set does not depend on which
+// read triggers the commit; p.mu is held.
 func (p *bufferPool) commitLocked(round int64) {
 	if round <= p.flushed {
 		return
 	}
 	p.flushed = round
-	if len(p.staged) == 0 {
-		return
-	}
-	apply := p.commit.ops[:0]
-	keep := 0
+	evicted, keep := 0, 0
 	for _, op := range p.staged {
-		if op.round < round {
-			apply = append(apply, op)
-		} else {
+		switch {
+		case op.round >= round:
 			p.staged[keep] = op
 			keep++
-		}
-	}
-	p.staged = p.staged[:keep]
-	p.commit.ops = apply
-	sort.Sort(&p.commit)
-	evicted := 0
-	for _, op := range p.commit.ops {
-		switch op.kind {
-		case opTouch:
+		case op.kind == opTouch:
 			if i, ok := p.resident[op.key]; ok {
 				p.moveFrontLocked(i)
 			}
-		case opInsert:
+		default:
 			evicted += p.applyInsertLocked(op.key, op.pid)
 		}
 	}
-	p.commit.ops = p.commit.ops[:0]
+	p.staged = p.staged[:keep]
 	if evicted > 0 {
 		p.agg.Evicted += int64(evicted)
 		if p.sink != nil {

@@ -6,9 +6,7 @@ package storage
 // must be behavior-identical to it for single-session streams on the
 // demand path (round < 0, where ops apply immediately) for ANY access
 // pattern, and on the staged path (round >= 0) for sequential playback,
-// the workload rounds model.  A separate shuffle test asserts the
-// staged path's committed residency is independent of the order streams
-// submit their reads within a round.
+// the workload rounds model.
 
 import (
 	"container/list"
@@ -220,80 +218,6 @@ func FuzzPoolVsLRU(f *testing.F) {
 		}
 		runDemandDiff(t, s, oracle, limit, idxs)
 	})
-}
-
-// TestPoolCommitOrderIndependence drives several streams of one clip
-// through staged rounds, permuting the order streams submit within each
-// round across runs: the committed residency chain, the pool aggregate,
-// and every per-stream counter must not move.
-func TestPoolCommitOrderIndependence(t *testing.T) {
-	const (
-		streams = 4
-		rounds  = 40
-		frames  = 48
-	)
-	run := func(perm int) ([]poolKey, PoolStats, []CacheStats) {
-		_, st := testRig(t)
-		st.SetCachePolicy(CachePolicy{Capacity: 4, Lookahead: 3})
-		seg, err := st.Place(clip(t, frames), "disk0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ss := make([]*Stream, streams)
-		for i := range ss {
-			s, _, err := st.OpenStream(seg.ID(), media.MBPerSecond)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			ss[i] = s
-		}
-		rng := rand.New(rand.NewSource(int64(perm) + 77))
-		order := make([]int, streams)
-		for i := range order {
-			order[i] = i
-		}
-		for r := 0; r < rounds; r++ {
-			rng.Shuffle(streams, func(i, j int) { order[i], order[j] = order[j], order[i] })
-			for _, i := range order {
-				// Stream i walks the clip with stride i+1: overlapping but
-				// distinct access sequences, fixed per stream across runs.
-				idx := (r * (i + 1)) % frames
-				if _, err := ss[i].ReadChunkTimeAt(idx, 1200, int64(r), 0, 0); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		pool := ss[0].pool
-		pool.mu.Lock()
-		pool.commitLocked(rounds)
-		pool.mu.Unlock()
-		perStream := make([]CacheStats, streams)
-		for i, s := range ss {
-			perStream[i] = s.CacheStats()
-		}
-		return poolResidency(pool), pool.stats(), perStream
-	}
-	refRes, refStats, refStreams := run(0)
-	for perm := 1; perm < 6; perm++ {
-		res, stats, streamsCS := run(perm)
-		if len(res) != len(refRes) {
-			t.Fatalf("perm %d: residency size %d, want %d", perm, len(res), len(refRes))
-		}
-		for i := range res {
-			if res[i] != refRes[i] {
-				t.Fatalf("perm %d: residency[%d] = %+v, want %+v", perm, i, res[i], refRes[i])
-			}
-		}
-		if stats != refStats {
-			t.Fatalf("perm %d: pool stats %+v, want %+v", perm, stats, refStats)
-		}
-		for i := range streamsCS {
-			if streamsCS[i] != refStreams[i] {
-				t.Fatalf("perm %d stream %d: stats %+v, want %+v", perm, i, streamsCS[i], refStreams[i])
-			}
-		}
-	}
 }
 
 // TestPoolSharedAcrossStreams is the point of the whole exercise: a

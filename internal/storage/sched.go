@@ -1,9 +1,9 @@
 package storage
 
 // sched.go implements IOSched, the per-device round scheduler.  Streams
-// driven by a graph run submit the *next* chunk they will need while
-// consuming the current one; all requests submitted during one graph
-// tick form a round.  When the first stream of a later tick
+// driven by a graph run submit the *next* chunk they will need once the
+// read of the current one succeeds; all requests submitted during one
+// graph tick form a round.  When the first stream of a later tick
 // consumes its result, every complete earlier round is serviced: each
 // disk's batch is ordered SCAN-EDF — earliest playback deadline first,
 // ties by track position, then stream — and charged one positioned seek
@@ -40,9 +40,9 @@ package storage
 // moment they are inserted — deadline-bucketed insertion at enqueue —
 // so flushing a round walks the batches in final service order with no
 // sort at all.  Retired rounds are recycled through a per-IOSched free
-// list (their batch and request capacity survives the round trip) with a
-// package-level sync.Pool as spillover, so once the buffers are warm the
-// scheduled chunk path allocates nothing.  The retained reference
+// list (their batch and request capacity survives the round trip), so
+// once the buffers are warm the scheduled chunk path allocates nothing.
+// The retained reference
 // implementation of the original map+sort scheduler lives in
 // sched_reference_test.go; the differential harness
 // (sched_differential_test.go, FuzzSCANEDFOrder) proves the two produce
@@ -98,12 +98,6 @@ type ioSlot struct {
 	cost  avtime.WorldTime
 	disk  *device.Disk // replica that serviced the chunk
 	full  bool
-	// displaced holds the request consumeNext's eager queue replaced (a
-	// same-stream request already sat in the round), so an unconsume can
-	// restore it instead of leaving a hole.  Valid only between a
-	// consumeNext and the unconsume that undoes it.
-	displaced    ioReq
-	hasDisplaced bool
 }
 
 // reqBefore is the SCAN-EDF total order: earliest deadline first, ties
@@ -174,14 +168,8 @@ type schedRound struct {
 	flex    []ioReq
 }
 
-// roundPool is the spillover behind each IOSched's free list: rounds
-// displaced from a full free list park here so another store (or a
-// burst of deep pending windows) can reuse their buffers.
-var roundPool = sync.Pool{New: func() any { return new(schedRound) }}
-
 // roundFreeCap bounds the per-IOSched free list; in steady state one
-// round retires per flush, so the list stays short and deterministic —
-// the sync.Pool only sees overflow.
+// round retires per flush, so the list stays short.
 const roundFreeCap = 8
 
 // IOSched batches chunk requests into per-device service rounds.
@@ -223,8 +211,7 @@ func (io *IOSched) Stats() IOStats {
 	return io.stats
 }
 
-// getRound returns a reset round buffer: free list first, then the
-// shared pool.
+// getRound returns a reset round buffer, recycled when one is free.
 func (io *IOSched) getRound() *schedRound {
 	if n := len(io.free); n > 0 {
 		r := io.free[n-1]
@@ -232,13 +219,16 @@ func (io *IOSched) getRound() *schedRound {
 		io.free = io.free[:n-1]
 		return r
 	}
-	return roundPool.Get().(*schedRound)
+	return new(schedRound)
 }
 
-// putRound recycles a serviced round, keeping every batch's request
-// capacity alive under the truncated length so the next use of the
-// buffer allocates nothing.
+// putRound recycles a serviced round onto a free list with room,
+// keeping every batch's request capacity alive under the truncated
+// length so the next use of the buffer allocates nothing.
 func (io *IOSched) putRound(r *schedRound) {
+	if len(io.free) == roundFreeCap {
+		return
+	}
 	for i := range r.batches {
 		r.batches[i].disk = nil
 		r.batches[i].reqs = r.batches[i].reqs[:0]
@@ -246,11 +236,7 @@ func (io *IOSched) putRound(r *schedRound) {
 	}
 	r.batches = r.batches[:0]
 	r.flex = r.flex[:0]
-	if len(io.free) < roundFreeCap {
-		io.free = append(io.free, r)
-		return
-	}
-	roundPool.Put(r)
+	io.free = append(io.free, r)
 }
 
 // roundFor finds or inserts the pending round with the given sequence
@@ -309,12 +295,9 @@ func (r *schedRound) batchFor(d *device.Disk) *diskBatch {
 // insert places q at its SCAN-EDF position.  A request from the same
 // stream already in the batch is replaced — resubmitting in one round
 // stays idempotent, and keeps sid unique so the sort key stays total.
-// The displaced request is returned so a speculative insert (consumeNext)
-// can be rolled back without losing it.
-func (b *diskBatch) insert(q ioReq) (displaced ioReq, replaced bool) {
+func (b *diskBatch) insert(q ioReq) {
 	for j := range b.reqs {
 		if b.reqs[j].sid == q.sid {
-			displaced, replaced = b.reqs[j], true
 			b.load -= b.reqs[j].bytes
 			copy(b.reqs[j:], b.reqs[j+1:])
 			b.reqs = b.reqs[:len(b.reqs)-1]
@@ -334,25 +317,24 @@ func (b *diskBatch) insert(q ioReq) (displaced ioReq, replaced bool) {
 	copy(b.reqs[lo+1:], b.reqs[lo:])
 	b.reqs[lo] = q
 	b.load += q.bytes
-	return displaced, replaced
 }
 
 // addReq routes a request into the round: unreplicated chunks go
 // straight to their disk's batch, replicated ones to the flex list for
 // least-loaded assignment at flush time.
-func (r *schedRound) addReq(q ioReq) (displaced ioReq, replaced bool) {
+func (r *schedRound) addReq(q ioReq) {
 	if q.nalt == 0 {
-		return r.batchFor(q.disk).insert(q)
+		r.batchFor(q.disk).insert(q)
+	} else {
+		r.flexInsert(q)
 	}
-	return r.flexInsert(q)
 }
 
 // flexInsert places q at its SCAN-EDF position in the flex list with
 // the same same-stream replacement rule as diskBatch.insert.
-func (r *schedRound) flexInsert(q ioReq) (displaced ioReq, replaced bool) {
+func (r *schedRound) flexInsert(q ioReq) {
 	for j := range r.flex {
 		if r.flex[j].sid == q.sid {
-			displaced, replaced = r.flex[j], true
 			copy(r.flex[j:], r.flex[j+1:])
 			r.flex = r.flex[:len(r.flex)-1]
 			break
@@ -370,7 +352,6 @@ func (r *schedRound) flexInsert(q ioReq) (displaced ioReq, replaced bool) {
 	r.flex = append(r.flex, ioReq{})
 	copy(r.flex[lo+1:], r.flex[lo:])
 	r.flex[lo] = q
-	return displaced, replaced
 }
 
 // loadOf reports the bytes already queued on a disk's batch this round.
@@ -542,11 +523,12 @@ func (io *IOSched) serviceLocked(b *diskBatch) {
 	}
 }
 
-// takeLocked consumes the serviced result for the stream's chunk; the
-// caller holds io.mu.  A stale result — the stream sought or degraded
-// past what it had prefetched — is discarded so the read falls back to
-// a demand read.
-func (io *IOSched) takeLocked(slot *ioSlot, chunk int) (ioResult, bool) {
+// take consumes the serviced result for the stream's chunk.  A stale
+// result — the stream sought or degraded past what it had prefetched —
+// is discarded so the read falls back to a demand read.
+func (io *IOSched) take(slot *ioSlot, chunk int) (ioResult, bool) {
+	io.mu.Lock()
+	defer io.mu.Unlock()
 	if !slot.full {
 		return ioResult{}, false
 	}
@@ -557,101 +539,13 @@ func (io *IOSched) takeLocked(slot *ioSlot, chunk int) (ioResult, bool) {
 	return ioResult{chunk: slot.chunk, cost: slot.cost, disk: slot.disk}, true
 }
 
-// consumeNext is the steady-state read: under one lock it consumes the
-// serviced result for chunk and, when one was there, eagerly queues the
-// stream's follow-on request into round.  The eager queue is what fuses
-// the old take+submit pair into a single critical section; a
-// consumption that then faults hands the pair back through unconsume.
-// next may be nil (end of clip, or nothing to prefetch).
-func (io *IOSched) consumeNext(slot *ioSlot, chunk int, round int64, next *ioReq) (ioResult, bool) {
+// putBack returns a taken result whose read faulted, so a retry
+// consumes it again.  The caller's stream lock serializes it against
+// every other operation on the slot.
+func (io *IOSched) putBack(slot *ioSlot, res ioResult) {
 	io.mu.Lock()
-	defer io.mu.Unlock()
-	res, ok := io.takeLocked(slot, chunk)
-	slot.hasDisplaced = false
-	if ok && next != nil && round >= io.flushed.Load() {
-		slot.displaced, slot.hasDisplaced = io.roundFor(round).addReq(*next)
-	}
-	return res, ok
-}
-
-// unconsume undoes a consumeNext whose fault check failed: the result
-// goes back into the slot so a retry re-consumes it, and the eagerly
-// queued follow-on (if any) is retracted — the old scheduler never
-// submitted it until the read succeeded, and the differential harness
-// holds this path to that behavior.  The caller's stream lock
-// serializes it against every other operation on the slot.
-func (io *IOSched) unconsume(slot *ioSlot, res ioResult, round int64, next *ioReq) {
-	io.mu.Lock()
-	defer io.mu.Unlock()
 	slot.chunk, slot.cost, slot.disk, slot.full = res.chunk, res.cost, res.disk, true
-	if next == nil {
-		return
-	}
-	restore := slot.hasDisplaced
-	slot.hasDisplaced = false
-	for ri, r := range io.pending {
-		if r.seq != round {
-			continue
-		}
-		if next.nalt > 0 {
-			// The eager queue routed a replicated chunk to the flex list.
-			for j := range r.flex {
-				if r.flex[j].sid == next.sid {
-					copy(r.flex[j:], r.flex[j+1:])
-					r.flex = r.flex[:len(r.flex)-1]
-					break
-				}
-			}
-			if restore {
-				r.flexInsert(slot.displaced)
-			}
-		} else {
-			for bi := range r.batches {
-				b := &r.batches[bi]
-				if b.disk != next.disk {
-					continue
-				}
-				for j := range b.reqs {
-					if b.reqs[j].sid == next.sid {
-						b.load -= b.reqs[j].bytes
-						copy(b.reqs[j:], b.reqs[j+1:])
-						b.reqs = b.reqs[:len(b.reqs)-1]
-						break
-					}
-				}
-				if restore {
-					// The eager queue had replaced an earlier same-stream
-					// request (found by FuzzSCANEDFOrder, seed
-					// e9318929d9b848a3): put it back, the old scheduler
-					// would still hold it.
-					b.insert(slot.displaced)
-				}
-				if len(b.reqs) == 0 {
-					// Shift the batch out, and park its (emptied) request
-					// buffer in the vacated slot: leaving the neighbor's
-					// slice header there would alias a live batch's array
-					// when batchFor later reclaims the truncated region
-					// (found by FuzzSCANEDFOrder, seed 14d7f6ab65a64f66).
-					spare := b.reqs
-					b.load = 0
-					copy(r.batches[bi:], r.batches[bi+1:])
-					last := len(r.batches) - 1
-					r.batches[last] = diskBatch{reqs: spare}
-					r.batches = r.batches[:last]
-				}
-				break
-			}
-		}
-		if len(r.batches) == 0 && len(r.flex) == 0 {
-			// The retraction emptied the round; drop it so an empty
-			// round is never counted as serviced.
-			copy(io.pending[ri:], io.pending[ri+1:])
-			io.pending[len(io.pending)-1] = nil
-			io.pending = io.pending[:len(io.pending)-1]
-			io.putRound(r)
-		}
-		return
-	}
+	io.mu.Unlock()
 }
 
 // drop discards any serviced result held for the stream (cache hits and

@@ -30,11 +30,10 @@ package storage
 //	request bytes: sid, disk, chunk, track, size, rate, deadline, jitter
 //	read flags: bit0 fault, bit1 has follow-on request, bit2 demand seek
 //
-// A "read" mirrors storage.go's ReadChunkTimeAt protocol exactly: flush
-// rounds below the current one, consume the stream's slot (eagerly
-// queueing the follow-on under the same lock on the new side), undo the
-// consumption if the fault flag is set, and on a miss fall back to a
-// demand read that then submits the follow-on.
+// A "read" drives both schedulers through storage.go's ReadChunkTimeAt
+// protocol: flush rounds below the current one, take the stream's
+// result, put it back if the fault flag is set, and otherwise — after a
+// demand read on a miss — submit the follow-on.
 
 import (
 	"flag"
@@ -182,26 +181,8 @@ func (h *diffHarness) opRead(c *byteCursor) {
 	h.neu.flushBefore(h.cur)
 	h.ref.flushBefore(h.cur)
 
-	resN, okN := h.neu.consumeNext(&h.slots[sid], chunk, h.cur, next)
-	if okN && fault {
-		h.neu.unconsume(&h.slots[sid], resN, h.cur, next)
-	}
-
-	// The reference side replays the pre-PR-7 read protocol: peek, fault
-	// check, then take + submit of the follow-on only on success.
-	resR, okR := h.ref.peek(sid, chunk)
-	if okR && !fault {
-		h.ref.take(sid, chunk)
-		if next != nil {
-			h.ref.submit(h.cur, refReq(*next))
-		}
-	}
-	if !okR {
-		// The old take-on-miss discarded a stale mismatched result; the
-		// new consumeNext does the same.
-		h.ref.take(sid, chunk)
-	}
-
+	resN, okN := h.neu.take(&h.slots[sid], chunk)
+	resR, okR := h.ref.take(sid, chunk)
 	// The reference scheduler predates replica routing and never records
 	// which disk serviced a request; the comparison covers the fields it
 	// models.
@@ -211,16 +192,24 @@ func (h *diffHarness) opRead(c *byteCursor) {
 		h.t.Fatalf("read(sid=%d chunk=%d fault=%v) diverged: new (%+v, %v) vs ref (%+v, %v)",
 			sid, chunk, fault, resN, okN, resR, okR)
 	}
-	if !okN && !fault {
-		// Miss: the read falls back to a demand read, which notes itself
-		// and only then queues the follow-on.
+	if fault {
+		// A faulted read submits nothing; a taken result goes back for
+		// the retry.
+		if okN {
+			h.neu.putBack(&h.slots[sid], resN)
+			h.ref.putBack(sid, resR)
+		}
+		return
+	}
+	if !okN {
+		// Miss: the read falls back to a demand read, which notes itself.
 		seeked := flags&4 != 0
 		h.neu.noteDemand(seeked)
 		h.ref.noteDemand(seeked)
-		if next != nil {
-			h.neu.submit(h.cur, *next)
-			h.ref.submit(h.cur, refReq(*next))
-		}
+	}
+	if next != nil {
+		h.neu.submit(h.cur, *next)
+		h.ref.submit(h.cur, refReq(*next))
 	}
 }
 

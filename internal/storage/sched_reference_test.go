@@ -10,9 +10,9 @@ package storage
 // this file — do not "modernize" the reference, its value is being the
 // old code.
 //
-// The reference keeps the old per-sid results map and the old
-// peek/take consumption protocol; the harness maps the new
-// consumeNext/unconsume protocol onto it (see refDriver).
+// The reference keeps the old per-sid results map; the harness drives
+// both schedulers through the same take/put-back read protocol (see
+// opRead).
 
 import (
 	"sort"
@@ -187,15 +187,6 @@ func (io *refSched) service(devID string, bySid map[int64]ioReq) {
 	}
 }
 
-// peek reports a waiting result without consuming it.
-func (io *refSched) peek(sid int64, chunk int) (ioResult, bool) {
-	res, ok := io.results[sid]
-	if !ok || res.chunk != chunk {
-		return ioResult{}, false
-	}
-	return res, true
-}
-
 // take consumes the result for the stream's chunk, discarding it on a
 // chunk mismatch.
 func (io *refSched) take(sid int64, chunk int) (ioResult, bool) {
@@ -209,6 +200,9 @@ func (io *refSched) take(sid int64, chunk int) (ioResult, bool) {
 	}
 	return res, true
 }
+
+// putBack returns a taken result whose read faulted.
+func (io *refSched) putBack(sid int64, res ioResult) { io.results[sid] = res }
 
 // drop discards any result held for the stream.
 func (io *refSched) drop(sid int64) { delete(io.results, sid) }

@@ -383,14 +383,9 @@ type Stream struct {
 	sink     obs.Sink // copied from the store at open time
 
 	// Shared buffer pool attachment; nil when caching is disabled.
-	pool    *bufferPool
-	pid     int64      // pool-attach order, orders staged ops
-	poolSeq int64      // program order of this stream's staged ops
-	cstats  CacheStats // this stream's view of pool behavior
-	poolLo  int        // own staged fill window [poolLo, poolHi] ...
-	poolHi  int        //
-	poolRnd int64      // ... staged at this round, valid while poolWin
-	poolWin bool
+	pool   *bufferPool
+	pid    int64      // pool-attach order, attributes staged inserts
+	cstats CacheStats // this stream's view of pool behavior
 }
 
 // OpenStream reserves rate on the segment's device and returns a stream.
@@ -595,10 +590,10 @@ func (s *Stream) accessLocked() device.Access {
 // presentable.  Under a Rounds policy the call
 // first services every complete earlier round, consumes the scheduled
 // result for this chunk if one was prefetched (paying its SCAN-EDF
-// amortized cost instead of a full seek), and submits the following
-// chunk into the current round tagged deadline+unit.  A chunk nothing
-// prefetched — the first read, a jump — is a demand read.  round < 0
-// disables scheduling for this call.
+// amortized cost instead of a full seek), and, once the read succeeded,
+// submits the following chunk into the current round tagged
+// deadline+unit.  A chunk nothing prefetched — the first read, a jump —
+// is a demand read.  round < 0 disables scheduling for this call.
 func (s *Stream) ReadChunkTimeAt(idx int, bytes int64, round int64, now, deadline avtime.WorldTime) (avtime.WorldTime, error) {
 	if bytes < 0 {
 		return 0, fmt.Errorf("storage: negative read %d", bytes)
@@ -624,20 +619,10 @@ func (s *Stream) ReadChunkTimeAt(idx int, bytes int64, round int64, now, deadlin
 		s.io.flushBefore(round)
 	}
 	if s.pool != nil {
-		key := poolKey{seg: s.seg.id, chunk: idx}
-		hit := false
-		if h, shared := s.pool.read(s.pid, &s.poolSeq, key, round); h {
-			hit = true
+		if hit, shared := s.pool.read(s.pid, poolKey{seg: s.seg.id, chunk: idx}, round); hit {
 			if shared {
 				s.cstats.Shared++
 			}
-		} else if round >= 0 && s.poolWin && round == s.poolRnd && idx >= s.poolLo && idx <= s.poolHi {
-			// The chunk is in this stream's own fill window, staged earlier
-			// this round and not yet committed to the shared residency map.
-			s.pool.touchOwn(s.pid, &s.poolSeq, key, round)
-			hit = true
-		}
-		if hit {
 			s.cstats.Hits++
 			s.bytes += bytes
 			if s.io != nil {
@@ -649,56 +634,34 @@ func (s *Stream) ReadChunkTimeAt(idx int, bytes int64, round int64, now, deadlin
 	}
 	var t avtime.WorldTime
 	var err error
-	if scheduled {
-		var next ioReq
-		var nextReq *ioReq
-		if s.stageNext(idx, now, deadline, &next) {
-			nextReq = &next
-		}
-		if res, ok := s.io.consumeNext(&s.slot, idx, round, nextReq); ok {
-			// Consume the round-serviced prefetch; the follow-on request
-			// was queued in the same critical section.  The home disk's
-			// fault hook still gets a say: the transfer happened on
-			// simulated hardware.  On a fault the result goes back and
-			// the follow-on is retracted, so a retry re-consumes it;
-			// s.mu makes the pair atomic with respect to every other
-			// operation on this stream.
-			var extra avtime.WorldTime
-			var served device.Device
-			if res.disk != nil {
-				// The scheduler recorded which replica serviced the chunk.
-				served = res.disk
-				extra, err = res.disk.CheckRead(s.accessLocked(), bytes)
-			} else if s.disks != nil && s.seg.chunkDev != nil && idx < len(s.seg.chunkDev) {
-				// Devirtualized fast path: striped homes are always disks.
-				served = s.disks[s.seg.chunkDev[idx]]
-				extra, err = s.disks[s.seg.chunkDev[idx]].CheckRead(s.accessLocked(), bytes)
-			} else if f, isF := s.chunkDevice(idx).(device.Faultable); isF {
-				served = s.chunkDevice(idx)
-				extra, err = f.CheckRead(s.accessLocked(), bytes)
-			}
-			if err != nil {
-				if alt, adt, live := s.failoverLocked(idx, bytes, served, err); live {
-					// Fail-soft: the serviced copy's disk died, so re-read
-					// the chunk from a surviving replica as a demand read —
-					// a seek plus the transfer at the stream's rate, on top
-					// of the failed attempt's cost.
-					t, err = s.readDone(bytes, extra+adt+alt.SeekTime()+avtime.WorldTime(bytes*int64(avtime.Second)/int64(s.rate)))
-				} else {
-					s.io.unconsume(&s.slot, res, round, nextReq)
-					t, err = s.readFailed(s.chunkDevice(idx).ID(), extra, err)
-				}
-			} else {
-				t, err = s.readDone(bytes, extra+res.cost)
-			}
+	if !scheduled {
+		t, err = s.readChunkLocked(idx, bytes)
+	} else if res, ok := s.io.take(&s.slot, idx); ok {
+		// Consume the round-serviced prefetch.  The disk that serviced it
+		// still gets a say: the transfer happened on simulated hardware.
+		var extra avtime.WorldTime
+		extra, err = res.disk.CheckRead(s.accessLocked(), bytes)
+		if err == nil {
+			t, err = s.readDone(bytes, extra+res.cost)
+		} else if alt, adt, live := s.failoverLocked(idx, bytes, res.disk, err); live {
+			// Fail-soft: the serviced copy's disk died, so re-read the
+			// chunk from a surviving replica as a demand read — a seek plus
+			// the transfer at the stream's rate, on top of the failed
+			// attempt's cost.
+			t, err = s.readDone(bytes, extra+adt+alt.SeekTime()+avtime.WorldTime(bytes*int64(avtime.Second)/int64(s.rate)))
 		} else {
-			t, err = s.readChunkLocked(idx, bytes)
-			if err == nil && nextReq != nil {
-				s.io.submit(round, next)
-			}
+			// The result goes back so a retry consumes it again.
+			s.io.putBack(&s.slot, res)
+			t, err = s.readFailed(res.disk.ID(), extra, err)
 		}
 	} else {
 		t, err = s.readChunkLocked(idx, bytes)
+	}
+	if scheduled && err == nil {
+		var next ioReq
+		if s.stageNext(idx, now, deadline, &next) {
+			s.io.submit(round, next)
+		}
 	}
 	if s.pool == nil {
 		return t, err
@@ -708,15 +671,7 @@ func (s *Stream) ReadChunkTimeAt(idx int, bytes int64, round int64, now, deadlin
 	if err != nil {
 		return t, err
 	}
-	lookahead := s.pool.policy.Lookahead
-	limit := s.seg.frames - 1
-	staged, evicted := s.pool.fill(s.pid, &s.poolSeq, s.seg.id, idx, lookahead, limit, round)
-	if round >= 0 {
-		s.poolLo, s.poolHi, s.poolRnd, s.poolWin = idx, idx+lookahead, round, true
-		if s.poolHi > limit {
-			s.poolHi = limit
-		}
-	}
+	staged, evicted := s.pool.fill(s.pid, s.seg.id, idx, s.pool.policy.Lookahead, s.seg.frames-1, round)
 	s.cstats.Prefetched += int64(staged)
 	s.cstats.Evicted += int64(evicted)
 	return t, nil
@@ -868,7 +823,7 @@ func (s *Stream) readChunkLocked(idx int, bytes int64) (avtime.WorldTime, error)
 // stageNext fills req with the request for the chunk after idx, due one
 // playback unit past the consumed chunk's deadline, reporting false when
 // there is nothing to prefetch (end of clip, unmapped chunk); the caller
-// holds s.mu and decides when the staged request enters a round.
+// holds s.mu.
 func (s *Stream) stageNext(idx int, now, deadline avtime.WorldTime, req *ioReq) bool {
 	next := idx + 1
 	if next >= s.seg.frames {

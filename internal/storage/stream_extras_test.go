@@ -131,39 +131,6 @@ func TestSinkSwapReachesPoolAndScheduler(t *testing.T) {
 	}
 }
 
-// TestPoolOwnWindowRepeatHit reads a chunk its own fill staged earlier
-// in the same round: the insert is not committed yet, so the hit goes
-// through the staged own-window path.
-func TestPoolOwnWindowRepeatHit(t *testing.T) {
-	_, st := stripeRig(t, 2)
-	st.SetCachePolicy(CachePolicy{Capacity: 6, Lookahead: 3})
-	seg, err := st.PlaceStriped(clip(t, 12), 2*media.MBPerSecond, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, _, err := st.OpenStream(seg.ID(), 2*media.MBPerSecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	// Round 0: the miss on chunk 0 stages 0..3; chunk 1 is in the own
-	// fill window, uncommitted, and must still count as a (free) hit.
-	if _, err := s.ReadChunkTimeAt(0, 1200, 0, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	dt, err := s.ReadChunkTimeAt(1, 1200, 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dt != 0 {
-		t.Errorf("own-window hit cost %v, want free", dt)
-	}
-	cs := s.CacheStats()
-	if cs.Hits != 1 || cs.Misses != 1 {
-		t.Errorf("hits/misses = %d/%d, want 1/1", cs.Hits, cs.Misses)
-	}
-}
-
 // TestPolicyEnabledAndSegmentStrings pins the policy switches and the
 // segment rendering for each placement shape.
 func TestPolicyEnabledAndSegmentStrings(t *testing.T) {

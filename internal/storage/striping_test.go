@@ -391,12 +391,12 @@ func TestIOSchedBatchAmortizesSeeks(t *testing.T) {
 	}
 	// Every stream finds its serviced result, and the run's followers
 	// are strictly cheaper than its opener.
-	first, ok := io.consumeNext(&slots[0], 5, 0, nil)
+	first, ok := io.take(&slots[0], 5)
 	if !ok {
 		t.Fatal("stream 0's result missing")
 	}
 	for sid := int64(1); sid < 3; sid++ {
-		res, ok := io.consumeNext(&slots[sid], 5, 0, nil)
+		res, ok := io.take(&slots[sid], 5)
 		if !ok {
 			t.Fatalf("stream %d's result missing", sid)
 		}
@@ -425,8 +425,8 @@ func TestIOSchedScanEDFOrder(t *testing.T) {
 	if io.heads[d] != 1 {
 		t.Errorf("head at track %d, want 1 (EDF must outrank SCAN)", io.heads[d])
 	}
-	urgent, _ := io.consumeNext(&slots[0], 1, 0, nil)
-	relaxed, _ := io.consumeNext(&slots[1], 1, 0, nil)
+	urgent, _ := io.take(&slots[0], 1)
+	relaxed, _ := io.take(&slots[1], 1)
 	// The urgent stream paid the full 0->15 sweep; the relaxed one paid
 	// the shorter 15->1 return, cheaper than a cold full-span seek.
 	if urgent.cost <= relaxed.cost {
@@ -446,16 +446,16 @@ func TestIOSchedStaleAndStragglerRequests(t *testing.T) {
 	io.submit(0, ioReq{sid: 7, chunk: 3, bytes: 1200, disk: d, rate: media.MBPerSecond, deadline: avtime.Second, slot: &slots[0]})
 	io.flushBefore(2)
 	// Taking the wrong chunk discards the stale result entirely.
-	if _, ok := io.consumeNext(&slots[0], 9, 0, nil); ok {
+	if _, ok := io.take(&slots[0], 9); ok {
 		t.Error("stale result consumed for the wrong chunk")
 	}
-	if _, ok := io.consumeNext(&slots[0], 3, 0, nil); ok {
+	if _, ok := io.take(&slots[0], 3); ok {
 		t.Error("discarded result resurfaced")
 	}
 	// Submissions into an already-flushed round are dropped, so the
 	// consumer falls back to a demand read instead of waiting forever.
 	io.submit(1, ioReq{sid: 8, chunk: 0, bytes: 1200, disk: d, rate: media.MBPerSecond, slot: &slots[1]})
-	if _, ok := io.consumeNext(&slots[1], 0, 0, nil); ok {
+	if _, ok := io.take(&slots[1], 0); ok {
 		t.Error("straggler submission into a flushed round was serviced")
 	}
 	if st := io.Stats(); st.Rounds != 1 {
@@ -517,6 +517,56 @@ func TestScheduledStreamReadsThroughRounds(t *testing.T) {
 	}
 	if total >= demand {
 		t.Errorf("scheduled total %v >= demand total %v; rounds saved nothing", total, demand)
+	}
+}
+
+// TestScheduledFaultPutsResultBack faults the read of a round-serviced
+// chunk: the result goes back into the stream's slot and no follow-on
+// is submitted, so the retry consumes the same scheduled result instead
+// of paying a demand read, and only then queues the next chunk.
+func TestScheduledFaultPutsResultBack(t *testing.T) {
+	dm, st := stripeRig(t, 2)
+	st.SetStriping(StripePolicy{Seeks: true, Rounds: true})
+	seg, err := st.PlaceStriped(clip(t, 6), 2*media.MBPerSecond, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _, err := st.OpenStream(seg.ID(), 2*media.MBPerSecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	unit := media.TypeRawVideo30.Rate.UnitDuration()
+	read := func(i int) (avtime.WorldTime, error) {
+		now := avtime.WorldTime(i) * unit
+		return s.ReadChunkTimeAt(i, 1200, 1, now, now)
+	}
+	// Round 0's demand read of chunk 0 queued chunk 1.
+	if _, err := s.ReadChunkTimeAt(0, 1200, 0, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	dm.SetFaultHook(failHook{fail: map[string]bool{diskID(0): true, diskID(1): true}})
+	if _, err := read(1); !errors.Is(err, device.ErrTransientRead) {
+		t.Fatalf("faulted scheduled read: %v, want ErrTransientRead", err)
+	}
+	if !s.slot.full || s.slot.chunk != 1 {
+		t.Fatalf("slot after the fault = %+v, want chunk 1's result back", s.slot)
+	}
+	if n := len(st.io.pending); n != 0 {
+		t.Fatalf("%d pending rounds after the fault, want none: a faulted read queues nothing", n)
+	}
+	dm.SetFaultHook(nil)
+	if _, err := read(1); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(st.io.pending); n != 1 {
+		t.Fatalf("%d pending rounds after the retry, want chunk 2's", n)
+	}
+	if _, err := s.ReadChunkTimeAt(2, 1200, 2, 2*unit, 2*unit); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.IOStats(); got.Demand != 1 || got.Scheduled != 2 {
+		t.Errorf("demand/scheduled = %d/%d, want 1/2: the retry and chunk 2 both come from rounds", got.Demand, got.Scheduled)
 	}
 }
 

@@ -7,6 +7,8 @@ package storage
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"avdb/internal/avtime"
@@ -380,6 +382,45 @@ func TestTierReplicaFailoverOnOutage(t *testing.T) {
 	dm.SetFaultHook(downHook{down: map[string]bool{diskID(0): true, diskID(2): true}})
 	if _, err := s.ReadChunkTimeAt(2, 1200, -1, 0, 0); !errors.Is(err, device.ErrDeviceFailed) {
 		t.Fatalf("read with no live copy: %v, want ErrDeviceFailed", err)
+	}
+}
+
+// TestScheduledFaultNamesServicingReplica faults a scheduled read that
+// the round routed to a replica: the error names the replica's disk,
+// the one that faulted, not the chunk's primary home.
+func TestScheduledFaultNamesServicingReplica(t *testing.T) {
+	dm, st := stripeRig(t, 4)
+	st.SetStriping(StripePolicy{Seeks: true, Rounds: true})
+	st.SetTierPolicy(TierPolicy{Replicas: ReplicaPolicy{Copies: 2, PromoteAt: 1}})
+	seg, err := st.PlaceStriped(clip(t, 12), 2*media.MBPerSecond, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ss []*Stream
+	for i := 0; i < 2; i++ {
+		s, _, err := st.OpenStreamTiered(seg.ID(), 2*media.MBPerSecond, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		// Both streams queue chunk 1 into round 0; the second lands on
+		// the replica because the home disk is loaded by the first.
+		if _, err := s.ReadChunkTimeAt(0, 1200, 0, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		ss = append(ss, s)
+	}
+	dm.SetFaultHook(failHook{fail: map[string]bool{diskID(1): true, diskID(3): true}})
+	for _, s := range ss {
+		s.st.io.flushBefore(1)
+		want := s.slot.disk.ID()
+		_, err := s.ReadChunkTimeAt(1, 1200, 1, 0, 0)
+		if !errors.Is(err, device.ErrTransientRead) || !strings.Contains(err.Error(), fmt.Sprintf("%q", want)) {
+			t.Errorf("fault on %s reads %v, want it named", want, err)
+		}
+	}
+	if ss[1].slot.disk == ss[0].slot.disk {
+		t.Fatalf("both reads serviced by %s; the fixture needs one on a replica", ss[0].slot.disk.ID())
 	}
 }
 

@@ -1,10 +1,8 @@
 // Package synth is the capture substrate of the platform: it produces
 // the digital audio and video material a 1993 studio would have captured
-// from cameras, microphones and MIDI instruments.  Video comes from test
-// patterns and a small animation renderer ("rendering video frames from
-// animation data"); audio comes from tone generators and a MIDI
-// synthesizer ("synthesizing digital audio from MIDI data"); subtitle
-// tracks come from a timed-text generator.
+// from cameras and microphones.  Video comes from test patterns, audio
+// from a speech-like noise generator, and subtitle tracks from a
+// timed-text generator.
 //
 // All generators are deterministic in their seeds so that every
 // experiment in the repository is reproducible.
