@@ -700,6 +700,55 @@ func TestAudioPipelineSampleAccurate(t *testing.T) {
 	}
 }
 
+// TestAudioReaderTickAllocs pins the reader's steady-state tick at zero
+// allocations: it emits one block, rewritten every tick, over samples
+// the value already holds.  Each tick's block covers exactly the next
+// samples, and the block is the same one tick after tick.
+func TestAudioReaderTickAllocs(t *testing.T) {
+	speech, err := synth.Speech(media.AudioQualityVoice, 10.0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reader, err := NewAudioReader("ar", db, media.TypeVoiceAudio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reader.Bind(speech, "out"); err != nil {
+		t.Fatal(err)
+	}
+	if err := reader.Start(); err != nil {
+		t.Fatal(err)
+	}
+	unit := avtime.RateVideo30.UnitDuration()
+	tc := activity.NewTickContext(0, 0, avtime.Interval{Dur: unit})
+	var first *media.AudioBlock
+	next := avtime.ObjectTime(0)
+	tick := func() {
+		if err := reader.Tick(tc); err != nil {
+			t.Fatal(err)
+		}
+		out := tc.Out("out")
+		b, ok := out.Payload.(*media.AudioBlock)
+		if !ok || b.Start != next || b.NumFrames() == 0 {
+			t.Fatalf("tick at %v emitted %+v, want a block from sample %d", tc.Now, out.Payload, next)
+		}
+		if first == nil {
+			first = b
+		} else if b != first {
+			t.Fatal("reader emitted a new block")
+		}
+		next += avtime.ObjectTime(b.NumFrames())
+		tc.Now += unit
+		tc.Interval.Start += unit
+		tc.Seq++
+	}
+	tick()
+	tick()
+	if allocs := testing.AllocsPerRun(100, tick); allocs != 0 {
+		t.Errorf("audio reader tick allocates %.2f times, want 0", allocs)
+	}
+}
+
 func TestAudioReaderCue(t *testing.T) {
 	speech, err := synth.Speech(media.AudioQualityVoice, 2.0, 2)
 	if err != nil {

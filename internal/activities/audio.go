@@ -12,13 +12,15 @@ import (
 // AudioReader is a source producing a stored audio value as sample-
 // accurate blocks: at every tick it emits exactly the samples whose
 // presentation falls inside the tick's interval, so audio stays exact at
-// any graph tick rate.
+// any graph tick rate.  It emits one block, rewritten every tick (the
+// scratch contract of media.AudioBlock).
 type AudioReader struct {
 	*activity.Base
 	consumed int
 	started  avtime.WorldTime
 	haveT0   bool
 	stream   *storage.Stream
+	block    media.AudioBlock
 }
 
 // NewAudioReader returns a reader whose out port carries the given audio
@@ -77,9 +79,10 @@ func (r *AudioReader) Tick(tc *activity.TickContext) error {
 	if err != nil {
 		return err
 	}
-	c := &activity.Chunk{Seq: r.consumed, At: tc.Now, Arrived: tc.Now, Payload: block}
+	r.block = block
+	c := &activity.Chunk{Seq: r.consumed, At: tc.Now, Arrived: tc.Now, Payload: &r.block}
 	if r.stream != nil {
-		dt, err := r.stream.ReadTime(block.Size())
+		dt, err := r.stream.ReadTime(r.block.Size())
 		if err != nil {
 			return err
 		}

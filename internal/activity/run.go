@@ -45,6 +45,7 @@ type GraphRun struct {
 	lastNow avtime.WorldTime // scheduled time of the last executed tick
 
 	sink      obs.Sink
+	latency   *obs.Histogram // stream.chunk_latency_us; nil without a sink
 	pbSpan    obs.SpanID
 	actSpans  []obs.SpanID // by node, in plan order
 	connSpans []obs.SpanID // by connection, in r.conns order
@@ -97,6 +98,7 @@ func (g *Graph) Begin(cfg RunConfig) (*GraphRun, error) {
 	// All guards are nil checks so an uninstrumented run never touches the
 	// sink.
 	if r.sink != nil {
+		r.latency = r.sink.Histogram("stream.chunk_latency_us")
 		r.pbSpan = r.sink.BeginSpan(cfg.ObsParent, obs.KindPlayback, g.name, r.startAt)
 		r.actSpans = make([]obs.SpanID, len(nodes))
 		for i := range nodes {
@@ -229,11 +231,9 @@ func (r *GraphRun) delivered(f *planFeed, src *Chunk, oc *outcome) {
 		stats.ChunksCorrupted++
 	}
 	if r.sink != nil {
-		cs := r.sink.BeginSpan(r.connSpans[f.k], obs.KindChunk, f.conn.label, src.At)
-		r.sink.SpanAttr(cs, "seq", int64(src.Seq))
-		r.sink.EndSpan(cs, oc.chunk.Arrived)
-		r.sink.Observe("stream.chunk_latency_us", int64(oc.chunk.Arrived-oc.chunk.At))
+		r.sink.ChunkSpan(r.connSpans[f.k], f.conn.label, src.At, oc.chunk.Arrived, int64(src.Seq))
 	}
+	r.latency.Observe(int64(oc.chunk.Arrived - oc.chunk.At))
 	stats.Chunks++
 	stats.BytesMoved += oc.chunk.Size()
 }
@@ -291,10 +291,10 @@ func (r *GraphRun) closeObs() {
 	}
 	r.sink.SpanAttr(r.pbSpan, "ticks", int64(r.stats.Ticks))
 	r.sink.EndSpan(r.pbSpan, now)
-	r.sink.Count("sched.ticks", int64(r.stats.Ticks))
-	r.sink.Count("stream.chunks", r.stats.Chunks)
-	r.sink.Count("stream.bytes", r.stats.BytesMoved)
-	r.sink.Count("stream.dropped", r.stats.ChunksDropped)
-	r.sink.Count("stream.corrupted", r.stats.ChunksCorrupted)
-	r.sink.Count("stream.transfer_failures", r.stats.TransferFailures)
+	r.sink.Counter("sched.ticks").Add(int64(r.stats.Ticks))
+	r.sink.Counter("stream.chunks").Add(r.stats.Chunks)
+	r.sink.Counter("stream.bytes").Add(r.stats.BytesMoved)
+	r.sink.Counter("stream.dropped").Add(r.stats.ChunksDropped)
+	r.sink.Counter("stream.corrupted").Add(r.stats.ChunksCorrupted)
+	r.sink.Counter("stream.transfer_failures").Add(r.stats.TransferFailures)
 }

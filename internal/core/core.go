@@ -16,6 +16,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"avdb/internal/avtime"
@@ -124,6 +125,41 @@ type Database struct {
 	nextSession int
 	segments    map[string]storage.SegID // "oid/attr[/track]" -> segment
 	obsC        *obs.Collector
+
+	// obsM holds the collector's handles on the database's own
+	// metrics; all nil until EnableObservability.  Read without db.mu.
+	obsM atomic.Pointer[dbMetrics]
+}
+
+// dbMetrics holds the handles on the metrics the database records
+// itself: sessions, degradation and the engine.
+type dbMetrics struct {
+	sessionOpened, sessionClosed, degraded, restored *obs.Counter
+
+	steps, runsFinished                      *obs.Counter
+	shedRejected, shedDegraded, shedRestored *obs.Counter
+	pressureTransitions, pressureOverload    *obs.Counter
+	sessionsActive, pressureLevel            *obs.Gauge
+	tickLag                                  *obs.Histogram
+}
+
+func newDBMetrics(s obs.Sink) *dbMetrics {
+	return &dbMetrics{
+		sessionOpened:       s.Counter("session.opened"),
+		sessionClosed:       s.Counter("session.closed"),
+		degraded:            s.Counter("stream.degraded"),
+		restored:            s.Counter("stream.restored"),
+		steps:               s.Counter("engine.steps"),
+		runsFinished:        s.Counter("engine.runs.finished"),
+		shedRejected:        s.Counter("engine.shed.rejected"),
+		shedDegraded:        s.Counter("engine.shed.degraded"),
+		shedRestored:        s.Counter("engine.shed.restored"),
+		pressureTransitions: s.Counter("engine.pressure.transitions"),
+		pressureOverload:    s.Counter("engine.pressure.overload"),
+		sessionsActive:      s.Gauge("engine.sessions.active"),
+		pressureLevel:       s.Gauge("engine.pressure.level"),
+		tickLag:             s.Histogram("engine.tick.lag"),
+	}
 }
 
 // Open creates a database.  Devices and network links are registered
@@ -159,6 +195,7 @@ func Open(cfg Config) (*Database, error) {
 	db.mediaSt.SetTierPolicy(cfg.Tiering)
 	db.engine = query.NewEngine(db.schema, db.objects)
 	db.runEngine = newEngine(db)
+	db.obsM.Store(newDBMetrics(obs.NopSink{}))
 	return db, nil
 }
 
@@ -183,6 +220,7 @@ func (db *Database) EnableObservability() *obs.Collector {
 	db.mu.Lock()
 	if db.obsC == nil {
 		db.obsC = obs.NewCollector()
+		db.obsM.Store(newDBMetrics(db.obsC))
 	}
 	c := db.obsC
 	db.mu.Unlock()
@@ -214,6 +252,9 @@ func (db *Database) sink() obs.Sink {
 	}
 	return nil
 }
+
+// metrics returns the handles on the database's own metrics.
+func (db *Database) metrics() *dbMetrics { return db.obsM.Load() }
 
 // Devices returns the platform device manager.
 func (db *Database) Devices() *device.Manager { return db.devices }

@@ -175,9 +175,7 @@ func (s *Session) degradeNow(at avtime.WorldTime) error {
 	if em, ok := spec.Source.(eventEmitter); ok {
 		em.Emit(activity.EventInfo{Event: activity.EventDegraded, Activity: spec.Source.Name(), At: at})
 	}
-	if sink := s.db.sink(); sink != nil {
-		sink.Count("stream.degraded", 1)
-	}
+	s.db.metrics().degraded.Add(1)
 	return nil
 }
 
@@ -235,8 +233,6 @@ func (s *Session) restoreNow(at avtime.WorldTime) error {
 	if em, ok := spec.Source.(eventEmitter); ok {
 		em.Emit(activity.EventInfo{Event: activity.EventRestored, Activity: spec.Source.Name(), At: at})
 	}
-	if sink := s.db.sink(); sink != nil {
-		sink.Count("stream.restored", 1)
-	}
+	s.db.metrics().restored.Add(1)
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 
 	"avdb/internal/activity"
 	"avdb/internal/avtime"
-	"avdb/internal/obs"
 	"avdb/internal/sched"
 	"avdb/internal/storage"
 )
@@ -169,9 +168,7 @@ func (e *Engine) EnableOverloadControl(p sched.OverloadPolicy) *sched.OverloadDe
 	e.detector = det
 	e.lastIO = io
 	e.mu.Unlock()
-	if sink := e.db.sink(); sink != nil {
-		sink.SetGauge("engine.pressure.level", int64(sched.PressureNormal))
-	}
+	e.db.metrics().pressureLevel.Set(int64(sched.PressureNormal))
 	return det
 }
 
@@ -193,9 +190,7 @@ func (e *Engine) admitCheck() error {
 	e.shedRejected++
 	retry := e.db.clock.Now() + det.Policy().RetryAfter
 	e.mu.Unlock()
-	if sink := e.db.sink(); sink != nil {
-		sink.Count("engine.shed.rejected", 1)
-	}
+	e.db.metrics().shedRejected.Add(1)
 	return &OverloadError{RetryAfter: retry}
 }
 
@@ -207,7 +202,7 @@ func (e *Engine) admitCheck() error {
 func (e *Engine) admit(s *Session, run engineRun, p *Playback) {
 	labels := pprof.Labels("avdb_session", s.ID(), "avdb_graph", run.Graph().Name())
 	ctx := pprof.WithLabels(context.Background(), labels)
-	sink := e.db.sink()
+	m := e.db.metrics()
 	e.mu.Lock()
 	due := run.NextDue()
 	id := e.set.Admit(due)
@@ -224,12 +219,10 @@ func (e *Engine) admit(s *Session, run engineRun, p *Playback) {
 	}
 	e.entries[id] = en
 	e.admitted = append(e.admitted, id)
-	if sink != nil {
-		// Published inside the critical section that changed the count:
-		// an interleaved admit/retire pair can no longer leave the gauge
-		// at a stale value (the last publish is the last count change).
-		sink.SetGauge("engine.sessions.active", int64(len(e.entries)))
-	}
+	// Published inside the critical section that changed the count: an
+	// interleaved admit/retire pair can no longer leave the gauge at a
+	// stale value (the last publish is the last count change).
+	m.sessionsActive.Set(int64(len(e.entries)))
 	if !e.running {
 		e.running = true
 		go e.loop()
@@ -299,17 +292,15 @@ func (e *Engine) stepOnce() bool {
 	e.stepping = true
 	e.mu.Unlock()
 
-	sink := e.db.sink()
-	if sink != nil {
-		// Lag is how far the committed clock trails the step's due
-		// time; it goes positive when a finishing run's drain pushed
-		// the clock past other runs' schedules.
-		lag := e.db.clock.Now() - due
-		if lag < 0 {
-			lag = 0
-		}
-		sink.Observe("engine.tick.lag", int64(lag))
+	// Lag is how far the committed clock trails the step's due time; it
+	// goes positive when a finishing run's drain pushed the clock past
+	// other runs' schedules.
+	m := e.db.metrics()
+	lag := e.db.clock.Now() - due
+	if lag < 0 {
+		lag = 0
 	}
+	m.tickLag.Observe(int64(lag))
 
 	// Phase 1 — tick every due run, all tagged with this step's service
 	// round so the store batches their chunk requests into the same
@@ -362,9 +353,7 @@ func (e *Engine) stepOnce() bool {
 	if horizon >= 0 {
 		e.db.clock.AdvanceTo(horizon)
 	}
-	if sink != nil {
-		sink.Count("engine.steps", 1)
-	}
+	m.steps.Add(1)
 
 	// Phase 3 — retire finished runs: drain their gates, close spans,
 	// stop nodes, publish the retirement, complete the Playback so
@@ -376,15 +365,11 @@ func (e *Engine) stepOnce() bool {
 		delete(e.entries, en.id)
 		e.removeAdmittedLocked(en.id)
 		e.finished++
-		if sink != nil {
-			// Under the lock for the same reason admit publishes under
-			// it: the gauge sequence must match the count sequence.
-			sink.SetGauge("engine.sessions.active", int64(len(e.entries)))
-		}
+		// Under the lock for the same reason admit publishes under it:
+		// the gauge sequence must match the count sequence.
+		m.sessionsActive.Set(int64(len(e.entries)))
 		e.mu.Unlock()
-		if sink != nil {
-			sink.Count("engine.runs.finished", 1)
-		}
+		m.runsFinished.Add(1)
 		// Last: completing the playback releases its waiters, and a
 		// client that snapshots right after Wait must find everything
 		// this retirement publishes already there.
@@ -397,7 +382,7 @@ func (e *Engine) stepOnce() bool {
 	// take session locks (the lock order everywhere is session, then
 	// engine).
 	if det != nil {
-		e.overloadStep(det, sink, stallDelta)
+		e.overloadStep(det, stallDelta)
 	}
 
 	e.mu.Lock()
@@ -409,7 +394,7 @@ func (e *Engine) stepOnce() bool {
 
 // overloadStep samples the per-step load deltas, feeds the detector,
 // publishes transitions, and runs the window sweep.
-func (e *Engine) overloadStep(det *sched.OverloadDetector, sink obs.Sink, stallDelta int64) {
+func (e *Engine) overloadStep(det *sched.OverloadDetector, stallDelta int64) {
 	io := e.db.mediaSt.IOStats()
 	e.mu.Lock()
 	served := (io.Scheduled + io.Demand) - (e.lastIO.Scheduled + e.lastIO.Demand)
@@ -419,11 +404,12 @@ func (e *Engine) overloadStep(det *sched.OverloadDetector, sink obs.Sink, stallD
 	e.mu.Unlock()
 
 	level, evaluated, changed := det.ObserveStep(served, missed, overruns, stallDelta)
-	if changed && sink != nil {
-		sink.SetGauge("engine.pressure.level", int64(level))
-		sink.Count("engine.pressure.transitions", 1)
+	if changed {
+		m := e.db.metrics()
+		m.pressureLevel.Set(int64(level))
+		m.pressureTransitions.Add(1)
 		if level == sched.PressureOverloaded {
-			sink.Count("engine.pressure.overload", 1)
+			m.pressureOverload.Add(1)
 		}
 	}
 	if !evaluated {
@@ -445,13 +431,13 @@ func (e *Engine) overloadStep(det *sched.OverloadDetector, sink obs.Sink, stallD
 		if settling {
 			return
 		}
-		if e.degradeSweep(level, now, sink) > 0 {
+		if e.degradeSweep(level, now) > 0 {
 			e.mu.Lock()
 			e.sweptWindow = det.Windows()
 			e.mu.Unlock()
 		}
 	case level == sched.PressureNormal:
-		e.restoreSweep(now, sink)
+		e.restoreSweep(now)
 	}
 }
 
@@ -492,7 +478,7 @@ func (e *Engine) degradeCandidates() []*Session {
 // under Pressured, the whole lowest-priority class under Overloaded.
 // Higher-priority sessions are never degraded while a lower class
 // still has headroom to give.  Returns how many victims it degraded.
-func (e *Engine) degradeSweep(level sched.PressureLevel, now avtime.WorldTime, sink obs.Sink) int {
+func (e *Engine) degradeSweep(level sched.PressureLevel, now avtime.WorldTime) int {
 	cands := e.degradeCandidates()
 	if len(cands) == 0 {
 		return 0
@@ -516,9 +502,7 @@ func (e *Engine) degradeSweep(level sched.PressureLevel, now avtime.WorldTime, s
 		e.degradedOrder = append(e.degradedOrder, s)
 		e.shedDegraded++
 		e.mu.Unlock()
-		if sink != nil {
-			sink.Count("engine.shed.degraded", 1)
-		}
+		e.db.metrics().shedDegraded.Add(1)
 	}
 	return victims
 }
@@ -527,7 +511,7 @@ func (e *Engine) degradeSweep(level sched.PressureLevel, now avtime.WorldTime, s
 // recently degraded first — the mirror image of the degrade order, so
 // the longest-suffering (lowest-priority, earliest-victim) session is
 // restored last, when the most headroom has proven stable.
-func (e *Engine) restoreSweep(now avtime.WorldTime, sink obs.Sink) {
+func (e *Engine) restoreSweep(now avtime.WorldTime) {
 	for {
 		e.mu.Lock()
 		n := len(e.degradedOrder)
@@ -556,9 +540,7 @@ func (e *Engine) restoreSweep(now avtime.WorldTime, sink obs.Sink) {
 		e.degradedOrder = e.degradedOrder[:len(e.degradedOrder)-1]
 		e.shedRestored++
 		e.mu.Unlock()
-		if sink != nil {
-			sink.Count("engine.shed.restored", 1)
-		}
+		e.db.metrics().shedRestored.Add(1)
 		return
 	}
 }

@@ -83,6 +83,33 @@ func TestEngineAllocsPerStep(t *testing.T) {
 			}
 		})
 	}
+	// With a collector installed every step also records engine.steps
+	// and engine.tick.lag through handles, which must not allocate.
+	t.Run("observed-16", func(t *testing.T) {
+		db := testDB(t)
+		col := db.EnableObservability()
+		e := admitFakeRuns(t, db, 16)
+		for i := 0; i < 32; i++ {
+			e.stepOnce()
+		}
+		allocs := testing.AllocsPerRun(200, func() { e.stepOnce() })
+		if allocs != 0 {
+			t.Errorf("observed engine step allocates %.1f times per step, want 0", allocs)
+		}
+		snap := col.Snapshot()
+		if got := snap.Counter("engine.steps"); got != 32+201 {
+			t.Errorf("engine.steps = %d, want %d", got, 32+201)
+		}
+		var lagN int64
+		for _, h := range snap.Histograms {
+			if h.Name == "engine.tick.lag" {
+				lagN = h.Hist.N
+			}
+		}
+		if lagN != 32+201 {
+			t.Errorf("engine.tick.lag observations = %d, want %d", lagN, 32+201)
+		}
+	})
 }
 
 // BenchmarkEngineStep measures the engine's own per-step cost over

@@ -162,16 +162,16 @@ func TestEngineDegradeSweepPriorityOrder(t *testing.T) {
 	}
 
 	// Pressured: one victim per window, lowest class first.
-	eng.degradeSweep(sched.PressurePressured, now, nil)
+	eng.degradeSweep(sched.PressurePressured, now)
 	check("sweep 1", []bool{false, false, true})
 	if got := low.grant.Resources(); got != degRes {
 		t.Errorf("low grant after degrade = %v, want %v", got, degRes)
 	}
-	eng.degradeSweep(sched.PressurePressured, now, nil)
+	eng.degradeSweep(sched.PressurePressured, now)
 	check("sweep 2", []bool{false, true, true})
 
 	// Overloaded: the whole lowest class present (now only High remains).
-	eng.degradeSweep(sched.PressureOverloaded, now, nil)
+	eng.degradeSweep(sched.PressureOverloaded, now)
 	check("sweep 3", []bool{true, true, true})
 
 	st := eng.Stats()
@@ -181,11 +181,11 @@ func TestEngineDegradeSweepPriorityOrder(t *testing.T) {
 
 	// Restores pop most-recently-degraded first: high, then norm, then
 	// low — the first victim is the last made whole.
-	eng.restoreSweep(now, nil)
+	eng.restoreSweep(now)
 	check("restore 1", []bool{false, true, true})
-	eng.restoreSweep(now, nil)
+	eng.restoreSweep(now)
 	check("restore 2", []bool{false, false, true})
-	eng.restoreSweep(now, nil)
+	eng.restoreSweep(now)
 	check("restore 3", []bool{false, false, false})
 	for i, ds := range all {
 		if got := ds.grant.Resources(); got != fullRes {
@@ -233,11 +233,11 @@ func TestEngineRestoreEmitsEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := db.Clock().Now()
-	eng.degradeSweep(sched.PressurePressured, now, nil)
+	eng.degradeSweep(sched.PressurePressured, now)
 	if !ds.sess.Degraded() {
 		t.Fatal("session not degraded after sweep")
 	}
-	eng.restoreSweep(now, nil)
+	eng.restoreSweep(now)
 	if ds.sess.Degraded() {
 		t.Fatal("session still degraded after restore sweep")
 	}

@@ -123,8 +123,8 @@ func (db *Database) Connect(client, linkID string) (*Session, error) {
 	}
 	if sink := db.sink(); sink != nil {
 		s.span = sink.BeginSpan(obs.NoSpan, obs.KindSession, id, db.clock.Now())
-		sink.Count("session.opened", 1)
 	}
+	db.metrics().sessionOpened.Add(1)
 	return s, nil
 }
 
@@ -458,7 +458,7 @@ func (s *Session) Close() error {
 	s.db.devices.ReleaseAll(s.id)
 	if sink := s.db.sink(); sink != nil {
 		sink.EndSpan(s.span, s.db.clock.Now())
-		sink.Count("session.closed", 1)
 	}
+	s.db.metrics().sessionClosed.Add(1)
 	return closeErr
 }

@@ -292,3 +292,58 @@ func TestEngineTierFaultIsolation(t *testing.T) {
 		t.Errorf("fault-free promotion did not happen: %+v", cleanTiers[1])
 	}
 }
+
+// TestScheduledReadFaultCounters holds the two storage fault counters
+// no benchmark workload reaches.  A replicated clip plays on SCAN-EDF
+// rounds while disk0, a primary stripe disk, is down and disk1 fails
+// reads transiently: scheduled reads homed on disk0 fail over to the
+// replica (storage.replica.failover), and transient faults on disk1
+// fail the read (storage.read_faults) until the reader's retry gets
+// through.  The session completes with every frame, and both counters
+// read their pinned counts.
+func TestScheduledReadFaultCounters(t *testing.T) {
+	const frames = 30
+	db := isoDB(t, 4)
+	col := db.EnableObservability()
+	db.Storage().SetStriping(storage.StripePolicy{Seeks: true, Rounds: true})
+	db.Storage().SetTierPolicy(storage.TierPolicy{Replicas: storage.ReplicaPolicy{Copies: 2, PromoteAt: 1}})
+	oid := tierNewscast(t, db, "hot", frames)
+	if _, err := db.PlaceMediaStriped(oid, "videoTrack", media.MBPerSecond, 2); err != nil {
+		t.Fatal(err)
+	}
+	// Binding is the clip's first access, which replicates it before
+	// the stream opens.
+	ps, err := buildTierPlayback(t, db, "viewer", oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.sess.Close()
+	if got := db.Storage().TierInfo(db.Clock().Now())[0].Copies; got != 2 {
+		t.Fatalf("copies = %d, want 2", got)
+	}
+	plan := fault.NewPlan(11).
+		MustAdd(fault.Fault{Kind: fault.DeviceOutage, Target: "disk0", Start: 0, Dur: avtime.WorldTime(1 << 40)}).
+		MustAdd(fault.Fault{Kind: fault.TransientRead, Target: "disk1", Start: 0, Dur: avtime.WorldTime(1 << 40), Probability: 0.3})
+	db.Devices().SetFaultHook(fault.NewInjector(plan, db.Clock()))
+	ps.src.SetRetry(fault.DefaultRetry)
+	pb, err := ps.sess.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pb.Wait(); err != nil {
+		t.Fatalf("playback under faults: %v", err)
+	}
+	if shown, lost := ps.win.FramesShown(), ps.src.FramesLost(); shown != frames || lost != 0 {
+		t.Errorf("shown %d, lost %d; want %d, 0", shown, lost, frames)
+	}
+	if io := db.MediaIOStats(); io.Scheduled == 0 || io.Failovers == 0 {
+		t.Errorf("I/O stats %+v: want scheduled reads and failovers among them", io)
+	}
+	snap := col.Snapshot()
+	if got := snap.Counter("storage.read_faults"); got != 7 {
+		t.Errorf("storage.read_faults = %d, want 7", got)
+	}
+	if got := snap.Counter("storage.replica.failover"); got != 15 {
+		t.Errorf("storage.replica.failover = %d, want 15", got)
+	}
+}

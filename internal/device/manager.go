@@ -20,14 +20,22 @@ type Manager struct {
 	mu      sync.Mutex
 	devices map[string]Device
 	holders map[string]string // device id -> owner
-	sink    obs.Sink
+
+	// An installed sink's handles; nil without one.
+	acquired, denied, released *obs.Counter
 }
 
 // SetSink installs an observability sink.  Exclusive-device arbitration
 // emits device.acquired / acquire_denied / released counters.
 func (m *Manager) SetSink(s obs.Sink) {
+	var acquired, denied, released *obs.Counter
+	if s != nil {
+		acquired = s.Counter("device.acquired")
+		denied = s.Counter("device.acquire_denied")
+		released = s.Counter("device.released")
+	}
 	m.mu.Lock()
-	m.sink = s
+	m.acquired, m.denied, m.released = acquired, denied, released
 	m.mu.Unlock()
 }
 
@@ -98,15 +106,11 @@ func (m *Manager) Acquire(id, owner string) error {
 		return nil
 	}
 	if h, held := m.holders[id]; held && h != owner {
-		if m.sink != nil {
-			m.sink.Count("device.acquire_denied", 1)
-		}
+		m.denied.Add(1)
 		return fmt.Errorf("%w: %q held by %q", ErrHeld, id, h)
 	}
 	m.holders[id] = owner
-	if m.sink != nil {
-		m.sink.Count("device.acquired", 1)
-	}
+	m.acquired.Add(1)
 	return nil
 }
 
@@ -138,9 +142,7 @@ func (m *Manager) ReleaseAll(owner string) {
 	for id, h := range m.holders {
 		if h == owner {
 			delete(m.holders, id)
-			if m.sink != nil {
-				m.sink.Count("device.released", 1)
-			}
+			m.released.Add(1)
 		}
 	}
 }

@@ -67,8 +67,8 @@ var kindNames = [...]string{
 	ChunkCorrupt:  "chunk-corrupt",
 }
 
-// kindMetrics holds the precomputed fault.injected.<kind> counter names
-// so the injection paths never format strings.
+// kindMetrics holds the fault.injected.<kind> counter names, resolved
+// into handles by SetSink.
 var kindMetrics = [...]string{
 	TransientRead: "fault.injected.transient-read",
 	DeviceOutage:  "fault.injected.device-outage",
@@ -190,25 +190,29 @@ type Injector struct {
 	seed   uint64
 	faults []Fault // immutable after NewInjector
 
-	mu     sync.Mutex
-	counts map[Kind]int64
-	sink   obs.Sink
+	mu       sync.Mutex
+	counts   map[Kind]int64
+	injected [len(kindMetrics)]*obs.Counter // by kind; nil without a sink
 }
 
 // SetSink installs an observability sink.  Every injection bumps its
 // fault.injected.<kind> counter.
 func (in *Injector) SetSink(s obs.Sink) {
+	var injected [len(kindMetrics)]*obs.Counter
+	if s != nil {
+		for k, name := range kindMetrics {
+			injected[k] = s.Counter(name)
+		}
+	}
 	in.mu.Lock()
-	in.sink = s
+	in.injected = injected
 	in.mu.Unlock()
 }
 
 // bump records one injection of kind k; callers hold in.mu.
 func (in *Injector) bump(k Kind) {
 	in.counts[k]++
-	if in.sink != nil {
-		in.sink.Count(kindMetrics[k], 1)
-	}
+	in.injected[k].Add(1)
 }
 
 // NewInjector returns an injector evaluating the plan's windows against

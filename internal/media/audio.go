@@ -17,6 +17,12 @@ func (s SampleFrame) Size() int64 { return int64(len(s)) * 2 }
 // AudioBlock is a window of consecutive sample frames, the unit in which
 // stream activities move audio (per-sample chunks would be needlessly
 // fine-grained at 44.1kHz).  Samples are interleaved.
+//
+// A delivered block follows the scratch contract of a Frame from
+// NewScratchFrame: its producer may rewrite it once the tick that
+// delivered it is over.  Its Samples share storage with the value, so a
+// consumer that retains a block past its tick retains a copy of the
+// struct.
 type AudioBlock struct {
 	Channels int
 	Start    avtime.ObjectTime // object time of the first sample frame
@@ -36,12 +42,12 @@ func (b *AudioBlock) NumFrames() int {
 
 // Block returns the samples of frames [i, j) as an AudioBlock sharing
 // storage with the value.
-func (a *AudioValue) Block(i, j int) (*AudioBlock, error) {
+func (a *AudioValue) Block(i, j int) (AudioBlock, error) {
 	s, err := a.Samples(i, j)
 	if err != nil {
-		return nil, err
+		return AudioBlock{}, err
 	}
-	return &AudioBlock{Channels: a.channels, Start: avtime.ObjectTime(i), Samples: s}, nil
+	return AudioBlock{Channels: a.channels, Start: avtime.ObjectTime(i), Samples: s}, nil
 }
 
 // AudioValue is the paper's AudioValue class: numChannel, depth and a

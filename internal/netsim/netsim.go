@@ -74,10 +74,13 @@ type Link struct {
 	nextConn int
 	hook     FaultHook
 
-	sink obs.Sink
-	// Metric names are precomputed at SetSink time so the transfer path
-	// never formats strings.
-	mTransfers, mBytes, mDropped, mCorrupted, mDown string
+	m linkMetrics
+}
+
+// linkMetrics holds an installed sink's net.<id>.* handles; all nil
+// without one.
+type linkMetrics struct {
+	transfers, bytes, dropped, corrupted, down *obs.Counter
 }
 
 // NewLink returns a link with the given capacity, propagation latency and
@@ -114,16 +117,19 @@ func (l *Link) SetFaultHook(h FaultHook) {
 // net.<id>.transfers / bytes / dropped / corrupted / down counters; nil
 // clears the sink.
 func (l *Link) SetSink(s obs.Sink) {
-	l.mu.Lock()
-	l.sink = s
-	if s != nil && l.mTransfers == "" {
+	var m linkMetrics
+	if s != nil {
 		prefix := "net." + l.id + "."
-		l.mTransfers = prefix + "transfers"
-		l.mBytes = prefix + "bytes"
-		l.mDropped = prefix + "dropped"
-		l.mCorrupted = prefix + "corrupted"
-		l.mDown = prefix + "down"
+		m = linkMetrics{
+			transfers: s.Counter(prefix + "transfers"),
+			bytes:     s.Counter(prefix + "bytes"),
+			dropped:   s.Counter(prefix + "dropped"),
+			corrupted: s.Counter(prefix + "corrupted"),
+			down:      s.Counter(prefix + "down"),
+		}
 	}
+	l.mu.Lock()
+	l.m = m
 	l.mu.Unlock()
 }
 
@@ -193,32 +199,25 @@ func (c *Conn) TransferChunk(bytes int64) (Delivery, error) {
 	}
 	c.link.mu.Lock()
 	hook := c.link.hook
-	sink := c.link.sink
-	// Copy the precomputed metric names while the lock is held.
-	mTransfers, mBytes := c.link.mTransfers, c.link.mBytes
-	mDropped, mCorrupted, mDown := c.link.mDropped, c.link.mCorrupted, c.link.mDown
+	m := c.link.m
 	c.link.mu.Unlock()
 	var f TransferFault
 	if hook != nil {
 		f = hook.TransferFault(c.link.id, device.Access{Src: int64(c.id), Seq: c.messages}, bytes)
 	}
 	if f.Down {
-		if sink != nil {
-			sink.Count(mDown, 1)
-		}
+		m.down.Add(1)
 		return Delivery{}, fmt.Errorf("%w: link %q", ErrLinkDown, c.link.id)
 	}
 	c.bytes += bytes
 	c.messages++
-	if sink != nil {
-		sink.Count(mTransfers, 1)
-		sink.Count(mBytes, bytes)
-		if f.Drop {
-			sink.Count(mDropped, 1)
-		}
-		if f.Corrupt {
-			sink.Count(mCorrupted, 1)
-		}
+	m.transfers.Add(1)
+	m.bytes.Add(bytes)
+	if f.Drop {
+		m.dropped.Add(1)
+	}
+	if f.Corrupt {
+		m.corrupted.Add(1)
 	}
 	ser := avtime.WorldTime(bytes * int64(avtime.Second) / int64(c.rate))
 	if f.SlowFactor > 1 {

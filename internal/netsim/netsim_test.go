@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"avdb/internal/avtime"
+	"avdb/internal/device"
 	"avdb/internal/media"
+	"avdb/internal/obs"
 )
 
 func testLink() *Link {
@@ -185,5 +187,49 @@ func TestLinkConstructorPanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// stubHook applies one fault to every transfer.
+type stubHook struct{ f TransferFault }
+
+func (h stubHook) TransferFault(string, device.Access, int64) TransferFault { return h.f }
+
+// TestLinkSinkReinstall: a link counts into the sink installed last.
+// After a second SetSink, transfers, bytes, drops, corruptions and
+// partitions reach only the second collector; after SetSink(nil),
+// neither.
+func TestLinkSinkReinstall(t *testing.T) {
+	l := testLink()
+	c, err := l.Connect(media.MBPerSecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	transfer := func() {
+		for _, f := range []TransferFault{{}, {Drop: true}, {Corrupt: true}, {Down: true}} {
+			l.SetFaultHook(stubHook{f})
+			if _, err := c.TransferChunk(100); err != nil && !errors.Is(err, ErrLinkDown) {
+				t.Fatal(err)
+			}
+		}
+	}
+	want := "== metrics ==\n" +
+		"counter net.lan0.bytes                   300\n" +
+		"counter net.lan0.corrupted               1\n" +
+		"counter net.lan0.down                    1\n" +
+		"counter net.lan0.dropped                 1\n" +
+		"counter net.lan0.transfers               3\n"
+	first, second := obs.NewCollector(), obs.NewCollector()
+	l.SetSink(first)
+	transfer()
+	l.SetSink(second)
+	transfer()
+	l.SetSink(nil)
+	transfer()
+	for name, col := range map[string]*obs.Collector{"first": first, "second": second} {
+		if got := col.Snapshot().MetricsText(); got != want {
+			t.Errorf("%s sink:\n%s\nwant\n%s", name, got, want)
+		}
 	}
 }

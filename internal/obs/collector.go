@@ -1,23 +1,19 @@
 package obs
 
-import (
-	"sort"
+import "avdb/internal/avtime"
 
-	"avdb/internal/avtime"
-)
-
-// Collector is the recording Sink: a Tracer plus a Registry with a
-// deterministic Snapshot.  One Collector serves a whole database
+// Collector is the recording Sink: a Tracer plus a metric registry with
+// a deterministic Snapshot.  One Collector serves a whole database
 // instance; install it at the pipeline's instrumentation points and read
 // it back with Snapshot.
 type Collector struct {
 	tracer *Tracer
-	reg    *Registry
+	reg    *registry
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{tracer: NewTracer(), reg: NewRegistry()}
+	return &Collector{tracer: NewTracer(), reg: newRegistry()}
 }
 
 // Tracer exposes the collector's span store.
@@ -34,36 +30,26 @@ func (c *Collector) EndSpan(id SpanID, at avtime.WorldTime) { c.tracer.End(id, a
 // SpanAttr implements Sink.
 func (c *Collector) SpanAttr(id SpanID, key string, value int64) { c.tracer.Attr(id, key, value) }
 
-// Count implements Sink.
-func (c *Collector) Count(name string, delta int64) { c.reg.Count(name, delta) }
+// ChunkSpan implements Sink.
+func (c *Collector) ChunkSpan(parent SpanID, name string, start, end avtime.WorldTime, seq int64) {
+	c.tracer.Closed(parent, KindChunk, name, start, end, Attr{Key: "seq", Value: seq})
+}
 
-// SetGauge implements Sink.
-func (c *Collector) SetGauge(name string, value int64) { c.reg.SetGauge(name, value) }
+// Counter implements Sink.  Every call with one name returns the same
+// handle.
+func (c *Collector) Counter(name string) *Counter { return c.reg.counter(name) }
 
-// Observe implements Sink.
-func (c *Collector) Observe(name string, value int64) { c.reg.Observe(name, value) }
+// Gauge implements Sink.
+func (c *Collector) Gauge(name string) *Gauge { return c.reg.gauge(name) }
 
-// Snapshot captures the collector's state: metrics sorted by name and
-// spans in ID order.  Two runs of the same seeded workload produce
-// byte-identical snapshot renditions.
+// Histogram implements Sink.
+func (c *Collector) Histogram(name string) *Histogram { return c.reg.histogram(name) }
+
+// Snapshot captures the collector's state: touched metrics sorted by
+// name and spans in ID order.  Two runs of the same seeded workload
+// produce byte-identical snapshot renditions.
 func (c *Collector) Snapshot() *Snapshot {
 	s := &Snapshot{Spans: c.tracer.Spans()}
-	c.reg.mu.Lock()
-	for name, v := range c.reg.counters {
-		s.Counters = append(s.Counters, MetricValue{Name: name, Value: v})
-	}
-	for name, v := range c.reg.gauges {
-		s.Gauges = append(s.Gauges, MetricValue{Name: name, Value: v})
-	}
-	for name, h := range c.reg.hists {
-		cp := *h
-		cp.Bounds = append([]int64(nil), h.Bounds...)
-		cp.Counts = append([]int64(nil), h.Counts...)
-		s.Histograms = append(s.Histograms, NamedHistogram{Name: name, Hist: &cp})
-	}
-	c.reg.mu.Unlock()
-	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
-	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
-	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
+	c.reg.snapshot(s)
 	return s
 }

@@ -16,8 +16,8 @@ type MetricValue struct {
 
 // NamedHistogram is one named histogram reading.
 type NamedHistogram struct {
-	Name string     `json:"name"`
-	Hist *Histogram `json:"hist"`
+	Name string          `json:"name"`
+	Hist *HistogramValue `json:"hist"`
 }
 
 // Snapshot is a deterministic capture of a Collector: metrics sorted by

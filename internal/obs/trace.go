@@ -28,6 +28,9 @@ type Span struct {
 // spanBlock is the number of spans one tracer block holds.
 const spanBlock = 1024
 
+// attrSlab is the number of attributes one tracer slab holds.
+const attrSlab = 4096
+
 // Tracer records spans.  IDs are assigned in call order, so a
 // single-goroutine workload (the discrete-event graph runner) produces
 // identical traces on every run.
@@ -35,10 +38,15 @@ const spanBlock = 1024
 // Span id i lives at position (i-1)%spanBlock of block (i-1)/spanBlock.
 // Blocks are fixed-size and never move, so Begin neither copies nor
 // re-zeroes a recorded span, and End and Attr index their span directly.
+// A span's attributes live in a slab, a fixed-size array the tracer
+// fills from the front: recording one costs no allocation until the
+// slab fills, and full slabs stay referenced by their spans.
 type Tracer struct {
 	mu     sync.Mutex
 	blocks []*[spanBlock]Span
-	n      int // spans recorded
+	n      int    // spans recorded
+	slab   []Attr // current attribute slab
+	nattrs int    // attributes recorded over all spans
 }
 
 // NewTracer returns an empty tracer.
@@ -50,6 +58,26 @@ func NewTracer() *Tracer {
 func (t *Tracer) Begin(parent SpanID, kind, name string, at avtime.WorldTime) SpanID {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.beginLocked(parent, kind, name, at)
+}
+
+// Closed records a span already closed, from start to end, with one
+// attribute: Begin, Attr and End under one lock.
+func (t *Tracer) Closed(parent SpanID, kind, name string, start, end avtime.WorldTime, a Attr) SpanID {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	id := t.beginLocked(parent, kind, name, start)
+	s := t.span(id)
+	t.attrLocked(s, a)
+	s.Open = false
+	if end > start {
+		s.End = end
+	}
+	return id
+}
+
+// beginLocked records an open span; the caller holds t.mu.
+func (t *Tracer) beginLocked(parent SpanID, kind, name string, at avtime.WorldTime) SpanID {
 	i := t.n
 	if i%spanBlock == 0 {
 		t.blocks = append(t.blocks, new([spanBlock]Span))
@@ -95,11 +123,37 @@ func (t *Tracer) Attr(id SpanID, key string, value int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if s := t.span(id); s != nil {
-		s.Attrs = append(s.Attrs, Attr{Key: key, Value: value})
+		t.attrLocked(s, Attr{Key: key, Value: value})
 	}
 }
 
-// Spans returns a copy of the recorded spans in ID order.
+// attrLocked appends a to s's attributes; the caller holds t.mu.  A
+// span's first attribute takes one slab slot.  A later one that finds
+// no room reserved moves the span's attributes to the slab's tail and
+// reserves as many slots again, so a span's attributes stay contiguous
+// at amortized constant cost.
+func (t *Tracer) attrLocked(s *Span, a Attr) {
+	t.nattrs++
+	if len(s.Attrs) < cap(s.Attrs) {
+		s.Attrs = append(s.Attrs, a)
+		return
+	}
+	room := 1
+	if n := len(s.Attrs); n > 0 {
+		room = 2 * (n + 1)
+	}
+	if cap(t.slab)-len(t.slab) < room {
+		t.slab = make([]Attr, 0, max(attrSlab, room))
+	}
+	start := len(t.slab)
+	t.slab = append(t.slab, s.Attrs...)
+	t.slab = append(t.slab, a)
+	s.Attrs = t.slab[start : len(t.slab) : start+room]
+	t.slab = t.slab[:start+room]
+}
+
+// Spans returns a copy of the recorded spans in ID order.  Their
+// attributes share one backing array, each span's capped to its own.
 func (t *Tracer) Spans() []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -107,8 +161,14 @@ func (t *Tracer) Spans() []Span {
 	for b, blk := range t.blocks {
 		copy(out[b*spanBlock:], blk[:])
 	}
+	attrs := make([]Attr, 0, t.nattrs)
 	for i := range out {
-		out[i].Attrs = append([]Attr(nil), out[i].Attrs...)
+		if len(out[i].Attrs) == 0 {
+			continue
+		}
+		start := len(attrs)
+		attrs = append(attrs, out[i].Attrs...)
+		out[i].Attrs = attrs[start:len(attrs):len(attrs)]
 	}
 	return out
 }

@@ -55,7 +55,8 @@ func (t *refTracer) Spans() []Span {
 }
 
 // TestTracerMatchesReference drives the block tracer and the reference
-// with the same random Begin/End/Attr sequence, across several block
+// with the same random Begin/End/Attr/Closed sequence (the reference
+// records Closed as Begin, Attr and End), across several block
 // boundaries and with calls on NoSpan, negative, past-the-end, closed and
 // open ids, and requires identical spans throughout.
 func TestTracerMatchesReference(t *testing.T) {
@@ -83,7 +84,16 @@ func TestTracerMatchesReference(t *testing.T) {
 		var now avtime.WorldTime
 		for len(want.spans) < 3*spanBlock+300 {
 			now += avtime.WorldTime(rng.Intn(3))
-			switch op := rng.Intn(10); {
+			switch op := rng.Intn(11); {
+			case op == 10:
+				parent, start, end, v := pick(), now, now+avtime.WorldTime(rng.Intn(4))-1, rng.Int63n(100)
+				g := got.Closed(parent, KindChunk, "c", start, end, Attr{"seq", v})
+				w := want.Begin(parent, KindChunk, "c", start)
+				want.Attr(w, "seq", v)
+				want.End(w, end)
+				if g != w {
+					t.Fatalf("seed %d: Closed = %d, want %d", seed, g, w)
+				}
 			case op < 5:
 				parent, kind, name := pick(), KindChunk, "c"
 				if g, w := got.Begin(parent, kind, name, now), want.Begin(parent, kind, name, now); g != w {
@@ -124,6 +134,50 @@ func TestTracerSpansAreCopies(t *testing.T) {
 	tr.End(id, 5)
 	if len(spans[0].Attrs) != 1 || !spans[0].Open {
 		t.Errorf("returned span changed under the caller: %+v", spans[0])
+	}
+}
+
+// TestTracerSpansShareOneAttrArray: Spans makes one allocation for the
+// spans and one for every span's attributes, and a caller appending to
+// one span's attributes does not write into the next span's.
+func TestTracerSpansShareOneAttrArray(t *testing.T) {
+	tr := NewTracer()
+	for i := 0; i < 3*spanBlock; i++ {
+		tr.Closed(NoSpan, KindChunk, "c", 0, 1, Attr{"seq", int64(i)})
+	}
+	if allocs := testing.AllocsPerRun(10, func() { tr.Spans() }); allocs != 2 {
+		t.Errorf("Spans allocates %v times, want 2", allocs)
+	}
+	spans := tr.Spans()
+	_ = append(spans[0].Attrs, Attr{"x", -1})
+	if spans[1].Attrs[0] != (Attr{"seq", 1}) {
+		t.Errorf("appending to span 1's attributes overwrote span 2's: %+v", spans[1].Attrs)
+	}
+}
+
+// TestTracerAttrSlabs: a span that gains attributes between other
+// spans' keeps them in order, across slab boundaries.
+func TestTracerAttrSlabs(t *testing.T) {
+	tr := NewTracer()
+	a := tr.Begin(NoSpan, KindConnection, "a", 0)
+	for i := 0; i < attrSlab+10; i++ {
+		id := tr.Begin(a, KindChunk, "c", 0)
+		tr.Attr(id, "seq", int64(i))
+		tr.Attr(a, "n", int64(i))
+	}
+	spans := tr.Spans()
+	if n := len(spans[0].Attrs); n != attrSlab+10 {
+		t.Fatalf("span a has %d attributes, want %d", n, attrSlab+10)
+	}
+	for i, at := range spans[0].Attrs {
+		if at != (Attr{"n", int64(i)}) {
+			t.Fatalf("span a attribute %d = %+v", i, at)
+		}
+	}
+	for i, sp := range spans[1:] {
+		if len(sp.Attrs) != 1 || sp.Attrs[0] != (Attr{"seq", int64(i)}) {
+			t.Fatalf("span %d attributes = %+v", sp.ID, sp.Attrs)
+		}
 	}
 }
 

@@ -72,7 +72,14 @@ type Admission struct {
 	mu    sync.Mutex
 	total Resources
 	used  Resources
-	sink  obs.Sink
+	m     admissionMetrics // guarded by mu
+}
+
+// admissionMetrics holds an installed sink's admission handles; all nil
+// without one.
+type admissionMetrics struct {
+	reserve, reject, shrink, grow, release *obs.Counter
+	usedBuffers, usedCPU, usedBus          *obs.Gauge
 }
 
 // NewAdmission returns an admission controller with the given budget.  A
@@ -89,12 +96,25 @@ func NewAdmission(total Resources) (*Admission, error) {
 // (admission.reserve / admission.reject / admission.release) and the
 // utilization gauges (admission.used_* / admission.total_*) flow to it.
 func (a *Admission) SetSink(s obs.Sink) {
-	a.mu.Lock()
-	a.sink = s
+	var m admissionMetrics
 	if s != nil {
-		s.SetGauge("admission.total_buffers", int64(a.total.Buffers))
-		s.SetGauge("admission.total_cpu", int64(a.total.CPU))
-		s.SetGauge("admission.total_bus", int64(a.total.Bus))
+		m = admissionMetrics{
+			reserve:     s.Counter("admission.reserve"),
+			reject:      s.Counter("admission.reject"),
+			shrink:      s.Counter("admission.shrink"),
+			grow:        s.Counter("admission.grow"),
+			release:     s.Counter("admission.release"),
+			usedBuffers: s.Gauge("admission.used_buffers"),
+			usedCPU:     s.Gauge("admission.used_cpu"),
+			usedBus:     s.Gauge("admission.used_bus"),
+		}
+	}
+	a.mu.Lock()
+	a.m = m
+	if s != nil {
+		s.Gauge("admission.total_buffers").Set(int64(a.total.Buffers))
+		s.Gauge("admission.total_cpu").Set(int64(a.total.CPU))
+		s.Gauge("admission.total_bus").Set(int64(a.total.Bus))
 		a.publishUsedLocked()
 	}
 	a.mu.Unlock()
@@ -102,12 +122,9 @@ func (a *Admission) SetSink(s obs.Sink) {
 
 // publishUsedLocked pushes the utilization gauges; callers hold a.mu.
 func (a *Admission) publishUsedLocked() {
-	if a.sink == nil {
-		return
-	}
-	a.sink.SetGauge("admission.used_buffers", int64(a.used.Buffers))
-	a.sink.SetGauge("admission.used_cpu", int64(a.used.CPU))
-	a.sink.SetGauge("admission.used_bus", int64(a.used.Bus))
+	a.m.usedBuffers.Set(int64(a.used.Buffers))
+	a.m.usedCPU.Set(int64(a.used.CPU))
+	a.m.usedBus.Set(int64(a.used.Bus))
 }
 
 // Total reports the full budget.
@@ -133,16 +150,12 @@ func (a *Admission) Reserve(r Resources) (*Grant, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if !a.used.Add(r).Fits(a.total) {
-		if a.sink != nil {
-			a.sink.Count("admission.reject", 1)
-		}
+		a.m.reject.Add(1)
 		return nil, fmt.Errorf("%w: %v requested, %v of %v free", ErrAdmission, r, a.total.Sub(a.used), a.total)
 	}
 	a.used = a.used.Add(r)
-	if a.sink != nil {
-		a.sink.Count("admission.reserve", 1)
-		a.publishUsedLocked()
-	}
+	a.m.reserve.Add(1)
+	a.publishUsedLocked()
 	return &Grant{a: a, r: r}, nil
 }
 
@@ -184,10 +197,8 @@ func (g *Grant) Shrink(to Resources) error {
 	g.r = to
 	g.a.mu.Lock()
 	g.a.used = g.a.used.Sub(freed)
-	if g.a.sink != nil {
-		g.a.sink.Count("admission.shrink", 1)
-		g.a.publishUsedLocked()
-	}
+	g.a.m.shrink.Add(1)
+	g.a.publishUsedLocked()
 	g.a.mu.Unlock()
 	return nil
 }
@@ -227,17 +238,13 @@ func (g *Grant) Grow(to Resources) error {
 	g.a.mu.Lock()
 	if !g.a.used.Add(delta).Fits(g.a.total) {
 		free := g.a.total.Sub(g.a.used)
-		if g.a.sink != nil {
-			g.a.sink.Count("admission.reject", 1)
-		}
+		g.a.m.reject.Add(1)
 		g.a.mu.Unlock()
 		return fmt.Errorf("%w: grow needs %v, %v free", ErrAdmission, delta, free)
 	}
 	g.a.used = g.a.used.Add(delta)
-	if g.a.sink != nil {
-		g.a.sink.Count("admission.grow", 1)
-		g.a.publishUsedLocked()
-	}
+	g.a.m.grow.Add(1)
+	g.a.publishUsedLocked()
 	g.a.mu.Unlock()
 	g.r = target
 	return nil
@@ -255,9 +262,7 @@ func (g *Grant) Release() {
 	g.mu.Unlock()
 	g.a.mu.Lock()
 	g.a.used = g.a.used.Sub(r)
-	if g.a.sink != nil {
-		g.a.sink.Count("admission.release", 1)
-		g.a.publishUsedLocked()
-	}
+	g.a.m.release.Add(1)
+	g.a.publishUsedLocked()
 	g.a.mu.Unlock()
 }

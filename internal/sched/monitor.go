@@ -13,7 +13,10 @@ import (
 // experiments report deadline-miss rates from Monitors.
 type Monitor struct {
 	tolerance avtime.WorldTime
-	sink      obs.Sink
+
+	// An installed sink's handles; nil without one.
+	presented, missed *obs.Counter
+	lateness          *obs.Histogram
 
 	count   int
 	misses  int
@@ -33,7 +36,14 @@ func NewMonitor(tolerance avtime.WorldTime) *Monitor {
 // SetSink installs an observability sink.  Each Record emits
 // deadline.presented (and deadline.missed when late past tolerance) and
 // observes the lateness into the deadline.lateness_us histogram.
-func (m *Monitor) SetSink(s obs.Sink) { m.sink = s }
+func (m *Monitor) SetSink(s obs.Sink) {
+	m.presented, m.missed, m.lateness = nil, nil, nil
+	if s != nil {
+		m.presented = s.Counter("deadline.presented")
+		m.missed = s.Counter("deadline.missed")
+		m.lateness = s.Histogram("deadline.lateness_us")
+	}
+}
 
 // Record notes one presentation.
 func (m *Monitor) Record(scheduled, actual avtime.WorldTime) {
@@ -50,13 +60,11 @@ func (m *Monitor) Record(scheduled, actual avtime.WorldTime) {
 	if missed {
 		m.misses++
 	}
-	if m.sink != nil {
-		m.sink.Count("deadline.presented", 1)
-		if missed {
-			m.sink.Count("deadline.missed", 1)
-		}
-		m.sink.Observe("deadline.lateness_us", int64(late))
+	m.presented.Add(1)
+	if missed {
+		m.missed.Add(1)
 	}
+	m.lateness.Observe(int64(late))
 }
 
 // Misses reports how many presentations ran later than the tolerance.

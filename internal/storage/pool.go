@@ -107,7 +107,7 @@ type bufferPool struct {
 	policy CachePolicy
 
 	mu       sync.Mutex
-	sink     obs.Sink
+	m        poolMetrics
 	entries  []poolEntry
 	freeIdx  []int32
 	resident map[poolKey]int32
@@ -121,10 +121,29 @@ type bufferPool struct {
 	agg      CacheStats
 }
 
+// poolMetrics holds an installed sink's storage.pool.* handles; all nil
+// without one.
+type poolMetrics struct {
+	hits, sharedHits, misses, prefetched, evicted *obs.Counter
+}
+
+func newPoolMetrics(s obs.Sink) poolMetrics {
+	if s == nil {
+		return poolMetrics{}
+	}
+	return poolMetrics{
+		hits:       s.Counter("storage.pool.hits"),
+		sharedHits: s.Counter("storage.pool.shared_hits"),
+		misses:     s.Counter("storage.pool.misses"),
+		prefetched: s.Counter("storage.pool.prefetched"),
+		evicted:    s.Counter("storage.pool.evicted"),
+	}
+}
+
 func newBufferPool(p CachePolicy, sink obs.Sink) *bufferPool {
 	return &bufferPool{
 		policy:   p,
-		sink:     sink,
+		m:        newPoolMetrics(sink),
 		resident: make(map[poolKey]int32, p.Capacity),
 		head:     poolNil,
 		tail:     poolNil,
@@ -132,8 +151,9 @@ func newBufferPool(p CachePolicy, sink obs.Sink) *bufferPool {
 }
 
 func (p *bufferPool) setSink(s obs.Sink) {
+	m := newPoolMetrics(s)
 	p.mu.Lock()
-	p.sink = s
+	p.m = m
 	p.mu.Unlock()
 }
 
@@ -161,9 +181,7 @@ func (p *bufferPool) detach() {
 	p.capacity = p.policy.Capacity * p.streams
 	if n := p.evictOverLocked(); n > 0 {
 		p.agg.Evicted += int64(n)
-		if p.sink != nil {
-			p.sink.Count("storage.pool.evicted", int64(n))
-		}
+		p.m.evicted.Add(int64(n))
 	}
 }
 
@@ -192,11 +210,9 @@ func (p *bufferPool) read(pid int64, key poolKey, round int64) (hit, shared bool
 	} else {
 		p.moveFrontLocked(i)
 	}
-	if p.sink != nil {
-		p.sink.Count("storage.pool.hits", 1)
-		if shared {
-			p.sink.Count("storage.pool.shared_hits", 1)
-		}
+	p.m.hits.Add(1)
+	if shared {
+		p.m.sharedHits.Add(1)
 	}
 	return true, shared
 }
@@ -205,11 +221,8 @@ func (p *bufferPool) read(pid int64, key poolKey, round int64) (hit, shared bool
 func (p *bufferPool) miss() {
 	p.mu.Lock()
 	p.agg.Misses++
-	sink := p.sink
+	p.m.misses.Add(1)
 	p.mu.Unlock()
-	if sink != nil {
-		sink.Count("storage.pool.misses", 1)
-	}
 }
 
 // fill makes chunks idx..idx+lookahead of seg resident (bounded by
@@ -242,13 +255,11 @@ func (p *bufferPool) fill(pid int64, seg SegID, idx, lookahead, limit int, round
 	}
 	p.agg.Prefetched += int64(staged)
 	p.agg.Evicted += int64(evicted)
-	if p.sink != nil {
-		if staged > 0 {
-			p.sink.Count("storage.pool.prefetched", int64(staged))
-		}
-		if evicted > 0 {
-			p.sink.Count("storage.pool.evicted", int64(evicted))
-		}
+	if staged > 0 {
+		p.m.prefetched.Add(int64(staged))
+	}
+	if evicted > 0 {
+		p.m.evicted.Add(int64(evicted))
 	}
 	return staged, evicted
 }
@@ -279,9 +290,7 @@ func (p *bufferPool) commitLocked(round int64) {
 	p.staged = p.staged[:keep]
 	if evicted > 0 {
 		p.agg.Evicted += int64(evicted)
-		if p.sink != nil {
-			p.sink.Count("storage.pool.evicted", int64(evicted))
-		}
+		p.m.evicted.Add(int64(evicted))
 	}
 }
 

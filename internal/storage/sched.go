@@ -181,7 +181,7 @@ type IOSched struct {
 	flushed atomic.Int64
 
 	mu       sync.Mutex
-	sink     obs.Sink
+	m        ioMetrics
 	pending  []*schedRound        // unserviced rounds, ascending seq
 	free     []*schedRound        // recycled round buffers
 	heads    map[*device.Disk]int // disk -> head track after last round
@@ -189,9 +189,33 @@ type IOSched struct {
 	svcTrace *[]svcEvent // test hook: records service order when non-nil
 }
 
+// ioMetrics holds an installed sink's storage.iosched.* handles; all
+// nil without one.
+type ioMetrics struct {
+	rounds, scheduled, seeksCharged, seeksSaved *obs.Counter
+	deadlineMisses, overrun, demand             *obs.Counter
+	batchSize                                   *obs.Histogram
+}
+
+func newIOMetrics(s obs.Sink) ioMetrics {
+	if s == nil {
+		return ioMetrics{}
+	}
+	return ioMetrics{
+		rounds:         s.Counter("storage.iosched.rounds"),
+		scheduled:      s.Counter("storage.iosched.scheduled"),
+		seeksCharged:   s.Counter("storage.iosched.seeks_charged"),
+		seeksSaved:     s.Counter("storage.iosched.seeks_saved"),
+		deadlineMisses: s.Counter("storage.iosched.deadline_misses"),
+		overrun:        s.Counter("storage.iosched.overrun"),
+		demand:         s.Counter("storage.iosched.demand"),
+		batchSize:      s.Histogram("storage.iosched.batch_size"),
+	}
+}
+
 func newIOSched(sink obs.Sink) *IOSched {
 	return &IOSched{
-		sink:  sink,
+		m:     newIOMetrics(sink),
 		heads: make(map[*device.Disk]int),
 	}
 }
@@ -199,8 +223,9 @@ func newIOSched(sink obs.Sink) *IOSched {
 // setSink swaps the observability sink (streams opened later observe
 // through the store's current sink; the scheduler follows it).
 func (io *IOSched) setSink(s obs.Sink) {
+	m := newIOMetrics(s)
 	io.mu.Lock()
-	io.sink = s
+	io.m = m
 	io.mu.Unlock()
 }
 
@@ -431,9 +456,7 @@ func (io *IOSched) flushBefore(round int64) {
 			io.serviceLocked(&r.batches[i])
 		}
 		io.stats.Rounds++
-		if io.sink != nil {
-			io.sink.Count("storage.iosched.rounds", 1)
-		}
+		io.m.rounds.Add(1)
 		io.putRound(r)
 	}
 }
@@ -505,21 +528,19 @@ func (io *IOSched) serviceLocked(b *diskBatch) {
 	if len(batch) > io.stats.MaxBatch {
 		io.stats.MaxBatch = len(batch)
 	}
-	if io.sink != nil {
-		io.sink.Observe("storage.iosched.batch_size", int64(len(batch)))
-		io.sink.Count("storage.iosched.scheduled", int64(len(batch)))
-		if charged > 0 {
-			io.sink.Count("storage.iosched.seeks_charged", charged)
-		}
-		if saved > 0 {
-			io.sink.Count("storage.iosched.seeks_saved", saved)
-		}
-		if misses > 0 {
-			io.sink.Count("storage.iosched.deadline_misses", misses)
-		}
-		if overrun {
-			io.sink.Count("storage.iosched.overrun", 1)
-		}
+	io.m.batchSize.Observe(int64(len(batch)))
+	io.m.scheduled.Add(int64(len(batch)))
+	if charged > 0 {
+		io.m.seeksCharged.Add(charged)
+	}
+	if saved > 0 {
+		io.m.seeksSaved.Add(saved)
+	}
+	if misses > 0 {
+		io.m.deadlineMisses.Add(misses)
+	}
+	if overrun {
+		io.m.overrun.Add(1)
 	}
 }
 
@@ -561,17 +582,12 @@ func (io *IOSched) drop(slot *ioSlot) {
 func (io *IOSched) noteDemand(seeked bool) {
 	io.mu.Lock()
 	io.stats.Demand++
+	io.m.demand.Add(1)
 	if seeked {
 		io.stats.SeeksCharged++
+		io.m.seeksCharged.Add(1)
 	}
-	sink := io.sink
 	io.mu.Unlock()
-	if sink != nil {
-		sink.Count("storage.iosched.demand", 1)
-		if seeked {
-			sink.Count("storage.iosched.seeks_charged", 1)
-		}
-	}
 }
 
 // noteFailover accounts a read redirected to a surviving replica after

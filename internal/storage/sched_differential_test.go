@@ -6,7 +6,7 @@ package storage
 // (sched_reference_test.go) through identical operation streams and
 // fails on the first observable divergence — service order (svcEvent
 // traces must be byte-identical), returned results, head positions,
-// IOStats counters, and every storage.iosched.* sink event.
+// IOStats counters, and every storage.iosched.* metric.
 //
 // Operation streams are decoded from plain byte slices so one decoder
 // serves the fixed-seed property suite here, the seed corpus under
@@ -53,27 +53,6 @@ import (
 var updateCorpus = flag.Bool("update-corpus", false,
 	"rewrite the seed corpus under testdata/fuzz/FuzzSCANEDFOrder")
 
-// recSink records Count and Observe events in order; the differential
-// harness compares the two schedulers' recordings byte for byte.
-type recSink struct {
-	obs.NopSink
-	events []recEvent
-}
-
-type recEvent struct {
-	name    string
-	value   int64
-	observe bool
-}
-
-func (s *recSink) Count(name string, delta int64) {
-	s.events = append(s.events, recEvent{name: name, value: delta})
-}
-
-func (s *recSink) Observe(name string, value int64) {
-	s.events = append(s.events, recEvent{name: name, value: value, observe: true})
-}
-
 const (
 	diffSids  = 8 // streams the op decoder can address
 	diffDisks = 4 // disks the op decoder can address
@@ -108,13 +87,13 @@ type diffHarness struct {
 	slots    [diffSids]ioSlot
 	newTrace []svcEvent
 	refTrace []svcEvent
-	newSink  *recSink
-	refSink  *recSink
-	cur      int64 // current round
+	newSink  *obs.Collector
+	refSink  *obs.Collector // the reference resolves every metric by name per event
+	cur      int64          // current round
 }
 
 func newDiffHarness(t testing.TB) *diffHarness {
-	h := &diffHarness{t: t, newSink: &recSink{}, refSink: &recSink{}, cur: 1}
+	h := &diffHarness{t: t, newSink: obs.NewCollector(), refSink: obs.NewCollector(), cur: 1}
 	for i := 0; i < diffDisks; i++ {
 		d := device.NewDisk(fmt.Sprintf("disk%d", i), 4_000_000, 8*media.MBPerSecond, 10*avtime.Millisecond)
 		if i%2 == 0 {
@@ -268,7 +247,7 @@ func (h *diffHarness) checkPendingSorted() {
 }
 
 // finish drains both schedulers and compares every remaining observable:
-// full service traces, sink recordings, head positions, and per-stream
+// full service traces, sink metrics, head positions, and per-stream
 // result state.
 func (h *diffHarness) finish() {
 	h.t.Helper()
@@ -285,15 +264,8 @@ func (h *diffHarness) finish() {
 				i, h.newTrace[i], h.refTrace[i])
 		}
 	}
-	if len(h.newSink.events) != len(h.refSink.events) {
-		h.t.Fatalf("sink recordings diverged in length: new %d ref %d",
-			len(h.newSink.events), len(h.refSink.events))
-	}
-	for i := range h.newSink.events {
-		if h.newSink.events[i] != h.refSink.events[i] {
-			h.t.Fatalf("sink recordings diverged at event %d:\nnew %+v\nref %+v",
-				i, h.newSink.events[i], h.refSink.events[i])
-		}
+	if mn, mr := h.newSink.Snapshot().MetricsText(), h.refSink.Snapshot().MetricsText(); mn != mr {
+		h.t.Fatalf("sink metrics diverged after the drain:\nnew %s\nref %s", mn, mr)
 	}
 	for _, d := range h.disks {
 		if hn, hr := h.neu.heads[d], h.ref.heads[d.ID()]; hn != hr {

@@ -5,7 +5,7 @@ package storage
 // sched_differential_test.go for the format), and the flat scheduler
 // must stay byte-identical to the retained map+sort reference on every
 // observable — service order, seek charges, results, head positions,
-// IOStats and sink events.  The committed seeds under
+// IOStats and sink metrics.  The committed seeds under
 // testdata/fuzz/FuzzSCANEDFOrder are workload-shaped traces (steady
 // striped playback, tenancy deadline ties, overload with cancellations)
 // and run as part of plain go test; CI additionally runs a short

@@ -95,7 +95,7 @@ func (io *refSched) flushBefore(round int64) {
 		}
 		io.stats.Rounds++
 		if io.sink != nil {
-			io.sink.Count("storage.iosched.rounds", 1)
+			io.sink.Counter("storage.iosched.rounds").Add(1)
 		}
 	}
 }
@@ -170,19 +170,19 @@ func (io *refSched) service(devID string, bySid map[int64]ioReq) {
 		io.stats.MaxBatch = len(batch)
 	}
 	if io.sink != nil {
-		io.sink.Observe("storage.iosched.batch_size", int64(len(batch)))
-		io.sink.Count("storage.iosched.scheduled", int64(len(batch)))
+		io.sink.Histogram("storage.iosched.batch_size").Observe(int64(len(batch)))
+		io.sink.Counter("storage.iosched.scheduled").Add(int64(len(batch)))
 		if charged > 0 {
-			io.sink.Count("storage.iosched.seeks_charged", charged)
+			io.sink.Counter("storage.iosched.seeks_charged").Add(charged)
 		}
 		if saved > 0 {
-			io.sink.Count("storage.iosched.seeks_saved", saved)
+			io.sink.Counter("storage.iosched.seeks_saved").Add(saved)
 		}
 		if misses > 0 {
-			io.sink.Count("storage.iosched.deadline_misses", misses)
+			io.sink.Counter("storage.iosched.deadline_misses").Add(misses)
 		}
 		if overrun {
-			io.sink.Count("storage.iosched.overrun", 1)
+			io.sink.Counter("storage.iosched.overrun").Add(1)
 		}
 	}
 }
@@ -214,9 +214,9 @@ func (io *refSched) noteDemand(seeked bool) {
 		io.stats.SeeksCharged++
 	}
 	if io.sink != nil {
-		io.sink.Count("storage.iosched.demand", 1)
+		io.sink.Counter("storage.iosched.demand").Add(1)
 		if seeked {
-			io.sink.Count("storage.iosched.seeks_charged", 1)
+			io.sink.Counter("storage.iosched.seeks_charged").Add(1)
 		}
 	}
 }

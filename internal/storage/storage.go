@@ -97,11 +97,40 @@ type Store struct {
 	probes   int64 // tier reachability probes, keying their fault checks
 	segments map[SegID]*Segment
 	sink     obs.Sink
+	m        storeMetrics // the sink's handles
 	policy   CachePolicy
 	striping StripePolicy
 	tiering  TierPolicy
 	io       *IOSched    // non-nil once a Seeks/Rounds policy was installed
 	pool     *bufferPool // non-nil once a caching policy opened a stream
+}
+
+// storeMetrics holds an installed sink's storage handles; all nil
+// without one.
+type storeMetrics struct {
+	streamsOpened, reads, readBytes, readFaults, failover *obs.Counter
+	readTime                                              *obs.Histogram
+
+	promotions, promoteFailed, replicas, swaps, demotions *obs.Counter
+}
+
+func newStoreMetrics(s obs.Sink) storeMetrics {
+	if s == nil {
+		return storeMetrics{}
+	}
+	return storeMetrics{
+		streamsOpened: s.Counter("storage.streams_opened"),
+		reads:         s.Counter("storage.reads"),
+		readBytes:     s.Counter("storage.read_bytes"),
+		readFaults:    s.Counter("storage.read_faults"),
+		failover:      s.Counter("storage.replica.failover"),
+		readTime:      s.Histogram("storage.read_time_us"),
+		promotions:    s.Counter("storage.tier.promotions"),
+		promoteFailed: s.Counter("storage.tier.promote_failed"),
+		replicas:      s.Counter("storage.tier.replicas"),
+		swaps:         s.Counter("storage.tier.swaps"),
+		demotions:     s.Counter("storage.tier.demotions"),
+	}
 }
 
 // SetCachePolicy configures chunk caching for streams opened afterwards;
@@ -121,8 +150,10 @@ func (st *Store) SetCachePolicy(p CachePolicy) {
 // emit storage.reads / read_bytes / read_faults / streams_opened
 // counters and observe read costs into storage.read_time_us.
 func (st *Store) SetSink(s obs.Sink) {
+	m := newStoreMetrics(s)
 	st.mu.Lock()
 	st.sink = s
+	st.m = m
 	io := st.io
 	pool := st.pool
 	st.mu.Unlock()
@@ -379,8 +410,8 @@ type Stream struct {
 	startup  avtime.WorldTime // positioning cost charged on the first read
 	checks   int64            // fault checks made, keying the next one
 	bytes    int64
-	readFrac float64  // fraction of each chunk scheduled reads transfer; 0 = full
-	sink     obs.Sink // copied from the store at open time
+	readFrac float64      // fraction of each chunk scheduled reads transfer; 0 = full
+	m        storeMetrics // copied from the store at open time
 
 	// Shared buffer pool attachment; nil when caching is disabled.
 	pool   *bufferPool
@@ -466,7 +497,7 @@ func (st *Store) OpenStreamWith(id SegID, rate media.DataRate, policy StripePoli
 		stream.dev, stream.startup = dev, startup
 	}
 	st.mu.Lock()
-	stream.sink = st.sink
+	stream.m = st.m
 	stream.reps = s.replicas
 	stream.seeks = policy.Seeks
 	stream.sid = st.nextSID
@@ -499,12 +530,10 @@ func (st *Store) OpenStreamWith(id SegID, rate media.DataRate, policy StripePoli
 	}
 	s.openStreams++
 	st.mu.Unlock()
-	if stream.sink != nil {
-		stream.sink.Count("storage.streams_opened", 1)
-		if swapped {
-			// An un-promoted value paid the platter swap on open.
-			stream.sink.Count("storage.tier.swaps", 1)
-		}
+	stream.m.streamsOpened.Add(1)
+	if swapped {
+		// An un-promoted value paid the platter swap on open.
+		stream.m.swaps.Add(1)
 	}
 	return stream, stream.startup, nil
 }
@@ -550,20 +579,16 @@ func (s *Stream) readLocked(bytes int64) (avtime.WorldTime, error) {
 // and its sink, and returns t; the caller holds s.mu.
 func (s *Stream) readDone(bytes int64, t avtime.WorldTime) (avtime.WorldTime, error) {
 	s.bytes += bytes
-	if s.sink != nil {
-		s.sink.Count("storage.reads", 1)
-		s.sink.Count("storage.read_bytes", bytes)
-		s.sink.Observe("storage.read_time_us", int64(t))
-	}
+	s.m.reads.Add(1)
+	s.m.readBytes.Add(bytes)
+	s.m.readTime.Observe(int64(t))
 	return t, nil
 }
 
 // readFailed accounts a read that faulted on device dev after costing t,
 // and returns t with the fault wrapped; the caller holds s.mu.
 func (s *Stream) readFailed(dev string, t avtime.WorldTime, err error) (avtime.WorldTime, error) {
-	if s.sink != nil {
-		s.sink.Count("storage.read_faults", 1)
-	}
+	s.m.readFaults.Add(1)
 	return t, fmt.Errorf("storage: reading %v from %q: %w", s.seg.id, dev, err)
 }
 
@@ -739,9 +764,7 @@ func (s *Stream) noteFailoverLocked() {
 	if s.io != nil {
 		s.io.noteFailover()
 	}
-	if s.sink != nil {
-		s.sink.Count("storage.replica.failover", 1)
-	}
+	s.m.failover.Add(1)
 }
 
 // chunkDevice returns the device holding the given chunk: the stripe

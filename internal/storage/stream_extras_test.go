@@ -131,6 +131,61 @@ func TestSinkSwapReachesPoolAndScheduler(t *testing.T) {
 	}
 }
 
+// TestSinkReinstallReachesOnlyTheNewSink re-installs a sink over one
+// that already holds the store's, pool's and scheduler's handles:
+// everything counted afterwards — a stream opened after the swap, its
+// reads, pool hits and misses, scheduler rounds — reaches the second
+// collector, and the first one does not move.
+func TestSinkReinstallReachesOnlyTheNewSink(t *testing.T) {
+	_, st := stripeRig(t, 2)
+	st.SetCachePolicy(CachePolicy{Capacity: 4, Lookahead: 2})
+	st.SetStriping(StripePolicy{Seeks: true, Rounds: true})
+	seg, err := st.PlaceStriped(clip(t, 10), 2*media.MBPerSecond, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unit := media.TypeRawVideo30.Rate.UnitDuration()
+	play := func(base int64) {
+		s, _, err := st.OpenStream(seg.ID(), 2*media.MBPerSecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		for i := 0; i < 10; i++ {
+			round := base + int64(i)
+			now := avtime.WorldTime(round) * unit
+			if _, err := s.ReadChunkTimeAt(i, 1200, round, now, now); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	names := []string{
+		"storage.streams_opened", "storage.reads", "storage.read_bytes",
+		"storage.pool.hits", "storage.pool.misses", "storage.iosched.rounds",
+	}
+	first, second := obs.NewCollector(), obs.NewCollector()
+	st.SetSink(first)
+	play(0)
+	snap := first.Snapshot()
+	for _, name := range names {
+		if snap.Counter(name) == 0 {
+			t.Fatalf("%s before the swap did not reach the first sink", name)
+		}
+	}
+	before := snap.MetricsText()
+	st.SetSink(second)
+	play(10)
+	if after := first.Snapshot().MetricsText(); after != before {
+		t.Errorf("the first sink moved after the swap:\nbefore %s\nafter %s", before, after)
+	}
+	snap = second.Snapshot()
+	for _, name := range names {
+		if snap.Counter(name) == 0 {
+			t.Errorf("%s after the swap did not reach the second sink", name)
+		}
+	}
+}
+
 // TestPolicyEnabledAndSegmentStrings pins the policy switches and the
 // segment rendering for each placement shape.
 func TestPolicyEnabledAndSegmentStrings(t *testing.T) {

@@ -113,9 +113,9 @@ func (st *Store) TierAccess(id SegID, now avtime.WorldTime) avtime.WorldTime {
 		t, err := st.promoteLocked(s, now, pol)
 		extra += t
 		if err == nil {
-			st.countLocked("storage.tier.promotions", 1)
+			st.m.promotions.Add(1)
 		} else {
-			st.countLocked("storage.tier.promote_failed", 1)
+			st.m.promoteFailed.Add(1)
 		}
 	}
 	if pol.Replicas.Copies > 1 && s.Striped() && s.pop >= pol.Replicas.PromoteAt &&
@@ -123,7 +123,7 @@ func (st *Store) TierAccess(id SegID, now avtime.WorldTime) avtime.WorldTime {
 		t, err := st.addReplicaLocked(s)
 		extra += t
 		if err == nil {
-			st.countLocked("storage.tier.replicas", 1)
+			st.m.replicas.Add(1)
 		}
 	}
 	return extra
@@ -164,7 +164,7 @@ func (st *Store) promoteLocked(s *Segment, now avtime.WorldTime, pol TierPolicy)
 		return readT, err
 	}
 	if swap {
-		st.countLocked("storage.tier.swaps", 1)
+		st.m.swaps.Add(1)
 	}
 	width := pol.Width
 	if width < 1 {
@@ -373,7 +373,7 @@ func (st *Store) demoteLocked(s *Segment) {
 	s.stripe, s.base = nil, nil
 	s.chunkDev, s.chunkOff, s.chunkSize, s.chunkTrck, s.perDev = nil, nil, nil, nil, nil
 	s.promoted = false
-	st.countLocked("storage.tier.demotions", 1)
+	st.m.demotions.Add(1)
 }
 
 // TierInfo describes one value's place in the hierarchy.
@@ -439,10 +439,4 @@ func (st *Store) probeLocked() device.Access {
 	a := device.Access{Src: -1, Seq: st.probes}
 	st.probes++
 	return a
-}
-
-func (st *Store) countLocked(name string, n int64) {
-	if st.sink != nil {
-		st.sink.Count(name, n)
-	}
 }
