@@ -3,6 +3,7 @@ package activity
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"avdb/internal/avtime"
 	"avdb/internal/media"
@@ -18,13 +19,14 @@ type Base struct {
 	class string
 	loc   Location
 
+	latency atomic.Pointer[sched.Latency] // read on every tick, so not under mu
+
 	mu        sync.Mutex
 	ports     map[string]*Port
 	portOrder []string
 	events    map[Event]bool
 	handlers  map[Event][]Handler
 	bindings  map[string]media.Value
-	latency   *sched.Latency
 	state     State
 	cue       avtime.WorldTime
 }
@@ -71,17 +73,11 @@ func (b *Base) DeclareEvents(evs ...Event) {
 }
 
 // SetLatency attaches a processing-latency model; nil means instantaneous.
-func (b *Base) SetLatency(l *sched.Latency) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.latency = l
-}
+func (b *Base) SetLatency(l *sched.Latency) { b.latency.Store(l) }
 
 // SampleLatency draws one processing delay (zero without a model).
 func (b *Base) SampleLatency() avtime.WorldTime {
-	b.mu.Lock()
-	l := b.latency
-	b.mu.Unlock()
+	l := b.latency.Load()
 	if l == nil {
 		return 0
 	}

@@ -233,20 +233,11 @@ func NewInjector(p *Plan, clock sched.Clock) *Injector {
 // function of the plan seed, the fault index and a, so it is the same
 // whatever other operations were drawn for before it.
 func (in *Injector) draw(i int, a device.Access) float64 {
-	h := splitmix64(in.seed)
-	h = splitmix64(h ^ uint64(i))
-	h = splitmix64(h ^ uint64(a.Src))
-	h = splitmix64(h ^ uint64(a.Seq))
+	h := sched.Mix(0, in.seed)
+	h = sched.Mix(h, uint64(i))
+	h = sched.Mix(h, uint64(a.Src))
+	h = sched.Mix(h, uint64(a.Seq))
 	return float64(h>>11) / (1 << 53)
-}
-
-// splitmix64 is one SplitMix64 step: a bijective 64-bit mix that
-// scatters nearby inputs across the whole range.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // BeforeRead implements device.FaultHook.

@@ -9,6 +9,7 @@ import (
 	"avdb/internal/avtime"
 	"avdb/internal/device"
 	"avdb/internal/netsim"
+	"avdb/internal/sched"
 )
 
 // fakeClock is a settable sched.Clock.
@@ -232,10 +233,10 @@ func TestInjectorDrawsAreOrderFree(t *testing.T) {
 	}
 	inOrder, inOrderCounts := run(queries)
 
-	// Fisher-Yates with the package's own mixer as the random source.
+	// Fisher-Yates with the draws' own mixer as the random source.
 	shuffled := append([]query(nil), queries...)
 	for i := len(shuffled) - 1; i > 0; i-- {
-		j := int(splitmix64(uint64(i)) % uint64(i+1))
+		j := int(sched.Mix(0, uint64(i)) % uint64(i+1))
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	}
 	got, gotCounts := run(shuffled)

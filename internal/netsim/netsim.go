@@ -8,13 +8,16 @@
 // reservations ("this statement would fail if insufficient network
 // bandwidth were available"), and delivery times jitter inside a bounded
 // window, which is what forces the resynchronization machinery of
-// composite activities.  Jitter is drawn from seeded PRNGs so experiments
-// are reproducible.
+// composite activities.  A connection's transfer n jitters by the keyed
+// draw sched.Uniform(key, n, maxJitter), the key a hash of the link seed
+// and the connection's ordinal on its link: experiments are
+// reproducible, a connection's delivery times do not depend on what
+// other connections carry in between, and a connection holds one word
+// of generator state.
 package netsim
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 
@@ -22,6 +25,7 @@ import (
 	"avdb/internal/device"
 	"avdb/internal/media"
 	"avdb/internal/obs"
+	"avdb/internal/sched"
 )
 
 // ErrBandwidth is wrapped by connection-admission failures.
@@ -67,10 +71,10 @@ type Link struct {
 	capacity  media.DataRate
 	latency   avtime.WorldTime
 	maxJitter avtime.WorldTime
+	key       uint64 // hash of the seed; keys each connection's jitter
 
 	mu       sync.Mutex
 	reserved media.DataRate
-	seed     int64
 	nextConn int
 	hook     FaultHook
 
@@ -90,7 +94,7 @@ func NewLink(id string, capacity media.DataRate, latency, maxJitter avtime.World
 	if capacity <= 0 || latency < 0 || maxJitter < 0 {
 		panic(fmt.Sprintf("netsim: invalid link %q", id))
 	}
-	return &Link{id: id, capacity: capacity, latency: latency, maxJitter: maxJitter, seed: seed}
+	return &Link{id: id, capacity: capacity, latency: latency, maxJitter: maxJitter, key: sched.Mix(0, uint64(seed))}
 }
 
 // ID returns the link's identifier.
@@ -160,7 +164,7 @@ func (l *Link) Connect(rate media.DataRate) (*Conn, error) {
 		link: l,
 		id:   id,
 		rate: rate,
-		rng:  rand.New(rand.NewSource(l.seed + int64(id)*7919)),
+		key:  sched.Mix(l.key, uint64(id)),
 		open: true,
 	}, nil
 }
@@ -170,9 +174,9 @@ type Conn struct {
 	link *Link
 	id   int
 	rate media.DataRate
+	key  uint64 // keys the jitter of the connection's transfers
 
 	mu       sync.Mutex
-	rng      *rand.Rand
 	open     bool
 	bytes    int64 // total bytes carried
 	messages int64 // total transfers
@@ -209,6 +213,7 @@ func (c *Conn) TransferChunk(bytes int64) (Delivery, error) {
 		m.down.Add(1)
 		return Delivery{}, fmt.Errorf("%w: link %q", ErrLinkDown, c.link.id)
 	}
+	seq := uint64(c.messages)
 	c.bytes += bytes
 	c.messages++
 	m.transfers.Add(1)
@@ -225,7 +230,7 @@ func (c *Conn) TransferChunk(bytes int64) (Delivery, error) {
 	}
 	t := c.link.latency + ser
 	if c.link.maxJitter > 0 {
-		t += avtime.WorldTime(c.rng.Int63n(int64(c.link.maxJitter) + 1))
+		t += sched.Uniform(c.key, seq, c.link.maxJitter)
 	}
 	return Delivery{Time: t, Dropped: f.Drop, Corrupted: f.Corrupt}, nil
 }
