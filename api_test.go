@@ -18,26 +18,6 @@ import (
 // exportAllowlist names the exported internal/ API that has no non-test
 // caller yet stays, each with the test or ROADMAP item that needs it.
 var exportAllowlist = map[string]string{
-	// The fault-injection and fault-tolerance surface.  The chaos and
-	// recovery tests drive it to check storage, engine and graph code
-	// that stays; ROADMAP item 11's op-stream fuzzer decides its fate.
-	"fault.NewPlan":                          faultSurface,
-	"fault.NewInjector":                      faultSurface,
-	"fault.DefaultRetry":                     faultSurface,
-	"fault.Plan.MustAdd":                     faultSurface,
-	"fault.Plan.Faults":                      "TestPlanValidation reads a plan back; " + faultSurface,
-	"fault.Injector.CountString":             "TestCountString, TestInjectorDeterministic; " + faultSurface,
-	"fault.Injector.SetSink":                 faultSurface,
-	"fault.Injector.Total":                   "TestInjectorBeforeRead; " + faultSurface,
-	"device.Manager.SetFaultHook":            faultSurface,
-	"netsim.Link.SetFaultHook":               faultSurface,
-	"activities.VideoReader.SetRetry":        faultSurface,
-	"activities.VideoReader.SetDropOnFault":  faultSurface,
-	"activities.VideoReader.Retries":         "TestCrashRecoverDuringFaultedPlayback; " + faultSurface,
-	"activities.VideoReader.FramesLost":      faultSurface,
-	"activities.VideoWindow.CorruptedFrames": "TestChaosAblation; " + faultSurface,
-	"activity.Connection.SetFailSoft":        faultSurface,
-
 	// The frozen bench/ module's tests tick activities by hand with it.
 	"activity.NewTickContext": "bench/bench_test.go ticks activities by hand; bench/ changes only in ROADMAP item 7's PRs",
 
@@ -51,9 +31,6 @@ var exportAllowlist = map[string]string{
 	"media.VideoValue.Equal":            "the codec, synth, media, render and activities round-trip tests",
 	"activity.Composite.SyncController": "TestMultiSourceSinkSealing checks that NewMultiSink enables sync",
 }
-
-// faultSurface is the reason the fault-injection surface stays.
-const faultSurface = "TestEngineSharedFaultDeterminism, fault_recovery_test.go, isolation_test.go and experiment's chaos tests drive it; ROADMAP item 11"
 
 // TestExportsHaveNonTestCallers type-checks every non-test package of the
 // repository (the root, internal/, cmd/, examples/ and the bench/ module)

@@ -22,7 +22,6 @@ import (
 	"avdb/internal/activity"
 	"avdb/internal/avtime"
 	"avdb/internal/codec"
-	"avdb/internal/fault"
 	"avdb/internal/media"
 	"avdb/internal/sched"
 	"avdb/internal/storage"
@@ -43,12 +42,6 @@ type VideoReader struct {
 	started avtime.WorldTime
 	haveT0  bool
 	stream  *storage.Stream
-
-	retry     fault.RetryPolicy
-	haveRetry bool
-	dropOnErr bool
-	retries   int // extra attempts spent recovering transient faults
-	lost      int // frames abandoned to faults
 }
 
 // NewVideoReader returns a reader whose out port carries the given video
@@ -60,32 +53,13 @@ func NewVideoReader(name string, loc activity.Location, typ *media.Type) (*Video
 	r := &VideoReader{Base: activity.NewBase(name, "VideoReader", loc)}
 	r.AddPort("out", activity.Out, typ)
 	r.DeclareEvents(activity.EventEachFrame, activity.EventLastFrame,
-		activity.EventFault, activity.EventDegraded, activity.EventRestored)
+		activity.EventDegraded, activity.EventRestored)
 	return r, nil
 }
 
 // AttachStream ties frame delivery to a bandwidth-reserved storage
 // stream.
 func (r *VideoReader) AttachStream(s *storage.Stream) { r.stream = s }
-
-// SetRetry arms bounded retry for transient read faults.  Configure
-// before starting: the policy is read on the graph-runner goroutine.
-func (r *VideoReader) SetRetry(p fault.RetryPolicy) {
-	r.retry, r.haveRetry = p, true
-}
-
-// SetDropOnFault makes the reader sacrifice a frame it cannot read —
-// after retries are exhausted or on a non-retryable fault — instead of
-// killing the run: the frame is skipped, counted, and surfaced as an
-// EventFault.  Off by default: an unhandled read fault stops the
-// stream.
-func (r *VideoReader) SetDropOnFault(on bool) { r.dropOnErr = on }
-
-// Retries reports extra read attempts spent on transient faults.
-func (r *VideoReader) Retries() int { return r.retries }
-
-// FramesLost reports frames abandoned to faults.
-func (r *VideoReader) FramesLost() int { return r.lost }
 
 // Degrade rebinds the reader mid-stream to a cheaper representation of
 // its value — the delivery half of a quality renegotiation.  The
@@ -116,27 +90,6 @@ func (r *VideoReader) Degrade(v media.Value, port string) error {
 	return nil
 }
 
-// readTime charges one frame's device read to the timeline, retrying
-// transient faults under the configured policy.  Reads go through the
-// chunk-indexed path so a store cache policy can serve prefetched frames
-// without device time; with no policy it costs exactly a plain read.
-// The read is tagged with the tick's service round and the frame's
-// playback deadline (its presentation tick), so a round-scheduling store
-// can batch it SCAN-EDF with the other streams of the same round — under
-// the multi-session engine, that round spans every session ticked in the
-// same engine step.
-func (r *VideoReader) readTime(tc *activity.TickContext, idx int, bytes int64) (avtime.WorldTime, error) {
-	read := func() (avtime.WorldTime, error) {
-		return r.stream.ReadChunkTimeAt(idx, bytes, tc.Round, tc.Now, tc.Now)
-	}
-	if !r.haveRetry {
-		return read()
-	}
-	dt, attempts, err := r.retry.Do(read)
-	r.retries += attempts - 1
-	return dt, err
-}
-
 // Tick implements activity.Activity.
 func (r *VideoReader) Tick(tc *activity.TickContext) error {
 	v, ok := r.Binding("out")
@@ -164,20 +117,18 @@ func (r *VideoReader) Tick(tc *activity.TickContext) error {
 	}
 	c := &activity.Chunk{Seq: r.pos, At: tc.Now, Arrived: tc.Now, Payload: el}
 	if r.stream != nil {
-		dt, err := r.readTime(tc, r.pos, el.Size())
+		// The frame's device read is charged to the timeline through the
+		// chunk-indexed path, so a store cache policy can serve
+		// prefetched frames without device time; with no policy it costs
+		// exactly a plain read.  The read is tagged with the tick's
+		// service round and the frame's playback deadline (its
+		// presentation tick), so a round-scheduling store can batch it
+		// SCAN-EDF with the other streams of the same round — under the
+		// multi-session engine, that round spans every session ticked in
+		// the same engine step.
+		dt, err := r.stream.ReadChunkTimeAt(r.pos, el.Size(), tc.Round, tc.Now, tc.Now)
 		if err != nil {
-			if !r.dropOnErr {
-				return err
-			}
-			// Sacrifice the frame, keep the stream alive.
-			r.lost++
-			r.Emit(activity.EventInfo{Event: activity.EventFault, At: tc.Now, Seq: r.pos})
-			r.pos++
-			if r.pos >= v.NumElements() {
-				r.Emit(activity.EventInfo{Event: activity.EventLastFrame, At: tc.Now, Seq: r.pos - 1})
-				r.MarkDone()
-			}
-			return nil
+			return err
 		}
 		c.Arrived += dt
 	}
@@ -456,13 +407,12 @@ type VideoWindow struct {
 	quality    media.VideoQuality
 	keepFrames bool
 
-	frames    int
-	bytes     int64
-	corrupted int
-	kept      []*media.Frame
-	arrivals  []avtime.WorldTime
-	monitor   *sched.Monitor
-	stall     *sched.StallDetector
+	frames   int
+	bytes    int64
+	kept     []*media.Frame
+	arrivals []avtime.WorldTime
+	monitor  *sched.Monitor
+	stall    *sched.StallDetector
 }
 
 // NewVideoWindow returns a window expecting the given quality; a zero
@@ -473,8 +423,8 @@ func NewVideoWindow(name string, loc activity.Location, q media.VideoQuality, to
 		quality: q, monitor: sched.NewMonitor(tolerance),
 	}
 	w.AddPort("in", activity.In, media.TypeRawVideo30)
-	w.DeclareEvents(activity.EventFault, activity.EventStalled,
-		activity.EventRecovered, activity.EventDegraded, activity.EventRestored)
+	w.DeclareEvents(activity.EventStalled, activity.EventRecovered,
+		activity.EventDegraded, activity.EventRestored)
 	return w
 }
 
@@ -514,10 +464,6 @@ func (w *VideoWindow) Tick(tc *activity.TickContext) error {
 	}
 	w.frames++
 	w.bytes += f.Size()
-	if in.Corrupted {
-		w.corrupted++
-		w.Emit(activity.EventInfo{Event: activity.EventFault, Activity: w.Name(), At: in.Arrived, Seq: in.Seq})
-	}
 	w.monitor.Record(in.At, in.Arrived)
 	if w.stall != nil {
 		w.stall.Record(in.At, in.Arrived)
@@ -528,9 +474,6 @@ func (w *VideoWindow) Tick(tc *activity.TickContext) error {
 	}
 	return nil
 }
-
-// CorruptedFrames reports frames that arrived with damaged payloads.
-func (w *VideoWindow) CorruptedFrames() int { return w.corrupted }
 
 // FramesShown reports the number of frames presented.
 func (w *VideoWindow) FramesShown() int { return w.frames }

@@ -123,15 +123,12 @@ const (
 	EventLastFrame Event = "LAST_FRAME"
 )
 
-// Fault and degradation events — the asynchronous surface of the
-// robustness machinery.  Activities that participate in fault handling
-// declare the subset they emit; clients Catch them like any other
-// event ("perhaps being informed when the transfer is complete", §3.3,
-// extended to being informed when it could not complete).
+// Stall and degradation events — the asynchronous surface of overload
+// control.  Activities that take part declare the subset they emit;
+// clients Catch them like any other event ("perhaps being informed when
+// the transfer is complete", §3.3, extended to being informed when it
+// runs late).
 const (
-	// EventFault reports a fault the stream absorbed: a failed or
-	// dropped transfer, an exhausted retry, a corrupted chunk.
-	EventFault Event = "FAULT"
 	// EventStalled reports sustained deadline misses on a sink.
 	EventStalled Event = "STALLED"
 	// EventRecovered reports a stalled sink meeting deadlines again.
@@ -194,12 +191,11 @@ func (s State) String() string {
 // the chunk later copies it.  The payload may be kept: elements are
 // immutable once emitted and owned by the garbage collector.
 type Chunk struct {
-	Seq       int              // element sequence number in the stream
-	At        avtime.WorldTime // scheduled presentation time
-	Arrived   avtime.WorldTime // actual time after accumulated latencies
-	Track     string           // track label inside composites, else ""
-	Corrupted bool             // payload damaged in flight by a fault
-	Payload   media.Element
+	Seq     int              // element sequence number in the stream
+	At      avtime.WorldTime // scheduled presentation time
+	Arrived avtime.WorldTime // actual time after accumulated latencies
+	Track   string           // track label inside composites, else ""
+	Payload media.Element
 
 	// shift is the path delay a chunk has picked up since its parts, if
 	// it carries any, were bundled: every latency added to Arrived is

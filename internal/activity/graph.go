@@ -24,21 +24,9 @@ type Connection struct {
 	net      *netsim.Conn
 	label    string // precomputed String(), reused for span names
 
-	mu       sync.Mutex
-	failSoft bool
-	bytes    int64
-	chunks   int64
-}
-
-// SetFailSoft chooses the connection's transfer-failure policy.  A
-// fail-soft connection absorbs failed transfers — the chunk is lost,
-// the failure is counted and surfaced as an EventFault on the receiving
-// activity, and the stream continues.  A fail-hard connection (the
-// default) aborts the run on the first failed transfer.
-func (c *Connection) SetFailSoft(on bool) {
-	c.mu.Lock()
-	c.failSoft = on
-	c.mu.Unlock()
+	mu     sync.Mutex
+	bytes  int64
+	chunks int64
 }
 
 // Network returns the reserved network connection, if any.
@@ -54,46 +42,24 @@ func (c *Connection) Chunks() int64 {
 // String formats the connection.
 func (c *Connection) String() string { return c.label }
 
-// outcome describes how one delivery attempt went.
-type outcome struct {
-	chunk     Chunk // what arrives downstream, when arrived is set
-	arrived   bool
-	dropped   bool  // lost in flight
-	failed    bool  // transfer failed (fail-soft absorbed it)
-	corrupted bool  // arrived damaged
-	err       error // fatal (fail-hard) failure
-}
-
 // deliver moves a chunk across the connection, returning the copy that
-// arrives downstream with transfer latency applied — or the fault that
-// kept it from arriving.
-func (c *Connection) deliver(in *Chunk) outcome {
+// arrives downstream with transfer latency applied.  A failed transfer
+// fails the run.
+func (c *Connection) deliver(in *Chunk) (Chunk, error) {
 	out := *in
 	if c.net != nil {
-		d, err := c.net.TransferChunk(in.Size())
+		dt, err := c.net.TransferChunk(in.Size())
 		if err != nil {
-			c.mu.Lock()
-			soft := c.failSoft
-			c.mu.Unlock()
-			if soft {
-				return outcome{failed: true}
-			}
-			return outcome{err: fmt.Errorf("activity: %v: %w", c, err)}
+			return Chunk{}, fmt.Errorf("activity: %v: %w", c, err)
 		}
-		if d.Dropped {
-			return outcome{dropped: true}
-		}
-		if d.Corrupted {
-			out.Corrupted = true
-		}
-		out.Arrived += d.Time
-		out.shift += d.Time
+		out.Arrived += dt
+		out.shift += dt
 	}
 	c.mu.Lock()
 	c.bytes += in.Size()
 	c.chunks++
 	c.mu.Unlock()
-	return outcome{chunk: out, arrived: true, corrupted: out.Corrupted}
+	return out, nil
 }
 
 // Graph is an activity graph: the unit of flow composition.  Nodes are
@@ -245,11 +211,6 @@ type RunStats struct {
 	// Elapsed rather than silently cut off.
 	LastArrival avtime.WorldTime
 
-	// Fault accounting.
-	ChunksDropped    int64 // chunks lost in flight
-	ChunksCorrupted  int64 // chunks delivered with damaged payloads
-	TransferFailures int64 // failed transfers absorbed by fail-soft connections
-
 	// StopErr carries the joined per-node Stop errors from the run's
 	// teardown, so a failed teardown isn't invisible to callers that
 	// only look at stats.
@@ -280,21 +241,6 @@ func (g *Graph) Run(cfg RunConfig) (*RunStats, error) {
 		}
 	}
 	return r.Finish()
-}
-
-// eventEmitter is satisfied by *Base and therefore by every concrete
-// activity.
-type eventEmitter interface {
-	Emit(EventInfo)
-}
-
-// emitFault surfaces a fault on the receiving activity's event
-// interface; activities that have not declared EventFault simply have
-// no handlers and the emit is a no-op.
-func emitFault(a Activity, info EventInfo) {
-	if em, ok := a.(eventEmitter); ok {
-		em.Emit(info)
-	}
 }
 
 // latencySampler is satisfied by *Base and therefore by every concrete

@@ -32,11 +32,10 @@ type planFeed struct {
 // step runs the node in the tick its context was reset to, at now.  A
 // node that is not started is skipped: it receives nothing and, its
 // context being reset, publishes nothing.  Otherwise step delivers each
-// feed's chunk across its connection, emitting FAULT for one that did
-// not arrive; ticks the activity; and stamps each output, leaving it in
-// the context for the nodes downstream: raised to at least now, delayed
-// by the activity's latency draw, and refused on a port the activity
-// does not declare.  When run is non-nil, every delivery is also
+// feed's chunk across its connection; ticks the activity; and stamps
+// each output, leaving it in the context for the nodes downstream:
+// raised to at least now, delayed by the activity's latency draw, and
+// refused on a port the activity does not declare.  When run is non-nil, every delivery is also
 // accounted to the run (GraphRun.delivered).  step reports whether the
 // node ran and the latest arrival it saw.
 //
@@ -53,21 +52,15 @@ func (n *planNode) step(now avtime.WorldTime, run *GraphRun) (ran bool, last avt
 		if src == nil {
 			continue
 		}
-		oc := f.conn.deliver(src)
-		if oc.err != nil {
-			return true, last, oc.err
+		in, err := f.conn.deliver(src)
+		if err != nil {
+			return true, last, err
 		}
 		if run != nil {
-			run.delivered(f, src, &oc)
+			run.delivered(f, src, &in)
 		}
-		if !oc.arrived {
-			// Lost in flight or absorbed by a fail-soft connection: the
-			// receiver sees the gap and the client hears about it.
-			emitFault(f.conn.to, EventInfo{Event: EventFault, Activity: f.conn.to.Name(), At: now, Seq: src.Seq})
-			continue
-		}
-		n.tc.SetIn(f.conn.toPort.name, &oc.chunk)
-		last = max(last, oc.chunk.Arrived)
+		n.tc.SetIn(f.conn.toPort.name, &in)
+		last = max(last, in.Arrived)
 	}
 	if err := n.act.Tick(&n.tc); err != nil {
 		return true, last, fmt.Errorf("activity: %s at tick %d: %w", n.act.Name(), n.tc.Seq, err)

@@ -32,7 +32,7 @@ import (
 )
 
 // Sentinel errors for the core layer.  Lower layers wrap their own
-// (device.ErrDeviceFailed, netsim.ErrLinkDown, storage.ErrNoPlacement,
+// (device.ErrCapacity, netsim.ErrBandwidth, storage.ErrNoPlacement,
 // …); everything composes with errors.Is through %w chains.
 var (
 	// ErrNoObject is wrapped by operations on unknown object references.

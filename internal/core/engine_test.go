@@ -489,27 +489,7 @@ func TestEngineTickErrorReachesWait(t *testing.T) {
 	db := testDB(t)
 	oid := storeNewscast(t, db, "clip", frames)
 	good := bindPlayback(t, db, "good", "lan0", oid)
-	bad, err := db.Connect("bad", "lan0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := activities.NewVideoReader("src", activity.AtDatabase, media.TypeRawVideo30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bomb := &tickBombSink{Base: activity.NewBase("sink", "TickBomb", activity.AtApplication), after: after, fail: errBoom}
-	bomb.AddPort("in", activity.In, media.TypeRawVideo30)
-	for _, a := range []activity.Activity{src, bomb} {
-		if err := bad.Install(a, sched.Resources{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := bad.Connect(src, "out", bomb, "in", media.MBPerSecond); err != nil {
-		t.Fatal(err)
-	}
-	if err := bad.BindValue(oid, "videoTrack", src, "out", media.MBPerSecond); err != nil {
-		t.Fatal(err)
-	}
+	bad := failingPlayback(t, db, "bad", oid, after, errBoom)
 	db.Engine().Pause()
 	pbGood, err := good.sess.Start()
 	if err != nil {

@@ -71,47 +71,6 @@ var ErrCapacity = fmt.Errorf("device: insufficient capacity")
 // ErrNoDevice is wrapped by lookups of unknown devices or discs.
 var ErrNoDevice = fmt.Errorf("device: no such device")
 
-// ErrDeviceFailed is wrapped by reads against a device that is down — a
-// hard fault that retrying within the outage cannot fix.
-var ErrDeviceFailed = fmt.Errorf("device: device failed")
-
-// ErrTransientRead is wrapped by reads that failed transiently (a bad
-// sector, a dropped bus transaction, a disc-swap misload).  Transient
-// faults are the retryable class: a bounded retry with backoff is the
-// prescribed recovery.
-var ErrTransientRead = fmt.Errorf("device: transient read fault")
-
-// Access names one faultable operation independently of when it runs:
-// Src is the requester (a stream, a connection, a disc) and Seq that
-// requester's own count of such operations.  A fault hook keys its
-// probabilistic decisions on it, so they do not depend on the order in
-// which concurrent requesters reach the device.
-type Access struct {
-	Src, Seq int64
-}
-
-// FaultHook is consulted on a device's timed operations; a fault
-// injector implements it to make simulated hardware misbehave on a
-// deterministic schedule.  A nil hook is a fault-free device.
-type FaultHook interface {
-	// BeforeRead runs before the read a of bytes from the device.  It
-	// returns extra world time the fault costs (charged to the read) and
-	// an error to inject: one wrapping ErrTransientRead for a retryable
-	// fault, or ErrDeviceFailed for an outage.
-	BeforeRead(deviceID string, a Access, bytes int64) (avtime.WorldTime, error)
-	// BeforeSwap runs before a jukebox disc swap and may fail it; a.Src
-	// is the disc being loaded.
-	BeforeSwap(deviceID string, a Access) error
-}
-
-// Faultable is satisfied by devices that accept a fault hook and expose
-// the pre-read check; the storage layer uses it to price and classify
-// faulted reads.
-type Faultable interface {
-	SetFaultHook(FaultHook)
-	CheckRead(a Access, bytes int64) (avtime.WorldTime, error)
-}
-
 // bwAccount is a reservable bandwidth budget shared by disks and the
 // jukebox.
 type bwAccount struct {
@@ -165,12 +124,11 @@ type Disk struct {
 	seek     avtime.WorldTime
 	bw       bwAccount
 
-	// geom and hook are read on the scheduler's hot path (a positioned
-	// seek per batch run, a fault check per chunk), so they live behind
-	// atomics instead of mu: SeekBetween/TrackOf/CheckRead stay
-	// lock-free while SetGeometry/SetFaultHook swap whole values.
+	// geom is read on the scheduler's hot path (a positioned seek per
+	// batch run), so it lives behind an atomic instead of mu:
+	// SeekBetween/TrackOf stay lock-free while SetGeometry swaps whole
+	// values.
 	geom atomic.Pointer[diskGeom] // nil = flat seek model
-	hook atomic.Pointer[FaultHook]
 
 	mu   sync.Mutex
 	used int64
@@ -336,21 +294,6 @@ func (d *Disk) SeekBetween(from, to int) avtime.WorldTime {
 	return settle + avtime.WorldTime(int64(d.seek-settle)*dist/span)
 }
 
-// SetFaultHook implements Faultable.
-func (d *Disk) SetFaultHook(h FaultHook) {
-	d.hook.Store(&h)
-}
-
-// CheckRead implements Faultable: it consults the fault hook before the
-// read a of bytes, returning any extra latency and injected error.
-func (d *Disk) CheckRead(a Access, bytes int64) (avtime.WorldTime, error) {
-	p := d.hook.Load()
-	if p == nil || *p == nil {
-		return 0, nil
-	}
-	return (*p).BeforeRead(d.id, a, bytes)
-}
-
 // Jukebox is an analog videodisc jukebox: several discs, of which one
 // sits in the player at a time; switching discs costs a swap latency.
 // "An analog videodisc jukebox provides a video storage capacity
@@ -362,12 +305,10 @@ type Jukebox struct {
 	swap    avtime.WorldTime
 	bw      bwAccount
 
-	mu        sync.Mutex
-	used      []int64
-	current   int   // the disc in the player
-	swaps     int64 // completed disc swaps
-	swapTries int64 // swap attempts, jammed ones included; keys the fault hook
-	hook      FaultHook
+	mu      sync.Mutex
+	used    []int64
+	current int   // the disc in the player
+	swaps   int64 // completed disc swaps
 }
 
 // NewJukebox returns a jukebox with the given number of discs, disc 0 in
@@ -446,15 +387,6 @@ func (j *Jukebox) AccessTime(disc int, bytes int64) (avtime.WorldTime, error) {
 	}
 	var t avtime.WorldTime
 	if disc != j.current {
-		try := Access{Src: int64(disc), Seq: j.swapTries}
-		j.swapTries++
-		if j.hook != nil {
-			if err := j.hook.BeforeSwap(j.id, try); err != nil {
-				// The swap mechanism jammed: the player keeps its disc
-				// and the failed attempt still costs a swap latency.
-				return j.swap, err
-			}
-		}
 		t += j.swap
 		j.swaps++
 		j.current = disc
@@ -470,24 +402,6 @@ func (j *Jukebox) Reserve(r media.DataRate) error { return j.bw.reserve(r) }
 
 // Release returns reserved bandwidth.
 func (j *Jukebox) Release(r media.DataRate) { j.bw.release(r) }
-
-// SetFaultHook implements Faultable.
-func (j *Jukebox) SetFaultHook(h FaultHook) {
-	j.mu.Lock()
-	j.hook = h
-	j.mu.Unlock()
-}
-
-// CheckRead implements Faultable.
-func (j *Jukebox) CheckRead(a Access, bytes int64) (avtime.WorldTime, error) {
-	j.mu.Lock()
-	h := j.hook
-	j.mu.Unlock()
-	if h == nil {
-		return 0, nil
-	}
-	return h.BeforeRead(j.id, a, bytes)
-}
 
 // Unit is a non-storage device: framebuffer, ADC, DAC, DSP or video
 // effects processor.  Exclusive units (converters, framebuffers, effects

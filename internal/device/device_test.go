@@ -2,7 +2,6 @@ package device
 
 import (
 	"errors"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -369,45 +368,5 @@ func TestDiskGeometryValidation(t *testing.T) {
 	}
 	if got := d.SeekBetween(1, 1); got != d.SeekTime() {
 		t.Fatalf("flat model not restored: SeekBetween = %v", got)
-	}
-}
-
-// jamOnce fails the first swap it sees and records every attempt.
-type jamOnce struct{ seen *[]Access }
-
-func (h jamOnce) BeforeRead(string, Access, int64) (avtime.WorldTime, error) { return 0, nil }
-func (h jamOnce) BeforeSwap(_ string, a Access) error {
-	*h.seen = append(*h.seen, a)
-	if len(*h.seen) == 1 {
-		return errors.New("jam")
-	}
-	return nil
-}
-
-func TestJukeboxSwapJamKeepsPlatter(t *testing.T) {
-	j := NewJukebox("jb0", 3, 1000, 1*media.MBPerSecond, 5*avtime.Second)
-	var seen []Access
-	j.SetFaultHook(jamOnce{seen: &seen})
-	dt, err := j.AccessTime(1, 0)
-	if err == nil {
-		t.Fatal("jammed swap succeeded")
-	}
-	if dt != 5*avtime.Second {
-		t.Errorf("jammed swap cost %v, want the full swap latency", dt)
-	}
-	// The platter kept its disc and the failed attempt is not a swap.
-	if !j.DiscLoaded(0) || j.DiscLoaded(1) || j.Swaps() != 0 {
-		t.Errorf("after jam: in player %d, swaps %d; want 0, 0", j.current, j.Swaps())
-	}
-	// The retry goes through.
-	if _, err := j.AccessTime(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !j.DiscLoaded(1) || j.Swaps() != 1 {
-		t.Errorf("after retry: in player %d, swaps %d; want 1, 1", j.current, j.Swaps())
-	}
-	// The jammed attempt counts, so the retry is a fresh draw for a hook.
-	if want := []Access{{Src: 1, Seq: 0}, {Src: 1, Seq: 1}}; !reflect.DeepEqual(seen, want) {
-		t.Errorf("swap attempts seen = %v, want %v", seen, want)
 	}
 }

@@ -122,19 +122,6 @@ func (m *Manager) Holder(id string) (string, bool) {
 	return h, ok
 }
 
-// SetFaultHook installs a fault hook on every registered device that
-// accepts one (disks and jukeboxes); units have no timed read path to
-// fault.  Pass nil to clear.
-func (m *Manager) SetFaultHook(h FaultHook) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, d := range m.devices {
-		if f, ok := d.(Faultable); ok {
-			f.SetFaultHook(h)
-		}
-	}
-}
-
 // ReleaseAll returns every device held by owner, for session teardown.
 func (m *Manager) ReleaseAll(owner string) {
 	m.mu.Lock()

@@ -13,7 +13,7 @@ import (
 	"avdb/internal/synth"
 )
 
-// The post-paper ablations (tenancy, zipf, jukebox, overload, chaos and
+// The post-paper ablations (tenancy, zipf, jukebox, overload, stall and
 // observe; stripe lives in internal/storage) have no renderer and no
 // golden.  Each claim is a property test in this package, driven
 // through core's exported API, so a scheduler, pool or overload change

@@ -4,28 +4,18 @@ import (
 	"testing"
 
 	"avdb/internal/avtime"
-	"avdb/internal/fault"
 	"avdb/internal/obs"
 )
 
 // runObserved plays one stream with the observability layer on end to
-// end, under a light seeded campaign that exercises the fault counters
-// without killing the stream: transient reads on disk0 (p=0.10, retried)
-// over the first quarter and chunk loss on lan0 (p=0.05, absorbed by a
-// fail-soft connection) throughout.  It returns the snapshot taken after
-// the session closed.
+// end, over a connection reserved at the clip's full data rate, with
+// stall detection armed.  It returns the snapshot taken after the
+// session closed.
 func runObserved(t *testing.T, frames int, seed int64) *obs.Snapshot {
 	t.Helper()
 	const tolerance = 100 * avtime.Millisecond
-	c := newCampaignStream(t, frames, seed, true, tolerance, func(total avtime.WorldTime) []fault.Fault {
-		return []fault.Fault{
-			{Kind: fault.TransientRead, Target: "disk0", Start: 0, Dur: total / 4, Probability: 0.10},
-			{Kind: fault.ChunkLoss, Target: "lan0", Start: 0, Dur: total, Probability: 0.05},
-		}
-	})
-	c.src.SetRetry(fault.DefaultRetry)
+	c := newNarrowStream(t, frames, seed, true, tolerance, 1)
 	c.win.EnableStallDetection(tolerance, 3)
-	c.conn.SetFailSoft(true)
 	pb, err := c.sess.Start()
 	if err != nil {
 		t.Fatal(err)

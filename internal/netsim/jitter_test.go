@@ -30,7 +30,7 @@ func jitter(t *testing.T, c *Conn) avtime.WorldTime {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d.Time
+	return d
 }
 
 // TestJitterUniform checks one connection's jitter over 10⁵ transfers:

@@ -22,7 +22,6 @@ import (
 	"sync"
 
 	"avdb/internal/avtime"
-	"avdb/internal/device"
 	"avdb/internal/media"
 	"avdb/internal/obs"
 	"avdb/internal/sched"
@@ -31,39 +30,8 @@ import (
 // ErrBandwidth is wrapped by connection-admission failures.
 var ErrBandwidth = fmt.Errorf("netsim: insufficient link bandwidth")
 
-// ErrLinkDown is wrapped by transfers attempted across a partitioned
-// link.
-var ErrLinkDown = fmt.Errorf("netsim: link down")
-
 // ErrClosed is wrapped by operations on a closed connection.
 var ErrClosed = fmt.Errorf("netsim: connection closed")
-
-// TransferFault is a fault hook's verdict on one transfer: the link may
-// be partitioned (the transfer fails), running degraded (serialization
-// slows by SlowFactor), or the chunk may be lost or corrupted in flight.
-type TransferFault struct {
-	Down       bool
-	SlowFactor float64 // > 1 multiplies serialization time; <= 1 means none
-	Drop       bool
-	Corrupt    bool
-}
-
-// FaultHook is consulted on every transfer; a fault injector implements
-// it to make the simulated network misbehave on a deterministic
-// schedule.  A nil hook is a fault-free link.  a names the transfer:
-// Src is the connection's id on its link, Seq its ordinal among the
-// connection's carried transfers.
-type FaultHook interface {
-	TransferFault(linkID string, a device.Access, bytes int64) TransferFault
-}
-
-// Delivery describes how one transfer went: the world time it occupied
-// and whether the payload survived the trip.
-type Delivery struct {
-	Time      avtime.WorldTime
-	Dropped   bool // lost in flight; Time is still consumed
-	Corrupted bool // delivered, but the payload is damaged
-}
 
 // Link is one network path between the database and a client site.
 type Link struct {
@@ -76,7 +44,6 @@ type Link struct {
 	mu       sync.Mutex
 	reserved media.DataRate
 	nextConn int
-	hook     FaultHook
 
 	m linkMetrics
 }
@@ -84,7 +51,7 @@ type Link struct {
 // linkMetrics holds an installed sink's net.<id>.* handles; all nil
 // without one.
 type linkMetrics struct {
-	transfers, bytes, dropped, corrupted, down *obs.Counter
+	transfers, bytes *obs.Counter
 }
 
 // NewLink returns a link with the given capacity, propagation latency and
@@ -109,17 +76,8 @@ func (l *Link) Latency() avtime.WorldTime { return l.latency }
 // MaxJitter reports the jitter bound.
 func (l *Link) MaxJitter() avtime.WorldTime { return l.maxJitter }
 
-// SetFaultHook installs a fault hook consulted on every transfer; nil
-// clears it.
-func (l *Link) SetFaultHook(h FaultHook) {
-	l.mu.Lock()
-	l.hook = h
-	l.mu.Unlock()
-}
-
 // SetSink installs an observability sink.  Transfers over the link emit
-// net.<id>.transfers / bytes / dropped / corrupted / down counters; nil
-// clears the sink.
+// net.<id>.transfers / bytes counters; nil clears the sink.
 func (l *Link) SetSink(s obs.Sink) {
 	var m linkMetrics
 	if s != nil {
@@ -127,9 +85,6 @@ func (l *Link) SetSink(s obs.Sink) {
 		m = linkMetrics{
 			transfers: s.Counter(prefix + "transfers"),
 			bytes:     s.Counter(prefix + "bytes"),
-			dropped:   s.Counter(prefix + "dropped"),
-			corrupted: s.Counter(prefix + "corrupted"),
-			down:      s.Counter(prefix + "down"),
 		}
 	}
 	l.mu.Lock()
@@ -162,7 +117,6 @@ func (l *Link) Connect(rate media.DataRate) (*Conn, error) {
 	l.nextConn++
 	return &Conn{
 		link: l,
-		id:   id,
 		rate: rate,
 		key:  sched.Mix(l.key, uint64(id)),
 		open: true,
@@ -172,7 +126,6 @@ func (l *Link) Connect(rate media.DataRate) (*Conn, error) {
 // Conn is an open connection with a reserved data rate.
 type Conn struct {
 	link *Link
-	id   int
 	rate media.DataRate
 	key  uint64 // keys the jitter of the connection's transfers
 
@@ -189,50 +142,31 @@ func (c *Conn) Rate() media.DataRate {
 	return c.rate
 }
 
-// TransferChunk accounts for moving the given bytes and reports the full
-// delivery outcome, including in-flight loss and corruption injected by
-// the link's fault hook.  A partitioned link fails with ErrLinkDown.
-func (c *Conn) TransferChunk(bytes int64) (Delivery, error) {
+// TransferChunk accounts for moving the given bytes and reports the
+// world time the transfer occupies: propagation latency, serialization
+// at the reserved rate and the transfer's jitter.
+func (c *Conn) TransferChunk(bytes int64) (avtime.WorldTime, error) {
 	if bytes < 0 {
-		return Delivery{}, fmt.Errorf("netsim: negative transfer %d", bytes)
+		return 0, fmt.Errorf("netsim: negative transfer %d", bytes)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.open {
-		return Delivery{}, fmt.Errorf("%w: transfer on closed connection", ErrClosed)
+		return 0, fmt.Errorf("%w: transfer on closed connection", ErrClosed)
 	}
 	c.link.mu.Lock()
-	hook := c.link.hook
 	m := c.link.m
 	c.link.mu.Unlock()
-	var f TransferFault
-	if hook != nil {
-		f = hook.TransferFault(c.link.id, device.Access{Src: int64(c.id), Seq: c.messages}, bytes)
-	}
-	if f.Down {
-		m.down.Add(1)
-		return Delivery{}, fmt.Errorf("%w: link %q", ErrLinkDown, c.link.id)
-	}
 	seq := uint64(c.messages)
 	c.bytes += bytes
 	c.messages++
 	m.transfers.Add(1)
 	m.bytes.Add(bytes)
-	if f.Drop {
-		m.dropped.Add(1)
-	}
-	if f.Corrupt {
-		m.corrupted.Add(1)
-	}
-	ser := avtime.WorldTime(bytes * int64(avtime.Second) / int64(c.rate))
-	if f.SlowFactor > 1 {
-		ser = avtime.WorldTime(float64(ser) * f.SlowFactor)
-	}
-	t := c.link.latency + ser
+	t := c.link.latency + avtime.WorldTime(bytes*int64(avtime.Second)/int64(c.rate))
 	if c.link.maxJitter > 0 {
 		t += sched.Uniform(c.key, seq, c.link.maxJitter)
 	}
-	return Delivery{Time: t, Dropped: f.Drop, Corrupted: f.Corrupt}, nil
+	return t, nil
 }
 
 // Renegotiate changes the connection's reserved rate in place — the

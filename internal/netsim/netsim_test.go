@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"avdb/internal/avtime"
-	"avdb/internal/device"
 	"avdb/internal/media"
 	"avdb/internal/obs"
 )
@@ -60,8 +59,7 @@ func TestTransferTiming(t *testing.T) {
 	}
 	defer c.Close()
 	// 1 MB at the reserved 1 MB/s = 1s, plus 2ms propagation, no jitter.
-	d, err := c.TransferChunk(1_000_000)
-	dt := d.Time
+	dt, err := c.TransferChunk(1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,15 +107,14 @@ func TestJitterBoundedAndDeterministic(t *testing.T) {
 	}
 	c1, c2 := mk(), mk()
 	for i := 0; i < 100; i++ {
-		r1, err := c1.TransferChunk(0)
+		d1, err := c1.TransferChunk(0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := c2.TransferChunk(0)
+		d2, err := c2.TransferChunk(0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d1, d2 := r1.Time, r2.Time
 		if d1 != d2 {
 			t.Fatalf("transfer %d: jitter not deterministic (%v vs %v)", i, d1, d2)
 		}
@@ -190,15 +187,9 @@ func TestLinkConstructorPanics(t *testing.T) {
 	}
 }
 
-// stubHook applies one fault to every transfer.
-type stubHook struct{ f TransferFault }
-
-func (h stubHook) TransferFault(string, device.Access, int64) TransferFault { return h.f }
-
 // TestLinkSinkReinstall: a link counts into the sink installed last.
-// After a second SetSink, transfers, bytes, drops, corruptions and
-// partitions reach only the second collector; after SetSink(nil),
-// neither.
+// After a second SetSink, transfers and bytes reach only the second
+// collector; after SetSink(nil), neither.
 func TestLinkSinkReinstall(t *testing.T) {
 	l := testLink()
 	c, err := l.Connect(media.MBPerSecond)
@@ -207,18 +198,14 @@ func TestLinkSinkReinstall(t *testing.T) {
 	}
 	defer c.Close()
 	transfer := func() {
-		for _, f := range []TransferFault{{}, {Drop: true}, {Corrupt: true}, {Down: true}} {
-			l.SetFaultHook(stubHook{f})
-			if _, err := c.TransferChunk(100); err != nil && !errors.Is(err, ErrLinkDown) {
+		for i := 0; i < 3; i++ {
+			if _, err := c.TransferChunk(100); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	want := "== metrics ==\n" +
 		"counter net.lan0.bytes                   300\n" +
-		"counter net.lan0.corrupted               1\n" +
-		"counter net.lan0.down                    1\n" +
-		"counter net.lan0.dropped                 1\n" +
 		"counter net.lan0.transfers               3\n"
 	first, second := obs.NewCollector(), obs.NewCollector()
 	l.SetSink(first)
@@ -231,5 +218,38 @@ func TestLinkSinkReinstall(t *testing.T) {
 		if got := col.Snapshot().MetricsText(); got != want {
 			t.Errorf("%s sink:\n%s\nwant\n%s", name, got, want)
 		}
+	}
+}
+
+// TestRenegotiate: lowering a connection's rate returns bandwidth to
+// the link, raising it past the link's free bandwidth fails and leaves
+// the reservation as it was, and a closed connection refuses.
+func TestRenegotiate(t *testing.T) {
+	l := testLink()
+	c, err := l.Connect(6 * media.MBPerSecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Renegotiate(2 * media.MBPerSecond); err != nil {
+		t.Fatal(err)
+	}
+	if l.Reserved() != 2*media.MBPerSecond || c.Rate() != 2*media.MBPerSecond {
+		t.Errorf("after lowering: link %v, conn %v; want 2 MB/s each", l.Reserved(), c.Rate())
+	}
+	if err := c.Renegotiate(11 * media.MBPerSecond); !errors.Is(err, ErrBandwidth) {
+		t.Errorf("raise past capacity: err = %v", err)
+	}
+	if l.Reserved() != 2*media.MBPerSecond || c.Rate() != 2*media.MBPerSecond {
+		t.Errorf("refused raise moved the reservation: link %v, conn %v", l.Reserved(), c.Rate())
+	}
+	if err := c.Renegotiate(0); err == nil {
+		t.Error("zero rate accepted")
+	}
+	c.Close()
+	if err := c.Renegotiate(media.MBPerSecond); !errors.Is(err, ErrClosed) {
+		t.Errorf("renegotiate on closed conn: err = %v", err)
+	}
+	if l.Reserved() != 0 {
+		t.Errorf("close left %v reserved", l.Reserved())
 	}
 }

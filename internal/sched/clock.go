@@ -5,9 +5,9 @@
 // resynchronization controller that keeps the tracks of a composite
 // stream temporally correlated (§3.3 "scheduling").
 //
-// All rate-governed behavior in the system runs against a Clock.  Tests
-// and benchmarks drive a VirtualClock, making hour-long presentations
-// execute in microseconds and deterministically.
+// All rate-governed behavior in the system runs against a VirtualClock,
+// making hour-long presentations execute in microseconds and
+// deterministically.
 package sched
 
 import (
@@ -15,12 +15,6 @@ import (
 
 	"avdb/internal/avtime"
 )
-
-// Clock is a source of world time.
-type Clock interface {
-	// Now reports the current world time.
-	Now() avtime.WorldTime
-}
 
 // VirtualClock is a manually advanced clock for discrete-event execution.
 // The zero value reads time zero and is ready to use.

@@ -22,13 +22,18 @@ package storage
 // independent of submission order.  Within one flush, rounds are
 // serviced in ascending round order and disks in ID order.
 //
-// The same argument covers submissions from different sessions: every
-// method that touches shared scheduler state takes io.mu, because
-// clients call into the store from their own goroutines, and the total
-// key makes any interleaving invisible.  Service itself is serialized
-// by the flushed watermark — the first read of step T+1 to reach
-// flushBefore(T+1) services every complete round while later readers
-// pass the lock-free watermark check — and demand reads price seeks
+// The same argument covers submissions from different sessions.  The
+// engine ticks every session on its one loop goroutine, so sessions'
+// submissions never race; every method that touches shared scheduler
+// state still takes io.mu, because the scheduler is shared with callers
+// off that goroutine: a graph driven by Graph.Run reads through the
+// store on its caller's goroutine, clients close streams (drop) and
+// snapshot IOStats while the engine steps, and SetSink swaps the
+// metric handles.  The total key makes any interleaving of submitters
+// invisible.  Service itself is serialized by the flushed watermark —
+// the first read of step T+1 to reach flushBefore(T+1) services every
+// complete round while later readers pass the lock-free watermark
+// check — and demand reads price seeks
 // from the stream's own recorded position without moving the shared
 // per-disk heads, so only watermark-ordered service advances them.
 // TestConcurrentSubmitDeterminism pins this under the race detector.
@@ -96,7 +101,6 @@ type ioAlt struct {
 type ioSlot struct {
 	chunk int
 	cost  avtime.WorldTime
-	disk  *device.Disk // replica that serviced the chunk
 	full  bool
 }
 
@@ -113,13 +117,6 @@ func reqBefore(a, b *ioReq) bool {
 		return a.sid < b.sid
 	}
 	return a.chunk < b.chunk
-}
-
-// ioResult is a serviced request waiting for its stream to consume it.
-type ioResult struct {
-	chunk int
-	cost  avtime.WorldTime // what the consuming read is charged
-	disk  *device.Disk     // replica that serviced the chunk
 }
 
 // svcEvent records one serviced request; emitted only when a service
@@ -144,8 +141,11 @@ type IOStats struct {
 	SeeksSaved     int64 // scheduled requests that rode an adjacent run for free
 	DeadlineMisses int64 // requests whose disk finished past their deadline
 	RoundsOverrun  int64 // per-disk batches whose service ran past their last deadline
-	Failovers      int64 // reads redirected to a surviving replica after an outage
 	MaxBatch       int   // largest per-disk batch seen
+
+	// Deprecated: Failovers is always 0 — no read fails over to a
+	// replica.  It stays only because the frozen bench/ module reads it.
+	Failovers int64
 }
 
 // diskBatch is one disk's requests for one round, kept in SCAN-EDF
@@ -503,7 +503,7 @@ func (io *IOSched) serviceLocked(b *diskBatch) {
 			cost += avtime.WorldTime(q.bytes * int64(avtime.Second) / int64(q.rate))
 		}
 		if q.slot != nil {
-			q.slot.chunk, q.slot.cost, q.slot.disk, q.slot.full = q.chunk, cost, q.disk, true
+			q.slot.chunk, q.slot.cost, q.slot.full = q.chunk, cost, true
 		}
 		if io.svcTrace != nil {
 			*io.svcTrace = append(*io.svcTrace, svcEvent{
@@ -544,29 +544,21 @@ func (io *IOSched) serviceLocked(b *diskBatch) {
 	}
 }
 
-// take consumes the serviced result for the stream's chunk.  A stale
-// result — the stream sought or degraded past what it had prefetched —
-// is discarded so the read falls back to a demand read.
-func (io *IOSched) take(slot *ioSlot, chunk int) (ioResult, bool) {
+// take consumes the serviced result for the stream's chunk, reporting
+// what the read is charged.  A stale result — the stream sought or
+// degraded past what it had prefetched — is discarded so the read falls
+// back to a demand read.
+func (io *IOSched) take(slot *ioSlot, chunk int) (avtime.WorldTime, bool) {
 	io.mu.Lock()
 	defer io.mu.Unlock()
 	if !slot.full {
-		return ioResult{}, false
+		return 0, false
 	}
 	slot.full = false
 	if slot.chunk != chunk {
-		return ioResult{}, false
+		return 0, false
 	}
-	return ioResult{chunk: slot.chunk, cost: slot.cost, disk: slot.disk}, true
-}
-
-// putBack returns a taken result whose read faulted, so a retry
-// consumes it again.  The caller's stream lock serializes it against
-// every other operation on the slot.
-func (io *IOSched) putBack(slot *ioSlot, res ioResult) {
-	io.mu.Lock()
-	slot.chunk, slot.cost, slot.disk, slot.full = res.chunk, res.cost, res.disk, true
-	io.mu.Unlock()
+	return slot.cost, true
 }
 
 // drop discards any serviced result held for the stream (cache hits and
@@ -587,14 +579,6 @@ func (io *IOSched) noteDemand(seeked bool) {
 		io.stats.SeeksCharged++
 		io.m.seeksCharged.Add(1)
 	}
-	io.mu.Unlock()
-}
-
-// noteFailover accounts a read redirected to a surviving replica after
-// the serviced copy's disk failed.
-func (io *IOSched) noteFailover() {
-	io.mu.Lock()
-	io.stats.Failovers++
 	io.mu.Unlock()
 }
 

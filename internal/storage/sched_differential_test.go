@@ -28,12 +28,11 @@ package storage
 //	9      flush       (flushBefore the current round)
 //
 //	request bytes: sid, disk, chunk, track, size, rate, deadline, jitter
-//	read flags: bit0 fault, bit1 has follow-on request, bit2 demand seek
+//	read flags: bit1 has follow-on request, bit2 demand seek (bit0 unused)
 //
 // A "read" drives both schedulers through storage.go's ReadChunkTimeAt
 // protocol: flush rounds below the current one, take the stream's
-// result, put it back if the fault flag is set, and otherwise — after a
-// demand read on a miss — submit the follow-on.
+// result and — after a demand read on a miss — submit the follow-on.
 
 import (
 	"flag"
@@ -151,7 +150,6 @@ func (h *diffHarness) opRead(c *byteCursor) {
 	sid := int64(c.byte() % diffSids)
 	chunk := int(c.byte() % 64)
 	flags := c.byte()
-	fault := flags&1 != 0
 	var next *ioReq
 	q := h.reqFrom(c) // always consume the operand bytes
 	if flags&2 != 0 {
@@ -160,25 +158,11 @@ func (h *diffHarness) opRead(c *byteCursor) {
 	h.neu.flushBefore(h.cur)
 	h.ref.flushBefore(h.cur)
 
-	resN, okN := h.neu.take(&h.slots[sid], chunk)
-	resR, okR := h.ref.take(sid, chunk)
-	// The reference scheduler predates replica routing and never records
-	// which disk serviced a request; the comparison covers the fields it
-	// models.
-	cmpN := resN
-	cmpN.disk = nil
-	if okN != okR || cmpN != resR {
-		h.t.Fatalf("read(sid=%d chunk=%d fault=%v) diverged: new (%+v, %v) vs ref (%+v, %v)",
-			sid, chunk, fault, resN, okN, resR, okR)
-	}
-	if fault {
-		// A faulted read submits nothing; a taken result goes back for
-		// the retry.
-		if okN {
-			h.neu.putBack(&h.slots[sid], resN)
-			h.ref.putBack(sid, resR)
-		}
-		return
+	costN, okN := h.neu.take(&h.slots[sid], chunk)
+	costR, okR := h.ref.take(sid, chunk)
+	if okN != okR || costN != costR {
+		h.t.Fatalf("read(sid=%d chunk=%d) diverged: new (%v, %v) vs ref (%v, %v)",
+			sid, chunk, costN, okN, costR, okR)
 	}
 	if !okN {
 		// Miss: the read falls back to a demand read, which notes itself.

@@ -27,18 +27,24 @@ import (
 type refSched struct {
 	sink     obs.Sink
 	pending  map[int64]map[string]map[int64]ioReq // round -> disk -> stream -> request
-	results  map[int64]ioResult                   // stream -> last serviced request
+	results  map[int64]refResult                  // stream -> last serviced request
 	heads    map[string]int                       // disk -> head track after last round
 	flushed  int64                                // rounds below this are serviced
 	stats    IOStats
 	svcTrace *[]svcEvent
 }
 
+// refResult is a serviced request waiting for its stream to consume it.
+type refResult struct {
+	chunk int
+	cost  avtime.WorldTime
+}
+
 func newRefSched(sink obs.Sink) *refSched {
 	return &refSched{
 		sink:    sink,
 		pending: make(map[int64]map[string]map[int64]ioReq),
-		results: make(map[int64]ioResult),
+		results: make(map[int64]refResult),
 		heads:   make(map[string]int),
 	}
 }
@@ -148,7 +154,7 @@ func (io *refSched) service(devID string, bySid map[int64]ioReq) {
 		if q.rate > 0 {
 			cost += avtime.WorldTime(q.bytes * int64(avtime.Second) / int64(q.rate))
 		}
-		io.results[q.sid] = ioResult{chunk: q.chunk, cost: cost}
+		io.results[q.sid] = refResult{chunk: q.chunk, cost: cost}
 		if io.svcTrace != nil {
 			*io.svcTrace = append(*io.svcTrace, svcEvent{
 				dev: devID, sid: q.sid, chunk: q.chunk, track: q.track, seek: seek, cost: cost,
@@ -187,22 +193,19 @@ func (io *refSched) service(devID string, bySid map[int64]ioReq) {
 	}
 }
 
-// take consumes the result for the stream's chunk, discarding it on a
-// chunk mismatch.
-func (io *refSched) take(sid int64, chunk int) (ioResult, bool) {
+// take consumes the result for the stream's chunk, reporting its cost,
+// and discards it on a chunk mismatch.
+func (io *refSched) take(sid int64, chunk int) (avtime.WorldTime, bool) {
 	res, ok := io.results[sid]
 	if !ok {
-		return ioResult{}, false
+		return 0, false
 	}
 	delete(io.results, sid)
 	if res.chunk != chunk {
-		return ioResult{}, false
+		return 0, false
 	}
-	return res, true
+	return res.cost, true
 }
-
-// putBack returns a taken result whose read faulted.
-func (io *refSched) putBack(sid int64, res ioResult) { io.results[sid] = res }
 
 // drop discards any result held for the stream.
 func (io *refSched) drop(sid int64) { delete(io.results, sid) }

@@ -11,7 +11,6 @@
 package storage
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -93,8 +92,7 @@ type Store struct {
 
 	mu       sync.Mutex
 	nextID   SegID
-	nextSID  int64 // stream IDs: the round scheduler's total order, fault-hook keys
-	probes   int64 // tier reachability probes, keying their fault checks
+	nextSID  int64 // stream IDs: the round scheduler's total order
 	segments map[SegID]*Segment
 	sink     obs.Sink
 	m        storeMetrics // the sink's handles
@@ -108,8 +106,8 @@ type Store struct {
 // storeMetrics holds an installed sink's storage handles; all nil
 // without one.
 type storeMetrics struct {
-	streamsOpened, reads, readBytes, readFaults, failover *obs.Counter
-	readTime                                              *obs.Histogram
+	streamsOpened, reads, readBytes *obs.Counter
+	readTime                        *obs.Histogram
 
 	promotions, promoteFailed, replicas, swaps, demotions *obs.Counter
 }
@@ -122,8 +120,6 @@ func newStoreMetrics(s obs.Sink) storeMetrics {
 		streamsOpened: s.Counter("storage.streams_opened"),
 		reads:         s.Counter("storage.reads"),
 		readBytes:     s.Counter("storage.read_bytes"),
-		readFaults:    s.Counter("storage.read_faults"),
-		failover:      s.Counter("storage.replica.failover"),
 		readTime:      s.Histogram("storage.read_time_us"),
 		promotions:    s.Counter("storage.tier.promotions"),
 		promoteFailed: s.Counter("storage.tier.promote_failed"),
@@ -147,8 +143,8 @@ func (st *Store) SetCachePolicy(p CachePolicy) {
 }
 
 // SetSink installs an observability sink.  Streams opened afterwards
-// emit storage.reads / read_bytes / read_faults / streams_opened
-// counters and observe read costs into storage.read_time_us.
+// emit storage.reads / read_bytes / streams_opened counters and
+// observe read costs into storage.read_time_us.
 func (st *Store) SetSink(s obs.Sink) {
 	m := newStoreMetrics(s)
 	st.mu.Lock()
@@ -392,7 +388,7 @@ type Stream struct {
 	dev  device.Device
 	rate media.DataRate
 
-	sid int64 // open order: the round scheduler's total order, fault-hook key
+	sid int64 // open order: the round scheduler's total order
 
 	// Striped and scheduled streams only.
 	disks  []*device.Disk   // stripe home disks, nil when unstriped
@@ -408,7 +404,6 @@ type Stream struct {
 	mu       sync.Mutex
 	open     bool
 	startup  avtime.WorldTime // positioning cost charged on the first read
-	checks   int64            // fault checks made, keying the next one
 	bytes    int64
 	readFrac float64      // fraction of each chunk scheduled reads transfer; 0 = full
 	m        storeMetrics // copied from the store at open time
@@ -541,12 +536,6 @@ func (st *Store) OpenStreamWith(id SegID, rate media.DataRate, policy StripePoli
 // ReadTime accounts a read of the given bytes and reports the world time
 // it occupies at the reserved rate.  The stream's startup cost — a seek,
 // or a disc swap on the jukebox — is charged to the first read.
-//
-// When the segment's device has a fault hook installed, the read may
-// fail with an error wrapping device.ErrTransientRead (retryable) or
-// device.ErrDeviceFailed (outage).  A failed read consumes no stream
-// bytes, but the returned world time is the cost of the failed attempt
-// and must still be charged to the caller's timeline.
 func (s *Stream) ReadTime(bytes int64) (avtime.WorldTime, error) {
 	if bytes < 0 {
 		return 0, fmt.Errorf("storage: negative read %d", bytes)
@@ -556,69 +545,38 @@ func (s *Stream) ReadTime(bytes int64) (avtime.WorldTime, error) {
 	if !s.open {
 		return 0, fmt.Errorf("%w: read on closed stream", ErrStreamClosed)
 	}
-	return s.readLocked(bytes)
-}
-
-// readLocked prices one device read; the caller holds s.mu.
-func (s *Stream) readLocked(bytes int64) (avtime.WorldTime, error) {
-	var extra avtime.WorldTime
-	if f, ok := s.dev.(device.Faultable); ok {
-		dt, err := f.CheckRead(s.accessLocked(), bytes)
-		if err != nil {
-			return s.readFailed(s.seg.devID, dt, err)
-		}
-		extra = dt
-	}
-	t := extra + avtime.WorldTime(bytes*int64(avtime.Second)/int64(s.rate))
-	t += s.startup
+	t := avtime.WorldTime(bytes*int64(avtime.Second)/int64(s.rate)) + s.startup
 	s.startup = 0
-	return s.readDone(bytes, t)
+	return s.readDone(bytes, t), nil
 }
 
 // readDone accounts a completed read of bytes that took t to the stream
 // and its sink, and returns t; the caller holds s.mu.
-func (s *Stream) readDone(bytes int64, t avtime.WorldTime) (avtime.WorldTime, error) {
+func (s *Stream) readDone(bytes int64, t avtime.WorldTime) avtime.WorldTime {
 	s.bytes += bytes
 	s.m.reads.Add(1)
 	s.m.readBytes.Add(bytes)
 	s.m.readTime.Observe(int64(t))
-	return t, nil
-}
-
-// readFailed accounts a read that faulted on device dev after costing t,
-// and returns t with the fault wrapped; the caller holds s.mu.
-func (s *Stream) readFailed(dev string, t avtime.WorldTime, err error) (avtime.WorldTime, error) {
-	s.m.readFaults.Add(1)
-	return t, fmt.Errorf("storage: reading %v from %q: %w", s.seg.id, dev, err)
-}
-
-// accessLocked names the stream's next fault check, so a fault hook's
-// verdict depends on which read it is, not on when other streams read;
-// the caller holds s.mu.
-func (s *Stream) accessLocked() device.Access {
-	a := device.Access{Src: s.sid, Seq: s.checks}
-	s.checks++
-	return a
+	return t
 }
 
 // ReadChunkTimeAt accounts a read of the segment's idx'th chunk and
 // reports the world time it occupies.  Without a cache policy it behaves
 // exactly like ReadTime.  With one, a resident chunk costs zero device
 // time — the prefetcher staged it overlapped with earlier playback, on
-// bandwidth the stream already has reserved — and the fault hook is not
-// consulted because no device access happens.  A demand miss pays the
-// full device read (including any startup cost and injected faults),
-// then stages the next Lookahead chunks.
+// bandwidth the stream already has reserved.  A demand miss pays the
+// full device read (including any startup cost), then stages the next
+// Lookahead chunks.
 //
 // The read is deadline-tagged: round is the caller's tick number, now
 // the tick's world time, and deadline the moment the chunk must be
-// presentable.  Under a Rounds policy the call
-// first services every complete earlier round, consumes the scheduled
-// result for this chunk if one was prefetched (paying its SCAN-EDF
-// amortized cost instead of a full seek), and, once the read succeeded,
-// submits the following chunk into the current round tagged
-// deadline+unit.  A chunk nothing prefetched — the first read, a jump —
-// is a demand read.  round < 0 disables scheduling for this call.
+// presentable.  Under a Rounds policy the call first services every
+// complete earlier round, consumes the scheduled result for this chunk
+// if one was prefetched (paying its SCAN-EDF amortized cost instead of a
+// full seek), and then submits the following chunk into the current
+// round tagged deadline+unit.  A chunk nothing prefetched — the first
+// read, a jump — is a demand read.  round < 0 disables scheduling for
+// this call.
 func (s *Stream) ReadChunkTimeAt(idx int, bytes int64, round int64, now, deadline avtime.WorldTime) (avtime.WorldTime, error) {
 	if bytes < 0 {
 		return 0, fmt.Errorf("storage: negative read %d", bytes)
@@ -658,44 +616,25 @@ func (s *Stream) ReadChunkTimeAt(idx int, bytes int64, round int64, now, deadlin
 		}
 	}
 	var t avtime.WorldTime
-	var err error
 	if !scheduled {
-		t, err = s.readChunkLocked(idx, bytes)
-	} else if res, ok := s.io.take(&s.slot, idx); ok {
-		// Consume the round-serviced prefetch.  The disk that serviced it
-		// still gets a say: the transfer happened on simulated hardware.
-		var extra avtime.WorldTime
-		extra, err = res.disk.CheckRead(s.accessLocked(), bytes)
-		if err == nil {
-			t, err = s.readDone(bytes, extra+res.cost)
-		} else if alt, adt, live := s.failoverLocked(idx, bytes, res.disk, err); live {
-			// Fail-soft: the serviced copy's disk died, so re-read the
-			// chunk from a surviving replica as a demand read — a seek plus
-			// the transfer at the stream's rate, on top of the failed
-			// attempt's cost.
-			t, err = s.readDone(bytes, extra+adt+alt.SeekTime()+avtime.WorldTime(bytes*int64(avtime.Second)/int64(s.rate)))
-		} else {
-			// The result goes back so a retry consumes it again.
-			s.io.putBack(&s.slot, res)
-			t, err = s.readFailed(res.disk.ID(), extra, err)
-		}
+		t = s.readChunkLocked(idx, bytes)
+	} else if cost, ok := s.io.take(&s.slot, idx); ok {
+		// Consume the round-serviced prefetch.
+		t = s.readDone(bytes, cost)
 	} else {
-		t, err = s.readChunkLocked(idx, bytes)
+		t = s.readChunkLocked(idx, bytes)
 	}
-	if scheduled && err == nil {
+	if scheduled {
 		var next ioReq
 		if s.stageNext(idx, now, deadline, &next) {
 			s.io.submit(round, next)
 		}
 	}
 	if s.pool == nil {
-		return t, err
+		return t, nil
 	}
 	s.cstats.Misses++
 	s.pool.miss()
-	if err != nil {
-		return t, err
-	}
 	staged, evicted := s.pool.fill(s.pid, s.seg.id, idx, s.pool.policy.Lookahead, s.seg.frames-1, round)
 	s.cstats.Prefetched += int64(staged)
 	s.cstats.Evicted += int64(evicted)
@@ -727,44 +666,6 @@ func (s *Stream) layoutLocked() error {
 	}
 	s.mapped = true
 	return nil
-}
-
-// failoverLocked finds a live disk holding another copy of chunk idx
-// after a copy's disk failed: the primary stripe home first, then
-// replicas in creation order, so every stream picks the same survivor.
-// It reports the fault-check cost of the surviving disk; the caller
-// holds s.mu.
-func (s *Stream) failoverLocked(idx int, bytes int64, failed device.Device, cause error) (*device.Disk, avtime.WorldTime, bool) {
-	if len(s.reps) == 0 || !errors.Is(cause, device.ErrDeviceFailed) {
-		return nil, 0, false
-	}
-	if d, _, ok := s.chunkHome(idx); ok && device.Device(d) != failed {
-		if dt, err := d.CheckRead(s.accessLocked(), bytes); err == nil {
-			s.noteFailoverLocked()
-			return d, dt, true
-		}
-	}
-	if s.seg.chunkDev == nil || idx >= len(s.seg.chunkDev) {
-		return nil, 0, false
-	}
-	for _, rep := range s.reps {
-		d := rep.disks[s.seg.chunkDev[idx]]
-		if device.Device(d) == failed {
-			continue
-		}
-		if dt, err := d.CheckRead(s.accessLocked(), bytes); err == nil {
-			s.noteFailoverLocked()
-			return d, dt, true
-		}
-	}
-	return nil, 0, false
-}
-
-func (s *Stream) noteFailoverLocked() {
-	if s.io != nil {
-		s.io.noteFailover()
-	}
-	s.m.failover.Add(1)
 }
 
 // chunkDevice returns the device holding the given chunk: the stripe
@@ -808,31 +709,15 @@ func (s *Stream) chunkHome(idx int) (*device.Disk, int, bool) {
 // device; the caller holds s.mu.  Under contended pricing (Seeks) every
 // demand read pays the home disk's positioning cost, not just the
 // first; the startup charge doubles as the first read's seek.
-func (s *Stream) readChunkLocked(idx int, bytes int64) (avtime.WorldTime, error) {
-	dev := s.chunkDevice(idx)
-	var extra avtime.WorldTime
-	if f, ok := dev.(device.Faultable); ok {
-		dt, err := f.CheckRead(s.accessLocked(), bytes)
-		if err != nil {
-			alt, adt, live := s.failoverLocked(idx, bytes, dev, err)
-			if !live {
-				return s.readFailed(dev.ID(), dt, err)
-			}
-			// Fail-soft onto a surviving replica: the read continues there,
-			// paying the failed attempt's cost on top.
-			dev, extra = alt, dt+adt
-		} else {
-			extra = dt
-		}
-	}
-	t := extra + avtime.WorldTime(bytes*int64(avtime.Second)/int64(s.rate))
+func (s *Stream) readChunkLocked(idx int, bytes int64) avtime.WorldTime {
+	t := avtime.WorldTime(bytes * int64(avtime.Second) / int64(s.rate))
 	seeked := false
 	if s.startup > 0 {
 		t += s.startup
 		s.startup = 0
 		seeked = true
 	} else if s.seeks {
-		if d, isDisk := dev.(*device.Disk); isDisk {
+		if d, isDisk := s.chunkDevice(idx).(*device.Disk); isDisk {
 			t += d.SeekTime()
 			seeked = true
 		}

@@ -2,8 +2,7 @@ package storage
 
 // stream_extras_test.go covers the smaller stream and pool surfaces
 // around the hierarchy work: degraded payload fractions shortening
-// scheduled rounds, failover accounting on the round scheduler, sink
-// swaps reaching the pool and scheduler, same-round own-window hits,
+// scheduled rounds, sink swaps reaching the pool and scheduler, same-round own-window hits,
 // and the policy/rendering helpers.
 
 import (
@@ -61,35 +60,6 @@ func TestStreamPayloadFractionShortensRounds(t *testing.T) {
 	// Zero means "unknown": full-chunk reads, same cost.
 	if zeroed := run(func(*Segment) int64 { return 0 }); zeroed != full {
 		t.Errorf("zero payload total %v != undegraded %v", zeroed, full)
-	}
-}
-
-// TestScheduledFailoverCountsInIOStats reads a replicated value through
-// SCAN-EDF rounds while its primary home is down: the redirected read
-// must land in the scheduler's failover counter, not just the sink.
-func TestScheduledFailoverCountsInIOStats(t *testing.T) {
-	dm, st := stripeRig(t, 4)
-	st.SetStriping(StripePolicy{Seeks: true, Rounds: true})
-	st.SetTierPolicy(TierPolicy{Replicas: ReplicaPolicy{Copies: 2, PromoteAt: 1}})
-	seg, err := st.PlaceStriped(clip(t, 12), 2*media.MBPerSecond, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, _, err := st.OpenStreamTiered(seg.ID(), 2*media.MBPerSecond, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	dm.SetFaultHook(downHook{down: map[string]bool{diskID(0): true}})
-	unit := media.TypeRawVideo30.Rate.UnitDuration()
-	for i := 0; i < 12; i++ {
-		now := avtime.WorldTime(i) * unit
-		if _, err := s.ReadChunkTimeAt(i, 1200, int64(i), now, now); err != nil {
-			t.Fatalf("chunk %d with a live replica: %v", i, err)
-		}
-	}
-	if got := st.IOStats().Failovers; got == 0 {
-		t.Error("scheduler recorded no failovers for reads off a dead primary")
 	}
 }
 

@@ -7,8 +7,8 @@ package storage
 // saturates while the others idle".  A striped segment records a stripe
 // map (home disk, byte offset and size per chunk) at placement time;
 // OpenStream reserves a share of the stream rate on every participating
-// disk and ReadChunkTimeAt routes each chunk to its home disk for fault
-// checks and positioning costs.
+// disk and ReadChunkTimeAt routes each chunk to its home disk for
+// positioning costs.
 
 import (
 	"fmt"
@@ -63,7 +63,7 @@ type segReplica struct {
 	base      []int64        // allocation base offset on each disk
 	perDev    []int64        // bytes per disk; aliases the segment's perDev
 	chunkTrck []int          // chunk -> home track on this copy
-	disks     []*device.Disk // resolved once, for the submit/failover hot paths
+	disks     []*device.Disk // resolved once, for the submit hot path
 }
 
 // SetStriping configures striping and I/O scheduling for streams opened

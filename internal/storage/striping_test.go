@@ -396,12 +396,12 @@ func TestIOSchedBatchAmortizesSeeks(t *testing.T) {
 		t.Fatal("stream 0's result missing")
 	}
 	for sid := int64(1); sid < 3; sid++ {
-		res, ok := io.take(&slots[sid], 5)
+		cost, ok := io.take(&slots[sid], 5)
 		if !ok {
 			t.Fatalf("stream %d's result missing", sid)
 		}
-		if res.cost >= first.cost {
-			t.Errorf("follower %d cost %v, want < opener's %v", sid, res.cost, first.cost)
+		if cost >= first {
+			t.Errorf("follower %d cost %v, want < opener's %v", sid, cost, first)
 		}
 	}
 }
@@ -429,8 +429,8 @@ func TestIOSchedScanEDFOrder(t *testing.T) {
 	relaxed, _ := io.take(&slots[1], 1)
 	// The urgent stream paid the full 0->15 sweep; the relaxed one paid
 	// the shorter 15->1 return, cheaper than a cold full-span seek.
-	if urgent.cost <= relaxed.cost {
-		t.Errorf("urgent cost %v <= relaxed %v; order looks track-first", urgent.cost, relaxed.cost)
+	if urgent <= relaxed {
+		t.Errorf("urgent cost %v <= relaxed %v; order looks track-first", urgent, relaxed)
 	}
 	// The deadline miss on the urgent request was counted: a 1ms
 	// deadline cannot absorb a full-span seek.
@@ -517,56 +517,6 @@ func TestScheduledStreamReadsThroughRounds(t *testing.T) {
 	}
 	if total >= demand {
 		t.Errorf("scheduled total %v >= demand total %v; rounds saved nothing", total, demand)
-	}
-}
-
-// TestScheduledFaultPutsResultBack faults the read of a round-serviced
-// chunk: the result goes back into the stream's slot and no follow-on
-// is submitted, so the retry consumes the same scheduled result instead
-// of paying a demand read, and only then queues the next chunk.
-func TestScheduledFaultPutsResultBack(t *testing.T) {
-	dm, st := stripeRig(t, 2)
-	st.SetStriping(StripePolicy{Seeks: true, Rounds: true})
-	seg, err := st.PlaceStriped(clip(t, 6), 2*media.MBPerSecond, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, _, err := st.OpenStream(seg.ID(), 2*media.MBPerSecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	unit := media.TypeRawVideo30.Rate.UnitDuration()
-	read := func(i int) (avtime.WorldTime, error) {
-		now := avtime.WorldTime(i) * unit
-		return s.ReadChunkTimeAt(i, 1200, 1, now, now)
-	}
-	// Round 0's demand read of chunk 0 queued chunk 1.
-	if _, err := s.ReadChunkTimeAt(0, 1200, 0, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	dm.SetFaultHook(failHook{fail: map[string]bool{diskID(0): true, diskID(1): true}})
-	if _, err := read(1); !errors.Is(err, device.ErrTransientRead) {
-		t.Fatalf("faulted scheduled read: %v, want ErrTransientRead", err)
-	}
-	if !s.slot.full || s.slot.chunk != 1 {
-		t.Fatalf("slot after the fault = %+v, want chunk 1's result back", s.slot)
-	}
-	if n := len(st.io.pending); n != 0 {
-		t.Fatalf("%d pending rounds after the fault, want none: a faulted read queues nothing", n)
-	}
-	dm.SetFaultHook(nil)
-	if _, err := read(1); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(st.io.pending); n != 1 {
-		t.Fatalf("%d pending rounds after the retry, want chunk 2's", n)
-	}
-	if _, err := s.ReadChunkTimeAt(2, 1200, 2, 2*unit, 2*unit); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.IOStats(); got.Demand != 1 || got.Scheduled != 2 {
-		t.Errorf("demand/scheduled = %d/%d, want 1/2: the retry and chunk 2 both come from rounds", got.Demand, got.Scheduled)
 	}
 }
 
@@ -669,20 +619,11 @@ func TestStripedRoundsBeatDemand(t *testing.T) {
 
 // ---- satellite (c): chunk cache x striping ----
 
-// failHook fails every read on the listed devices.
-type failHook struct{ fail map[string]bool }
-
-func (h failHook) BeforeRead(deviceID string, _ device.Access, bytes int64) (avtime.WorldTime, error) {
-	if h.fail[deviceID] {
-		return avtime.Millisecond, device.ErrTransientRead
-	}
-	return 0, nil
-}
-
-func (h failHook) BeforeSwap(string, device.Access) error { return nil }
-
+// TestCacheHitsSkipStripeHomeDisk: resident chunks are served at no
+// device time and are not device reads; past the staged window the
+// stripe home disk is read again.
 func TestCacheHitsSkipStripeHomeDisk(t *testing.T) {
-	dm, st := stripeRig(t, 2)
+	_, st := stripeRig(t, 2)
 	col := obs.NewCollector()
 	st.SetSink(col)
 	st.SetCachePolicy(CachePolicy{Capacity: 8, Lookahead: 3})
@@ -705,28 +646,24 @@ func TestCacheHitsSkipStripeHomeDisk(t *testing.T) {
 	if _, err := read(0); err != nil {
 		t.Fatal(err)
 	}
-	// Fail every disk: resident chunks must still be served — a hit
-	// never touches the home disk, so the fault hook has no say.
-	dm.SetFaultHook(failHook{fail: map[string]bool{diskID(0): true, diskID(1): true}})
 	for i := 1; i <= 3; i++ {
 		dt, err := read(i)
 		if err != nil {
-			t.Fatalf("cache hit on chunk %d touched a failed disk: %v", i, err)
+			t.Fatal(err)
 		}
 		if dt != 0 {
 			t.Errorf("cache hit on chunk %d cost %v, want 0", i, dt)
 		}
 	}
-	// Past the staged window the stripe disk is consulted and fails.
-	if _, err := read(4); !errors.Is(err, device.ErrTransientRead) {
-		t.Fatalf("read past the cache: %v, want ErrTransientRead", err)
+	// Past the staged window the stripe disk is read.
+	if dt, err := read(4); err != nil || dt == 0 {
+		t.Fatalf("read past the cache: %v, %v; want a priced device read", dt, err)
 	}
-	dm.SetFaultHook(nil)
 	cs := s.CacheStats()
 	if cs.Hits != 3 {
 		t.Errorf("hits %d, want 3", cs.Hits)
 	}
-	// Chunk 0 plus the failed and retried chunk 4 both count as misses.
+	// Chunks 0 and 4 are the misses.
 	if cs.Misses != 2 {
 		t.Errorf("misses %d, want 2", cs.Misses)
 	}
@@ -737,12 +674,9 @@ func TestCacheHitsSkipStripeHomeDisk(t *testing.T) {
 	if got := snap.Counter("storage.pool.misses"); got != cs.Misses {
 		t.Errorf("sink misses %d, stream stats %d", got, cs.Misses)
 	}
-	// Hits don't count as reads: only the successful device accesses do.
-	if reads := snap.Counter("storage.reads"); reads != 1 {
-		t.Errorf("storage.reads %d, want 1 (one successful miss, hits are free)", reads)
-	}
-	if faults := snap.Counter("storage.read_faults"); faults != 1 {
-		t.Errorf("storage.read_faults %d, want 1", faults)
+	// Hits don't count as reads: only the device accesses do.
+	if reads := snap.Counter("storage.reads"); reads != 2 {
+		t.Errorf("storage.reads %d, want 2 (the two misses; hits are free)", reads)
 	}
 }
 

@@ -23,10 +23,7 @@ package storage
 // never look at (they snapshot the replica set at open).
 //
 // Everything here runs under the store lock; device allocations are
-// virtual-time bookkeeping, not blocking work.  Fault hooks get a say
-// at every step: a jammed platter swap fails the promotion cleanly
-// (the value stays archival, the failed attempt still costs its time),
-// and a disk outage during the copy rolls the allocations back.
+// virtual-time bookkeeping, not blocking work.
 
 import (
 	"fmt"
@@ -160,8 +157,7 @@ func (st *Store) promoteLocked(s *Segment, now avtime.WorldTime, pol TierPolicy)
 	swap := !j.DiscLoaded(s.disc)
 	readT, err := j.AccessTime(s.disc, s.size)
 	if err != nil {
-		// Swap jam: promotion fails cleanly; the attempt still cost time.
-		return readT, err
+		return 0, err
 	}
 	if swap {
 		st.m.swaps.Add(1)
@@ -204,23 +200,6 @@ func (st *Store) promoteLocked(s *Segment, now avtime.WorldTime, pol TierPolicy)
 			return readT, err
 		}
 	}
-	rollback := func() {
-		for k := 0; k < width; k++ {
-			chosen[k].d.Free(s.perDev[k])
-		}
-	}
-	// The write half consults each target disk's fault hook as a
-	// reachability probe: promoting onto a dead disk must fail now, not
-	// at first read.
-	var probe avtime.WorldTime
-	for k := 0; k < width; k++ {
-		dt, err := chosen[k].d.CheckRead(st.probeLocked(), s.perDev[k])
-		if err != nil {
-			rollback()
-			return readT + dt, err
-		}
-		probe += dt
-	}
 	var writeT avtime.WorldTime
 	for k := 0; k < width; k++ {
 		if t := chosen[k].d.TransferTime(s.perDev[k], 1); t > writeT {
@@ -237,7 +216,7 @@ func (st *Store) promoteLocked(s *Segment, now avtime.WorldTime, pol TierPolicy)
 	s.chunkTrck = nil
 	s.buildTrackMap(homes)
 	s.promoted = true
-	return readT + probe + writeT, nil
+	return readT + writeT, nil
 }
 
 // addReplicaLocked places one extra copy of a striped value on disks
@@ -284,17 +263,6 @@ func (st *Store) addReplicaLocked(s *Segment) (avtime.WorldTime, error) {
 			return 0, err
 		}
 	}
-	var probe avtime.WorldTime
-	for k, d := range chosen {
-		dt, err := d.CheckRead(st.probeLocked(), s.perDev[k])
-		if err != nil {
-			for u, du := range chosen {
-				du.Free(s.perDev[u])
-			}
-			return probe + dt, err
-		}
-		probe += dt
-	}
 	var readT, writeT avtime.WorldTime
 	for k, id := range s.stripe {
 		if dev, found := st.devices.Get(id); found {
@@ -315,7 +283,7 @@ func (st *Store) addReplicaLocked(s *Segment) (avtime.WorldTime, error) {
 		rep.chunkTrck[i] = chosen[k].TrackOf(rep.base[k] + s.chunkOff[i])
 	}
 	s.replicas = append(s.replicas, rep)
-	return readT + probe + writeT, nil
+	return readT + writeT, nil
 }
 
 // SweepTiers demotes every promoted value that has gone cold — decayed
@@ -430,13 +398,4 @@ func (st *Store) TierInfo(now avtime.WorldTime) []TierInfo {
 		})
 	}
 	return out
-}
-
-// probeLocked names the next reachability probe for the fault hook:
-// probes belong to no stream, so they count in a store-wide sequence.
-// The store lock is held.
-func (st *Store) probeLocked() device.Access {
-	a := device.Access{Src: -1, Seq: st.probes}
-	st.probes++
-	return a
 }

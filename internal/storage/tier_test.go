@@ -2,13 +2,9 @@ package storage
 
 // tier_test.go exercises the storage hierarchy: popularity-driven
 // promotion from the jukebox tier, hot-value replication, demotion
-// sweeps, and the fail-soft behavior under platter jams and disk
-// outages during a copy.
+// sweeps, and a promotion that fails for want of disk space.
 
 import (
-	"errors"
-	"fmt"
-	"strings"
 	"testing"
 
 	"avdb/internal/avtime"
@@ -155,19 +151,12 @@ func TestTierPromotionDefersWhileStreaming(t *testing.T) {
 	}
 }
 
-// jamHook fails the first n jukebox swaps, then lets them through.
-type jamHook struct{ n *int }
-
-func (h jamHook) BeforeRead(string, device.Access, int64) (avtime.WorldTime, error) { return 0, nil }
-func (h jamHook) BeforeSwap(string, device.Access) error {
-	if *h.n > 0 {
-		*h.n--
-		return errors.New("carousel jammed")
-	}
-	return nil
-}
-
-func TestTierSwapJamFailsPromotionCleanly(t *testing.T) {
+// TestTierPromotionFailsCleanlyOnFullDisks: a promotion whose
+// stripe-wide allocation fails rolls back what it allocated, leaves the
+// value archival and counts the failure; the attempt's disc read is
+// still charged, and the value's popularity survives, so the next quiet
+// access after space frees promotes it.
+func TestTierPromotionFailsCleanlyOnFullDisks(t *testing.T) {
 	dm, st := tierRig(t, 2)
 	col := obs.NewCollector()
 	st.SetSink(col)
@@ -177,64 +166,28 @@ func TestTierSwapJamFailsPromotionCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jams := 1
-	dm.SetFaultHook(jamHook{n: &jams})
-	// The first access needs a swap to read the disc for the copy; the
-	// jam fails the promotion but not the open (the open's own access
-	// retries the swap, which now succeeds).
+	// The second stripe disk has no room: the first disk's share is
+	// allocated, then rolled back.
+	full := rigDisk(t, dm, diskID(1))
+	filler := full.Capacity() - 100
+	if err := full.Allocate(filler); err != nil {
+		t.Fatal(err)
+	}
 	s, startup, err := st.OpenStreamTiered(seg.ID(), media.MBPerSecond, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.TierInfo(0)[0].Promoted {
-		t.Fatal("jammed promotion still promoted")
+		t.Fatal("promoted onto a full disk")
 	}
-	if used := diskUsed(t, dm, diskID(0)) + diskUsed(t, dm, diskID(1)); used != 0 {
-		t.Errorf("failed promotion leaked %d bytes on the disk tier", used)
+	if used := diskUsed(t, dm, diskID(0)); used != 0 {
+		t.Errorf("failed promotion leaked %d bytes on %s", used, diskID(0))
 	}
-	// The failed attempt still cost its swap latency on top of the
-	// open's own swap-and-access startup.
-	if startup <= 5*avtime.Second {
-		t.Errorf("startup %v should include the jammed swap attempt", startup)
+	if used := diskUsed(t, dm, diskID(1)); used != filler {
+		t.Errorf("%s holds %d bytes, want the %d of the filler", diskID(1), used, filler)
 	}
-	snap := col.Snapshot()
-	if got := snap.Counter("storage.tier.promote_failed"); got != 1 {
-		t.Errorf("promote_failed = %d, want 1", got)
-	}
-	s.Close()
-	dm.SetFaultHook(nil)
-	// Popularity survived the jam: the next quiet access promotes.
-	c, _, err := st.OpenStreamTiered(seg.ID(), media.MBPerSecond, avtime.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if !st.TierInfo(avtime.Second)[0].Promoted {
-		t.Fatal("recovered jukebox did not promote")
-	}
-}
-
-func TestTierDiskOutageRollsBackPromotion(t *testing.T) {
-	dm, st := tierRig(t, 2)
-	col := obs.NewCollector()
-	st.SetSink(col)
-	st.SetTierPolicy(TierPolicy{PromoteAt: 1, Width: 2})
-	seg, err := st.PlaceOnDisc(clip(t, 10), "jb0", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both promotion targets are down: the write-reachability probe
-	// fails the copy and rolls the allocations back.
-	dm.SetFaultHook(failHook{fail: map[string]bool{diskID(0): true, diskID(1): true}})
-	s, _, err := st.OpenStreamTiered(seg.ID(), media.MBPerSecond, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.TierInfo(0)[0].Promoted {
-		t.Fatal("promoted onto dead disks")
-	}
-	if used := diskUsed(t, dm, diskID(0)) + diskUsed(t, dm, diskID(1)); used != 0 {
-		t.Errorf("rolled-back promotion leaked %d bytes", used)
+	if startup < 5*avtime.Second {
+		t.Errorf("startup %v should include the failed promotion's swap", startup)
 	}
 	if got := col.Snapshot().Counter("storage.tier.promote_failed"); got != 1 {
 		t.Errorf("promote_failed = %d, want 1", got)
@@ -244,14 +197,14 @@ func TestTierDiskOutageRollsBackPromotion(t *testing.T) {
 		t.Fatalf("jukebox read after failed promotion: %v", err)
 	}
 	s.Close()
-	dm.SetFaultHook(nil)
+	full.Free(filler)
 	c, _, err := st.OpenStreamTiered(seg.ID(), media.MBPerSecond, avtime.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	if !st.TierInfo(avtime.Second)[0].Promoted {
-		t.Fatal("recovered disks did not promote")
+		t.Fatal("freed disks did not promote")
 	}
 }
 
@@ -348,95 +301,6 @@ func TestTierReplicationOnHotValue(t *testing.T) {
 	}
 }
 
-func TestTierReplicaFailoverOnOutage(t *testing.T) {
-	dm, st := stripeRig(t, 4)
-	col := obs.NewCollector()
-	st.SetSink(col)
-	st.SetTierPolicy(TierPolicy{Replicas: ReplicaPolicy{Copies: 2, PromoteAt: 1}})
-	seg, err := st.PlaceStriped(clip(t, 12), 2*media.MBPerSecond, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, _, err := st.OpenStreamTiered(seg.ID(), 2*media.MBPerSecond, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if got := st.TierInfo(0)[0].Copies; got != 2 {
-		t.Fatalf("copies = %d, want 2", got)
-	}
-	// Chunk 0's home (the first stripe disk) goes down hard; the read
-	// fails over to the replica's copy of the same stripe column.
-	dm.SetFaultHook(downHook{down: map[string]bool{diskID(0): true}})
-	dt, err := s.ReadChunkTimeAt(0, 1200, -1, 0, 0)
-	if err != nil {
-		t.Fatalf("read with a live replica: %v", err)
-	}
-	if dt == 0 {
-		t.Error("failover read cannot be free")
-	}
-	if got := col.Snapshot().Counter("storage.replica.failover"); got != 1 {
-		t.Errorf("failover counter = %d, want 1", got)
-	}
-	// Primary home and its replica column both down: no live copy left.
-	dm.SetFaultHook(downHook{down: map[string]bool{diskID(0): true, diskID(2): true}})
-	if _, err := s.ReadChunkTimeAt(2, 1200, -1, 0, 0); !errors.Is(err, device.ErrDeviceFailed) {
-		t.Fatalf("read with no live copy: %v, want ErrDeviceFailed", err)
-	}
-}
-
-// TestScheduledFaultNamesServicingReplica faults a scheduled read that
-// the round routed to a replica: the error names the replica's disk,
-// the one that faulted, not the chunk's primary home.
-func TestScheduledFaultNamesServicingReplica(t *testing.T) {
-	dm, st := stripeRig(t, 4)
-	st.SetStriping(StripePolicy{Seeks: true, Rounds: true})
-	st.SetTierPolicy(TierPolicy{Replicas: ReplicaPolicy{Copies: 2, PromoteAt: 1}})
-	seg, err := st.PlaceStriped(clip(t, 12), 2*media.MBPerSecond, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ss []*Stream
-	for i := 0; i < 2; i++ {
-		s, _, err := st.OpenStreamTiered(seg.ID(), 2*media.MBPerSecond, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		// Both streams queue chunk 1 into round 0; the second lands on
-		// the replica because the home disk is loaded by the first.
-		if _, err := s.ReadChunkTimeAt(0, 1200, 0, 0, 0); err != nil {
-			t.Fatal(err)
-		}
-		ss = append(ss, s)
-	}
-	dm.SetFaultHook(failHook{fail: map[string]bool{diskID(1): true, diskID(3): true}})
-	for _, s := range ss {
-		s.st.io.flushBefore(1)
-		want := s.slot.disk.ID()
-		_, err := s.ReadChunkTimeAt(1, 1200, 1, 0, 0)
-		if !errors.Is(err, device.ErrTransientRead) || !strings.Contains(err.Error(), fmt.Sprintf("%q", want)) {
-			t.Errorf("fault on %s reads %v, want it named", want, err)
-		}
-	}
-	if ss[1].slot.disk == ss[0].slot.disk {
-		t.Fatalf("both reads serviced by %s; the fixture needs one on a replica", ss[0].slot.disk.ID())
-	}
-}
-
-// downHook hard-fails every read on the listed devices (an outage, not
-// a transient fault — failover only engages on ErrDeviceFailed).
-type downHook struct{ down map[string]bool }
-
-func (h downHook) BeforeRead(deviceID string, _ device.Access, bytes int64) (avtime.WorldTime, error) {
-	if h.down[deviceID] {
-		return avtime.Millisecond, device.ErrDeviceFailed
-	}
-	return 0, nil
-}
-
-func (h downHook) BeforeSwap(string, device.Access) error { return nil }
-
 // TestTierFlexRoutingLeastLoaded drives the scheduler directly: two
 // streams request replicated chunks in one round, and the flex
 // assignment spreads them across the copies by queued bytes, ties to
@@ -457,6 +321,8 @@ func TestTierFlexRoutingLeastLoaded(t *testing.T) {
 	}
 	for _, order := range [][]int64{{1, 2}, {2, 1}} {
 		io := newIOSched(nil)
+		var trace []svcEvent
+		io.svcTrace = &trace
 		slots := map[int64]*ioSlot{1: {}, 2: {}}
 		for _, sid := range order {
 			io.submit(0, mkReq(sid, int(sid), avtime.WorldTime(sid)*avtime.Second, slots[sid]))
@@ -465,11 +331,15 @@ func TestTierFlexRoutingLeastLoaded(t *testing.T) {
 		// Earliest deadline routes first onto the equally-empty disks:
 		// the tie goes to the lower ID (adisk); the second request then
 		// sees adisk loaded and takes bdisk.
-		if got := slots[1].disk; got != a {
-			t.Fatalf("order %v: first request on %v, want %s", order, got.ID(), a.ID())
+		on := make(map[int64]string)
+		for _, ev := range trace {
+			on[ev.sid] = ev.dev
 		}
-		if got := slots[2].disk; got != b {
-			t.Fatalf("order %v: second request on %v, want %s", order, got.ID(), b.ID())
+		if got := on[1]; got != a.ID() {
+			t.Fatalf("order %v: first request on %q, want %s", order, got, a.ID())
+		}
+		if got := on[2]; got != b.ID() {
+			t.Fatalf("order %v: second request on %q, want %s", order, got, b.ID())
 		}
 	}
 }
