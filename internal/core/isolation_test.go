@@ -86,95 +86,106 @@ type isoOutcome struct {
 	Stats activity.RunStats
 }
 
-// TestEngineSessionFailureIsolation: five sessions, each on its own disk
-// and all sharing lan0, start in one engine step; the middle one fails
-// its tick at tick 10.  The failure stays in its own session: each
-// bystander's outcome and RunStats equal those of a run where the
-// middle session never fails, the engine takes the same number of steps
-// (no bystander tick is pushed into a later step), and the whole
-// ensemble — outcomes and observability snapshot — is byte-identical on
-// a repeat run.
-func TestEngineSessionFailureIsolation(t *testing.T) {
-	const frames, bombAt, victim = 30, 10, 2
+const isoFrames, isoBombAt, isoVictim = 30, 10, 2
 
-	run := func(after int) (string, []isoOutcome, int64) {
-		db := isoDB(t, 5)
-		col := db.EnableObservability()
-		var sessions []*Session
-		var wins []*activities.VideoWindow
-		for i := 0; i < 5; i++ {
-			client := fmt.Sprintf("session-%d", i)
-			oid := placedNewscast(t, db, client+"-clip", frames, fmt.Sprintf("disk%d", i))
-			if i == victim {
-				sessions = append(sessions, failingPlayback(t, db, client, oid, after, errors.New("sink wedged")))
-				wins = append(wins, nil)
-				continue
-			}
-			ps := bindPlayback(t, db, client, "lan0", oid)
-			sessions = append(sessions, ps.sess)
-			wins = append(wins, ps.win)
+// runIsolation runs five sessions, each on its own disk and all sharing
+// lan0, started in one engine step; the middle one's sink fails its tick
+// once it has taken after chunks (isoBombAt to fail it, isoFrames for a
+// run where it never fails).  It returns the observability snapshot
+// JSON, each session's outcome and the engine's step count.
+func runIsolation(t *testing.T, after int) (string, []isoOutcome, int64) {
+	t.Helper()
+	db := isoDB(t, 5)
+	col := db.EnableObservability()
+	var sessions []*Session
+	var wins []*activities.VideoWindow
+	for i := 0; i < 5; i++ {
+		client := fmt.Sprintf("session-%d", i)
+		oid := placedNewscast(t, db, client+"-clip", isoFrames, fmt.Sprintf("disk%d", i))
+		if i == isoVictim {
+			sessions = append(sessions, failingPlayback(t, db, client, oid, after, errors.New("sink wedged")))
+			wins = append(wins, nil)
+			continue
 		}
+		ps := bindPlayback(t, db, client, "lan0", oid)
+		sessions = append(sessions, ps.sess)
+		wins = append(wins, ps.win)
+	}
 
-		db.Engine().Pause()
-		var pbs []*Playback
-		for _, sess := range sessions {
-			pb, err := sess.Start()
-			if err != nil {
-				t.Fatal(err)
-			}
-			pbs = append(pbs, pb)
-		}
-		db.Engine().Resume()
-
-		outs := make([]isoOutcome, len(pbs))
-		for i, pb := range pbs {
-			st, err := pb.Wait()
-			if err != nil {
-				outs[i].Err = err.Error()
-			}
-			if st != nil {
-				outs[i].Stats = *st
-			}
-			if wins[i] != nil {
-				outs[i].Shown = wins[i].FramesShown()
-			}
-		}
-		for _, sess := range sessions {
-			if err := sess.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		js, err := col.Snapshot().JSON()
+	db.Engine().Pause()
+	var pbs []*Playback
+	for _, sess := range sessions {
+		pb, err := sess.Start()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return js, outs, db.Engine().Stats().Steps
+		pbs = append(pbs, pb)
 	}
+	db.Engine().Resume()
 
-	snap, outs, steps := run(bombAt)
-	if outs[victim].Err == "" || outs[victim].Stats.Ticks != bombAt {
-		t.Errorf("victim: %+v, want a tick error after %d clean ticks", outs[victim], bombAt)
+	outs := make([]isoOutcome, len(pbs))
+	for i, pb := range pbs {
+		st, err := pb.Wait()
+		if err != nil {
+			outs[i].Err = err.Error()
+		}
+		if st != nil {
+			outs[i].Stats = *st
+		}
+		if wins[i] != nil {
+			outs[i].Shown = wins[i].FramesShown()
+		}
 	}
-	_, clean, cleanSteps := run(frames)
-	if clean[victim].Err != "" {
-		t.Fatalf("victim failed without the bomb armed: %s", clean[victim].Err)
+	for _, sess := range sessions {
+		if err := sess.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	js, err := col.Snapshot().JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return js, outs, db.Engine().Stats().Steps
+}
+
+// TestEngineSessionFailureIsolation: the failure stays in its own
+// session.  Each bystander's outcome and RunStats equal those of a run
+// where the middle session never fails, and the engine takes the same
+// number of steps (no bystander tick is pushed into a later step).
+func TestEngineSessionFailureIsolation(t *testing.T) {
+	_, outs, steps := runIsolation(t, isoBombAt)
+	if outs[isoVictim].Err == "" || outs[isoVictim].Stats.Ticks != isoBombAt {
+		t.Errorf("victim: %+v, want a tick error after %d clean ticks", outs[isoVictim], isoBombAt)
+	}
+	_, clean, cleanSteps := runIsolation(t, isoFrames)
+	if clean[isoVictim].Err != "" {
+		t.Fatalf("victim failed without the bomb armed: %s", clean[isoVictim].Err)
 	}
 	if steps != cleanSteps {
 		t.Errorf("engine took %d steps with the failure, %d without it", steps, cleanSteps)
 	}
 	for i := range outs {
-		if i == victim {
+		if i == isoVictim {
 			continue
 		}
-		if outs[i].Err != "" || outs[i].Shown != frames {
-			t.Errorf("bystander %d: %+v, want %d frames and no error", i, outs[i], frames)
+		if outs[i].Err != "" || outs[i].Shown != isoFrames {
+			t.Errorf("bystander %d: %+v, want %d frames and no error", i, outs[i], isoFrames)
 		}
 		if !reflect.DeepEqual(outs[i], clean[i]) {
 			t.Errorf("bystander %d perturbed by the failure:\n%+v\nwithout it:\n%+v", i, outs[i], clean[i])
 		}
 	}
+}
 
-	snap2, outs2, _ := run(bombAt)
+// TestEngineSessionFailureDeterminism: with one session failing, the
+// whole ensemble — outcomes and observability snapshot — is
+// byte-identical on a repeat run.
+func TestEngineSessionFailureDeterminism(t *testing.T) {
+	snap, outs, _ := runIsolation(t, isoBombAt)
+	if outs[isoVictim].Err == "" {
+		t.Fatalf("victim: %+v, want a tick error", outs[isoVictim])
+	}
+	snap2, outs2, _ := runIsolation(t, isoBombAt)
 	if !reflect.DeepEqual(outs, outs2) {
 		t.Errorf("outcomes differ across repeats: %+v vs %+v", outs2, outs)
 	}

@@ -151,28 +151,63 @@ func TestTierPromotionDefersWhileStreaming(t *testing.T) {
 	}
 }
 
-// TestTierPromotionFailsCleanlyOnFullDisks: a promotion whose
-// stripe-wide allocation fails rolls back what it allocated, leaves the
-// value archival and counts the failure; the attempt's disc read is
-// still charged, and the value's popularity survives, so the next quiet
-// access after space frees promotes it.
-func TestTierPromotionFailsCleanlyOnFullDisks(t *testing.T) {
+// fullDiskPromotion places a clip on jukebox disc and fills the second
+// of two stripe disks, so a promotion's stripe-wide allocation takes
+// the first disk's share, fails on the second and must roll back.  It
+// returns the filled disk and its filler size.
+func fullDiskPromotion(t *testing.T, disc int) (*device.Manager, *Store, *obs.Collector, *Segment, *device.Disk, int64) {
+	t.Helper()
 	dm, st := tierRig(t, 2)
 	col := obs.NewCollector()
 	st.SetSink(col)
 	st.SetTierPolicy(TierPolicy{PromoteAt: 1, Width: 2})
-	// Disc 1 is out of the platter, so the promotion's read needs a swap.
-	seg, err := st.PlaceOnDisc(clip(t, 10), "jb0", 1)
+	seg, err := st.PlaceOnDisc(clip(t, 10), "jb0", disc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The second stripe disk has no room: the first disk's share is
-	// allocated, then rolled back.
 	full := rigDisk(t, dm, diskID(1))
 	filler := full.Capacity() - 100
 	if err := full.Allocate(filler); err != nil {
 		t.Fatal(err)
 	}
+	return dm, st, col, seg, full, filler
+}
+
+// TestTierFullDiskRollsBackPromotion: a promotion whose stripe-wide
+// allocation fails rolls back what it allocated, leaves the value
+// archival and counts the failure, and the archival copy still serves
+// reads.
+func TestTierFullDiskRollsBackPromotion(t *testing.T) {
+	dm, st, col, seg, _, filler := fullDiskPromotion(t, 0)
+	s, _, err := st.OpenStreamTiered(seg.ID(), media.MBPerSecond, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if st.TierInfo(0)[0].Promoted {
+		t.Fatal("promoted onto a full disk")
+	}
+	if used := diskUsed(t, dm, diskID(0)); used != 0 {
+		t.Errorf("rolled-back promotion leaked %d bytes on %s", used, diskID(0))
+	}
+	if used := diskUsed(t, dm, diskID(1)); used != filler {
+		t.Errorf("%s holds %d bytes, want the %d of the filler", diskID(1), used, filler)
+	}
+	if got := col.Snapshot().Counter("storage.tier.promote_failed"); got != 1 {
+		t.Errorf("promote_failed = %d, want 1", got)
+	}
+	if _, err := s.ReadChunkTimeAt(0, 1200, -1, 0, 0); err != nil {
+		t.Fatalf("jukebox read after failed promotion: %v", err)
+	}
+}
+
+// TestTierPromotionFailsCleanlyOnFullDisks: a promotion that needs a
+// platter swap and then fails its allocation still charges the swap,
+// leaks nothing, and the value's popularity survives, so the next quiet
+// access after space frees promotes it.
+func TestTierPromotionFailsCleanlyOnFullDisks(t *testing.T) {
+	// Disc 1 is out of the platter, so the promotion's read needs a swap.
+	dm, st, col, seg, full, filler := fullDiskPromotion(t, 1)
 	s, startup, err := st.OpenStreamTiered(seg.ID(), media.MBPerSecond, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -183,18 +218,11 @@ func TestTierPromotionFailsCleanlyOnFullDisks(t *testing.T) {
 	if used := diskUsed(t, dm, diskID(0)); used != 0 {
 		t.Errorf("failed promotion leaked %d bytes on %s", used, diskID(0))
 	}
-	if used := diskUsed(t, dm, diskID(1)); used != filler {
-		t.Errorf("%s holds %d bytes, want the %d of the filler", diskID(1), used, filler)
-	}
 	if startup < 5*avtime.Second {
 		t.Errorf("startup %v should include the failed promotion's swap", startup)
 	}
 	if got := col.Snapshot().Counter("storage.tier.promote_failed"); got != 1 {
 		t.Errorf("promote_failed = %d, want 1", got)
-	}
-	// The archival copy still serves reads.
-	if _, err := s.ReadChunkTimeAt(0, 1200, -1, 0, 0); err != nil {
-		t.Fatalf("jukebox read after failed promotion: %v", err)
 	}
 	s.Close()
 	full.Free(filler)
