@@ -16,6 +16,7 @@ import (
 // scratch contract of media.AudioBlock).
 type AudioReader struct {
 	*activity.Base
+	out      *activity.Port
 	consumed int
 	started  avtime.WorldTime
 	haveT0   bool
@@ -30,7 +31,7 @@ func NewAudioReader(name string, loc activity.Location, typ *media.Type) (*Audio
 		return nil, fmt.Errorf("activities: AudioReader needs an audio type, got %s", typ.Name)
 	}
 	r := &AudioReader{Base: activity.NewBase(name, "AudioReader", loc)}
-	r.AddPort("out", activity.Out, typ)
+	r.out = r.AddPort("out", activity.Out, typ)
 	r.DeclareEvents(activity.EventEachFrame, activity.EventLastFrame)
 	return r, nil
 }
@@ -41,7 +42,7 @@ func (r *AudioReader) AttachStream(s *storage.Stream) { r.stream = s }
 
 // Tick implements activity.Activity.
 func (r *AudioReader) Tick(tc *activity.TickContext) error {
-	v, ok := r.Binding("out")
+	v, ok := r.out.Bound()
 	if !ok {
 		return fmt.Errorf("activities: %s has no bound value", r.Name())
 	}

@@ -13,6 +13,7 @@ import (
 // change to silence).
 type SubtitleReader struct {
 	*activity.Base
+	out      *activity.Port
 	started  avtime.WorldTime
 	haveT0   bool
 	last     string
@@ -24,14 +25,14 @@ type SubtitleReader struct {
 // NewSubtitleReader returns a subtitle source.
 func NewSubtitleReader(name string, loc activity.Location) *SubtitleReader {
 	r := &SubtitleReader{Base: activity.NewBase(name, "SubtitleReader", loc)}
-	r.AddPort("out", activity.Out, media.TypeTextStream)
+	r.out = r.AddPort("out", activity.Out, media.TypeTextStream)
 	r.DeclareEvents(activity.EventEachFrame, activity.EventLastFrame)
 	return r
 }
 
 // Tick implements activity.Activity.
 func (r *SubtitleReader) Tick(tc *activity.TickContext) error {
-	v, ok := r.Binding("out")
+	v, ok := r.out.Bound()
 	if !ok {
 		return fmt.Errorf("activities: %s has no bound value", r.Name())
 	}

@@ -38,6 +38,7 @@ import (
 // determines when operations on AV values take place" (§4.2).
 type VideoReader struct {
 	*activity.Base
+	out     *activity.Port
 	pos     int
 	started avtime.WorldTime
 	haveT0  bool
@@ -51,7 +52,7 @@ func NewVideoReader(name string, loc activity.Location, typ *media.Type) (*Video
 		return nil, fmt.Errorf("activities: VideoReader needs a video type, got %s", typ.Name)
 	}
 	r := &VideoReader{Base: activity.NewBase(name, "VideoReader", loc)}
-	r.AddPort("out", activity.Out, typ)
+	r.out = r.AddPort("out", activity.Out, typ)
 	r.DeclareEvents(activity.EventEachFrame, activity.EventLastFrame,
 		activity.EventDegraded, activity.EventRestored)
 	return r, nil
@@ -92,7 +93,7 @@ func (r *VideoReader) Degrade(v media.Value, port string) error {
 
 // Tick implements activity.Activity.
 func (r *VideoReader) Tick(tc *activity.TickContext) error {
-	v, ok := r.Binding("out")
+	v, ok := r.out.Bound()
 	if !ok {
 		return fmt.Errorf("activities: %s has no bound value", r.Name())
 	}
@@ -496,6 +497,7 @@ func (w *VideoWindow) Monitor() *sched.Monitor { return w.monitor }
 // are then collected as encoded payloads via Collected.
 type VideoWriter struct {
 	*activity.Base
+	in        *activity.Port
 	typ       *media.Type
 	collected []media.Element
 	stream    *storage.Stream
@@ -507,7 +509,7 @@ func NewVideoWriter(name string, loc activity.Location, typ *media.Type) (*Video
 		return nil, fmt.Errorf("activities: VideoWriter needs a video type, got %s", typ.Name)
 	}
 	w := &VideoWriter{Base: activity.NewBase(name, "VideoWriter", loc), typ: typ}
-	w.AddPort("in", activity.In, typ)
+	w.in = w.AddPort("in", activity.In, typ)
 	return w, nil
 }
 
@@ -529,7 +531,7 @@ func (w *VideoWriter) Tick(tc *activity.TickContext) error {
 	if f, isFrame := el.(*media.Frame); isFrame {
 		f = f.Keep()
 		// Raw frames destined for a bound VideoValue are appended in place.
-		if dst, ok := w.Binding("in"); ok {
+		if dst, ok := w.in.Bound(); ok {
 			if vv, isRaw := dst.(*media.VideoValue); isRaw {
 				return vv.AppendFrame(f)
 			}

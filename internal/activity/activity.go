@@ -14,6 +14,7 @@ package activity
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"avdb/internal/avtime"
 	"avdb/internal/media"
@@ -93,7 +94,19 @@ type Port struct {
 	name  string
 	dir   Dir
 	typ   *media.Type
-	owner string // owning activity's name, set at AddPort
+	owner string                      // owning activity's name, set at AddPort
+	bound atomic.Pointer[media.Value] // set by Base.Bind; nil when unbound
+}
+
+// Bound returns the value bound to the port, if any.  It takes no lock,
+// so an activity that keeps the *Port its AddPort returned reads its
+// binding every tick for the cost of one load.
+func (p *Port) Bound() (media.Value, bool) {
+	v := p.bound.Load()
+	if v == nil {
+		return nil, false
+	}
+	return *v, true
 }
 
 // Dir returns the port's direction.

@@ -3,6 +3,8 @@ package activity
 import (
 	"errors"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"avdb/internal/avtime"
@@ -205,6 +207,186 @@ func TestStartStopStateMachine(t *testing.T) {
 	if StateIdle.String() != "idle" || StateDone.String() != "done" {
 		t.Error("state names wrong")
 	}
+}
+
+// TestBaseStateTransitions drives a fresh activity through each sequence
+// of lifecycle calls: which call fails, the state it ends in, and the
+// STARTED and STOPPED events delivered on the way.
+func TestBaseStateTransitions(t *testing.T) {
+	calls := map[string]func(b *Base) error{
+		"start": (*Base).Start,
+		"stop":  (*Base).Stop,
+		"done":  func(b *Base) error { b.MarkDone(); return nil },
+		"cue":   func(b *Base) error { return b.Cue(avtime.Second) },
+	}
+	cases := []struct {
+		name             string
+		calls            []string
+		fails            int // index of the one call that must fail; -1 for none
+		want             State
+		started, stopped int
+	}{
+		{"stop before start is a no-op", []string{"stop"}, -1, StateIdle, 0, 0},
+		{"done before start is a no-op", []string{"done"}, -1, StateIdle, 0, 0},
+		{"start twice fails", []string{"start", "start"}, 1, StateStarted, 1, 0},
+		{"stop", []string{"start", "stop"}, -1, StateStopped, 1, 1},
+		{"done", []string{"start", "done"}, -1, StateDone, 1, 0},
+		{"stop after done is a no-op", []string{"start", "done", "stop"}, -1, StateDone, 1, 0},
+		{"done after stop leaves it stopped", []string{"start", "stop", "done"}, -1, StateStopped, 1, 1},
+		{"cue while started fails", []string{"start", "cue"}, 1, StateStarted, 1, 0},
+		{"cue after done", []string{"start", "done", "cue"}, -1, StateDone, 1, 0},
+		{"restart after done", []string{"start", "done", "cue", "start"}, -1, StateStarted, 2, 0},
+		{"restart after stop", []string{"start", "stop", "start", "stop"}, -1, StateStopped, 2, 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewBase("b", "TestBase", AtDatabase)
+			var started, stopped int
+			if err := b.Catch(EventStarted, func(EventInfo) { started++ }); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Catch(EventStopped, func(EventInfo) { stopped++ }); err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range tc.calls {
+				if err := calls[c](b); (err != nil) != (i == tc.fails) {
+					t.Fatalf("call %d (%s): err = %v", i, c, err)
+				}
+			}
+			if got := b.State(); got != tc.want {
+				t.Errorf("state = %v, want %v", got, tc.want)
+			}
+			if started != tc.started || stopped != tc.stopped {
+				t.Errorf("STARTED %d, STOPPED %d events; want %d, %d", started, stopped, tc.started, tc.stopped)
+			}
+		})
+	}
+}
+
+// TestBaseStateRace ticks a graph to the end of its source while another
+// goroutine reads the source's state, catches its frames and stops it at
+// a different point each trial.  The stop and the source's own MarkDone
+// race: exactly one of them takes the source out of Started, and
+// STOPPED is announced only if the stop won.
+func TestBaseStateRace(t *testing.T) {
+	const frames = 30
+	for trial := 0; trial < 2*frames; trial++ {
+		g := NewGraph("g")
+		src := newFrameSource("src", AtDatabase)
+		sink := newFrameSink("sink", AtApplication)
+		for _, a := range []Activity{src, sink} {
+			if err := g.Add(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := g.Connect(src, "out", sink, "in"); err != nil {
+			t.Fatal(err)
+		}
+		if err := src.Bind(testValue(frames), "out"); err != nil {
+			t.Fatal(err)
+		}
+		var stopped, caught atomic.Int32
+		if err := src.Catch(EventStopped, func(EventInfo) { stopped.Add(1) }); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Start(); err != nil {
+			t.Fatal(err)
+		}
+		quit := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := src.Catch(EventEachFrame, func(EventInfo) { caught.Add(1) }); err != nil {
+				t.Error(err)
+			}
+			for i := 0; ; i++ {
+				select {
+				case <-quit:
+					return
+				default:
+				}
+				if src.State() == StateStarted && i == trial {
+					if err := src.Stop(); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		}()
+		_, err := g.Run(RunConfig{Clock: sched.NewVirtualClock(0)})
+		close(quit)
+		wg.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch st := src.State(); st {
+		case StateDone:
+			if stopped.Load() != 0 || len(sink.frames) != frames {
+				t.Fatalf("trial %d: done with %d STOPPED events and %d of %d frames", trial, stopped.Load(), len(sink.frames), frames)
+			}
+		case StateStopped:
+			if stopped.Load() != 1 {
+				t.Fatalf("trial %d: stopped with %d STOPPED events, want 1", trial, stopped.Load())
+			}
+		default:
+			t.Fatalf("trial %d: source left %v after its run", trial, st)
+		}
+		if n := caught.Load(); n > int32(len(sink.frames)) {
+			t.Fatalf("trial %d: %d EACH_FRAME events for %d frames", trial, n, len(sink.frames))
+		}
+	}
+}
+
+// TestEmitAllocs pins an event emit with a caught handler at zero
+// allocations: Emit iterates the published handler list, never a copy.
+func TestEmitAllocs(t *testing.T) {
+	b := NewBase("b", "TestBase", AtDatabase)
+	b.DeclareEvents(EventEachFrame)
+	n := 0
+	if err := b.Catch(EventEachFrame, func(EventInfo) { n++ }); err != nil {
+		t.Fatal(err)
+	}
+	info := EventInfo{Event: EventEachFrame}
+	if allocs := testing.AllocsPerRun(100, func() { b.Emit(info) }); allocs != 0 {
+		t.Errorf("emit with one handler: %.1f allocs, want 0", allocs)
+	}
+	if n == 0 {
+		t.Fatal("the handler never ran")
+	}
+}
+
+// TestUnknownPortOnLaterTick: a node that emits on a declared port first
+// and on an undeclared one a tick later still fails the run, because the
+// port check is remembered per out slot, not per node.
+func TestUnknownPortOnLaterTick(t *testing.T) {
+	g := NewGraph("g")
+	src := &lateStray{Base: NewBase("src", "TestLateStray", AtDatabase)}
+	src.AddPort("out", Out, media.TypeRawVideo30)
+	if err := g.Add(src); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Start(); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := g.Run(RunConfig{Clock: sched.NewVirtualClock(0), MaxTicks: 5})
+	if err == nil || !strings.Contains(err.Error(), `emitted on unknown port "nowhere"`) {
+		t.Fatalf("run: err = %v, want the unknown port named", err)
+	}
+	if stats.Ticks != 1 {
+		t.Errorf("run failed after %d complete ticks, want 1", stats.Ticks)
+	}
+}
+
+// lateStray emits on its declared port every tick, and from its second
+// tick on also on a port it never declared.
+type lateStray struct{ *Base }
+
+func (s *lateStray) Tick(tc *TickContext) error {
+	tc.Emit("out", &Chunk{Seq: tc.Seq, At: tc.Now, Arrived: tc.Now})
+	if tc.Seq >= 1 {
+		tc.Emit("nowhere", &Chunk{Seq: tc.Seq, At: tc.Now, Arrived: tc.Now})
+	}
+	return nil
 }
 
 func TestCueRules(t *testing.T) {

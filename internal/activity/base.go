@@ -14,21 +14,31 @@ import (
 // activity class: port and event bookkeeping, bindings, cueing, the
 // start/stop state machine and event dispatch.  Concrete activities embed
 // *Base and implement Tick.
+//
+// What a tick reads of a base is atomic, so neither a tick nor the step
+// around it (planNode.step) takes the base's lock: the state, the cue
+// point, the latency model, the handler lists and each port's binding
+// (Port.Bound).  mu serializes the writers that must check before they
+// act — Start and Cue against each other, Catch against Catch, Bind
+// against the port set — and guards the port and event sets.
 type Base struct {
 	name  string
 	class string
 	loc   Location
 
-	latency atomic.Pointer[sched.Latency] // read on every tick, so not under mu
+	// state holds a State.  Start and Cue change or test it under mu;
+	// MarkDone and Stop leave Started by compare-and-swap, which cannot
+	// interleave with Start's check because Start only leaves a state
+	// other than Started.
+	state    atomic.Int32
+	cue      atomic.Int64                        // a WorldTime; stored under mu by Cue
+	latency  atomic.Pointer[sched.Latency]       // nil means instantaneous
+	handlers atomic.Pointer[map[Event][]Handler] // copy-on-write: Catch replaces map and list, Emit never copies
 
 	mu        sync.Mutex
 	ports     map[string]*Port
 	portOrder []string
 	events    map[Event]bool
-	handlers  map[Event][]Handler
-	bindings  map[string]media.Value
-	state     State
-	cue       avtime.WorldTime
 }
 
 // NewBase returns an activity base.  The name identifies the instance
@@ -39,10 +49,8 @@ func NewBase(name, class string, loc Location) *Base {
 	}
 	b := &Base{
 		name: name, class: class, loc: loc,
-		ports:    make(map[string]*Port),
-		events:   make(map[Event]bool),
-		handlers: make(map[Event][]Handler),
-		bindings: make(map[string]media.Value),
+		ports:  make(map[string]*Port),
+		events: make(map[Event]bool),
 	}
 	b.DeclareEvents(EventStarted, EventStopped)
 	return b
@@ -146,16 +154,21 @@ func (b *Base) Bind(v media.Value, port string) error {
 	if v.Type() != p.typ {
 		return fmt.Errorf("activity: cannot bind %s value to port %v", v.Type(), p)
 	}
-	b.bindings[port] = v
+	p.bound.Store(&v)
 	return nil
 }
 
-// Binding implements Activity.
+// Binding implements Activity.  An activity reading its own binding on
+// every tick holds the *Port AddPort returned and calls Port.Bound
+// instead, which skips the port lookup and its lock.
 func (b *Base) Binding(port string) (media.Value, bool) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	v, ok := b.bindings[port]
-	return v, ok
+	p, ok := b.ports[port]
+	b.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	return p.Bound()
 }
 
 // Cue implements Activity.  Cueing a running activity is an error; the
@@ -163,31 +176,27 @@ func (b *Base) Binding(port string) (media.Value, bool) {
 func (b *Base) Cue(w avtime.WorldTime) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == StateStarted {
+	if b.State() == StateStarted {
 		return fmt.Errorf("activity: %s: cue while started", b.name)
 	}
 	if w < 0 {
 		return fmt.Errorf("activity: %s: cue to negative time %v", b.name, w)
 	}
-	b.cue = w
+	b.cue.Store(int64(w))
 	return nil
 }
 
 // CuePoint reports the current cue position.
-func (b *Base) CuePoint() avtime.WorldTime {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.cue
-}
+func (b *Base) CuePoint() avtime.WorldTime { return avtime.WorldTime(b.cue.Load()) }
 
 // Start implements Activity.
 func (b *Base) Start() error {
 	b.mu.Lock()
-	if b.state == StateStarted {
+	if b.State() == StateStarted {
 		b.mu.Unlock()
 		return fmt.Errorf("activity: %s already started", b.name)
 	}
-	b.state = StateStarted
+	b.state.Store(int32(StateStarted))
 	b.mu.Unlock()
 	b.Emit(EventInfo{Event: EventStarted, Activity: b.name})
 	return nil
@@ -196,18 +205,15 @@ func (b *Base) Start() error {
 // Stop implements Activity.  Stopping an activity that is not running is
 // a no-op: the client may race a stop against natural completion.
 func (b *Base) Stop() error {
-	b.mu.Lock()
-	if b.state != StateStarted {
-		b.mu.Unlock()
-		return nil
+	if b.state.CompareAndSwap(int32(StateStarted), int32(StateStopped)) {
+		b.Emit(EventInfo{Event: EventStopped, Activity: b.name})
 	}
-	b.state = StateStopped
-	b.mu.Unlock()
-	b.Emit(EventInfo{Event: EventStopped, Activity: b.name})
 	return nil
 }
 
-// Catch implements Activity.
+// Catch implements Activity.  It never changes a handler list in place:
+// it publishes a new map with a new list for e, so an Emit in flight
+// keeps iterating the list it loaded.
 func (b *Base) Catch(e Event, h Handler) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -217,38 +223,39 @@ func (b *Base) Catch(e Event, h Handler) error {
 	if h == nil {
 		return fmt.Errorf("activity: nil handler for event %q", e)
 	}
-	b.handlers[e] = append(b.handlers[e], h)
+	next := make(map[Event][]Handler)
+	if cur := b.handlers.Load(); cur != nil {
+		for ev, hs := range *cur {
+			next[ev] = hs
+		}
+	}
+	hs := next[e]
+	next[e] = append(hs[:len(hs):len(hs)], h)
+	b.handlers.Store(&next)
 	return nil
 }
 
 // Emit delivers an event to every caught handler.
 func (b *Base) Emit(info EventInfo) {
-	b.mu.Lock()
-	hs := append([]Handler(nil), b.handlers[info.Event]...)
-	b.mu.Unlock()
+	hm := b.handlers.Load()
+	if hm == nil {
+		return
+	}
 	if info.Activity == "" {
 		info.Activity = b.name
 	}
-	for _, h := range hs {
+	for _, h := range (*hm)[info.Event] {
 		h(info)
 	}
 }
 
 // State implements Activity.
-func (b *Base) State() State {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
+func (b *Base) State() State { return State(b.state.Load()) }
 
 // MarkDone transitions a started activity to Done (sources call this when
 // their bound value is exhausted).
 func (b *Base) MarkDone() {
-	b.mu.Lock()
-	if b.state == StateStarted {
-		b.state = StateDone
-	}
-	b.mu.Unlock()
+	b.state.CompareAndSwap(int32(StateStarted), int32(StateDone))
 }
 
 // TickContext carries one scheduling interval through an activity's Tick:

@@ -85,6 +85,7 @@ type portRef struct {
 // compositePlan is a composite's structure as Tick consumes it.  Ports
 // are independent of one another, so their order is the maps'.
 type compositePlan struct {
+	source     bool       // the composite's Kind is KindSource
 	nodes      []planNode // the components in internal topological order (plan.go)
 	exportsIn  []planPort
 	exportsOut []planPort
@@ -412,7 +413,7 @@ func (c *Composite) Tick(tc *TickContext) error {
 	}
 
 	// A source composite finishes when all its source components have.
-	if c.Kind() == KindSource && sourcesDone(plan.nodes) {
+	if plan.source && sourcesDone(plan.nodes) {
 		c.MarkDone()
 	}
 	return nil
@@ -429,7 +430,7 @@ func (c *Composite) buildPlan() (*compositePlan, error) {
 	if !ok {
 		return nil, fmt.Errorf("activity: composite contains a component cycle")
 	}
-	plan := &compositePlan{nodes: nodes, sync: c.sync}
+	plan := &compositePlan{source: c.Kind() == KindSource, nodes: nodes, sync: c.sync}
 	byName := make(map[string]*planNode, len(nodes))
 	for i := range nodes {
 		byName[nodes[i].act.Name()] = &nodes[i]

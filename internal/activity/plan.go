@@ -20,6 +20,11 @@ type planNode struct {
 	source bool // act.Kind() == KindSource
 	tc     TickContext
 	feeds  []planFeed // incoming connections, in connection order
+	// checked counts the leading out slots whose port step has found
+	// declared.  A slot keeps its port across resets and is appended
+	// only with a chunk on it, so each slot is checked in the tick it
+	// first appears and never again.
+	checked int
 }
 
 // planFeed is one incoming connection of a node.
@@ -35,7 +40,8 @@ type planFeed struct {
 // feed's chunk across its connection; ticks the activity; and stamps
 // each output, leaving it in the context for the nodes downstream:
 // raised to at least now, delayed by the activity's latency draw, and
-// refused on a port the activity does not declare.  When run is non-nil, every delivery is also
+// refused on a port the activity does not declare (checked once per out
+// slot, see checked).  When run is non-nil, every delivery is also
 // accounted to the run (GraphRun.delivered).  step reports whether the
 // node ran and the latest arrival it saw.
 //
@@ -71,14 +77,17 @@ func (n *planNode) step(now avtime.WorldTime, run *GraphRun) (ran bool, last avt
 		if !s.set {
 			continue
 		}
-		if _, ok := n.act.Port(s.port); !ok {
-			return true, last, fmt.Errorf("activity: %s emitted on unknown port %q", n.act.Name(), s.port)
+		if i >= n.checked {
+			if _, ok := n.act.Port(s.port); !ok {
+				return true, last, fmt.Errorf("activity: %s emitted on unknown port %q", n.act.Name(), s.port)
+			}
 		}
 		c := &s.c
 		c.Arrived = max(c.Arrived, now) + lat
 		c.shift += lat
 		last = max(last, c.Arrived)
 	}
+	n.checked = len(n.tc.out)
 	return true, last, nil
 }
 

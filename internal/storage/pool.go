@@ -1,9 +1,15 @@
 package storage
 
 // pool.go implements the store-level shared buffer pool behind
-// Stream.ReadChunkTimeAt: residency is keyed by (segment, chunk), so
+// Stream.ReadChunkTimeAt: residency is per (segment, chunk), so
 // co-admitted sessions of the same clip hit each other's chunks instead
 // of each paying the device for bytes a neighbor staged moments ago.
+// A stream learns its segment's slot in the pool when it attaches; from
+// then on every residency lookup is two slice indexes into that slot's
+// dense chunk index, never a hash.  A slot lives while its segment has
+// an attached stream or a resident chunk, and is recycled once no
+// staged op can name it, so the pool holds no state for a segment it
+// no longer serves.
 //
 // Which session's read counts as a hit is decided per round (DESIGN.md
 // §15).  During a tick, streams only READ committed residency; every
@@ -18,7 +24,7 @@ package storage
 // exactly the retired per-stream LRU's behavior; the differential
 // harness in pool_differential_test.go holds the pool to that oracle.
 //
-// The warm hit path — commit watermark check, one map probe, staging
+// The warm hit path — commit watermark check, one index load, staging
 // one touch — performs zero heap allocations (TestPoolHitAllocs): the
 // LRU is intrusive (index-linked entries in a flat slice with a free
 // list) and staged ops land in a retained buffer.
@@ -69,10 +75,22 @@ type PoolStats struct {
 	Staged   int // residency operations of rounds not yet committed
 }
 
-// poolKey identifies one resident chunk store-wide.
+// poolKey identifies one chunk within a pool: seg is the segment's slot
+// in the pool's segs, handed to every stream of the segment at attach.
 type poolKey struct {
-	seg   SegID
+	seg   int32
 	chunk int
+}
+
+// poolSeg is the residency index of one segment: at[chunk] is the
+// chunk's entry index + 1, 0 while the chunk is not resident.  at is
+// allocated at the segment's first insert, sized to its frame count
+// (4 bytes a chunk); a chunk index past the end grows it.
+type poolSeg struct {
+	id     SegID
+	frames int
+	at     []int32
+	refs   int // attached streams + resident chunks
 }
 
 // poolOpKind distinguishes staged residency mutations.
@@ -110,11 +128,15 @@ type bufferPool struct {
 	m        poolMetrics
 	entries  []poolEntry
 	freeIdx  []int32
-	resident map[poolKey]int32
-	head     int32 // most recently used
-	tail     int32 // least recently used
-	streams  int   // attached streams
-	capacity int   // policy.Capacity per attached stream
+	slots    map[SegID]int32 // segment -> its slot in segs; looked up only at attach
+	segs     []poolSeg
+	idle     []int32 // slots whose refs fell to 0 since the last release
+	freeSlot []int32 // released slots, reused by attach
+	resident int     // live entries
+	head     int32   // most recently used
+	tail     int32   // least recently used
+	streams  int     // attached streams
+	capacity int     // policy.Capacity per attached stream
 	nextPID  int64
 	staged   []poolOp
 	flushed  int64 // rounds below this are applied
@@ -142,11 +164,11 @@ func newPoolMetrics(s obs.Sink) poolMetrics {
 
 func newBufferPool(p CachePolicy, sink obs.Sink) *bufferPool {
 	return &bufferPool{
-		policy:   p,
-		m:        newPoolMetrics(sink),
-		resident: make(map[poolKey]int32, p.Capacity),
-		head:     poolNil,
-		tail:     poolNil,
+		policy: p,
+		m:      newPoolMetrics(sink),
+		slots:  make(map[SegID]int32),
+		head:   poolNil,
+		tail:   poolNil,
 	}
 }
 
@@ -157,22 +179,73 @@ func (p *bufferPool) setSink(s obs.Sink) {
 	p.mu.Unlock()
 }
 
-// attach registers a stream, growing capacity; the returned pid tells
-// its hits on its own chunks from shared ones.
-func (p *bufferPool) attach() int64 {
+// attach registers a stream of seg, growing capacity.  The returned pid
+// tells the stream's hits on its own chunks from shared ones; slot is
+// seg's slot, the seg of every poolKey the stream passes in.
+func (p *bufferPool) attach(seg *Segment) (pid int64, slot int32) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.streams++
 	p.capacity = p.policy.Capacity * p.streams
-	pid := p.nextPID
+	pid = p.nextPID
 	p.nextPID++
-	return pid
+	slot, ok := p.slots[seg.id]
+	if !ok {
+		if n := len(p.freeSlot); n > 0 {
+			slot = p.freeSlot[n-1]
+			p.freeSlot = p.freeSlot[:n-1]
+		} else {
+			slot = int32(len(p.segs))
+			p.segs = append(p.segs, poolSeg{})
+		}
+		p.segs[slot] = poolSeg{id: seg.id, frames: seg.frames}
+		p.slots[seg.id] = slot
+	}
+	p.segs[slot].refs++
+	return pid, slot
 }
 
-// detach unregisters a stream, shrinking capacity and evicting the
-// coldest chunks beyond it.  The aggregate stats survive: closing a
-// stream no longer discards its cache history.
-func (p *bufferPool) detach() {
+// unrefLocked drops one reference to slot; p.mu is held.
+func (p *bufferPool) unrefLocked(slot int32) {
+	if p.segs[slot].refs--; p.segs[slot].refs == 0 {
+		p.idle = append(p.idle, slot)
+	}
+}
+
+// releaseIdleLocked recycles the slots of segments left with no stream
+// and no resident chunk.  It waits until nothing is staged: a staged op
+// names its slot, and must not land on another segment that reuses it.
+// p.mu is held.
+func (p *bufferPool) releaseIdleLocked() {
+	if len(p.staged) > 0 {
+		return
+	}
+	for _, slot := range p.idle {
+		// A slot can be listed twice; its id is 0 (no segment) after the
+		// first release.
+		if ps := &p.segs[slot]; ps.refs == 0 && ps.id != 0 {
+			delete(p.slots, ps.id)
+			*ps = poolSeg{}
+			p.freeSlot = append(p.freeSlot, slot)
+		}
+	}
+	p.idle = p.idle[:0]
+}
+
+// lookupLocked returns key's entry index, or poolNil when the chunk is
+// not resident; p.mu is held.
+func (p *bufferPool) lookupLocked(key poolKey) int32 {
+	at := p.segs[key.seg].at
+	if key.chunk >= len(at) {
+		return poolNil
+	}
+	return at[key.chunk] - 1
+}
+
+// detach unregisters a stream of the segment in slot, shrinking
+// capacity and evicting the coldest chunks beyond it.  The aggregate
+// stats survive: closing a stream no longer discards its cache history.
+func (p *bufferPool) detach(slot int32) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.streams > 0 {
@@ -183,6 +256,8 @@ func (p *bufferPool) detach() {
 		p.agg.Evicted += int64(n)
 		p.m.evicted.Add(int64(n))
 	}
+	p.unrefLocked(slot)
+	p.releaseIdleLocked()
 }
 
 // read consults committed residency for key at the given round,
@@ -196,8 +271,8 @@ func (p *bufferPool) read(pid int64, key poolKey, round int64) (hit, shared bool
 	if round >= 0 {
 		p.commitLocked(round)
 	}
-	i, ok := p.resident[key]
-	if !ok {
+	i := p.lookupLocked(key)
+	if i == poolNil {
 		return false, false
 	}
 	shared = p.entries[i].pid != pid
@@ -231,13 +306,13 @@ func (p *bufferPool) miss() {
 // chunks beyond idx were newly staged and, in immediate mode, how many
 // residents were evicted; staged-mode evictions happen at commit and
 // are accounted to the store aggregate there.
-func (p *bufferPool) fill(pid int64, seg SegID, idx, lookahead, limit int, round int64) (staged, evicted int) {
+func (p *bufferPool) fill(pid int64, seg int32, idx, lookahead, limit int, round int64) (staged, evicted int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if round >= 0 {
 		p.staged = append(p.staged, poolOp{pid: pid, round: round, key: poolKey{seg: seg, chunk: idx}, kind: opInsert})
 		for k := idx + 1; k <= idx+lookahead && k <= limit; k++ {
-			if _, ok := p.resident[poolKey{seg: seg, chunk: k}]; ok {
+			if p.lookupLocked(poolKey{seg: seg, chunk: k}) != poolNil {
 				continue
 			}
 			p.staged = append(p.staged, poolOp{pid: pid, round: round, key: poolKey{seg: seg, chunk: k}, kind: opInsert})
@@ -246,7 +321,7 @@ func (p *bufferPool) fill(pid int64, seg SegID, idx, lookahead, limit int, round
 	} else {
 		evicted += p.applyInsertLocked(poolKey{seg: seg, chunk: idx}, pid)
 		for k := idx + 1; k <= idx+lookahead && k <= limit; k++ {
-			if _, ok := p.resident[poolKey{seg: seg, chunk: k}]; ok {
+			if p.lookupLocked(poolKey{seg: seg, chunk: k}) != poolNil {
 				continue
 			}
 			evicted += p.applyInsertLocked(poolKey{seg: seg, chunk: k}, pid)
@@ -280,7 +355,7 @@ func (p *bufferPool) commitLocked(round int64) {
 			p.staged[keep] = op
 			keep++
 		case op.kind == opTouch:
-			if i, ok := p.resident[op.key]; ok {
+			if i := p.lookupLocked(op.key); i != poolNil {
 				p.moveFrontLocked(i)
 			}
 		default:
@@ -292,15 +367,24 @@ func (p *bufferPool) commitLocked(round int64) {
 		p.agg.Evicted += int64(evicted)
 		p.m.evicted.Add(int64(evicted))
 	}
+	if len(p.idle) > 0 {
+		p.releaseIdleLocked()
+	}
 }
 
 // applyInsertLocked makes key resident attributed to pid, evicting the
 // coldest residents beyond capacity; a key already resident is bumped
 // and keeps its original inserter.  Returns the evictions; p.mu held.
 func (p *bufferPool) applyInsertLocked(key poolKey, pid int64) int {
-	if i, ok := p.resident[key]; ok {
+	if i := p.lookupLocked(key); i != poolNil {
 		p.moveFrontLocked(i)
 		return 0
+	}
+	ps := &p.segs[key.seg]
+	if key.chunk >= len(ps.at) {
+		at := make([]int32, max(ps.frames, key.chunk+1))
+		copy(at, ps.at)
+		ps.at = at
 	}
 	var i int32
 	if n := len(p.freeIdx); n > 0 {
@@ -318,7 +402,9 @@ func (p *bufferPool) applyInsertLocked(key poolKey, pid int64) int {
 	if p.tail == poolNil {
 		p.tail = i
 	}
-	p.resident[key] = i
+	ps.at[key.chunk] = i + 1
+	ps.refs++
+	p.resident++
 	return p.evictOverLocked()
 }
 
@@ -326,12 +412,15 @@ func (p *bufferPool) applyInsertLocked(key poolKey, pid int64) int {
 // fits its capacity; p.mu is held.
 func (p *bufferPool) evictOverLocked() int {
 	evicted := 0
-	for len(p.resident) > p.capacity {
+	for p.resident > p.capacity {
 		t := p.tail
 		if t == poolNil {
 			break
 		}
-		delete(p.resident, p.entries[t].key)
+		key := p.entries[t].key
+		p.segs[key.seg].at[key.chunk] = 0
+		p.unrefLocked(key.seg)
+		p.resident--
 		p.tail = p.entries[t].prev
 		if p.tail != poolNil {
 			p.entries[p.tail].next = poolNil
@@ -376,7 +465,7 @@ func (p *bufferPool) stats() PoolStats {
 	defer p.mu.Unlock()
 	return PoolStats{
 		CacheStats: p.agg,
-		Resident:   len(p.resident),
+		Resident:   p.resident,
 		Capacity:   p.capacity,
 		Streams:    p.streams,
 		Staged:     len(p.staged),

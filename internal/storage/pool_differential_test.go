@@ -86,13 +86,35 @@ func (c *lruOracle) residency() []int {
 }
 
 // poolResidency walks the pool's intrusive LRU chain, most recently
-// used first.
-func poolResidency(p *bufferPool) []poolKey {
+// used first.  It also holds the dense index to the chain: each chained
+// entry's key looks up to that entry in a slot still mapped to its
+// segment, no other index cell is set, and the resident count is the
+// chain's length.
+func poolResidency(t *testing.T, p *bufferPool) []poolKey {
+	t.Helper()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]poolKey, 0, len(p.resident))
+	out := make([]poolKey, 0, p.resident)
 	for i := p.head; i != poolNil; i = p.entries[i].next {
-		out = append(out, p.entries[i].key)
+		k := p.entries[i].key
+		if got := p.lookupLocked(k); got != i {
+			t.Fatalf("index of %+v = entry %d, chain has it at %d", k, got, i)
+		}
+		if slot, ok := p.slots[p.segs[k.seg].id]; !ok || slot != k.seg {
+			t.Fatalf("entry %+v is resident in a released slot", k)
+		}
+		out = append(out, k)
+	}
+	cells := 0
+	for _, ps := range p.segs {
+		for _, c := range ps.at {
+			if c != 0 {
+				cells++
+			}
+		}
+	}
+	if cells != len(out) || p.resident != len(out) {
+		t.Fatalf("index holds %d chunks, resident count %d, LRU chain %d", cells, p.resident, len(out))
 	}
 	return out
 }
@@ -122,13 +144,16 @@ func runDemandDiff(t *testing.T, s *Stream, oracle *lruOracle, limit int, idxs [
 	if got, want := s.CacheStats(), oracle.stats; got != want {
 		t.Fatalf("stats diverged: pool %+v, oracle %+v", got, want)
 	}
-	got := poolResidency(s.pool)
+	if slot := s.pool.slots[s.seg.id]; slot != s.pslot {
+		t.Fatalf("stream holds slot %d, pool maps %v to %d", s.pslot, s.seg.id, slot)
+	}
+	got := poolResidency(t, s.pool)
 	want := oracle.residency()
 	if len(got) != len(want) {
 		t.Fatalf("residency size: pool %d, oracle %d", len(got), len(want))
 	}
 	for i := range got {
-		if got[i].chunk != want[i] || got[i].seg != s.seg.id {
+		if got[i].chunk != want[i] || got[i].seg != s.pslot {
 			t.Fatalf("residency[%d]: pool %+v, oracle chunk %d", i, got[i], want[i])
 		}
 	}
@@ -187,7 +212,7 @@ func TestPoolStagedSequentialMatchesOracle(t *testing.T) {
 	if got, want := s.pool.stats().Evicted, oracle.stats.Evicted; got != want {
 		t.Fatalf("evictions: pool %d, oracle %d", got, want)
 	}
-	got := poolResidency(s.pool)
+	got := poolResidency(t, s.pool)
 	want := oracle.residency()
 	if len(got) != len(want) {
 		t.Fatalf("residency size: pool %d, oracle %d", len(got), len(want))
@@ -306,10 +331,209 @@ func TestPoolCapacityScalesWithStreams(t *testing.T) {
 		t.Fatalf("after detach: capacity %d resident %d, want 3/3", ps.Capacity, ps.Resident)
 	}
 	// The survivors are the three most recently used chunks.
-	res := poolResidency(b.pool)
+	res := poolResidency(t, b.pool)
 	for i, k := range res {
 		if want := 5 - i; k.chunk != want {
 			t.Fatalf("residency[%d] = chunk %d, want %d", i, k.chunk, want)
+		}
+	}
+}
+
+// TestPoolResidencyPerSegment: two segments read over the same chunk
+// indices keep apart in one pool.  An eviction clears only its own
+// segment's index cell, and Resident counts the live entries.
+func TestPoolResidencyPerSegment(t *testing.T) {
+	_, st := testRig(t)
+	st.SetCachePolicy(CachePolicy{Capacity: 2, Lookahead: 0})
+	var ss [2]*Stream
+	for i := range ss {
+		seg, err := st.Place(clip(t, 8), "disk0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ss[i], _, err = st.OpenStream(seg.ID(), media.MBPerSecond); err != nil {
+			t.Fatal(err)
+		}
+		defer ss[i].Close()
+	}
+	a, b := ss[0], ss[1]
+	if a.pslot == b.pslot {
+		t.Fatalf("both segments hold pool slot %d", a.pslot)
+	}
+	read := func(s *Stream, chunk int, wantHit bool) {
+		t.Helper()
+		dt, err := s.ReadChunkTimeAt(chunk, 1200, -1, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hit := dt == 0; hit != wantHit {
+			t.Fatalf("slot %d chunk %d: hit=%v, want %v", s.pslot, chunk, hit, wantHit)
+		}
+	}
+	chain := func(want ...poolKey) {
+		t.Helper()
+		got := poolResidency(t, a.pool)
+		if len(got) != len(want) {
+			t.Fatalf("residency %+v, want %+v", got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("residency %+v, want %+v", got, want)
+			}
+		}
+		if ps := st.PoolStats(); ps.Resident != len(want) {
+			t.Fatalf("PoolStats.Resident = %d, %d entries live", ps.Resident, len(want))
+		}
+	}
+	ka := func(c int) poolKey { return poolKey{seg: a.pslot, chunk: c} }
+	kb := func(c int) poolKey { return poolKey{seg: b.pslot, chunk: c} }
+
+	// Capacity 2 per stream: each fifth chunk evicts the coldest.  The
+	// first eviction is b's 0; a's 0 stays resident.
+	read(b, 0, false)
+	read(a, 0, false)
+	read(b, 1, false)
+	read(a, 1, false)
+	chain(ka(1), kb(1), ka(0), kb(0))
+	read(a, 2, false)
+	chain(ka(2), ka(1), kb(1), ka(0))
+	read(a, 0, true)
+	read(b, 0, false) // evicts b's 1
+	chain(kb(0), ka(0), ka(2), ka(1))
+	read(a, 3, false) // evicts a's 1
+	chain(ka(3), kb(0), ka(0), ka(2))
+	read(b, 1, false) // evicts a's 2
+	read(a, 1, false) // evicts a's 0
+	chain(ka(1), kb(1), ka(3), kb(0))
+	if ps := st.PoolStats(); ps.Evicted != 5 {
+		t.Fatalf("evicted %d chunks, want 5", ps.Evicted)
+	}
+}
+
+// TestPoolRetiredKeepsOwnResidency: a policy change retires the pool
+// while a stream still reads through it, and a later stream of the same
+// segment gets a fresh pool.  Each pool keeps its own residency for the
+// segment, so neither sees the other's chunks.
+func TestPoolRetiredKeepsOwnResidency(t *testing.T) {
+	_, st := testRig(t)
+	st.SetCachePolicy(CachePolicy{Capacity: 4, Lookahead: 2})
+	seg, err := st.Place(clip(t, 8), "disk0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _, err := st.OpenStream(seg.ID(), media.MBPerSecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	if dt, err := a.ReadChunkTimeAt(0, 1200, -1, 0, 0); err != nil || dt == 0 {
+		t.Fatalf("first read: %v, %v; want a miss", dt, err)
+	}
+	st.SetCachePolicy(CachePolicy{Capacity: 4, Lookahead: 1})
+	b, _, err := st.OpenStream(seg.ID(), media.MBPerSecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if a.pool == b.pool {
+		t.Fatal("the policy change kept the old pool")
+	}
+	// The retired pool holds 0..2; none of it is in the new one.
+	for _, c := range []int{1, 0} {
+		if dt, err := b.ReadChunkTimeAt(c, 1200, -1, 0, 0); err != nil || dt == 0 {
+			t.Fatalf("new pool, chunk %d: %v, %v; want a miss", c, dt, err)
+		}
+	}
+	if dt, err := a.ReadChunkTimeAt(2, 1200, -1, 0, 0); err != nil || dt != 0 {
+		t.Fatalf("retired pool, chunk 2: %v, %v; want a hit", dt, err)
+	}
+	if n := len(poolResidency(t, a.pool)); n != 3 {
+		t.Fatalf("retired pool holds %d chunks, want 3", n)
+	}
+	if n := len(poolResidency(t, b.pool)); n != 3 {
+		t.Fatalf("new pool holds %d chunks, want 3", n)
+	}
+}
+
+// TestPoolReleasesIdleSlots: a pool that serves one segment after
+// another, each streamed to its end and closed, recycles the slots of
+// segments it no longer serves instead of keeping an index for every
+// segment it ever served.  A closed stream's last staged inserts still
+// land, so at most the open segment and its predecessor hold slots.
+func TestPoolReleasesIdleSlots(t *testing.T) {
+	for _, staged := range []bool{false, true} {
+		_, st := testRig(t)
+		st.SetCachePolicy(CachePolicy{Capacity: 4, Lookahead: 2})
+		round := int64(0)
+		for n := 0; n < 10; n++ {
+			seg, err := st.Place(clip(t, 8), "disk0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, _, err := st.OpenStream(seg.ID(), media.MBPerSecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 8; i++ {
+				r := int64(-1)
+				if staged {
+					r, round = round, round+1
+				}
+				if _, err := s.ReadChunkTimeAt(i, 1200, r, 0, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p := s.pool
+			p.mu.Lock()
+			slots, segs := len(p.slots), len(p.segs)
+			p.mu.Unlock()
+			if slots > 2 || segs > 2 {
+				t.Fatalf("staged=%v, segment %d: %d mapped slots, %d slots in all; want at most 2", staged, n, slots, segs)
+			}
+			poolResidency(t, p)
+			s.Close()
+		}
+	}
+}
+
+// TestPoolStagedInsertOutlivesItsStream: a stream closed with inserts
+// still staged leaves its segment's slot in place until they land, so
+// they land on that segment and not on one opened after it.
+func TestPoolStagedInsertOutlivesItsStream(t *testing.T) {
+	_, st := testRig(t)
+	st.SetCachePolicy(CachePolicy{Capacity: 4, Lookahead: 2})
+	var segs [2]*Segment
+	for i := range segs {
+		var err error
+		if segs[i], err = st.Place(clip(t, 8), "disk0"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, _, err := st.OpenStream(segs[0].ID(), media.MBPerSecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.ReadChunkTimeAt(0, 1200, 0, 0, 0); err != nil { // stages a's 0..2
+		t.Fatal(err)
+	}
+	a.Close()
+	b, _, err := st.OpenStream(segs[1].ID(), media.MBPerSecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if b.pslot == a.pslot {
+		t.Fatalf("b took slot %d while a's inserts were still staged", a.pslot)
+	}
+	if _, err := b.ReadChunkTimeAt(5, 1200, 1, 0, 0); err != nil { // commits a's inserts
+		t.Fatal(err)
+	}
+	if dt, err := b.ReadChunkTimeAt(0, 1200, 2, 0, 0); err != nil || dt == 0 {
+		t.Fatalf("b's chunk 0: %v, %v; want a miss", dt, err)
+	}
+	for _, k := range poolResidency(t, b.pool) {
+		if k.seg == a.pslot && b.pool.segs[k.seg].id != segs[0].ID() {
+			t.Fatalf("a's staged chunk %d landed on %v", k.chunk, b.pool.segs[k.seg].id)
 		}
 	}
 }

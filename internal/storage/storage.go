@@ -411,6 +411,7 @@ type Stream struct {
 	// Shared buffer pool attachment; nil when caching is disabled.
 	pool   *bufferPool
 	pid    int64      // pool-attach order, attributes staged inserts
+	pslot  int32      // the segment's slot in the pool (poolKey.seg)
 	cstats CacheStats // this stream's view of pool behavior
 }
 
@@ -521,7 +522,7 @@ func (st *Store) OpenStreamWith(id SegID, rate media.DataRate, policy StripePoli
 		}
 	}
 	if stream.pool != nil {
-		stream.pid = stream.pool.attach()
+		stream.pid, stream.pslot = stream.pool.attach(s)
 	}
 	s.openStreams++
 	st.mu.Unlock()
@@ -602,7 +603,7 @@ func (s *Stream) ReadChunkTimeAt(idx int, bytes int64, round int64, now, deadlin
 		s.io.flushBefore(round)
 	}
 	if s.pool != nil {
-		if hit, shared := s.pool.read(s.pid, poolKey{seg: s.seg.id, chunk: idx}, round); hit {
+		if hit, shared := s.pool.read(s.pid, poolKey{seg: s.pslot, chunk: idx}, round); hit {
 			if shared {
 				s.cstats.Shared++
 			}
@@ -635,7 +636,7 @@ func (s *Stream) ReadChunkTimeAt(idx int, bytes int64, round int64, now, deadlin
 	}
 	s.cstats.Misses++
 	s.pool.miss()
-	staged, evicted := s.pool.fill(s.pid, s.seg.id, idx, s.pool.policy.Lookahead, s.seg.frames-1, round)
+	staged, evicted := s.pool.fill(s.pid, s.pslot, idx, s.pool.policy.Lookahead, s.seg.frames-1, round)
 	s.cstats.Prefetched += int64(staged)
 	s.cstats.Evicted += int64(evicted)
 	return t, nil
@@ -819,7 +820,7 @@ func (s *Stream) Close() {
 		io.drop(&s.slot)
 	}
 	if s.pool != nil {
-		s.pool.detach()
+		s.pool.detach(s.pslot)
 	}
 	s.st.mu.Lock()
 	s.seg.openStreams--
