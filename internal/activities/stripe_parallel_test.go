@@ -17,7 +17,8 @@ import (
 // runStripedWide plays 8 striped streams through VideoReaders in one
 // graph and returns everything the determinism comparison needs: run
 // stats, per-window arrival times, the scheduler counters, and the full
-// obs snapshot.
+// obs snapshot.  It drives the run the way the engine does: each tick
+// is tagged with its own round, which closes when the tick ends.
 func runStripedWide(t *testing.T) (*activity.RunStats, [][]avtime.WorldTime, storage.IOStats, []byte) {
 	t.Helper()
 	const (
@@ -68,7 +69,23 @@ func runStripedWide(t *testing.T) (*activity.RunStats, [][]avtime.WorldTime, sto
 	if err := g.Start(); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := g.Run(activity.RunConfig{Clock: sched.NewVirtualClock(0), Obs: col})
+	run, err := g.Begin(activity.RunConfig{Clock: sched.NewVirtualClock(0), Obs: col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := int64(0); ; round++ {
+		run.SetRound(round)
+		done, err := run.Tick()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.CloseRound(round)
+		run.Commit()
+		if done {
+			break
+		}
+	}
+	stats, err := run.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}

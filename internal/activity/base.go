@@ -269,9 +269,13 @@ type TickContext struct {
 	Interval avtime.Interval  // world-time span the tick covers
 
 	// Round is the storage service round this tick's chunk requests
-	// belong to.  A standalone Graph.Run numbers rounds by Seq; under the
-	// multi-session engine every graph ticked in the same engine step
-	// shares one round, so the per-disk SCAN-EDF batches span sessions.
+	// belong to.  Under the multi-session engine every graph ticked in
+	// the same engine step shares one round, so the per-disk SCAN-EDF
+	// batches span sessions, and the engine closes the round when the
+	// step ends (storage.Store.CloseRound).  A standalone Graph.Run ticks
+	// with Round -1, immediate mode: reads neither join rounds nor stage
+	// pool ops.  A context from NewTickContext carries its Seq; whoever
+	// ticks with it closes the rounds.
 	Round int64
 
 	// One slot per port ever used, kept across resets: a retained context

@@ -52,7 +52,7 @@ type GraphRun struct {
 
 	stats    *RunStats
 	tick     int   // ticks executed so far
-	round    int64 // round tag for the next tick; <0 follows the tick index
+	round    int64 // storage round of the next tick; -1 (immediate mode) unless SetRound
 	runErr   error
 	done     bool
 	finished bool
@@ -148,16 +148,19 @@ func (r *GraphRun) CommitHorizon() avtime.WorldTime {
 	return r.lastNow + r.rate.UnitDuration()
 }
 
-// SetRound tags the next Tick's chunk requests with an explicit storage
-// service round.  The multi-session engine numbers rounds by engine step
-// so concurrent graphs share per-disk SCAN-EDF batches; a standalone run
-// leaves the default (the tick index).
+// SetRound tags the next Tick's chunk requests with a storage service
+// round.  The multi-session engine numbers rounds by engine step, so
+// concurrent graphs share per-disk SCAN-EDF batches, and closes each
+// round when its step ends (storage.Store.CloseRound).  A run on which
+// SetRound was never called ticks in immediate mode (round -1): its
+// reads neither join rounds nor stage pool ops.
 func (r *GraphRun) SetRound(round int64) { r.round = round }
 
 // Commit advances the shared clock past the last executed tick and
 // refreshes Elapsed.  Single-run drivers call it after every successful
 // Tick; a multi-run scheduler instead commits once per step, to the
-// minimum CommitHorizon across its active runs.
+// minimum CommitHorizon across its active runs, and Elapsed is set when
+// the run stops (a tick error, or Finish's drain).
 func (r *GraphRun) Commit() {
 	r.clock.AdvanceTo(r.CommitHorizon())
 	r.stats.Elapsed = r.clock.Now() - r.startAt
@@ -179,25 +182,20 @@ func (r *GraphRun) Tick() (bool, error) {
 		r.done = true
 		return true, nil
 	}
-	// Keep Elapsed current even when an external scheduler owns the
-	// commit: at this point the clock covers every previously committed
-	// tick, which is exactly what the historical loop recorded.
-	r.stats.Elapsed = r.clock.Now() - r.startAt
 
 	tick := r.tick
 	now := r.startAt + r.rate.DurationOf(avtime.ObjectTime(tick))
 	iv := avtime.Interval{Start: now, Dur: r.rate.UnitDuration()}
-	round := r.round
-	if round < 0 {
-		round = int64(tick)
-	}
 	anyRunning := false
 	for i := range r.nodes {
 		node := &r.nodes[i]
-		node.tc.reset(now, tick, iv, round)
+		node.tc.reset(now, tick, iv, r.round)
 		ran, last, err := node.step(now, r)
 		if err != nil {
+			// The run stops here.  A tick never advances the clock, so
+			// Elapsed covers every previously committed tick.
 			r.runErr = err
+			r.stats.Elapsed = r.clock.Now() - r.startAt
 			return true, err
 		}
 		anyRunning = anyRunning || ran
@@ -280,9 +278,4 @@ func (r *GraphRun) closeObs() {
 	r.sink.Counter("sched.ticks").Add(int64(r.stats.Ticks))
 	r.sink.Counter("stream.chunks").Add(r.stats.Chunks)
 	r.sink.Counter("stream.bytes").Add(r.stats.BytesMoved)
-	// No chunk is lost or damaged in flight, but snapshot readers pin
-	// these counters' lines, so they stay, at 0.
-	r.sink.Counter("stream.dropped").Add(0)
-	r.sink.Counter("stream.corrupted").Add(0)
-	r.sink.Counter("stream.transfer_failures").Add(0)
 }

@@ -204,7 +204,7 @@ func Open(cfg Config) (*Database, error) {
 func (db *Database) Engine() *Engine { return db.runEngine }
 
 // MediaIOStats returns the media store's cumulative disk-scheduling
-// counters: rounds flushed, seeks charged and saved, deadline misses.
+// counters: rounds serviced, seeks charged and saved, deadline misses.
 func (db *Database) MediaIOStats() storage.IOStats { return db.mediaSt.IOStats() }
 
 // Name returns the database's name.

@@ -27,17 +27,20 @@ import (
 //     requests merge into shared per-disk SCAN-EDF batches,
 //  3. commits the clock once, to the minimum commit horizon across the
 //     surviving runs,
-//  4. retires finished runs (drain, span close-out, node teardown) and
-//     completes their Playback handles.
+//  4. retires finished runs (drain, span close-out, node teardown),
+//  5. feeds the overload detector (when enabled),
+//  6. closes the step's storage round (Store.CloseRound): the SCAN-EDF
+//     batches are serviced and the buffer pool's staged ops commit,
+//  7. completes the retired runs' Playback handles.
 //
-// A single admitted session therefore executes the exact sequence
-// Graph.Run would: same tick times, same round numbers, same commit
-// points — byte-identical RunStats and obs output.
+// A single admitted session therefore executes the same tick times and
+// commit points as Graph.Run — byte-identical RunStats and obs output
+// for a store without rounds or a pool, which a standalone run reads in
+// immediate mode.
 //
 // The loop runs on one goroutine, started lazily at first admission and
 // exited when the run set drains; the step counter persists across
-// restarts so storage round numbers never rewind below the IOSched
-// flush watermark.
+// restarts so storage round numbers never rewind into a closed round.
 //
 // Every due run ticks on the loop goroutine, one after another in
 // admission order (DESIGN.md §14), so the engine is deterministic by
@@ -130,6 +133,11 @@ type engineEntry struct {
 	due        avtime.WorldTime // snapshot of the next due time, under the engine lock
 	lastStalls int64            // stall episodes at the previous sample (loop goroutine)
 	tickDone   bool             // the last tick finished the run (loop goroutine)
+
+	// The retired run's outcome, held from Finish until the step
+	// completes the playback (loop goroutine).
+	stats *activity.RunStats
+	err   error
 }
 
 func newEngine(db *Database) *Engine {
@@ -356,8 +364,7 @@ func (e *Engine) stepOnce() bool {
 	m.steps.Add(1)
 
 	// Phase 3 — retire finished runs: drain their gates, close spans,
-	// stop nodes, publish the retirement, complete the Playback so
-	// waiters unblock.
+	// stop nodes, publish the retirement.
 	for _, en := range e.retiredBuf {
 		stats, err := en.run.Finish()
 		e.mu.Lock()
@@ -370,10 +377,7 @@ func (e *Engine) stepOnce() bool {
 		m.sessionsActive.Set(int64(len(e.entries)))
 		e.mu.Unlock()
 		m.runsFinished.Add(1)
-		// Last: completing the playback releases its waiters, and a
-		// client that snapshots right after Wait must find everything
-		// this retirement publishes already there.
-		en.playback.complete(stats, err)
+		en.stats, en.err = stats, err
 	}
 
 	// Phase 4 — overload control: feed the detector this step's load
@@ -383,6 +387,18 @@ func (e *Engine) stepOnce() bool {
 	// engine).
 	if det != nil {
 		e.overloadStep(det, stallDelta)
+	}
+
+	// Phase 5 — close the step's storage round, after every read and
+	// every stream close of the step: the SCAN-EDF batches are serviced
+	// and the pool's staged ops commit.
+	e.db.mediaSt.CloseRound(step)
+
+	// Last: completing a playback releases its waiters, and a client
+	// that snapshots right after Wait must find everything this step
+	// publishes already there.
+	for _, en := range e.retiredBuf {
+		en.playback.complete(en.stats, en.err)
 	}
 
 	e.mu.Lock()

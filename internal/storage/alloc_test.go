@@ -56,8 +56,8 @@ func allocStreams(t *testing.T, streams, nDisks, frames int) []*Stream {
 }
 
 // TestIOSchedAllocsPerRun pins the tentpole target: the steady-state
-// scheduled read path — submit into a pooled round, flush, consume from
-// the stream slot, eagerly queue the follow-on — performs zero heap
+// scheduled read path — consume from the stream slot, submit the
+// follow-on into a pooled round, close the round — performs zero heap
 // allocations per round once warm.
 func TestIOSchedAllocsPerRun(t *testing.T) {
 	const (
@@ -80,6 +80,7 @@ func TestIOSchedAllocsPerRun(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		ss[0].st.CloseRound(round)
 		round++
 		idx++
 	}
@@ -93,6 +94,9 @@ func TestIOSchedAllocsPerRun(t *testing.T) {
 	allocs := testing.AllocsPerRun(frames-idx-2, tick)
 	if allocs != 0 {
 		t.Errorf("scheduled read path allocates %.1f times per round, want 0", allocs)
+	}
+	if io := ss[0].st.IOStats(); io.Demand != streams {
+		t.Errorf("%d demand reads, want %d: only each stream's first read misses the rounds", io.Demand, streams)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // BenchmarkIOSchedFlush isolates the scheduler itself: one op is a full
-// round — submit every stream's request, then flush — with no stream or
+// round — submit every stream's request, then close it — with no stream or
 // store plumbing around it.  Arms cross batch width (narrow: 2 streams,
 // wide: 16) with disk fan-out (1 or 4) and pool temperature: warm reuses
 // one scheduler so the round buffers recycle, cold builds a fresh
@@ -54,8 +54,8 @@ func BenchmarkIOSchedFlush(b *testing.B) {
 								slot:     &slots[s],
 							})
 						}
+						io.closeRound(round)
 						round++
-						io.flushBefore(round)
 					}
 				})
 			}
@@ -75,7 +75,7 @@ func BenchmarkStripedRead(b *testing.B) {
 	)
 	for _, arm := range stripeArms {
 		b.Run(arm.name, func(b *testing.B) {
-			_, ss := openStripeArm(b, arm.width, arm.policy, streams, frames)
+			st, ss := openStripeArm(b, arm.width, arm.policy, streams, frames)
 			unit := media.TypeRawVideo30.Rate.UnitDuration()
 			round := int64(0) // monotonic across iterations: rounds never rewind
 			b.ResetTimer()
@@ -87,6 +87,7 @@ func BenchmarkStripedRead(b *testing.B) {
 							b.Fatal(err)
 						}
 					}
+					st.CloseRound(round)
 					round++
 				}
 			}

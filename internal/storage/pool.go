@@ -14,18 +14,19 @@ package storage
 // Which session's read counts as a hit is decided per round (DESIGN.md
 // §15).  During a tick, streams only READ committed residency; every
 // mutation — the LRU touch behind a hit, the inserts behind a miss's
-// fill — is staged as a poolOp tagged with its round.  The first read of
-// a later round commits every op of earlier rounds in staging order.
-// So no session hits a chunk any session (itself included) staged in
-// the same round; the engine steps sessions serially, so the staging
-// order, and with it residency, eviction order and every counter, is
-// the same on every run (TestEngineAudienceDeterminism).  Reads with
-// round < 0 (no tick context) apply their ops immediately, which is
-// exactly the retired per-stream LRU's behavior; the differential
-// harness in pool_differential_test.go holds the pool to that oracle.
+// fill — is staged as a poolOp tagged with its round.  When the engine
+// closes the round (Store.CloseRound) its ops commit in staging order;
+// reads never commit.  So no session hits a chunk any session (itself
+// included) staged in the same round; the engine steps sessions
+// serially, so the staging order, and with it residency, eviction order
+// and every counter, is the same on every run
+// (TestEngineAudienceDeterminism).  Reads with round < 0 (no tick
+// context) apply their ops immediately, which is exactly the retired
+// per-stream LRU's behavior; the differential harness in
+// pool_differential_test.go holds the pool to that oracle.
 //
-// The warm hit path — commit watermark check, one index load, staging
-// one touch — performs zero heap allocations (TestPoolHitAllocs): the
+// The warm hit path — one index load, staging one touch — performs
+// zero heap allocations (TestPoolHitAllocs): the
 // LRU is intrusive (index-linked entries in a flat slice with a free
 // list) and staged ops land in a retained buffer.
 //
@@ -53,9 +54,9 @@ type CachePolicy struct {
 func (p CachePolicy) Enabled() bool { return p.Capacity > 0 }
 
 // CacheStats summarizes cache behavior — per stream on
-// Stream.CacheStats, pool-wide on Store.PoolStats.  Under scheduled
-// (staged) reads, evictions happen at the round commit and are
-// accounted to the pool aggregate, not to individual streams.
+// Stream.CacheStats, pool-wide on Store.PoolStats.  Under staged reads,
+// evictions happen when the round closes and are accounted to the pool
+// aggregate, not to individual streams.
 type CacheStats struct {
 	Hits       int64 // reads served from resident chunks at zero device cost
 	Misses     int64 // demand reads that paid the device
@@ -72,7 +73,7 @@ type PoolStats struct {
 	Resident int // chunks currently resident
 	Capacity int // Capacity × attached streams
 	Streams  int // streams currently attached
-	Staged   int // residency operations of rounds not yet committed
+	Staged   int // residency operations of rounds not yet closed
 }
 
 // poolKey identifies one chunk within a pool: seg is the segment's slot
@@ -139,7 +140,6 @@ type bufferPool struct {
 	capacity int     // policy.Capacity per attached stream
 	nextPID  int64
 	staged   []poolOp
-	flushed  int64 // rounds below this are applied
 	agg      CacheStats
 }
 
@@ -261,16 +261,12 @@ func (p *bufferPool) detach(slot int32) {
 }
 
 // read consults committed residency for key at the given round,
-// counting a hit and staging its LRU touch.  round >= 0 first commits
-// every earlier round's staged ops; round < 0 applies the touch
+// counting a hit and staging its LRU touch; round < 0 applies the touch
 // immediately (the no-tick-context demand path).  shared reports a hit
 // on a chunk some other stream made resident.
 func (p *bufferPool) read(pid int64, key poolKey, round int64) (hit, shared bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if round >= 0 {
-		p.commitLocked(round)
-	}
 	i := p.lookupLocked(key)
 	if i == poolNil {
 		return false, false
@@ -305,7 +301,7 @@ func (p *bufferPool) miss() {
 // or applying them immediately at round < 0.  It returns how many
 // chunks beyond idx were newly staged and, in immediate mode, how many
 // residents were evicted; staged-mode evictions happen at commit and
-// are accounted to the store aggregate there.
+// are accounted to the pool aggregate there.
 func (p *bufferPool) fill(pid int64, seg int32, idx, lookahead, limit int, round int64) (staged, evicted int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -339,19 +335,17 @@ func (p *bufferPool) fill(pid int64, seg int32, idx, lookahead, limit int, round
 	return staged, evicted
 }
 
-// commitLocked applies every staged op of rounds below round in staging
-// order and keeps the rest.  The caller's tick barrier guarantees those
-// rounds are complete, so the applied set does not depend on which
-// read triggers the commit; p.mu is held.
-func (p *bufferPool) commitLocked(round int64) {
-	if round <= p.flushed {
-		return
-	}
-	p.flushed = round
+// commit applies every staged op of rounds up to and including round
+// in staging order and keeps the rest.  The caller — the engine at the
+// end of its step — guarantees those rounds are complete.  It reports
+// whether the pool still serves a stream or holds a staged op.
+func (p *bufferPool) commit(round int64) (busy bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	evicted, keep := 0, 0
 	for _, op := range p.staged {
 		switch {
-		case op.round >= round:
+		case op.round > round:
 			p.staged[keep] = op
 			keep++
 		case op.kind == opTouch:
@@ -370,6 +364,7 @@ func (p *bufferPool) commitLocked(round int64) {
 	if len(p.idle) > 0 {
 		p.releaseIdleLocked()
 	}
+	return p.streams > 0 || keep > 0
 }
 
 // applyInsertLocked makes key resident attributed to pid, evicting the

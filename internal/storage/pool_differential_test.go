@@ -183,9 +183,9 @@ func TestPoolMatchesLRUOracleRandom(t *testing.T) {
 }
 
 // TestPoolStagedSequentialMatchesOracle replays a sequential playback on
-// the staged path, one read per round: every earlier round's ops commit
-// before the next read probes residency, so the hit pattern and
-// residency must equal the immediate-mode oracle's.
+// the staged path, one read per round: each round closes before the
+// next read probes residency, so the hit pattern and residency must
+// equal the immediate-mode oracle's.
 func TestPoolStagedSequentialMatchesOracle(t *testing.T) {
 	policy := CachePolicy{Capacity: 8, Lookahead: 4}
 	s, oracle, limit := diffRig(t, policy, 64)
@@ -198,12 +198,8 @@ func TestPoolStagedSequentialMatchesOracle(t *testing.T) {
 		if want := oracle.read(i, limit); hit != want {
 			t.Fatalf("chunk %d: pool hit=%v, oracle hit=%v", i, hit, want)
 		}
+		s.st.CloseRound(int64(i))
 	}
-	// The last round's staged ops are still pending; commit them so the
-	// final residency snapshot is complete.
-	s.pool.mu.Lock()
-	s.pool.commitLocked(64)
-	s.pool.mu.Unlock()
 	cs := s.CacheStats()
 	if cs.Hits != oracle.stats.Hits || cs.Misses != oracle.stats.Misses || cs.Prefetched != oracle.stats.Prefetched {
 		t.Fatalf("stats diverged: pool %+v, oracle %+v", cs, oracle.stats)
@@ -455,6 +451,50 @@ func TestPoolRetiredKeepsOwnResidency(t *testing.T) {
 	}
 }
 
+// TestCloseRoundReachesRetiredPool: a stream reading through a pool
+// that a policy change retired still stages its ops in rounds, and
+// CloseRound commits them as it does the current pool's — before the
+// retire and after it — until the retired pool's last stream detaches
+// and the store lets it go.
+func TestCloseRoundReachesRetiredPool(t *testing.T) {
+	_, st := testRig(t)
+	st.SetCachePolicy(CachePolicy{Capacity: 4, Lookahead: 2})
+	seg, err := st.Place(clip(t, 8), "disk0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _, err := st.OpenStream(seg.ID(), media.MBPerSecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.ReadChunkTimeAt(0, 1200, 0, 0, 0); err != nil { // stages 0..2
+		t.Fatal(err)
+	}
+	st.SetCachePolicy(CachePolicy{Capacity: 4, Lookahead: 1})
+	if st.PoolStats().Staged != 0 || len(st.retired) != 1 {
+		t.Fatalf("the policy change did not retire a's pool: %d retired", len(st.retired))
+	}
+	st.CloseRound(0)
+	if dt, err := a.ReadChunkTimeAt(1, 1200, 1, 0, 0); err != nil || dt != 0 {
+		t.Fatalf("retired pool, chunk 1: %v, %v; want a hit on the op staged before the retire", dt, err)
+	}
+	if dt, err := a.ReadChunkTimeAt(3, 1200, 2, 0, 0); err != nil || dt == 0 { // stages 3..5
+		t.Fatalf("retired pool, chunk 3: %v, %v; want a miss", dt, err)
+	}
+	st.CloseRound(2)
+	if dt, err := a.ReadChunkTimeAt(4, 1200, 3, 0, 0); err != nil || dt != 0 {
+		t.Fatalf("retired pool, chunk 4: %v, %v; want a hit on the op staged after the retire", dt, err)
+	}
+	a.Close()
+	st.CloseRound(3)
+	if ps := a.pool.stats(); ps.Staged != 0 || ps.Streams != 0 {
+		t.Fatalf("retired pool after its last close: %+v", ps)
+	}
+	if len(st.retired) != 0 {
+		t.Fatalf("the store still holds %d retired pools", len(st.retired))
+	}
+}
+
 // TestPoolReleasesIdleSlots: a pool that serves one segment after
 // another, each streamed to its end and closed, recycles the slots of
 // segments it no longer serves instead of keeping an index for every
@@ -481,6 +521,9 @@ func TestPoolReleasesIdleSlots(t *testing.T) {
 				}
 				if _, err := s.ReadChunkTimeAt(i, 1200, r, 0, 0); err != nil {
 					t.Fatal(err)
+				}
+				if staged {
+					st.CloseRound(r)
 				}
 			}
 			p := s.pool
@@ -525,9 +568,10 @@ func TestPoolStagedInsertOutlivesItsStream(t *testing.T) {
 	if b.pslot == a.pslot {
 		t.Fatalf("b took slot %d while a's inserts were still staged", a.pslot)
 	}
-	if _, err := b.ReadChunkTimeAt(5, 1200, 1, 0, 0); err != nil { // commits a's inserts
+	if _, err := b.ReadChunkTimeAt(5, 1200, 1, 0, 0); err != nil {
 		t.Fatal(err)
 	}
+	st.CloseRound(1) // commits a's inserts and b's
 	if dt, err := b.ReadChunkTimeAt(0, 1200, 2, 0, 0); err != nil || dt == 0 {
 		t.Fatalf("b's chunk 0: %v, %v; want a miss", dt, err)
 	}
@@ -539,8 +583,8 @@ func TestPoolStagedInsertOutlivesItsStream(t *testing.T) {
 }
 
 // TestPoolHitAllocs pins the staged-path warm hit to zero allocations:
-// commit watermark check, one map probe, one staged touch in a retained
-// buffer.
+// one index probe and one staged touch in a retained buffer, with the
+// round closed after every read.
 func TestPoolHitAllocs(t *testing.T) {
 	_, st := testRig(t)
 	st.SetCachePolicy(CachePolicy{Capacity: 8, Lookahead: 0})
@@ -553,28 +597,21 @@ func TestPoolHitAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	round := int64(0)
-	for i := 0; i < 8; i++ {
-		if _, err := s.ReadChunkTimeAt(i, 1200, round, 0, 0); err != nil {
-			t.Fatal(err)
-		}
-		round++
-	}
-	// Warm the retained buffers through a few commit cycles.
-	for i := 0; i < 16; i++ {
-		if _, err := s.ReadChunkTimeAt(i%8, 1200, round, 0, 0); err != nil {
-			t.Fatal(err)
-		}
-		round++
-	}
-	idx := 0
-	allocs := testing.AllocsPerRun(200, func() {
+	round, idx := int64(0), 0
+	read := func() {
 		if _, err := s.ReadChunkTimeAt(idx%8, 1200, round, 0, 0); err != nil {
 			t.Fatal(err)
 		}
+		st.CloseRound(round)
 		idx++
 		round++
-	})
+	}
+	// One pass stages the clip; two more warm the retained buffers
+	// through a few commit cycles.
+	for idx < 24 {
+		read()
+	}
+	allocs := testing.AllocsPerRun(200, read)
 	if allocs != 0 {
 		t.Errorf("staged pool-hit read path allocates %.1f times per read, want 0", allocs)
 	}
@@ -610,6 +647,7 @@ func BenchmarkPoolHit(b *testing.B) {
 		if _, err := s.ReadChunkTimeAt(i%8, 1200, round, 0, 0); err != nil {
 			b.Fatal(err)
 		}
+		st.CloseRound(round)
 		round++
 	}
 	b.ReportAllocs()
@@ -618,6 +656,7 @@ func BenchmarkPoolHit(b *testing.B) {
 		if _, err := s.ReadChunkTimeAt(i%8, 1200, round, 0, 0); err != nil {
 			b.Fatal(err)
 		}
+		st.CloseRound(round)
 		round++
 	}
 }

@@ -3,47 +3,43 @@ package storage
 // sched.go implements IOSched, the per-device round scheduler.  Streams
 // driven by a graph run submit the *next* chunk they will need once the
 // read of the current one succeeds; all requests submitted during one
-// graph tick form a round.  When the first stream of a later tick
-// consumes its result, every complete earlier round is serviced: each
-// disk's batch is ordered SCAN-EDF — earliest playback deadline first,
-// ties by track position, then stream — and charged one positioned seek
-// per run of adjacent tracks instead of one full seek per chunk.
+// engine step form a round.  When the step ends, the engine closes the
+// round (Store.CloseRound) and every pending round up to it is
+// serviced: each disk's batch is ordered SCAN-EDF — earliest playback
+// deadline first, ties by track position, then stream — and charged one
+// positioned seek per run of adjacent tracks instead of one full seek
+// per chunk.  Reads never service: a read only takes the result its
+// stream's previous request was priced at.
 //
-// Determinism is structural.  The tick barrier guarantees that every
-// submission of round T happens before any activity of tick T+1 runs,
-// so by the time flushBefore(T+1) fires, round T's batch content is
-// complete and identical no matter in which order tick T's streams
-// submitted.  The SCAN-EDF sort key (deadline,
+// Determinism is structural.  Every submission of round T happens
+// during step T, before the engine closes it, so the batch content is
+// complete when it is serviced and identical no matter in which order
+// the step's streams submitted.  The SCAN-EDF sort key (deadline,
 // track, stream, chunk) is total — sid is unique within one disk's batch
 // because a stream resubmitting in the same round replaces its previous
 // request, so no two distinct batch members ever compare equal (pinned
 // by TestSCANEDFKeyTotalOrder) — and therefore the service order, the
 // per-disk head walk, every seek charge and every counter are
-// independent of submission order.  Within one flush, rounds are
-// serviced in ascending round order and disks in ID order.
+// independent of submission order.  Within one close, rounds are
+// serviced in ascending round order and disks in ID order.  A
+// submission into a round already closed (a straggler from a driver
+// numbering its own rounds) is left to become a demand read.  Demand
+// reads price seeks from the stream's own recorded position without
+// moving the shared per-disk heads, so only round service advances
+// them.
 //
-// The same argument covers submissions from different sessions.  The
-// engine ticks every session on its one loop goroutine, so sessions'
-// submissions never race; every method that touches shared scheduler
-// state still takes io.mu, because the scheduler is shared with callers
-// off that goroutine: a graph driven by Graph.Run reads through the
-// store on its caller's goroutine, clients close streams (drop) and
-// snapshot IOStats while the engine steps, and SetSink swaps the
-// metric handles.  The total key makes any interleaving of submitters
-// invisible.  Service itself is serialized by the flushed watermark —
-// the first read of step T+1 to reach flushBefore(T+1) services every
-// complete round while later readers pass the lock-free watermark
-// check — and demand reads price seeks
-// from the stream's own recorded position without moving the shared
-// per-disk heads, so only watermark-ordered service advances them.
-// TestConcurrentSubmitDeterminism pins this under the race detector.
+// Every method that touches scheduler state takes io.mu: clients close
+// streams (drop) and snapshot IOStats from their own goroutines while
+// the engine steps, and SetSink swaps the metric handles.
+// TestConcurrentSubmitDeterminism pins that submissions racing into one
+// round stay invisible.
 //
 // The hot path is allocation-free in steady state (pinned by
 // TestIOSchedAllocsPerRun).  Rounds live in flat, reusable buffers: a
 // schedRound holds one diskBatch per disk, kept sorted by device ID, and
 // each batch keeps its requests sorted by the SCAN-EDF key from the
 // moment they are inserted — deadline-bucketed insertion at enqueue —
-// so flushing a round walks the batches in final service order with no
+// so servicing a round walks the batches in final service order with no
 // sort at all.  Retired rounds are recycled through a per-IOSched free
 // list (their batch and request capacity survives the round trip), so
 // once the buffers are warm the scheduled chunk path allocates nothing.
@@ -57,8 +53,8 @@ package storage
 // requests, it does not block anything.
 
 import (
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"avdb/internal/avtime"
 	"avdb/internal/device"
@@ -82,7 +78,7 @@ type ioReq struct {
 	slot     *ioSlot          // where the serviced result lands
 
 	// Replicated chunks carry alternates: the round assigns the request
-	// to the least-loaded copy at flush time (assignFlexLocked).  nalt is
+	// to the least-loaded copy at service time (assignFlexLocked).  nalt is
 	// zero for unreplicated chunks, which skip the flex path entirely.
 	alts [3]ioAlt
 	nalt uint8
@@ -97,11 +93,14 @@ type ioAlt struct {
 // ioSlot receives a stream's serviced result.  One slot belongs to one
 // stream (it is embedded in Stream, so delivering a result is two field
 // writes — no per-stream map on the hot path); every access is guarded
-// by the owning IOSched's mu.
+// by the owning IOSched's mu.  queued is one past the highest round the
+// stream submitted into: a submission into a later round cannot meet
+// an earlier request of the stream, so it skips the same-stream scan.
 type ioSlot struct {
-	chunk int
-	cost  avtime.WorldTime
-	full  bool
+	chunk  int
+	cost   avtime.WorldTime
+	full   bool
+	queued int64
 }
 
 // reqBefore is the SCAN-EDF total order: earliest deadline first, ties
@@ -159,7 +158,7 @@ type diskBatch struct {
 
 // schedRound is one round's batches, kept sorted by device ID, plus the
 // flex list: requests for replicated chunks, kept in SCAN-EDF order and
-// assigned to the least-loaded copy's batch at flush time.  The struct
+// assigned to the least-loaded copy's batch at service time.  The struct
 // is reused: retiring a round truncates the batches and their request
 // slices without releasing capacity.
 type schedRound struct {
@@ -169,18 +168,13 @@ type schedRound struct {
 }
 
 // roundFreeCap bounds the per-IOSched free list; in steady state one
-// round retires per flush, so the list stays short.
+// round retires per close, so the list stays short.
 const roundFreeCap = 8
 
 // IOSched batches chunk requests into per-device service rounds.
 type IOSched struct {
-	// flushed is the service watermark: rounds below it are priced.  It
-	// only grows, and it is read lock-free so every stream after the
-	// first in a tick skips the flush lock entirely (a stale read just
-	// falls through to the locked re-check).
-	flushed atomic.Int64
-
 	mu       sync.Mutex
+	closed   int64 // rounds below this are serviced; it only grows
 	m        ioMetrics
 	pending  []*schedRound        // unserviced rounds, ascending seq
 	free     []*schedRound        // recycled round buffers
@@ -317,66 +311,47 @@ func (r *schedRound) batchFor(d *device.Disk) *diskBatch {
 	return &r.batches[i]
 }
 
-// insert places q at its SCAN-EDF position.  A request from the same
-// stream already in the batch is replaced — resubmitting in one round
-// stays idempotent, and keeps sid unique so the sort key stays total.
-func (b *diskBatch) insert(q ioReq) {
-	for j := range b.reqs {
-		if b.reqs[j].sid == q.sid {
-			b.load -= b.reqs[j].bytes
-			copy(b.reqs[j:], b.reqs[j+1:])
-			b.reqs = b.reqs[:len(b.reqs)-1]
+// insertReq places q at its SCAN-EDF position in reqs.  With replace, a
+// request from the same stream already there is removed first and its
+// bytes returned — resubmitting in one round stays idempotent, and sid
+// stays unique so the sort key stays total; without it the caller knows
+// there is none.
+func insertReq(reqs []ioReq, q ioReq, replace bool) (_ []ioReq, replaced int64) {
+	for j := 0; replace && j < len(reqs); j++ {
+		if reqs[j].sid == q.sid {
+			replaced = reqs[j].bytes
+			reqs = append(reqs[:j], reqs[j+1:]...)
 			break
 		}
 	}
-	lo, hi := 0, len(b.reqs)
+	lo, hi := 0, len(reqs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if reqBefore(&b.reqs[mid], &q) {
+		if reqBefore(&reqs[mid], &q) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	b.reqs = append(b.reqs, ioReq{})
-	copy(b.reqs[lo+1:], b.reqs[lo:])
-	b.reqs[lo] = q
-	b.load += q.bytes
+	return slices.Insert(reqs, lo, q), replaced
+}
+
+// insert places q in the batch (insertReq) and keeps its load.
+func (b *diskBatch) insert(q ioReq, replace bool) {
+	var replaced int64
+	b.reqs, replaced = insertReq(b.reqs, q, replace)
+	b.load += q.bytes - replaced
 }
 
 // addReq routes a request into the round: unreplicated chunks go
 // straight to their disk's batch, replicated ones to the flex list for
-// least-loaded assignment at flush time.
-func (r *schedRound) addReq(q ioReq) {
+// least-loaded assignment at service time.  replace is insertReq's.
+func (r *schedRound) addReq(q ioReq, replace bool) {
 	if q.nalt == 0 {
-		r.batchFor(q.disk).insert(q)
+		r.batchFor(q.disk).insert(q, replace)
 	} else {
-		r.flexInsert(q)
+		r.flex, _ = insertReq(r.flex, q, replace)
 	}
-}
-
-// flexInsert places q at its SCAN-EDF position in the flex list with
-// the same same-stream replacement rule as diskBatch.insert.
-func (r *schedRound) flexInsert(q ioReq) {
-	for j := range r.flex {
-		if r.flex[j].sid == q.sid {
-			copy(r.flex[j:], r.flex[j+1:])
-			r.flex = r.flex[:len(r.flex)-1]
-			break
-		}
-	}
-	lo, hi := 0, len(r.flex)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if reqBefore(&r.flex[mid], &q) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	r.flex = append(r.flex, ioReq{})
-	copy(r.flex[lo+1:], r.flex[lo:])
-	r.flex[lo] = q
 }
 
 // loadOf reports the bytes already queued on a disk's batch this round.
@@ -408,44 +383,41 @@ func (io *IOSched) assignFlexLocked(r *schedRound) {
 			}
 		}
 		q.disk, q.track, q.nalt = best, bestTrack, 0
-		r.batchFor(best).insert(q)
+		// The stream submitted this very request into the round, so it
+		// may also have a direct one on this disk: keep the scan.
+		r.batchFor(best).insert(q, true)
 	}
 	r.flex = r.flex[:0]
 }
 
 // submit queues a request into the given round.  A stream resubmitting
 // in the same round replaces its previous request, so retried reads stay
-// idempotent.
+// idempotent.  A request without a slot is always checked for one.
 func (io *IOSched) submit(round int64, q ioReq) {
 	io.mu.Lock()
 	defer io.mu.Unlock()
-	if round < io.flushed.Load() {
-		// The round was already serviced (a straggler after a seek or
-		// degrade); the request becomes a demand read at consumption.
+	if round < io.closed {
+		// The round was already closed; the request becomes a demand
+		// read at consumption.
 		return
 	}
-	io.roundFor(round).addReq(q)
+	replace := true
+	if q.slot != nil {
+		replace = round < q.slot.queued
+		q.slot.queued = max(q.slot.queued, round+1)
+	}
+	io.roundFor(round).addReq(q, replace)
 }
 
-// flushBefore services every pending round strictly below round, in
-// ascending order.  The caller's tick barrier — within a run the end
-// of GraphRun.Tick, across sessions the end of the engine step —
-// guarantees those rounds are complete.  Concurrent callers race on the
-// watermark: exactly one wins and services, the rest exit lock-free,
-// and because batch content is already fixed it does not matter which.
-func (io *IOSched) flushBefore(round int64) {
-	if round <= io.flushed.Load() {
-		// Already serviced: the watermark only grows, so this lock-free
-		// exit is safe — every stream in a tick after the first takes it.
-		return
-	}
+// closeRound services every pending round up to and including round,
+// in ascending order, and closes them to later submissions.  The caller
+// — the engine at the end of its step — guarantees those rounds are
+// complete.
+func (io *IOSched) closeRound(round int64) {
 	io.mu.Lock()
 	defer io.mu.Unlock()
-	if round <= io.flushed.Load() {
-		return
-	}
-	io.flushed.Store(round)
-	for len(io.pending) > 0 && io.pending[0].seq < round {
+	io.closed = max(io.closed, round+1)
+	for len(io.pending) > 0 && io.pending[0].seq <= round {
 		r := io.pending[0]
 		n := len(io.pending)
 		copy(io.pending, io.pending[1:])

@@ -4,7 +4,7 @@ package storage
 // sessions submitting into the same round from different goroutines.
 // Order independence (the SCAN-EDF key is total) plus io.mu on every
 // shared-state touch means the interleaving must be invisible — the
-// service trace, head walks and counters after the flush have to match
+// service trace, head walks and counters after the close have to match
 // a sequential submission of the same round byte for byte.  Run under
 // -race this is also the data-race proof for cross-session submits.
 
@@ -16,7 +16,7 @@ import (
 
 // TestConcurrentSubmitDeterminism submits one round's requests from
 // several goroutines at once — a different random partition every
-// trial — then flushes and compares the full observable state against
+// trial — then closes the round and compares the full observable state against
 // a single-goroutine baseline.
 func TestConcurrentSubmitDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
@@ -60,8 +60,7 @@ func TestConcurrentSubmitDeterminism(t *testing.T) {
 			}
 			wg.Wait()
 		}
-		h.cur += 2
-		h.neu.flushBefore(h.cur)
+		h.neu.closeRound(h.cur)
 		return h.newTrace, h.neu.Stats()
 	}
 

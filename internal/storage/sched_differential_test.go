@@ -20,19 +20,21 @@ package storage
 //
 //	op = next byte % 10
 //	0,1,2  submit      + 8 request bytes (into the current round)
-//	3      tick        (advance the current round)
+//	3      tick        (close the current round, then advance it)
 //	4,5    read        + sid, chunk, flags, 8 next-request bytes
 //	6      drop        + sid
 //	7      straggler   + 8 request bytes (into current round - 2)
 //	8      demand note + flags (bit0: seeked)
-//	9      flush       (flushBefore the current round)
+//	9      close       (close the rounds below the current one)
 //
 //	request bytes: sid, disk, chunk, track, size, rate, deadline, jitter
 //	read flags: bit1 has follow-on request, bit2 demand seek (bit0 unused)
 //
 // A "read" drives both schedulers through storage.go's ReadChunkTimeAt
-// protocol: flush rounds below the current one, take the stream's
-// result and — after a demand read on a miss — submit the follow-on.
+// protocol: take the stream's result and — after a demand read on a
+// miss — submit the follow-on.  Reads never service: a tick closes its
+// round the way the engine closes each step's.  The reference keeps its
+// flushBefore(round+1) for a close of round.
 
 import (
 	"flag"
@@ -155,8 +157,6 @@ func (h *diffHarness) opRead(c *byteCursor) {
 	if flags&2 != 0 {
 		next = &q
 	}
-	h.neu.flushBefore(h.cur)
-	h.ref.flushBefore(h.cur)
 
 	costN, okN := h.neu.take(&h.slots[sid], chunk)
 	costR, okR := h.ref.take(sid, chunk)
@@ -174,6 +174,13 @@ func (h *diffHarness) opRead(c *byteCursor) {
 		h.neu.submit(h.cur, *next)
 		h.ref.submit(h.cur, refReq(*next))
 	}
+}
+
+// closeRound closes round on the flat scheduler and flushes below
+// round+1 on the reference, which is the same cut.
+func (h *diffHarness) closeRound(round int64) {
+	h.neu.closeRound(round)
+	h.ref.flushBefore(round + 1)
 }
 
 func (h *diffHarness) opDrop(c *byteCursor) {
@@ -195,8 +202,8 @@ func (h *diffHarness) checkStep(op int, n int) {
 	if sn, sr := h.neu.Stats(), h.ref.Stats(); sn != sr {
 		h.t.Fatalf("op %d (#%d): stats diverged:\nnew %+v\nref %+v", op, n, sn, sr)
 	}
-	if fn, fr := h.neu.flushed.Load(), h.ref.flushed; fn != fr {
-		h.t.Fatalf("op %d (#%d): flushed watermark diverged: new %d ref %d", op, n, fn, fr)
+	if fn, fr := h.neu.closed, h.ref.flushed; fn != fr {
+		h.t.Fatalf("op %d (#%d): closed mark diverged: new %d ref %d", op, n, fn, fr)
 	}
 	h.checkPendingSorted()
 }
@@ -235,9 +242,7 @@ func (h *diffHarness) checkPendingSorted() {
 // result state.
 func (h *diffHarness) finish() {
 	h.t.Helper()
-	h.cur += 3
-	h.neu.flushBefore(h.cur)
-	h.ref.flushBefore(h.cur)
+	h.closeRound(h.cur + 2)
 
 	if len(h.newTrace) != len(h.refTrace) {
 		h.t.Fatalf("service traces diverged in length: new %d ref %d", len(h.newTrace), len(h.refTrace))
@@ -283,6 +288,7 @@ func runDifferential(t testing.TB, data []byte) {
 		case 0, 1, 2:
 			h.opSubmit(c, h.cur)
 		case 3:
+			h.closeRound(h.cur)
 			h.cur++
 		case 4, 5:
 			h.opRead(c)
@@ -293,8 +299,7 @@ func runDifferential(t testing.TB, data []byte) {
 		case 8:
 			h.opDemand(c)
 		case 9:
-			h.neu.flushBefore(h.cur)
-			h.ref.flushBefore(h.cur)
+			h.closeRound(h.cur - 1)
 		}
 		h.checkStep(op, n)
 	}
@@ -354,8 +359,7 @@ func TestSubmitOrderIndependence(t *testing.T) {
 			q.slot = nil
 			h.neu.submit(h.cur, q)
 		}
-		h.cur += 2
-		h.neu.flushBefore(h.cur)
+		h.neu.closeRound(h.cur)
 		return h.newTrace, h.neu.Stats()
 	}
 	base := make([]int, 24)
@@ -408,9 +412,9 @@ func TestSCANEDFKeyTotalOrder(t *testing.T) {
 	// Same-stream duplicates never coexist: insertion replaces.
 	var b diskBatch
 	q := h.reqFrom(&byteCursor{data: []byte{1, 0, 3, 4, 2, 5, 1, 0}})
-	b.insert(q)
+	b.insert(q, true)
 	q.chunk++
-	b.insert(q)
+	b.insert(q, true)
 	if len(b.reqs) != 1 || b.reqs[0].chunk != q.chunk {
 		t.Fatalf("same-stream reinsert did not replace: %+v", b.reqs)
 	}
@@ -489,7 +493,7 @@ func corpusOverloadCancels() []byte {
 		data = append(data, 7, 2, 1, 9, 3, 6, 3, 1, 0) // straggler submit
 		data = append(data, 8, tick)                   // demand note
 		data = append(data, 3)                         // tick
-		data = append(data, 9)                         // flush
+		data = append(data, 9)                         // close
 	}
 	return data
 }

@@ -12,6 +12,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"avdb/internal/avtime"
@@ -99,8 +100,9 @@ type Store struct {
 	policy   CachePolicy
 	striping StripePolicy
 	tiering  TierPolicy
-	io       *IOSched    // non-nil once a Seeks/Rounds policy was installed
-	pool     *bufferPool // non-nil once a caching policy opened a stream
+	io       *IOSched      // non-nil once a Seeks/Rounds policy was installed
+	pool     *bufferPool   // non-nil once a caching policy opened a stream
+	retired  []*bufferPool // pools a policy change retired while still in use
 }
 
 // storeMetrics holds an installed sink's storage handles; all nil
@@ -132,14 +134,35 @@ func newStoreMetrics(s obs.Sink) storeMetrics {
 // SetCachePolicy configures chunk caching for streams opened afterwards;
 // already-open streams keep the policy (and the shared pool) they were
 // opened with — changing the policy retires the current pool, and later
-// streams share a fresh one.  The zero policy disables caching.
+// streams share a fresh one.  CloseRound keeps committing a retired
+// pool's staged ops until its last stream detaches.  The zero policy
+// disables caching.
 func (st *Store) SetCachePolicy(p CachePolicy) {
 	st.mu.Lock()
-	if p != st.policy {
+	if p != st.policy && st.pool != nil {
+		st.retired = append(st.retired, st.pool)
 		st.pool = nil
 	}
 	st.policy = p
 	st.mu.Unlock()
+}
+
+// CloseRound ends storage round T: it services every pending SCAN-EDF
+// round up to T — rounds in ascending order, disks in ID order — and
+// then commits the buffer pool ops staged in those rounds, in staging
+// order.  The engine calls it once, as the last act of step T; reads
+// never service or commit.  A request submitted into a closed round is
+// left to a demand read.
+func (st *Store) CloseRound(round int64) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.io != nil {
+		st.io.closeRound(round)
+	}
+	if st.pool != nil {
+		st.pool.commit(round)
+	}
+	st.retired = slices.DeleteFunc(st.retired, func(p *bufferPool) bool { return !p.commit(round) })
 }
 
 // SetSink installs an observability sink.  Streams opened afterwards
@@ -569,15 +592,16 @@ func (s *Stream) readDone(bytes int64, t avtime.WorldTime) avtime.WorldTime {
 // full device read (including any startup cost), then stages the next
 // Lookahead chunks.
 //
-// The read is deadline-tagged: round is the caller's tick number, now
-// the tick's world time, and deadline the moment the chunk must be
-// presentable.  Under a Rounds policy the call first services every
-// complete earlier round, consumes the scheduled result for this chunk
-// if one was prefetched (paying its SCAN-EDF amortized cost instead of a
-// full seek), and then submits the following chunk into the current
-// round tagged deadline+unit.  A chunk nothing prefetched — the first
-// read, a jump — is a demand read.  round < 0 disables scheduling for
-// this call.
+// The read is deadline-tagged: round is the caller's storage round (the
+// engine's step), now the tick's world time, and deadline the moment
+// the chunk must be presentable.  Under a Rounds policy the call
+// consumes the scheduled result for this chunk if a closed round
+// prefetched it (paying its SCAN-EDF amortized cost instead of a full
+// seek), and then submits the following chunk into the current round
+// tagged deadline+unit.  A chunk nothing prefetched — the first read, a
+// jump — is a demand read.  The read neither services rounds nor
+// commits the pool's staged ops: CloseRound does both.  round < 0
+// disables scheduling and staging for this call.
 func (s *Stream) ReadChunkTimeAt(idx int, bytes int64, round int64, now, deadline avtime.WorldTime) (avtime.WorldTime, error) {
 	if bytes < 0 {
 		return 0, fmt.Errorf("storage: negative read %d", bytes)
@@ -596,12 +620,6 @@ func (s *Stream) ReadChunkTimeAt(idx int, bytes int64, round int64, now, deadlin
 		}
 	}
 	scheduled := s.rounds && round >= 0
-	if scheduled {
-		// The tick barrier guarantees every round before this one is
-		// fully submitted, so servicing them now is deterministic
-		// regardless of which stream flushes first.
-		s.io.flushBefore(round)
-	}
 	if s.pool != nil {
 		if hit, shared := s.pool.read(s.pid, poolKey{seg: s.pslot, chunk: idx}, round); hit {
 			if shared {
@@ -760,7 +778,7 @@ func (s *Stream) stageNext(idx int, now, deadline avtime.WorldTime, req *ioReq) 
 		deadline: deadline + s.unit,
 		slot:     &s.slot,
 	}
-	// Replicated chunks offer the scheduler alternates: at flush time the
+	// Replicated chunks offer the scheduler alternates: at service time the
 	// round routes the request to the least-loaded copy (see
 	// assignFlexLocked), so concurrent sessions fan out across stripe
 	// groups instead of queueing on one disk's round.

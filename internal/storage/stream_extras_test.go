@@ -2,8 +2,8 @@ package storage
 
 // stream_extras_test.go covers the smaller stream and pool surfaces
 // around the hierarchy work: degraded payload fractions shortening
-// scheduled rounds, sink swaps reaching the pool and scheduler, same-round own-window hits,
-// and the policy/rendering helpers.
+// scheduled rounds, sink swaps reaching the pool and scheduler, and the
+// policy/rendering helpers.
 
 import (
 	"strings"
@@ -43,6 +43,7 @@ func TestStreamPayloadFractionShortensRounds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			st.CloseRound(int64(i))
 			total += dt
 		}
 		return total
@@ -83,6 +84,7 @@ func TestSinkSwapReachesPoolAndScheduler(t *testing.T) {
 	if _, err := s.ReadChunkTimeAt(0, 1200, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
+	st.CloseRound(0)
 	// The pool and scheduler were built sink-less; swap one in mid-run.
 	col := obs.NewCollector()
 	st.SetSink(col)
@@ -91,6 +93,7 @@ func TestSinkSwapReachesPoolAndScheduler(t *testing.T) {
 		if _, err := s.ReadChunkTimeAt(i, 1200, int64(i), now, now); err != nil {
 			t.Fatal(err)
 		}
+		st.CloseRound(int64(i))
 	}
 	snap := col.Snapshot()
 	if snap.Counter("storage.pool.hits") == 0 {
@@ -127,6 +130,7 @@ func TestSinkReinstallReachesOnlyTheNewSink(t *testing.T) {
 			if _, err := s.ReadChunkTimeAt(i, 1200, round, now, now); err != nil {
 				t.Fatal(err)
 			}
+			st.CloseRound(round)
 		}
 	}
 	names := []string{

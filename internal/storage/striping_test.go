@@ -378,7 +378,7 @@ func TestIOSchedBatchAmortizesSeeks(t *testing.T) {
 		io.submit(0, ioReq{sid: sid, chunk: 5, bytes: 1200, disk: d, track: 4 + int(sid),
 			rate: media.MBPerSecond, now: 0, deadline: avtime.Second, slot: &slots[sid]})
 	}
-	io.flushBefore(1)
+	io.closeRound(0)
 	st := io.Stats()
 	if st.Rounds != 1 || st.Batches != 1 || st.Scheduled != 3 {
 		t.Errorf("stats %+v, want 1 round, 1 batch, 3 scheduled", st)
@@ -420,7 +420,7 @@ func TestIOSchedScanEDFOrder(t *testing.T) {
 		rate: media.MBPerSecond, now: 0, deadline: avtime.Millisecond, slot: &slots[0]})
 	io.submit(0, ioReq{sid: 1, chunk: 1, bytes: 1200, disk: d, track: 1,
 		rate: media.MBPerSecond, now: 0, deadline: avtime.Second, slot: &slots[1]})
-	io.flushBefore(1)
+	io.closeRound(0)
 	// Head finished at the relaxed request's track — it went last.
 	if io.heads[d] != 1 {
 		t.Errorf("head at track %d, want 1 (EDF must outrank SCAN)", io.heads[d])
@@ -444,7 +444,7 @@ func TestIOSchedStaleAndStragglerRequests(t *testing.T) {
 	io := newIOSched(nil)
 	slots := make([]ioSlot, 2)
 	io.submit(0, ioReq{sid: 7, chunk: 3, bytes: 1200, disk: d, rate: media.MBPerSecond, deadline: avtime.Second, slot: &slots[0]})
-	io.flushBefore(2)
+	io.closeRound(1)
 	// Taking the wrong chunk discards the stale result entirely.
 	if _, ok := io.take(&slots[0], 9); ok {
 		t.Error("stale result consumed for the wrong chunk")
@@ -452,14 +452,14 @@ func TestIOSchedStaleAndStragglerRequests(t *testing.T) {
 	if _, ok := io.take(&slots[0], 3); ok {
 		t.Error("discarded result resurfaced")
 	}
-	// Submissions into an already-flushed round are dropped, so the
+	// Submissions into an already-closed round are dropped, so the
 	// consumer falls back to a demand read instead of waiting forever.
 	io.submit(1, ioReq{sid: 8, chunk: 0, bytes: 1200, disk: d, rate: media.MBPerSecond, slot: &slots[1]})
 	if _, ok := io.take(&slots[1], 0); ok {
-		t.Error("straggler submission into a flushed round was serviced")
+		t.Error("straggler submission into a closed round was serviced")
 	}
 	if st := io.Stats(); st.Rounds != 1 {
-		t.Errorf("rounds %d, want 1 (flushed straggler must not start one)", st.Rounds)
+		t.Errorf("rounds %d, want 1 (a straggler into a closed round must not start one)", st.Rounds)
 	}
 }
 
@@ -483,6 +483,7 @@ func TestScheduledStreamReadsThroughRounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		st.CloseRound(int64(i))
 		total += dt
 	}
 	stats := st.IOStats()
@@ -596,6 +597,7 @@ func TestStripedRoundsBeatDemand(t *testing.T) {
 				}
 				per[j] += dt
 			}
+			st.CloseRound(int64(f))
 		}
 		wall[a] = slices.Max(per)
 		io[a] = st.IOStats()
@@ -640,6 +642,7 @@ func TestCacheHitsSkipStripeHomeDisk(t *testing.T) {
 	unit := media.TypeRawVideo30.Rate.UnitDuration()
 	read := func(i int) (avtime.WorldTime, error) {
 		now := avtime.WorldTime(i) * unit
+		defer st.CloseRound(int64(i))
 		return s.ReadChunkTimeAt(i, 1200, int64(i), now, now)
 	}
 	// Chunk 0 misses and stages chunks 1..3.
@@ -701,8 +704,12 @@ func TestCacheAndSchedulerCountersConsistent(t *testing.T) {
 		if _, err := s.ReadChunkTimeAt(i, 1200, int64(i), now, now); err != nil {
 			t.Fatal(err)
 		}
+		st.CloseRound(int64(i))
 	}
 	cs, io := s.CacheStats(), st.IOStats()
+	if io.Rounds == 0 {
+		t.Error("no round was serviced")
+	}
 	if cs.Hits+cs.Misses != 30 {
 		t.Errorf("hits %d + misses %d != 30 reads", cs.Hits, cs.Misses)
 	}
@@ -732,42 +739,51 @@ func TestCacheAndSchedulerCountersConsistent(t *testing.T) {
 // reads (each round services at most one request per stream).
 func consumedScheduled(io IOStats) int64 { return io.Scheduled }
 
+// readRoundsConcurrently reads chunk i of every stream in round i,
+// each read on its own goroutine, and closes each round once all its
+// reads are in: the engine's step barrier, with the step's reads racing.
+func readRoundsConcurrently(t *testing.T, st *Store, ss []*Stream, frames int) {
+	t.Helper()
+	unit := media.TypeRawVideo30.Rate.UnitDuration()
+	for i := 0; i < frames; i++ {
+		now := avtime.WorldTime(i) * unit
+		var wg sync.WaitGroup
+		for _, s := range ss {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := s.ReadChunkTimeAt(i, 1200, int64(i), now, now); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		st.CloseRound(int64(i))
+	}
+}
+
 func TestStripedConcurrentStreamsRace(t *testing.T) {
-	// Many striped streams sharing one IOSched, read from concurrent
-	// goroutines the way executor lanes do.  Run under -race.
+	// Many striped streams sharing one IOSched and one pool, each round's
+	// reads racing on their own goroutines.  Run under -race.
 	_, st := stripeRig(t, 4)
 	st.SetSink(obs.NewCollector())
 	st.SetCachePolicy(CachePolicy{Capacity: 8, Lookahead: 2})
 	st.SetStriping(StripePolicy{Seeks: true, Rounds: true})
 	const frames = 40
-	unit := media.TypeRawVideo30.Rate.UnitDuration()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	ss := make([]*Stream, 8)
+	for w := range ss {
 		seg, err := st.PlaceStriped(clip(t, frames), media.MBPerSecond, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, _, err := st.OpenStream(seg.ID(), media.MBPerSecond)
-		if err != nil {
+		if ss[w], _, err = st.OpenStream(seg.ID(), media.MBPerSecond); err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close()
-		wg.Add(1)
-		go func(s *Stream) {
-			defer wg.Done()
-			for i := 0; i < frames; i++ {
-				now := avtime.WorldTime(i) * unit
-				if _, err := s.ReadChunkTimeAt(i, 1200, int64(i), now, now); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(s)
+		defer ss[w].Close()
 	}
-	wg.Wait()
-	io := st.IOStats()
-	if io.Scheduled+io.Demand == 0 {
-		t.Error("no reads went through the scheduler")
+	readRoundsConcurrently(t, st, ss, frames)
+	if io := st.IOStats(); io.Scheduled == 0 || io.Demand == 0 {
+		t.Errorf("reads missed a path: %+v", io)
 	}
 }
 
@@ -790,27 +806,14 @@ func TestLazyLayoutConcurrentStreamsRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unit := media.TypeRawVideo30.Rate.UnitDuration()
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		s, _, err := st.OpenStream(seg.ID(), media.MBPerSecond)
-		if err != nil {
+	ss := make([]*Stream, 2)
+	for w := range ss {
+		if ss[w], _, err = st.OpenStream(seg.ID(), media.MBPerSecond); err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close()
-		wg.Add(1)
-		go func(s *Stream) {
-			defer wg.Done()
-			for i := 0; i < frames; i++ {
-				now := avtime.WorldTime(i) * unit
-				if _, err := s.ReadChunkTimeAt(i, 1200, int64(i), now, now); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(s)
+		defer ss[w].Close()
 	}
-	wg.Wait()
+	readRoundsConcurrently(t, st, ss, frames)
 	if len(seg.chunkDev) != frames || len(seg.chunkTrck) != frames {
 		t.Errorf("layout holds %d chunks and %d tracks, want %d", len(seg.chunkDev), len(seg.chunkTrck), frames)
 	}

@@ -355,7 +355,7 @@ func TestTierFlexRoutingLeastLoaded(t *testing.T) {
 		for _, sid := range order {
 			io.submit(0, mkReq(sid, int(sid), avtime.WorldTime(sid)*avtime.Second, slots[sid]))
 		}
-		io.flushBefore(1)
+		io.closeRound(0)
 		// Earliest deadline routes first onto the equally-empty disks:
 		// the tie goes to the lower ID (adisk); the second request then
 		// sees adisk loaded and takes bdisk.
