@@ -23,7 +23,10 @@ package storage
 // (TestEngineAudienceDeterminism).  Reads with round < 0 (no tick
 // context) apply their ops immediately, which is exactly the retired
 // per-stream LRU's behavior; the differential harness in
-// pool_differential_test.go holds the pool to that oracle.
+// pool_differential_test.go holds the pool to that oracle.  So do reads
+// into a round already closed: a straggler, or any read through a pool
+// a policy change retired, stages nothing a later close would have to
+// commit.
 //
 // The warm hit path — one index load, staging one touch — performs
 // zero heap allocations (TestPoolHitAllocs): the
@@ -140,6 +143,7 @@ type bufferPool struct {
 	capacity int     // policy.Capacity per attached stream
 	nextPID  int64
 	staged   []poolOp
+	closed   int64 // rounds below this are committed; it only grows
 	agg      CacheStats
 }
 
@@ -261,9 +265,10 @@ func (p *bufferPool) detach(slot int32) {
 }
 
 // read consults committed residency for key at the given round,
-// counting a hit and staging its LRU touch; round < 0 applies the touch
-// immediately (the no-tick-context demand path).  shared reports a hit
-// on a chunk some other stream made resident.
+// counting a hit and staging its LRU touch.  A round already closed —
+// round < 0 (the no-tick-context demand path) among them — applies the
+// touch immediately.  shared reports a hit on a chunk some other stream
+// made resident.
 func (p *bufferPool) read(pid int64, key poolKey, round int64) (hit, shared bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -276,7 +281,7 @@ func (p *bufferPool) read(pid int64, key poolKey, round int64) (hit, shared bool
 	if shared {
 		p.agg.Shared++
 	}
-	if round >= 0 {
+	if round >= p.closed {
 		p.staged = append(p.staged, poolOp{pid: pid, round: round, key: key, kind: opTouch})
 	} else {
 		p.moveFrontLocked(i)
@@ -297,15 +302,15 @@ func (p *bufferPool) miss() {
 }
 
 // fill makes chunks idx..idx+lookahead of seg resident (bounded by
-// limit, the segment's last chunk), staging the inserts at round >= 0
-// or applying them immediately at round < 0.  It returns how many
-// chunks beyond idx were newly staged and, in immediate mode, how many
-// residents were evicted; staged-mode evictions happen at commit and
+// limit, the segment's last chunk), staging the inserts in an open
+// round or applying them immediately in a closed one (round < 0 among
+// them).  It returns how many chunks beyond idx were newly staged and,
+// in immediate mode, how many residents were evicted; staged-mode evictions happen at commit and
 // are accounted to the pool aggregate there.
 func (p *bufferPool) fill(pid int64, seg int32, idx, lookahead, limit int, round int64) (staged, evicted int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if round >= 0 {
+	if round >= p.closed {
 		p.staged = append(p.staged, poolOp{pid: pid, round: round, key: poolKey{seg: seg, chunk: idx}, kind: opInsert})
 		for k := idx + 1; k <= idx+lookahead && k <= limit; k++ {
 			if p.lookupLocked(poolKey{seg: seg, chunk: k}) != poolNil {
@@ -335,17 +340,18 @@ func (p *bufferPool) fill(pid int64, seg int32, idx, lookahead, limit int, round
 	return staged, evicted
 }
 
-// commit applies every staged op of rounds up to and including round
-// in staging order and keeps the rest.  The caller — the engine at the
-// end of its step — guarantees those rounds are complete.  It reports
-// whether the pool still serves a stream or holds a staged op.
-func (p *bufferPool) commit(round int64) (busy bool) {
+// closeRound applies every staged op of rounds up to and including
+// round in staging order and keeps the rest; later reads into those
+// rounds apply at once.  The caller — the engine at the end of its
+// step — guarantees those rounds are complete.
+func (p *bufferPool) closeRound(round int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.closed = max(p.closed, round+1)
 	evicted, keep := 0, 0
 	for _, op := range p.staged {
 		switch {
-		case op.round > round:
+		case op.round >= p.closed:
 			p.staged[keep] = op
 			keep++
 		case op.kind == opTouch:
@@ -364,7 +370,6 @@ func (p *bufferPool) commit(round int64) (busy bool) {
 	if len(p.idle) > 0 {
 		p.releaseIdleLocked()
 	}
-	return p.streams > 0 || keep > 0
 }
 
 // applyInsertLocked makes key resident attributed to pid, evicting the

@@ -451,12 +451,11 @@ func TestPoolRetiredKeepsOwnResidency(t *testing.T) {
 	}
 }
 
-// TestCloseRoundReachesRetiredPool: a stream reading through a pool
-// that a policy change retired still stages its ops in rounds, and
-// CloseRound commits them as it does the current pool's — before the
-// retire and after it — until the retired pool's last stream detaches
-// and the store lets it go.
-func TestCloseRoundReachesRetiredPool(t *testing.T) {
+// TestPoolRetireCommitsStagedOps: a policy change that retires a pool
+// still read through commits the ops staged in its open round, and the
+// stream's later reads through it apply at once, so nothing is left
+// staged that no close would commit.
+func TestPoolRetireCommitsStagedOps(t *testing.T) {
 	_, st := testRig(t)
 	st.SetCachePolicy(CachePolicy{Capacity: 4, Lookahead: 2})
 	seg, err := st.Place(clip(t, 8), "disk0")
@@ -467,31 +466,71 @@ func TestCloseRoundReachesRetiredPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer a.Close()
 	if _, err := a.ReadChunkTimeAt(0, 1200, 0, 0, 0); err != nil { // stages 0..2
 		t.Fatal(err)
 	}
-	st.SetCachePolicy(CachePolicy{Capacity: 4, Lookahead: 1})
-	if st.PoolStats().Staged != 0 || len(st.retired) != 1 {
-		t.Fatalf("the policy change did not retire a's pool: %d retired", len(st.retired))
+	if ps := a.pool.stats(); ps.Staged != 3 {
+		t.Fatalf("before the retire: %+v; want 3 staged", ps)
 	}
-	st.CloseRound(0)
-	if dt, err := a.ReadChunkTimeAt(1, 1200, 1, 0, 0); err != nil || dt != 0 {
+	st.SetCachePolicy(CachePolicy{Capacity: 4, Lookahead: 1})
+	if ps := a.pool.stats(); ps.Staged != 0 || ps.Resident != 3 {
+		t.Fatalf("the retire left %+v; want 0 staged, 3 resident", ps)
+	}
+	// Round 0 is still open for the engine, but not for the retired pool.
+	if dt, err := a.ReadChunkTimeAt(1, 1200, 0, 0, 0); err != nil || dt != 0 {
 		t.Fatalf("retired pool, chunk 1: %v, %v; want a hit on the op staged before the retire", dt, err)
 	}
-	if dt, err := a.ReadChunkTimeAt(3, 1200, 2, 0, 0); err != nil || dt == 0 { // stages 3..5
-		t.Fatalf("retired pool, chunk 3: %v, %v; want a miss", dt, err)
+	if dt, err := a.ReadChunkTimeAt(4, 1200, 1, 0, 0); err != nil || dt == 0 { // inserts 4..6
+		t.Fatalf("retired pool, chunk 4: %v, %v; want a miss", dt, err)
 	}
-	st.CloseRound(2)
-	if dt, err := a.ReadChunkTimeAt(4, 1200, 3, 0, 0); err != nil || dt != 0 {
-		t.Fatalf("retired pool, chunk 4: %v, %v; want a hit on the op staged after the retire", dt, err)
+	if ps := a.pool.stats(); ps.Staged != 0 || ps.Resident != 4 {
+		t.Fatalf("reads through the retired pool left %+v; want 0 staged, 4 resident", ps)
 	}
-	a.Close()
+	if dt, err := a.ReadChunkTimeAt(5, 1200, 1, 0, 0); err != nil || dt != 0 {
+		t.Fatalf("retired pool, chunk 5: %v, %v; want a hit in the round that inserted it", dt, err)
+	}
+}
+
+// TestPoolStragglerIntoClosedRoundStagesNothing: a pooled read tagged
+// with a round the store already closed applies its touch and inserts
+// at once, the way IOSched turns such a submission into a demand read,
+// instead of staging ops no later close would commit.
+func TestPoolStragglerIntoClosedRoundStagesNothing(t *testing.T) {
+	_, st := testRig(t)
+	st.SetCachePolicy(CachePolicy{Capacity: 4, Lookahead: 2})
+	seg, err := st.Place(clip(t, 8), "disk0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _, err := st.OpenStream(seg.ID(), media.MBPerSecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.ReadChunkTimeAt(0, 1200, 3, 0, 0); err != nil { // stages 0..2
+		t.Fatal(err)
+	}
 	st.CloseRound(3)
-	if ps := a.pool.stats(); ps.Staged != 0 || ps.Streams != 0 {
-		t.Fatalf("retired pool after its last close: %+v", ps)
+	for _, r := range []int64{3, 1} {
+		if dt, err := s.ReadChunkTimeAt(1, 1200, r, 0, 0); err != nil || dt != 0 {
+			t.Fatalf("round %d, chunk 1: %v, %v; want a hit", r, dt, err)
+		}
 	}
-	if len(st.retired) != 0 {
-		t.Fatalf("the store still holds %d retired pools", len(st.retired))
+	if dt, err := s.ReadChunkTimeAt(5, 1200, 2, 0, 0); err != nil || dt == 0 { // inserts 5..7
+		t.Fatalf("round 2, chunk 5: %v, %v; want a miss", dt, err)
+	}
+	if ps := st.PoolStats(); ps.Staged != 0 || ps.Resident != 4 {
+		t.Fatalf("stragglers into closed rounds left %+v; want 0 staged, 4 resident", ps)
+	}
+	if dt, err := s.ReadChunkTimeAt(6, 1200, 2, 0, 0); err != nil || dt != 0 {
+		t.Fatalf("round 2, chunk 6: %v, %v; want a hit on the straggler's insert", dt, err)
+	}
+	if _, err := s.ReadChunkTimeAt(7, 1200, 4, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if ps := st.PoolStats(); ps.Staged != 1 {
+		t.Fatalf("a read into the open round 4 left %+v; want its touch staged", ps)
 	}
 }
 

@@ -20,7 +20,7 @@ package storage
 //
 //	op = next byte % 10
 //	0,1,2  submit      + 8 request bytes (into the current round)
-//	3      tick        (close the current round, then advance it)
+//	3      tick        (advance the current round)
 //	4,5    read        + sid, chunk, flags, 8 next-request bytes
 //	6      drop        + sid
 //	7      straggler   + 8 request bytes (into current round - 2)
@@ -30,10 +30,14 @@ package storage
 //	request bytes: sid, disk, chunk, track, size, rate, deadline, jitter
 //	read flags: bit1 has follow-on request, bit2 demand seek (bit0 unused)
 //
-// A "read" drives both schedulers through storage.go's ReadChunkTimeAt
-// protocol: take the stream's result and — after a demand read on a
-// miss — submit the follow-on.  Reads never service: a tick closes its
-// round the way the engine closes each step's.  The reference keeps its
+// A "read" closes the rounds below the current one, then drives both
+// schedulers through storage.go's ReadChunkTimeAt protocol: take the
+// stream's result and — after a demand read on a miss — submit the
+// follow-on.  The harness closes rounds itself, the way the engine does
+// at the end of each step; the stream's read never services.  Closing
+// only on reads and op 9 (not on every tick) lets several rounds stay
+// pending, so stragglers land in an older pending round and one close
+// services rounds in ascending order.  The reference keeps its
 // flushBefore(round+1) for a close of round.
 
 import (
@@ -91,6 +95,11 @@ type diffHarness struct {
 	newSink  *obs.Collector
 	refSink  *obs.Collector // the reference resolves every metric by name per event
 	cur      int64          // current round
+
+	// Reach counters for TestDifferentialReachesMultiRoundStates.
+	maxPending  int // most rounds pending after any op
+	lateInserts int // stragglers into an open round below the newest pending one
+	multiCloses int // closes that serviced more than one round
 }
 
 func newDiffHarness(t testing.TB) *diffHarness {
@@ -157,6 +166,7 @@ func (h *diffHarness) opRead(c *byteCursor) {
 	if flags&2 != 0 {
 		next = &q
 	}
+	h.closeRound(h.cur - 1)
 
 	costN, okN := h.neu.take(&h.slots[sid], chunk)
 	costR, okR := h.ref.take(sid, chunk)
@@ -179,6 +189,15 @@ func (h *diffHarness) opRead(c *byteCursor) {
 // closeRound closes round on the flat scheduler and flushes below
 // round+1 on the reference, which is the same cut.
 func (h *diffHarness) closeRound(round int64) {
+	n := 0
+	for _, r := range h.neu.pending {
+		if r.seq <= round {
+			n++
+		}
+	}
+	if n > 1 {
+		h.multiCloses++
+	}
 	h.neu.closeRound(round)
 	h.ref.flushBefore(round + 1)
 }
@@ -279,7 +298,7 @@ func (h *diffHarness) finish() {
 // runDifferential decodes data as an op stream, drives both schedulers,
 // and fails t on any divergence.  It is the single entry point shared by
 // the property suite, the seed corpus test, and FuzzSCANEDFOrder.
-func runDifferential(t testing.TB, data []byte) {
+func runDifferential(t testing.TB, data []byte) *diffHarness {
 	h := newDiffHarness(t)
 	c := &byteCursor{data: data}
 	for n := 0; !c.done() && n < 4096; n++ {
@@ -288,13 +307,15 @@ func runDifferential(t testing.TB, data []byte) {
 		case 0, 1, 2:
 			h.opSubmit(c, h.cur)
 		case 3:
-			h.closeRound(h.cur)
 			h.cur++
 		case 4, 5:
 			h.opRead(c)
 		case 6:
 			h.opDrop(c)
 		case 7:
+			if n := len(h.neu.pending); h.cur-2 >= h.neu.closed && n > 0 && h.neu.pending[n-1].seq > h.cur-2 {
+				h.lateInserts++
+			}
 			h.opSubmit(c, h.cur-2)
 		case 8:
 			h.opDemand(c)
@@ -302,8 +323,10 @@ func runDifferential(t testing.TB, data []byte) {
 			h.closeRound(h.cur - 1)
 		}
 		h.checkStep(op, n)
+		h.maxPending = max(h.maxPending, len(h.neu.pending))
 	}
 	h.finish()
+	return h
 }
 
 // TestDifferentialRandomOpStreams is the fixed-seed property suite:
@@ -320,6 +343,30 @@ func TestDifferentialRandomOpStreams(t *testing.T) {
 			runDifferential(t, data)
 		})
 	}
+}
+
+// TestDifferentialReachesMultiRoundStates guards the harness's own
+// reach: the property streams must leave several rounds pending, land
+// stragglers in an open round below the newest pending one (roundFor's
+// backward scan and insertion) and close more than one round at once
+// (ascending multi-round service).  A decoder that closed every round on each tick would pass
+// the differential checks while comparing none of these states.
+func TestDifferentialReachesMultiRoundStates(t *testing.T) {
+	var maxPending, lateInserts, multiCloses int
+	for seed := int64(0); seed < 64; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		data := make([]byte, 512+rng.Intn(3072))
+		rng.Read(data)
+		h := runDifferential(t, data)
+		maxPending = max(maxPending, h.maxPending)
+		lateInserts += h.lateInserts
+		multiCloses += h.multiCloses
+	}
+	if maxPending < 3 || lateInserts == 0 || multiCloses == 0 {
+		t.Fatalf("property streams reach too little: max %d pending rounds, %d stragglers below the newest pending round, %d multi-round closes",
+			maxPending, lateInserts, multiCloses)
+	}
+	t.Logf("max %d pending rounds, %d stragglers below the newest pending round, %d multi-round closes", maxPending, lateInserts, multiCloses)
 }
 
 // TestDifferentialExperimentTraces replays the workload-shaped op

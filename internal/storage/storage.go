@@ -12,7 +12,7 @@ package storage
 
 import (
 	"fmt"
-	"slices"
+	"math"
 	"sync"
 
 	"avdb/internal/avtime"
@@ -100,9 +100,8 @@ type Store struct {
 	policy   CachePolicy
 	striping StripePolicy
 	tiering  TierPolicy
-	io       *IOSched      // non-nil once a Seeks/Rounds policy was installed
-	pool     *bufferPool   // non-nil once a caching policy opened a stream
-	retired  []*bufferPool // pools a policy change retired while still in use
+	io       *IOSched    // non-nil once a Seeks/Rounds policy was installed
+	pool     *bufferPool // non-nil once a caching policy opened a stream
 }
 
 // storeMetrics holds an installed sink's storage handles; all nil
@@ -134,13 +133,13 @@ func newStoreMetrics(s obs.Sink) storeMetrics {
 // SetCachePolicy configures chunk caching for streams opened afterwards;
 // already-open streams keep the policy (and the shared pool) they were
 // opened with — changing the policy retires the current pool, and later
-// streams share a fresh one.  CloseRound keeps committing a retired
-// pool's staged ops until its last stream detaches.  The zero policy
-// disables caching.
+// streams share a fresh one.  Retiring commits the pool's staged ops
+// and closes all its rounds, so reads through it apply at once and no
+// close has to reach it.  The zero policy disables caching.
 func (st *Store) SetCachePolicy(p CachePolicy) {
 	st.mu.Lock()
 	if p != st.policy && st.pool != nil {
-		st.retired = append(st.retired, st.pool)
+		st.pool.closeRound(math.MaxInt64 - 1)
 		st.pool = nil
 	}
 	st.policy = p
@@ -160,9 +159,8 @@ func (st *Store) CloseRound(round int64) {
 		st.io.closeRound(round)
 	}
 	if st.pool != nil {
-		st.pool.commit(round)
+		st.pool.closeRound(round)
 	}
-	st.retired = slices.DeleteFunc(st.retired, func(p *bufferPool) bool { return !p.commit(round) })
 }
 
 // SetSink installs an observability sink.  Streams opened afterwards
