@@ -3,6 +3,8 @@ package activity
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 
 	"avdb/internal/avtime"
@@ -83,7 +85,8 @@ type portRef struct {
 }
 
 // compositePlan is a composite's structure as Tick consumes it.  Ports
-// are independent of one another, so their order is the maps'.
+// are independent of one another; buildPlan lists them by name all the
+// same, so no tick's order rests on map iteration.
 type compositePlan struct {
 	source     bool       // the composite's Kind is KindSource
 	nodes      []planNode // the components in internal topological order (plan.go)
@@ -456,11 +459,18 @@ func (c *Composite) buildPlan() (*compositePlan, error) {
 		return out
 	}
 	plan.muxIn, plan.muxOut = mux(c.muxIn), mux(c.muxOut)
+	slices.SortFunc(plan.exportsIn, byPortName)
+	slices.SortFunc(plan.exportsOut, byPortName)
+	slices.SortFunc(plan.muxIn, byMuxName)
+	slices.SortFunc(plan.muxOut, byMuxName)
 	for i := range plan.muxOut {
 		plan.muxOut[i].env = &MultiPayload{Parts: make([]Chunk, 0, len(plan.muxOut[i].tracks))}
 	}
 	return plan, nil
 }
+
+func byPortName(a, b planPort) int { return strings.Compare(a.name, b.name) }
+func byMuxName(a, b planMux) int   { return strings.Compare(a.name, b.name) }
 
 // clearPlan empties the plan's retained contexts and envelopes (see
 // planNode.clear).

@@ -2,6 +2,7 @@ package activity
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -276,6 +277,73 @@ func TestCompositeTickAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state composite tick: %.1f allocs, want 0", allocs)
+	}
+}
+
+// TestCompositePlanPortsByName: a plan lists its exported and mux ports
+// by name, whatever order the composite's maps range in, so no tick's
+// delivery order can rest on map iteration.  Twenty rebuilds of a
+// composite with three exports each way and two mux ports each way
+// would expose map order many times over.
+func TestCompositePlanPortsByName(t *testing.T) {
+	comp := NewComposite("c", "C", AtApplication)
+	r := make([]*relay, 6)
+	for i := range r {
+		r[i] = newRelay(fmt.Sprintf("r%d", i))
+		if err := comp.Install(r[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, err := range []error{
+		comp.ExportIn("zeta", r[0], "in"),
+		comp.ExportIn("alpha", r[1], "in"),
+		comp.ExportIn("mid", r[2], "in"),
+		comp.ExportOut("omega", r[3], "out"),
+		comp.ExportOut("beta", r[4], "out"),
+		comp.ExportOut("kappa", r[5], "out"),
+		comp.ExportMuxOut("mux-z", TrackRef{r[0], "out"}, TrackRef{r[1], "out"}),
+		comp.ExportMuxOut("mux-a", TrackRef{r[2], "out"}),
+		comp.ExportMuxIn("demux-y", TrackRef{r[3], "in"}, TrackRef{r[4], "in"}),
+		comp.ExportMuxIn("demux-b", TrackRef{r[5], "in"}),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	ports := func(pp []planPort) []string {
+		var names []string
+		for _, p := range pp {
+			names = append(names, p.name)
+		}
+		return names
+	}
+	muxes := func(mm []planMux) []string {
+		var names []string
+		for _, m := range mm {
+			names = append(names, m.name)
+		}
+		return names
+	}
+	for i := 0; i < 20; i++ {
+		comp.mu.Lock()
+		plan, err := comp.buildPlan()
+		comp.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			what      string
+			got, want []string
+		}{
+			{"exported In ports", ports(plan.exportsIn), []string{"alpha", "mid", "zeta"}},
+			{"exported Out ports", ports(plan.exportsOut), []string{"beta", "kappa", "omega"}},
+			{"mux In ports", muxes(plan.muxIn), []string{"demux-b", "demux-y"}},
+			{"mux Out ports", muxes(plan.muxOut), []string{"mux-a", "mux-z"}},
+		} {
+			if !slices.Equal(c.got, c.want) {
+				t.Fatalf("rebuild %d: %s %v, want %v", i, c.what, c.got, c.want)
+			}
+		}
 	}
 }
 

@@ -26,7 +26,9 @@ import (
 //     of them with the same storage service round so their chunk
 //     requests merge into shared per-disk SCAN-EDF batches,
 //  3. commits the clock once, to the minimum commit horizon across the
-//     surviving runs,
+//     surviving runs: the top of a heap kept by run slot, in which the
+//     step re-keys only the runs it ticked, so a step costs what its
+//     due runs cost and never walks every admitted run,
 //  4. retires finished runs (drain, span close-out, node teardown),
 //  5. feeds the overload detector (when enabled),
 //  6. closes the step's storage round (Store.CloseRound): the SCAN-EDF
@@ -70,9 +72,10 @@ type Engine struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	set      sched.RunSet
-	entries  map[sched.RunID]*engineEntry
-	admitted []sched.RunID // active ids, admission order (ids are monotonic)
-	running  bool          // loop goroutine alive
+	horizons sched.HorizonHeap // commit horizon of every run whose ticks have not failed, by slot
+	entries  []*engineEntry    // by run slot; nil where the slot is free
+	admitted []sched.RunID     // active ids, admission order (ids are monotonic)
+	running  bool              // loop goroutine alive
 	paused   bool
 	stepping bool // a step is executing outside the lock
 	steps    int64
@@ -143,7 +146,6 @@ type engineEntry struct {
 func newEngine(db *Database) *Engine {
 	e := &Engine{
 		db:      db,
-		entries: make(map[sched.RunID]*engineEntry),
 		baseCtx: context.Background(),
 	}
 	e.cond = sync.NewCond(&e.mu)
@@ -225,12 +227,17 @@ func (e *Engine) admit(s *Session, run engineRun, p *Playback) {
 		rate:     run.Rate(),
 		due:      due,
 	}
-	e.entries[id] = en
+	slot := id.Slot()
+	if slot == len(e.entries) { // slots are dense: a new one is the next index
+		e.entries = append(e.entries, nil)
+	}
+	e.entries[slot] = en
+	e.horizons.Set(slot, run.CommitHorizon())
 	e.admitted = append(e.admitted, id)
 	// Published inside the critical section that changed the count: an
 	// interleaved admit/retire pair can no longer leave the gauge at a
 	// stale value (the last publish is the last count change).
-	m.sessionsActive.Set(int64(len(e.entries)))
+	m.sessionsActive.Set(int64(e.set.Len()))
 	if !e.running {
 		e.running = true
 		go e.loop()
@@ -293,7 +300,7 @@ func (e *Engine) stepOnce() bool {
 	// reusable batch buffer before dropping the lock.
 	e.stepBatch = e.stepBatch[:0]
 	for _, id := range ids {
-		e.stepBatch = append(e.stepBatch, e.entries[id])
+		e.stepBatch = append(e.stepBatch, e.entries[id.Slot()])
 	}
 	batch := e.stepBatch
 	det := e.detector
@@ -333,32 +340,31 @@ func (e *Engine) stepOnce() bool {
 	}
 
 	// Phase 2 — one clock commit for the whole step: the minimum
-	// commit horizon across runs that ticked cleanly.  Runs admitted
-	// but not yet ticked contribute their start time, which the clock
-	// already covers, so they never drag it backwards — AdvanceTo is
-	// monotone.
-	horizon := avtime.WorldTime(-1)
+	// commit horizon across runs whose ticks have not failed.  A run's
+	// horizon moves only when it ticks, so only the batch is re-keyed:
+	// a failed run leaves the heap here, a clean one takes its new
+	// horizon.  Runs admitted but not yet ticked hold their start time,
+	// which the clock already covers, so they never drag it backwards —
+	// AdvanceTo is monotone.
 	e.mu.Lock()
-	for _, en := range e.entries {
-		if en.run.Err() != nil {
-			continue
-		}
-		if h := en.run.CommitHorizon(); horizon < 0 || h < horizon {
-			horizon = h
-		}
-	}
 	for _, en := range batch {
 		// Refresh the introspection snapshot under the lock: SessionsAppend
 		// reads these fields instead of calling into the run, which
 		// this goroutine mutates outside the lock.
 		en.ticks = en.run.Ticks()
 		en.due = en.run.NextDue()
-		if en.run.Err() == nil && !en.run.Done() {
+		if en.run.Err() != nil {
+			e.horizons.Remove(en.id.Slot())
+			continue
+		}
+		e.horizons.Set(en.id.Slot(), en.run.CommitHorizon())
+		if !en.run.Done() {
 			e.set.Reschedule(en.id, en.due)
 		}
 	}
+	horizon, ok := e.horizons.Min()
 	e.mu.Unlock()
-	if horizon >= 0 {
+	if ok {
 		e.db.clock.AdvanceTo(horizon)
 	}
 	m.steps.Add(1)
@@ -369,12 +375,13 @@ func (e *Engine) stepOnce() bool {
 		stats, err := en.run.Finish()
 		e.mu.Lock()
 		e.set.Remove(en.id)
-		delete(e.entries, en.id)
+		e.horizons.Remove(en.id.Slot())
+		e.entries[en.id.Slot()] = nil
 		e.removeAdmittedLocked(en.id)
 		e.finished++
 		// Under the lock for the same reason admit publishes under it:
 		// the gauge sequence must match the count sequence.
-		m.sessionsActive.Set(int64(len(e.entries)))
+		m.sessionsActive.Set(int64(e.set.Len()))
 		e.mu.Unlock()
 		m.runsFinished.Add(1)
 		en.stats, en.err = stats, err
@@ -466,7 +473,7 @@ func (e *Engine) degradeCandidates() []*Session {
 	e.mu.Lock()
 	sessions := e.sessScratch[:0]
 	for _, id := range e.admitted {
-		if en := e.entries[id]; en.sess != nil {
+		if en := e.entries[id.Slot()]; en.sess != nil {
 			sessions = append(sessions, en.sess)
 		}
 	}
@@ -598,7 +605,7 @@ func (e *Engine) SessionsAppend(buf []EngineSession, top int) []EngineSession {
 		n = top
 	}
 	for _, id := range e.admitted[:n] {
-		en := e.entries[id]
+		en := e.entries[id.Slot()]
 		state := "running"
 		if en.ticks == 0 {
 			state = "admitted"
@@ -669,7 +676,7 @@ func (e *Engine) Stats() EngineStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := EngineStats{
-		Active:   len(e.entries),
+		Active:   e.set.Len(),
 		Steps:    e.steps,
 		Finished: e.finished,
 		Paused:   e.paused,

@@ -12,40 +12,68 @@ import (
 	"avdb/internal/sched"
 )
 
-// fakeRun is a no-op engineRun: it ticks forever, advancing its due
-// time by one unit per tick, and allocates nothing.  Admitting fakes
-// isolates the engine's own step path — run-set bucket moves, batch
-// resolution, label switching, snapshot refresh, clock commit — from
+// fakeRun is a no-op engineRun: it advances its due time by one unit
+// per tick and allocates nothing.  Admitting fakes isolates the
+// engine's own step path — run-set bucket moves, batch resolution,
+// label switching, snapshot refresh, horizon heap, clock commit — from
 // the graph executor's interior, so TestEngineAllocsPerStep and
-// BenchmarkEngineStep measure exactly the code this PR pins.
+// BenchmarkEngineStep measure the engine alone.  Its commit horizon is
+// its due time, which matches GraphRun's rule for a fixed tick: the
+// start time before the first tick, then the last tick's time plus one
+// interval; a failed tick moves nothing.
+//
+// The zero-valued script ticks forever; TestEngineHorizonMatchesFullScan
+// scripts failures, finishes and admissions from inside a tick.
 type fakeRun struct {
 	g     *activity.Graph
 	unit  avtime.WorldTime
 	due   avtime.WorldTime
 	ticks int
+
+	failAt   int    // the tick, counted from 1, that fails; 0 never
+	doneAt   int    // the tick count that finishes the run; 0 never
+	onTick   func() // runs once, inside the next tick
+	err      error
+	done     bool
+	finished bool // Finish ran
 }
 
-func (f *fakeRun) Graph() *activity.Graph              { return f.g }
-func (f *fakeRun) Rate() avtime.Rate                   { return avtime.RateVideo30 }
-func (f *fakeRun) Ticks() int                          { return f.ticks }
-func (f *fakeRun) Err() error                          { return nil }
-func (f *fakeRun) Done() bool                          { return false }
-func (f *fakeRun) NextDue() avtime.WorldTime           { return f.due }
-func (f *fakeRun) CommitHorizon() avtime.WorldTime     { return f.due }
-func (f *fakeRun) SetRound(int64)                      {}
-func (f *fakeRun) Finish() (*activity.RunStats, error) { return &activity.RunStats{}, nil }
+func (f *fakeRun) Graph() *activity.Graph          { return f.g }
+func (f *fakeRun) Rate() avtime.Rate               { return avtime.RateVideo30 }
+func (f *fakeRun) Ticks() int                      { return f.ticks }
+func (f *fakeRun) Err() error                      { return f.err }
+func (f *fakeRun) Done() bool                      { return f.done || f.err != nil }
+func (f *fakeRun) NextDue() avtime.WorldTime       { return f.due }
+func (f *fakeRun) CommitHorizon() avtime.WorldTime { return f.due }
+func (f *fakeRun) SetRound(int64)                  {}
 
 func (f *fakeRun) Tick() (bool, error) {
+	if fn := f.onTick; fn != nil {
+		f.onTick = nil
+		fn()
+	}
+	if f.ticks+1 == f.failAt {
+		f.err = errors.New("scripted tick failure")
+		return true, f.err
+	}
 	f.ticks++
 	f.due += f.unit
-	return false, nil
+	f.done = f.ticks == f.doneAt
+	return f.done, nil
+}
+
+func (f *fakeRun) Finish() (*activity.RunStats, error) {
+	f.finished = true
+	return &activity.RunStats{}, f.err
 }
 
 // admitFakeRuns enters n fake runs into the engine with the loop
 // goroutine held out (running forced true), so the test drives stepOnce
-// synchronously.  All fakes share one due time, so
-// every step batches all of them — the widest, worst-case step.
-func admitFakeRuns(t testing.TB, db *Database, n int) *Engine {
+// synchronously.  Run i starts at phase i%phases (in milliseconds) and
+// ticks every phases milliseconds, so every step batches the n/phases
+// runs of one phase: with one phase all of them, the widest step, and
+// with many a few of many, the sparse one.
+func admitFakeRuns(t testing.TB, db *Database, n, phases int) *Engine {
 	t.Helper()
 	s, err := db.Connect("alloc-harness", "lan0")
 	if err != nil {
@@ -57,8 +85,10 @@ func admitFakeRuns(t testing.TB, db *Database, n int) *Engine {
 	e.running = true // keep the loop goroutine out; the test steps directly
 	e.mu.Unlock()
 	g := activity.NewGraph("fake")
+	unit := avtime.WorldTime(phases) * avtime.Millisecond
 	for i := 0; i < n; i++ {
-		e.admit(s, &fakeRun{g: g, unit: avtime.Millisecond}, &Playback{done: make(chan struct{})})
+		due := avtime.WorldTime(i%phases) * avtime.Millisecond
+		e.admit(s, &fakeRun{g: g, unit: unit, due: due}, &Playback{done: make(chan struct{})})
 	}
 	return e
 }
@@ -69,10 +99,19 @@ func admitFakeRuns(t testing.TB, db *Database, n int) *Engine {
 // commit — performs zero heap allocations of its own.  The runs are
 // no-op fakes, so any allocation measured here is engine bookkeeping.
 func TestEngineAllocsPerStep(t *testing.T) {
-	for _, n := range []int{1, 16, 256} {
-		t.Run(fmt.Sprintf("sessions-%d", n), func(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		n, phases int
+	}{
+		{"sessions-1", 1, 1},
+		{"sessions-16", 16, 1},
+		{"sessions-256", 256, 1},
+		{"sparse-256", 256, 16}, // 16 of 256 runs due per step
+	} {
+		n := c.n
+		t.Run(c.name, func(t *testing.T) {
 			db := testDB(t)
-			e := admitFakeRuns(t, db, n)
+			e := admitFakeRuns(t, db, n, c.phases)
 			// Warm the batch/retired/DueBatch buffers past growth.
 			for i := 0; i < 32; i++ {
 				e.stepOnce()
@@ -88,7 +127,7 @@ func TestEngineAllocsPerStep(t *testing.T) {
 	t.Run("observed-16", func(t *testing.T) {
 		db := testDB(t)
 		col := db.EnableObservability()
-		e := admitFakeRuns(t, db, 16)
+		e := admitFakeRuns(t, db, 16, 1)
 		for i := 0; i < 32; i++ {
 			e.stepOnce()
 		}
@@ -113,17 +152,21 @@ func TestEngineAllocsPerStep(t *testing.T) {
 }
 
 // BenchmarkEngineStep measures the engine's own per-step cost over
-// no-op runs at narrow and wide session counts.  ReportAllocs keeps
-// the 0 allocs/op bound visible; TestEngineAllocsPerStep enforces it.
+// no-op runs: a few co-due runs, many co-due runs (vod_zipf's shape),
+// and few due of many (overload_ramp's).  ReportAllocs keeps the 0
+// allocs/op bound visible; TestEngineAllocsPerStep enforces it.
 func BenchmarkEngineStep(b *testing.B) {
-	for _, n := range []int{4, 256} {
-		name := "narrow-4"
-		if n > 4 {
-			name = "wide-256"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, c := range []struct {
+		name      string
+		n, phases int
+	}{
+		{"narrow-4", 4, 1},
+		{"wide-256", 256, 1},
+		{"sparse-256", 256, 16},
+	} {
+		b.Run(c.name, func(b *testing.B) {
 			db := testDB(b)
-			e := admitFakeRuns(b, db, n)
+			e := admitFakeRuns(b, db, c.n, c.phases)
 			for i := 0; i < 32; i++ {
 				e.stepOnce()
 			}

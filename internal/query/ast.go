@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"avdb/internal/schema"
@@ -101,9 +102,29 @@ type Pred struct {
 	slot  int          // the attribute's slot in the class layout, resolved by check
 }
 
-// String implements Expr.
+// String implements Expr.  A string literal is quoted back the way
+// the lexer reads it, so the text parses to the same predicate.
 func (p *Pred) String() string {
-	return fmt.Sprintf("%s %v %s", p.Attr, p.Op, p.Lit.text)
+	lit := p.Lit.text
+	if p.Lit.kind == tokString {
+		lit = quote(lit)
+	}
+	return fmt.Sprintf("%s %v %s", p.Attr, p.Op, lit)
+}
+
+// quote renders s as a string literal.  The lexer's rule is that a
+// backslash escapes the byte after it, so each '"' and '\' gets one.
+func quote(s string) string {
+	var sb strings.Builder
+	sb.WriteByte('"')
+	for i := 0; i < len(s); i++ {
+		if s[i] == '"' || s[i] == '\\' {
+			sb.WriteByte('\\')
+		}
+		sb.WriteByte(s[i])
+	}
+	sb.WriteByte('"')
+	return sb.String()
 }
 
 func (p *Pred) check(c *schema.Class) error {

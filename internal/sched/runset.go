@@ -8,8 +8,18 @@ import (
 	"avdb/internal/avtime"
 )
 
-// RunID names one admitted run inside a RunSet.
+// RunID names one admitted run inside a RunSet.  The low 32 bits are
+// the run's slot and the bits above them count admissions, so ordering
+// ids is ordering by admission and finding a run is one slice index.
 type RunID int64
+
+// slotBits is the width of the slot field at the bottom of a RunID.
+const slotBits = 32
+
+// Slot returns the run's dense slot: an index below the most runs ever
+// admitted at once, held until the run is removed and then reused by a
+// later admission.  Tables kept beside the set index by it.
+func (id RunID) Slot() int { return int(uint32(id)) }
 
 // RunSet is the admission book the multi-session engine schedules from:
 // a set of runs, each with the world time its next tick is due.  Every
@@ -19,6 +29,11 @@ type RunID int64
 // deterministic for a given admission history regardless of map
 // iteration or goroutine interleaving.  RunIDs are handed out in
 // admission order, so ordering a batch by id IS ordering by admission.
+//
+// Each admitted run holds a dense slot (RunID.Slot), recycled when the
+// run is removed; the set finds a run by its slot, and the engine keeps
+// its entry table and commit-horizon heap (HorizonHeap) by the same
+// slot, so no step looks a run up by hash.
 //
 // Runs sit in due-time buckets, the distinct due times in a binary
 // min-heap: sessions of one rate started together stay co-due for their
@@ -33,54 +48,62 @@ type RunID int64
 // RunSet is not goroutine-safe; the engine serializes access under its
 // own lock.
 type RunSet struct {
-	next  RunID
-	runs  map[RunID]*runSlot
-	heap  bucketHeap // min-heap on due; due times are distinct
-	byDue map[avtime.WorldTime]*dueBucket
-	free  []*dueBucket // recycled buckets, storage retained
-	slots []*runSlot   // recycled slots
-	ids   []RunID      // DueBatch result buffer
+	admitted int64      // admissions so far: the high bits of the last RunID
+	runs     []*runSlot // by slot; a free slot's b is nil
+	freeSlot []int32    // removed runs' slots, the last freed reused first
+	heap     bucketHeap // min-heap on due; due times are distinct
+	byDue    map[avtime.WorldTime]*dueBucket
+	free     []*dueBucket // recycled buckets, storage retained
+	ids      []RunID      // DueBatch result buffer
 }
 
 // Admit adds a run due at the given time and returns its id.
 func (s *RunSet) Admit(due avtime.WorldTime) RunID {
-	var r *runSlot
-	if n := len(s.slots); n > 0 {
-		r, s.slots = s.slots[n-1], s.slots[:n-1]
+	var slot int
+	if n := len(s.freeSlot); n > 0 {
+		slot, s.freeSlot = int(s.freeSlot[n-1]), s.freeSlot[:n-1]
 	} else {
-		r = new(runSlot)
+		slot = len(s.runs)
+		s.runs = append(s.runs, new(runSlot))
 	}
-	s.next++
-	r.id = s.next
-	if s.runs == nil {
-		s.runs = make(map[RunID]*runSlot)
-	}
-	s.runs[r.id] = r
+	s.admitted++
+	r := s.runs[slot]
+	r.id = RunID(s.admitted<<slotBits | int64(slot))
 	s.place(r, due)
 	return r.id
+}
+
+// lookup returns the admitted run id names, or nil for an id that was
+// removed (its slot free or reused) or never handed out.
+func (s *RunSet) lookup(id RunID) *runSlot {
+	if slot := id.Slot(); slot < len(s.runs) {
+		if r := s.runs[slot]; r.id == id && r.b != nil {
+			return r
+		}
+	}
+	return nil
 }
 
 // Reschedule updates a run's next due time.  Unknown ids are ignored
 // (the run may have been removed by a concurrent finish).
 func (s *RunSet) Reschedule(id RunID, due avtime.WorldTime) {
-	if r := s.runs[id]; r != nil && r.b.due != due {
+	if r := s.lookup(id); r != nil && r.b.due != due {
 		r.leave()
 		s.place(r, due)
 	}
 }
 
-// Remove deletes a run from the set.
+// Remove deletes a run from the set and frees its slot.
 func (s *RunSet) Remove(id RunID) {
-	if r := s.runs[id]; r != nil {
-		delete(s.runs, id)
+	if r := s.lookup(id); r != nil {
 		r.leave()
 		r.b = nil
-		s.slots = append(s.slots, r)
+		s.freeSlot = append(s.freeSlot, int32(id.Slot()))
 	}
 }
 
 // Len returns the number of admitted runs.
-func (s *RunSet) Len() int { return len(s.runs) }
+func (s *RunSet) Len() int { return len(s.runs) - len(s.freeSlot) }
 
 // DueBatch returns the earliest due time and the ids of every run due
 // at exactly that time, in admission order.  ok is false when the set

@@ -20,8 +20,16 @@ func checkRunSetInvariants(t *testing.T, q *RunSet, linear *linearRunSet, where 
 	t.Helper()
 	// The peek must leave a live bucket (or nothing) at the top.
 	has := q.front() != nil
-	if has != (len(q.runs) > 0) {
-		t.Fatalf("%s: front ok=%v with %d runs", where, has, len(q.runs))
+	if has != (q.Len() > 0) {
+		t.Fatalf("%s: front ok=%v with %d runs", where, has, q.Len())
+	}
+	// Every slot is either free, listed once, or holds a live run.
+	free := make(map[int32]bool, len(q.freeSlot))
+	for _, slot := range q.freeSlot {
+		if free[slot] || q.runs[slot].b != nil {
+			t.Fatalf("%s: free slot %d listed twice or still placed", where, slot)
+		}
+		free[slot] = true
 	}
 	if len(q.heap) > 0 && q.heap[0].live == 0 {
 		t.Fatalf("%s: empty bucket (due %v) at the heap top after front", where, q.heap[0].due)
@@ -59,12 +67,12 @@ func checkRunSetInvariants(t *testing.T, q *RunSet, linear *linearRunSet, where 
 	}
 	// Every run in exactly one bucket (live entries sum to the run count
 	// and each slot is one of them), at its recorded due time.
-	if live != len(q.runs) || len(q.runs) != len(linear.entries) {
-		t.Fatalf("%s: %d live entries for %d runs, oracle has %d", where, live, len(q.runs), len(linear.entries))
+	if live != q.Len() || q.Len() != len(linear.entries) {
+		t.Fatalf("%s: %d live entries for %d runs, oracle has %d", where, live, q.Len(), len(linear.entries))
 	}
 	for _, e := range linear.entries {
-		r := q.runs[e.id]
-		if r == nil || r.id != e.id || !inHeap[r.b] || r.i >= len(r.b.runs) || r.b.runs[r.i] != r {
+		r := q.lookup(e.id)
+		if r == nil || r != q.runs[e.id.Slot()] || !inHeap[r.b] || r.i >= len(r.b.runs) || r.b.runs[r.i] != r {
 			t.Fatalf("%s: run %v's slot does not name a live entry", where, e.id)
 		}
 		if r.b.due != e.due {
@@ -156,8 +164,8 @@ func runCoDuePrograms(t *testing.T, fresh func() (set runBook, admit func(avtime
 			set, admit, inner := fresh()
 			var linear linearRunSet
 			for i := 0; i < runs; i++ {
-				if a, b := admit(0), linear.Admit(0); a != b {
-					t.Fatalf("Admit ids diverge: %v != %v", a, b)
+				if id := admit(0); !linear.Admit(id, 0) {
+					t.Fatalf("Admit id %v does not follow the last", id)
 				}
 			}
 			for step := 0; step < steps; step++ {
@@ -193,9 +201,8 @@ func TestRunSetPropertyOps(t *testing.T) {
 			case op < 4 || len(live) == 0: // admit
 				d := due()
 				hid := set.Admit(d)
-				lid := linear.Admit(d)
-				if hid != lid {
-					t.Fatalf("seed %d step %d: Admit ids diverge: %v != %v", seed, step, hid, lid)
+				if !linear.Admit(hid, d) {
+					t.Fatalf("seed %d step %d: Admit id %v does not follow the last", seed, step, hid)
 				}
 				live = append(live, hid)
 			case op < 6: // reschedule a random live run
@@ -253,12 +260,11 @@ func TestShardedRunSetPropertyOps(t *testing.T) {
 func TestRunSetBouncingRunsStayBounded(t *testing.T) {
 	var set RunSet
 	var linear linearRunSet
-	set.Admit(0) // the front, never touched
-	linear.Admit(0)
+	linear.Admit(set.Admit(0), 0) // the front, never touched
 	var ids []RunID
 	for i := 0; i < 10; i++ {
 		ids = append(ids, set.Admit(avtime.Second))
-		linear.Admit(avtime.Second)
+		linear.Admit(ids[i], avtime.Second)
 	}
 	for round := 0; round < 1000; round++ {
 		d := avtime.Second

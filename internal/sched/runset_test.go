@@ -60,3 +60,31 @@ func TestRunSetDueBatchOrder(t *testing.T) {
 		t.Errorf("Admit after drain reused id space: %v <= %v", d, c)
 	}
 }
+
+// TestRunSetSlotReuse pins the dense slots: a removed run's slot goes to
+// the next admission, whose id still orders after every earlier one, and
+// the stale id names nothing — rescheduling or removing it leaves the
+// slot's new run alone.
+func TestRunSetSlotReuse(t *testing.T) {
+	var s RunSet
+	a := s.Admit(0)
+	b := s.Admit(0)
+	s.Remove(a)
+	c := s.Admit(10 * avtime.Millisecond)
+	if c.Slot() != a.Slot() || c <= b {
+		t.Fatalf("Admit after Remove: id %v slot %d, want slot %d and an id above %v", c, c.Slot(), a.Slot(), b)
+	}
+	s.Reschedule(a, 0)
+	s.Remove(a)
+	if s.Len() != 2 {
+		t.Fatalf("Len = %d after stale ops, want 2", s.Len())
+	}
+	s.Reschedule(b, 20*avtime.Millisecond)
+	due, ids, _ := s.DueBatch()
+	if due != 10*avtime.Millisecond || !reflect.DeepEqual(ids, []RunID{c}) {
+		t.Fatalf("DueBatch = %v %v, want 10ms [%v]", due, ids, c)
+	}
+	if d := s.Admit(0); d.Slot() != 2 {
+		t.Fatalf("Admit with no free slot took slot %d, want 2", d.Slot())
+	}
+}

@@ -67,10 +67,9 @@ func TestShardedRunSetMatchesLinear(t *testing.T) {
 				case op < 4 || len(live) == 0: // admit into a random shard
 					d := due()
 					sid := sharded.Admit(d, rng.Intn(shards))
-					lid := linear.Admit(d)
-					if sid != lid {
-						t.Fatalf("shards %d seed %d step %d: Admit ids diverge: %v != %v",
-							shards, seed, step, sid, lid)
+					if !linear.Admit(sid, d) {
+						t.Fatalf("shards %d seed %d step %d: Admit id %v does not follow the last",
+							shards, seed, step, sid)
 					}
 					live = append(live, sid)
 				case op < 6: // reschedule a random live run
@@ -83,7 +82,7 @@ func TestShardedRunSetMatchesLinear(t *testing.T) {
 					id := live[i]
 					sharded.Remove(id)
 					linear.Remove(id)
-					if sharded.set.runs[id] != nil {
+					if sharded.set.lookup(id) != nil {
 						t.Fatalf("shards %d seed %d step %d: run %v still held after Remove",
 							shards, seed, step, id)
 					}
