@@ -690,6 +690,66 @@ func TestGraphMaxTicksBoundsLiveSources(t *testing.T) {
 	}
 }
 
+// nowRecorder is a live source that never finishes and records the
+// scheduled time of every tick it takes.
+type nowRecorder struct {
+	*Base
+	at []avtime.WorldTime
+}
+
+func (r *nowRecorder) Tick(tc *TickContext) error {
+	r.at = append(r.at, tc.Now)
+	return nil
+}
+
+// TestGraphRunDueMatchesFormula: a run computes each tick's scheduled
+// time once, when the tick advances, and NextDue and the next Tick read
+// it.  Both must equal startAt + rate.DurationOf(tick) for every tick —
+// integer rates whose unit is not a whole number of microseconds, and a
+// rational rate, round per tick index, so an accumulated unit would
+// drift.
+func TestGraphRunDueMatchesFormula(t *testing.T) {
+	const ticks = 10_000
+	for _, rate := range []avtime.Rate{avtime.RateVideo25, avtime.RateVideo30, avtime.MakeRate(30000, 1001)} {
+		g := NewGraph("due")
+		rec := &nowRecorder{Base: NewBase("rec", "TestNowRecorder", AtDatabase)}
+		rec.AddPort("out", Out, media.TypeRawVideo30)
+		if err := g.Add(rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Start(); err != nil {
+			t.Fatal(err)
+		}
+		start := avtime.WorldTime(12_345)
+		run, err := g.Begin(RunConfig{Clock: sched.NewVirtualClock(start), Rate: rate, MaxTicks: ticks})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for tick := 0; ; tick++ {
+			want := start + rate.DurationOf(avtime.ObjectTime(tick))
+			if got := run.NextDue(); got != want {
+				t.Fatalf("rate %v, tick %d: NextDue %v, want %v", rate, tick, got, want)
+			}
+			if run.Done() {
+				break
+			}
+			if _, err := run.Tick(); err != nil {
+				t.Fatal(err)
+			}
+			if got := rec.at[tick]; got != want {
+				t.Fatalf("rate %v, tick %d: ticked at %v, want %v", rate, tick, got, want)
+			}
+			run.Commit()
+		}
+		if _, err := run.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.at) != ticks {
+			t.Fatalf("rate %v: %d ticks, want %d", rate, len(rec.at), ticks)
+		}
+	}
+}
+
 func TestCompositeChainEquivalence(t *testing.T) {
 	// Fig. 2: a read->invert chain folded into a composite "source" must
 	// produce byte-identical output to the flat chain.

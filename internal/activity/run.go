@@ -43,6 +43,7 @@ type GraphRun struct {
 
 	startAt avtime.WorldTime
 	lastNow avtime.WorldTime // scheduled time of the last executed tick
+	due     avtime.WorldTime // scheduled time of the next tick: startAt + DurationOf(tick)
 
 	sink      obs.Sink
 	latency   *obs.Histogram // stream.chunk_latency_us; nil without a sink
@@ -80,6 +81,7 @@ func (g *Graph) Begin(cfg RunConfig) (*GraphRun, error) {
 	if !ok {
 		return nil, fmt.Errorf("activity: graph %q contains a cycle", g.name)
 	}
+	start := cfg.Clock.Now()
 	r := &GraphRun{
 		g:        g,
 		clock:    cfg.Clock,
@@ -87,7 +89,8 @@ func (g *Graph) Begin(cfg RunConfig) (*GraphRun, error) {
 		maxTicks: maxTicks,
 		nodes:    nodes,
 		conns:    conns,
-		startAt:  cfg.Clock.Now(),
+		startAt:  start,
+		due:      start,
 		sink:     cfg.Obs,
 		stats:    &RunStats{},
 		round:    -1,
@@ -130,9 +133,7 @@ func (r *GraphRun) Done() bool { return r.done || r.runErr != nil || r.finished 
 // NextDue returns the world time the run's next tick is scheduled for.
 // A scheduler interleaving runs at different rates picks the run(s) with
 // the smallest NextDue each step.
-func (r *GraphRun) NextDue() avtime.WorldTime {
-	return r.startAt + r.rate.DurationOf(avtime.ObjectTime(r.tick))
-}
+func (r *GraphRun) NextDue() avtime.WorldTime { return r.due }
 
 // CommitHorizon returns the clock value the run would commit after its
 // last executed tick: the tick's scheduled time plus one tick interval.
@@ -184,7 +185,7 @@ func (r *GraphRun) Tick() (bool, error) {
 	}
 
 	tick := r.tick
-	now := r.startAt + r.rate.DurationOf(avtime.ObjectTime(tick))
+	now := r.due
 	iv := avtime.Interval{Start: now, Dur: r.rate.UnitDuration()}
 	anyRunning := false
 	for i := range r.nodes {
@@ -205,6 +206,7 @@ func (r *GraphRun) Tick() (bool, error) {
 	r.stats.Ticks++
 	r.lastNow = now
 	r.tick++
+	r.due = r.startAt + r.rate.DurationOf(avtime.ObjectTime(r.tick))
 	if !anyRunning || sourcesDone(r.nodes) || r.tick >= r.maxTicks {
 		r.done = true
 	}

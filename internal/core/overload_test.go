@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"avdb/internal/activity"
@@ -302,5 +303,87 @@ func BenchmarkEngineOverload(b *testing.B) {
 				b.StartTimer()
 			}
 		})
+	}
+}
+
+// TestWatchStallsWhileStepping: a client goroutine adds stall detectors
+// with WatchStalls while the engine steps under overload control.  The
+// step reads the watched detectors without the session lock (go test
+// -race checks the publication), every step's stall delta is
+// non-negative, and the deltas the steps feed the pressure detector sum
+// to every episode the watched detectors saw — including detectors
+// added mid-run with episodes already recorded.
+func TestWatchStallsWhileStepping(t *testing.T) {
+	db := testDB(t)
+	e := db.Engine()
+	e.EnableOverloadControl(sched.OverloadPolicy{Window: 4})
+	ps := buildPlaybackSession(t, db, "watched", 400)
+	e.mu.Lock()
+	e.running = true // keep the loop goroutine out; the test steps directly
+	e.mu.Unlock()
+	if _, err := ps.sess.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var en *engineEntry
+	for _, x := range e.entries {
+		if x != nil && x.sess == ps.sess {
+			en = x
+		}
+	}
+	if en == nil {
+		t.Fatal("the started session has no engine entry")
+	}
+
+	const watched = 64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < watched; i++ {
+			d := sched.NewStallDetector(avtime.Millisecond, 1)
+			d.Record(0, avtime.Second) // one episode before it is watched
+			ps.sess.WatchStalls(d)
+			runtime.Gosched()
+		}
+	}()
+	var sum int64
+	step := func() bool {
+		before := en.lastStalls
+		if !e.stepOnce() {
+			return false
+		}
+		delta := en.lastStalls - before
+		if delta < 0 {
+			t.Fatalf("a step fed a negative stall delta %d", delta)
+		}
+		sum += delta
+		return true
+	}
+	// Step while the watcher runs.  A watcher the host leaves unscheduled
+	// for the whole run is waited for before the run's last steps, so a
+	// step after it always follows.
+	for left := 390; ; left-- {
+		select {
+		case <-done:
+		default:
+			if left > 0 {
+				if !step() {
+					t.Fatal("the run finished early")
+				}
+				continue
+			}
+			<-done
+		}
+		break
+	}
+	if !step() {
+		t.Fatal("the run finished before a step after the watcher")
+	}
+	if sum != watched || ps.sess.stallEpisodes() != watched {
+		t.Fatalf("stall deltas sum to %d over %d episodes seen; want %d", sum, ps.sess.stallEpisodes(), watched)
+	}
+	for step() {
+	}
+	if err := ps.sess.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"avdb/internal/activity"
 	"avdb/internal/avtime"
@@ -35,10 +36,14 @@ type Session struct {
 	devices  []string
 	playback *Playback
 	closed   bool
-	span     obs.SpanID             // session span when observability is on
-	priority sched.Priority         // service class for overload sweeps; zero is PriorityNormal
-	deg      *degradeState          // armed degradation path, nil if none
-	stalls   []*sched.StallDetector // detectors feeding the engine's pressure signal
+	span     obs.SpanID     // session span when observability is on
+	priority sched.Priority // service class for overload sweeps; zero is PriorityNormal
+	deg      *degradeState  // armed degradation path, nil if none
+
+	// stalls holds the detectors feeding the engine's pressure signal as
+	// an immutable slice: WatchStalls publishes a copy under mu, and the
+	// engine step reads it without a lock.
+	stalls atomic.Pointer[[]*sched.StallDetector]
 }
 
 // SetPriority assigns the session's service class.  Under engine
@@ -63,17 +68,23 @@ func (s *Session) Priority() sched.Priority {
 // window's EnableStallDetection detector is the usual candidate.
 func (s *Session) WatchStalls(ds ...*sched.StallDetector) {
 	s.mu.Lock()
-	s.stalls = append(s.stalls, ds...)
+	var watched []*sched.StallDetector
+	if p := s.stalls.Load(); p != nil {
+		watched = *p
+	}
+	watched = append(watched[:len(watched):len(watched)], ds...)
+	s.stalls.Store(&watched)
 	s.mu.Unlock()
 }
 
 // stallEpisodes sums episodes across the watched detectors.
 func (s *Session) stallEpisodes() int64 {
-	s.mu.Lock()
-	ds := s.stalls
-	s.mu.Unlock()
+	p := s.stalls.Load()
+	if p == nil {
+		return 0
+	}
 	var n int64
-	for _, d := range ds {
+	for _, d := range *p {
 		n += int64(d.Episodes())
 	}
 	return n

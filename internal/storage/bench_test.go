@@ -36,13 +36,13 @@ func BenchmarkIOSchedFlush(b *testing.B) {
 						}
 					}
 					slots := make([]ioSlot, wide.streams)
-					io := newIOSched(nil)
+					io := newIOSched(nil, 0)
 					round := int64(0)
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						if pool == "cold" {
-							io = newIOSched(nil)
+							io = newIOSched(nil, round)
 						}
 						now := avtime.WorldTime(round) * unit
 						for s := 0; s < wide.streams; s++ {

@@ -14,19 +14,20 @@ package storage
 // Which session's read counts as a hit is decided per round (DESIGN.md
 // §15).  During a tick, streams only READ committed residency; every
 // mutation — the LRU touch behind a hit, the inserts behind a miss's
-// fill — is staged as a poolOp tagged with its round.  When the engine
-// closes the round (Store.CloseRound) its ops commit in staging order;
+// fill — of a read tagged with the open round (the store's mark, the
+// engine's current step) is staged in one op log.  When the engine
+// closes the round (Store.CloseRound) the log commits in staging order;
 // reads never commit.  So no session hits a chunk any session (itself
 // included) staged in the same round; the engine steps sessions
 // serially, so the staging order, and with it residency, eviction order
 // and every counter, is the same on every run
-// (TestEngineAudienceDeterminism).  Reads with round < 0 (no tick
-// context) apply their ops immediately, which is exactly the retired
-// per-stream LRU's behavior; the differential harness in
-// pool_differential_test.go holds the pool to that oracle.  So do reads
-// into a round already closed: a straggler, or any read through a pool
-// a policy change retired, stages nothing a later close would have to
-// commit.
+// (TestEngineAudienceDeterminism).  A read tagged with any other round —
+// round < 0 (no tick context), a straggler below the mark, a round
+// ahead of it — applies its ops immediately, which is exactly the
+// retired per-stream LRU's behavior; the differential harness in
+// pool_differential_test.go holds the pool to that oracle.  A pool a
+// policy change retired commits its log and never matches the open
+// round again, so nothing is staged that no close would commit.
 //
 // The warm hit path — one index load, staging one touch — performs
 // zero heap allocations (TestPoolHitAllocs): the
@@ -76,7 +77,7 @@ type PoolStats struct {
 	Resident int // chunks currently resident
 	Capacity int // Capacity × attached streams
 	Streams  int // streams currently attached
-	Staged   int // residency operations of rounds not yet closed
+	Staged   int // residency operations of the open round
 }
 
 // poolKey identifies one chunk within a pool: seg is the segment's slot
@@ -107,10 +108,9 @@ const (
 
 // poolOp is one staged residency mutation; pid attributes an insert.
 type poolOp struct {
-	pid   int64
-	round int64
-	key   poolKey
-	kind  poolOpKind
+	pid  int64
+	key  poolKey
+	kind poolOpKind
 }
 
 // poolEntry is one resident chunk in the intrusive LRU: entries live in
@@ -142,8 +142,8 @@ type bufferPool struct {
 	streams  int     // attached streams
 	capacity int     // policy.Capacity per attached stream
 	nextPID  int64
-	staged   []poolOp
-	closed   int64 // rounds below this are committed; it only grows
+	open     int64    // the round whose ops are staged: the store's mark
+	staged   []poolOp // the open round's ops, in staging order
 	agg      CacheStats
 }
 
@@ -166,9 +166,13 @@ func newPoolMetrics(s obs.Sink) poolMetrics {
 	}
 }
 
-func newBufferPool(p CachePolicy, sink obs.Sink) *bufferPool {
+// newBufferPool returns a pool whose open round is open, the store's
+// mark: one made after the engine has stepped must stage the reads of
+// the round the engine closes next.
+func newBufferPool(p CachePolicy, sink obs.Sink, open int64) *bufferPool {
 	return &bufferPool{
 		policy: p,
+		open:   open,
 		m:      newPoolMetrics(sink),
 		slots:  make(map[SegID]int32),
 		head:   poolNil,
@@ -264,9 +268,8 @@ func (p *bufferPool) detach(slot int32) {
 	p.releaseIdleLocked()
 }
 
-// read consults committed residency for key at the given round,
-// counting a hit and staging its LRU touch.  A round already closed —
-// round < 0 (the no-tick-context demand path) among them — applies the
+// read consults committed residency for key, counting a hit and staging
+// its LRU touch when round is the open one; any other round applies the
 // touch immediately.  shared reports a hit on a chunk some other stream
 // made resident.
 func (p *bufferPool) read(pid int64, key poolKey, round int64) (hit, shared bool) {
@@ -281,8 +284,8 @@ func (p *bufferPool) read(pid int64, key poolKey, round int64) (hit, shared bool
 	if shared {
 		p.agg.Shared++
 	}
-	if round >= p.closed {
-		p.staged = append(p.staged, poolOp{pid: pid, round: round, key: key, kind: opTouch})
+	if round == p.open {
+		p.staged = append(p.staged, poolOp{pid: pid, key: key, kind: opTouch})
 	} else {
 		p.moveFrontLocked(i)
 	}
@@ -302,32 +305,23 @@ func (p *bufferPool) miss() {
 }
 
 // fill makes chunks idx..idx+lookahead of seg resident (bounded by
-// limit, the segment's last chunk), staging the inserts in an open
-// round or applying them immediately in a closed one (round < 0 among
-// them).  It returns how many chunks beyond idx were newly staged and,
-// in immediate mode, how many residents were evicted; staged-mode evictions happen at commit and
-// are accounted to the pool aggregate there.
+// limit, the segment's last chunk), staging the inserts when round is
+// the open one and applying them immediately otherwise.  It returns how
+// many chunks beyond idx were newly staged and, in immediate mode, how
+// many residents were evicted; staged-mode evictions happen at commit
+// and are accounted to the pool aggregate there.
 func (p *bufferPool) fill(pid int64, seg int32, idx, lookahead, limit int, round int64) (staged, evicted int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if round >= p.closed {
-		p.staged = append(p.staged, poolOp{pid: pid, round: round, key: poolKey{seg: seg, chunk: idx}, kind: opInsert})
-		for k := idx + 1; k <= idx+lookahead && k <= limit; k++ {
-			if p.lookupLocked(poolKey{seg: seg, chunk: k}) != poolNil {
-				continue
-			}
-			p.staged = append(p.staged, poolOp{pid: pid, round: round, key: poolKey{seg: seg, chunk: k}, kind: opInsert})
-			staged++
+	stage := round == p.open
+	evicted = p.insertLocked(poolKey{seg: seg, chunk: idx}, pid, stage)
+	for k := idx + 1; k <= idx+lookahead && k <= limit; k++ {
+		key := poolKey{seg: seg, chunk: k}
+		if p.lookupLocked(key) != poolNil {
+			continue
 		}
-	} else {
-		evicted += p.applyInsertLocked(poolKey{seg: seg, chunk: idx}, pid)
-		for k := idx + 1; k <= idx+lookahead && k <= limit; k++ {
-			if p.lookupLocked(poolKey{seg: seg, chunk: k}) != poolNil {
-				continue
-			}
-			evicted += p.applyInsertLocked(poolKey{seg: seg, chunk: k}, pid)
-			staged++
-		}
+		evicted += p.insertLocked(key, pid, stage)
+		staged++
 	}
 	p.agg.Prefetched += int64(staged)
 	p.agg.Evicted += int64(evicted)
@@ -340,29 +334,22 @@ func (p *bufferPool) fill(pid int64, seg int32, idx, lookahead, limit int, round
 	return staged, evicted
 }
 
-// closeRound applies every staged op of rounds up to and including
-// round in staging order and keeps the rest; later reads into those
-// rounds apply at once.  The caller — the engine at the end of its
-// step — guarantees those rounds are complete.
+// closeRound commits the open round's staged ops in staging order and
+// opens round+1.  The caller — Store.CloseRound, at the end of the
+// engine's step — guarantees the round is complete.
 func (p *bufferPool) closeRound(round int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.closed = max(p.closed, round+1)
-	evicted, keep := 0, 0
+	p.open = round + 1
+	evicted := 0
 	for _, op := range p.staged {
-		switch {
-		case op.round >= p.closed:
-			p.staged[keep] = op
-			keep++
-		case op.kind == opTouch:
-			if i := p.lookupLocked(op.key); i != poolNil {
-				p.moveFrontLocked(i)
-			}
-		default:
+		if op.kind == opInsert {
 			evicted += p.applyInsertLocked(op.key, op.pid)
+		} else if i := p.lookupLocked(op.key); i != poolNil {
+			p.moveFrontLocked(i)
 		}
 	}
-	p.staged = p.staged[:keep]
+	p.staged = p.staged[:0]
 	if evicted > 0 {
 		p.agg.Evicted += int64(evicted)
 		p.m.evicted.Add(int64(evicted))
@@ -370,6 +357,16 @@ func (p *bufferPool) closeRound(round int64) {
 	if len(p.idle) > 0 {
 		p.releaseIdleLocked()
 	}
+}
+
+// insertLocked stages an insert of key attributed to pid, or with stage
+// false applies it at once and returns the evictions; p.mu is held.
+func (p *bufferPool) insertLocked(key poolKey, pid int64, stage bool) int {
+	if stage {
+		p.staged = append(p.staged, poolOp{pid: pid, key: key, kind: opInsert})
+		return 0
+	}
+	return p.applyInsertLocked(key, pid)
 }
 
 // applyInsertLocked makes key resident attributed to pid, evicting the

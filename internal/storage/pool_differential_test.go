@@ -493,9 +493,10 @@ func TestPoolRetireCommitsStagedOps(t *testing.T) {
 }
 
 // TestPoolStragglerIntoClosedRoundStagesNothing: a pooled read tagged
-// with a round the store already closed applies its touch and inserts
-// at once, the way IOSched turns such a submission into a demand read,
-// instead of staging ops no later close would commit.
+// with any round but the store's open one — ahead of the mark, or one
+// the store already closed — applies its touch and inserts at once, the
+// way IOSched turns such a read into a demand read, instead of staging
+// ops no later close would commit.
 func TestPoolStragglerIntoClosedRoundStagesNothing(t *testing.T) {
 	_, st := testRig(t)
 	st.SetCachePolicy(CachePolicy{Capacity: 4, Lookahead: 2})
@@ -508,8 +509,11 @@ func TestPoolStragglerIntoClosedRoundStagesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := s.ReadChunkTimeAt(0, 1200, 3, 0, 0); err != nil { // stages 0..2
+	if _, err := s.ReadChunkTimeAt(0, 1200, 3, 0, 0); err != nil { // round 0 is open: inserts 0..2
 		t.Fatal(err)
+	}
+	if ps := st.PoolStats(); ps.Staged != 0 || ps.Resident != 3 {
+		t.Fatalf("a read ahead of the open round left %+v; want 0 staged, 3 resident", ps)
 	}
 	st.CloseRound(3)
 	for _, r := range []int64{3, 1} {
@@ -607,11 +611,11 @@ func TestPoolStagedInsertOutlivesItsStream(t *testing.T) {
 	if b.pslot == a.pslot {
 		t.Fatalf("b took slot %d while a's inserts were still staged", a.pslot)
 	}
-	if _, err := b.ReadChunkTimeAt(5, 1200, 1, 0, 0); err != nil {
+	if _, err := b.ReadChunkTimeAt(5, 1200, 0, 0, 0); err != nil { // stages b's 5..7 behind a's
 		t.Fatal(err)
 	}
-	st.CloseRound(1) // commits a's inserts and b's
-	if dt, err := b.ReadChunkTimeAt(0, 1200, 2, 0, 0); err != nil || dt == 0 {
+	st.CloseRound(0) // commits a's inserts and b's
+	if dt, err := b.ReadChunkTimeAt(0, 1200, 1, 0, 0); err != nil || dt == 0 {
 		t.Fatalf("b's chunk 0: %v, %v; want a miss", dt, err)
 	}
 	for _, k := range poolResidency(t, b.pool) {

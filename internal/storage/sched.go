@@ -3,13 +3,14 @@ package storage
 // sched.go implements IOSched, the per-device round scheduler.  Streams
 // driven by a graph run submit the *next* chunk they will need once the
 // read of the current one succeeds; all requests submitted during one
-// engine step form a round.  When the step ends, the engine closes the
-// round (Store.CloseRound) and every pending round up to it is
-// serviced: each disk's batch is ordered SCAN-EDF — earliest playback
-// deadline first, ties by track position, then stream — and charged one
-// positioned seek per run of adjacent tracks instead of one full seek
-// per chunk.  Reads never service: a read only takes the result its
-// stream's previous request was priced at.
+// engine step form a round.  The scheduler holds exactly one round open
+// at a time — the store's mark, the engine's current step — in one
+// reusable buffer.  When the step ends, the engine closes the round
+// (Store.CloseRound): each disk's batch is ordered SCAN-EDF — earliest
+// playback deadline first, ties by track position, then stream — and
+// charged one positioned seek per run of adjacent tracks instead of one
+// full seek per chunk.  Reads never service: a read only takes the
+// result its stream's previous request was priced at.
 //
 // Determinism is structural.  Every submission of round T happens
 // during step T, before the engine closes it, so the batch content is
@@ -20,10 +21,10 @@ package storage
 // request, so no two distinct batch members ever compare equal (pinned
 // by TestSCANEDFKeyTotalOrder) — and therefore the service order, the
 // per-disk head walk, every seek charge and every counter are
-// independent of submission order.  Within one close, rounds are
-// serviced in ascending round order and disks in ID order.  A
-// submission into a round already closed (a straggler from a driver
-// numbering its own rounds) is left to become a demand read.  Demand
+// independent of submission order.  Disks are serviced in ID order.  A
+// read tagged with any round but the open one — a straggler below the
+// mark, a caller numbering rounds of its own ahead of it, or no round
+// at all — neither takes nor submits: it is a demand read.  Demand
 // reads price seeks from the stream's own recorded position without
 // moving the shared per-disk heads, so only round service advances
 // them.
@@ -35,16 +36,13 @@ package storage
 // round stay invisible.
 //
 // The hot path is allocation-free in steady state (pinned by
-// TestIOSchedAllocsPerRun).  Rounds live in flat, reusable buffers: a
-// schedRound holds one diskBatch per disk, kept sorted by device ID, and
-// each batch keeps its requests sorted by the SCAN-EDF key from the
-// moment they are inserted — deadline-bucketed insertion at enqueue —
-// so servicing a round walks the batches in final service order with no
-// sort at all.  Retired rounds are recycled through a per-IOSched free
-// list (their batch and request capacity survives the round trip), so
-// once the buffers are warm the scheduled chunk path allocates nothing.
-// The retained reference
-// implementation of the original map+sort scheduler lives in
+// TestIOSchedAllocsPerRun).  The open round is a flat, reusable buffer:
+// one diskBatch per disk, kept sorted by device ID, and each batch keeps
+// its requests sorted by the SCAN-EDF key from the moment they are
+// inserted, so servicing walks the batches in final service order with
+// no sort at all.  Service truncates the buffer without releasing its
+// capacity, so once it is warm the scheduled chunk path allocates
+// nothing.  The reference map+sort scheduler lives in
 // sched_reference_test.go; the differential harness
 // (sched_differential_test.go, FuzzSCANEDFOrder) proves the two produce
 // byte-identical service orders, seek charges and metrics.
@@ -93,9 +91,9 @@ type ioAlt struct {
 // ioSlot receives a stream's serviced result.  One slot belongs to one
 // stream (it is embedded in Stream, so delivering a result is two field
 // writes — no per-stream map on the hot path); every access is guarded
-// by the owning IOSched's mu.  queued is one past the highest round the
-// stream submitted into: a submission into a later round cannot meet
-// an earlier request of the stream, so it skips the same-stream scan.
+// by the owning IOSched's mu.  queued is the open round the stream last
+// submitted into: a submission into a later round cannot meet an earlier
+// request of the stream, so it skips the same-stream scan.
 type ioSlot struct {
 	chunk  int
 	cost   avtime.WorldTime
@@ -156,28 +154,22 @@ type diskBatch struct {
 	load  int64 // bytes queued this round; steers flex assignment
 }
 
-// schedRound is one round's batches, kept sorted by device ID, plus the
-// flex list: requests for replicated chunks, kept in SCAN-EDF order and
-// assigned to the least-loaded copy's batch at service time.  The struct
-// is reused: retiring a round truncates the batches and their request
-// slices without releasing capacity.
+// schedRound is the open round's batches, kept sorted by device ID, plus
+// the flex list: requests for replicated chunks, kept in SCAN-EDF order
+// and assigned to the least-loaded copy's batch at service time.  The
+// buffer is reused: service truncates it, and a batch added later
+// reclaims the request capacity left under the truncated length.
 type schedRound struct {
-	seq     int64
 	batches []diskBatch
 	flex    []ioReq
 }
 
-// roundFreeCap bounds the per-IOSched free list; in steady state one
-// round retires per close, so the list stays short.
-const roundFreeCap = 8
-
 // IOSched batches chunk requests into per-device service rounds.
 type IOSched struct {
 	mu       sync.Mutex
-	closed   int64 // rounds below this are serviced; it only grows
+	open     int64      // the round the buffer collects: the store's mark
+	round    schedRound // the open round's requests
 	m        ioMetrics
-	pending  []*schedRound        // unserviced rounds, ascending seq
-	free     []*schedRound        // recycled round buffers
 	heads    map[*device.Disk]int // disk -> head track after last round
 	stats    IOStats
 	svcTrace *[]svcEvent // test hook: records service order when non-nil
@@ -207,8 +199,12 @@ func newIOMetrics(s obs.Sink) ioMetrics {
 	}
 }
 
-func newIOSched(sink obs.Sink) *IOSched {
+// newIOSched returns a scheduler whose open round is open, the store's
+// mark: one made after the engine has stepped must not collect a round
+// the engine already closed.
+func newIOSched(sink obs.Sink, open int64) *IOSched {
 	return &IOSched{
+		open:  open,
 		m:     newIOMetrics(sink),
 		heads: make(map[*device.Disk]int),
 	}
@@ -230,61 +226,9 @@ func (io *IOSched) Stats() IOStats {
 	return io.stats
 }
 
-// getRound returns a reset round buffer, recycled when one is free.
-func (io *IOSched) getRound() *schedRound {
-	if n := len(io.free); n > 0 {
-		r := io.free[n-1]
-		io.free[n-1] = nil
-		io.free = io.free[:n-1]
-		return r
-	}
-	return new(schedRound)
-}
-
-// putRound recycles a serviced round onto a free list with room,
-// keeping every batch's request capacity alive under the truncated
-// length so the next use of the buffer allocates nothing.
-func (io *IOSched) putRound(r *schedRound) {
-	if len(io.free) == roundFreeCap {
-		return
-	}
-	for i := range r.batches {
-		r.batches[i].disk = nil
-		r.batches[i].reqs = r.batches[i].reqs[:0]
-		r.batches[i].load = 0
-	}
-	r.batches = r.batches[:0]
-	r.flex = r.flex[:0]
-	io.free = append(io.free, r)
-}
-
-// roundFor finds or inserts the pending round with the given sequence
-// number, keeping io.pending sorted ascending; io.mu is held.  Rounds
-// arrive in nearly ascending order, so the scan runs from the back.
-func (io *IOSched) roundFor(seq int64) *schedRound {
-	n := len(io.pending)
-	i := n
-	for i > 0 {
-		r := io.pending[i-1]
-		if r.seq == seq {
-			return r
-		}
-		if r.seq < seq {
-			break
-		}
-		i--
-	}
-	r := io.getRound()
-	r.seq = seq
-	io.pending = append(io.pending, nil)
-	copy(io.pending[i+1:], io.pending[i:])
-	io.pending[i] = r
-	return r
-}
-
 // batchFor finds or inserts the round's batch for the given disk,
 // keeping batches sorted by device ID.  Growing into the truncated
-// region of a recycled buffer reclaims the spare element's request
+// region of the serviced buffer reclaims the spare element's request
 // capacity instead of dropping it.
 func (r *schedRound) batchFor(d *device.Disk) *diskBatch {
 	id := d.ID()
@@ -390,47 +334,43 @@ func (io *IOSched) assignFlexLocked(r *schedRound) {
 	r.flex = r.flex[:0]
 }
 
-// submit queues a request into the given round.  A stream resubmitting
-// in the same round replaces its previous request, so retried reads stay
-// idempotent.  A request without a slot is always checked for one.
+// submit queues a request into round if it is the open one; any other
+// round's request is dropped, and the stream's next read is a demand
+// read.  A stream resubmitting in the open round replaces its previous
+// request, so retried reads stay idempotent.  A request without a slot
+// is always checked for one.
 func (io *IOSched) submit(round int64, q ioReq) {
 	io.mu.Lock()
 	defer io.mu.Unlock()
-	if round < io.closed {
-		// The round was already closed; the request becomes a demand
-		// read at consumption.
+	if round != io.open {
 		return
 	}
 	replace := true
 	if q.slot != nil {
-		replace = round < q.slot.queued
-		q.slot.queued = max(q.slot.queued, round+1)
+		replace = q.slot.queued == round
+		q.slot.queued = round
 	}
-	io.roundFor(round).addReq(q, replace)
+	io.round.addReq(q, replace)
 }
 
-// closeRound services every pending round up to and including round,
-// in ascending order, and closes them to later submissions.  The caller
-// — the engine at the end of its step — guarantees those rounds are
-// complete.
+// closeRound services the open round, if anything was submitted into
+// it, and opens round+1.  The caller — Store.CloseRound, at the end of
+// the engine's step — guarantees the round is complete.
 func (io *IOSched) closeRound(round int64) {
 	io.mu.Lock()
 	defer io.mu.Unlock()
-	io.closed = max(io.closed, round+1)
-	for len(io.pending) > 0 && io.pending[0].seq <= round {
-		r := io.pending[0]
-		n := len(io.pending)
-		copy(io.pending, io.pending[1:])
-		io.pending[n-1] = nil
-		io.pending = io.pending[:n-1]
-		io.assignFlexLocked(r)
-		for i := range r.batches {
-			io.serviceLocked(&r.batches[i])
-		}
-		io.stats.Rounds++
-		io.m.rounds.Add(1)
-		io.putRound(r)
+	io.open = round + 1
+	r := &io.round
+	if len(r.batches) == 0 && len(r.flex) == 0 {
+		return
 	}
+	io.assignFlexLocked(r)
+	for i := range r.batches {
+		io.serviceLocked(&r.batches[i])
+	}
+	r.batches = r.batches[:0]
+	io.stats.Rounds++
+	io.m.rounds.Add(1)
 }
 
 // serviceLocked prices one disk's batch, already in SCAN-EDF order;
@@ -517,13 +457,14 @@ func (io *IOSched) serviceLocked(b *diskBatch) {
 }
 
 // take consumes the serviced result for the stream's chunk, reporting
-// what the read is charged.  A stale result — the stream sought or
-// degraded past what it had prefetched — is discarded so the read falls
-// back to a demand read.
-func (io *IOSched) take(slot *ioSlot, chunk int) (avtime.WorldTime, bool) {
+// what a read in round is charged.  A read in any round but the open
+// one leaves the slot alone and is a demand read.  A stale result — the
+// stream sought or degraded past what it had prefetched — is discarded
+// so the read falls back to a demand read.
+func (io *IOSched) take(slot *ioSlot, chunk int, round int64) (avtime.WorldTime, bool) {
 	io.mu.Lock()
 	defer io.mu.Unlock()
-	if !slot.full {
+	if round != io.open || !slot.full {
 		return 0, false
 	}
 	slot.full = false

@@ -1,12 +1,12 @@
 package storage
 
-// sched_differential_test.go is the differential harness behind PR 7's
-// allocation-free IOSched rewrite: it drives the new flat scheduler
-// (sched.go) and the retained old map+sort scheduler
-// (sched_reference_test.go) through identical operation streams and
-// fails on the first observable divergence — service order (svcEvent
-// traces must be byte-identical), returned results, head positions,
-// IOStats counters, and every storage.iosched.* metric.
+// sched_differential_test.go is the differential harness for the flat,
+// allocation-free IOSched: it drives the scheduler (sched.go) and the
+// map+sort reference (sched_reference_test.go) through identical
+// operation streams and fails on the first observable divergence —
+// service order (svcEvent traces must be byte-identical), returned
+// results, head positions, IOStats counters, and every
+// storage.iosched.* metric.
 //
 // Operation streams are decoded from plain byte slices so one decoder
 // serves the fixed-seed property suite here, the seed corpus under
@@ -15,30 +15,33 @@ package storage
 // and operands are taken modulo their ranges, and a stream that runs
 // out of bytes mid-operation reads zeros for the rest.
 //
+// The harness has the engine's shape: one round is open, and a tick
+// closes it and opens the next, the way the engine closes its round at
+// the end of each step.  Reads never service.
+//
 // Byte format (all operand bytes are consumed unconditionally so
 // corpus encoders can be written without simulating scheduler state):
 //
 //	op = next byte % 10
-//	0,1,2  submit      + 8 request bytes (into the current round)
-//	3      tick        (advance the current round)
-//	4,5    read        + sid, chunk, flags, 8 next-request bytes
-//	6      drop        + sid
-//	7      straggler   + 8 request bytes (into current round - 2)
-//	8      demand note + flags (bit0: seeked)
-//	9      close       (close the rounds below the current one)
+//	0,1,2  submit       + 8 request bytes (into the open round)
+//	3      tick         (close the open round, open the next)
+//	4,5    read         + sid, chunk, flags, 8 next-request bytes
+//	6      drop         + sid
+//	7      straggler    + sid, chunk, flags, 8 next-request bytes
+//	8      demand note  + flags (bit0: seeked)
+//	9      future read  + sid, chunk, flags, 8 next-request bytes
 //
 //	request bytes: sid, disk, chunk, track, size, rate, deadline, jitter
+//	disk byte: bits 0-1 the disk; bits 2-3 both set make the request
+//	  replicated, with 1 + (bits 4-5 % 3) alternates on the next disks
 //	read flags: bit1 has follow-on request, bit2 demand seek (bit0 unused)
 //
-// A "read" closes the rounds below the current one, then drives both
-// schedulers through storage.go's ReadChunkTimeAt protocol: take the
-// stream's result and — after a demand read on a miss — submit the
-// follow-on.  The harness closes rounds itself, the way the engine does
-// at the end of each step; the stream's read never services.  Closing
-// only on reads and op 9 (not on every tick) lets several rounds stay
-// pending, so stragglers land in an older pending round and one close
-// services rounds in ascending order.  The reference keeps its
-// flushBefore(round+1) for a close of round.
+// A read drives both schedulers through storage.go's ReadChunkTimeAt
+// protocol: take the stream's result and — after a demand read on a
+// miss — submit the follow-on.  A read (4, 5) is tagged with the open
+// round; a straggler (7) with the round before it and a future read (9)
+// with the round after it, and both must end as demand reads that
+// submit nothing.
 
 import (
 	"flag"
@@ -94,12 +97,14 @@ type diffHarness struct {
 	refTrace []svcEvent
 	newSink  *obs.Collector
 	refSink  *obs.Collector // the reference resolves every metric by name per event
-	cur      int64          // current round
+	cur      int64          // the open round
 
-	// Reach counters for TestDifferentialReachesMultiRoundStates.
-	maxPending  int // most rounds pending after any op
-	lateInserts int // stragglers into an open round below the newest pending one
-	multiCloses int // closes that serviced more than one round
+	// Reach counters for TestDifferentialReachesOpenRoundStates.
+	mixedRounds  int // closes of a round with batches on >= 2 disks plus flex requests
+	replacements int // same-round resubmissions that replaced a request
+	staleTakes   int // takes in the open round that found another chunk's result
+	stragglers   int // straggler reads that found a result and left it
+	futureReads  int // future-round reads that found a result and left it
 }
 
 func newDiffHarness(t testing.TB) *diffHarness {
@@ -115,20 +120,23 @@ func newDiffHarness(t testing.TB) *diffHarness {
 		}
 		h.disks = append(h.disks, d)
 	}
-	h.neu = newIOSched(h.newSink)
-	h.ref = newRefSched(h.refSink)
+	h.neu = newIOSched(h.newSink, h.cur)
+	h.ref = newRefSched(h.refSink, h.cur)
 	h.neu.svcTrace = &h.newTrace
 	h.ref.svcTrace = &h.refTrace
 	return h
 }
 
-// reqFrom decodes one request relative to the current round.  The
+// reqFrom decodes one request relative to the open round.  The
 // deadline range is deliberately tiny (four quantized values around the
 // next tick) so cross-stream deadline ties — the tiebreak cases the
-// SCAN-EDF key exists for — occur constantly.
+// SCAN-EDF key exists for — occur constantly.  A quarter of the
+// requests are replicated, so the flex assignment meets direct requests
+// on the disks it chooses between.
 func (h *diffHarness) reqFrom(c *byteCursor) ioReq {
 	sid := int64(c.byte() % diffSids)
-	disk := h.disks[int(c.byte())%diffDisks]
+	db := int(c.byte())
+	disk := db % diffDisks
 	chunk := int(c.byte() % 64)
 	track := int(c.byte() % 24)
 	bytes := int64(c.byte()%7+1) * 300
@@ -138,10 +146,17 @@ func (h *diffHarness) reqFrom(c *byteCursor) ioReq {
 	}
 	deadline := avtime.WorldTime(h.cur+1)*diffTick + avtime.WorldTime(c.byte()%4)*avtime.Millisecond
 	now := avtime.WorldTime(h.cur)*diffTick + avtime.WorldTime(c.byte()%100)*avtime.Microsecond
-	return ioReq{
-		sid: sid, chunk: chunk, bytes: bytes, disk: disk, track: track,
+	q := ioReq{
+		sid: sid, chunk: chunk, bytes: bytes, disk: h.disks[disk], track: track,
 		rate: rate, now: now, deadline: deadline, slot: &h.slots[sid],
 	}
+	if db>>2&3 == 3 {
+		for k := 1; k <= 1+(db>>4&3)%3; k++ {
+			q.alts[q.nalt] = ioAlt{disk: h.disks[(disk+k)%diffDisks], track: (track + 5*k) % 24}
+			q.nalt++
+		}
+	}
+	return q
 }
 
 // refReq strips the slot pointer: the reference delivers through its
@@ -151,13 +166,27 @@ func refReq(q ioReq) ioReq {
 	return q
 }
 
-func (h *diffHarness) opSubmit(c *byteCursor, round int64) {
-	q := h.reqFrom(c)
+// submit hands q to both schedulers, counting a same-round
+// resubmission that replaces the stream's request.
+func (h *diffHarness) submit(round int64, q ioReq) {
+	if round == h.ref.open {
+		var queued bool
+		if q.nalt > 0 {
+			_, queued = h.ref.flex[q.sid]
+		} else {
+			_, queued = h.ref.pending[q.disk.ID()][q.sid]
+		}
+		if queued {
+			h.replacements++
+		}
+	}
 	h.neu.submit(round, q)
 	h.ref.submit(round, refReq(q))
 }
 
-func (h *diffHarness) opRead(c *byteCursor) {
+// opRead is one ReadChunkTimeAt tagged with round: take the stream's
+// result, note a demand read on a miss, submit the follow-on.
+func (h *diffHarness) opRead(c *byteCursor, round int64) {
 	sid := int64(c.byte() % diffSids)
 	chunk := int(c.byte() % 64)
 	flags := c.byte()
@@ -166,13 +195,28 @@ func (h *diffHarness) opRead(c *byteCursor) {
 	if flags&2 != 0 {
 		next = &q
 	}
-	h.closeRound(h.cur - 1)
+	slot := &h.slots[sid]
+	held := *slot
+	switch {
+	case round != h.cur && held.full:
+		if round < h.cur {
+			h.stragglers++
+		} else {
+			h.futureReads++
+		}
+	case held.full && held.chunk != chunk:
+		h.staleTakes++
+	}
 
-	costN, okN := h.neu.take(&h.slots[sid], chunk)
-	costR, okR := h.ref.take(sid, chunk)
+	costN, okN := h.neu.take(slot, chunk, round)
+	costR, okR := h.ref.take(sid, chunk, round)
 	if okN != okR || costN != costR {
-		h.t.Fatalf("read(sid=%d chunk=%d) diverged: new (%v, %v) vs ref (%v, %v)",
-			sid, chunk, costN, okN, costR, okR)
+		h.t.Fatalf("read(sid=%d chunk=%d round=%d) diverged: new (%v, %v) vs ref (%v, %v)",
+			sid, chunk, round, costN, okN, costR, okR)
+	}
+	if round != h.cur && (okN || *slot != held) {
+		h.t.Fatalf("read(sid=%d chunk=%d) in round %d, open %d, took or moved the stream's result: %+v -> %+v",
+			sid, chunk, round, h.cur, held, *slot)
 	}
 	if !okN {
 		// Miss: the read falls back to a demand read, which notes itself.
@@ -181,25 +225,20 @@ func (h *diffHarness) opRead(c *byteCursor) {
 		h.ref.noteDemand(seeked)
 	}
 	if next != nil {
-		h.neu.submit(h.cur, *next)
-		h.ref.submit(h.cur, refReq(*next))
+		h.submit(round, *next)
 	}
 }
 
-// closeRound closes round on the flat scheduler and flushes below
-// round+1 on the reference, which is the same cut.
-func (h *diffHarness) closeRound(round int64) {
-	n := 0
-	for _, r := range h.neu.pending {
-		if r.seq <= round {
-			n++
-		}
+// closeRound closes the open round on both schedulers and opens the
+// next.
+func (h *diffHarness) closeRound() {
+	r := &h.neu.round
+	if len(r.batches) >= 2 && len(r.flex) > 0 {
+		h.mixedRounds++
 	}
-	if n > 1 {
-		h.multiCloses++
-	}
-	h.neu.closeRound(round)
-	h.ref.flushBefore(round + 1)
+	h.neu.closeRound(h.cur)
+	h.ref.closeRound(h.cur)
+	h.cur++
 }
 
 func (h *diffHarness) opDrop(c *byteCursor) {
@@ -221,47 +260,47 @@ func (h *diffHarness) checkStep(op int, n int) {
 	if sn, sr := h.neu.Stats(), h.ref.Stats(); sn != sr {
 		h.t.Fatalf("op %d (#%d): stats diverged:\nnew %+v\nref %+v", op, n, sn, sr)
 	}
-	if fn, fr := h.neu.closed, h.ref.flushed; fn != fr {
-		h.t.Fatalf("op %d (#%d): closed mark diverged: new %d ref %d", op, n, fn, fr)
+	if on, or := h.neu.open, h.ref.open; on != or || on != h.cur {
+		h.t.Fatalf("op %d (#%d): open round diverged: new %d ref %d harness %d", op, n, on, or, h.cur)
 	}
-	h.checkPendingSorted()
+	h.checkOpenRound()
 }
 
-// checkPendingSorted asserts the flat scheduler's structural invariants:
-// rounds ascending, batches in device-ID order, and every batch strictly
-// ordered under the SCAN-EDF key (strict because sid is unique per
-// batch, so no two members may compare equal).
-func (h *diffHarness) checkPendingSorted() {
+// checkOpenRound asserts the flat scheduler's structural invariants:
+// batches in device-ID order, and every batch and the flex list
+// strictly ordered under the SCAN-EDF key (strict because sid is unique
+// per list, so no two members may compare equal).
+func (h *diffHarness) checkOpenRound() {
 	h.t.Helper()
 	h.neu.mu.Lock()
 	defer h.neu.mu.Unlock()
-	for ri, r := range h.neu.pending {
-		if ri > 0 && h.neu.pending[ri-1].seq >= r.seq {
-			h.t.Fatalf("pending rounds out of order: %d then %d", h.neu.pending[ri-1].seq, r.seq)
-		}
-		for bi := range r.batches {
-			b := &r.batches[bi]
-			if bi > 0 && r.batches[bi-1].devID >= b.devID {
-				h.t.Fatalf("round %d batches out of device order: %q then %q",
-					r.seq, r.batches[bi-1].devID, b.devID)
-			}
-			for j := 1; j < len(b.reqs); j++ {
-				a, c := &b.reqs[j-1], &b.reqs[j]
-				if !reqBefore(a, c) || reqBefore(c, a) {
-					h.t.Fatalf("round %d disk %s: batch not strictly SCAN-EDF ordered at %d: %+v then %+v",
-						r.seq, b.devID, j, *a, *c)
-				}
+	r := &h.neu.round
+	strict := func(what string, reqs []ioReq) {
+		for j := 1; j < len(reqs); j++ {
+			a, c := &reqs[j-1], &reqs[j]
+			if !reqBefore(a, c) || reqBefore(c, a) {
+				h.t.Fatalf("round %d %s: not strictly SCAN-EDF ordered at %d: %+v then %+v",
+					h.cur, what, j, *a, *c)
 			}
 		}
 	}
+	for bi := range r.batches {
+		b := &r.batches[bi]
+		if bi > 0 && r.batches[bi-1].devID >= b.devID {
+			h.t.Fatalf("round %d batches out of device order: %q then %q",
+				h.cur, r.batches[bi-1].devID, b.devID)
+		}
+		strict("disk "+b.devID, b.reqs)
+	}
+	strict("flex list", r.flex)
 }
 
-// finish drains both schedulers and compares every remaining observable:
+// finish closes the open round and compares every remaining observable:
 // full service traces, sink metrics, head positions, and per-stream
 // result state.
 func (h *diffHarness) finish() {
 	h.t.Helper()
-	h.closeRound(h.cur + 2)
+	h.closeRound()
 
 	if len(h.newTrace) != len(h.refTrace) {
 		h.t.Fatalf("service traces diverged in length: new %d ref %d", len(h.newTrace), len(h.refTrace))
@@ -305,25 +344,21 @@ func runDifferential(t testing.TB, data []byte) *diffHarness {
 		op := int(c.byte() % 10)
 		switch op {
 		case 0, 1, 2:
-			h.opSubmit(c, h.cur)
+			h.submit(h.cur, h.reqFrom(c))
 		case 3:
-			h.cur++
+			h.closeRound()
 		case 4, 5:
-			h.opRead(c)
+			h.opRead(c, h.cur)
 		case 6:
 			h.opDrop(c)
 		case 7:
-			if n := len(h.neu.pending); h.cur-2 >= h.neu.closed && n > 0 && h.neu.pending[n-1].seq > h.cur-2 {
-				h.lateInserts++
-			}
-			h.opSubmit(c, h.cur-2)
+			h.opRead(c, h.cur-1)
 		case 8:
 			h.opDemand(c)
 		case 9:
-			h.closeRound(h.cur - 1)
+			h.opRead(c, h.cur+1)
 		}
 		h.checkStep(op, n)
-		h.maxPending = max(h.maxPending, len(h.neu.pending))
 	}
 	h.finish()
 	return h
@@ -331,8 +366,9 @@ func runDifferential(t testing.TB, data []byte) *diffHarness {
 
 // TestDifferentialRandomOpStreams is the fixed-seed property suite:
 // arbitrary request streams — random deadlines, tracks, disks, sizes,
-// rates, mid-round cancellations, stragglers and demand reads — must
-// drive both schedulers identically.
+// rates, replicated requests, mid-round cancellations, stragglers,
+// future-round reads and demand reads — must drive both schedulers
+// identically.
 func TestDifferentialRandomOpStreams(t *testing.T) {
 	for seed := int64(0); seed < 64; seed++ {
 		seed := seed
@@ -345,28 +381,33 @@ func TestDifferentialRandomOpStreams(t *testing.T) {
 	}
 }
 
-// TestDifferentialReachesMultiRoundStates guards the harness's own
-// reach: the property streams must leave several rounds pending, land
-// stragglers in an open round below the newest pending one (roundFor's
-// backward scan and insertion) and close more than one round at once
-// (ascending multi-round service).  A decoder that closed every round on each tick would pass
-// the differential checks while comparing none of these states.
-func TestDifferentialReachesMultiRoundStates(t *testing.T) {
-	var maxPending, lateInserts, multiCloses int
+// TestDifferentialReachesOpenRoundStates guards the harness's own
+// reach: the property streams must close rounds with batches on two or
+// more disks plus replicated requests to route among them, replace a
+// stream's request by a same-round resubmission, take a stale result,
+// and make straggler and future-round reads that find a result and end
+// as demand reads without taking it.  A decoder that never reached one
+// of these would pass the differential checks while comparing none of
+// it.
+func TestDifferentialReachesOpenRoundStates(t *testing.T) {
+	var total diffHarness
 	for seed := int64(0); seed < 64; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		data := make([]byte, 512+rng.Intn(3072))
 		rng.Read(data)
 		h := runDifferential(t, data)
-		maxPending = max(maxPending, h.maxPending)
-		lateInserts += h.lateInserts
-		multiCloses += h.multiCloses
+		total.mixedRounds += h.mixedRounds
+		total.replacements += h.replacements
+		total.staleTakes += h.staleTakes
+		total.stragglers += h.stragglers
+		total.futureReads += h.futureReads
 	}
-	if maxPending < 3 || lateInserts == 0 || multiCloses == 0 {
-		t.Fatalf("property streams reach too little: max %d pending rounds, %d stragglers below the newest pending round, %d multi-round closes",
-			maxPending, lateInserts, multiCloses)
+	reach := fmt.Sprintf("%d mixed rounds, %d replacements, %d stale takes, %d stragglers, %d future-round reads",
+		total.mixedRounds, total.replacements, total.staleTakes, total.stragglers, total.futureReads)
+	if total.mixedRounds == 0 || total.replacements == 0 || total.staleTakes == 0 || total.stragglers == 0 || total.futureReads == 0 {
+		t.Fatalf("property streams reach too little: %s", reach)
 	}
-	t.Logf("max %d pending rounds, %d stragglers below the newest pending round, %d multi-round closes", maxPending, lateInserts, multiCloses)
+	t.Log(reach)
 }
 
 // TestDifferentialExperimentTraces replays the workload-shaped op
@@ -526,8 +567,9 @@ func corpusTenancyTies() []byte {
 }
 
 // corpusOverloadCancels is an overloaded disk array: tight deadlines,
-// oversized requests, mid-round cancellations (drops), plus stragglers
-// and demand reads between rounds.
+// oversized requests, mid-round cancellations (drops), plus straggler
+// and future-round reads, a replicated follow-on and demand reads
+// between rounds.
 func corpusOverloadCancels() []byte {
 	var data []byte
 	for tick := byte(0); tick < 10; tick++ {
@@ -536,11 +578,11 @@ func corpusOverloadCancels() []byte {
 			// everything due immediately.
 			data = append(data, 0, sid, sid%diffDisks, tick, sid*3%24, 6, 7, 0, 99)
 		}
-		data = append(data, 6, tick%8)                 // drop one stream's result
-		data = append(data, 7, 2, 1, 9, 3, 6, 3, 1, 0) // straggler submit
-		data = append(data, 8, tick)                   // demand note
-		data = append(data, 3)                         // tick
-		data = append(data, 9)                         // close
+		data = append(data, 6, tick%8)                                  // drop one stream's result
+		data = append(data, 7, 2, tick, 2, 2, 1, 9, 3, 6, 3, 1, 0)      // straggler read
+		data = append(data, 9, 3, tick+1, 2, 3, 0x1d, 9, 5, 6, 3, 0, 0) // future read, replicated follow-on
+		data = append(data, 8, tick)                                    // demand note
+		data = append(data, 3)                                          // tick
 	}
 	return data
 }

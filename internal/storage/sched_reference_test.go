@@ -1,18 +1,18 @@
 package storage
 
-// sched_reference_test.go retains the PR 4-6 map+sort round scheduler
-// verbatim as the differential oracle for the flat, allocation-free
-// IOSched in sched.go.  The two must produce byte-identical service
-// orders, seek charges, results and storage.iosched.* metrics for any
-// request stream; sched_differential_test.go and FuzzSCANEDFOrder hold
-// them to it.  When touching sched.go, re-run the harness (and the
-// fuzzer: go test -fuzz=FuzzSCANEDFOrder ./internal/storage) against
-// this file — do not "modernize" the reference, its value is being the
-// old code.
+// sched_reference_test.go keeps a map+sort round scheduler as the
+// differential oracle for the flat, allocation-free IOSched in
+// sched.go.  The two must produce byte-identical service orders, seek
+// charges, results and storage.iosched.* metrics for any request
+// stream; sched_differential_test.go and FuzzSCANEDFOrder hold them to
+// it.  When touching sched.go, re-run the harness (and the fuzzer:
+// go test -fuzz=FuzzSCANEDFOrder ./internal/storage) against this file.
+// Keep the reference naive: its value is computing every round from
+// scratch, with maps and a sort, instead of the scheduler's
+// insertion-ordered buffers.
 //
-// The reference keeps the old per-sid results map; the harness drives
-// both schedulers through the same take/put-back read protocol (see
-// opRead).
+// The reference keeps a per-sid results map; the harness drives both
+// schedulers through the same take/put-back read protocol (see opRead).
 
 import (
 	"sort"
@@ -21,15 +21,18 @@ import (
 	"avdb/internal/obs"
 )
 
-// refSched is the original nested-map scheduler: requests pile into
-// round -> disk -> stream maps and every flush rebuilds and sorts each
-// batch from scratch.
+// refSched is the nested-map scheduler with one open round: requests
+// pile into disk -> stream maps (replicated ones into a stream map of
+// their own) and every close sorts the flex requests, routes each to
+// its least-loaded copy, and rebuilds and sorts each disk's batch from
+// scratch.
 type refSched struct {
 	sink     obs.Sink
-	pending  map[int64]map[string]map[int64]ioReq // round -> disk -> stream -> request
-	results  map[int64]refResult                  // stream -> last serviced request
-	heads    map[string]int                       // disk -> head track after last round
-	flushed  int64                                // rounds below this are serviced
+	open     int64                      // the round pending collects
+	pending  map[string]map[int64]ioReq // disk -> stream -> request
+	flex     map[int64]ioReq            // stream -> replicated request
+	results  map[int64]refResult        // stream -> last serviced request
+	heads    map[string]int             // disk -> head track after last round
 	stats    IOStats
 	svcTrace *[]svcEvent
 }
@@ -40,10 +43,12 @@ type refResult struct {
 	cost  avtime.WorldTime
 }
 
-func newRefSched(sink obs.Sink) *refSched {
+func newRefSched(sink obs.Sink, open int64) *refSched {
 	return &refSched{
 		sink:    sink,
-		pending: make(map[int64]map[string]map[int64]ioReq),
+		open:    open,
+		pending: make(map[string]map[int64]ioReq),
+		flex:    make(map[int64]ioReq),
 		results: make(map[int64]refResult),
 		heads:   make(map[string]int),
 	}
@@ -52,57 +57,92 @@ func newRefSched(sink obs.Sink) *refSched {
 // Stats returns a snapshot of the counters.
 func (io *refSched) Stats() IOStats { return io.stats }
 
-// submit queues a request into the given round; same-round resubmission
-// by one stream replaces the previous request.
+// submit queues a request into the open round and drops any other
+// round's; resubmission by one stream replaces its previous request of
+// the same kind (direct on that disk, or replicated).
 func (io *refSched) submit(round int64, q ioReq) {
-	if round < io.flushed {
+	if round != io.open {
 		return
 	}
-	byDev := io.pending[round]
-	if byDev == nil {
-		byDev = make(map[string]map[int64]ioReq)
-		io.pending[round] = byDev
+	if q.nalt > 0 {
+		io.flex[q.sid] = q
+		return
 	}
-	bySid := byDev[q.disk.ID()]
+	io.put(q)
+}
+
+// put files q under its disk, replacing the stream's request there.
+func (io *refSched) put(q ioReq) {
+	bySid := io.pending[q.disk.ID()]
 	if bySid == nil {
 		bySid = make(map[int64]ioReq)
-		byDev[q.disk.ID()] = bySid
+		io.pending[q.disk.ID()] = bySid
 	}
 	bySid[q.sid] = q
 }
 
-// flushBefore services every pending round strictly below round, in
-// ascending order, disks in ID order.
-func (io *refSched) flushBefore(round int64) {
-	if round <= io.flushed {
+// load sums the bytes queued on a disk.
+func (io *refSched) load(devID string) int64 {
+	var n int64
+	for _, q := range io.pending[devID] {
+		n += q.bytes
+	}
+	return n
+}
+
+// refBefore is the SCAN-EDF key, spelled out again rather than shared
+// with the scheduler's reqBefore.
+func refBefore(a, b ioReq) bool {
+	if a.deadline != b.deadline {
+		return a.deadline < b.deadline
+	}
+	if a.track != b.track {
+		return a.track < b.track
+	}
+	if a.sid != b.sid {
+		return a.sid < b.sid
+	}
+	return a.chunk < b.chunk
+}
+
+// closeRound services the open round — the replicated requests routed
+// in SCAN-EDF order, each to the copy with the fewest queued bytes
+// (ties to the lower device ID), then the disks in ID order — and opens
+// round+1.
+func (io *refSched) closeRound(round int64) {
+	io.open = round + 1
+	if len(io.pending) == 0 && len(io.flex) == 0 {
 		return
 	}
-	var due []int64
-	for r := range io.pending {
-		if r < round {
-			due = append(due, r)
-		}
+	flex := make([]ioReq, 0, len(io.flex))
+	for _, q := range io.flex {
+		flex = append(flex, q)
 	}
-	io.flushed = round
-	if len(due) == 0 {
-		return
+	sort.Slice(flex, func(i, j int) bool { return refBefore(flex[i], flex[j]) })
+	for _, q := range flex {
+		best, bestTrack := q.disk, q.track
+		bestLoad := io.load(best.ID())
+		for _, alt := range q.alts[:q.nalt] {
+			if l := io.load(alt.disk.ID()); l < bestLoad || (l == bestLoad && alt.disk.ID() < best.ID()) {
+				best, bestTrack, bestLoad = alt.disk, alt.track, l
+			}
+		}
+		q.disk, q.track, q.nalt = best, bestTrack, 0
+		io.put(q)
 	}
-	sort.Slice(due, func(i, j int) bool { return due[i] < due[j] })
-	for _, r := range due {
-		byDev := io.pending[r]
-		delete(io.pending, r)
-		devs := make([]string, 0, len(byDev))
-		for id := range byDev {
-			devs = append(devs, id)
-		}
-		sort.Strings(devs)
-		for _, id := range devs {
-			io.service(id, byDev[id])
-		}
-		io.stats.Rounds++
-		if io.sink != nil {
-			io.sink.Counter("storage.iosched.rounds").Add(1)
-		}
+	devs := make([]string, 0, len(io.pending))
+	for id := range io.pending {
+		devs = append(devs, id)
+	}
+	sort.Strings(devs)
+	for _, id := range devs {
+		io.service(id, io.pending[id])
+	}
+	io.pending = make(map[string]map[int64]ioReq)
+	io.flex = make(map[int64]ioReq)
+	io.stats.Rounds++
+	if io.sink != nil {
+		io.sink.Counter("storage.iosched.rounds").Add(1)
 	}
 }
 
@@ -113,19 +153,7 @@ func (io *refSched) service(devID string, bySid map[int64]ioReq) {
 	for _, q := range bySid {
 		batch = append(batch, q)
 	}
-	sort.Slice(batch, func(i, j int) bool {
-		a, b := batch[i], batch[j]
-		if a.deadline != b.deadline {
-			return a.deadline < b.deadline
-		}
-		if a.track != b.track {
-			return a.track < b.track
-		}
-		if a.sid != b.sid {
-			return a.sid < b.sid
-		}
-		return a.chunk < b.chunk
-	})
+	sort.Slice(batch, func(i, j int) bool { return refBefore(batch[i], batch[j]) })
 	pos := io.heads[devID]
 	start := batch[0].now
 	for _, q := range batch {
@@ -193,11 +221,12 @@ func (io *refSched) service(devID string, bySid map[int64]ioReq) {
 	}
 }
 
-// take consumes the result for the stream's chunk, reporting its cost,
-// and discards it on a chunk mismatch.
-func (io *refSched) take(sid int64, chunk int) (avtime.WorldTime, bool) {
+// take consumes the result for the stream's chunk in the open round,
+// reporting its cost, and discards it on a chunk mismatch; a read in
+// any other round leaves it alone.
+func (io *refSched) take(sid int64, chunk int, round int64) (avtime.WorldTime, bool) {
 	res, ok := io.results[sid]
-	if !ok {
+	if round != io.open || !ok {
 		return 0, false
 	}
 	delete(io.results, sid)

@@ -102,6 +102,7 @@ type Store struct {
 	tiering  TierPolicy
 	io       *IOSched    // non-nil once a Seeks/Rounds policy was installed
 	pool     *bufferPool // non-nil once a caching policy opened a stream
+	open     int64       // the open storage round: the last closed round + 1
 }
 
 // storeMetrics holds an installed sink's storage handles; all nil
@@ -133,9 +134,10 @@ func newStoreMetrics(s obs.Sink) storeMetrics {
 // SetCachePolicy configures chunk caching for streams opened afterwards;
 // already-open streams keep the policy (and the shared pool) they were
 // opened with — changing the policy retires the current pool, and later
-// streams share a fresh one.  Retiring commits the pool's staged ops
-// and closes all its rounds, so reads through it apply at once and no
-// close has to reach it.  The zero policy disables caching.
+// streams share a fresh one.  Retiring commits the pool's staged ops,
+// and the retired pool never matches the open round again, so reads
+// through it apply at once and no close has to reach it.  The zero
+// policy disables caching.
 func (st *Store) SetCachePolicy(p CachePolicy) {
 	st.mu.Lock()
 	if p != st.policy && st.pool != nil {
@@ -146,15 +148,20 @@ func (st *Store) SetCachePolicy(p CachePolicy) {
 	st.mu.Unlock()
 }
 
-// CloseRound ends storage round T: it services every pending SCAN-EDF
-// round up to T — rounds in ascending order, disks in ID order — and
-// then commits the buffer pool ops staged in those rounds, in staging
-// order.  The engine calls it once, as the last act of step T; reads
-// never service or commit.  A request submitted into a closed round is
-// left to a demand read.
+// CloseRound ends storage round T.  The store keeps one round open, its
+// mark: the last closed round + 1.  If T is at or past the mark, the
+// open round's SCAN-EDF batches are serviced — disks in ID order — and
+// then the buffer pool's staged ops commit in staging order, and the
+// mark moves to T+1; a T below the mark closes nothing.  The engine
+// calls it once, as the last act of step T; reads never service or
+// commit.
 func (st *Store) CloseRound(round int64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if round < st.open {
+		return
+	}
+	st.open = round + 1
 	if st.io != nil {
 		st.io.closeRound(round)
 	}
@@ -521,13 +528,13 @@ func (st *Store) OpenStreamWith(id SegID, rate media.DataRate, policy StripePoli
 	st.nextSID++
 	if st.policy.Enabled() {
 		if st.pool == nil {
-			st.pool = newBufferPool(st.policy, st.sink)
+			st.pool = newBufferPool(st.policy, st.sink, st.open)
 		}
 		stream.pool = st.pool
 	}
 	if policy.Seeks || policy.Rounds {
 		if st.io == nil {
-			st.io = newIOSched(st.sink)
+			st.io = newIOSched(st.sink, st.open)
 		}
 		stream.io = st.io
 	}
@@ -592,14 +599,18 @@ func (s *Stream) readDone(bytes int64, t avtime.WorldTime) avtime.WorldTime {
 //
 // The read is deadline-tagged: round is the caller's storage round (the
 // engine's step), now the tick's world time, and deadline the moment
-// the chunk must be presentable.  Under a Rounds policy the call
-// consumes the scheduled result for this chunk if a closed round
-// prefetched it (paying its SCAN-EDF amortized cost instead of a full
-// seek), and then submits the following chunk into the current round
-// tagged deadline+unit.  A chunk nothing prefetched — the first read, a
-// jump — is a demand read.  The read neither services rounds nor
-// commits the pool's staged ops: CloseRound does both.  round < 0
-// disables scheduling and staging for this call.
+// the chunk must be presentable.  Under a Rounds policy a read tagged
+// with the store's open round consumes the scheduled result for this
+// chunk if the last closed round prefetched it (paying its SCAN-EDF
+// amortized cost instead of a full seek), and then submits the
+// following chunk into the open round tagged deadline+unit; its pool
+// touches and inserts are staged for the round's close.  A chunk
+// nothing prefetched — the first read, a jump — is a demand read.  A
+// read tagged with any other round — round < 0, a straggler below the
+// mark, a round ahead of it — reads in immediate mode: a demand read
+// that submits nothing, with its pool ops applied at once.  The read
+// neither services rounds nor commits the pool's staged ops:
+// CloseRound does both.
 func (s *Stream) ReadChunkTimeAt(idx int, bytes int64, round int64, now, deadline avtime.WorldTime) (avtime.WorldTime, error) {
 	if bytes < 0 {
 		return 0, fmt.Errorf("storage: negative read %d", bytes)
@@ -635,7 +646,7 @@ func (s *Stream) ReadChunkTimeAt(idx int, bytes int64, round int64, now, deadlin
 	var t avtime.WorldTime
 	if !scheduled {
 		t = s.readChunkLocked(idx, bytes)
-	} else if cost, ok := s.io.take(&s.slot, idx); ok {
+	} else if cost, ok := s.io.take(&s.slot, idx, round); ok {
 		// Consume the round-serviced prefetch.
 		t = s.readDone(bytes, cost)
 	} else {

@@ -290,3 +290,68 @@ func TestOpenStreamErrors(t *testing.T) {
 		t.Error("zero-rate stream accepted")
 	}
 }
+
+// TestStoreMarkSeedsLateSchedulerAndPool pins the store's round mark
+// across object lifetimes: a buffer pool and a round scheduler created
+// after the store closed rounds 0..N-1 — the fresh pool behind a
+// policy change, the scheduler behind the first Rounds stream — start
+// at round N, so the stream's reads in round N stage and submit, and
+// CloseRound(N) commits and services them.  Reads tagged N-1 and N+1
+// stage nothing and submit nothing: they are demand reads.
+func TestStoreMarkSeedsLateSchedulerAndPool(t *testing.T) {
+	const n = 5
+	_, st := testRig(t)
+	st.SetCachePolicy(CachePolicy{Capacity: 4, Lookahead: 1})
+	seg, err := st.Place(clip(t, 16), "disk0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, _, err := st.OpenStream(seg.ID(), media.MBPerSecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	for r := int64(0); r < n; r++ {
+		if _, err := old.ReadChunkTimeAt(int(r), 1200, r, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		st.CloseRound(r)
+	}
+	st.SetCachePolicy(CachePolicy{Capacity: 4, Lookahead: 0})
+	s, _, err := st.OpenStreamWith(seg.ID(), media.MBPerSecond, StripePolicy{Rounds: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.pool == old.pool {
+		t.Fatal("the policy change kept the old pool")
+	}
+	for _, r := range []int64{n - 1, n + 1} {
+		if dt, err := s.ReadChunkTimeAt(int(r), 1200, r, 0, 0); err != nil || dt == 0 {
+			t.Fatalf("round %d: %v, %v; want a demand read", r, dt, err)
+		}
+		if ps := st.PoolStats(); ps.Staged != 0 {
+			t.Fatalf("a read tagged round %d, open %d, staged %d ops", r, n, ps.Staged)
+		}
+	}
+	if dt, err := s.ReadChunkTimeAt(8, 1200, n, 0, 0); err != nil || dt == 0 {
+		t.Fatalf("round %d, chunk 8: %v, %v; want a demand read", n, dt, err)
+	}
+	if ps := st.PoolStats(); ps.Staged != 1 {
+		t.Fatalf("a read in the open round %d left %+v; want its insert staged", n, ps)
+	}
+	st.CloseRound(n)
+	if ps := st.PoolStats(); ps.Staged != 0 || ps.Resident != 3 {
+		t.Fatalf("closing round %d left %+v; want 0 staged, 3 resident", n, ps)
+	}
+	if io := st.IOStats(); io.Rounds != 1 || io.Scheduled != 1 || io.Demand != 3 {
+		t.Fatalf("closing round %d left %+v; want the one follow-on of round %d serviced after 3 demand reads", n, io, n)
+	}
+	// Chunk 9, submitted in round n, is taken at its serviced cost.
+	if _, err := s.ReadChunkTimeAt(9, 1200, n+1, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if io := st.IOStats(); io.Demand != 3 {
+		t.Fatalf("the read of the prefetched chunk 9 was a demand read: %+v", io)
+	}
+}

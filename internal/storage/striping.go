@@ -73,7 +73,7 @@ func (st *Store) SetStriping(p StripePolicy) {
 	st.mu.Lock()
 	st.striping = p
 	if (p.Seeks || p.Rounds) && st.io == nil {
-		st.io = newIOSched(st.sink)
+		st.io = newIOSched(st.sink, st.open)
 	}
 	st.mu.Unlock()
 }

@@ -370,7 +370,7 @@ func TestIOSchedBatchAmortizesSeeks(t *testing.T) {
 	if err := d.SetGeometry(16, avtime.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	io := newIOSched(nil)
+	io := newIOSched(nil, 0)
 	// Three streams, adjacent tracks, same deadline: one positioned seek
 	// for the run, the rest ride for free.
 	slots := make([]ioSlot, 3)
@@ -391,12 +391,12 @@ func TestIOSchedBatchAmortizesSeeks(t *testing.T) {
 	}
 	// Every stream finds its serviced result, and the run's followers
 	// are strictly cheaper than its opener.
-	first, ok := io.take(&slots[0], 5)
+	first, ok := io.take(&slots[0], 5, 1)
 	if !ok {
 		t.Fatal("stream 0's result missing")
 	}
 	for sid := int64(1); sid < 3; sid++ {
-		cost, ok := io.take(&slots[sid], 5)
+		cost, ok := io.take(&slots[sid], 5, 1)
 		if !ok {
 			t.Fatalf("stream %d's result missing", sid)
 		}
@@ -413,7 +413,7 @@ func TestIOSchedScanEDFOrder(t *testing.T) {
 	}
 	// An urgent request on a far track must be serviced before a relaxed
 	// one near the head: deadline dominates track position.
-	io := newIOSched(nil)
+	io := newIOSched(nil, 0)
 	io.heads[d] = 0
 	slots := make([]ioSlot, 2)
 	io.submit(0, ioReq{sid: 0, chunk: 1, bytes: 1200, disk: d, track: 15,
@@ -425,8 +425,8 @@ func TestIOSchedScanEDFOrder(t *testing.T) {
 	if io.heads[d] != 1 {
 		t.Errorf("head at track %d, want 1 (EDF must outrank SCAN)", io.heads[d])
 	}
-	urgent, _ := io.take(&slots[0], 1)
-	relaxed, _ := io.take(&slots[1], 1)
+	urgent, _ := io.take(&slots[0], 1, 1)
+	relaxed, _ := io.take(&slots[1], 1, 1)
 	// The urgent stream paid the full 0->15 sweep; the relaxed one paid
 	// the shorter 15->1 return, cheaper than a cold full-span seek.
 	if urgent <= relaxed {
@@ -441,25 +441,40 @@ func TestIOSchedScanEDFOrder(t *testing.T) {
 
 func TestIOSchedStaleAndStragglerRequests(t *testing.T) {
 	d := device.NewDisk("d", 1_000_000, 8*media.MBPerSecond, 10*avtime.Millisecond)
-	io := newIOSched(nil)
-	slots := make([]ioSlot, 2)
+	io := newIOSched(nil, 0)
+	slots := make([]ioSlot, 3)
 	io.submit(0, ioReq{sid: 7, chunk: 3, bytes: 1200, disk: d, rate: media.MBPerSecond, deadline: avtime.Second, slot: &slots[0]})
-	io.closeRound(1)
+	io.closeRound(0)
 	// Taking the wrong chunk discards the stale result entirely.
-	if _, ok := io.take(&slots[0], 9); ok {
+	if _, ok := io.take(&slots[0], 9, 1); ok {
 		t.Error("stale result consumed for the wrong chunk")
 	}
-	if _, ok := io.take(&slots[0], 3); ok {
+	if _, ok := io.take(&slots[0], 3, 1); ok {
 		t.Error("discarded result resurfaced")
 	}
-	// Submissions into an already-closed round are dropped, so the
-	// consumer falls back to a demand read instead of waiting forever.
-	io.submit(1, ioReq{sid: 8, chunk: 0, bytes: 1200, disk: d, rate: media.MBPerSecond, slot: &slots[1]})
-	if _, ok := io.take(&slots[1], 0); ok {
-		t.Error("straggler submission into a closed round was serviced")
+	// Submissions into a round other than the open one — a straggler
+	// into the closed round 0, a read ahead into round 5 — are dropped,
+	// so the consumer falls back to a demand read instead of waiting.
+	io.submit(0, ioReq{sid: 8, chunk: 0, bytes: 1200, disk: d, rate: media.MBPerSecond, slot: &slots[1]})
+	io.submit(5, ioReq{sid: 8, chunk: 1, bytes: 1200, disk: d, rate: media.MBPerSecond, slot: &slots[1]})
+	io.closeRound(1)
+	if slots[1].full {
+		t.Error("a submission into a round other than the open one was serviced")
 	}
 	if st := io.Stats(); st.Rounds != 1 {
-		t.Errorf("rounds %d, want 1 (a straggler into a closed round must not start one)", st.Rounds)
+		t.Errorf("rounds %d, want 1 (a submission outside the open round must not start one)", st.Rounds)
+	}
+	// A read tagged with any round but the open one leaves the result
+	// for the read in the open round.
+	io.submit(2, ioReq{sid: 9, chunk: 4, bytes: 1200, disk: d, rate: media.MBPerSecond, deadline: avtime.Second, slot: &slots[2]})
+	io.closeRound(2)
+	for _, r := range []int64{-1, 2, 4} {
+		if _, ok := io.take(&slots[2], 4, r); ok {
+			t.Errorf("a read tagged round %d took the result serviced for the open round 3", r)
+		}
+	}
+	if _, ok := io.take(&slots[2], 4, 3); !ok {
+		t.Error("the read in the open round lost its result")
 	}
 }
 

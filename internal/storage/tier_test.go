@@ -348,7 +348,7 @@ func TestTierFlexRoutingLeastLoaded(t *testing.T) {
 		return q
 	}
 	for _, order := range [][]int64{{1, 2}, {2, 1}} {
-		io := newIOSched(nil)
+		io := newIOSched(nil, 0)
 		var trace []svcEvent
 		io.svcTrace = &trace
 		slots := map[int64]*ioSlot{1: {}, 2: {}}
