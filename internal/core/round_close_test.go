@@ -24,48 +24,12 @@ func TestEngineStepClosesItsRound(t *testing.T) {
 	db := stripedDB(t, storage.StripePolicy{Seeks: true, Rounds: true})
 	st := db.Storage()
 	st.SetCachePolicy(storage.CachePolicy{Capacity: 4, Lookahead: 2})
-	clipObject := func() schema.OID {
-		o, err := db.NewObject("MediaObject")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := db.SetAttr(o.OID(), "videoTrack", schema.Media(testClip(40))); err != nil {
-			t.Fatal(err)
-		}
-		return o.OID()
-	}
-	play := func(client string, oid schema.OID, rate media.DataRate) *Session {
-		sess, err := db.Connect(client, "lan0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { sess.Close() })
-		q, _ := media.ParseVideoQuality(testQualityStr)
-		reader, err := activities.NewVideoReader("src", activity.AtDatabase, media.TypeRawVideo30)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sess.Install(reader, ResourcesForVideo(q)); err != nil {
-			t.Fatal(err)
-		}
-		win := activities.NewVideoWindow("win", activity.AtApplication, q, avtime.Second)
-		if err := sess.Install(win, ResourcesForVideo(q)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sess.Connect(reader, "out", win, "in", q.DataRate()); err != nil {
-			t.Fatal(err)
-		}
-		if err := sess.BindValue(oid, "videoTrack", reader, "out", rate); err != nil {
-			t.Fatal(err)
-		}
-		return sess
-	}
-	disk := clipObject()
+	disk := clipObject(t, db, 40)
 	if _, err := db.PlaceMediaStriped(disk, "videoTrack", media.MBPerSecond, 2); err != nil {
 		t.Fatal(err)
 	}
-	scheduled := play("scheduled", disk, media.MBPerSecond)
-	memory := play("memory", clipObject(), 0)
+	scheduled, _ := playVideo(t, db, "scheduled", disk, media.MBPerSecond)
+	memory, _ := playVideo(t, db, "memory", clipObject(t, db, 40), 0)
 
 	e := db.Engine()
 	e.mu.Lock()
@@ -132,4 +96,50 @@ func roundState(st *storage.Store) (open int64, queued int) {
 		queued += round.FieldByName("flex").Len()
 	}
 	return open, queued
+}
+
+// clipObject stores a MediaObject whose videoTrack is a clip of the
+// given frames.
+func clipObject(t *testing.T, db *Database, frames int) schema.OID {
+	t.Helper()
+	o, err := db.NewObject("MediaObject")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.SetAttr(o.OID(), "videoTrack", schema.Media(testClip(frames))); err != nil {
+		t.Fatal(err)
+	}
+	return o.OID()
+}
+
+// playVideo connects a client session that plays oid's videoTrack from
+// a database-side reader, which it returns too, into an application
+// window, bound at rate (0 streams from memory).  The session closes at
+// test cleanup.
+func playVideo(t *testing.T, db *Database, client string, oid schema.OID, rate media.DataRate) (*Session, *activities.VideoReader) {
+	t.Helper()
+	sess, err := db.Connect(client, "lan0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sess.Close() })
+	q, _ := media.ParseVideoQuality(testQualityStr)
+	reader, err := activities.NewVideoReader("src", activity.AtDatabase, media.TypeRawVideo30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Install(reader, ResourcesForVideo(q)); err != nil {
+		t.Fatal(err)
+	}
+	win := activities.NewVideoWindow("win", activity.AtApplication, q, avtime.Second)
+	if err := sess.Install(win, ResourcesForVideo(q)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Connect(reader, "out", win, "in", q.DataRate()); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.BindValue(oid, "videoTrack", reader, "out", rate); err != nil {
+		t.Fatal(err)
+	}
+	return sess, reader
 }

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"avdb/internal/avtime"
 	"avdb/internal/media"
@@ -45,11 +46,12 @@ type Link struct {
 	reserved media.DataRate
 	nextConn int
 
-	m linkMetrics
+	// The installed sink's handles, published whole by SetSink so a
+	// transfer loads them without the link lock; nil without a sink.
+	m atomic.Pointer[linkMetrics]
 }
 
-// linkMetrics holds an installed sink's net.<id>.* handles; all nil
-// without one.
+// linkMetrics holds an installed sink's net.<id>.* handles.
 type linkMetrics struct {
 	transfers, bytes *obs.Counter
 }
@@ -79,17 +81,15 @@ func (l *Link) MaxJitter() avtime.WorldTime { return l.maxJitter }
 // SetSink installs an observability sink.  Transfers over the link emit
 // net.<id>.transfers / bytes counters; nil clears the sink.
 func (l *Link) SetSink(s obs.Sink) {
-	var m linkMetrics
-	if s != nil {
-		prefix := "net." + l.id + "."
-		m = linkMetrics{
-			transfers: s.Counter(prefix + "transfers"),
-			bytes:     s.Counter(prefix + "bytes"),
-		}
+	if s == nil {
+		l.m.Store(nil)
+		return
 	}
-	l.mu.Lock()
-	l.m = m
-	l.mu.Unlock()
+	prefix := "net." + l.id + "."
+	l.m.Store(&linkMetrics{
+		transfers: s.Counter(prefix + "transfers"),
+		bytes:     s.Counter(prefix + "bytes"),
+	})
 }
 
 // Reserved reports the bandwidth currently reserved by open connections.
@@ -154,14 +154,13 @@ func (c *Conn) TransferChunk(bytes int64) (avtime.WorldTime, error) {
 	if !c.open {
 		return 0, fmt.Errorf("%w: transfer on closed connection", ErrClosed)
 	}
-	c.link.mu.Lock()
-	m := c.link.m
-	c.link.mu.Unlock()
 	seq := uint64(c.messages)
 	c.bytes += bytes
 	c.messages++
-	m.transfers.Add(1)
-	m.bytes.Add(bytes)
+	if m := c.link.m.Load(); m != nil {
+		m.transfers.Add(1)
+		m.bytes.Add(bytes)
+	}
 	t := c.link.latency + avtime.WorldTime(bytes*int64(avtime.Second)/int64(c.rate))
 	if c.link.maxJitter > 0 {
 		t += sched.Uniform(c.key, seq, c.link.maxJitter)

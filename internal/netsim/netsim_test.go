@@ -221,6 +221,55 @@ func TestLinkSinkReinstall(t *testing.T) {
 	}
 }
 
+// TestLinkSinkSwapDuringTransfers: SetSink swaps the sink from another
+// goroutine while a connection transfers.  Every transfer is counted by
+// exactly one of the two sinks, and every transfer that starts after
+// SetSink returned is counted by the new one.  Run under -race.
+func TestLinkSinkSwapDuringTransfers(t *testing.T) {
+	const before, after = 200, 200
+	l := testLink()
+	c, err := l.Connect(media.MBPerSecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	first, second := obs.NewCollector(), obs.NewCollector()
+	l.SetSink(first)
+	started, swapped := make(chan struct{}), make(chan struct{})
+	go func() {
+		<-started
+		l.SetSink(second)
+		close(swapped)
+	}()
+	total := 0
+	transfer := func() {
+		if _, err := c.TransferChunk(100); err != nil {
+			t.Fatal(err)
+		}
+		total++
+	}
+	for i := 0; i < before; i++ {
+		if i == before/2 {
+			close(started)
+		}
+		transfer()
+	}
+	<-swapped
+	for i := 0; i < after; i++ {
+		transfer()
+	}
+	a, b := first.Snapshot(), second.Snapshot()
+	if got := a.Counter("net.lan0.transfers") + b.Counter("net.lan0.transfers"); got != int64(total) {
+		t.Errorf("the two sinks counted %d transfers, want %d", got, total)
+	}
+	if got := b.Counter("net.lan0.transfers"); got < after {
+		t.Errorf("the new sink counted %d transfers, want at least the %d made after the swap", got, after)
+	}
+	if got := a.Counter("net.lan0.bytes") + b.Counter("net.lan0.bytes"); got != 100*int64(total) {
+		t.Errorf("the two sinks counted %d bytes, want %d", got, 100*total)
+	}
+}
+
 // TestRenegotiate: lowering a connection's rate returns bandwidth to
 // the link, raising it past the link's free bandwidth fails and leaves
 // the reservation as it was, and a closed connection refuses.

@@ -36,17 +36,17 @@ func BenchmarkIOSchedFlush(b *testing.B) {
 						}
 					}
 					slots := make([]ioSlot, wide.streams)
-					io := newIOSched(nil, 0)
+					io := newIOSched(nil)
 					round := int64(0)
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						if pool == "cold" {
-							io = newIOSched(nil, round)
+							io = newIOSched(nil)
 						}
 						now := avtime.WorldTime(round) * unit
 						for s := 0; s < wide.streams; s++ {
-							io.submit(round, ioReq{
+							io.submit(ioReq{
 								sid: int64(s), chunk: i % 64, bytes: 1200,
 								disk: disks[s%nDisks], track: (s*3 + i) % 16,
 								rate: media.MBPerSecond, now: now,
@@ -54,7 +54,7 @@ func BenchmarkIOSchedFlush(b *testing.B) {
 								slot:     &slots[s],
 							})
 						}
-						io.closeRound(round)
+						io.closeRound()
 						round++
 					}
 				})

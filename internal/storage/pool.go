@@ -14,20 +14,26 @@ package storage
 // Which session's read counts as a hit is decided per round (DESIGN.md
 // §15).  During a tick, streams only READ committed residency; every
 // mutation — the LRU touch behind a hit, the inserts behind a miss's
-// fill — of a read tagged with the open round (the store's mark, the
-// engine's current step) is staged in one op log.  When the engine
-// closes the round (Store.CloseRound) the log commits in staging order;
-// reads never commit.  So no session hits a chunk any session (itself
+// fill — of a read in the open round (the store's mark, the engine's
+// current step) is staged in one op log.  When the engine closes the
+// round (Store.CloseRound) the log commits in staging order; reads
+// never commit.  So no session hits a chunk any session (itself
 // included) staged in the same round; the engine steps sessions
 // serially, so the staging order, and with it residency, eviction order
 // and every counter, is the same on every run
-// (TestEngineAudienceDeterminism).  A read tagged with any other round —
-// round < 0 (no tick context), a straggler below the mark, a round
-// ahead of it — applies its ops immediately, which is exactly the
-// retired per-stream LRU's behavior; the differential harness in
-// pool_differential_test.go holds the pool to that oracle.  A pool a
-// policy change retired commits its log and never matches the open
-// round again, so nothing is staged that no close would commit.
+// (TestEngineAudienceDeterminism).  The pool holds no round mark:
+// Stream.ReadChunkTimeAt decides whether a read stages — its round is
+// the store's open one and its pool the store's current one — and any
+// other read — round < 0 (no tick context), a straggler below the mark,
+// a round ahead of it, a read through a pool a policy change retired —
+// applies its ops immediately, which is exactly the retired per-stream
+// LRU's behavior; the differential harness in pool_differential_test.go
+// holds the pool to that oracle.  A retired pool commits its log when
+// it retires and never stages again, so nothing is staged that no close
+// would commit.
+//
+// The pool has no lock of its own: every method runs with the store's
+// lock held, taken once by the store entry point that calls it.
 //
 // The warm hit path — one index load, staging one touch — performs
 // zero heap allocations (TestPoolHitAllocs): the
@@ -39,11 +45,7 @@ package storage
 // per-stream capacity and N co-admitted streams share an N-times-larger
 // pool.  Detaching shrinks it back, evicting coldest-first.
 
-import (
-	"sync"
-
-	"avdb/internal/obs"
-)
+import "avdb/internal/obs"
 
 // CachePolicy configures chunk caching for streams opened from a store.
 // The zero value disables caching, preserving the uncached read costs.
@@ -126,9 +128,7 @@ const poolNil = int32(-1)
 
 // bufferPool is the store-level shared residency set.
 type bufferPool struct {
-	policy CachePolicy
-
-	mu       sync.Mutex
+	policy   CachePolicy
 	m        poolMetrics
 	entries  []poolEntry
 	freeIdx  []int32
@@ -142,7 +142,6 @@ type bufferPool struct {
 	streams  int     // attached streams
 	capacity int     // policy.Capacity per attached stream
 	nextPID  int64
-	open     int64    // the round whose ops are staged: the store's mark
 	staged   []poolOp // the open round's ops, in staging order
 	agg      CacheStats
 }
@@ -166,13 +165,10 @@ func newPoolMetrics(s obs.Sink) poolMetrics {
 	}
 }
 
-// newBufferPool returns a pool whose open round is open, the store's
-// mark: one made after the engine has stepped must stage the reads of
-// the round the engine closes next.
-func newBufferPool(p CachePolicy, sink obs.Sink, open int64) *bufferPool {
+// newBufferPool returns an empty pool sized by p.
+func newBufferPool(p CachePolicy, sink obs.Sink) *bufferPool {
 	return &bufferPool{
 		policy: p,
-		open:   open,
 		m:      newPoolMetrics(sink),
 		slots:  make(map[SegID]int32),
 		head:   poolNil,
@@ -180,19 +176,10 @@ func newBufferPool(p CachePolicy, sink obs.Sink, open int64) *bufferPool {
 	}
 }
 
-func (p *bufferPool) setSink(s obs.Sink) {
-	m := newPoolMetrics(s)
-	p.mu.Lock()
-	p.m = m
-	p.mu.Unlock()
-}
-
 // attach registers a stream of seg, growing capacity.  The returned pid
 // tells the stream's hits on its own chunks from shared ones; slot is
 // seg's slot, the seg of every poolKey the stream passes in.
 func (p *bufferPool) attach(seg *Segment) (pid int64, slot int32) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.streams++
 	p.capacity = p.policy.Capacity * p.streams
 	pid = p.nextPID
@@ -213,18 +200,17 @@ func (p *bufferPool) attach(seg *Segment) (pid int64, slot int32) {
 	return pid, slot
 }
 
-// unrefLocked drops one reference to slot; p.mu is held.
-func (p *bufferPool) unrefLocked(slot int32) {
+// unref drops one reference to slot.
+func (p *bufferPool) unref(slot int32) {
 	if p.segs[slot].refs--; p.segs[slot].refs == 0 {
 		p.idle = append(p.idle, slot)
 	}
 }
 
-// releaseIdleLocked recycles the slots of segments left with no stream
-// and no resident chunk.  It waits until nothing is staged: a staged op
+// releaseIdle recycles the slots of segments left with no stream and
+// no resident chunk.  It waits until nothing is staged: a staged op
 // names its slot, and must not land on another segment that reuses it.
-// p.mu is held.
-func (p *bufferPool) releaseIdleLocked() {
+func (p *bufferPool) releaseIdle() {
 	if len(p.staged) > 0 {
 		return
 	}
@@ -240,9 +226,9 @@ func (p *bufferPool) releaseIdleLocked() {
 	p.idle = p.idle[:0]
 }
 
-// lookupLocked returns key's entry index, or poolNil when the chunk is
-// not resident; p.mu is held.
-func (p *bufferPool) lookupLocked(key poolKey) int32 {
+// lookup returns key's entry index, or poolNil when the chunk is not
+// resident.
+func (p *bufferPool) lookup(key poolKey) int32 {
 	at := p.segs[key.seg].at
 	if key.chunk >= len(at) {
 		return poolNil
@@ -254,28 +240,23 @@ func (p *bufferPool) lookupLocked(key poolKey) int32 {
 // capacity and evicting the coldest chunks beyond it.  The aggregate
 // stats survive: closing a stream no longer discards its cache history.
 func (p *bufferPool) detach(slot int32) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.streams > 0 {
 		p.streams--
 	}
 	p.capacity = p.policy.Capacity * p.streams
-	if n := p.evictOverLocked(); n > 0 {
+	if n := p.evictOver(); n > 0 {
 		p.agg.Evicted += int64(n)
 		p.m.evicted.Add(int64(n))
 	}
-	p.unrefLocked(slot)
-	p.releaseIdleLocked()
+	p.unref(slot)
+	p.releaseIdle()
 }
 
 // read consults committed residency for key, counting a hit and staging
-// its LRU touch when round is the open one; any other round applies the
-// touch immediately.  shared reports a hit on a chunk some other stream
-// made resident.
-func (p *bufferPool) read(pid int64, key poolKey, round int64) (hit, shared bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	i := p.lookupLocked(key)
+// its LRU touch with stage, applying it immediately without.  shared
+// reports a hit on a chunk some other stream made resident.
+func (p *bufferPool) read(pid int64, key poolKey, stage bool) (hit, shared bool) {
+	i := p.lookup(key)
 	if i == poolNil {
 		return false, false
 	}
@@ -284,10 +265,10 @@ func (p *bufferPool) read(pid int64, key poolKey, round int64) (hit, shared bool
 	if shared {
 		p.agg.Shared++
 	}
-	if round == p.open {
+	if stage {
 		p.staged = append(p.staged, poolOp{pid: pid, key: key, kind: opTouch})
 	} else {
-		p.moveFrontLocked(i)
+		p.moveFront(i)
 	}
 	p.m.hits.Add(1)
 	if shared {
@@ -298,29 +279,24 @@ func (p *bufferPool) read(pid int64, key poolKey, round int64) (hit, shared bool
 
 // miss counts a demand read that paid the device.
 func (p *bufferPool) miss() {
-	p.mu.Lock()
 	p.agg.Misses++
 	p.m.misses.Add(1)
-	p.mu.Unlock()
 }
 
 // fill makes chunks idx..idx+lookahead of seg resident (bounded by
-// limit, the segment's last chunk), staging the inserts when round is
-// the open one and applying them immediately otherwise.  It returns how
-// many chunks beyond idx were newly staged and, in immediate mode, how
-// many residents were evicted; staged-mode evictions happen at commit
-// and are accounted to the pool aggregate there.
-func (p *bufferPool) fill(pid int64, seg int32, idx, lookahead, limit int, round int64) (staged, evicted int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	stage := round == p.open
-	evicted = p.insertLocked(poolKey{seg: seg, chunk: idx}, pid, stage)
+// limit, the segment's last chunk), staging the inserts with stage and
+// applying them immediately without.  It returns how many chunks beyond
+// idx were newly staged and, in immediate mode, how many residents were
+// evicted; staged-mode evictions happen at commit and are accounted to
+// the pool aggregate there.
+func (p *bufferPool) fill(pid int64, seg int32, idx, lookahead, limit int, stage bool) (staged, evicted int) {
+	evicted = p.insert(poolKey{seg: seg, chunk: idx}, pid, stage)
 	for k := idx + 1; k <= idx+lookahead && k <= limit; k++ {
 		key := poolKey{seg: seg, chunk: k}
-		if p.lookupLocked(key) != poolNil {
+		if p.lookup(key) != poolNil {
 			continue
 		}
-		evicted += p.insertLocked(key, pid, stage)
+		evicted += p.insert(key, pid, stage)
 		staged++
 	}
 	p.agg.Prefetched += int64(staged)
@@ -334,19 +310,16 @@ func (p *bufferPool) fill(pid int64, seg int32, idx, lookahead, limit int, round
 	return staged, evicted
 }
 
-// closeRound commits the open round's staged ops in staging order and
-// opens round+1.  The caller — Store.CloseRound, at the end of the
-// engine's step — guarantees the round is complete.
-func (p *bufferPool) closeRound(round int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.open = round + 1
+// closeRound commits the open round's staged ops in staging order.
+// The caller — Store.CloseRound at the end of the engine's step, or
+// SetCachePolicy retiring the pool — guarantees the round is complete.
+func (p *bufferPool) closeRound() {
 	evicted := 0
 	for _, op := range p.staged {
 		if op.kind == opInsert {
-			evicted += p.applyInsertLocked(op.key, op.pid)
-		} else if i := p.lookupLocked(op.key); i != poolNil {
-			p.moveFrontLocked(i)
+			evicted += p.applyInsert(op.key, op.pid)
+		} else if i := p.lookup(op.key); i != poolNil {
+			p.moveFront(i)
 		}
 	}
 	p.staged = p.staged[:0]
@@ -355,26 +328,26 @@ func (p *bufferPool) closeRound(round int64) {
 		p.m.evicted.Add(int64(evicted))
 	}
 	if len(p.idle) > 0 {
-		p.releaseIdleLocked()
+		p.releaseIdle()
 	}
 }
 
-// insertLocked stages an insert of key attributed to pid, or with stage
-// false applies it at once and returns the evictions; p.mu is held.
-func (p *bufferPool) insertLocked(key poolKey, pid int64, stage bool) int {
+// insert stages an insert of key attributed to pid, or with stage false
+// applies it at once and returns the evictions.
+func (p *bufferPool) insert(key poolKey, pid int64, stage bool) int {
 	if stage {
 		p.staged = append(p.staged, poolOp{pid: pid, key: key, kind: opInsert})
 		return 0
 	}
-	return p.applyInsertLocked(key, pid)
+	return p.applyInsert(key, pid)
 }
 
-// applyInsertLocked makes key resident attributed to pid, evicting the
+// applyInsert makes key resident attributed to pid, evicting the
 // coldest residents beyond capacity; a key already resident is bumped
-// and keeps its original inserter.  Returns the evictions; p.mu held.
-func (p *bufferPool) applyInsertLocked(key poolKey, pid int64) int {
-	if i := p.lookupLocked(key); i != poolNil {
-		p.moveFrontLocked(i)
+// and keeps its original inserter.  Returns the evictions.
+func (p *bufferPool) applyInsert(key poolKey, pid int64) int {
+	if i := p.lookup(key); i != poolNil {
+		p.moveFront(i)
 		return 0
 	}
 	ps := &p.segs[key.seg]
@@ -402,12 +375,12 @@ func (p *bufferPool) applyInsertLocked(key poolKey, pid int64) int {
 	ps.at[key.chunk] = i + 1
 	ps.refs++
 	p.resident++
-	return p.evictOverLocked()
+	return p.evictOver()
 }
 
-// evictOverLocked drops least-recently-used residents until the pool
-// fits its capacity; p.mu is held.
-func (p *bufferPool) evictOverLocked() int {
+// evictOver drops least-recently-used residents until the pool fits its
+// capacity.
+func (p *bufferPool) evictOver() int {
 	evicted := 0
 	for p.resident > p.capacity {
 		t := p.tail
@@ -416,7 +389,7 @@ func (p *bufferPool) evictOverLocked() int {
 		}
 		key := p.entries[t].key
 		p.segs[key.seg].at[key.chunk] = 0
-		p.unrefLocked(key.seg)
+		p.unref(key.seg)
 		p.resident--
 		p.tail = p.entries[t].prev
 		if p.tail != poolNil {
@@ -431,8 +404,8 @@ func (p *bufferPool) evictOverLocked() int {
 	return evicted
 }
 
-// moveFrontLocked bumps entry i to most recently used; p.mu is held.
-func (p *bufferPool) moveFrontLocked(i int32) {
+// moveFront bumps entry i to most recently used.
+func (p *bufferPool) moveFront(i int32) {
 	if p.head == i {
 		return
 	}
@@ -458,8 +431,6 @@ func (p *bufferPool) moveFrontLocked(i int32) {
 
 // stats snapshots the pool's aggregate behavior.
 func (p *bufferPool) stats() PoolStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return PoolStats{
 		CacheStats: p.agg,
 		Resident:   p.resident,

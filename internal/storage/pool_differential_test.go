@@ -92,12 +92,10 @@ func (c *lruOracle) residency() []int {
 // chain's length.
 func poolResidency(t *testing.T, p *bufferPool) []poolKey {
 	t.Helper()
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	out := make([]poolKey, 0, p.resident)
 	for i := p.head; i != poolNil; i = p.entries[i].next {
 		k := p.entries[i].key
-		if got := p.lookupLocked(k); got != i {
+		if got := p.lookup(k); got != i {
 			t.Fatalf("index of %+v = entry %d, chain has it at %d", k, got, i)
 		}
 		if slot, ok := p.slots[p.segs[k.seg].id]; !ok || slot != k.seg {
@@ -495,8 +493,8 @@ func TestPoolRetireCommitsStagedOps(t *testing.T) {
 // TestPoolStragglerIntoClosedRoundStagesNothing: a pooled read tagged
 // with any round but the store's open one — ahead of the mark, or one
 // the store already closed — applies its touch and inserts at once, the
-// way IOSched turns such a read into a demand read, instead of staging
-// ops no later close would commit.
+// way the scheduler turns such a read into a demand read, instead of
+// staging ops no later close would commit.
 func TestPoolStragglerIntoClosedRoundStagesNothing(t *testing.T) {
 	_, st := testRig(t)
 	st.SetCachePolicy(CachePolicy{Capacity: 4, Lookahead: 2})
@@ -570,9 +568,7 @@ func TestPoolReleasesIdleSlots(t *testing.T) {
 				}
 			}
 			p := s.pool
-			p.mu.Lock()
 			slots, segs := len(p.slots), len(p.segs)
-			p.mu.Unlock()
 			if slots > 2 || segs > 2 {
 				t.Fatalf("staged=%v, segment %d: %d mapped slots, %d slots in all; want at most 2", staged, n, slots, segs)
 			}

@@ -1,6 +1,6 @@
 package storage
 
-// sched.go implements IOSched, the per-device round scheduler.  Streams
+// sched.go implements ioSched, the per-device round scheduler.  Streams
 // driven by a graph run submit the *next* chunk they will need once the
 // read of the current one succeeds; all requests submitted during one
 // engine step form a round.  The scheduler holds exactly one round open
@@ -21,19 +21,21 @@ package storage
 // request, so no two distinct batch members ever compare equal (pinned
 // by TestSCANEDFKeyTotalOrder) — and therefore the service order, the
 // per-disk head walk, every seek charge and every counter are
-// independent of submission order.  Disks are serviced in ID order.  A
-// read tagged with any round but the open one — a straggler below the
-// mark, a caller numbering rounds of its own ahead of it, or no round
-// at all — neither takes nor submits: it is a demand read.  Demand
-// reads price seeks from the stream's own recorded position without
-// moving the shared per-disk heads, so only round service advances
-// them.
+// independent of submission order.  Disks are serviced in ID order.
+// The scheduler holds no round mark: Stream.ReadChunkTimeAt compares
+// the read's round with the store's and only a read in the open round
+// takes and submits.  Any other read — a straggler below the mark, a
+// caller numbering rounds of its own ahead of it, or no round at all —
+// is a demand read.  Demand reads price seeks from the stream's own
+// recorded position without moving the shared per-disk heads, so only
+// round service advances them.
 //
-// Every method that touches scheduler state takes io.mu: clients close
-// streams (drop) and snapshot IOStats from their own goroutines while
-// the engine steps, and SetSink swaps the metric handles.
-// TestConcurrentSubmitDeterminism pins that submissions racing into one
-// round stay invisible.
+// The scheduler has no lock of its own: every method runs with the
+// store's lock held, taken once by the store entry point that calls it
+// (a chunk read, CloseRound, IOStats, SetSink).
+// TestConcurrentSubmitDeterminism pins that reading one round's streams
+// from several goroutines leaves the service order and every counter as
+// a serial read leaves them.
 //
 // The hot path is allocation-free in steady state (pinned by
 // TestIOSchedAllocsPerRun).  The open round is a flat, reusable buffer:
@@ -47,12 +49,11 @@ package storage
 // (sched_differential_test.go, FuzzSCANEDFOrder) proves the two produce
 // byte-identical service orders, seek charges and metrics.
 //
-// IOSched runs entirely in virtual time: servicing a batch prices the
+// ioSched runs entirely in virtual time: servicing a batch prices the
 // requests, it does not block anything.
 
 import (
 	"slices"
-	"sync"
 
 	"avdb/internal/avtime"
 	"avdb/internal/device"
@@ -76,7 +77,7 @@ type ioReq struct {
 	slot     *ioSlot          // where the serviced result lands
 
 	// Replicated chunks carry alternates: the round assigns the request
-	// to the least-loaded copy at service time (assignFlexLocked).  nalt is
+	// to the least-loaded copy at service time (assignFlex).  nalt is
 	// zero for unreplicated chunks, which skip the flex path entirely.
 	alts [3]ioAlt
 	nalt uint8
@@ -90,15 +91,15 @@ type ioAlt struct {
 
 // ioSlot receives a stream's serviced result.  One slot belongs to one
 // stream (it is embedded in Stream, so delivering a result is two field
-// writes — no per-stream map on the hot path); every access is guarded
-// by the owning IOSched's mu.  queued is the open round the stream last
-// submitted into: a submission into a later round cannot meet an earlier
-// request of the stream, so it skips the same-stream scan.
+// writes — no per-stream map on the hot path).  queued is set while the
+// stream has a request in the open round: a stream's first submission
+// into a round cannot meet an earlier request of its own, so it skips
+// the same-stream scan.
 type ioSlot struct {
 	chunk  int
 	cost   avtime.WorldTime
 	full   bool
-	queued int64
+	queued bool
 }
 
 // reqBefore is the SCAN-EDF total order: earliest deadline first, ties
@@ -164,10 +165,8 @@ type schedRound struct {
 	flex    []ioReq
 }
 
-// IOSched batches chunk requests into per-device service rounds.
-type IOSched struct {
-	mu       sync.Mutex
-	open     int64      // the round the buffer collects: the store's mark
+// ioSched batches chunk requests into per-device service rounds.
+type ioSched struct {
 	round    schedRound // the open round's requests
 	m        ioMetrics
 	heads    map[*device.Disk]int // disk -> head track after last round
@@ -199,31 +198,10 @@ func newIOMetrics(s obs.Sink) ioMetrics {
 	}
 }
 
-// newIOSched returns a scheduler whose open round is open, the store's
-// mark: one made after the engine has stepped must not collect a round
-// the engine already closed.
-func newIOSched(sink obs.Sink, open int64) *IOSched {
-	return &IOSched{
-		open:  open,
-		m:     newIOMetrics(sink),
-		heads: make(map[*device.Disk]int),
-	}
-}
-
-// setSink swaps the observability sink (streams opened later observe
-// through the store's current sink; the scheduler follows it).
-func (io *IOSched) setSink(s obs.Sink) {
-	m := newIOMetrics(s)
-	io.mu.Lock()
-	io.m = m
-	io.mu.Unlock()
-}
-
-// Stats returns a snapshot of the counters.
-func (io *IOSched) Stats() IOStats {
-	io.mu.Lock()
-	defer io.mu.Unlock()
-	return io.stats
+// newIOSched returns a scheduler with no round submitted and no head
+// positioned.
+func newIOSched(sink obs.Sink) *ioSched {
+	return &ioSched{m: newIOMetrics(sink), heads: make(map[*device.Disk]int)}
 }
 
 // batchFor finds or inserts the round's batch for the given disk,
@@ -308,13 +286,13 @@ func (r *schedRound) loadOf(d *device.Disk) int64 {
 	return 0
 }
 
-// assignFlexLocked routes every flex request to the least-loaded copy.
-// The flex list is in SCAN-EDF order — a total key — so the greedy
-// walk, and therefore every assignment, is independent of submission
-// order; ties in load go to the lower device ID.  Earlier assignments
-// count toward later ones' load, spreading a burst of hot-clip readers
-// across the stripe groups.  io.mu is held.
-func (io *IOSched) assignFlexLocked(r *schedRound) {
+// assignFlex routes every flex request to the least-loaded copy.  The
+// flex list is in SCAN-EDF order — a total key — so the greedy walk,
+// and therefore every assignment, is independent of submission order;
+// ties in load go to the lower device ID.  Earlier assignments count
+// toward later ones' load, spreading a burst of hot-clip readers across
+// the stripe groups.
+func (r *schedRound) assignFlex() {
 	for i := range r.flex {
 		q := r.flex[i]
 		best, bestTrack := q.disk, q.track
@@ -334,48 +312,38 @@ func (io *IOSched) assignFlexLocked(r *schedRound) {
 	r.flex = r.flex[:0]
 }
 
-// submit queues a request into round if it is the open one; any other
-// round's request is dropped, and the stream's next read is a demand
-// read.  A stream resubmitting in the open round replaces its previous
-// request, so retried reads stay idempotent.  A request without a slot
-// is always checked for one.
-func (io *IOSched) submit(round int64, q ioReq) {
-	io.mu.Lock()
-	defer io.mu.Unlock()
-	if round != io.open {
-		return
-	}
+// submit queues a request into the open round; the caller submits only
+// a read of the open round.  A stream resubmitting in the round replaces
+// its previous request, so retried reads stay idempotent.  A request
+// without a slot is always checked for one.
+func (io *ioSched) submit(q ioReq) {
 	replace := true
 	if q.slot != nil {
-		replace = q.slot.queued == round
-		q.slot.queued = round
+		replace = q.slot.queued
+		q.slot.queued = true
 	}
 	io.round.addReq(q, replace)
 }
 
 // closeRound services the open round, if anything was submitted into
-// it, and opens round+1.  The caller — Store.CloseRound, at the end of
-// the engine's step — guarantees the round is complete.
-func (io *IOSched) closeRound(round int64) {
-	io.mu.Lock()
-	defer io.mu.Unlock()
-	io.open = round + 1
+// it.  The caller — Store.CloseRound, at the end of the engine's step —
+// guarantees the round is complete.
+func (io *ioSched) closeRound() {
 	r := &io.round
 	if len(r.batches) == 0 && len(r.flex) == 0 {
 		return
 	}
-	io.assignFlexLocked(r)
+	r.assignFlex()
 	for i := range r.batches {
-		io.serviceLocked(&r.batches[i])
+		io.service(&r.batches[i])
 	}
 	r.batches = r.batches[:0]
 	io.stats.Rounds++
 	io.m.rounds.Add(1)
 }
 
-// serviceLocked prices one disk's batch, already in SCAN-EDF order;
-// io.mu is held.
-func (io *IOSched) serviceLocked(b *diskBatch) {
+// service prices one disk's batch, already in SCAN-EDF order.
+func (io *ioSched) service(b *diskBatch) {
 	batch := b.reqs
 	if len(batch) == 0 {
 		return
@@ -415,7 +383,7 @@ func (io *IOSched) serviceLocked(b *diskBatch) {
 			cost += avtime.WorldTime(q.bytes * int64(avtime.Second) / int64(q.rate))
 		}
 		if q.slot != nil {
-			q.slot.chunk, q.slot.cost, q.slot.full = q.chunk, cost, true
+			q.slot.chunk, q.slot.cost, q.slot.full, q.slot.queued = q.chunk, cost, true, false
 		}
 		if io.svcTrace != nil {
 			*io.svcTrace = append(*io.svcTrace, svcEvent{
@@ -457,14 +425,11 @@ func (io *IOSched) serviceLocked(b *diskBatch) {
 }
 
 // take consumes the serviced result for the stream's chunk, reporting
-// what a read in round is charged.  A read in any round but the open
-// one leaves the slot alone and is a demand read.  A stale result — the
-// stream sought or degraded past what it had prefetched — is discarded
-// so the read falls back to a demand read.
-func (io *IOSched) take(slot *ioSlot, chunk int, round int64) (avtime.WorldTime, bool) {
-	io.mu.Lock()
-	defer io.mu.Unlock()
-	if round != io.open || !slot.full {
+// what the read is charged; the caller takes only in the open round.  A
+// stale result — the stream sought or degraded past what it had
+// prefetched — is discarded so the read falls back to a demand read.
+func (slot *ioSlot) take(chunk int) (avtime.WorldTime, bool) {
+	if !slot.full {
 		return 0, false
 	}
 	slot.full = false
@@ -474,25 +439,15 @@ func (io *IOSched) take(slot *ioSlot, chunk int, round int64) (avtime.WorldTime,
 	return slot.cost, true
 }
 
-// drop discards any serviced result held for the stream (cache hits and
-// closes make prefetched results moot).
-func (io *IOSched) drop(slot *ioSlot) {
-	io.mu.Lock()
-	slot.full = false
-	io.mu.Unlock()
-}
-
 // noteDemand accounts a chunk read that bypassed the rounds, and whether
 // it paid a positioning cost.
-func (io *IOSched) noteDemand(seeked bool) {
-	io.mu.Lock()
+func (io *ioSched) noteDemand(seeked bool) {
 	io.stats.Demand++
 	io.m.demand.Add(1)
 	if seeked {
 		io.stats.SeeksCharged++
 		io.m.seeksCharged.Add(1)
 	}
-	io.mu.Unlock()
 }
 
 func abs(x int) int {

@@ -1,85 +1,132 @@
 package storage
 
-// sched_concurrent_test.go extends TestSubmitOrderIndependence to
-// sessions submitting into the same round from different goroutines.
-// Order independence (the SCAN-EDF key is total) plus io.mu on every
-// shared-state touch means the interleaving must be invisible — the
-// service trace, head walks and counters after the close have to match
-// a sequential submission of the same round byte for byte.  Run under
-// -race this is also the data-race proof for cross-session submits.
+// sched_concurrent_test.go reads the streams of one store into one open
+// round from several goroutines at once, the way clients on their own
+// goroutines would meet the engine, and closes the round once every
+// read is in.  Every read takes the store's one lock, the SCAN-EDF key
+// is total and pool hits read only committed residency, so the
+// interleaving must be invisible: the service trace, IOStats, PoolStats
+// and every stream's CacheStats after the run have to match a serial
+// run of the same rounds byte for byte.  Run under -race this is also
+// the data-race proof for reads through one store from several
+// goroutines.
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
+
+	"avdb/internal/avtime"
+	"avdb/internal/media"
 )
 
-// TestConcurrentSubmitDeterminism submits one round's requests from
-// several goroutines at once — a different random partition every
-// trial — then closes the round and compares the full observable state against
-// a single-goroutine baseline.
+// concurrentRun is everything a run of TestConcurrentSubmitDeterminism
+// can observe.
+type concurrentRun struct {
+	trace []svcEvent
+	io    IOStats
+	pool  PoolStats
+	cache []CacheStats
+}
+
+// TestConcurrentSubmitDeterminism reads distinct Rounds streams of one
+// store with ReadChunkTimeAt, each round's reads dealt to several
+// goroutines — a different random deal every round and trial — then
+// closes the round with CloseRound, and compares the run against a
+// single-goroutine baseline.  Half the streams read through the buffer
+// pool, half go to the scheduler on every read; each stream jumps once
+// (its chunk index wraps), so a stale serviced result is met too.
 func TestConcurrentSubmitDeterminism(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	const streams = 24
-	reqs := make([]byte, 0, 9*streams)
-	for i := 0; i < streams; i++ {
-		reqs = append(reqs, 0) // submit op
-		operands := make([]byte, 8)
-		rng.Read(operands)
-		reqs = append(reqs, operands...)
-	}
-	decode := func(h *diffHarness, i int) ioReq {
-		c := &byteCursor{data: reqs[9*i+1 : 9*(i+1)]}
-		q := h.reqFrom(c)
-		// One submission per stream per round, exactly what the engine's
-		// commit barrier guarantees; distinct sids keep same-round
-		// replacement (last-writer-wins by design) out of the picture.
-		q.sid = int64(i)
-		q.slot = nil
-		return q
-	}
-	run := func(goroutines int) ([]svcEvent, IOStats) {
-		h := newDiffHarness(t)
-		if goroutines <= 1 {
-			for i := 0; i < streams; i++ {
-				h.neu.submit(h.cur, decode(h, i))
+	const streams, frames, rounds = 12, 24, 24
+	unit := media.TypeRawVideo30.Rate.UnitDuration()
+	run := func(goroutines int, rng *rand.Rand) concurrentRun {
+		_, st := stripeRig(t, 4)
+		st.SetStriping(StripePolicy{Seeks: true, Rounds: true})
+		var trace []svcEvent
+		st.io.svcTrace = &trace
+		ss := make([]*Stream, streams)
+		for j := range ss {
+			if j == streams/2 {
+				// The pool holds every chunk, so no commit evicts and the
+				// staging order, which the racing reads decide, never shows.
+				st.SetCachePolicy(CachePolicy{Capacity: frames, Lookahead: 2})
 			}
-		} else {
-			// Deal the streams into per-goroutine hands, shuffled so the
-			// racing submission orders differ across trials.
-			order := rng.Perm(streams)
-			var wg sync.WaitGroup
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for i := g; i < streams; i += goroutines {
-						h.neu.submit(h.cur, decode(h, order[i]))
-					}
-				}(g)
+			seg, err := st.PlaceStriped(clip(t, frames), media.MBPerSecond, 1+j%4)
+			if err != nil {
+				t.Fatal(err)
 			}
-			wg.Wait()
+			if ss[j], _, err = st.OpenStream(seg.ID(), media.MBPerSecond); err != nil {
+				t.Fatal(err)
+			}
 		}
-		h.neu.closeRound(h.cur)
-		return h.newTrace, h.neu.Stats()
+		read := func(j int, round int64) {
+			now := avtime.WorldTime(round) * unit
+			deadline := now + avtime.WorldTime(j%3)*avtime.Millisecond
+			if _, err := ss[j].ReadChunkTimeAt((int(round)+3*j)%frames, 1200, round, now, deadline); err != nil {
+				t.Error(err)
+			}
+		}
+		for r := int64(0); r < rounds; r++ {
+			if goroutines <= 1 {
+				for j := range ss {
+					read(j, r)
+				}
+			} else {
+				order := rng.Perm(streams)
+				var wg sync.WaitGroup
+				for g := 0; g < goroutines; g++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := g; i < streams; i += goroutines {
+							read(order[i], r)
+						}
+					}()
+				}
+				wg.Wait()
+			}
+			st.CloseRound(r)
+		}
+		out := concurrentRun{io: st.IOStats(), pool: st.PoolStats()}
+		for _, s := range ss {
+			out.cache = append(out.cache, s.CacheStats())
+			s.Close()
+		}
+		st.mu.Lock()
+		out.trace = trace
+		st.mu.Unlock()
+		return out
 	}
 
-	wantTrace, wantStats := run(1)
-	for trial := 0; trial < 8; trial++ {
+	want := run(1, nil)
+	if want.io.Scheduled == 0 || want.pool.Hits == 0 || want.pool.Staged != 0 {
+		t.Fatalf("the serial run misses a path: %+v, %+v", want.io, want.pool)
+	}
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 4; trial++ {
 		for _, goroutines := range []int{2, 4, 8} {
-			trace, stats := run(goroutines)
-			if stats != wantStats {
-				t.Fatalf("trial %d, %d goroutines: stats depend on submission interleaving:\ngot  %+v\nwant %+v",
-					trial, goroutines, stats, wantStats)
+			got := run(goroutines, rng)
+			if got.io != want.io {
+				t.Fatalf("trial %d, %d goroutines: IOStats depend on the read interleaving:\ngot  %+v\nwant %+v",
+					trial, goroutines, got.io, want.io)
 			}
-			if len(trace) != len(wantTrace) {
+			if got.pool != want.pool {
+				t.Fatalf("trial %d, %d goroutines: PoolStats depend on the read interleaving:\ngot  %+v\nwant %+v",
+					trial, goroutines, got.pool, want.pool)
+			}
+			if !slices.Equal(got.cache, want.cache) {
+				t.Fatalf("trial %d, %d goroutines: CacheStats depend on the read interleaving:\ngot  %+v\nwant %+v",
+					trial, goroutines, got.cache, want.cache)
+			}
+			if len(got.trace) != len(want.trace) {
 				t.Fatalf("trial %d, %d goroutines: trace length diverged: %d vs %d",
-					trial, goroutines, len(trace), len(wantTrace))
+					trial, goroutines, len(got.trace), len(want.trace))
 			}
-			for i := range trace {
-				if trace[i] != wantTrace[i] {
+			for i := range got.trace {
+				if got.trace[i] != want.trace[i] {
 					t.Fatalf("trial %d, %d goroutines: service order diverged at event %d:\ngot  %+v\nwant %+v",
-						trial, goroutines, i, trace[i], wantTrace[i])
+						trial, goroutines, i, got.trace[i], want.trace[i])
 				}
 			}
 		}

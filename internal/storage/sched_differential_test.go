@@ -1,7 +1,7 @@
 package storage
 
 // sched_differential_test.go is the differential harness for the flat,
-// allocation-free IOSched: it drives the scheduler (sched.go) and the
+// allocation-free ioSched: it drives the scheduler (sched.go) and the
 // map+sort reference (sched_reference_test.go) through identical
 // operation streams and fails on the first observable divergence —
 // service order (svcEvent traces must be byte-identical), returned
@@ -17,7 +17,11 @@ package storage
 //
 // The harness has the engine's shape: one round is open, and a tick
 // closes it and opens the next, the way the engine closes its round at
-// the end of each step.  Reads never service.
+// the end of each step.  Reads never service.  The harness keeps the
+// round mark for the flat scheduler, which has none, the way the store
+// keeps it: only a read tagged with the open round takes and submits.
+// The reference keeps a mark of its own and is handed every read and
+// submission with its round, so it checks that decision too.
 //
 // Byte format (all operand bytes are consumed unconditionally so
 // corpus encoders can be written without simulating scheduler state):
@@ -37,11 +41,11 @@ package storage
 //	read flags: bit1 has follow-on request, bit2 demand seek (bit0 unused)
 //
 // A read drives both schedulers through storage.go's ReadChunkTimeAt
-// protocol: take the stream's result and — after a demand read on a
-// miss — submit the follow-on.  A read (4, 5) is tagged with the open
-// round; a straggler (7) with the round before it and a future read (9)
-// with the round after it, and both must end as demand reads that
-// submit nothing.
+// protocol: in the open round, take the stream's result and — after a
+// demand read on a miss — submit the follow-on.  A read (4, 5) is
+// tagged with the open round; a straggler (7) with the round before it
+// and a future read (9) with the round after it, and both must end as
+// demand reads that submit nothing.
 
 import (
 	"flag"
@@ -90,7 +94,7 @@ func (c *byteCursor) byte() byte {
 type diffHarness struct {
 	t        testing.TB
 	disks    []*device.Disk
-	neu      *IOSched
+	neu      *ioSched
 	ref      *refSched
 	slots    [diffSids]ioSlot
 	newTrace []svcEvent
@@ -120,7 +124,7 @@ func newDiffHarness(t testing.TB) *diffHarness {
 		}
 		h.disks = append(h.disks, d)
 	}
-	h.neu = newIOSched(h.newSink, h.cur)
+	h.neu = newIOSched(h.newSink)
 	h.ref = newRefSched(h.refSink, h.cur)
 	h.neu.svcTrace = &h.newTrace
 	h.ref.svcTrace = &h.refTrace
@@ -166,10 +170,11 @@ func refReq(q ioReq) ioReq {
 	return q
 }
 
-// submit hands q to both schedulers, counting a same-round
-// resubmission that replaces the stream's request.
+// submit hands q to the reference and, if round is the open one, to
+// the flat scheduler, counting a same-round resubmission that replaces
+// the stream's request.
 func (h *diffHarness) submit(round int64, q ioReq) {
-	if round == h.ref.open {
+	if round == h.cur {
 		var queued bool
 		if q.nalt > 0 {
 			_, queued = h.ref.flex[q.sid]
@@ -179,8 +184,8 @@ func (h *diffHarness) submit(round int64, q ioReq) {
 		if queued {
 			h.replacements++
 		}
+		h.neu.submit(q)
 	}
-	h.neu.submit(round, q)
 	h.ref.submit(round, refReq(q))
 }
 
@@ -208,7 +213,11 @@ func (h *diffHarness) opRead(c *byteCursor, round int64) {
 		h.staleTakes++
 	}
 
-	costN, okN := h.neu.take(slot, chunk, round)
+	var costN avtime.WorldTime
+	var okN bool
+	if round == h.cur {
+		costN, okN = slot.take(chunk)
+	}
 	costR, okR := h.ref.take(sid, chunk, round)
 	if okN != okR || costN != costR {
 		h.t.Fatalf("read(sid=%d chunk=%d round=%d) diverged: new (%v, %v) vs ref (%v, %v)",
@@ -236,14 +245,15 @@ func (h *diffHarness) closeRound() {
 	if len(r.batches) >= 2 && len(r.flex) > 0 {
 		h.mixedRounds++
 	}
-	h.neu.closeRound(h.cur)
+	h.neu.closeRound()
 	h.ref.closeRound(h.cur)
 	h.cur++
 }
 
+// opDrop discards the stream's result, as a cache hit or a close does.
 func (h *diffHarness) opDrop(c *byteCursor) {
 	sid := int64(c.byte() % diffSids)
-	h.neu.drop(&h.slots[sid])
+	h.slots[sid].full = false
 	h.ref.drop(sid)
 }
 
@@ -257,11 +267,11 @@ func (h *diffHarness) opDemand(c *byteCursor) {
 // divergence is pinned to the op that caused it.
 func (h *diffHarness) checkStep(op int, n int) {
 	h.t.Helper()
-	if sn, sr := h.neu.Stats(), h.ref.Stats(); sn != sr {
+	if sn, sr := h.neu.stats, h.ref.Stats(); sn != sr {
 		h.t.Fatalf("op %d (#%d): stats diverged:\nnew %+v\nref %+v", op, n, sn, sr)
 	}
-	if on, or := h.neu.open, h.ref.open; on != or || on != h.cur {
-		h.t.Fatalf("op %d (#%d): open round diverged: new %d ref %d harness %d", op, n, on, or, h.cur)
+	if h.ref.open != h.cur {
+		h.t.Fatalf("op %d (#%d): open round diverged: ref %d harness %d", op, n, h.ref.open, h.cur)
 	}
 	h.checkOpenRound()
 }
@@ -272,8 +282,6 @@ func (h *diffHarness) checkStep(op int, n int) {
 // per list, so no two members may compare equal).
 func (h *diffHarness) checkOpenRound() {
 	h.t.Helper()
-	h.neu.mu.Lock()
-	defer h.neu.mu.Unlock()
 	r := &h.neu.round
 	strict := func(what string, reqs []ioReq) {
 		for j := 1; j < len(reqs); j++ {
@@ -329,7 +337,7 @@ func (h *diffHarness) finish() {
 			h.t.Fatalf("stream %d result diverged: new {%d %v} ref %+v", sid, slot.chunk, slot.cost, res)
 		}
 	}
-	if sn, sr := h.neu.Stats(), h.ref.Stats(); sn != sr {
+	if sn, sr := h.neu.stats, h.ref.Stats(); sn != sr {
 		h.t.Fatalf("final stats diverged:\nnew %+v\nref %+v", sn, sr)
 	}
 }
@@ -445,10 +453,10 @@ func TestSubmitOrderIndependence(t *testing.T) {
 			// look like an order dependence.
 			q.sid = int64(i)
 			q.slot = nil
-			h.neu.submit(h.cur, q)
+			h.neu.submit(q)
 		}
-		h.neu.closeRound(h.cur)
-		return h.newTrace, h.neu.Stats()
+		h.neu.closeRound()
+		return h.newTrace, h.neu.stats
 	}
 	base := make([]int, 24)
 	for i := range base {

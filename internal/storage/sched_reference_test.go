@@ -1,7 +1,7 @@
 package storage
 
 // sched_reference_test.go keeps a map+sort round scheduler as the
-// differential oracle for the flat, allocation-free IOSched in
+// differential oracle for the flat, allocation-free ioSched in
 // sched.go.  The two must produce byte-identical service orders, seek
 // charges, results and storage.iosched.* metrics for any request
 // stream; sched_differential_test.go and FuzzSCANEDFOrder hold them to

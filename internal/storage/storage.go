@@ -8,11 +8,21 @@
 // choose.  Moving a value between devices is possible but costs the full
 // read+write time, the copy the paper warns "could be so time-consuming
 // as to destroy any sense of interactivity."
+//
+// One lock, Store.mu, guards the store's data plane: the segment table,
+// the policies and the round mark, every Stream field a read touches,
+// the round scheduler (sched.go) and the buffer pool (pool.go), which
+// have no lock of their own.  Each entry point — a chunk read, a close,
+// CloseRound, the stats snapshots, SetSink, the policy setters — takes
+// it once.  Lock order is Store.mu → device locks → obs handle locks,
+// and nothing holding Store.mu calls back into the store.  The engine
+// reads every stream from its one loop goroutine, so in steady state the
+// lock is uncontended; clients closing sessions or snapshotting stats
+// from their own goroutines meet the engine on it.
 package storage
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"avdb/internal/avtime"
@@ -100,7 +110,7 @@ type Store struct {
 	policy   CachePolicy
 	striping StripePolicy
 	tiering  TierPolicy
-	io       *IOSched    // non-nil once a Seeks/Rounds policy was installed
+	io       *ioSched    // non-nil once a Seeks/Rounds policy was installed
 	pool     *bufferPool // non-nil once a caching policy opened a stream
 	open     int64       // the open storage round: the last closed round + 1
 }
@@ -134,18 +144,18 @@ func newStoreMetrics(s obs.Sink) storeMetrics {
 // SetCachePolicy configures chunk caching for streams opened afterwards;
 // already-open streams keep the policy (and the shared pool) they were
 // opened with — changing the policy retires the current pool, and later
-// streams share a fresh one.  Retiring commits the pool's staged ops,
-// and the retired pool never matches the open round again, so reads
-// through it apply at once and no close has to reach it.  The zero
+// streams share a fresh one.  Retiring commits the pool's staged ops;
+// a read through the retired pool is no read of the store's current
+// pool, so it applies at once and no close has to reach it.  The zero
 // policy disables caching.
 func (st *Store) SetCachePolicy(p CachePolicy) {
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	if p != st.policy && st.pool != nil {
-		st.pool.closeRound(math.MaxInt64 - 1)
+		st.pool.closeRound()
 		st.pool = nil
 	}
 	st.policy = p
-	st.mu.Unlock()
 }
 
 // CloseRound ends storage round T.  The store keeps one round open, its
@@ -163,10 +173,10 @@ func (st *Store) CloseRound(round int64) {
 	}
 	st.open = round + 1
 	if st.io != nil {
-		st.io.closeRound(round)
+		st.io.closeRound()
 	}
 	if st.pool != nil {
-		st.pool.closeRound(round)
+		st.pool.closeRound()
 	}
 }
 
@@ -174,18 +184,15 @@ func (st *Store) CloseRound(round int64) {
 // emit storage.reads / read_bytes / streams_opened counters and
 // observe read costs into storage.read_time_us.
 func (st *Store) SetSink(s obs.Sink) {
-	m := newStoreMetrics(s)
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	st.sink = s
-	st.m = m
-	io := st.io
-	pool := st.pool
-	st.mu.Unlock()
-	if io != nil {
-		io.setSink(s)
+	st.m = newStoreMetrics(s)
+	if st.io != nil {
+		st.io.m = newIOMetrics(s)
 	}
-	if pool != nil {
-		pool.setSink(s)
+	if st.pool != nil {
+		st.pool.m = newPoolMetrics(s)
 	}
 }
 
@@ -194,12 +201,11 @@ func (st *Store) SetSink(s obs.Sink) {
 // outlives streams: closing one no longer discards its cache history.
 func (st *Store) PoolStats() PoolStats {
 	st.mu.Lock()
-	pool := st.pool
-	st.mu.Unlock()
-	if pool == nil {
+	defer st.mu.Unlock()
+	if st.pool == nil {
 		return PoolStats{}
 	}
-	return pool.stats()
+	return st.pool.stats()
 }
 
 // NewStore returns a store over the given device manager.
@@ -410,6 +416,8 @@ func (st *Store) jukebox(deviceID string) (*device.Jukebox, error) {
 }
 
 // Stream is an open, bandwidth-reserved read stream over a segment.
+// Every field is set at open; open, slot, mapped, startup, bytes,
+// readFrac and cstats then change under the store's lock.
 type Stream struct {
 	st   *Store
 	seg  *Segment
@@ -421,16 +429,15 @@ type Stream struct {
 	// Striped and scheduled streams only.
 	disks  []*device.Disk   // stripe home disks, nil when unstriped
 	shares []media.DataRate // per-disk reservation, sums to rate
-	io     *IOSched         // non-nil under a Seeks or Rounds policy
-	slot   ioSlot           // serviced-result slot, guarded by io.mu
+	io     *ioSched         // non-nil under a Seeks or Rounds policy
 	rounds bool             // submit/consume through service rounds
-	mapped bool             // layoutLocked has run; guarded by mu
 	seeks  bool             // contended pricing: every demand read seeks
 	unit   avtime.WorldTime // playback interval between chunk deadlines
 	reps   []*segReplica    // replica snapshot taken at open time
 
-	mu       sync.Mutex
 	open     bool
+	slot     ioSlot           // the scheduler's serviced result for this stream
+	mapped   bool             // layoutLocked has run
 	startup  avtime.WorldTime // positioning cost charged on the first read
 	bytes    int64
 	readFrac float64      // fraction of each chunk scheduled reads transfer; 0 = full
@@ -528,13 +535,13 @@ func (st *Store) OpenStreamWith(id SegID, rate media.DataRate, policy StripePoli
 	st.nextSID++
 	if st.policy.Enabled() {
 		if st.pool == nil {
-			st.pool = newBufferPool(st.policy, st.sink, st.open)
+			st.pool = newBufferPool(st.policy, st.sink)
 		}
 		stream.pool = st.pool
 	}
 	if policy.Seeks || policy.Rounds {
 		if st.io == nil {
-			st.io = newIOSched(st.sink, st.open)
+			st.io = newIOSched(st.sink)
 		}
 		stream.io = st.io
 	}
@@ -569,8 +576,8 @@ func (s *Stream) ReadTime(bytes int64) (avtime.WorldTime, error) {
 	if bytes < 0 {
 		return 0, fmt.Errorf("storage: negative read %d", bytes)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.st.mu.Lock()
+	defer s.st.mu.Unlock()
 	if !s.open {
 		return 0, fmt.Errorf("%w: read on closed stream", ErrStreamClosed)
 	}
@@ -580,7 +587,7 @@ func (s *Stream) ReadTime(bytes int64) (avtime.WorldTime, error) {
 }
 
 // readDone accounts a completed read of bytes that took t to the stream
-// and its sink, and returns t; the caller holds s.mu.
+// and its sink, and returns t; the caller holds the store's lock.
 func (s *Stream) readDone(bytes int64, t avtime.WorldTime) avtime.WorldTime {
 	s.bytes += bytes
 	s.m.reads.Add(1)
@@ -599,18 +606,20 @@ func (s *Stream) readDone(bytes int64, t avtime.WorldTime) avtime.WorldTime {
 //
 // The read is deadline-tagged: round is the caller's storage round (the
 // engine's step), now the tick's world time, and deadline the moment
-// the chunk must be presentable.  Under a Rounds policy a read tagged
-// with the store's open round consumes the scheduled result for this
-// chunk if the last closed round prefetched it (paying its SCAN-EDF
-// amortized cost instead of a full seek), and then submits the
-// following chunk into the open round tagged deadline+unit; its pool
-// touches and inserts are staged for the round's close.  A chunk
-// nothing prefetched — the first read, a jump — is a demand read.  A
-// read tagged with any other round — round < 0, a straggler below the
-// mark, a round ahead of it — reads in immediate mode: a demand read
-// that submits nothing, with its pool ops applied at once.  The read
-// neither services rounds nor commits the pool's staged ops:
-// CloseRound does both.
+// the chunk must be presentable.  The read decides once, under the
+// store's lock, whether it belongs to the open round: its round is the
+// store's mark.  Under a Rounds policy such a read consumes the
+// scheduled result for this chunk if the last closed round prefetched
+// it (paying its SCAN-EDF amortized cost instead of a full seek), and
+// then submits the following chunk into the open round tagged
+// deadline+unit; if the stream reads through the store's current pool,
+// its pool touches and inserts are staged for the round's close.  A
+// chunk nothing prefetched — the first read, a jump — is a demand read.
+// Any other read — round < 0, a straggler below the mark, a round ahead
+// of it, a read through a pool a policy change retired — reads in
+// immediate mode: a demand read that submits nothing, with its pool ops
+// applied at once.  The read neither services rounds nor commits the
+// pool's staged ops: CloseRound does both.
 func (s *Stream) ReadChunkTimeAt(idx int, bytes int64, round int64, now, deadline avtime.WorldTime) (avtime.WorldTime, error) {
 	if bytes < 0 {
 		return 0, fmt.Errorf("storage: negative read %d", bytes)
@@ -618,8 +627,9 @@ func (s *Stream) ReadChunkTimeAt(idx int, bytes int64, round int64, now, deadlin
 	if idx < 0 {
 		return 0, fmt.Errorf("storage: negative chunk index %d", idx)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	st := s.st
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	if !s.open {
 		return 0, fmt.Errorf("%w: read on closed stream", ErrStreamClosed)
 	}
@@ -628,25 +638,25 @@ func (s *Stream) ReadChunkTimeAt(idx int, bytes int64, round int64, now, deadlin
 			return 0, err
 		}
 	}
-	scheduled := s.rounds && round >= 0
+	inRound := round == st.open
+	scheduled := s.rounds && inRound
+	stage := inRound && s.pool == st.pool
 	if s.pool != nil {
-		if hit, shared := s.pool.read(s.pid, poolKey{seg: s.pslot, chunk: idx}, round); hit {
+		if hit, shared := s.pool.read(s.pid, poolKey{seg: s.pslot, chunk: idx}, stage); hit {
 			if shared {
 				s.cstats.Shared++
 			}
 			s.cstats.Hits++
 			s.bytes += bytes
-			if s.io != nil {
-				// A hit makes any scheduled result for this stream moot.
-				s.io.drop(&s.slot)
-			}
+			// A hit makes any scheduled result for this stream moot.
+			s.slot.full = false
 			return 0, nil
 		}
 	}
 	var t avtime.WorldTime
 	if !scheduled {
 		t = s.readChunkLocked(idx, bytes)
-	} else if cost, ok := s.io.take(&s.slot, idx, round); ok {
+	} else if cost, ok := s.slot.take(idx); ok {
 		// Consume the round-serviced prefetch.
 		t = s.readDone(bytes, cost)
 	} else {
@@ -655,7 +665,7 @@ func (s *Stream) ReadChunkTimeAt(idx int, bytes int64, round int64, now, deadlin
 	if scheduled {
 		var next ioReq
 		if s.stageNext(idx, now, deadline, &next) {
-			s.io.submit(round, next)
+			s.io.submit(next)
 		}
 	}
 	if s.pool == nil {
@@ -663,7 +673,7 @@ func (s *Stream) ReadChunkTimeAt(idx int, bytes int64, round int64, now, deadlin
 	}
 	s.cstats.Misses++
 	s.pool.miss()
-	staged, evicted := s.pool.fill(s.pid, s.pslot, idx, s.pool.policy.Lookahead, s.seg.frames-1, round)
+	staged, evicted := s.pool.fill(s.pid, s.pslot, idx, s.pool.policy.Lookahead, s.seg.frames-1, stage)
 	s.cstats.Prefetched += int64(staged)
 	s.cstats.Evicted += int64(evicted)
 	return t, nil
@@ -672,14 +682,11 @@ func (s *Stream) ReadChunkTimeAt(idx int, bytes int64, round int64, now, deadlin
 // layoutLocked makes the segment's chunk and track maps exist for a
 // scheduled stream.  They are built at the stream's first chunk read, not
 // at open, so a stream only ever read by size — an audio reader's, where
-// a chunk is a sample — never builds a per-sample map.  The build runs
-// under the store lock, and every stream passes through that lock before
-// it reads the maps, so once built they are immutable to all readers.
-// The caller holds s.mu.
+// a chunk is a sample — never builds a per-sample map.  The caller holds
+// the store's lock, which every stream passes through before it reads
+// the maps, so once built they are immutable to all readers.
 func (s *Stream) layoutLocked() error {
 	seg := s.seg
-	s.st.mu.Lock()
-	defer s.st.mu.Unlock()
 	if seg.chunkDev == nil {
 		if err := seg.buildChunkMap(1); err != nil {
 			return err
@@ -734,9 +741,9 @@ func (s *Stream) chunkHome(idx int) (*device.Disk, int, bool) {
 }
 
 // readChunkLocked prices one demand chunk read on the chunk's home
-// device; the caller holds s.mu.  Under contended pricing (Seeks) every
-// demand read pays the home disk's positioning cost, not just the
-// first; the startup charge doubles as the first read's seek.
+// device; the caller holds the store's lock.  Under contended pricing
+// (Seeks) every demand read pays the home disk's positioning cost, not
+// just the first; the startup charge doubles as the first read's seek.
 func (s *Stream) readChunkLocked(idx int, bytes int64) avtime.WorldTime {
 	t := avtime.WorldTime(bytes * int64(avtime.Second) / int64(s.rate))
 	seeked := false
@@ -759,7 +766,7 @@ func (s *Stream) readChunkLocked(idx int, bytes int64) avtime.WorldTime {
 // stageNext fills req with the request for the chunk after idx, due one
 // playback unit past the consumed chunk's deadline, reporting false when
 // there is nothing to prefetch (end of clip, unmapped chunk); the caller
-// holds s.mu.
+// holds the store's lock.
 func (s *Stream) stageNext(idx int, now, deadline avtime.WorldTime, req *ioReq) bool {
 	next := idx + 1
 	if next >= s.seg.frames {
@@ -810,8 +817,8 @@ func (s *Stream) stageNext(idx int, now, deadline avtime.WorldTime, req *ioReq) 
 // degrading under pressure is that the disk rounds get shorter.  A total
 // of zero, or one at least the segment size, restores full-chunk reads.
 func (s *Stream) SetPayloadBytes(total int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.st.mu.Lock()
+	defer s.st.mu.Unlock()
 	if total <= 0 || s.seg.size <= 0 || total >= s.seg.size {
 		s.readFrac = 0
 		return
@@ -824,8 +831,8 @@ func (s *Stream) SetPayloadBytes(total int64) {
 // Evictions under scheduled reads land on the pool aggregate
 // (Store.PoolStats), which also survives the stream closing.
 func (s *Stream) CacheStats() CacheStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.st.mu.Lock()
+	defer s.st.mu.Unlock()
 	return s.cstats
 }
 
@@ -835,23 +842,19 @@ func (s *Stream) CacheStats() CacheStats {
 // concurrent Move may have redirected (releasing on the new device would
 // leak the old reservation and corrupt the new device's accounting).
 func (s *Stream) Close() {
-	s.mu.Lock()
+	st := s.st
+	st.mu.Lock()
 	if !s.open {
-		s.mu.Unlock()
+		st.mu.Unlock()
 		return
 	}
 	s.open = false
-	io := s.io
-	s.mu.Unlock()
-	if io != nil {
-		io.drop(&s.slot)
-	}
+	s.slot.full = false
 	if s.pool != nil {
 		s.pool.detach(s.pslot)
 	}
-	s.st.mu.Lock()
 	s.seg.openStreams--
-	s.st.mu.Unlock()
+	st.mu.Unlock()
 	s.releaseReservations()
 }
 

@@ -297,7 +297,10 @@ func TestOpenStreamErrors(t *testing.T) {
 // policy change, the scheduler behind the first Rounds stream — start
 // at round N, so the stream's reads in round N stage and submit, and
 // CloseRound(N) commits and services them.  Reads tagged N-1 and N+1
-// stage nothing and submit nothing: they are demand reads.
+// stage nothing and submit nothing: they are demand reads.  A read of
+// round N through the retired pool applies at once: PoolStats counts
+// only the current pool's staged ops, and CloseRound(N) commits nothing
+// of the retired pool.
 func TestStoreMarkSeedsLateSchedulerAndPool(t *testing.T) {
 	const n = 5
 	_, st := testRig(t)
@@ -340,7 +343,26 @@ func TestStoreMarkSeedsLateSchedulerAndPool(t *testing.T) {
 	if ps := st.PoolStats(); ps.Staged != 1 {
 		t.Fatalf("a read in the open round %d left %+v; want its insert staged", n, ps)
 	}
+	retired, hits := old.pool, old.CacheStats().Hits
+	for _, chunk := range []int{10, 11} {
+		if _, err := old.ReadChunkTimeAt(chunk, 1200, n, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(retired.staged) != 0 || retired.lookup(poolKey{seg: old.pslot, chunk: 11}) == poolNil {
+		t.Fatalf("reads through the retired pool in the open round %d staged %d ops; want them applied at once", n, len(retired.staged))
+	}
+	if cs := old.CacheStats(); cs.Hits != hits+1 {
+		t.Fatalf("the retired pool's insert of chunk 11 did not serve the next read at once: %+v", cs)
+	}
+	if ps := st.PoolStats(); ps.Staged != 1 {
+		t.Fatalf("reads through the retired pool moved the current pool's staged ops: %+v", ps)
+	}
+	before := retired.stats()
 	st.CloseRound(n)
+	if after := retired.stats(); after != before {
+		t.Fatalf("closing round %d reached the retired pool: %+v -> %+v", n, before, after)
+	}
 	if ps := st.PoolStats(); ps.Staged != 0 || ps.Resident != 3 {
 		t.Fatalf("closing round %d left %+v; want 0 staged, 3 resident", n, ps)
 	}

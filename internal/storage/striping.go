@@ -73,7 +73,7 @@ func (st *Store) SetStriping(p StripePolicy) {
 	st.mu.Lock()
 	st.striping = p
 	if (p.Seeks || p.Rounds) && st.io == nil {
-		st.io = newIOSched(st.sink, st.open)
+		st.io = newIOSched(st.sink)
 	}
 	st.mu.Unlock()
 }
@@ -89,12 +89,11 @@ func (st *Store) Striping() StripePolicy {
 // scheduling policy was ever installed.
 func (st *Store) IOStats() IOStats {
 	st.mu.Lock()
-	io := st.io
-	st.mu.Unlock()
-	if io == nil {
+	defer st.mu.Unlock()
+	if st.io == nil {
 		return IOStats{}
 	}
-	return io.Stats()
+	return st.io.stats
 }
 
 // Striped reports whether the segment is striped, and over which

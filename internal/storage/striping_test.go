@@ -370,16 +370,16 @@ func TestIOSchedBatchAmortizesSeeks(t *testing.T) {
 	if err := d.SetGeometry(16, avtime.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	io := newIOSched(nil, 0)
+	io := newIOSched(nil)
 	// Three streams, adjacent tracks, same deadline: one positioned seek
 	// for the run, the rest ride for free.
 	slots := make([]ioSlot, 3)
 	for sid := int64(0); sid < 3; sid++ {
-		io.submit(0, ioReq{sid: sid, chunk: 5, bytes: 1200, disk: d, track: 4 + int(sid),
+		io.submit(ioReq{sid: sid, chunk: 5, bytes: 1200, disk: d, track: 4 + int(sid),
 			rate: media.MBPerSecond, now: 0, deadline: avtime.Second, slot: &slots[sid]})
 	}
-	io.closeRound(0)
-	st := io.Stats()
+	io.closeRound()
+	st := io.stats
 	if st.Rounds != 1 || st.Batches != 1 || st.Scheduled != 3 {
 		t.Errorf("stats %+v, want 1 round, 1 batch, 3 scheduled", st)
 	}
@@ -391,12 +391,12 @@ func TestIOSchedBatchAmortizesSeeks(t *testing.T) {
 	}
 	// Every stream finds its serviced result, and the run's followers
 	// are strictly cheaper than its opener.
-	first, ok := io.take(&slots[0], 5, 1)
+	first, ok := slots[0].take(5)
 	if !ok {
 		t.Fatal("stream 0's result missing")
 	}
 	for sid := int64(1); sid < 3; sid++ {
-		cost, ok := io.take(&slots[sid], 5, 1)
+		cost, ok := slots[sid].take(5)
 		if !ok {
 			t.Fatalf("stream %d's result missing", sid)
 		}
@@ -413,20 +413,20 @@ func TestIOSchedScanEDFOrder(t *testing.T) {
 	}
 	// An urgent request on a far track must be serviced before a relaxed
 	// one near the head: deadline dominates track position.
-	io := newIOSched(nil, 0)
+	io := newIOSched(nil)
 	io.heads[d] = 0
 	slots := make([]ioSlot, 2)
-	io.submit(0, ioReq{sid: 0, chunk: 1, bytes: 1200, disk: d, track: 15,
+	io.submit(ioReq{sid: 0, chunk: 1, bytes: 1200, disk: d, track: 15,
 		rate: media.MBPerSecond, now: 0, deadline: avtime.Millisecond, slot: &slots[0]})
-	io.submit(0, ioReq{sid: 1, chunk: 1, bytes: 1200, disk: d, track: 1,
+	io.submit(ioReq{sid: 1, chunk: 1, bytes: 1200, disk: d, track: 1,
 		rate: media.MBPerSecond, now: 0, deadline: avtime.Second, slot: &slots[1]})
-	io.closeRound(0)
+	io.closeRound()
 	// Head finished at the relaxed request's track — it went last.
 	if io.heads[d] != 1 {
 		t.Errorf("head at track %d, want 1 (EDF must outrank SCAN)", io.heads[d])
 	}
-	urgent, _ := io.take(&slots[0], 1, 1)
-	relaxed, _ := io.take(&slots[1], 1, 1)
+	urgent, _ := slots[0].take(1)
+	relaxed, _ := slots[1].take(1)
 	// The urgent stream paid the full 0->15 sweep; the relaxed one paid
 	// the shorter 15->1 return, cheaper than a cold full-span seek.
 	if urgent <= relaxed {
@@ -434,47 +434,60 @@ func TestIOSchedScanEDFOrder(t *testing.T) {
 	}
 	// The deadline miss on the urgent request was counted: a 1ms
 	// deadline cannot absorb a full-span seek.
-	if st := io.Stats(); st.DeadlineMisses != 1 {
+	if st := io.stats; st.DeadlineMisses != 1 {
 		t.Errorf("deadline misses %d, want 1", st.DeadlineMisses)
 	}
 }
 
 func TestIOSchedStaleAndStragglerRequests(t *testing.T) {
 	d := device.NewDisk("d", 1_000_000, 8*media.MBPerSecond, 10*avtime.Millisecond)
-	io := newIOSched(nil, 0)
-	slots := make([]ioSlot, 3)
-	io.submit(0, ioReq{sid: 7, chunk: 3, bytes: 1200, disk: d, rate: media.MBPerSecond, deadline: avtime.Second, slot: &slots[0]})
-	io.closeRound(0)
+	io := newIOSched(nil)
+	var slot ioSlot
+	io.submit(ioReq{sid: 7, chunk: 3, bytes: 1200, disk: d, rate: media.MBPerSecond, deadline: avtime.Second, slot: &slot})
+	io.closeRound()
 	// Taking the wrong chunk discards the stale result entirely.
-	if _, ok := io.take(&slots[0], 9, 1); ok {
+	if _, ok := slot.take(9); ok {
 		t.Error("stale result consumed for the wrong chunk")
 	}
-	if _, ok := io.take(&slots[0], 3, 1); ok {
+	if _, ok := slot.take(3); ok {
 		t.Error("discarded result resurfaced")
 	}
-	// Submissions into a round other than the open one — a straggler
-	// into the closed round 0, a read ahead into round 5 — are dropped,
-	// so the consumer falls back to a demand read instead of waiting.
-	io.submit(0, ioReq{sid: 8, chunk: 0, bytes: 1200, disk: d, rate: media.MBPerSecond, slot: &slots[1]})
-	io.submit(5, ioReq{sid: 8, chunk: 1, bytes: 1200, disk: d, rate: media.MBPerSecond, slot: &slots[1]})
-	io.closeRound(1)
-	if slots[1].full {
-		t.Error("a submission into a round other than the open one was serviced")
+
+	// The store decides which reads belong to the open round.  A read
+	// tagged with no round, a straggler into the closed round 0 and a
+	// read ahead into round 2 neither take the result serviced for the
+	// open round 1 nor submit, so the consumer falls back to a demand
+	// read instead of waiting, and the read in round 1 still finds it.
+	_, st := testRig(t)
+	seg, err := st.Place(clip(t, 8), "disk0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st := io.Stats(); st.Rounds != 1 {
-		t.Errorf("rounds %d, want 1 (a submission outside the open round must not start one)", st.Rounds)
+	s, _, err := st.OpenStreamWith(seg.ID(), media.MBPerSecond, StripePolicy{Rounds: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A read tagged with any round but the open one leaves the result
-	// for the read in the open round.
-	io.submit(2, ioReq{sid: 9, chunk: 4, bytes: 1200, disk: d, rate: media.MBPerSecond, deadline: avtime.Second, slot: &slots[2]})
-	io.closeRound(2)
-	for _, r := range []int64{-1, 2, 4} {
-		if _, ok := io.take(&slots[2], 4, r); ok {
-			t.Errorf("a read tagged round %d took the result serviced for the open round 3", r)
+	defer s.Close()
+	if _, err := s.ReadChunkTimeAt(0, 1200, 0, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	st.CloseRound(0)
+	for n, r := range []int64{-1, 0, 2} {
+		if _, err := s.ReadChunkTimeAt(1, 1200, r, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if got := st.IOStats().Demand; got != int64(n+2) {
+			t.Errorf("a read tagged round %d made %d demand reads in all, want %d", r, got, n+2)
+		}
+		if !s.slot.full || len(st.io.round.batches) != 0 {
+			t.Errorf("a read tagged round %d, open 1, took the result or submitted", r)
 		}
 	}
-	if _, ok := io.take(&slots[2], 4, 3); !ok {
-		t.Error("the read in the open round lost its result")
+	if _, err := s.ReadChunkTimeAt(1, 1200, 1, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if io := st.IOStats(); io.Demand != 4 || io.Rounds != 1 {
+		t.Errorf("the read in the open round lost its result: %+v", io)
 	}
 }
 
@@ -778,7 +791,7 @@ func readRoundsConcurrently(t *testing.T, st *Store, ss []*Stream, frames int) {
 }
 
 func TestStripedConcurrentStreamsRace(t *testing.T) {
-	// Many striped streams sharing one IOSched and one pool, each round's
+	// Many striped streams sharing one scheduler and one pool, each round's
 	// reads racing on their own goroutines.  Run under -race.
 	_, st := stripeRig(t, 4)
 	st.SetSink(obs.NewCollector())

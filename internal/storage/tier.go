@@ -136,11 +136,8 @@ func (st *Store) OpenStreamTiered(id SegID, rate media.DataRate, now avtime.Worl
 	if err != nil {
 		return nil, extra, err
 	}
-	if extra > 0 {
-		stream.mu.Lock()
-		stream.startup += extra
-		stream.mu.Unlock()
-	}
+	// No other goroutine holds the new stream yet.
+	stream.startup += extra
 	return stream, startup + extra, nil
 }
 

@@ -348,14 +348,14 @@ func TestTierFlexRoutingLeastLoaded(t *testing.T) {
 		return q
 	}
 	for _, order := range [][]int64{{1, 2}, {2, 1}} {
-		io := newIOSched(nil, 0)
+		io := newIOSched(nil)
 		var trace []svcEvent
 		io.svcTrace = &trace
 		slots := map[int64]*ioSlot{1: {}, 2: {}}
 		for _, sid := range order {
-			io.submit(0, mkReq(sid, int(sid), avtime.WorldTime(sid)*avtime.Second, slots[sid]))
+			io.submit(mkReq(sid, int(sid), avtime.WorldTime(sid)*avtime.Second, slots[sid]))
 		}
-		io.closeRound(0)
+		io.closeRound()
 		// Earliest deadline routes first onto the equally-empty disks:
 		// the tie goes to the lower ID (adisk); the second request then
 		// sees adisk loaded and takes bdisk.
